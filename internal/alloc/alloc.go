@@ -15,16 +15,97 @@ package alloc
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"dmexplore/internal/memhier"
+	"dmexplore/internal/simheap"
 )
 
-// Ptr identifies a live allocation: the layer holding it and the payload
-// address within that layer's address space. The zero Ptr is never a
-// valid allocation result.
+// Ptr identifies a live allocation: the layer holding it, the payload
+// address within that layer's address space, and an unexported handle
+// naming the issuing allocator's bookkeeping entry. Free, Where and
+// SizeOf accept only a Ptr that Malloc issued: a hand-built Ptr, the
+// zero Ptr, a Ptr from another allocator or one whose allocation has
+// been freed (even if its slot was since reused) is rejected.
 type Ptr struct {
 	Layer memhier.LayerID
 	Addr  uint64
+	h     handle
+}
+
+// handle ties a Ptr to the entry that issued it: slot indexes the
+// issuing allocator's dense table and tag is the stamp recorded there.
+// Tags are unique across every allocator in the process and never zero,
+// so a stale, forged or foreign Ptr matches no live entry.
+type handle struct {
+	slot uint32
+	tag  uint64
+}
+
+// tagSpace hands out disjoint 2^32-tag ranges, one per tagger claim.
+var tagSpace atomic.Uint64
+
+// tagger issues tags from its claimed range. The zero tagger claims its
+// range on first use, and a fresh one when the range runs out.
+type tagger uint64
+
+func (t *tagger) next() uint64 {
+	if *t == 0 || uint32(*t) == 1<<32-1 {
+		*t = tagger(tagSpace.Add(1) << 32)
+	}
+	*t++
+	return uint64(*t)
+}
+
+// handleTable is a dense table of live allocations addressed by handle.
+// Freed slots are reused newest first, so the table stays as large as
+// the peak live count and malloc/free touch no Go map.
+type handleTable[T any] struct {
+	entries []tableEntry[T]
+	free    []uint32 // reusable slots
+	tags    tagger
+	live    int
+}
+
+type tableEntry[T any] struct {
+	tag uint64 // 0 while the slot is free
+	val T
+}
+
+// put stores v in a free slot and returns its handle.
+func (t *handleTable[T]) put(v T) handle {
+	var slot uint32
+	if n := len(t.free); n > 0 {
+		slot = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		slot = uint32(len(t.entries))
+		t.entries = append(t.entries, tableEntry[T]{})
+	}
+	tag := t.tags.next()
+	t.entries[slot] = tableEntry[T]{tag: tag, val: v}
+	t.live++
+	return handle{slot: slot, tag: tag}
+}
+
+// get returns the live entry h names, or nil. The pointer is valid until
+// the next put.
+func (t *handleTable[T]) get(h handle) *T {
+	if h.tag == 0 || int(h.slot) >= len(t.entries) {
+		return nil
+	}
+	e := &t.entries[h.slot]
+	if e.tag != h.tag {
+		return nil
+	}
+	return &e.val
+}
+
+// drop frees the slot of h, which get must have just accepted.
+func (t *handleTable[T]) drop(h handle) {
+	t.entries[h.slot] = tableEntry[T]{}
+	t.free = append(t.free, h.slot)
+	t.live--
 }
 
 // Stats is a point-in-time summary of an allocator's internal accounting.
@@ -56,8 +137,9 @@ type Allocator interface {
 	// Malloc allocates size bytes and returns the payload pointer.
 	// It returns ErrOutOfMemory when no pool can satisfy the request.
 	Malloc(size int64) (Ptr, error)
-	// Free releases a pointer previously returned by Malloc. Freeing an
-	// unknown or already-freed pointer returns ErrBadFree.
+	// Free releases a pointer previously returned by Malloc. Any other
+	// Ptr — already freed, hand-built, zero or issued by another
+	// allocator — returns ErrBadFree.
 	Free(p Ptr) error
 	// Where reports whether p is a live allocation and, if so, echoes it
 	// (profiling uses it to charge application data accesses).
@@ -78,6 +160,49 @@ var (
 	// ErrBadSize reports a non-positive allocation size.
 	ErrBadSize = errors.New("alloc: bad size")
 )
+
+// oomError is an out-of-memory failure. It is one byte wide, so
+// returning it as an error allocates nothing, and its message is built
+// only when Error is called. errors.Is matches it to ErrOutOfMemory.
+type oomError uint8
+
+const (
+	errFixedBudget oomError = iota + 1 // a fixed pool's MaxBytes is spent
+	errPoolBudget                      // a general pool's MaxBytes is spent
+	errBuddyBudget                     // a buddy pool's MaxBytes is spent
+	errLayerFull                       // the pool's bounded layer is full
+)
+
+func (e oomError) Error() string {
+	reason := "layer capacity exhausted"
+	switch e {
+	case errFixedBudget:
+		reason = "fixed pool budget exhausted"
+	case errPoolBudget:
+		reason = "pool budget exhausted"
+	case errBuddyBudget:
+		reason = "buddy budget exhausted"
+	}
+	return ErrOutOfMemory.Error() + ": " + reason
+}
+
+// Is reports whether target is ErrOutOfMemory.
+func (e oomError) Is(target error) bool { return target == ErrOutOfMemory }
+
+// reserve claims size bytes from layer for a pool arena. A bounded layer
+// that cannot hold them fails with errLayerFull, without allocating.
+func reserve(ctx *simheap.Context, layer memhier.LayerID, size int64) (*simheap.Region, error) {
+	if !ctx.Fits(layer, size) {
+		return nil, errLayerFull
+	}
+	return ctx.Reserve(layer, size)
+}
+
+// badFree reports a Free of a Ptr the pool did not issue or already
+// freed.
+func badFree(p Ptr) error {
+	return fmt.Errorf("%w: layer %d addr %#x", ErrBadFree, p.Layer, p.Addr)
+}
 
 // align rounds n up to the next multiple of a (a must be a power of two).
 func align(n int64, a int64) int64 {

@@ -39,7 +39,7 @@ func BenchmarkFixedPoolMallocFree(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := p.Free(ptr.Addr); err != nil {
+		if _, err := p.Free(ptr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -83,7 +83,7 @@ func BenchmarkGeneralPoolMallocFree(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := p.Free(ptr.Addr); err != nil {
+				if _, err := p.Free(ptr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -105,7 +105,7 @@ func BenchmarkBuddyMallocFree(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := p.Free(ptr.Addr); err != nil {
+		if _, err := p.Free(ptr); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,6 +28,8 @@ type Block struct {
 	list           *FreeList
 
 	arena *arena
+
+	tag uint64 // fixed-pool slot: the live Ptr's handle tag, 0 while free
 }
 
 // Addr returns the block's start address.
@@ -59,7 +61,7 @@ type arena struct {
 // newArena reserves size bytes from the layer and returns the arena with
 // a single free-spanning block.
 func newArena(ctx *simheap.Context, layer memhier.LayerID, size int64) (*arena, *Block, error) {
-	region, err := ctx.Reserve(layer, size)
+	region, err := reserve(ctx, layer, size)
 	if err != nil {
 		return nil, nil, err
 	}

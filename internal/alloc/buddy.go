@@ -66,7 +66,7 @@ type BuddyPool struct {
 	arenas     []*simheap.Region
 	arenaBytes int64
 
-	live map[uint64]*buddyBlock // payload addr -> block
+	live handleTable[*buddyBlock] // live allocations by handle
 }
 
 // NewBuddyPool reserves the order-vector metadata and returns the pool.
@@ -87,7 +87,6 @@ func NewBuddyPool(ctx *simheap.Context, params BuddyPoolParams) (*BuddyPool, err
 		orders: orders,
 		heads:  make([]*buddyBlock, orders),
 		blocks: make(map[uint64]*buddyBlock),
-		live:   make(map[uint64]*buddyBlock),
 	}, nil
 }
 
@@ -209,20 +208,19 @@ func (p *BuddyPool) Malloc(size int64) (Ptr, int64, error) {
 	}
 	b.free = false
 	p.ctx.Write(p.params.Layer, b.addr, 1) // allocated header
-	payloadAddr := b.addr + simheap.WordSize
-	p.live[payloadAddr] = b
-	return Ptr{Layer: p.params.Layer, Addr: payloadAddr}, p.blockSize(b.order), nil
+	h := p.live.put(b)
+	return Ptr{Layer: p.params.Layer, Addr: b.addr + simheap.WordSize, h: h}, p.blockSize(b.order), nil
 }
 
 // grow reserves one MaxBlock-sized arena and returns its spanning block.
 func (p *BuddyPool) grow() (*buddyBlock, error) {
 	size := p.params.MaxBlock
 	if p.params.MaxBytes > 0 && p.arenaBytes+size > p.params.MaxBytes {
-		return nil, fmt.Errorf("%w: buddy budget exhausted", ErrOutOfMemory)
+		return nil, errBuddyBudget
 	}
-	region, err := p.ctx.Reserve(p.params.Layer, size)
+	region, err := reserve(p.ctx, p.params.Layer, size)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrOutOfMemory, err)
+		return nil, err
 	}
 	p.arenas = append(p.arenas, region)
 	p.arenaBytes += size
@@ -232,14 +230,23 @@ func (p *BuddyPool) grow() (*buddyBlock, error) {
 	return b, nil
 }
 
-// Free releases the allocation at payload address addr, merging with the
-// buddy chain as far as possible.
-func (p *BuddyPool) Free(addr uint64) (int64, error) {
-	b, ok := p.live[addr]
-	if !ok {
-		return 0, fmt.Errorf("%w: %#x", ErrBadFree, addr)
+// lookup returns the live block ptr names, or nil.
+func (p *BuddyPool) lookup(ptr Ptr) *buddyBlock {
+	bp := p.live.get(ptr.h)
+	if bp == nil || ptr.Layer != p.params.Layer || (*bp).addr+simheap.WordSize != ptr.Addr {
+		return nil
 	}
-	delete(p.live, addr)
+	return *bp
+}
+
+// Free releases the allocation ptr names, merging with the buddy chain
+// as far as possible.
+func (p *BuddyPool) Free(ptr Ptr) (int64, error) {
+	b := p.lookup(ptr)
+	if b == nil {
+		return 0, badFree(ptr)
+	}
+	p.live.drop(ptr.h)
 	p.ctx.Read(p.params.Layer, b.addr, 1) // header: order/status
 	released := p.blockSize(b.order)
 
@@ -284,14 +291,11 @@ func (p *BuddyPool) arenaBase(addr uint64) uint64 {
 	panic(fmt.Sprintf("alloc: address %#x outside buddy arenas", addr))
 }
 
-// Owns reports whether addr is a live allocation of this pool.
-func (p *BuddyPool) Owns(addr uint64) bool {
-	_, ok := p.live[addr]
-	return ok
-}
+// Owns reports whether ptr is a live allocation of this pool.
+func (p *BuddyPool) Owns(ptr Ptr) bool { return p.lookup(ptr) != nil }
 
 // LiveBlocks returns the number of live allocations.
-func (p *BuddyPool) LiveBlocks() int { return len(p.live) }
+func (p *BuddyPool) LiveBlocks() int { return p.live.live }
 
 // ArenaBytes returns the total reserved arena bytes.
 func (p *BuddyPool) ArenaBytes() int64 { return p.arenaBytes }

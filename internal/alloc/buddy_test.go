@@ -47,13 +47,13 @@ func TestBuddyMallocFree(t *testing.T) {
 	if allocated != 128 {
 		t.Fatalf("allocated %d, want 128", allocated)
 	}
-	if !p.Owns(ptr.Addr) || p.LiveBlocks() != 1 {
+	if !p.Owns(ptr) || p.LiveBlocks() != 1 {
 		t.Fatal("ownership wrong")
 	}
 	if err := p.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	released, err := p.Free(ptr.Addr)
+	released, err := p.Free(ptr)
 	if err != nil || released != 128 {
 		t.Fatalf("free: %d %v", released, err)
 	}
@@ -126,12 +126,12 @@ func TestBuddyOversize(t *testing.T) {
 func TestBuddyBadFree(t *testing.T) {
 	ctx := testCtx(t)
 	p, _ := NewBuddyPool(ctx, buddyParams())
-	if _, err := p.Free(0x40); !errors.Is(err, ErrBadFree) {
+	if _, err := p.Free(Ptr{Addr: 0x40}); !errors.Is(err, ErrBadFree) {
 		t.Fatalf("bad free: %v", err)
 	}
 	ptr, _, _ := p.Malloc(64)
-	p.Free(ptr.Addr)
-	if _, err := p.Free(ptr.Addr); !errors.Is(err, ErrBadFree) {
+	p.Free(ptr)
+	if _, err := p.Free(ptr); !errors.Is(err, ErrBadFree) {
 		t.Fatalf("double free: %v", err)
 	}
 }
@@ -153,7 +153,7 @@ func TestBuddyBudget(t *testing.T) {
 	if _, _, err := p.Malloc(64); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatal("budget overrun accepted")
 	}
-	p.Free(ptrs[0].Addr)
+	p.Free(ptrs[0])
 	if _, _, err := p.Malloc(64); err != nil {
 		t.Fatalf("post-free alloc: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestBuddyMergeAcrossOrders(t *testing.T) {
 		ptrs = append(ptrs, ptr)
 	}
 	for _, ptr := range ptrs {
-		if _, err := p.Free(ptr.Addr); err != nil {
+		if _, err := p.Free(ptr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,13 +190,13 @@ func TestBuddyStress(t *testing.T) {
 	p, _ := NewBuddyPool(ctx, buddyParams())
 	r := stats.NewRNG(404)
 	live := make(map[uint64]bool)
-	var addrs []uint64
+	var addrs []Ptr
 	for i := 0; i < 5000; i++ {
 		if len(addrs) > 0 && r.Bool(0.48) {
 			k := r.Intn(len(addrs))
 			addr := addrs[k]
 			addrs = append(addrs[:k], addrs[k+1:]...)
-			delete(live, addr)
+			delete(live, addr.Addr)
 			if _, err := p.Free(addr); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
@@ -213,7 +213,7 @@ func TestBuddyStress(t *testing.T) {
 				t.Fatalf("op %d: duplicate address", i)
 			}
 			live[ptr.Addr] = true
-			addrs = append(addrs, ptr.Addr)
+			addrs = append(addrs, ptr)
 		}
 	}
 	if err := p.checkInvariants(); err != nil {
@@ -255,7 +255,7 @@ func TestBuddyO1ishAccesses(t *testing.T) {
 	p.Malloc(48)
 	mallocCost := ctx.Counters(0).Accesses() - before
 	before = ctx.Counters(0).Accesses()
-	p.Free(ptrs[1000].Addr)
+	p.Free(ptrs[1000])
 	freeCost := ctx.Counters(0).Accesses() - before
 	// log2(64K/64) = 10 orders; generous bound of 4 accesses per level.
 	if mallocCost > 40 || freeCost > 40 {

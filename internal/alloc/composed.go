@@ -13,15 +13,11 @@ type FallbackPool interface {
 	// Malloc allocates size payload bytes, returning the payload pointer
 	// and the block bytes actually consumed.
 	Malloc(size int64) (Ptr, int64, error)
-	// Free releases the allocation at payload address addr, returning the
-	// block bytes released.
-	Free(addr uint64) (int64, error)
-	// Owns reports whether addr is a live allocation of this pool.
-	Owns(addr uint64) bool
+	// Free releases an allocation this pool's Malloc returned, returning
+	// the block bytes released.
+	Free(p Ptr) (int64, error)
 	// LiveBlocks returns the number of live allocations.
 	LiveBlocks() int
-	// ArenaBytes returns the total reserved arena bytes.
-	ArenaBytes() int64
 }
 
 // Composed is a complete custom allocator: an ordered set of dedicated
@@ -35,33 +31,25 @@ type Composed struct {
 	fixed   []*FixedPool
 	general FallbackPool
 
-	// live tracks, per live payload address, the owning pool (so Free can
-	// dispatch) and the requested size. On the target the dispatch is an
-	// address-range check per pool, charged as compute cycles. A single
-	// value-typed map with a packed uint64 key keeps the malloc/free hot
-	// path on the fast integer map routines and free of Go heap
-	// allocations in steady state.
-	live map[uint64]liveAlloc
+	// live holds, per live allocation, the owning pool (so Free can
+	// dispatch), the pool's own handle and the requested size. On the
+	// target the dispatch is an address-range check per pool, charged as
+	// compute cycles.
+	live handleTable[liveAlloc]
 
 	stats Stats
 }
 
 // liveAlloc is the per-allocation bookkeeping entry.
 type liveAlloc struct {
+	addr      uint64
 	requested int64
-	pool      int32 // index into fixed; generalPool for the fallback
+	inner     handle // the serving pool's handle
+	pool      int32  // index into fixed; generalPool for the fallback
 }
 
 // generalPool marks an allocation served by the general fallback pool.
 const generalPool int32 = -1
-
-// liveKey packs a pointer into one map key: layer index in the top byte,
-// address below. Layer address spaces are bump-allocated from zero and
-// bounded by the run's total reservations, so addresses never approach
-// 2^56 in simulation.
-func liveKey(p Ptr) uint64 {
-	return uint64(p.Layer)<<56 | p.Addr
-}
 
 // NewComposed assembles an allocator from already-constructed pools.
 // general may not be nil: every configuration needs a fallback pool.
@@ -74,7 +62,6 @@ func NewComposed(name string, ctx *simheap.Context, fixed []*FixedPool, general 
 		ctx:     ctx,
 		fixed:   fixed,
 		general: general,
-		live:    make(map[uint64]liveAlloc),
 	}, nil
 }
 
@@ -99,8 +86,7 @@ func (c *Composed) Malloc(size int64) (Ptr, error) {
 		}
 		ptr, allocated, err := fp.Malloc(size)
 		if err == nil {
-			c.commit(ptr, int32(i), size, allocated)
-			return ptr, nil
+			return c.commit(ptr, int32(i), size, allocated), nil
 		}
 		// Dedicated pool exhausted: fall back to the general pool.
 		break
@@ -110,55 +96,68 @@ func (c *Composed) Malloc(size int64) (Ptr, error) {
 		c.stats.Failures++
 		return Ptr{}, err
 	}
-	c.commit(ptr, generalPool, size, allocated)
-	return ptr, nil
+	return c.commit(ptr, generalPool, size, allocated), nil
 }
 
-func (c *Composed) commit(ptr Ptr, pool int32, requested, allocated int64) {
-	c.live[liveKey(ptr)] = liveAlloc{requested: requested, pool: pool}
+// commit records the pool's allocation ptr and returns the Ptr handed to
+// the caller: the same layer and address under this allocator's handle.
+func (c *Composed) commit(ptr Ptr, pool int32, requested, allocated int64) Ptr {
+	h := c.live.put(liveAlloc{addr: ptr.Addr, requested: requested, inner: ptr.h, pool: pool})
 	c.stats.Mallocs++
 	c.stats.LiveBlocks++
 	c.stats.RequestedLive += requested
 	c.stats.AllocatedLive += allocated
+	return Ptr{Layer: ptr.Layer, Addr: ptr.Addr, h: h}
+}
+
+// lookup returns the live entry p names, or nil.
+func (c *Composed) lookup(p Ptr) *liveAlloc {
+	la := c.live.get(p.h)
+	if la == nil || la.addr != p.Addr {
+		return nil
+	}
+	return la
 }
 
 // Free implements Allocator.
 func (c *Composed) Free(p Ptr) error {
-	la, ok := c.live[liveKey(p)]
-	if !ok {
-		return fmt.Errorf("%w: %+v", ErrBadFree, p)
+	la := c.lookup(p)
+	if la == nil {
+		return badFree(p)
 	}
 	c.ctx.Compute(uint64(len(c.fixed) + 1)) // address-range dispatch
+	inner := Ptr{Layer: p.Layer, Addr: p.Addr, h: la.inner}
 	var (
 		released int64
 		err      error
 	)
 	if la.pool >= 0 {
-		released, err = c.fixed[la.pool].Free(p.Addr)
+		released, err = c.fixed[la.pool].Free(inner)
 	} else {
-		released, err = c.general.Free(p.Addr)
+		released, err = c.general.Free(inner)
 	}
 	if err != nil {
 		return err
 	}
-	delete(c.live, liveKey(p))
 	c.stats.Frees++
 	c.stats.LiveBlocks--
 	c.stats.RequestedLive -= la.requested
 	c.stats.AllocatedLive -= released
+	c.live.drop(p.h)
 	return nil
 }
 
 // Where implements Allocator.
 func (c *Composed) Where(p Ptr) (Ptr, bool) {
-	_, ok := c.live[liveKey(p)]
-	return p, ok
+	return p, c.lookup(p) != nil
 }
 
 // SizeOf implements Allocator.
 func (c *Composed) SizeOf(p Ptr) (int64, bool) {
-	la, ok := c.live[liveKey(p)]
-	return la.requested, ok
+	if la := c.lookup(p); la != nil {
+		return la.requested, true
+	}
+	return 0, false
 }
 
 // Stats implements Allocator.

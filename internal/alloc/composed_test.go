@@ -130,10 +130,14 @@ func TestComposedErrors(t *testing.T) {
 	if _, err := a.Malloc(0); !errors.Is(err, ErrBadSize) {
 		t.Fatalf("size 0: %v", err)
 	}
-	if err := a.Free(Ptr{Layer: 1, Addr: 0x999}); !errors.Is(err, ErrBadFree) {
-		t.Fatalf("bad free: %v", err)
-	}
 	ptr, _ := a.Malloc(50)
+	// A hand-built Ptr carries no handle, even naming a live block.
+	if err := a.Free(Ptr{Layer: ptr.Layer, Addr: ptr.Addr}); !errors.Is(err, ErrBadFree) {
+		t.Fatalf("hand-built free: %v", err)
+	}
+	if _, ok := a.Where(ptr); !ok {
+		t.Fatal("rejected hand-built free released the live block")
+	}
 	a.Free(ptr)
 	if err := a.Free(ptr); !errors.Is(err, ErrBadFree) {
 		t.Fatalf("double free: %v", err)

@@ -60,10 +60,21 @@ func (p FixedPoolParams) Validate() error {
 
 // fixedArena is one slot chunk with its occupancy bookkeeping.
 type fixedArena struct {
-	region *simheap.Region
-	live   int // slots currently allocated
-	slots  int // slots carved so far
+	region    *simheap.Region
+	base, end uint64 // the region's address range
+	live      int    // slots currently allocated
+	slots     int    // slots carved so far
+
+	// pages holds the Block of every carved slot, slotPageLen to a page,
+	// so a slot's Block is found from its offset in the arena and stays
+	// put (free lists link Blocks by pointer) as the arena is carved.
+	pages []*slotPage
 }
+
+// slotPageLen is the number of slot Blocks per page.
+const slotPageLen = 32
+
+type slotPage [slotPageLen]Block
 
 // FixedPool is a headerless pool of equal-size slots: allocation pops the
 // free list or bumps a frontier pointer; free pushes. Both are O(1) —
@@ -76,16 +87,15 @@ type FixedPool struct {
 	meta *simheap.Region
 	list *FreeList
 
-	arenas     []*fixedArena
+	arenas     []*fixedArena // in ascending address order
 	arenaBytes int64
 	bump       uint64 // next unused slot address in the newest arena
 	bumpEnd    uint64 // end of the newest arena
 	nextSlots  int
 
-	live       map[uint64]*fixedArena // live slot address -> its arena
-	slotBlocks map[uint64]*Block      // persistent Block per freed slot
-
-	reclaims int // chunks returned to the layer
+	live     int    // live slots
+	tags     tagger // stamps each allocated slot's Ptr
+	reclaims int    // chunks returned to the layer
 }
 
 // fixedMetaWords: free-list words plus the bump frontier pointer.
@@ -102,13 +112,11 @@ func NewFixedPool(ctx *simheap.Context, params FixedPoolParams) (*FixedPool, err
 		return nil, fmt.Errorf("alloc: reserving fixed pool metadata: %w", err)
 	}
 	p := &FixedPool{
-		params:     params,
-		slotBytes:  align(params.SlotBytes, simheap.WordSize),
-		ctx:        ctx,
-		meta:       meta,
-		nextSlots:  params.ChunkSlots,
-		live:       make(map[uint64]*fixedArena),
-		slotBlocks: make(map[uint64]*Block),
+		params:    params,
+		slotBytes: align(params.SlotBytes, simheap.WordSize),
+		ctx:       ctx,
+		meta:      meta,
+		nextSlots: params.ChunkSlots,
 	}
 	p.list = NewFreeList(ctx, params.Layer, meta.Base(), params.Order, params.Links)
 	return p, nil
@@ -130,14 +138,51 @@ func (p *FixedPool) bumpAddr() uint64 {
 	return p.meta.Base() + MetaWords*simheap.WordSize
 }
 
-// arenaOf locates the arena containing addr (few arenas; linear scan).
+// arenaOf locates the arena containing addr by binary search over the
+// address-ordered arenas, or returns nil.
 func (p *FixedPool) arenaOf(addr uint64) *fixedArena {
-	for _, a := range p.arenas {
-		if a.region.Contains(addr) {
-			return a
+	lo, hi := 0, len(p.arenas)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p.arenas[m].end <= addr {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
+	if lo < len(p.arenas) && p.arenas[lo].base <= addr {
+		return p.arenas[lo]
+	}
 	return nil
+}
+
+// slot returns the Block of carved slot i of arena a.
+func (a *fixedArena) slot(i int) *Block {
+	return &a.pages[i/slotPageLen][i%slotPageLen]
+}
+
+// slotOf returns the arena and Block of the carved slot starting at
+// addr, or nils when addr is not a slot start.
+func (p *FixedPool) slotOf(addr uint64) (*fixedArena, *Block) {
+	a := p.arenaOf(addr)
+	if a == nil {
+		return nil, nil
+	}
+	off := addr - a.base
+	i := off / uint64(p.slotBytes)
+	if off%uint64(p.slotBytes) != 0 || i >= uint64(a.slots) {
+		return nil, nil
+	}
+	return a, a.slot(int(i))
+}
+
+// issue marks slot b allocated and returns its Ptr.
+func (p *FixedPool) issue(a *fixedArena, b *Block) (Ptr, int64, error) {
+	b.free = false
+	b.tag = p.tags.next()
+	a.live++
+	p.live++
+	return Ptr{Layer: p.params.Layer, Addr: b.addr, h: handle{tag: b.tag}}, p.slotBytes, nil
 }
 
 // Malloc allocates one slot. The returned int64 is the slot capacity
@@ -152,11 +197,7 @@ func (p *FixedPool) Malloc(size int64) (Ptr, int64, error) {
 	}
 	// Recycled slot first.
 	if b := p.list.PopHead(); b != nil {
-		b.free = false
-		a := p.arenaOf(b.addr)
-		a.live++
-		p.live[b.addr] = a
-		return Ptr{Layer: p.params.Layer, Addr: b.addr}, p.slotBytes, nil
+		return p.issue(p.arenaOf(b.addr), b)
 	}
 	// Bump-carve from the newest arena.
 	p.ctx.Read(p.params.Layer, p.bumpAddr(), 1)
@@ -169,10 +210,14 @@ func (p *FixedPool) Malloc(size int64) (Ptr, int64, error) {
 	p.bump += uint64(p.slotBytes)
 	p.ctx.Write(p.params.Layer, p.bumpAddr(), 1)
 	a := p.arenas[len(p.arenas)-1]
-	a.live++
+	i := a.slots
+	if i/slotPageLen == len(a.pages) {
+		a.pages = append(a.pages, new(slotPage))
+	}
 	a.slots++
-	p.live[addr] = a
-	return Ptr{Layer: p.params.Layer, Addr: addr}, p.slotBytes, nil
+	b := a.slot(i)
+	*b = Block{addr: addr, size: p.slotBytes}
+	return p.issue(a, b)
 }
 
 // grow reserves a new arena of ChunkSlots (doubling under GrowDouble).
@@ -182,14 +227,14 @@ func (p *FixedPool) grow() error {
 		size = p.params.MaxBytes - p.arenaBytes
 		size -= size % p.slotBytes
 		if size < p.slotBytes {
-			return fmt.Errorf("%w: fixed pool budget exhausted", ErrOutOfMemory)
+			return errFixedBudget
 		}
 	}
-	region, err := p.ctx.Reserve(p.params.Layer, size)
+	region, err := reserve(p.ctx, p.params.Layer, size)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrOutOfMemory, err)
+		return err
 	}
-	p.arenas = append(p.arenas, &fixedArena{region: region})
+	p.arenas = append(p.arenas, &fixedArena{region: region, base: region.Base(), end: region.End()})
 	p.arenaBytes += size
 	p.bump = region.Base()
 	p.bumpEnd = region.End()
@@ -199,22 +244,29 @@ func (p *FixedPool) grow() error {
 	return nil
 }
 
-// Free releases the slot at addr. Under Reclaim, a chunk whose last live
-// slot just died is unlinked slot-by-slot from the free list and its
-// memory returned to the layer.
-func (p *FixedPool) Free(addr uint64) (int64, error) {
-	a, ok := p.live[addr]
-	if !ok {
-		return 0, fmt.Errorf("%w: %#x", ErrBadFree, addr)
+// lookup returns the arena and Block of the live slot ptr names, or nils.
+func (p *FixedPool) lookup(ptr Ptr) (*fixedArena, *Block) {
+	if ptr.Layer != p.params.Layer || ptr.h.tag == 0 {
+		return nil, nil
 	}
-	delete(p.live, addr)
-	a.live--
+	a, b := p.slotOf(ptr.Addr)
+	if b == nil || b.tag != ptr.h.tag {
+		return nil, nil
+	}
+	return a, b
+}
 
-	b := p.slotBlocks[addr]
+// Free releases the slot ptr names. Under Reclaim, a chunk whose last
+// live slot just died is unlinked slot-by-slot from the free list and its
+// memory returned to the layer.
+func (p *FixedPool) Free(ptr Ptr) (int64, error) {
+	a, b := p.lookup(ptr)
 	if b == nil {
-		b = &Block{addr: addr, size: p.slotBytes}
-		p.slotBlocks[addr] = b
+		return 0, badFree(ptr)
 	}
+	a.live--
+	p.live--
+	b.tag = 0
 	b.free = true
 	p.list.Push(b)
 
@@ -231,13 +283,10 @@ func (p *FixedPool) isBumpArena(a *fixedArena) bool {
 
 // reclaim unlinks every slot of a fully-free arena and releases it.
 func (p *FixedPool) reclaim(a *fixedArena) {
-	base := a.region.Base()
 	for i := 0; i < a.slots; i++ {
-		addr := base + uint64(int64(i)*p.slotBytes)
-		if b := p.slotBlocks[addr]; b != nil && b.list != nil {
+		if b := a.slot(i); b.list != nil {
 			p.list.Remove(b)
 		}
-		delete(p.slotBlocks, addr)
 	}
 	for i, other := range p.arenas {
 		if other == a {
@@ -250,14 +299,14 @@ func (p *FixedPool) reclaim(a *fixedArena) {
 	p.reclaims++
 }
 
-// Owns reports whether addr is a live allocation of this pool.
-func (p *FixedPool) Owns(addr uint64) bool {
-	_, ok := p.live[addr]
-	return ok
+// Owns reports whether ptr is a live allocation of this pool.
+func (p *FixedPool) Owns(ptr Ptr) bool {
+	_, b := p.lookup(ptr)
+	return b != nil
 }
 
 // LiveBlocks returns the number of live slots.
-func (p *FixedPool) LiveBlocks() int { return len(p.live) }
+func (p *FixedPool) LiveBlocks() int { return p.live }
 
 // ArenaBytes returns the total bytes reserved for slot arenas.
 func (p *FixedPool) ArenaBytes() int64 { return p.arenaBytes }

@@ -54,14 +54,14 @@ func TestFixedPoolMallocFree(t *testing.T) {
 	if allocated != 80 {
 		t.Fatalf("allocated %d", allocated)
 	}
-	if !p.Owns(ptr.Addr) || p.LiveBlocks() != 1 {
+	if !p.Owns(ptr) || p.LiveBlocks() != 1 {
 		t.Fatal("ownership wrong")
 	}
-	released, err := p.Free(ptr.Addr)
+	released, err := p.Free(ptr)
 	if err != nil || released != 80 {
 		t.Fatalf("free: %d %v", released, err)
 	}
-	if p.Owns(ptr.Addr) || p.LiveBlocks() != 0 || p.FreeSlots() != 1 {
+	if p.Owns(ptr) || p.LiveBlocks() != 0 || p.FreeSlots() != 1 {
 		t.Fatal("state after free wrong")
 	}
 }
@@ -70,7 +70,7 @@ func TestFixedPoolRecyclesSlots(t *testing.T) {
 	ctx := testCtx(t)
 	p, _ := NewFixedPool(ctx, fixedParams())
 	ptr, _, _ := p.Malloc(74)
-	p.Free(ptr.Addr)
+	p.Free(ptr)
 	ptr2, _, _ := p.Malloc(74)
 	if ptr2.Addr != ptr.Addr {
 		t.Fatalf("LIFO pool did not recycle: %#x vs %#x", ptr2.Addr, ptr.Addr)
@@ -148,12 +148,12 @@ func TestFixedPoolRejects(t *testing.T) {
 	if _, _, err := p.Malloc(100); !errors.Is(err, ErrBadSize) {
 		t.Fatalf("oversize: %v", err)
 	}
-	if _, err := p.Free(0xdead); !errors.Is(err, ErrBadFree) {
+	if _, err := p.Free(Ptr{Addr: 0xdead}); !errors.Is(err, ErrBadFree) {
 		t.Fatalf("bad free: %v", err)
 	}
 	ptr, _, _ := p.Malloc(74)
-	p.Free(ptr.Addr)
-	if _, err := p.Free(ptr.Addr); !errors.Is(err, ErrBadFree) {
+	p.Free(ptr)
+	if _, err := p.Free(ptr); !errors.Is(err, ErrBadFree) {
 		t.Fatalf("double free: %v", err)
 	}
 }
@@ -189,7 +189,7 @@ func TestFixedPoolO1Accesses(t *testing.T) {
 		ptrs = append(ptrs, ptr)
 	}
 	before := ctx.Counters(0).Accesses()
-	p.Free(ptrs[500].Addr)
+	p.Free(ptrs[500])
 	freeCost := ctx.Counters(0).Accesses() - before
 
 	before = ctx.Counters(0).Accesses()

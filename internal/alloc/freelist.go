@@ -201,17 +201,29 @@ func (l *FreeList) removeAfterScan(b *Block) {
 // Take searches the list under the fit policy for a block with total size
 // >= need (== need for ExactFit), unlinks and returns it; nil when no
 // block qualifies. The traversal charges two word reads per visited block
-// (header for the size, link word to advance).
+// (header for the size, link word to advance). Under a flat cost model
+// the n visited blocks are charged as one read of 2n words after the
+// scan, which costs the same; otherwise each block is charged at its own
+// address, in list order.
 func (l *FreeList) Take(fit FitPolicy, need int64) *Block {
 	l.metaRead(0)
 	if l.head == nil {
 		return nil
 	}
+	flat := l.ctx.Flat()
+	var scanned uint64 // blocks visited but not yet charged (flat only)
+	visit := func(b *Block) {
+		if flat {
+			scanned++
+		} else {
+			l.blockRead(b, 2)
+		}
+	}
 	var found *Block
 	switch fit {
 	case FirstFit, ExactFit:
 		for cur := l.head; cur != nil; cur = cur.flNext {
-			l.blockRead(cur, 2)
+			visit(cur)
 			if fits(fit, cur.size, need) {
 				found = cur
 				break
@@ -225,7 +237,7 @@ func (l *FreeList) Take(fit FitPolicy, need int64) *Block {
 		}
 		cur := start
 		for {
-			l.blockRead(cur, 2)
+			visit(cur)
 			if fits(fit, cur.size, need) {
 				found = cur
 				break
@@ -245,7 +257,7 @@ func (l *FreeList) Take(fit FitPolicy, need int64) *Block {
 		}
 	case BestFit, WorstFit:
 		for cur := l.head; cur != nil; cur = cur.flNext {
-			l.blockRead(cur, 2)
+			visit(cur)
 			if cur.size < need {
 				continue
 			}
@@ -257,6 +269,9 @@ func (l *FreeList) Take(fit FitPolicy, need int64) *Block {
 		}
 	default:
 		panic("alloc: unknown fit policy")
+	}
+	if scanned > 0 {
+		l.ctx.Read(l.layer, l.head.addr, 2*scanned)
 	}
 	if found == nil {
 		return nil

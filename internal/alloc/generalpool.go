@@ -68,8 +68,8 @@ type GeneralPool struct {
 	arenaBytes int64
 	nextChunk  int64
 
-	liveByAddr map[uint64]*Block // payload address -> block
-	frees      int               // since last deferred sweep
+	live  handleTable[*Block] // live allocations by handle
+	frees int                 // since last deferred sweep
 
 	// spare recycles Block objects between merges and splits (linked via
 	// flNext), so steady-state split/coalesce churn allocates nothing.
@@ -105,12 +105,11 @@ func NewGeneralPool(ctx *simheap.Context, params GeneralPoolParams) (*GeneralPoo
 		return nil, fmt.Errorf("alloc: reserving pool metadata: %w", err)
 	}
 	p := &GeneralPool{
-		params:     params,
-		ctx:        ctx,
-		meta:       meta,
-		bins:       make([]*FreeList, n),
-		nextChunk:  params.ChunkBytes,
-		liveByAddr: make(map[uint64]*Block),
+		params:    params,
+		ctx:       ctx,
+		meta:      meta,
+		bins:      make([]*FreeList, n),
+		nextChunk: params.ChunkBytes,
 	}
 	for c := 0; c < n; c++ {
 		addr := meta.Base() + uint64(c)*MetaWords*simheap.WordSize
@@ -178,9 +177,8 @@ func (p *GeneralPool) Malloc(size int64) (Ptr, int64, error) {
 	p.maybeSplit(b, need)
 	b.free = false
 	p.writeBlockMeta(b) // allocated header (+footer)
-	payloadAddr := b.addr + simheap.WordSize
-	p.liveByAddr[payloadAddr] = b
-	return Ptr{Layer: p.params.Layer, Addr: payloadAddr}, b.size, nil
+	h := p.live.put(b)
+	return Ptr{Layer: p.params.Layer, Addr: b.addr + simheap.WordSize, h: h}, b.size, nil
 }
 
 // maybeSplit splits b down to need bytes under the split policy.
@@ -231,12 +229,12 @@ func (p *GeneralPool) grow(need int64) (*Block, error) {
 		// Try a last exact-size extension inside the budget.
 		size = p.params.MaxBytes - p.arenaBytes
 		if size < need {
-			return nil, fmt.Errorf("%w: pool budget exhausted", ErrOutOfMemory)
+			return nil, errPoolBudget
 		}
 	}
 	a, b, err := newArena(p.ctx, p.params.Layer, size)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrOutOfMemory, err)
+		return nil, err
 	}
 	p.arenas = append(p.arenas, a)
 	p.arenaBytes += size
@@ -272,13 +270,22 @@ func (p *GeneralPool) growCarved(need int64) (*Block, error) {
 	return first, nil
 }
 
-// Free releases the allocation at payload address addr.
-func (p *GeneralPool) Free(addr uint64) (int64, error) {
-	b, ok := p.liveByAddr[addr]
-	if !ok {
-		return 0, fmt.Errorf("%w: %#x", ErrBadFree, addr)
+// lookup returns the live block ptr names, or nil.
+func (p *GeneralPool) lookup(ptr Ptr) *Block {
+	bp := p.live.get(ptr.h)
+	if bp == nil || ptr.Layer != p.params.Layer || (*bp).addr+simheap.WordSize != ptr.Addr {
+		return nil
 	}
-	delete(p.liveByAddr, addr)
+	return *bp
+}
+
+// Free releases the allocation ptr names.
+func (p *GeneralPool) Free(ptr Ptr) (int64, error) {
+	b := p.lookup(ptr)
+	if b == nil {
+		return 0, badFree(ptr)
+	}
+	p.live.drop(ptr.h)
 	p.ctx.Read(p.params.Layer, b.addr, 1) // header read: size/status
 	released := b.size
 	b.free = true
@@ -356,14 +363,11 @@ func (p *GeneralPool) sweep() {
 	}
 }
 
-// Owns reports whether addr is a live allocation of this pool.
-func (p *GeneralPool) Owns(addr uint64) bool {
-	_, ok := p.liveByAddr[addr]
-	return ok
-}
+// Owns reports whether ptr is a live allocation of this pool.
+func (p *GeneralPool) Owns(ptr Ptr) bool { return p.lookup(ptr) != nil }
 
 // LiveBlocks returns the number of live allocations.
-func (p *GeneralPool) LiveBlocks() int { return len(p.liveByAddr) }
+func (p *GeneralPool) LiveBlocks() int { return p.live.live }
 
 // ArenaBytes returns the total bytes reserved for arenas.
 func (p *GeneralPool) ArenaBytes() int64 { return p.arenaBytes }

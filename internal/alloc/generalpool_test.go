@@ -67,13 +67,13 @@ func TestGeneralPoolMallocFree(t *testing.T) {
 	if allocated < 100 {
 		t.Fatalf("allocated %d < requested", allocated)
 	}
-	if !p.Owns(ptr.Addr) || p.LiveBlocks() != 1 {
+	if !p.Owns(ptr) || p.LiveBlocks() != 1 {
 		t.Fatal("ownership wrong")
 	}
 	if err := p.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	released, err := p.Free(ptr.Addr)
+	released, err := p.Free(ptr)
 	if err != nil || released != allocated {
 		t.Fatalf("free: %d vs %d, %v", released, allocated, err)
 	}
@@ -93,12 +93,12 @@ func TestGeneralPoolBadOps(t *testing.T) {
 	if _, _, err := p.Malloc(-5); !errors.Is(err, ErrBadSize) {
 		t.Fatalf("negative: %v", err)
 	}
-	if _, err := p.Free(0xbeef); !errors.Is(err, ErrBadFree) {
+	if _, err := p.Free(Ptr{Addr: 0xbeef}); !errors.Is(err, ErrBadFree) {
 		t.Fatalf("bad free: %v", err)
 	}
 	ptr, _, _ := p.Malloc(64)
-	p.Free(ptr.Addr)
-	if _, err := p.Free(ptr.Addr); !errors.Is(err, ErrBadFree) {
+	p.Free(ptr)
+	if _, err := p.Free(ptr); !errors.Is(err, ErrBadFree) {
 		t.Fatalf("double free: %v", err)
 	}
 }
@@ -156,9 +156,9 @@ func TestGeneralPoolCoalesceImmediate(t *testing.T) {
 	p1, _, _ := p.Malloc(512)
 	p2, _, _ := p.Malloc(512)
 	p3, _, _ := p.Malloc(512)
-	p.Free(p1.Addr)
-	p.Free(p2.Addr) // must merge backward with p1's block
-	p.Free(p3.Addr) // must merge with the p1+p2 block and the tail
+	p.Free(p1)
+	p.Free(p2) // must merge backward with p1's block
+	p.Free(p3) // must merge with the p1+p2 block and the tail
 	// Everything coalesced back: exactly one free block spanning the arena.
 	if n := p.FreeBlocks(); n != 1 {
 		t.Fatalf("free blocks %d, want 1 (coalesced)", n)
@@ -183,7 +183,7 @@ func TestGeneralPoolCoalesceNeverFragments(t *testing.T) {
 		ptrs = append(ptrs, ptr)
 	}
 	for _, ptr := range ptrs {
-		p.Free(ptr.Addr)
+		p.Free(ptr)
 	}
 	if n := p.FreeBlocks(); n < 7 {
 		t.Fatalf("free blocks %d, want >= 7 (uncoalesced)", n)
@@ -209,8 +209,8 @@ func TestGeneralPoolCoalesceForwardOnlyWithMinimalHeaders(t *testing.T) {
 	p.Malloc(512) // plug so the tail free block is not adjacent
 	// Free p1 then p2: forward merge would need p2 -> p1 direction
 	// (backward), impossible with minimal headers.
-	p.Free(p1.Addr)
-	p.Free(p2.Addr)
+	p.Free(p1)
+	p.Free(p2)
 	if n := p.FreeBlocks(); n < 2 {
 		t.Fatalf("minimal headers merged backward: %d free blocks", n)
 	}
@@ -221,8 +221,8 @@ func TestGeneralPoolCoalesceForwardOnlyWithMinimalHeaders(t *testing.T) {
 	q1, _, _ := q.Malloc(512)
 	q2, _, _ := q.Malloc(512)
 	q.Malloc(512)
-	q.Free(q2.Addr)
-	q.Free(q1.Addr)                  // q1 merges forward with q2's block
+	q.Free(q2)
+	q.Free(q1)                       // q1 merges forward with q2's block
 	if n := q.FreeBlocks(); n != 2 { // merged block + arena tail
 		t.Fatalf("forward merge failed: %d free blocks", n)
 	}
@@ -238,13 +238,13 @@ func TestGeneralPoolCoalesceDeferred(t *testing.T) {
 		ptr, _, _ := p.Malloc(500)
 		ptrs = append(ptrs, ptr)
 	}
-	p.Free(ptrs[0].Addr)
-	p.Free(ptrs[1].Addr)
-	p.Free(ptrs[2].Addr)
+	p.Free(ptrs[0])
+	p.Free(ptrs[1])
+	p.Free(ptrs[2])
 	if n := p.FreeBlocks(); n < 3 {
 		t.Fatalf("deferred mode merged early: %d", n)
 	}
-	p.Free(ptrs[3].Addr) // 4th free triggers the sweep
+	p.Free(ptrs[3]) // 4th free triggers the sweep
 	if n := p.FreeBlocks(); n != 1 {
 		t.Fatalf("sweep did not coalesce: %d free blocks", n)
 	}
@@ -289,7 +289,7 @@ func TestGeneralPoolSegregatedReuse(t *testing.T) {
 		g.RoundToClass = true
 	})
 	ptr, _, _ := p.Malloc(100)
-	p.Free(ptr.Addr)
+	p.Free(ptr)
 	ptr2, _, err := p.Malloc(100)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +314,7 @@ func TestGeneralPoolEscalatesToLargerBin(t *testing.T) {
 	// empty, so the allocator must split the 1024 block rather than grow.
 	big, _, _ := p.Malloc(1000)
 	before := p.ArenaBytes()
-	p.Free(big.Addr)
+	p.Free(big)
 	if _, _, err := p.Malloc(100); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestGeneralPoolBudgetExhaustion(t *testing.T) {
 		t.Fatalf("only %d allocations before OOM", len(live))
 	}
 	// Freeing and reallocating within the budget must succeed.
-	p.Free(live[0].Addr)
+	p.Free(live[0])
 	if _, _, err := p.Malloc(512); err != nil {
 		t.Fatalf("post-free alloc failed: %v", err)
 	}
@@ -379,7 +379,7 @@ func TestGeneralPoolOversizeRequest(t *testing.T) {
 	if allocated < 10000 {
 		t.Fatalf("allocated %d", allocated)
 	}
-	if _, err := p.Free(ptr.Addr); err != nil {
+	if _, err := p.Free(ptr); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.checkInvariants(); err != nil {
@@ -433,13 +433,13 @@ func TestGeneralPoolStressAllPolicies(t *testing.T) {
 					})
 					r := stats.NewRNG(uint64(fit)*100 + uint64(co)*10 + uint64(sp))
 					live := make(map[uint64]bool)
-					var addrs []uint64
+					var addrs []Ptr
 					for i := 0; i < 2000; i++ {
 						if len(addrs) > 0 && r.Bool(0.45) {
 							k := r.Intn(len(addrs))
 							addr := addrs[k]
 							addrs = append(addrs[:k], addrs[k+1:]...)
-							delete(live, addr)
+							delete(live, addr.Addr)
 							if _, err := p.Free(addr); err != nil {
 								t.Fatalf("op %d: free: %v", i, err)
 							}
@@ -453,7 +453,7 @@ func TestGeneralPoolStressAllPolicies(t *testing.T) {
 								t.Fatalf("op %d: duplicate address %#x", i, ptr.Addr)
 							}
 							live[ptr.Addr] = true
-							addrs = append(addrs, ptr.Addr)
+							addrs = append(addrs, ptr)
 						}
 					}
 					if err := p.checkInvariants(); err != nil {

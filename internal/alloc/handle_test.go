@@ -1,0 +1,187 @@
+package alloc
+
+import (
+	"errors"
+	"testing"
+)
+
+// handleSubject adapts an allocator or a pool to the handle-contract
+// checks: malloc issues a Ptr, free releases one, live reports whether
+// the subject still treats it as a live allocation.
+type handleSubject struct {
+	malloc func() Ptr
+	free   func(Ptr) error
+	live   func(Ptr) bool
+}
+
+// checkHandleContract verifies that Free accepts only a Ptr the subject
+// issued and has not freed: the zero Ptr, a hand-built Ptr of a live
+// block, the same block's Ptr from another instance, a double free and
+// a stale Ptr whose slot has been reused all return ErrBadFree and leave
+// every live allocation intact.
+func checkHandleContract(t *testing.T, mk func(t *testing.T) handleSubject) {
+	a, b := mk(t), mk(t)
+	p, q := a.malloc(), b.malloc()
+	if p.Layer != q.Layer || p.Addr != q.Addr {
+		t.Fatalf("twin instances issued %+v and %+v; the foreign-Ptr case needs equal addresses", p, q)
+	}
+	bad := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrBadFree) {
+			t.Errorf("%s: got %v, want ErrBadFree", what, err)
+		}
+	}
+	bad("zero Ptr", a.free(Ptr{}))
+	bad("hand-built Ptr", a.free(Ptr{Layer: p.Layer, Addr: p.Addr}))
+	bad("foreign Ptr", a.free(q))
+	if !a.live(p) || !b.live(q) {
+		t.Fatal("a rejected free disturbed a live allocation")
+	}
+	if a.live(Ptr{Layer: p.Layer, Addr: p.Addr}) || a.live(q) {
+		t.Error("a hand-built or foreign Ptr reported live")
+	}
+
+	if err := a.free(p); err != nil {
+		t.Fatalf("free: %v", err)
+	}
+	if a.live(p) {
+		t.Error("freed Ptr still reported live")
+	}
+	bad("double free", a.free(p))
+
+	p2 := a.malloc()
+	if p2.Addr != p.Addr {
+		t.Fatalf("reallocation landed at %#x, not the freed %#x; the stale case needs reuse", p2.Addr, p.Addr)
+	}
+	bad("stale Ptr", a.free(p))
+	if a.live(p) || !a.live(p2) {
+		t.Error("stale Ptr confused with its slot's new allocation")
+	}
+	if err := a.free(p2); err != nil {
+		t.Fatalf("free of the reallocation: %v", err)
+	}
+	if err := b.free(q); err != nil {
+		t.Fatalf("free on the twin: %v", err)
+	}
+}
+
+// poolSubject adapts a FallbackPool-shaped pool.
+func poolSubject(t *testing.T, pool interface {
+	Malloc(int64) (Ptr, int64, error)
+	Free(Ptr) (int64, error)
+	Owns(Ptr) bool
+}, size int64) handleSubject {
+	return handleSubject{
+		malloc: func() Ptr {
+			p, _, err := pool.Malloc(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		},
+		free: func(p Ptr) error { _, err := pool.Free(p); return err },
+		live: pool.Owns,
+	}
+}
+
+// composedSubject adapts the test allocator, routing size to the fixed
+// pool (74) or the general pool (anything else). Where and SizeOf must
+// agree on liveness.
+func composedSubject(t *testing.T, size int64) handleSubject {
+	a, _ := buildTestAllocator(t, 64*1024)
+	return handleSubject{
+		malloc: func() Ptr {
+			p, err := a.Malloc(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		},
+		free: a.Free,
+		live: func(p Ptr) bool {
+			_, where := a.Where(p)
+			n, sized := a.SizeOf(p)
+			if where != sized || (sized && n != size) {
+				t.Errorf("Where %v and SizeOf %v/%d disagree", where, sized, n)
+			}
+			return where
+		},
+	}
+}
+
+func TestHandleContractComposed(t *testing.T) {
+	t.Run("fixed", func(t *testing.T) {
+		checkHandleContract(t, func(t *testing.T) handleSubject { return composedSubject(t, 74) })
+	})
+	t.Run("general", func(t *testing.T) {
+		checkHandleContract(t, func(t *testing.T) handleSubject { return composedSubject(t, 200) })
+	})
+}
+
+func TestHandleContractFixedPool(t *testing.T) {
+	checkHandleContract(t, func(t *testing.T) handleSubject {
+		p, err := NewFixedPool(testCtx(t), fixedParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return poolSubject(t, p, 74)
+	})
+}
+
+func TestHandleContractGeneralPool(t *testing.T) {
+	checkHandleContract(t, func(t *testing.T) handleSubject {
+		_, p := newGP(t, nil)
+		return poolSubject(t, p, 100)
+	})
+}
+
+func TestHandleContractBuddyPool(t *testing.T) {
+	checkHandleContract(t, func(t *testing.T) handleSubject {
+		p, err := NewBuddyPool(testCtx(t), buddyParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return poolSubject(t, p, 100)
+	})
+}
+
+// TestOutOfMemoryErrorIsAllocationFree pins the out-of-memory error's
+// shape: it matches ErrOutOfMemory, builds its message on demand, and
+// neither a budget-exhausted nor a layer-full malloc allocates.
+func TestOutOfMemoryErrorIsAllocationFree(t *testing.T) {
+	ctx := twoLayerCtx(t, 1024)
+	full, err := NewFixedPool(ctx, FixedPoolParams{
+		Layer: 0, SlotBytes: 256, MatchLo: 256, MatchHi: 256,
+		Order: LIFO, Links: SingleLink, Growth: GrowFixedChunk, ChunkSlots: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := fixedParams()
+	params.Layer = 1
+	params.MaxBytes = 8 * 80
+	capped, err := NewFixedPool(ctx, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		pool *FixedPool
+		size int64
+		msg  string
+	}{
+		{full, 256, "alloc: out of memory: layer capacity exhausted"},
+		{capped, 74, "alloc: out of memory: fixed pool budget exhausted"},
+	} {
+		for {
+			if _, _, err = c.pool.Malloc(c.size); err != nil {
+				break
+			}
+		}
+		if !errors.Is(err, ErrOutOfMemory) || err.Error() != c.msg {
+			t.Fatalf("got %v, want %q wrapping ErrOutOfMemory", err, c.msg)
+		}
+		if n := testing.AllocsPerRun(10, func() { c.pool.Malloc(c.size) }); n != 0 {
+			t.Errorf("%s: failing malloc allocates %.1f times", c.msg, n)
+		}
+	}
+}

@@ -34,7 +34,7 @@ func TestReclaimReleasesEmptyChunk(t *testing.T) {
 	// Free the first chunk's slots: it must be reclaimed (it is not the
 	// bump arena).
 	for _, ptr := range ptrs[:4] {
-		if _, err := p.Free(ptr.Addr); err != nil {
+		if _, err := p.Free(ptr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,7 +60,7 @@ func TestReclaimSparesBumpArena(t *testing.T) {
 	// One chunk only: freeing everything must NOT reclaim it (it is the
 	// carving frontier).
 	ptr, _, _ := p.Malloc(74)
-	p.Free(ptr.Addr)
+	p.Free(ptr)
 	if p.Reclaims() != 0 {
 		t.Fatal("bump arena reclaimed")
 	}
@@ -80,7 +80,7 @@ func TestReclaimOffKeepsChunks(t *testing.T) {
 		ptrs = append(ptrs, ptr)
 	}
 	for _, ptr := range ptrs {
-		p.Free(ptr.Addr)
+		p.Free(ptr)
 	}
 	if p.Reclaims() != 0 || p.ArenaBytes() != 2*4*80 {
 		t.Fatalf("non-reclaiming pool released memory: %d bytes, %d reclaims",
@@ -111,7 +111,7 @@ func TestReclaimCutsFootprintAfterBurst(t *testing.T) {
 		}
 		peak = p.ArenaBytes()
 		for _, ptr := range ptrs {
-			p.Free(ptr.Addr)
+			p.Free(ptr)
 		}
 		return peak, p.ArenaBytes()
 	}
@@ -135,13 +135,13 @@ func TestReclaimStress(t *testing.T) {
 	p, _ := NewFixedPool(ctx, params)
 	r := stats.NewRNG(99)
 	live := make(map[uint64]bool)
-	var addrs []uint64
+	var addrs []Ptr
 	for i := 0; i < 8000; i++ {
 		if len(addrs) > 0 && r.Bool(0.5) {
 			k := r.Intn(len(addrs))
 			addr := addrs[k]
 			addrs = append(addrs[:k], addrs[k+1:]...)
-			delete(live, addr)
+			delete(live, addr.Addr)
 			if _, err := p.Free(addr); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
@@ -154,16 +154,16 @@ func TestReclaimStress(t *testing.T) {
 				t.Fatalf("op %d: duplicate slot %#x", i, ptr.Addr)
 			}
 			live[ptr.Addr] = true
-			addrs = append(addrs, ptr.Addr)
+			addrs = append(addrs, ptr)
 		}
 	}
 	if p.LiveBlocks() != len(live) {
 		t.Fatalf("live %d vs %d", p.LiveBlocks(), len(live))
 	}
 	// Consistency: every live slot must still be owned.
-	for addr := range live {
-		if !p.Owns(addr) {
-			t.Fatalf("live slot %#x lost", addr)
+	for _, ptr := range addrs {
+		if !p.Owns(ptr) {
+			t.Fatalf("live slot %#x lost", ptr.Addr)
 		}
 	}
 }
@@ -182,10 +182,10 @@ func TestReclaimChargesUnlinkWork(t *testing.T) {
 	}
 	// Free first chunk except one slot.
 	for _, ptr := range ptrs[:15] {
-		p.Free(ptr.Addr)
+		p.Free(ptr)
 	}
 	before := ctx.Counters(0).Accesses()
-	p.Free(ptrs[15].Addr) // triggers reclamation of chunk 1
+	p.Free(ptrs[15]) // triggers reclamation of chunk 1
 	cost := ctx.Counters(0).Accesses() - before
 	if p.Reclaims() != 1 {
 		t.Fatalf("reclaims %d", p.Reclaims())

@@ -77,8 +77,8 @@ import (
 
 // recBase is the synthetic address base the recording fallback hands
 // out. Real reservations are bump-allocated from zero and never approach
-// 2^48 bytes, so synthetic addresses cannot collide with fixed-pool
-// payload addresses in the composed live map.
+// 2^48 bytes, so a synthetic address never equals a fixed-pool payload
+// address and Partition tells fallback-served allocations by address.
 const recBase = uint64(1) << 48
 
 // recordingFallback is the inert general pool behind Partition's
@@ -130,20 +130,18 @@ func (p *recordingFallback) Malloc(size int64) (alloc.Ptr, int64, error) {
 	return alloc.Ptr{Layer: p.layer, Addr: recBase + uint64(k)*simheap.WordSize}, size, nil
 }
 
-func (p *recordingFallback) Free(addr uint64) (int64, error) {
+func (p *recordingFallback) Free(ptr alloc.Ptr) (int64, error) {
 	p.boundary()
-	k := int64((addr - recBase) / simheap.WordSize)
+	k := int64((ptr.Addr - recBase) / simheap.WordSize)
 	if k < 0 || k >= int64(len(p.sizes)) {
-		return 0, fmt.Errorf("profile: recording fallback: free of unknown addr %#x", addr)
+		return 0, fmt.Errorf("profile: recording fallback: free of unknown addr %#x", ptr.Addr)
 	}
 	p.ops = append(p.ops, ^k)
 	p.live--
 	return p.sizes[k], nil
 }
 
-func (p *recordingFallback) Owns(addr uint64) bool { return addr >= recBase }
-func (p *recordingFallback) LiveBlocks() int       { return p.live }
-func (p *recordingFallback) ArenaBytes() int64     { return 0 }
+func (p *recordingFallback) LiveBlocks() int { return p.live }
 
 // Partition is the fixed-side-invariant decomposition of one compiled
 // trace under one fixed-pool signature: everything a partial replay
@@ -244,11 +242,11 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 		}
 	}
 	r.reset(ct.NumIDs)
-	kinds, ids, argA, argB := ct.Slabs()
+	kinds, ids, args := ct.Slabs()
 	for i := range kinds {
 		switch kinds[i] {
 		case trace.KindAlloc:
-			ptr, err := a.Malloc(int64(argA[i]))
+			ptr, err := a.Malloc(int64(args[i]))
 			if err != nil {
 				// The recording fallback cannot fail, so any error is a
 				// fixed-side fault the full replay path must surface.
@@ -274,6 +272,7 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 				continue
 			}
 			ptr := r.ptrs[id]
+			reads, writes := trace.AccessArgs(args[i])
 			if ptr.Addr >= recBase {
 				// Traffic charged to a recorded (fallback-served)
 				// allocation: tallied per allocation so failure replay can
@@ -283,17 +282,17 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 					p.recReads = append(p.recReads, 0)
 					p.recWrites = append(p.recWrites, 0)
 				}
-				p.recReads[k] += argA[i]
-				p.recWrites[k] += argB[i]
+				p.recReads[k] += reads
+				p.recWrites[k] += writes
 			}
-			if reads := argA[i]; reads > 0 {
+			if reads > 0 {
 				ctx.Read(ptr.Layer, ptr.Addr, reads)
 			}
-			if writes := argB[i]; writes > 0 {
+			if writes > 0 {
 				ctx.Write(ptr.Layer, ptr.Addr, writes)
 			}
 		case trace.KindTick:
-			ctx.Compute(argA[i])
+			ctx.Compute(args[i])
 		default:
 			return nil, fmt.Errorf("profile: partition event %d: unknown kind %d", i, kinds[i])
 		}
@@ -370,12 +369,6 @@ func (pr *PoolRun) MemBytes() int64 {
 		int64(len(pr.counters))*32 + 192
 }
 
-// failedAddr is the placeholder payload address recorded for a failed
-// allocation; it is never dereferenced (frees of failed allocations are
-// skipped), the sentinel only keeps the slot occupied so later recorded
-// allocation indices stay aligned.
-const failedAddr = ^uint64(0)
-
 // PoolReplay replays part's recorded fallback ops against a standalone
 // instance of cfg's general pool, producing the sharable PoolRun half of
 // a partial evaluation. Allocation failures wrapping alloc.ErrOutOfMemory
@@ -390,10 +383,12 @@ func (r *Replayer) PoolReplay(part *Partition, cfg alloc.Config, h *memhier.Hier
 		return nil, false
 	}
 	genLayer := part.genLayer
-	if cap(r.genAddrs) < part.allocs {
-		r.genAddrs = make([]uint64, 0, part.allocs)
+	if cap(r.genPtrs) < part.allocs {
+		r.genPtrs = make([]alloc.Ptr, 0, part.allocs)
 	}
-	addrs := r.genAddrs[:0]
+	// ptrs holds one entry per recorded allocation; a failed one keeps
+	// the zero Ptr, never freed, so later indices stay aligned.
+	ptrs := r.genPtrs[:0]
 	run := &PoolRun{
 		ops:    part.ops,
 		gAfter: make([]int64, len(part.ops)+1),
@@ -407,14 +402,14 @@ func (r *Replayer) PoolReplay(part *Partition, cfg alloc.Config, h *memhier.Hier
 			ptr, _, err := pool.Malloc(op)
 			switch {
 			case err == nil:
-				addrs = append(addrs, ptr.Addr)
+				ptrs = append(ptrs, ptr)
 			case errors.Is(err, alloc.ErrOutOfMemory):
 				if run.failed == nil {
 					run.failed = make([]bool, part.allocs)
 				}
 				run.failed[k] = true
 				run.failures++
-				addrs = append(addrs, failedAddr)
+				ptrs = append(ptrs, alloc.Ptr{})
 			default:
 				return nil, false
 			}
@@ -422,7 +417,7 @@ func (r *Replayer) PoolReplay(part *Partition, cfg alloc.Config, h *memhier.Hier
 			k := ^op
 			if run.failed != nil && run.failed[k] {
 				run.skippedFrees++
-			} else if _, err := pool.Free(addrs[k]); err != nil {
+			} else if _, err := pool.Free(ptrs[k]); err != nil {
 				return nil, false
 			}
 		}

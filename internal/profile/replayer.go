@@ -35,7 +35,7 @@ type Replayer struct {
 	ptrs []alloc.Ptr // dense ID -> payload pointer
 	live []bool      // dense ID -> allocation currently live (not failed)
 
-	genAddrs []uint64 // partial-replay scratch: recorded-alloc payload addrs
+	genPtrs []alloc.Ptr // partial-replay scratch: recorded-alloc pointers
 }
 
 // NewReplayer returns a Replayer with empty scratch state. The first Run
@@ -172,7 +172,7 @@ const logErrCheckMask = 1<<16 - 1
 // the compiled trace's columnar slabs — a 1-byte kind column drives the
 // dispatch and each arm loads only the argument words its kind uses.
 func (r *Replayer) replay(ct *trace.Compiled, a alloc.Allocator, ctx *simheap.Context, m *Metrics, sampleEvery int, lw *logWriter) error {
-	kinds, ids, argA, argB := ct.Slabs()
+	kinds, ids, args := ct.Slabs()
 	var liveRequested int64
 	for i := range kinds {
 		if lw != nil && i&logErrCheckMask == logErrCheckMask {
@@ -189,7 +189,7 @@ func (r *Replayer) replay(ct *trace.Compiled, a alloc.Allocator, ctx *simheap.Co
 		}
 		switch kinds[i] {
 		case trace.KindAlloc:
-			size := int64(argA[i])
+			size := int64(args[i])
 			liveRequested += size
 			ptr, err := a.Malloc(size)
 			if err != nil {
@@ -204,7 +204,7 @@ func (r *Replayer) replay(ct *trace.Compiled, a alloc.Allocator, ctx *simheap.Co
 			r.ptrs[id] = ptr
 			r.live[id] = true
 		case trace.KindFree:
-			liveRequested -= int64(argA[i])
+			liveRequested -= int64(args[i])
 			id := ids[i]
 			if !r.live[id] {
 				// The allocation failed; nothing to free.
@@ -221,14 +221,15 @@ func (r *Replayer) replay(ct *trace.Compiled, a alloc.Allocator, ctx *simheap.Co
 				continue
 			}
 			ptr := r.ptrs[id]
-			if reads := argA[i]; reads > 0 {
+			reads, writes := trace.AccessArgs(args[i])
+			if reads > 0 {
 				ctx.Read(ptr.Layer, ptr.Addr, reads)
 			}
-			if writes := argB[i]; writes > 0 {
+			if writes > 0 {
 				ctx.Write(ptr.Layer, ptr.Addr, writes)
 			}
 		case trace.KindTick:
-			ctx.Compute(argA[i])
+			ctx.Compute(args[i])
 		default:
 			return fmt.Errorf("profile: event %d: unknown kind %d", i, kinds[i])
 		}

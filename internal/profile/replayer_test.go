@@ -86,13 +86,13 @@ func referenceRun(tr *trace.Trace, cfg alloc.Config, h *memhier.Hierarchy, opts 
 				continue
 			}
 			if e.Reads > 0 {
-				ctx.Read(ptr.Layer, ptr.Addr, e.Reads)
+				ctx.Read(ptr.Layer, ptr.Addr, uint64(e.Reads))
 			}
 			if e.Writes > 0 {
-				ctx.Write(ptr.Layer, ptr.Addr, e.Writes)
+				ctx.Write(ptr.Layer, ptr.Addr, uint64(e.Writes))
 			}
 		case trace.KindTick:
-			ctx.Compute(e.Cycles)
+			ctx.Compute(uint64(e.Cycles))
 		default:
 			return nil, fmt.Errorf("profile: event %d: unknown kind %d", i, e.Kind)
 		}
@@ -269,10 +269,35 @@ func TestSeriesMatchesPerLayerRecompute(t *testing.T) {
 	}
 }
 
+// oomConfigs are capacity-failing configurations for the Easyport
+// trace: a scratchpad frame pool that overflows the layer (its mallocs
+// fall back to the general pool) over a general pool capped by MaxBytes,
+// and a capped general pool alone. Both fail some allocations outright.
+func oomConfigs() []alloc.Config {
+	capped := alloc.LeaConfig(memhier.LayerDRAM).General
+	capped.ChunkBytes = 4 * 1024
+	capped.MaxBytes = 24 * 1024
+	return []alloc.Config{
+		{
+			Label: "oom/sp-frames",
+			Fixed: []alloc.FixedConfig{{
+				SlotBytes: 1500, MatchLo: 1500, MatchHi: 1500, Layer: memhier.LayerScratchpad,
+				Order: alloc.LIFO, Links: alloc.SingleLink,
+				Growth: alloc.GrowFixedChunk, ChunkSlots: 8,
+			}},
+			General: capped,
+		},
+		{Label: "oom/capped", General: capped},
+	}
+}
+
 // TestReplaySteadyStateZeroAllocs is the hot-path guard: once the
 // allocator and the Replayer's scratch tables are warm, replaying a
 // compiled trace performs no Go heap allocations at all. The trace ends
 // with FreeAll, so the same allocator instance can replay it repeatedly.
+// The capacity-failing configurations hold the out-of-memory path to
+// the same guarantee: every failed malloc, and every fixed-pool overflow
+// that falls back, must allocate nothing either.
 func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 	p := workload.DefaultEasyportParams()
 	p.Packets = 200
@@ -285,14 +310,16 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := memhier.EmbeddedSoC()
-	for _, cfg := range presetConfigs() {
+	oom := oomConfigs()
+	for i, cfg := range append(presetConfigs(), oom...) {
+		mustFail := i >= len(presetConfigs())
 		ctx := simheap.NewContext(h)
 		a, err := cfg.Build(ctx)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Label, err)
 		}
 		r := NewReplayer()
-		// Warm pass: arenas grow, maps and scratch tables size themselves.
+		// Warm pass: arenas grow, tables and scratch size themselves.
 		r.reset(ct.NumIDs)
 		var warm Metrics
 		if err := r.replay(ct, a, ctx, &warm, 0, nil); err != nil {
@@ -303,6 +330,9 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 			var m Metrics
 			if err := r.replay(ct, a, ctx, &m, 0, nil); err != nil {
 				t.Errorf("%s: replay: %v", cfg.Label, err)
+			}
+			if mustFail && m.Failures == 0 {
+				t.Errorf("%s: replay recorded no allocation failure", cfg.Label)
 			}
 		})
 		if avg != 0 {

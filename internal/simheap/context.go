@@ -177,6 +177,11 @@ func (ctx *Context) Counters(id memhier.LayerID) LayerCounters { return ctx.coun
 // Cycles returns the current simulated cycle count.
 func (ctx *Context) Cycles() uint64 { return ctx.cycles }
 
+// Flat reports whether the cost model is flat: no tracer, cache or row
+// buffer is attached, so an access costs the same wherever it lands and a
+// run of charges to one layer may be folded into a single call.
+func (ctx *Context) Flat() bool { return ctx.fast }
+
 // Compute advances the clock by n CPU cycles without touching memory.
 // Allocator search loops use it for their non-memory work.
 func (ctx *Context) Compute(n uint64) { ctx.cycles += n }
@@ -257,6 +262,16 @@ func (ctx *Context) access(id memhier.LayerID, addr uint64, words uint64, write 
 		c.Reads += words
 		ctx.cycles += uint64(layer.ReadCycles) * words
 	}
+}
+
+// Fits reports whether layer id can take another size bytes: always for
+// an unbounded layer, otherwise when the reservation stays within its
+// capacity. Reserve fails exactly when Fits is false (for a valid layer
+// and positive size), so callers may test first and fail without the
+// CapacityError allocation.
+func (ctx *Context) Fits(id memhier.LayerID, size int64) bool {
+	layer := ctx.hier.Layer(id)
+	return !layer.Bounded() || ctx.counters[id].ReservedBytes+size <= layer.Capacity
 }
 
 // Reserve claims size bytes from layer id and returns the region. It

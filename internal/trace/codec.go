@@ -92,18 +92,25 @@ func ReadText(r io.Reader) (*Trace, error) {
 			}
 		case 'x':
 			e.Kind = KindAccess
-			n, err = fmt.Sscanf(line, "x %d %d %d", &e.ID, &e.Reads, &e.Writes)
+			var reads, writes uint64
+			n, err = fmt.Sscanf(line, "x %d %d %d", &e.ID, &reads, &writes)
 			if err != nil || n != 3 {
 				return nil, fmt.Errorf("trace: line %d: bad access %q", lineNo, line)
 			}
+			err = setAccess(&e, reads, writes)
 		case 't':
 			e.Kind = KindTick
-			n, err = fmt.Sscanf(line, "t %d", &e.Cycles)
+			var cycles uint64
+			n, err = fmt.Sscanf(line, "t %d", &cycles)
 			if err != nil || n != 1 {
 				return nil, fmt.Errorf("trace: line %d: bad tick %q", lineNo, line)
 			}
+			err = setTick(&e, cycles)
 		default:
 			return nil, fmt.Errorf("trace: line %d: unknown record %q", lineNo, line)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("trace: line %d (event %d): %w", lineNo, len(t.Events), err)
 		}
 		t.Events = append(t.Events, e)
 	}
@@ -157,18 +164,42 @@ func appendEvent(buf []byte, e *Event, i int) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, e.ID)
 	case KindAccess:
 		buf = binary.AppendUvarint(buf, e.ID)
-		buf = binary.AppendUvarint(buf, e.Reads)
-		buf = binary.AppendUvarint(buf, e.Writes)
+		buf = binary.AppendUvarint(buf, uint64(e.Reads))
+		buf = binary.AppendUvarint(buf, uint64(e.Writes))
 	case KindTick:
-		buf = binary.AppendUvarint(buf, e.Cycles)
+		buf = binary.AppendUvarint(buf, uint64(e.Cycles))
 	default:
 		return nil, fmt.Errorf("trace: event %d has unknown kind %d", i, e.Kind)
 	}
 	return buf, nil
 }
 
+// setAccess stores an Access event's reads and writes, rejecting either
+// beyond 32 bits.
+func setAccess(e *Event, reads, writes uint64) error {
+	if err := checkArg("access reads", reads); err != nil {
+		return err
+	}
+	if err := checkArg("access writes", writes); err != nil {
+		return err
+	}
+	e.Reads, e.Writes = uint32(reads), uint32(writes)
+	return nil
+}
+
+// setTick stores a Tick event's cycles, rejecting a count beyond 32 bits.
+func setTick(e *Event, cycles uint64) error {
+	if err := checkArg("tick cycles", cycles); err != nil {
+		return err
+	}
+	e.Cycles = uint32(cycles)
+	return nil
+}
+
 // decodeEvent decodes one binary record from the front of buf into e
-// (fully assigning it) and returns the bytes consumed.
+// (fully assigning it) and returns the bytes consumed. Both binary
+// versions and every reader, sequential or parallel, decode through it,
+// so they accept and reject exactly the same records.
 func decodeEvent(buf []byte, e *Event) (int, error) {
 	if len(buf) == 0 {
 		return 0, io.ErrUnexpectedEOF
@@ -193,10 +224,18 @@ func decodeEvent(buf []byte, e *Event) (int, error) {
 		e.ID = get()
 	case KindAccess:
 		e.ID = get()
-		e.Reads = get()
-		e.Writes = get()
+		reads, writes := get(), get()
+		if !bad {
+			if err := setAccess(e, reads, writes); err != nil {
+				return 0, err
+			}
+		}
 	case KindTick:
-		e.Cycles = get()
+		if cycles := get(); !bad {
+			if err := setTick(e, cycles); err != nil {
+				return 0, err
+			}
+		}
 	default:
 		return 0, fmt.Errorf("unknown kind %d", e.Kind)
 	}
@@ -376,13 +415,24 @@ func readBinaryV1(br *bufio.Reader, name string, offset func() int64) (*Trace, e
 		case KindFree:
 			e.ID, err = read()
 		case KindAccess:
+			var reads, writes uint64
 			if e.ID, err = read(); err == nil {
-				if e.Reads, err = read(); err == nil {
-					e.Writes, err = read()
+				if reads, err = read(); err == nil {
+					writes, err = read()
+				}
+			}
+			if err == nil {
+				if err := setAccess(&e, reads, writes); err != nil {
+					return nil, fmt.Errorf("trace: event %d (byte offset %d): %w", i, offset(), err)
 				}
 			}
 		case KindTick:
-			e.Cycles, err = read()
+			var cycles uint64
+			if cycles, err = read(); err == nil {
+				if err := setTick(&e, cycles); err != nil {
+					return nil, fmt.Errorf("trace: event %d (byte offset %d): %w", i, offset(), err)
+				}
+			}
 		default:
 			return nil, fmt.Errorf("trace: event %d (byte offset %d): unknown kind %d", i, offset(), kind)
 		}

@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Op is one compiled trace operation. Compared to Event, allocation IDs
 // are renumbered into the dense [0..NumIDs) range so replay state fits in
@@ -24,22 +27,21 @@ type Op struct {
 // every buffer. One Compiled trace is built per exploration and shared
 // read-only by all workers.
 //
-// Events are stored structure-of-arrays: one slab per field, so the
-// replay loop streams a 1-byte kind column and touches only the argument
-// words the kind actually uses, instead of striding over 40-byte AoS
-// rows. Block-framed v2 files decode straight into the slabs
+// Events are stored structure-of-arrays, 13 bytes per event: a 1-byte
+// kind column, a 4-byte dense-ID column and one 8-byte argument column,
+// so the replay loop streams the kinds and touches only the words the
+// kind uses. Block-framed v2 files decode straight into the slabs
 // (CompileBinaryParallel) without materializing an []Event copy.
 type Compiled struct {
 	Name string
 
 	// kinds discriminates each event; ids holds the dense allocation
-	// index (Alloc/Free/Access); argA holds the kind's primary argument
-	// (Alloc/Free: size bytes; Access: word reads; Tick: cycles); argB
-	// holds Access word writes. All four slabs have equal length.
+	// index (Alloc/Free/Access); args holds the kind's argument — Alloc
+	// and Free: size bytes; Access: reads and writes packed by
+	// packAccess; Tick: cycles. All three slabs have equal length.
 	kinds []EventKind
 	ids   []uint32
-	argA  []uint64
-	argB  []uint64
+	args  []uint64
 
 	// NumIDs is the dense allocation-ID space: every dense ID is < NumIDs.
 	NumIDs int
@@ -64,10 +66,22 @@ type Compiled struct {
 func (c *Compiled) Len() int { return len(c.kinds) }
 
 // Slabs exposes the columnar event slabs for branch-light replay loops.
-// All four slices have length Len() and are shared read-only; callers
-// must not mutate them.
-func (c *Compiled) Slabs() (kinds []EventKind, ids []uint32, argA, argB []uint64) {
-	return c.kinds, c.ids, c.argA, c.argB
+// All three slices have length Len() and are shared read-only; callers
+// must not mutate them. An Access argument unpacks with AccessArgs.
+func (c *Compiled) Slabs() (kinds []EventKind, ids []uint32, args []uint64) {
+	return c.kinds, c.ids, c.args
+}
+
+// packAccess packs an Access event's word reads (high half) and writes
+// (low half) into one argument word.
+func packAccess(reads, writes uint32) uint64 {
+	return uint64(reads)<<32 | uint64(writes)
+}
+
+// AccessArgs unpacks a KindAccess slab argument into its word reads and
+// writes.
+func AccessArgs(arg uint64) (reads, writes uint64) {
+	return arg >> 32, arg & math.MaxUint32
 }
 
 // At reconstructs operation i as a row-oriented Op. It is the
@@ -77,12 +91,11 @@ func (c *Compiled) At(i int) Op {
 	op := Op{Kind: c.kinds[i], ID: c.ids[i]}
 	switch op.Kind {
 	case KindAlloc, KindFree:
-		op.Size = int64(c.argA[i])
+		op.Size = int64(c.args[i])
 	case KindAccess:
-		op.Reads = c.argA[i]
-		op.Writes = c.argB[i]
+		op.Reads, op.Writes = AccessArgs(c.args[i])
 	case KindTick:
-		op.Cycles = c.argA[i]
+		op.Cycles = c.args[i]
 	}
 	return op
 }
@@ -94,8 +107,7 @@ func newCompiled(name string, n int) (*Compiled, []uint64) {
 		Name:  name,
 		kinds: make([]EventKind, n),
 		ids:   make([]uint32, n),
-		argA:  make([]uint64, n),
-		argB:  make([]uint64, n),
+		args:  make([]uint64, n),
 	}
 	return c, make([]uint64, n)
 }
@@ -104,20 +116,8 @@ func newCompiled(name string, n int) (*Compiled, []uint64) {
 // returned Compiled is immutable and safe for concurrent replay.
 func Compile(t *Trace) (*Compiled, error) {
 	c, rawIDs := newCompiled(t.Name, len(t.Events))
-	for i, e := range t.Events {
-		c.kinds[i] = e.Kind
-		rawIDs[i] = e.ID
-		switch e.Kind {
-		case KindAlloc:
-			c.argA[i] = uint64(e.Size)
-		case KindAccess:
-			c.argA[i] = e.Reads
-			c.argB[i] = e.Writes
-		case KindTick:
-			c.argA[i] = e.Cycles
-		}
-		// KindFree carries no payload here (finalize resolves the size);
-		// unknown kinds are rejected by finalize.
+	for i := range t.Events {
+		c.setEvent(i, &t.Events[i], rawIDs)
 	}
 	if err := c.finalize(rawIDs); err != nil {
 		return nil, err
@@ -125,10 +125,26 @@ func Compile(t *Trace) (*Compiled, error) {
 	return c, nil
 }
 
-// finalize turns raw slabs (kinds/argA/argB filled, rawIDs holding the
+// setEvent stores event e into the slabs at index i, its raw ID into
+// rawIDs. KindFree carries no argument here (finalize resolves the
+// size); unknown kinds are rejected by finalize.
+func (c *Compiled) setEvent(i int, e *Event, rawIDs []uint64) {
+	c.kinds[i] = e.Kind
+	rawIDs[i] = e.ID
+	switch e.Kind {
+	case KindAlloc:
+		c.args[i] = uint64(e.Size)
+	case KindAccess:
+		c.args[i] = packAccess(e.Reads, e.Writes)
+	case KindTick:
+		c.args[i] = uint64(e.Cycles)
+	}
+}
+
+// finalize turns raw slabs (kinds/args filled, rawIDs holding the
 // original allocation IDs) into the compiled form: it validates the
 // event stream, renumbers IDs densely into c.ids, resolves Free sizes
-// into argA and computes the replay counts. Shared by Compile and the
+// into args and computes the replay counts. Shared by Compile and the
 // direct block-parallel path so both produce identical results and
 // identical error messages.
 func (c *Compiled) finalize(rawIDs []uint64) error {
@@ -141,7 +157,7 @@ func (c *Compiled) finalize(rawIDs []uint64) error {
 	for i, kind := range c.kinds {
 		switch kind {
 		case KindAlloc:
-			sz := int64(c.argA[i])
+			sz := int64(c.args[i])
 			if sz <= 0 {
 				return fmt.Errorf("trace %s: event %d: alloc %d with size %d", c.Name, i, rawIDs[i], sz)
 			}
@@ -172,7 +188,7 @@ func (c *Compiled) finalize(rawIDs []uint64) error {
 			}
 			live[idx] = false
 			c.ids[i] = idx
-			c.argA[i] = uint64(size[idx])
+			c.args[i] = uint64(size[idx])
 			c.Frees++
 			liveCount--
 			liveBytes -= size[idx]
@@ -181,13 +197,13 @@ func (c *Compiled) finalize(rawIDs []uint64) error {
 			if !seen || !live[idx] {
 				return fmt.Errorf("trace %s: event %d: access to dead id %d", c.Name, i, rawIDs[i])
 			}
-			if c.argA[i] == 0 && c.argB[i] == 0 {
+			if c.args[i] == 0 {
 				return fmt.Errorf("trace %s: event %d: empty access", c.Name, i)
 			}
 			c.ids[i] = idx
 			c.Accesses++
 		case KindTick:
-			if c.argA[i] == 0 {
+			if c.args[i] == 0 {
 				return fmt.Errorf("trace %s: event %d: zero tick", c.Name, i)
 			}
 			c.Ticks++

@@ -75,7 +75,7 @@ func Features(c *Compiled) []float64 {
 		float64(c.Ticks)/events,
 	)
 
-	kinds, ids, argA, _ := c.Slabs()
+	kinds, ids, args := c.Slabs()
 
 	// One pass over the slabs: allocation sizes and birth indices (for
 	// lifetimes), the live-byte curve summary, and per-window alloc
@@ -102,10 +102,10 @@ func Features(c *Compiled) []float64 {
 	for i := 0; i < n; i++ {
 		switch kinds[i] {
 		case KindAlloc:
-			sz := float64(argA[i])
+			sz := float64(args[i])
 			sizeSum += sz
 			b := 0
-			for s := int64(argA[i]); s > 1 && b < featureSizeBuckets-1; s >>= 1 {
+			for s := int64(args[i]); s > 1 && b < featureSizeBuckets-1; s >>= 1 {
 				b++
 			}
 			sizeHist[b]++
@@ -117,7 +117,7 @@ func Features(c *Compiled) []float64 {
 			windowAllocs[windowOf(i)]++
 		case KindFree:
 			lifetimes = append(lifetimes, float64(int64(i)-born[ids[i]]))
-			liveBytes -= float64(argA[i])
+			liveBytes -= float64(args[i])
 		}
 		liveIntegral += liveBytes
 		if w := windowOf(i); liveBytes > windowLive[w] {

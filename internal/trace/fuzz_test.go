@@ -10,6 +10,7 @@ package trace_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"dmexplore/internal/trace"
@@ -28,6 +29,18 @@ func sameEvents(a, b []trace.Event) bool {
 		}
 	}
 	return true
+}
+
+// boundaryArgs returns small traces carrying each 32-bit event argument
+// (Access reads and writes, Tick cycles) at 2^32-1 and at 2^32.
+func boundaryArgs() [][]trace.RawEvent {
+	var out [][]trace.RawEvent
+	for _, field := range []string{"reads", "writes", "cycles"} {
+		for _, v := range []uint64{math.MaxUint32, math.MaxUint32 + 1} {
+			out = append(out, trace.WideEvents(field, v))
+		}
+	}
+	return out
 }
 
 // seedTraces returns small real workload traces for corpus seeding.
@@ -69,7 +82,7 @@ func FuzzReadBinary(f *testing.F) {
 	for i := uint64(1); i <= 32; i++ {
 		colSeed.Events = append(colSeed.Events,
 			trace.Event{Kind: trace.KindAlloc, ID: i, Size: int64(8 * i)},
-			trace.Event{Kind: trace.KindAccess, ID: i, Reads: i, Writes: i % 3},
+			trace.Event{Kind: trace.KindAccess, ID: i, Reads: uint32(i), Writes: uint32(i % 3)},
 			trace.Event{Kind: trace.KindTick, Cycles: 100},
 		)
 		if i%2 == 0 {
@@ -82,6 +95,12 @@ func FuzzReadBinary(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(colBuf.Bytes())
+	// Range boundary seeds: 32-bit Access and Tick arguments at 2^32-1
+	// (accepted exactly) and 2^32 (rejected, never truncated).
+	for _, args := range boundaryArgs() {
+		f.Add(trace.EncodeRawV1("wide", args))
+		f.Add(trace.EncodeRawV2("wide", args, 0))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := trace.ReadBinary(bytes.NewReader(data))
 		if err != nil {
@@ -205,6 +224,9 @@ func FuzzReadText(f *testing.F) {
 		f.Add(txt.Bytes())
 	}
 	f.Add([]byte("# dmtrace x\na 1 8\nx 1 2 3\nf 1\nt 5\n"))
+	for _, args := range boundaryArgs() {
+		f.Add([]byte(trace.EncodeRawText("wide", args)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := trace.ReadText(bytes.NewReader(data))
 		if err != nil {

@@ -193,48 +193,6 @@ func ReadFile(path string, workers int, stats blockio.Stats) (*Trace, error) {
 	return ReadText(f)
 }
 
-// decodeEventSlab decodes one binary record from the front of buf
-// straight into the compiled slabs at index i: the columnar twin of
-// decodeEvent, writing kind/raw-ID/arguments without materializing an
-// Event.
-func decodeEventSlab(buf []byte, kinds []EventKind, rawIDs, argA, argB []uint64, i int64) (int, error) {
-	if len(buf) == 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	kind := EventKind(buf[0])
-	kinds[i] = kind
-	n := 1
-	bad := false
-	get := func() uint64 {
-		v, k := binary.Uvarint(buf[n:])
-		if k <= 0 {
-			bad = true
-			return 0
-		}
-		n += k
-		return v
-	}
-	switch kind {
-	case KindAlloc:
-		rawIDs[i] = get()
-		argA[i] = get()
-	case KindFree:
-		rawIDs[i] = get()
-	case KindAccess:
-		rawIDs[i] = get()
-		argA[i] = get()
-		argB[i] = get()
-	case KindTick:
-		argA[i] = get()
-	default:
-		return 0, fmt.Errorf("unknown kind %d", kind)
-	}
-	if bad {
-		return 0, io.ErrUnexpectedEOF
-	}
-	return n, nil
-}
-
 // CompileBinaryParallel parses a binary trace and compiles it for replay
 // in one step. V2 block-framed files are decoded straight into the
 // compiled trace's columnar slabs along the footer's block index — up to
@@ -350,10 +308,12 @@ func decodeGroupSlab(ra io.ReaderAt, blocks []blockio.Block, g fetchGroup, c *Co
 		}
 		window = rest
 		for k := int64(0); k < records; k++ {
-			n, err := decodeEventSlab(payload, c.kinds, rawIDs, c.argA, c.argB, next)
+			var e Event
+			n, err := decodeEvent(payload, &e)
 			if err != nil {
 				return fmt.Errorf("trace: block %d, record %d (event %d): %w", b, k, next, err)
 			}
+			c.setEvent(int(next), &e, rawIDs)
 			payload = payload[n:]
 			next++
 		}

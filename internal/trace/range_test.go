@@ -1,0 +1,201 @@
+package trace
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"dmexplore/internal/blockio"
+)
+
+// RawEvent is a trace record with full 64-bit arguments, so tests can
+// encode files whose Access or Tick arguments exceed what an Event holds.
+// Args follow the binary record layout: Alloc id,size; Free id; Access
+// id,reads,writes; Tick cycles.
+type RawEvent struct {
+	Kind EventKind
+	Args []uint64
+}
+
+// WideEvents is a small valid trace whose event WideAt carries v as the
+// given Access or Tick argument ("reads", "writes" or "cycles").
+func WideEvents(field string, v uint64) []RawEvent {
+	evs := []RawEvent{
+		{KindAlloc, []uint64{1, 64}},
+		{KindTick, []uint64{5}},
+		{KindAccess, []uint64{1, 2, 3}},
+		{KindAlloc, []uint64{2, 16}},
+		{KindTick, []uint64{7}},
+		{KindFree, []uint64{2}},
+		{KindFree, []uint64{1}},
+	}
+	switch field {
+	case "reads":
+		evs[WideAt] = RawEvent{KindAccess, []uint64{1, v, 1}}
+	case "writes":
+		evs[WideAt] = RawEvent{KindAccess, []uint64{1, 1, v}}
+	case "cycles":
+		evs[WideAt] = RawEvent{KindTick, []uint64{v}}
+	}
+	return evs
+}
+
+// WideAt is the index of WideEvents' wide event.
+const WideAt = 4
+
+func rawRecord(e RawEvent) []byte {
+	rec := []byte{byte(e.Kind)}
+	for _, a := range e.Args {
+		rec = binary.AppendUvarint(rec, a)
+	}
+	return rec
+}
+
+// EncodeRawV1 encodes evs as a v1 binary trace.
+func EncodeRawV1(name string, evs []RawEvent) []byte {
+	buf := append([]byte(binaryMagic), binaryVersion)
+	buf = binary.AppendUvarint(buf, uint64(len(name)))
+	buf = append(buf, name...)
+	buf = binary.AppendUvarint(buf, uint64(len(evs)))
+	for _, e := range evs {
+		buf = append(buf, rawRecord(e)...)
+	}
+	return buf
+}
+
+// EncodeRawV2 encodes evs as a v2 block-framed trace, blocks of about
+// target bytes.
+func EncodeRawV2(name string, evs []RawEvent, target int) []byte {
+	var out bytes.Buffer
+	w := blockio.NewWriter(&out, target)
+	header := append([]byte(binaryMagic), binaryVersionV2)
+	header = binary.AppendUvarint(header, uint64(len(name)))
+	w.WriteHeader(append(header, name...))
+	for _, e := range evs {
+		w.Record(rawRecord(e))
+	}
+	if err := w.Close(); err != nil {
+		panic(err)
+	}
+	return out.Bytes()
+}
+
+// EncodeRawText encodes evs in the text format.
+func EncodeRawText(name string, evs []RawEvent) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "# dmtrace %s\n", name)
+	for _, e := range evs {
+		b.WriteByte("?afxt"[e.Kind])
+		for _, a := range e.Args {
+			fmt.Fprintf(&b, " %d", a)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+func TestEventIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 32 {
+		t.Fatalf("Event is %d bytes, want <= 32", n)
+	}
+}
+
+// TestDecodersRangeCheckArgs feeds every decoder Access reads/writes and
+// Tick cycles at 2^32-1 (kept exactly) and 2^32 (rejected with an error
+// naming the event, never truncated). Sequential and parallel reads of
+// the same v2 file must fail with the same error.
+func TestDecodersRangeCheckArgs(t *testing.T) {
+	defer func(w int64) { fetchWindowBytes = w }(fetchWindowBytes)
+	fetchWindowBytes = 32 // one block per fetch group: real parallel splits
+	for _, field := range []string{"reads", "writes", "cycles"} {
+		for _, v := range []uint64{math.MaxUint32, math.MaxUint32 + 1} {
+			evs := WideEvents(field, v)
+			v1 := EncodeRawV1("w", evs)
+			v2 := EncodeRawV2("w", evs, 8)
+			reads := map[string]func() (*Trace, error){
+				"text": func() (*Trace, error) { return ReadText(strings.NewReader(EncodeRawText("w", evs))) },
+				"v1":   func() (*Trace, error) { return ReadBinary(bytes.NewReader(v1)) },
+				"v2":   func() (*Trace, error) { return ReadBinary(bytes.NewReader(v2)) },
+				"v2-parallel": func() (*Trace, error) {
+					return ReadBinaryParallel(bytes.NewReader(v2), int64(len(v2)), 3, nil)
+				},
+			}
+			slab, slabErr := CompileBinaryParallel(bytes.NewReader(v2), int64(len(v2)), 3, nil)
+			name := fmt.Sprintf("%s=%d", field, v)
+			if v <= math.MaxUint32 {
+				for dec, read := range reads {
+					tr, err := read()
+					if err != nil {
+						t.Fatalf("%s %s: %v", name, dec, err)
+					}
+					if got := wideArg(tr.Events[WideAt], field); got != v {
+						t.Errorf("%s %s: decoded %d", name, dec, got)
+					}
+				}
+				if slabErr != nil {
+					t.Fatalf("%s slab: %v", name, slabErr)
+				}
+				op := slab.At(WideAt)
+				if got := map[string]uint64{"reads": op.Reads, "writes": op.Writes, "cycles": op.Cycles}[field]; got != v {
+					t.Errorf("%s slab: compiled %d", name, got)
+				}
+				continue
+			}
+			errs := map[string]error{"v2-slab": slabErr}
+			for dec, read := range reads {
+				_, errs[dec] = read()
+			}
+			for dec, err := range errs {
+				if err == nil {
+					t.Errorf("%s %s: accepted", name, dec)
+					continue
+				}
+				msg := err.Error()
+				if !strings.Contains(msg, fmt.Sprintf("event %d", WideAt)) || !strings.Contains(msg, "32-bit limit") {
+					t.Errorf("%s %s: error %q does not name event %d and the limit", name, dec, msg, WideAt)
+				}
+			}
+			if errs["v2"] == nil || errs["v2-parallel"] == nil || errs["v2-slab"] == nil {
+				continue
+			}
+			if a, b, c := errs["v2"].Error(), errs["v2-parallel"].Error(), errs["v2-slab"].Error(); a != b || a != c {
+				t.Errorf("%s: serial and parallel errors differ:\n%s\n%s\n%s", name, a, b, c)
+			}
+		}
+	}
+}
+
+func wideArg(e Event, field string) uint64 {
+	switch field {
+	case "reads":
+		return uint64(e.Reads)
+	case "writes":
+		return uint64(e.Writes)
+	}
+	return uint64(e.Cycles)
+}
+
+func TestBuilderPanicsOnWideArgs(t *testing.T) {
+	for name, f := range map[string]func(b *Builder, id uint64){
+		"reads":  func(b *Builder, id uint64) { b.Access(id, math.MaxUint32+1, 0) },
+		"writes": func(b *Builder, id uint64) { b.Access(id, 1, math.MaxUint32+1) },
+		"cycles": func(b *Builder, _ uint64) { b.Tick(math.MaxUint32 + 1) },
+	} {
+		b := NewBuilder("w")
+		id := b.Alloc(8)
+		b.Access(id, math.MaxUint32, math.MaxUint32)
+		b.Tick(math.MaxUint32)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: out-of-range argument accepted", name)
+				}
+			}()
+			f(b, id)
+		}()
+	}
+}

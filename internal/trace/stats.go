@@ -56,9 +56,9 @@ func Analyze(t *Trace) *Profile {
 			delete(live, e.ID)
 		case KindAccess:
 			p.Accesses++
-			p.AccessWords += e.Reads + e.Writes
+			p.AccessWords += uint64(e.Reads) + uint64(e.Writes)
 		case KindTick:
-			p.TickCycles += e.Cycles
+			p.TickCycles += uint64(e.Cycles)
 		}
 	}
 	p.FinalLiveBytes = liveBytes

@@ -9,6 +9,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -45,14 +46,25 @@ func (k EventKind) String() string {
 }
 
 // Event is one trace record. Field use depends on Kind; unused fields are
-// zero.
+// zero. Access reads and writes and Tick cycles are 32-bit, which keeps
+// an Event at 32 bytes; the decoders reject larger values and Builder
+// panics on them, so nothing is ever truncated.
 type Event struct {
 	Kind   EventKind
+	Cycles uint32 // CPU cycles (Tick)
 	ID     uint64 // allocation id (Alloc/Free/Access)
 	Size   int64  // requested bytes (Alloc)
-	Reads  uint64 // application word reads (Access)
-	Writes uint64 // application word writes (Access)
-	Cycles uint64 // CPU cycles (Tick)
+	Reads  uint32 // application word reads (Access)
+	Writes uint32 // application word writes (Access)
+}
+
+// checkArg rejects an Access or Tick argument that does not fit its
+// 32-bit Event field; what names the argument in the error.
+func checkArg(what string, v uint64) error {
+	if v > math.MaxUint32 {
+		return fmt.Errorf("%s %d exceeds the 32-bit limit", what, v)
+	}
+	return nil
 }
 
 // Trace is an ordered event sequence with an identifying name.
@@ -140,23 +152,36 @@ func (b *Builder) Free(id uint64) {
 	b.t.Events = append(b.t.Events, Event{Kind: KindFree, ID: id})
 }
 
-// Access appends an application access to live allocation id.
+// Access appends an application access to live allocation id. Reads and
+// writes must each fit in 32 bits.
 func (b *Builder) Access(id uint64, reads, writes uint64) {
 	if !b.live[id] {
 		panic(fmt.Sprintf("trace: access to dead id %d", id))
 	}
+	mustFit("access reads", reads)
+	mustFit("access writes", writes)
 	if reads == 0 && writes == 0 {
 		return
 	}
-	b.t.Events = append(b.t.Events, Event{Kind: KindAccess, ID: id, Reads: reads, Writes: writes})
+	b.t.Events = append(b.t.Events, Event{Kind: KindAccess, ID: id, Reads: uint32(reads), Writes: uint32(writes)})
 }
 
-// Tick appends cycles of CPU compute work (0 is a no-op).
+// Tick appends cycles of CPU compute work (0 is a no-op). Cycles must
+// fit in 32 bits.
 func (b *Builder) Tick(cycles uint64) {
+	mustFit("tick cycles", cycles)
 	if cycles == 0 {
 		return
 	}
-	b.t.Events = append(b.t.Events, Event{Kind: KindTick, Cycles: cycles})
+	b.t.Events = append(b.t.Events, Event{Kind: KindTick, Cycles: uint32(cycles)})
+}
+
+// mustFit panics on an out-of-range Access or Tick argument — a
+// generator bug, which must fail loudly rather than truncate.
+func mustFit(what string, v uint64) {
+	if err := checkArg(what, v); err != nil {
+		panic("trace: " + err.Error())
+	}
 }
 
 // Live returns the IDs currently live, in unspecified order.
