@@ -67,7 +67,7 @@ bench-surrogate:
 # 512-evaluation island-model NSGA-II job (4 islands, 5 ms modelled
 # backend latency per simulation) through the loopback-HTTP coordinator
 # at 1, 2 and 4 single-backend workers against the serial single-process
-# Evolve. Fails if 4 workers deliver below 2.5x the serial effective
+# search. Fails if 4 workers deliver below 2.5x the serial effective
 # evals/sec, or any fleet shape diverges (per-island walks and final
 # front must be identical at every worker count). Writes BENCH_serve.json.
 .PHONY: bench-serve
@@ -75,13 +75,15 @@ bench-serve:
 	$(GO) run scripts/benchserve.go
 
 # fuzz-smoke runs each native fuzz target for a few seconds — enough to
-# execute the seed corpus plus a short mutation run on every decoder.
+# execute the seed corpus plus a short mutation run on every decoder and
+# on the result-store loader.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 5s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime 5s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzTraceFeatures$$' -fuzztime 5s
 	$(GO) test ./internal/profile/ -run '^$$' -fuzz '^FuzzParseLog$$' -fuzztime 5s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzOpenStore$$' -fuzztime 5s
 
 # bench-telemetry compares the instrumented steady-state replay loop
 # (telemetry shard attached, as Runner workers run it) against the plain

@@ -625,9 +625,9 @@ func BenchmarkA8EvolveVsExhaustive(b *testing.B) {
 	var frac float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		evolved, err := runner.Evolve(s.space, objs, core.EvolveOptions{
+		evolved, err := runner.EvolveIsland(s.space, objs, core.IslandOptions{EvolveOptions: core.EvolveOptions{
 			Population: 32, Budget: budget, Seed: 9,
-		})
+		}})
 		if err != nil {
 			b.Fatal(err)
 		}

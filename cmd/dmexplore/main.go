@@ -60,18 +60,17 @@ func run(args []string, out io.Writer) error {
 		hierName      = fs.String("hierarchy", "soc", "memory hierarchy: soc|soc3|flat")
 		workers       = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 		outDir        = fs.String("out", "", "directory for CSV/Gnuplot reports (none when empty)")
-		cachePath     = fs.String("cache", "", "results cache file: resume interrupted sweeps, skip repeated configurations")
+		cachePath     = fs.String("cache", "", "result store file: resume interrupted sweeps, skip repeated configurations and, with -incremental, reuse general-pool replays across invocations")
 		tracePath     = fs.String("trace", "", "replay a trace file instead of generating the workload")
 		incremental   = fs.Bool("incremental", false, "partial re-evaluation: configurations sharing a fixed-pool signature replay only the ops that reach the general pool (bit-identical results)")
 		partitionMB   = fs.Int("partition-cache-mb", 256, "incremental partition-cache budget in MiB (0 = unbounded)")
-		poolMemoMB    = fs.Int("pool-memo-mb", 128, "incremental pool-run memo budget in MiB (0 = unbounded)")
+		poolMemoMB    = fs.Int("pool-memo-mb", 128, "byte budget in MiB of the incremental pool-run memo and the -cache store (0 = unbounded)")
 		surrogate     = fs.Bool("surrogate", false, "surrogate-assisted screening: rank candidates with online per-objective models so guided strategies spend the budget on the most promising simulations")
 		surrogateWarm = fs.String("surrogate-warm", "", "warm-start the surrogate from a prior journal.jsonl (same space and workload)")
 		quiet         = fs.Bool("quiet", false, "suppress progress output")
 		metricsAddr   = fs.String("metrics-addr", "", "serve Prometheus /metrics, /healthz, expvar and pprof at this address, e.g. localhost:6060")
 		traceOut      = fs.String("trace-out", "", "write the pipeline flight recorder as Chrome trace-event JSON (load in Perfetto) to this file")
 		evalLatency   = fs.Duration("eval-latency", 0, "model a per-simulation backend latency, e.g. 2ms (cache/memo hits skip it)")
-		poolMemoPath  = fs.String("pool-memo", "", "pool-run memo file: persist the incremental general-pool replay memo across invocations")
 		submitURL     = fs.String("submit", "", "submit the job to a dmserve coordinator at this URL and follow its journal instead of running locally")
 		islands       = fs.Int("islands", 1, "submit mode, evolve strategy: NSGA-II islands (shards), exchanging front members through the coordinator")
 		migrateEvery  = fs.Int("migrate-every", 0, "submit mode: generations between migrations (0 = default)")
@@ -237,19 +236,6 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "surrogate  warm start from %s (%d records)\n", *surrogateWarm, len(warm))
 		}
 	}
-	if *poolMemoPath != "" {
-		store, err := core.OpenPoolMemoStore(*poolMemoPath, cacheBudgetBytes(*poolMemoMB))
-		if err != nil {
-			return err
-		}
-		runner.PoolMemo = store
-		fmt.Fprintf(out, "pool-memo  %s (%d runs)\n", *poolMemoPath, store.Len())
-		defer func() {
-			if err := store.Save(); err != nil {
-				fmt.Fprintf(out, "warning: saving pool memo: %v\n", err)
-			}
-		}()
-	}
 	if *metricsAddr != "" {
 		srv, err := telemetry.Serve(*metricsAddr, col, spans)
 		if err != nil {
@@ -259,15 +245,15 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "metrics    http://%s/metrics (expvar at /debug/vars, pprof at /debug/pprof/)\n", srv.Addr)
 	}
 	if *cachePath != "" {
-		cache, err := core.OpenResultsCache(*cachePath)
+		store, err := core.OpenStore(*cachePath, cacheBudgetBytes(*poolMemoMB))
 		if err != nil {
 			return err
 		}
-		runner.Cache = cache
-		col.AddCacheStale(cache.Stats().Stale)
-		fmt.Fprintf(out, "cache      %s (%d entries)\n", *cachePath, cache.Len())
+		runner.Store = store
+		col.AddCacheStale(store.Stats().Stale)
+		fmt.Fprintf(out, "cache      %s (%d entries)\n", *cachePath, store.Len())
 		defer func() {
-			if err := cache.Save(); err != nil {
+			if err := store.Save(); err != nil {
 				fmt.Fprintf(out, "warning: saving cache: %v\n", err)
 			}
 		}()
@@ -376,9 +362,9 @@ func run(args []string, out io.Writer) error {
 		if total <= 0 {
 			total = 16 * pop
 		}
-		results, err = runner.Evolve(space, objs, core.EvolveOptions{
+		results, err = runner.EvolveIsland(space, objs, core.IslandOptions{EvolveOptions: core.EvolveOptions{
 			Population: pop, Budget: total, Seed: *sampleSeed,
-		})
+		}})
 	case *strategy == "hillclimb" || *strategy == "anneal":
 		total := *budget
 		if total <= 0 {
@@ -517,11 +503,11 @@ func run(args []string, out io.Writer) error {
 				Telemetry:      snap,
 				Stages:         activeStages(spans),
 			}
-			if runner.Cache != nil {
-				cs := runner.Cache.Stats()
+			if runner.Store != nil {
+				cs := runner.Store.Stats()
 				sum.Cache = &telemetry.CacheSummary{
 					Path:    *cachePath,
-					Entries: runner.Cache.Len(),
+					Entries: runner.Store.Len(),
 					Hits:    cs.Hits,
 					Misses:  cs.Misses,
 					Stale:   cs.Stale,
@@ -556,13 +542,11 @@ func validateFlags(fs *flag.FlagSet) error {
 	if set["surrogate-warm"] && !on("surrogate") {
 		return fmt.Errorf("-surrogate-warm requires -surrogate")
 	}
-	if set["pool-memo"] && !on("incremental") {
-		return fmt.Errorf("-pool-memo requires -incremental (the memo stores incremental general-pool replays)")
+	if set["partition-cache-mb"] && !on("incremental") {
+		return fmt.Errorf("-partition-cache-mb only applies with -incremental")
 	}
-	for _, name := range []string{"partition-cache-mb", "pool-memo-mb"} {
-		if set[name] && !on("incremental") {
-			return fmt.Errorf("-%s only applies with -incremental", name)
-		}
+	if set["pool-memo-mb"] && !on("incremental") && !set["cache"] {
+		return fmt.Errorf("-pool-memo-mb only applies with -incremental or -cache")
 	}
 	strategy := val("strategy")
 	if set["budget"] && strategy == "exhaustive" {
@@ -582,7 +566,7 @@ func validateFlags(fs *flag.FlagSet) error {
 		seen[obj] = true
 	}
 	if set["submit"] {
-		for _, name := range []string{"trace", "spacefile", "cache", "surrogate", "surrogate-warm", "metrics-addr", "trace-out", "pool-memo", "workers"} {
+		for _, name := range []string{"trace", "spacefile", "cache", "surrogate", "surrogate-warm", "metrics-addr", "trace-out", "workers"} {
 			if set[name] {
 				return fmt.Errorf("-%s is local-only and cannot be combined with -submit", name)
 			}

@@ -430,9 +430,8 @@ func TestValidateFlagRejectsContradictions(t *testing.T) {
 		want string
 	}{
 		{"surrogate-warm alone", []string{"-surrogate-warm", "j.jsonl"}, "-surrogate-warm requires -surrogate"},
-		{"pool-memo alone", []string{"-pool-memo", "m.jsonl"}, "-pool-memo requires -incremental"},
 		{"partition budget alone", []string{"-partition-cache-mb", "64"}, "-partition-cache-mb only applies with -incremental"},
-		{"pool memo budget alone", []string{"-pool-memo-mb", "64"}, "-pool-memo-mb only applies with -incremental"},
+		{"pool memo budget alone", []string{"-pool-memo-mb", "64"}, "-pool-memo-mb only applies with -incremental or -cache"},
 		{"budget on exhaustive", []string{"-budget", "100"}, "-budget has no effect with -strategy exhaustive"},
 		{"sample on hillclimb", []string{"-strategy", "hillclimb", "-sample", "10"}, "-sample is not used"},
 		{"negative latency", []string{"-eval-latency", "-5ms"}, "-eval-latency must be >= 0"},
@@ -461,30 +460,43 @@ func TestValidateFlagRejectsContradictions(t *testing.T) {
 }
 
 // TestRunPoolMemoPersists runs the same incremental sweep twice sharing
-// a -pool-memo file: the second invocation must load the first's runs.
+// a -cache store: the first invocation must record both metrics and
+// general-pool replays, the second must load them and serve every
+// configuration without simulating.
 func TestRunPoolMemoPersists(t *testing.T) {
-	memo := filepath.Join(t.TempDir(), "memo.jsonl")
+	dir := t.TempDir()
+	store := filepath.Join(dir, "store.jsonl")
 	args := []string{
-		"-workload", "easyport", "-scale", "5", "-quiet",
-		"-sample", "32", "-incremental", "-pool-memo", memo,
+		"-workload", "easyport", "-scale", "5", "-quiet", "-out", dir,
+		"-sample", "32", "-incremental", "-cache", store,
 	}
 	var first bytes.Buffer
 	if err := run(args, &first); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(first.String(), "pool-memo  "+memo+" (0 runs)") {
-		t.Fatalf("first run did not start from an empty memo:\n%s", first.String())
+	if !strings.Contains(first.String(), "cache      "+store+" (0 entries)") {
+		t.Fatalf("first run did not start from an empty store:\n%s", first.String())
 	}
-	if _, err := os.Stat(memo); err != nil {
-		t.Fatalf("first run saved no memo: %v", err)
+	saved, err := os.ReadFile(store)
+	if err != nil {
+		t.Fatalf("first run saved no store: %v", err)
+	}
+	if !bytes.Contains(saved, []byte(`"metrics":`)) || !bytes.Contains(saved, []byte(`"run":`)) {
+		t.Fatalf("store lacks a record kind:\n%.400s", saved)
 	}
 	var second bytes.Buffer
 	if err := run(args, &second); err != nil {
 		t.Fatal(err)
 	}
-	s := second.String()
-	if strings.Contains(s, "(0 runs)") || !strings.Contains(s, "pool-memo  "+memo) {
-		t.Fatalf("second run did not load the persisted memo:\n%s", s)
+	if s := second.String(); strings.Contains(s, "(0 entries)") || !strings.Contains(s, "cache      "+store) {
+		t.Fatalf("second run did not load the store:\n%s", s)
+	}
+	sum, err := telemetry.ReadRunSummary(filepath.Join(dir, "run-summary.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Telemetry.Sims != 0 || sum.Telemetry.PartialSims != 0 || sum.Telemetry.CacheHits != 32 {
+		t.Fatalf("second run was not served from the store: %+v", sum.Telemetry)
 	}
 }
 

@@ -46,7 +46,6 @@ func run(args []string, out io.Writer) error {
 		configPath   = fs.String("config", "", "allocator configuration JSON file")
 		hierName     = fs.String("hierarchy", "soc", "memory hierarchy: soc|soc3|flat")
 		logPath      = fs.String("log", "", "write the raw access log to this file")
-		logFormat    = fs.String("log-format", "v2", "raw log encoding: v2 (block-framed, parallel-parsable)|v1 (legacy stream)")
 		parseLogPath = fs.String("parselog", "", "parse a raw access log and print its summary instead of profiling")
 		workers      = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel workers for -parselog ingestion")
 		cacheSpec    = fs.String("cache", "", "attach a cache to DRAM: sizeWords:lineWords:ways")
@@ -81,14 +80,6 @@ func run(args []string, out io.Writer) error {
 	}
 
 	opts := profile.Options{}
-	switch *logFormat {
-	case "v2":
-		opts.LogFormat = profile.LogV2
-	case "v1":
-		opts.LogFormat = profile.LogV1
-	default:
-		return fmt.Errorf("unknown log format %q", *logFormat)
-	}
 	if *logPath != "" {
 		f, err := os.Create(*logPath)
 		if err != nil {
@@ -187,8 +178,8 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// parseLog ingests a raw access log (v1 or block-framed v2) with the
-// parallel parser and prints the per-layer summary plus ingest rate.
+// parseLog ingests a raw access log with the parallel parser (serial at
+// one worker) and prints the per-layer summary plus ingest rate.
 func parseLog(out io.Writer, path string, workers int) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -204,14 +195,9 @@ func parseLog(out io.Writer, path string, workers int) error {
 	if err != nil {
 		return err
 	}
-	snap := ingest.Snapshot()
 	fmt.Fprintf(out, "log         %s (%d bytes, %d workers)\n", path, fi.Size(), workers)
 	fmt.Fprintf(out, "records     %d (%d words)\n", s.Records, s.TotalWords())
-	if snap.Blocks > 0 {
-		fmt.Fprintf(out, "ingest      %s\n", snap)
-	} else {
-		fmt.Fprintf(out, "ingest      legacy v1 stream (serial parse)\n")
-	}
+	fmt.Fprintf(out, "ingest      %s\n", ingest.Snapshot())
 	fmt.Fprintf(out, "\n%-8s %16s %16s\n", "layer", "read words", "written words")
 	for layer := range s.Reads {
 		if s.Reads[layer] == 0 && s.Writes[layer] == 0 {

@@ -140,47 +140,73 @@ func TestMetricsAddr(t *testing.T) {
 	}
 }
 
-// TestLogEmitAndParseLog profiles with a raw log in both encodings, then
-// re-ingests each through the -parselog mode and checks the summaries
-// agree with each other and with the run's access count.
+// TestLogEmitAndParseLog profiles with a raw log, then re-ingests it
+// through the -parselog mode serially and in parallel and checks both
+// summaries agree and report the block-framed ingest counters.
 func TestLogEmitAndParseLog(t *testing.T) {
-	dir := t.TempDir()
-	var words []string
-	for _, format := range []string{"v2", "v1"} {
-		logPath := filepath.Join(dir, "run."+format+".log")
-		var out bytes.Buffer
-		err := run([]string{"-workload", "easyport", "-scale", "5", "-preset", "lea",
-			"-log", logPath, "-log-format", format}, &out)
-		if err != nil {
-			t.Fatalf("%s profile: %v", format, err)
-		}
+	logPath := filepath.Join(t.TempDir(), "run.log")
+	var out bytes.Buffer
+	err := run([]string{"-workload", "easyport", "-scale", "5", "-preset", "lea",
+		"-log", logPath}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records []string
+	for _, workers := range []string{"1", "4"} {
 		out.Reset()
-		if err := run([]string{"-parselog", logPath, "-workers", "4"}, &out); err != nil {
-			t.Fatalf("%s parselog: %v", format, err)
+		if err := run([]string{"-parselog", logPath, "-workers", workers}, &out); err != nil {
+			t.Fatalf("workers=%s parselog: %v", workers, err)
 		}
 		s := out.String()
-		if !strings.Contains(s, "records") {
-			t.Fatalf("%s parselog output:\n%s", format, s)
-		}
-		if format == "v2" && !strings.Contains(s, "blocks") {
-			t.Fatalf("v2 parselog missing ingest counters:\n%s", s)
+		if !strings.Contains(s, "blocks") {
+			t.Fatalf("workers=%s parselog missing ingest counters:\n%s", workers, s)
 		}
 		for _, line := range strings.Split(s, "\n") {
 			if strings.HasPrefix(line, "records") {
-				words = append(words, line)
+				records = append(records, line)
 			}
 		}
 	}
-	if len(words) != 2 || words[0] != words[1] {
-		t.Fatalf("v2 and v1 logs summarize differently: %q", words)
+	if len(records) != 2 || records[0] != records[1] {
+		t.Fatalf("serial and parallel ingest summarize differently: %q", records)
 	}
 }
 
-func TestBadLogFormatRejected(t *testing.T) {
+// TestParseLogIngestAtOneWorker pins the serial ingest line: a
+// block-framed log parsed with -workers 1 reports its blocks, records
+// and bytes like a parallel parse does.
+func TestParseLogIngestAtOneWorker(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "run.log")
 	var out bytes.Buffer
-	err := run([]string{"-workload", "easyport", "-scale", "5", "-preset", "lea",
-		"-log-format", "v9"}, &out)
-	if err == nil {
-		t.Fatal("bad -log-format accepted")
+	if err := run([]string{"-workload", "easyport", "-scale", "5", "-preset", "lea", "-log", logPath}, &out); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"-parselog", logPath, "-workers", "1"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var ingest string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "ingest") {
+			ingest = line
+		}
+	}
+	if !strings.Contains(ingest, "blocks") || strings.Contains(ingest, "0 blocks") {
+		t.Fatalf("serial ingest line %q, want block counters:\n%s", ingest, out.String())
+	}
+}
+
+// TestBadLogFormatRejected feeds -parselog a headerless record stream
+// (the retired v1 layout): it must be refused, not misparsed.
+func TestBadLogFormatRejected(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "bare.log")
+	if err := os.WriteFile(logPath, []byte{1 << 1, 0x80, 0x01, 4, 1<<1 | 1, 0x10, 2}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []string{"1", "4"} {
+		var out bytes.Buffer
+		if err := run([]string{"-parselog", logPath, "-workers", workers}, &out); err == nil {
+			t.Fatalf("workers=%s: headerless log accepted:\n%s", workers, out.String())
+		}
 	}
 }

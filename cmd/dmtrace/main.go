@@ -36,8 +36,8 @@ func run(args []string, out io.Writer) error {
 		seed         = fs.Uint64("seed", 1, "generate: workload RNG seed")
 		inPath       = fs.String("in", "", "inspect: read a trace file instead of generating")
 		outPath      = fs.String("o", "", "write the trace to this file")
-		format       = fs.String("format", "binary", "output format: binary|v2|v1|text (binary = v2)")
-		workers      = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel workers for reading block-framed (v2) traces")
+		format       = fs.String("format", "binary", "output format: binary|v2|text (binary = v2, block-framed)")
+		workers      = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel workers for reading binary traces")
 		showStats    = fs.Bool("stats", false, "print trace statistics")
 		validate     = fs.Bool("validate", true, "validate the trace")
 	)
@@ -90,8 +90,6 @@ func run(args []string, out io.Writer) error {
 		switch *format {
 		case "binary", "v2":
 			err = trace.WriteBinaryV2(f, tr)
-		case "v1":
-			err = trace.WriteBinary(f, tr)
 		case "text":
 			err = trace.WriteText(f, tr)
 		default:

@@ -65,13 +65,12 @@ func TestBinaryDenserOnDisk(t *testing.T) {
 
 // TestConvertRoundTripBitIdentical drives the CLI through every format
 // conversion chain and pins that the events survive bit-identically:
-// v2 -> text -> v1 -> v2 must reproduce the original event sequence.
+// binary -> text -> binary must reproduce the original event sequence.
 func TestConvertRoundTripBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	paths := map[string]string{
 		"v2":   filepath.Join(dir, "a.dmt"),
 		"text": filepath.Join(dir, "b.trace"),
-		"v1":   filepath.Join(dir, "c.dmt"),
 		"back": filepath.Join(dir, "d.dmt"),
 	}
 	var out bytes.Buffer
@@ -79,9 +78,9 @@ func TestConvertRoundTripBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	chain := [][2]string{
-		{paths["v2"], "text"}, {paths["text"], "v1"}, {paths["v1"], "v2"},
+		{paths["v2"], "text"}, {paths["text"], "v2"},
 	}
-	dsts := []string{paths["text"], paths["v1"], paths["back"]}
+	dsts := []string{paths["text"], paths["back"]}
 	for i, step := range chain {
 		if err := run([]string{"-in", step[0], "-format", step[1], "-o", dsts[i]}, &out); err != nil {
 			t.Fatalf("convert %s -> %s: %v", step[0], step[1], err)
@@ -108,11 +107,13 @@ func TestConvertRoundTripBitIdentical(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
+	dst := filepath.Join(t.TempDir(), "x")
 	cases := [][]string{
 		{},                          // neither -workload nor -in
 		{"-workload", "nope"},       // unknown workload
 		{"-in", "/nonexistent.dmt"}, // missing file
-		{"-workload", "easyport", "-scale", "5", "-format", "nope", "-o", "/tmp/x"},
+		{"-workload", "easyport", "-scale", "5", "-format", "nope", "-o", dst},
+		{"-workload", "easyport", "-scale", "5", "-format", "v1", "-o", dst}, // retired layout
 	}
 	for _, args := range cases {
 		var out bytes.Buffer

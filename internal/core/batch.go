@@ -179,7 +179,7 @@ func (b *evalBatcher) getBatch(indices []int) ([]Result, error) {
 				preds[i] = b.predict(idx)
 			}
 		}
-		res, err := b.sess.EvalAnnotated(todo, preds, origins)
+		res, err := b.sess.Eval(todo, preds, origins)
 		b.mu.Lock()
 		for i, idx := range todo {
 			if res != nil {

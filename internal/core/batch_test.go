@@ -269,7 +269,7 @@ func TestSessionEvalAfterClose(t *testing.T) {
 	}
 	sess.Close()
 	sess.Close() // idempotent
-	if _, err := sess.Eval([]int{0}); err == nil {
+	if _, err := sess.Eval([]int{0}, nil, nil); err == nil {
 		t.Fatal("eval on closed session accepted")
 	}
 }
@@ -290,7 +290,7 @@ func TestSessionReusesWorkersAcrossBatches(t *testing.T) {
 	}
 	defer sess.Close()
 	for i := 0; i < space.Size(); i += 2 {
-		if _, err := sess.Eval([]int{i, i + 1}); err != nil {
+		if _, err := sess.Eval([]int{i, i + 1}, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -318,7 +318,7 @@ func TestGuidedSearchJournalComplete(t *testing.T) {
 	}
 	space := EasyportSpace()
 	objs := []string{profile.ObjAccesses, profile.ObjFootprint}
-	evolved, err := r.Evolve(space, objs, EvolveOptions{Population: 8, Budget: 48, Seed: 7})
+	evolved, err := r.EvolveIsland(space, objs, IslandOptions{EvolveOptions: EvolveOptions{Population: 8, Budget: 48, Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 			bestIdx = front[0].Index
 		}
 		out = append(out, capture("screen", results, Result{Index: bestIdx}, 0))
-		results, err = r.Evolve(space, objs, EvolveOptions{Population: 8, Budget: budget, Seed: seed})
+		results, err = r.EvolveIsland(space, objs, IslandOptions{EvolveOptions: EvolveOptions{Population: 8, Budget: budget, Seed: seed}})
 		if err != nil {
 			t.Fatal(err)
 		}

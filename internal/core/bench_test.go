@@ -93,9 +93,9 @@ func BenchmarkEvolveWorkers(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				results, err := r.Evolve(space, objs, EvolveOptions{
+				results, err := r.EvolveIsland(space, objs, IslandOptions{EvolveOptions: EvolveOptions{
 					Population: 16, Budget: 64, Seed: 9,
-				})
+				}})
 				if err != nil {
 					b.Fatal(err)
 				}

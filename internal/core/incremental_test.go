@@ -122,9 +122,9 @@ func TestIncrementalEquivalenceAcrossStrategies(t *testing.T) {
 				}
 				return append([]Result{sr.Best}, sr.Evaluated...)
 			case "evolve":
-				rs, err := r.Evolve(space, objectives, EvolveOptions{
+				rs, err := r.EvolveIsland(space, objectives, IslandOptions{EvolveOptions: EvolveOptions{
 					Population: 8, Budget: 48, Seed: seed,
-				})
+				}})
 				if err != nil {
 					t.Fatalf("evolve seed %d: %v", seed, err)
 				}
@@ -259,11 +259,11 @@ func TestIncrementalEquivalenceAcrossWorkerCounts(t *testing.T) {
 			append([]Result{hcFull.Best}, hcFull.Evaluated...),
 			append([]Result{hcInc.Best}, hcInc.Evaluated...))
 
-		evFull, err := runner(false).Evolve(space, objectives, EvolveOptions{Population: 8, Budget: 40, Seed: 3})
+		evFull, err := runner(false).EvolveIsland(space, objectives, IslandOptions{EvolveOptions: EvolveOptions{Population: 8, Budget: 40, Seed: 3}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		evInc, err := runner(true).Evolve(space, objectives, EvolveOptions{Population: 8, Budget: 40, Seed: 3})
+		evInc, err := runner(true).EvolveIsland(space, objectives, IslandOptions{EvolveOptions: EvolveOptions{Population: 8, Budget: 40, Seed: 3}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +320,7 @@ func TestEvalLatencyComposedChargesCompositionOnly(t *testing.T) {
 	}
 	defer sess.Close()
 
-	first, err := sess.Eval([]int{d74})
+	first, err := sess.Eval([]int{d74}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestEvalLatencyComposedChargesCompositionOnly(t *testing.T) {
 			first[0].Duration, latency)
 	}
 
-	second, err := sess.Eval([]int{sp})
+	second, err := sess.Eval([]int{sp}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestSessionCacheEviction(t *testing.T) {
 	}
 	defer sess.Close()
 	indices := stats.NewRNG(5).Perm(space.Size())[:64] // Sample's draw, same seed
-	inc, err := sess.Eval(indices)
+	inc, err := sess.Eval(indices, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

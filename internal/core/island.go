@@ -8,15 +8,13 @@ import (
 	"dmexplore/internal/stats"
 )
 
-// Island-model NSGA-II: the distributed-service form of Evolve. Each
-// island runs the identical generation loop as the serial search over its
-// own seed-split RNG; every MigrationEvery generations it exports its
+// Island-model NSGA-II. Each island runs the same generation loop over
+// its own seed-split RNG; every MigrationEvery generations it exports its
 // current local Pareto front through the Migrate hook and absorbs the
 // immigrants the hook returns (in the service, the coordinator merges
 // every island's export with pareto.Front and hands the global elite
-// back). With no hook and Island 0 the loop is byte-for-byte the serial
-// Evolve walk — the bit-identity contract the distributed determinism
-// tests pin.
+// back). With no hook and Island 0 the loop is the serial search — the
+// bit-identity contract the distributed determinism tests pin.
 
 // IslandMember is one exported front member: the configuration index and
 // its objective vector in the search's objective order. The coordinator
@@ -40,7 +38,7 @@ type IslandOptions struct {
 	EvolveOptions
 
 	// Island is this island's 0-based ID. Island 0 uses Seed unchanged —
-	// a 1-island run is bit-identical to the serial Evolve walk — and
+	// a 1-island run is bit-identical to the serial walk — and
 	// island i > 0 derives its RNG stream with IslandSeed.
 	Island int
 
@@ -53,7 +51,7 @@ type IslandOptions struct {
 	MigrationK int
 
 	// Migrate, when non-nil, is called at every migration point. Nil
-	// disables migration entirely (the serial Evolve path).
+	// disables migration entirely (the serial search).
 	Migrate MigrationHook
 
 	// OnResult, when non-nil, receives every fresh successful evaluation
@@ -94,9 +92,26 @@ func IslandSeed(seed uint64, island int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// EvolveIsland runs one island of an island-model NSGA-II search in its
-// own session. See EvolveIslandSession for the shared-session form the
-// distributed workers use.
+// EvolveIsland approximates the Pareto front with an NSGA-II-style
+// evolutionary search over the axis grid: a population of configurations
+// evolves under non-dominated sorting and crowding-distance selection,
+// with uniform crossover and per-axis mutation. For spaces far beyond
+// exhaustive reach (the full 64,800-point product and larger) this finds
+// near-complete fronts within a few thousand simulations. Returns every
+// configuration profiled during the run (deduplicated); callers extract
+// the front with ParetoSet.
+//
+// Evaluation is generation-batched: the initial population and every
+// offspring generation are profiled as one wave across the runner's full
+// worker pool (duplicates and already-profiled genomes deduplicated by
+// the batcher). All randomness stays on the coordinating goroutine, so a
+// given seed yields the identical run for any worker count.
+//
+// With zero-value island fields (IslandOptions{EvolveOptions: …}) this
+// is the serial search: island 0, no migration. Otherwise it runs one
+// island of an island-model search in its own session; see
+// EvolveIslandSession for the shared-session form the distributed
+// workers use.
 func (r *Runner) EvolveIsland(space *Space, objectives []string, opts IslandOptions) ([]Result, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err

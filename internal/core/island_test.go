@@ -22,17 +22,17 @@ func TestIslandSeedIdentityAndDispersion(t *testing.T) {
 	}
 }
 
-// TestEvolveIslandZeroIsEvolve is the refactor's contract: the serial
-// Evolve walk IS the island walk with zero-value island options — and
-// stays so even when a migration cadence is configured but no hook is
-// set (island 0 of a 1-island job).
+// TestEvolveIslandZeroIsEvolve pins the serial contract: the walk with
+// zero-value island options (the serial search) stays identical when a
+// migration cadence is configured but no hook is set (island 0 of a
+// 1-island job).
 func TestEvolveIslandZeroIsEvolve(t *testing.T) {
 	r := searchRunner(t)
 	space := EasyportSpace()
 	objs := []string{profile.ObjAccesses, profile.ObjFootprint}
 	eo := EvolveOptions{Population: 8, Budget: 40, Seed: 11}
 
-	serial, err := r.Evolve(space, objs, eo)
+	serial, err := r.EvolveIsland(space, objs, IslandOptions{EvolveOptions: eo})
 	if err != nil {
 		t.Fatal(err)
 	}

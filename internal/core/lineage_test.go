@@ -43,7 +43,7 @@ func TestEvolveLineageJournaled(t *testing.T) {
 	space := EasyportSpace()
 	objs := []string{profile.ObjAccesses, profile.ObjFootprint}
 	recs := journalAll(t, 4, false, func(r *Runner) {
-		if _, err := r.Evolve(space, objs, EvolveOptions{Population: 8, Budget: 48, Seed: 7}); err != nil {
+		if _, err := r.EvolveIsland(space, objs, IslandOptions{EvolveOptions: EvolveOptions{Population: 8, Budget: 48, Seed: 7}}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,12 +1,12 @@
 package core
 
 // lruCache is a size-aware least-recently-used cache bounding the
-// session's partition cache and pool-run memo: entries carry a byte
-// cost, a budget caps the total, and inserts evict from the cold end
-// until the total fits. Eviction only drops the cache's reference —
-// workers holding a pointer to an evicted entry keep using it safely
-// (partitions and pool runs are immutable); a later lookup simply
-// rebuilds. Not safe for concurrent use; callers hold their own mutex.
+// session's partition cache and pool-run memo and the persisted Store:
+// entries carry a byte cost, a budget caps the total, and inserts evict
+// from the cold end until the total fits. Eviction only drops the
+// cache's reference — workers holding a pointer to an evicted entry keep
+// using it safely (partitions and pool runs are immutable); a later
+// lookup simply rebuilds. Not safe for concurrent use; callers hold their own mutex.
 type lruCache[V any] struct {
 	budget    int64 // max total bytes; <= 0 means unbounded
 	size      int64
@@ -82,6 +82,13 @@ func (c *lruCache[V]) bytes() int64 { return c.size }
 
 // evicted returns how many entries the budget has pushed out.
 func (c *lruCache[V]) evicted() uint64 { return c.evictions }
+
+// each calls fn for every resident entry, coldest first.
+func (c *lruCache[V]) each(fn func(key string, v V)) {
+	for n := c.tail; n != nil; n = n.prev {
+		fn(n.key, n.val)
+	}
+}
 
 // evict drops cold-end entries until the budget holds, sparing keep.
 func (c *lruCache[V]) evict(keep *lruNode[V]) {

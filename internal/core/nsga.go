@@ -9,31 +9,7 @@ import (
 	"dmexplore/internal/stats"
 )
 
-// Evolve approximates the Pareto front with an NSGA-II-style evolutionary
-// search over the axis grid: a population of configurations evolves under
-// non-dominated sorting and crowding-distance selection, with uniform
-// crossover and per-axis mutation. For spaces far beyond exhaustive reach
-// (the full 64,800-point product and larger) this finds near-complete
-// fronts within a few thousand simulations.
-//
-// Returns every configuration profiled during the run (deduplicated);
-// callers extract the front with ParetoSet.
-//
-// Evaluation is generation-batched: the initial population and every
-// offspring generation are profiled as one wave across the runner's full
-// worker pool (duplicates and already-profiled genomes deduplicated by
-// the batcher). All randomness stays on the coordinating goroutine, so a
-// given seed yields the identical run for any worker count.
-//
-// Evolve is the 1-island degenerate case of the island model (see
-// EvolveIsland): island 0, no migration hook. The island path with those
-// options takes literally this code path, which is what makes the
-// distributed service's 1-island runs bit-identical to serial searches.
-func (r *Runner) Evolve(space *Space, objectives []string, opts EvolveOptions) ([]Result, error) {
-	return r.EvolveIsland(space, objectives, IslandOptions{EvolveOptions: opts})
-}
-
-// EvolveOptions tune the evolutionary search.
+// EvolveOptions tune the NSGA-II evolutionary search (EvolveIsland).
 type EvolveOptions struct {
 	Population   int     // even, >= 4 (default 32)
 	Budget       int     // total simulations (default 16 generations worth)

@@ -11,13 +11,13 @@ import (
 func TestEvolveValidation(t *testing.T) {
 	r := searchRunner(t)
 	objs := []string{profile.ObjAccesses, profile.ObjFootprint}
-	if _, err := r.Evolve(tinySpace(), []string{profile.ObjAccesses}, EvolveOptions{}); err == nil {
+	if _, err := r.EvolveIsland(tinySpace(), []string{profile.ObjAccesses}, IslandOptions{}); err == nil {
 		t.Fatal("single objective accepted")
 	}
-	if _, err := r.Evolve(tinySpace(), objs, EvolveOptions{Population: 3, Budget: 100}); err == nil {
+	if _, err := r.EvolveIsland(tinySpace(), objs, IslandOptions{EvolveOptions: EvolveOptions{Population: 3, Budget: 100}}); err == nil {
 		t.Fatal("odd population accepted")
 	}
-	if _, err := r.Evolve(tinySpace(), objs, EvolveOptions{Population: 8, Budget: 4}); err == nil {
+	if _, err := r.EvolveIsland(tinySpace(), objs, IslandOptions{EvolveOptions: EvolveOptions{Population: 8, Budget: 4}}); err == nil {
 		t.Fatal("budget below population accepted")
 	}
 }
@@ -26,7 +26,7 @@ func TestEvolveTinySpaceFindsTrueFront(t *testing.T) {
 	r := searchRunner(t)
 	space := tinySpace()
 	objs := []string{profile.ObjAccesses, profile.ObjFootprint}
-	results, err := r.Evolve(space, objs, EvolveOptions{Population: 4, Budget: 24, Seed: 3})
+	results, err := r.EvolveIsland(space, objs, IslandOptions{EvolveOptions: EvolveOptions{Population: 4, Budget: 24, Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestEvolveApproximatesLargeFront(t *testing.T) {
 	objs := []string{profile.ObjAccesses, profile.ObjFootprint}
 	const budget = 128
 
-	evolved, err := r.Evolve(space, objs, EvolveOptions{Population: 16, Budget: budget, Seed: 5})
+	evolved, err := r.EvolveIsland(space, objs, IslandOptions{EvolveOptions: EvolveOptions{Population: 16, Budget: budget, Seed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +101,11 @@ func TestEvolveDeterministic(t *testing.T) {
 	space := EasyportSpace()
 	objs := []string{profile.ObjAccesses, profile.ObjFootprint}
 	opts := EvolveOptions{Population: 8, Budget: 40, Seed: 11}
-	a, err := r.Evolve(space, objs, opts)
+	a, err := r.EvolveIsland(space, objs, IslandOptions{EvolveOptions: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Evolve(space, objs, opts)
+	b, err := r.EvolveIsland(space, objs, IslandOptions{EvolveOptions: opts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,8 @@ type Result struct {
 	// Duration is the wall time this configuration occupied a worker,
 	// simulation or cache lookup included.
 	Duration time.Duration
-	// CacheHit marks a configuration served from the results cache.
+	// CacheHit marks a configuration served from a metrics record of the
+	// Store.
 	CacheHit bool
 	// MemoHit marks a configuration served from the in-run duplicate
 	// memo (axis combinations collapsing to the same canonical config).
@@ -121,11 +122,15 @@ type Runner struct {
 	// Options are passed through to every profiling run.
 	Options profile.Options
 
-	// Cache, when non-nil, memoizes profiling results across runs and
-	// tool invocations. Cache hits skip the simulation entirely — and
-	// therefore any Options side effects (raw logs, series) for that
-	// configuration.
-	Cache *ResultsCache
+	// Store, when non-nil, persists results across runs and tool
+	// invocations (see Store). Sessions consult it before evaluating a
+	// configuration and record every result they compute. With
+	// Incremental set they also consult it before a standalone
+	// general-pool replay and record every run they build. A metrics hit
+	// skips the evaluation entirely (Result.CacheHit), and therefore any
+	// Options side effects (raw logs, series) for that configuration; a
+	// pool-run hit composes with no simulation (Result.Composed).
+	Store *Store
 
 	// Incremental enables partition-based partial re-evaluation:
 	// configurations sharing a fixed-pool signature (same Fixed pools and
@@ -156,19 +161,11 @@ type Runner struct {
 	// way: 0 uses DefaultPoolMemoBudgetBytes, negative is unbounded.
 	PoolMemoBudgetBytes int64
 
-	// PoolMemo, when non-nil, persists the pool-run memo across tool
-	// invocations (see PoolMemoStore): sessions consult it before running
-	// a standalone general-pool replay and record every run they build.
-	// A store hit composes with zero simulation, exactly like an
-	// in-session memo hit (Result.Composed). Only consulted when
-	// Incremental is enabled.
-	PoolMemo *PoolMemoStore
-
 	// Surrogate, when non-nil, enables surrogate-assisted candidate
 	// screening in the guided search strategies (HillClimb, Anneal,
-	// ScreenAndRefine, Evolve): online per-objective models trained from
-	// every exact result rank candidates so the simulation budget is
-	// spent on the most promising ones. See SurrogateOptions. When nil,
+	// ScreenAndRefine, EvolveIsland): online per-objective models
+	// trained from every exact result rank candidates so the simulation
+	// budget is spent on the most promising ones. See SurrogateOptions. When nil,
 	// the strategies take their original exact-only code paths.
 	Surrogate *SurrogateOptions
 
@@ -243,5 +240,5 @@ func (r *Runner) run(space *Space, indices []int) ([]Result, error) {
 	for i := range origins {
 		origins[i] = &telemetry.Origin{Strategy: "sweep", Op: "sweep", Wave: 1}
 	}
-	return s.EvalAnnotated(indices, nil, origins)
+	return s.Eval(indices, nil, origins)
 }

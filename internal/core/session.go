@@ -34,6 +34,11 @@ type EvalSession struct {
 	col     *telemetry.Collector
 	workers int
 
+	// hierarchy and traceID are computed once per session for storeKey:
+	// the hierarchy's Fingerprint and the trace's name and length.
+	hierarchy string
+	traceID   string
+
 	jobs chan evalJob
 	wg   sync.WaitGroup
 
@@ -57,11 +62,11 @@ type EvalSession struct {
 	partsMu sync.Mutex
 	parts   *lruCache[*partitionEntry]
 
-	// runs memoizes standalone general-pool replays by (recorded-op
-	// content hash, general-pool parameters). A hit composes cached
-	// per-gap reserve levels and metric components with the candidate's
-	// partition in O(ops) additions — no simulation. Bounded like parts,
-	// by Runner.PoolMemoBudgetBytes.
+	// runs memoizes standalone general-pool replays by poolRunKey
+	// (recorded-op content hash, general-pool parameters). A hit
+	// composes cached per-gap reserve levels and metric components with
+	// the candidate's partition in O(ops) additions — no simulation.
+	// Bounded like parts, by Runner.PoolMemoBudgetBytes.
 	runsMu sync.Mutex
 	runs   *lruCache[*poolRunEntry]
 
@@ -192,13 +197,15 @@ func (r *Runner) newSession(space *Space, maxWorkers int) (*EvalSession, error) 
 		col = telemetry.NewCollector(workers)
 	}
 	s := &EvalSession{
-		r:       r,
-		space:   space,
-		ct:      ct,
-		col:     col,
-		workers: workers,
-		jobs:    make(chan evalJob, 2*workers),
-		memo:    make(map[string]*profile.Metrics),
+		r:         r,
+		space:     space,
+		ct:        ct,
+		col:       col,
+		workers:   workers,
+		hierarchy: r.Hierarchy.Fingerprint(),
+		traceID:   fmt.Sprintf("%s(%d)", ct.Name, ct.Len()),
+		jobs:      make(chan evalJob, 2*workers),
+		memo:      make(map[string]*profile.Metrics),
 	}
 	opts := r.Options
 	s.incremental = r.Incremental && opts.LogWriter == nil &&
@@ -252,27 +259,17 @@ func (s *EvalSession) Warm(results map[int]*profile.Metrics) {
 // regardless of worker count. Duplicate indices within the wave are
 // evaluated independently; use an evalBatcher for deduplication.
 //
+// preds and origins annotate the results and may each be nil; when set
+// they hold one entry per index (entries may be nil). preds[i] is the
+// surrogate's forecast for indices[i] and origins[i] its search
+// provenance. Both are stamped onto the Result before the Observer sees
+// it, so the journal pairs them with the exact metrics (`dmreport
+// -lineage` reconstructs ancestry from the origins). The wave lands one
+// batch-wave span on the coordinator ring.
+//
 // On failure every slot is still populated (per-result Err) and the
 // returned error wraps the first failure in request order.
-func (s *EvalSession) Eval(indices []int) ([]Result, error) {
-	return s.EvalPredicted(indices, nil)
-}
-
-// EvalPredicted is Eval with per-index surrogate predictions attached:
-// preds, when non-nil, must have one entry per index (entries may be
-// nil); each is stamped onto the corresponding Result before the
-// Observer sees it, so journals record what the surrogate forecast
-// alongside what the simulation measured.
-func (s *EvalSession) EvalPredicted(indices []int, preds []map[string]float64) ([]Result, error) {
-	return s.EvalAnnotated(indices, preds, nil)
-}
-
-// EvalAnnotated is EvalPredicted with per-index provenance attached:
-// origins, when non-nil, must have one entry per index (entries may be
-// nil); each is stamped onto the corresponding Result, journaled with
-// it, and reconstructed by `dmreport -lineage`. The wave itself lands
-// one batch-wave span on the coordinator ring.
-func (s *EvalSession) EvalAnnotated(indices []int, preds []map[string]float64, origins []*telemetry.Origin) ([]Result, error) {
+func (s *EvalSession) Eval(indices []int, preds []map[string]float64, origins []*telemetry.Origin) ([]Result, error) {
 	if s.closed.Load() {
 		return nil, fmt.Errorf("core: eval on closed session")
 	}
@@ -368,8 +365,8 @@ func (s *EvalSession) chargeLatency(debt *time.Duration, d time.Duration) {
 	}
 }
 
-// evalOne profiles one configuration: materialize, memo lookup, results
-// cache lookup, simulate on miss.
+// evalOne profiles one configuration: materialize, memo lookup, store
+// lookup, then partial replay or composition, else a full replay.
 func (s *EvalSession) evalOne(idx int, rep *profile.Replayer, shard *telemetry.Shard, debt *time.Duration) Result {
 	r := s.r
 	start := time.Now()
@@ -390,14 +387,14 @@ func (s *EvalSession) evalOne(idx int, rep *profile.Replayer, shard *telemetry.S
 			shard.MemoHit()
 		}
 		key := ""
-		if res.Metrics == nil && r.Cache != nil {
+		if res.Metrics == nil && r.Store != nil {
 			var probeStart time.Time
 			if rep.Spans != nil {
 				probeStart = time.Now()
 			}
-			key = CompiledCacheKey(id, s.ct, r.Hierarchy)
+			key = storeKey(kindMetrics, s.hierarchy, s.traceID+"\x1f"+id)
 			hit := int64(0)
-			if m, ok := r.Cache.Get(key); ok {
+			if m, ok := r.Store.Metrics(key); ok {
 				res.Metrics = m
 				res.CacheHit = true
 				hit = 1
@@ -444,8 +441,8 @@ func (s *EvalSession) evalOne(idx int, rep *profile.Replayer, shard *telemetry.S
 							shard.ObserveCompose(time.Since(pstart), part.Events())
 							rep.Spans.Since(span.StageCompose, pstart, int64(part.Ops()))
 						}
-						if r.Cache != nil {
-							r.Cache.Put(key, res.Metrics)
+						if r.Store != nil {
+							r.Store.PutMetrics(key, res.Metrics)
 						}
 					}
 				}
@@ -466,8 +463,8 @@ func (s *EvalSession) evalOne(idx int, rep *profile.Replayer, shard *telemetry.S
 					// EvalLatency doc comment).
 					s.chargeLatency(debt, r.EvalLatency)
 				}
-				if r.Cache != nil {
-					r.Cache.Put(key, res.Metrics)
+				if r.Store != nil {
+					r.Store.PutMetrics(key, res.Metrics)
 				}
 			}
 		}
@@ -527,7 +524,7 @@ const (
 // evaluation). A nil run means the replay declined and only a full
 // replay can evaluate the configuration.
 func (s *EvalSession) poolRun(part *profile.Partition, cfg alloc.Config, rep *profile.Replayer) (run *profile.PoolRun, built bool) {
-	key := poolRunKey(part, cfg)
+	key := s.poolRunKey(part, cfg)
 	s.runsMu.Lock()
 	e, ok := s.runs.get(key)
 	if !ok {
@@ -536,14 +533,14 @@ func (s *EvalSession) poolRun(part *profile.Partition, cfg alloc.Config, rep *pr
 	}
 	s.runsMu.Unlock()
 	e.once.Do(func() {
-		if store := s.r.PoolMemo; store != nil {
-			// Persistent memo probe: a run recorded by a previous tool
-			// invocation under the same content key serves this session
-			// like an in-session hit (the caller's composition is the
-			// whole evaluation). MatchesOps guards the hash key exactly as
-			// it does for in-session reuse; a collision falls through to a
-			// fresh replay.
-			if run, ok := store.Get(key); ok && run.MatchesOps(part) {
+		if store := s.r.Store; store != nil {
+			// Store probe: a run recorded by a previous tool invocation
+			// under the same key serves this session like an in-session
+			// hit (the caller's composition is the whole evaluation).
+			// MatchesOps guards the hash key exactly as it does for
+			// in-session reuse; a collision falls through to a fresh
+			// replay.
+			if run, ok := store.PoolRun(key); ok && run.MatchesOps(part) {
 				e.run, e.ok = run, true
 				s.runsMu.Lock()
 				s.runs.resize(key, poolRunEntryBytes+run.MemBytes())
@@ -557,8 +554,8 @@ func (s *EvalSession) poolRun(part *profile.Partition, cfg alloc.Config, rep *pr
 			s.runsMu.Lock()
 			s.runs.resize(key, poolRunEntryBytes+e.run.MemBytes())
 			s.runsMu.Unlock()
-			if store := s.r.PoolMemo; store != nil {
-				store.Put(key, e.run)
+			if store := s.r.Store; store != nil {
+				store.PutPoolRun(key, e.run)
 			}
 		}
 	})
@@ -576,13 +573,16 @@ func (s *EvalSession) poolRun(part *profile.Partition, cfg alloc.Config, rep *pr
 	return e.run, built
 }
 
-// poolRunKey keys the pool-run memo: the recorded op sequence's content
-// hash and length plus the canonical general-pool parameter vector.
-// Everything a standalone replay depends on is in the key; the sequence
-// itself is verified on reuse (PoolRun.MatchesOps) so a hash collision
-// degrades to a private rebuild, never a wrong composition.
-func poolRunKey(part *profile.Partition, cfg alloc.Config) string {
-	return fmt.Sprintf("%016x·%d·%s", part.OpsHash(), part.Ops(), cfg.General.ID())
+// poolRunKey keys the pool-run memo and the Store's pool runs: the
+// hierarchy fingerprint (layer capacities decide where a standalone
+// replay fails, its costs what it charges), the recorded op sequence's
+// content hash and length, and the canonical general-pool parameter
+// vector. Everything a standalone replay depends on is in the key; the
+// sequence itself is verified on reuse (PoolRun.MatchesOps) so a hash
+// collision degrades to a private rebuild, never a wrong composition.
+func (s *EvalSession) poolRunKey(part *profile.Partition, cfg alloc.Config) string {
+	return storeKey(kindPoolRun, s.hierarchy,
+		fmt.Sprintf("%016x·%d·%s", part.OpsHash(), part.Ops(), cfg.General.ID()))
 }
 
 // partitionKey canonicalizes the fixed-pool signature: the fixed pools

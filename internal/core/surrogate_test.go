@@ -184,7 +184,7 @@ func TestSurrogateAllStrategies(t *testing.T) {
 			return len(results), len(front) > 0, err
 		},
 		"evolve": func(r *Runner) (int, bool, error) {
-			results, err := r.Evolve(space, objs, EvolveOptions{Population: 8, Budget: budget, Seed: 17})
+			results, err := r.EvolveIsland(space, objs, IslandOptions{EvolveOptions: EvolveOptions{Population: 8, Budget: budget, Seed: 17}})
 			if err != nil {
 				return 0, false, err
 			}

@@ -19,7 +19,7 @@ func TestRunnerTelemetryAccounting(t *testing.T) {
 	tr := tinyTrace(t)
 	space := tinySpace()
 	size := space.Size()
-	cache, err := OpenResultsCache(filepath.Join(t.TempDir(), "cache.jsonl"))
+	cache, err := OpenStore(filepath.Join(t.TempDir(), "store.jsonl"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestRunnerTelemetryAccounting(t *testing.T) {
 	col := telemetry.NewCollector(4)
 	r := &Runner{
 		Hierarchy: memhier.EmbeddedSoC(), Trace: tr,
-		Cache: cache, Telemetry: col, Workers: 4,
+		Store: cache, Telemetry: col, Workers: 4,
 	}
 	cold, err := r.Explore(space)
 	if err != nil {

@@ -13,6 +13,7 @@ package memhier
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
 )
 
@@ -123,6 +124,17 @@ func (h *Hierarchy) Largest() LayerID { return LayerID(len(h.layers) - 1) }
 // Valid reports whether id refers to a layer of h.
 func (h *Hierarchy) Valid(id LayerID) bool {
 	return id >= 0 && int(id) < len(h.layers)
+}
+
+// Fingerprint identifies the hierarchy's complete cost model: an FNV-1a
+// hash over every field of every layer, in order. Hierarchies that
+// differ in any capacity, energy, latency or leakage constant have
+// different fingerprints, unlike String, which shows only names and
+// capacities. Persisted results are keyed on it.
+func (h *Hierarchy) Fingerprint() string {
+	f := fnv.New64a()
+	fmt.Fprintf(f, "%#v", h.layers)
+	return fmt.Sprintf("%016x", f.Sum64())
 }
 
 // String renders a one-line description of the hierarchy.

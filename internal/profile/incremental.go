@@ -441,9 +441,10 @@ func (r *Replayer) PoolReplay(part *Partition, cfg alloc.Config, h *memhier.Hier
 // replay exactly: the composed peak overflows the general layer's
 // capacity, or the run recorded allocation failures while a fixed pool
 // shares the general layer (the standalone pool's failure points then
-// diverge from the real run's).
+// diverge from the real run's). A run whose counters do not cover h's
+// layers (a hand-edited store record) is declined too.
 func (r *Replayer) Compose(ct *trace.Compiled, part *Partition, run *PoolRun, cfg alloc.Config, h *memhier.Hierarchy) (*Metrics, bool) {
-	if run.failures > 0 && part.sharesGen {
+	if (run.failures > 0 && part.sharesGen) || len(run.counters) != h.NumLayers() {
 		return nil, false
 	}
 	genLayer := part.genLayer
@@ -570,8 +571,8 @@ func hashOps(ops []int64) uint64 {
 	return h
 }
 
-// PoolRunState is PoolRun's serializable form, used by the persistent
-// pool-run memo to carry standalone general-pool replays across tool
+// PoolRunState is PoolRun's serializable form, used by the persisted
+// store (core.Store) to carry standalone general-pool replays across tool
 // invocations. The memo key (recorded-op content hash + general-pool
 // parameters) is process-independent, and reuse re-verifies the full op
 // sequence against the probing partition (MatchesOps), so a loaded state
@@ -600,7 +601,7 @@ func (pr *PoolRun) State() PoolRunState {
 }
 
 // PoolRunFromState rebuilds a run from its serialized form. Shape errors
-// (a truncated or hand-edited memo file) return nil rather than a run
+// (a truncated or hand-edited store file) return nil rather than a run
 // Compose could misuse.
 func PoolRunFromState(st PoolRunState) *PoolRun {
 	if len(st.GAfter) != len(st.Ops)+1 {

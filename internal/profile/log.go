@@ -24,52 +24,27 @@ import (
 //	uvarint    address
 //	uvarint    word count
 //
-// A v1 log is a bare record stream with no header. A v2 log starts with
-// "DMPL" and a version byte, then frames the same records into CRC32C
-// blocks with a seekable footer index (internal/blockio), so corruption
-// is detected per block and a multi-gigabyte log can be ingested in
-// parallel.
+// A log starts with "DMPL" and a version byte (2), then frames the
+// records into CRC32C blocks with a seekable footer index
+// (internal/blockio), so corruption is detected per block and a
+// multi-gigabyte log can be ingested in parallel.
 const logMaxLayers = 127
 
 const (
 	logMagic     = "DMPL"
 	logVersionV2 = 2
-
-	// logWriterBufBytes sizes the v1 emitter's bufio. 64 KiB was the
-	// original choice; growing to 256 KiB quarters the flush syscalls
-	// and measured ~2% faster on a gigabyte-scale emit (returns diminish
-	// beyond that), while staying noise next to a worker's replay state.
-	logWriterBufBytes = 256 * 1024
 )
 
-// LogFormat selects the raw log encoding an emitter writes.
-type LogFormat uint8
-
-const (
-	// LogV2 is the block-framed format (default): CRC32C blocks plus a
-	// footer index, parseable sequentially or in parallel.
-	LogV2 LogFormat = iota
-	// LogV1 is the legacy bare record stream.
-	LogV1
-)
-
-// logWriter implements simheap.AccessTracer, streaming records to w in
-// the selected format. Errors are sticky and surfaced by Err, so the
+// logWriter implements simheap.AccessTracer, streaming records to w as a
+// block-framed log. Write errors are sticky and surfaced by Err, so the
 // profiler can abort a doomed multi-gigabyte emit early instead of
 // discovering the dead file at Flush.
 type logWriter struct {
-	// v1 stream state.
-	bw *bufio.Writer
-	// v2 block state.
 	blk     *blockio.Writer
 	scratch [1 + 2*binary.MaxVarintLen64]byte
-	err     error
 }
 
-func newLogWriter(w io.Writer, format LogFormat) *logWriter {
-	if format == LogV1 {
-		return &logWriter{bw: bufio.NewWriterSize(w, logWriterBufBytes)}
-	}
+func newLogWriter(w io.Writer) *logWriter {
 	blk := blockio.NewWriter(w, 0)
 	blk.WriteHeader([]byte{logMagic[0], logMagic[1], logMagic[2], logMagic[3], logVersionV2})
 	return &logWriter{blk: blk}
@@ -77,9 +52,6 @@ func newLogWriter(w io.Writer, format LogFormat) *logWriter {
 
 // TraceAccess implements simheap.AccessTracer.
 func (l *logWriter) TraceAccess(layer memhier.LayerID, addr uint64, words uint64, write bool) {
-	if l.err != nil {
-		return
-	}
 	flags := byte(layer) << 1
 	if write {
 		flags |= 1
@@ -87,39 +59,17 @@ func (l *logWriter) TraceAccess(layer memhier.LayerID, addr uint64, words uint64
 	l.scratch[0] = flags
 	n := 1 + binary.PutUvarint(l.scratch[1:], addr)
 	n += binary.PutUvarint(l.scratch[n:], words)
-	if l.blk != nil {
-		l.blk.Record(l.scratch[:n])
-		return
-	}
-	if _, err := l.bw.Write(l.scratch[:n]); err != nil {
-		l.err = err
-	}
+	l.blk.Record(l.scratch[:n])
 }
 
 // Err returns the first deferred write error without finalizing the log.
 // The replay loop polls it so a full disk stops the simulation within a
 // bounded number of events.
-func (l *logWriter) Err() error {
-	if l.err != nil {
-		return l.err
-	}
-	if l.blk != nil {
-		return l.blk.Err()
-	}
-	return nil
-}
+func (l *logWriter) Err() error { return l.blk.Err() }
 
-// Flush finalizes the log (for v2: the last block, end marker and footer
-// index) and returns any deferred write error.
-func (l *logWriter) Flush() error {
-	if l.err != nil {
-		return l.err
-	}
-	if l.blk != nil {
-		return l.blk.Close()
-	}
-	return l.bw.Flush()
-}
+// Flush finalizes the log (the last block, end marker and footer index)
+// and returns any deferred write error.
+func (l *logWriter) Flush() error { return l.blk.Close() }
 
 // LogSummary aggregates a raw profile log.
 type LogSummary struct {
@@ -172,52 +122,22 @@ func parseLogRecords(buf []byte, s *LogSummary) error {
 }
 
 // ParseLog streams a raw profile log and aggregates per-layer counters,
-// sniffing the format: block-framed v2 logs (with per-block CRC checks)
-// and bare v1 streams are both accepted. It is the performance-critical
-// path of the result pipeline and avoids any per-record allocation.
+// checking every block's CRC. It is the performance-critical path of the
+// result pipeline and avoids any per-record allocation.
 func ParseLog(r io.Reader) (*LogSummary, error) {
+	return parseLog(r, nil)
+}
+
+// parseLog is ParseLog with ingest accounting; stats may be nil.
+func parseLog(r io.Reader, stats blockio.Stats) (*LogSummary, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	head, err := br.Peek(len(logMagic) + 1)
-	if err == nil && string(head[:len(logMagic)]) == logMagic {
-		if head[len(logMagic)] != logVersionV2 {
-			return nil, fmt.Errorf("profile: unsupported log version %d", head[len(logMagic)])
-		}
-		br.Discard(len(logMagic) + 1)
-		return parseLogV2(br, nil)
+	head := make([]byte, len(logMagic)+1)
+	if _, err := io.ReadFull(br, head); err != nil {
+		return nil, fmt.Errorf("profile: reading log header: %w", err)
 	}
-	return parseLogV1(br)
-}
-
-// parseLogV1 aggregates a bare (unframed) record stream.
-func parseLogV1(br *bufio.Reader) (*LogSummary, error) {
-	s := &LogSummary{}
-	for {
-		flags, err := br.ReadByte()
-		if err == io.EOF {
-			return s, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if _, err := binary.ReadUvarint(br); err != nil { // address (unused by the summary)
-			return nil, fmt.Errorf("profile: record %d: bad address: %w", s.Records, err)
-		}
-		words, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("profile: record %d: bad word count: %w", s.Records, err)
-		}
-		layer := flags >> 1
-		if flags&1 == 1 {
-			s.Writes[layer] += words
-		} else {
-			s.Reads[layer] += words
-		}
-		s.Records++
+	if err := checkLogHeader(head); err != nil {
+		return nil, err
 	}
-}
-
-// parseLogV2 aggregates a block-framed log positioned after the header.
-func parseLogV2(br *bufio.Reader, stats blockio.Stats) (*LogSummary, error) {
 	s := &LogSummary{}
 	blocks := blockio.NewReader(br, stats)
 	for {
@@ -238,19 +158,33 @@ func parseLogV2(br *bufio.Reader, stats blockio.Stats) (*LogSummary, error) {
 	}
 }
 
-// ParseLogParallel aggregates a raw profile log with up to workers
-// goroutines. Block-framed v2 logs are split along the footer index and
-// each worker merges its blocks into a private partial LogSummary; the
-// partials sum at the end, so the totals are identical to ParseLog on
-// the same bytes. V1 logs have no frame boundaries to split on and fall
-// back to the serial parser. stats may be nil.
-func ParseLogParallel(ra io.ReaderAt, size int64, workers int, stats blockio.Stats) (*LogSummary, error) {
-	header := make([]byte, len(logMagic)+1)
-	if n, _ := ra.ReadAt(header, 0); n < len(header) || string(header[:len(logMagic)]) != logMagic || workers <= 1 {
-		return ParseLog(io.NewSectionReader(ra, 0, size))
+// checkLogHeader validates the magic and version at the start of a log.
+func checkLogHeader(head []byte) error {
+	if string(head[:len(logMagic)]) != logMagic {
+		return fmt.Errorf("profile: bad log magic %q", head[:len(logMagic)])
 	}
-	if header[len(logMagic)] != logVersionV2 {
-		return nil, fmt.Errorf("profile: unsupported log version %d", header[len(logMagic)])
+	if v := head[len(logMagic)]; v != logVersionV2 {
+		return fmt.Errorf("profile: unsupported log version %d", v)
+	}
+	return nil
+}
+
+// ParseLogParallel aggregates a raw profile log with up to workers
+// goroutines. The log is split along the footer index and each worker
+// merges its blocks into a private partial LogSummary; the partials sum
+// at the end, so the totals are identical to ParseLog on the same bytes.
+// workers <= 1 streams the log serially. stats may be nil; both paths
+// feed it.
+func ParseLogParallel(ra io.ReaderAt, size int64, workers int, stats blockio.Stats) (*LogSummary, error) {
+	if workers <= 1 {
+		return parseLog(io.NewSectionReader(ra, 0, size), stats)
+	}
+	header := make([]byte, len(logMagic)+1)
+	if _, err := ra.ReadAt(header, 0); err != nil {
+		return nil, fmt.Errorf("profile: reading log header: %w", err)
+	}
+	if err := checkLogHeader(header); err != nil {
+		return nil, err
 	}
 	blocks, err := blockio.ReadIndex(ra, size)
 	if err != nil {
@@ -354,11 +288,10 @@ func parseLogGroup(ra io.ReaderAt, g logGroup, s *LogSummary, buf *[]byte, stats
 }
 
 // WriteSyntheticLog emits a deterministic pseudo-random raw profile log
-// of the given record count in the selected format — the workload for
-// ingestion benchmarks and fuzz corpora, cheap enough to synthesize
-// gigabytes in seconds.
-func WriteSyntheticLog(w io.Writer, records int, format LogFormat, seed uint64) error {
-	lw := newLogWriter(w, format)
+// of the given record count — the workload for ingestion benchmarks and
+// fuzz corpora, cheap enough to synthesize gigabytes in seconds.
+func WriteSyntheticLog(w io.Writer, records int, seed uint64) error {
+	lw := newLogWriter(w)
 	state := seed | 1
 	for i := 0; i < records; i++ {
 		// xorshift64: cheap, deterministic, spreads layers and sizes.

@@ -1,11 +1,10 @@
 package profile
 
-// Native fuzz target for the raw profile-log parser. Seeds cover both
-// encodings (v1 bare stream, v2 block-framed) from the deterministic
-// synthetic generator, so the fuzzer mutates from deep inside the valid
-// format space. The property under test: whenever the serial parser
-// accepts an input, the parallel parser must accept it too and produce
-// the identical summary.
+// Native fuzz target for the raw profile-log parser. Seeds come from the
+// deterministic synthetic generator, so the fuzzer mutates from deep
+// inside the valid format space, plus a headerless record stream. The
+// property under test: whenever the serial parser accepts an input and
+// the parallel parser does too, both produce the identical summary.
 
 import (
 	"bytes"
@@ -13,16 +12,15 @@ import (
 )
 
 func FuzzParseLog(f *testing.F) {
-	for _, format := range []LogFormat{LogV1, LogV2} {
-		for _, records := range []int{0, 1, 1000} {
-			var buf bytes.Buffer
-			if err := WriteSyntheticLog(&buf, records, format, 7); err != nil {
-				f.Fatal(err)
-			}
-			f.Add(buf.Bytes())
+	for _, records := range []int{0, 1, 1000} {
+		var buf bytes.Buffer
+		if err := WriteSyntheticLog(&buf, records, 7); err != nil {
+			f.Fatal(err)
 		}
+		f.Add(buf.Bytes())
 	}
 	f.Add([]byte(logMagic + "\x02\x00"))
+	f.Add([]byte{1 << 1, 0x80, 0x01, 4}) // headerless record stream
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseLog(bytes.NewReader(data))
 		if err != nil {
@@ -32,10 +30,10 @@ func FuzzParseLog(f *testing.F) {
 			p, perr := ParseLogParallel(bytes.NewReader(data), int64(len(data)), workers, nil)
 			if perr != nil {
 				// The parallel path additionally requires the footer index;
-				// a truncated-but-serially-parsable v2 tail may fail here.
-				// It must never fail on v1 input (pure serial fallback).
-				if !bytes.HasPrefix(data, []byte(logMagic)) {
-					t.Fatalf("workers=%d: parallel rejected v1 input the serial parser accepted: %v", workers, perr)
+				// a truncated-but-serially-parsable tail may fail here. The
+				// serial path (workers=1) must accept what ParseLog does.
+				if workers == 1 {
+					t.Fatalf("serial ParseLogParallel rejected input ParseLog accepted: %v", perr)
 				}
 				continue
 			}

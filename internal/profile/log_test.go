@@ -3,17 +3,19 @@ package profile
 import (
 	"bytes"
 	"io"
+	"strings"
+	"sync"
 	"testing"
 
 	"dmexplore/internal/alloc"
 	"dmexplore/internal/memhier"
 )
 
-// syntheticLog returns a v2 (or v1) synthetic log and its serial summary.
-func syntheticLog(t *testing.T, records int, format LogFormat) ([]byte, *LogSummary) {
+// syntheticLog returns a synthetic log and its serial summary.
+func syntheticLog(t *testing.T, records int) ([]byte, *LogSummary) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteSyntheticLog(&buf, records, format, 99); err != nil {
+	if err := WriteSyntheticLog(&buf, records, 99); err != nil {
 		t.Fatal(err)
 	}
 	s, err := ParseLog(bytes.NewReader(buf.Bytes()))
@@ -30,7 +32,7 @@ func TestParseLogParallelMatchesSerial(t *testing.T) {
 	defer func(w int64) { logFetchWindowBytes = w }(logFetchWindowBytes)
 	logFetchWindowBytes = 64 << 10 // several fetch windows on a small log
 
-	data, want := syntheticLog(t, 400_000, LogV2) // a few MB, many blocks
+	data, want := syntheticLog(t, 400_000) // a few MB, many blocks
 	for _, workers := range []int{1, 2, 4, 8} {
 		got, err := ParseLogParallel(bytes.NewReader(data), int64(len(data)), workers, nil)
 		if err != nil {
@@ -42,35 +44,57 @@ func TestParseLogParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestParseLogV1StillReadable(t *testing.T) {
-	data, want := syntheticLog(t, 50_000, LogV1)
-	if bytes.HasPrefix(data, []byte(logMagic)) {
-		t.Fatal("v1 log carries the v2 magic")
+// TestParseLogRejectsV1 pins the removal of the legacy bare record
+// stream: without the block-framed header, both parsers refuse the log
+// instead of guessing at its layout.
+func TestParseLogRejectsV1(t *testing.T) {
+	bare := []byte{1 << 1, 0x80, 0x01, 4, 1<<1 | 1, 0x10, 2} // two records, no header
+	if _, err := ParseLog(bytes.NewReader(bare)); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("serial parser: %v, want a bad-magic error", err)
 	}
-	// The parallel entry point must fall back to the serial parser.
-	got, err := ParseLogParallel(bytes.NewReader(data), int64(len(data)), 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !SameSummary(got, want) {
-		t.Fatal("v1 fallback summary diverged")
+	for _, workers := range []int{1, 4} {
+		if _, err := ParseLogParallel(bytes.NewReader(bare), int64(len(bare)), workers, nil); err == nil {
+			t.Fatalf("workers=%d: bare record stream accepted", workers)
+		}
 	}
 }
 
-func TestLogFormatsAgree(t *testing.T) {
-	// The same records in both encodings must summarize identically.
-	v1, s1 := syntheticLog(t, 30_000, LogV1)
-	v2, s2 := syntheticLog(t, 30_000, LogV2)
-	if !SameSummary(s1, s2) {
-		t.Fatal("v1 and v2 of the same records disagree")
+// blockCounter is a concurrency-safe blockio.Stats tally.
+type blockCounter struct {
+	mu                     sync.Mutex
+	blocks, records, bytes int
+}
+
+func (c *blockCounter) ObserveBlock(payloadBytes, records int) {
+	c.mu.Lock()
+	c.blocks++
+	c.records += records
+	c.bytes += payloadBytes
+	c.mu.Unlock()
+}
+
+func (c *blockCounter) CRCFailure() {}
+
+// TestParseLogSerialFeedsStats requires the serial ingest path to report
+// its blocks exactly like the parallel one.
+func TestParseLogSerialFeedsStats(t *testing.T) {
+	data, _ := syntheticLog(t, 100_000)
+	var serial, parallel blockCounter
+	if _, err := ParseLogParallel(bytes.NewReader(data), int64(len(data)), 1, &serial); err != nil {
+		t.Fatal(err)
 	}
-	if len(v2) >= len(v1)+4096 {
-		t.Fatalf("v2 framing overhead too large: %d vs %d bytes", len(v2), len(v1))
+	if _, err := ParseLogParallel(bytes.NewReader(data), int64(len(data)), 4, &parallel); err != nil {
+		t.Fatal(err)
+	}
+	if serial.records != 100_000 || serial.blocks != parallel.blocks ||
+		serial.records != parallel.records || serial.bytes != parallel.bytes {
+		t.Fatalf("serial ingest saw %d blocks/%d records/%d bytes, parallel %d/%d/%d",
+			serial.blocks, serial.records, serial.bytes, parallel.blocks, parallel.records, parallel.bytes)
 	}
 }
 
 func TestParseLogV2DetectsCorruption(t *testing.T) {
-	data, _ := syntheticLog(t, 100_000, LogV2)
+	data, _ := syntheticLog(t, 100_000)
 	corrupt := bytes.Clone(data)
 	corrupt[len(corrupt)/3] ^= 0x10
 	if _, err := ParseLog(bytes.NewReader(corrupt)); err == nil {
@@ -111,15 +135,9 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 func TestRunSurfacesLogWriteErrorEarly(t *testing.T) {
 	tr := smallEasyport(t)
 	h := memhier.EmbeddedSoC()
-	for _, format := range []LogFormat{LogV2, LogV1} {
-		fw := &failingWriter{n: 4096, err: io.ErrShortWrite}
-		_, err := Run(tr, alloc.LeaConfig(memhier.LayerDRAM), h, Options{
-			LogWriter: fw,
-			LogFormat: format,
-		})
-		if err == nil {
-			t.Fatalf("format %d: dead log writer not surfaced", format)
-		}
+	fw := &failingWriter{n: 4096, err: io.ErrShortWrite}
+	if _, err := Run(tr, alloc.LeaConfig(memhier.LayerDRAM), h, Options{LogWriter: fw}); err == nil {
+		t.Fatal("dead log writer not surfaced")
 	}
 }
 

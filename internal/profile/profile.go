@@ -98,13 +98,9 @@ func (m *Metrics) Objective(name string) (float64, error) {
 // Options tune a profiling run.
 type Options struct {
 	// LogWriter, when non-nil, receives the raw access log (every charged
-	// word access) in the format parsed by ParseLog.
+	// word access) as a block-framed log: CRC32C blocks with a footer
+	// index, so ParseLogParallel can ingest the file on every core.
 	LogWriter io.Writer
-
-	// LogFormat selects the raw log encoding: LogV2 (default) frames
-	// records into CRC32C blocks with a footer index so ParseLogParallel
-	// can ingest the file on every core; LogV1 is the legacy bare stream.
-	LogFormat LogFormat
 
 	// Caches attaches a simulated cache in front of the named layers.
 	Caches map[string]CacheSpec

@@ -216,7 +216,14 @@ func TestParseLogErrors(t *testing.T) {
 	if _, err := ParseLog(bytes.NewReader([]byte{0x00})); err == nil {
 		t.Fatal("truncated record accepted")
 	}
-	s, err := ParseLog(bytes.NewReader(nil))
+	if _, err := ParseLog(bytes.NewReader(nil)); err == nil {
+		t.Fatal("headerless empty input accepted")
+	}
+	var empty bytes.Buffer
+	if err := WriteSyntheticLog(&empty, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	s, err := ParseLog(&empty)
 	if err != nil || s.Records != 0 {
 		t.Fatalf("empty log: %v %v", s, err)
 	}

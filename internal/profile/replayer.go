@@ -71,7 +71,7 @@ func (r *Replayer) reset(n int) {
 func applyOptions(ctx *simheap.Context, h *memhier.Hierarchy, opts Options) (*logWriter, error) {
 	var lw *logWriter
 	if opts.LogWriter != nil {
-		lw = newLogWriter(opts.LogWriter, opts.LogFormat)
+		lw = newLogWriter(opts.LogWriter)
 		ctx.SetTracer(lw)
 	}
 	for layerName, spec := range opts.Caches {

@@ -159,7 +159,7 @@ func TestSweepShardsMatchLocal(t *testing.T) {
 	}
 	defer sess.Close()
 	indices := sweepIndices(spec, env.Space.Size())
-	local, err := sess.Eval(indices)
+	local, err := sess.Eval(indices, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,9 +207,9 @@ func TestOneIslandMatchesSerialEvolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := env.Runner.Evolve(env.Space, spec.Objectives, core.EvolveOptions{
+	serial, err := env.Runner.EvolveIsland(env.Space, spec.Objectives, core.IslandOptions{EvolveOptions: core.EvolveOptions{
 		Population: spec.Population, Budget: spec.Budget, Seed: spec.Seed,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

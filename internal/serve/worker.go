@@ -262,7 +262,7 @@ func (w *Worker) runRange(ctx context.Context, we *workerEnv, g LeaseGrant, stre
 		for i := range origins {
 			origins[i] = &telemetry.Origin{Strategy: "sweep", Op: "sweep", Wave: 1}
 		}
-		results, err := we.sess.EvalAnnotated(batch, nil, origins)
+		results, err := we.sess.Eval(batch, nil, origins)
 		if err != nil {
 			return err
 		}
@@ -279,7 +279,7 @@ func (w *Worker) runRange(ctx context.Context, we *workerEnv, g LeaseGrant, stre
 // job's shared session. Results stream in batcher request order (the
 // deterministic order at any session worker count); migration points
 // call back to the coordinator's barrier. A 1-island job sets no hook,
-// which makes its walk bit-identical to the serial core.Evolve path.
+// which makes its walk bit-identical to the serial search.
 func (w *Worker) runIsland(ctx context.Context, we *workerEnv, g LeaseGrant, stream *ResultStream) error {
 	spec := g.Spec
 	var streamErr atomic.Value

@@ -19,13 +19,13 @@ func benchTrace(n int) *Trace {
 func BenchmarkBinaryEncode(b *testing.B) {
 	tr := benchTrace(10000)
 	var buf bytes.Buffer
-	WriteBinary(&buf, tr)
+	WriteBinaryV2(&buf, tr)
 	b.SetBytes(int64(buf.Len()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := WriteBinary(&buf, tr); err != nil {
+		if err := WriteBinaryV2(&buf, tr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -34,7 +34,7 @@ func BenchmarkBinaryEncode(b *testing.B) {
 func BenchmarkBinaryDecode(b *testing.B) {
 	tr := benchTrace(10000)
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
+	if err := WriteBinaryV2(&buf, tr); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()

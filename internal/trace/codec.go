@@ -19,15 +19,13 @@ import (
 //	x <id> <reads> <writes>
 //	t <cycles>
 //
-// Binary format: "DMTR" magic, version byte, name, then varint-packed
-// event records. Roughly 4-8x denser than text; the profiler's raw logs
-// (which reach gigabytes, as in the paper) use the same varint framing.
-//
-// Version 1 is a single unframed record stream prefixed with a total
-// event count. Version 2 groups the same records into self-delimiting
-// CRC32C blocks with a seekable footer index (internal/blockio), so a
-// reader can verify integrity per block and split a multi-gigabyte file
-// into independent chunks for parallel decoding (ReadBinaryParallel).
+// Binary format (version 2): "DMTR" magic, version byte, name, then
+// varint-packed event records grouped into self-delimiting CRC32C blocks
+// with a seekable footer index (internal/blockio), so a reader can verify
+// integrity per block and split a multi-gigabyte file into independent
+// chunks for parallel decoding (ReadBinaryParallel). Roughly 4-8x denser
+// than text; the profiler's raw logs (which reach gigabytes, as in the
+// paper) use the same framing.
 
 // WriteText writes the trace in the text format.
 func WriteText(w io.Writer, t *Trace) error {
@@ -122,7 +120,6 @@ func ReadText(r io.Reader) (*Trace, error) {
 
 const (
 	binaryMagic     = "DMTR"
-	binaryVersion   = 1
 	binaryVersionV2 = 2
 
 	// maxNameLen bounds the embedded trace name.
@@ -133,16 +130,10 @@ const (
 	// admits multi-terabyte files; a larger claim is a corrupt or hostile
 	// header and is rejected outright rather than silently tolerated.
 	maxBinaryEvents = 1 << 33
-
-	// preallocEvents caps the Events preallocation taken on faith from a
-	// v1 header. A plausible-but-wrong count must not commit gigabytes
-	// before the first record is decoded; beyond the cap the slice grows
-	// with the records that actually parse.
-	preallocEvents = 1 << 24
 )
 
 // ReadAuto sniffs the trace format (binary magic vs text) and parses
-// accordingly. Both binary versions and the text format are accepted.
+// accordingly.
 func ReadAuto(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(len(binaryMagic))
@@ -153,7 +144,7 @@ func ReadAuto(r io.Reader) (*Trace, error) {
 }
 
 // appendEvent appends event i's binary record (kind byte plus varint
-// fields) to buf. The encoding is shared by both binary versions.
+// fields) to buf.
 func appendEvent(buf []byte, e *Event, i int) ([]byte, error) {
 	buf = append(buf, byte(e.Kind))
 	switch e.Kind {
@@ -197,9 +188,9 @@ func setTick(e *Event, cycles uint64) error {
 }
 
 // decodeEvent decodes one binary record from the front of buf into e
-// (fully assigning it) and returns the bytes consumed. Both binary
-// versions and every reader, sequential or parallel, decode through it,
-// so they accept and reject exactly the same records.
+// (fully assigning it) and returns the bytes consumed. Every binary
+// reader, sequential or parallel, decodes through it, so they accept and
+// reject exactly the same records.
 func decodeEvent(buf []byte, e *Event) (int, error) {
 	if len(buf) == 0 {
 		return 0, io.ErrUnexpectedEOF
@@ -245,45 +236,9 @@ func decodeEvent(buf []byte, e *Event) (int, error) {
 	return n, nil
 }
 
-// WriteBinary writes the trace in the v1 (unframed varint stream) binary
-// format. New files should prefer WriteBinaryV2; v1 stays as the
-// compatibility writer for tools pinned to the old layout.
-func WriteBinary(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(binaryVersion); err != nil {
-		return err
-	}
-	scratch := make([]byte, 0, 64)
-	scratch = binary.AppendUvarint(scratch, uint64(len(t.Name)))
-	if _, err := bw.Write(scratch); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(t.Name); err != nil {
-		return err
-	}
-	scratch = binary.AppendUvarint(scratch[:0], uint64(len(t.Events)))
-	if _, err := bw.Write(scratch); err != nil {
-		return err
-	}
-	for i := range t.Events {
-		var err error
-		scratch, err = appendEvent(scratch[:0], &t.Events[i], i)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(scratch); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // WriteBinaryV2 writes the trace in the block-framed v2 binary format:
-// the v1 record encoding grouped into CRC32C blocks with a seekable
-// footer index (see internal/blockio), parseable sequentially or
+// varint event records grouped into CRC32C blocks with a seekable footer
+// index (see internal/blockio), parseable sequentially or
 // block-parallel.
 func WriteBinaryV2(w io.Writer, t *Trace) error {
 	return writeBinaryV2(w, t, 0)
@@ -330,8 +285,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadBinary parses the binary format, dispatching on the version byte:
-// v1 unframed streams and v2 block-framed files are both accepted.
+// ReadBinary parses the block-framed v2 binary format sequentially.
 func ReadBinary(r io.Reader) (*Trace, error) {
 	return readBinary(r, nil)
 }
@@ -353,95 +307,21 @@ func readBinary(r io.Reader, stats blockio.Stats) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != binaryVersion && version != binaryVersionV2 {
+	if version != binaryVersionV2 {
 		return nil, fmt.Errorf("trace: unsupported version %d", version)
 	}
-	name, err := readBinaryName(br)
-	if err != nil {
-		return nil, err
-	}
-	if version == binaryVersion {
-		return readBinaryV1(br, name, offset)
-	}
-	return readBinaryV2(br, name, offset, stats)
-}
-
-// readBinaryName reads the uvarint-prefixed trace name both binary
-// versions share.
-func readBinaryName(br *bufio.Reader) (string, error) {
 	nameLen, err := binary.ReadUvarint(br)
 	if err != nil {
-		return "", fmt.Errorf("trace: reading name length: %w", err)
+		return nil, fmt.Errorf("trace: reading name length: %w", err)
 	}
 	if nameLen > maxNameLen {
-		return "", fmt.Errorf("trace: implausible name length %d", nameLen)
+		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
 	}
 	name := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, name); err != nil {
-		return "", fmt.Errorf("trace: reading name: %w", err)
+		return nil, fmt.Errorf("trace: reading name: %w", err)
 	}
-	return string(name), nil
-}
-
-// readBinaryV1 parses the unframed v1 record stream following the header.
-func readBinaryV1(br *bufio.Reader, name string, offset func() int64) (*Trace, error) {
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading event count: %w", err)
-	}
-	if count > maxBinaryEvents {
-		return nil, fmt.Errorf("trace: implausible event count %d (max %d) — corrupt or hostile header", count, uint64(maxBinaryEvents))
-	}
-	t := &Trace{Name: name}
-	prealloc := count
-	if prealloc > preallocEvents {
-		prealloc = preallocEvents
-	}
-	t.Events = make([]Event, 0, prealloc)
-	for i := uint64(0); i < count; i++ {
-		kind, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: truncated at event %d of %d (byte offset %d): %w", i, count, offset(), unexpectedEOF(err))
-		}
-		e := Event{Kind: EventKind(kind)}
-		read := func() (uint64, error) { return binary.ReadUvarint(br) }
-		switch e.Kind {
-		case KindAlloc:
-			if e.ID, err = read(); err == nil {
-				var sz uint64
-				sz, err = read()
-				e.Size = int64(sz)
-			}
-		case KindFree:
-			e.ID, err = read()
-		case KindAccess:
-			var reads, writes uint64
-			if e.ID, err = read(); err == nil {
-				if reads, err = read(); err == nil {
-					writes, err = read()
-				}
-			}
-			if err == nil {
-				if err := setAccess(&e, reads, writes); err != nil {
-					return nil, fmt.Errorf("trace: event %d (byte offset %d): %w", i, offset(), err)
-				}
-			}
-		case KindTick:
-			var cycles uint64
-			if cycles, err = read(); err == nil {
-				if err := setTick(&e, cycles); err != nil {
-					return nil, fmt.Errorf("trace: event %d (byte offset %d): %w", i, offset(), err)
-				}
-			}
-		default:
-			return nil, fmt.Errorf("trace: event %d (byte offset %d): unknown kind %d", i, offset(), kind)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: truncated at event %d of %d (byte offset %d): %w", i, count, offset(), unexpectedEOF(err))
-		}
-		t.Events = append(t.Events, e)
-	}
-	return t, nil
+	return readBinaryV2(br, string(name), offset, stats)
 }
 
 // readBinaryV2 streams the block-framed v2 format following the header.

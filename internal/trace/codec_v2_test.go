@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -95,18 +96,43 @@ func TestReadBinaryParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestReadBinaryParallelV1Fallback(t *testing.T) {
-	tr := randomTrace("v1fb", 5000, 3)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatal(err)
+// TestBinaryV1Rejected pins the removal of the unframed v1 layout: every
+// binary reader refuses a v1 header by name instead of misparsing it.
+func TestBinaryV1Rejected(t *testing.T) {
+	v1 := []byte("DMTR\x01\x00\x02\x01\x01\x40\x02\x01") // name "", 2 events
+	reads := map[string]func() error{
+		"sequential": func() error { _, err := ReadBinary(bytes.NewReader(v1)); return err },
+		"parallel-1": func() error { _, err := ReadBinaryParallel(bytes.NewReader(v1), int64(len(v1)), 1, nil); return err },
+		"parallel-4": func() error { _, err := ReadBinaryParallel(bytes.NewReader(v1), int64(len(v1)), 4, nil); return err },
+		"compile":    func() error { _, err := CompileBinaryParallel(bytes.NewReader(v1), int64(len(v1)), 4, nil); return err },
 	}
-	got, err := ReadBinaryParallel(bytes.NewReader(buf.Bytes()), int64(buf.Len()), 4, nil)
-	if err != nil {
-		t.Fatal(err)
+	for name, read := range reads {
+		if err := read(); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+			t.Errorf("%s: %v, want an unsupported-version error", name, err)
+		}
 	}
-	if !reflect.DeepEqual(got.Events, tr.Events) {
-		t.Fatal("v1 fallback diverged")
+}
+
+// TestBinaryV2ImplausibleCountRejected feeds the block-parallel readers
+// a footer whose single entry claims 2^40 events: it must be rejected by
+// name before any event slab is allocated.
+func TestBinaryV2ImplausibleCountRejected(t *testing.T) {
+	file := []byte("DMTR\x02\x00\x00")       // header, empty name, end marker
+	footer := binary.AppendUvarint(nil, 1)   // one block entry:
+	footer = binary.AppendUvarint(footer, 6) // offset just past the header
+	footer = binary.AppendUvarint(footer, 1<<40)
+	footer = binary.AppendUvarint(footer, 0)
+	file = append(file, footer...)
+	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(footer, crc32.MakeTable(crc32.Castagnoli)))
+	file = binary.LittleEndian.AppendUint64(file, uint64(len(footer)))
+	file = append(file, "DMBX"...)
+	if _, err := ReadBinaryParallel(bytes.NewReader(file), int64(len(file)), 4, nil); err == nil ||
+		!strings.Contains(err.Error(), "implausible event count") {
+		t.Fatalf("parallel read: %v, want an implausible-count error", err)
+	}
+	if _, err := CompileBinaryParallel(bytes.NewReader(file), int64(len(file)), 4, nil); err == nil ||
+		!strings.Contains(err.Error(), "implausible event count") {
+		t.Fatalf("compile: %v, want an implausible-count error", err)
 	}
 }
 
@@ -115,7 +141,6 @@ func TestReadFileAllFormats(t *testing.T) {
 	dir := t.TempDir()
 	writers := map[string]func(*os.File) error{
 		"text": func(f *os.File) error { return WriteText(f, tr) },
-		"v1":   func(f *os.File) error { return WriteBinary(f, tr) },
 		"v2":   func(f *os.File) error { return WriteBinaryV2(f, tr) },
 	}
 	for format, write := range writers {
@@ -160,37 +185,6 @@ func TestBinaryV2CorruptionDetected(t *testing.T) {
 	}
 	if _, err := ReadBinaryParallel(bytes.NewReader(data), int64(len(data)), 4, nil); err == nil {
 		t.Fatal("parallel read accepted corruption")
-	}
-}
-
-func TestBinaryV1ImplausibleCountRejected(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString("DMTR")
-	buf.WriteByte(1)
-	buf.WriteByte(0) // empty name
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], 1<<40) // claims a trillion events
-	buf.Write(tmp[:n])
-	_, err := ReadBinary(bytes.NewReader(buf.Bytes()))
-	if err == nil || !strings.Contains(err.Error(), "implausible event count") {
-		t.Fatalf("hostile count not rejected clearly: %v", err)
-	}
-}
-
-func TestBinaryV1TruncationNamesOffsetAndEvent(t *testing.T) {
-	tr := randomTrace("trunc", 2000, 13)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	cut := buf.Len() * 2 / 3
-	_, err := ReadBinary(bytes.NewReader(buf.Bytes()[:cut]))
-	if err == nil {
-		t.Fatal("truncated stream accepted")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "byte offset") || !strings.Contains(msg, "truncated at event") {
-		t.Fatalf("truncation error lacks context: %v", err)
 	}
 }
 

@@ -2,7 +2,7 @@ package trace_test
 
 // Native fuzz targets for the three trace decoders. The corpus is seeded
 // with real easyport and VTC workload traces in every supported encoding
-// (text, binary v1, block-framed v2), so the fuzzer starts from deep
+// (text, block-framed binary), so the fuzzer starts from deep
 // inside the valid format space instead of rediscovering the magic bytes.
 // Run continuously with `go test -fuzz`, or as a smoke pass over the
 // seeds by the ordinary test run (`make tier1` includes a short real
@@ -63,14 +63,10 @@ func seedTraces(f *testing.F) []*trace.Trace {
 
 func FuzzReadBinary(f *testing.F) {
 	for _, tr := range seedTraces(f) {
-		var v1, v2 bytes.Buffer
-		if err := trace.WriteBinary(&v1, tr); err != nil {
-			f.Fatal(err)
-		}
+		var v2 bytes.Buffer
 		if err := trace.WriteBinaryV2(&v2, tr); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(v1.Bytes())
 		f.Add(v2.Bytes())
 	}
 	f.Add([]byte("DMTR\x01\x00\x00"))
@@ -98,7 +94,6 @@ func FuzzReadBinary(f *testing.F) {
 	// Range boundary seeds: 32-bit Access and Tick arguments at 2^32-1
 	// (accepted exactly) and 2^32 (rejected, never truncated).
 	for _, args := range boundaryArgs() {
-		f.Add(trace.EncodeRawV1("wide", args))
 		f.Add(trace.EncodeRawV2("wide", args, 0))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

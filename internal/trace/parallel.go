@@ -55,58 +55,84 @@ func groupBlocks(blocks []blockio.Block) (groups []fetchGroup, total int64, err 
 }
 
 // ReadBinaryParallel parses a binary trace with up to workers goroutines.
-// V2 files are split along the footer's block index: every block's
+// The file is split along the footer's block index: every block's
 // records are decoded straight into its preallocated slice of the shared
 // event slab, so the merge is free and the result is bit-identical to
-// the sequential ReadBinary. V1 files (no framing to split on) fall back
-// to the sequential reader. stats may be nil.
+// the sequential ReadBinary (which workers <= 1 runs). stats may be nil.
 func ReadBinaryParallel(ra io.ReaderAt, size int64, workers int, stats blockio.Stats) (*Trace, error) {
+	if workers <= 1 {
+		return readBinary(io.NewSectionReader(ra, 0, size), stats)
+	}
+	name, blocks, groups, total, err := openV2(ra, size)
+	if err != nil {
+		return nil, err
+	}
+	t := &Trace{Name: name}
+	if len(groups) == 0 {
+		return t, nil
+	}
+	t.Events = make([]Event, total)
+	err = fanOut(len(groups), workers, func(gi int, buf *[]byte) error {
+		return decodeGroup(ra, blocks, groups[gi], t.Events, buf, stats)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// openV2 validates a v2 trace's header and footer index and groups its
+// blocks into fetch windows. It returns the trace name, the block index,
+// the windows and the total event count.
+func openV2(ra io.ReaderAt, size int64) (string, []blockio.Block, []fetchGroup, int64, error) {
 	header := make([]byte, len(binaryMagic)+1+binary.MaxVarintLen64)
 	if int64(len(header)) > size {
 		header = header[:size]
 	}
 	if _, err := ra.ReadAt(header, 0); err != nil && err != io.EOF {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
+		return "", nil, nil, 0, fmt.Errorf("trace: reading header: %w", err)
 	}
 	if len(header) < len(binaryMagic)+1 || string(header[:len(binaryMagic)]) != binaryMagic {
-		return nil, fmt.Errorf("trace: bad magic")
+		return "", nil, nil, 0, fmt.Errorf("trace: bad magic")
 	}
-	if version := header[len(binaryMagic)]; version != binaryVersionV2 || workers <= 1 {
-		// Sequential fallback: v1 has no block structure to parallelize.
-		return readBinary(io.NewSectionReader(ra, 0, size), stats)
+	if version := header[len(binaryMagic)]; version != binaryVersionV2 {
+		return "", nil, nil, 0, fmt.Errorf("trace: unsupported version %d", version)
 	}
 	nameLen, n := binary.Uvarint(header[len(binaryMagic)+1:])
 	if n <= 0 {
-		return nil, fmt.Errorf("trace: truncated name length")
+		return "", nil, nil, 0, fmt.Errorf("trace: truncated name length")
 	}
 	if nameLen > maxNameLen {
-		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
+		return "", nil, nil, 0, fmt.Errorf("trace: implausible name length %d", nameLen)
 	}
 	nameOff := int64(len(binaryMagic) + 1 + n)
 	name := make([]byte, nameLen)
 	if _, err := ra.ReadAt(name, nameOff); err != nil {
-		return nil, fmt.Errorf("trace: reading name: %w", err)
+		return "", nil, nil, 0, fmt.Errorf("trace: reading name: %w", err)
 	}
-
 	blocks, err := blockio.ReadIndex(ra, size)
 	if err != nil {
-		return nil, err
+		return "", nil, nil, 0, err
 	}
 	groups, total, err := groupBlocks(blocks)
 	if err != nil {
-		return nil, err
+		return "", nil, nil, 0, err
 	}
-	t := &Trace{Name: string(name)}
-	if len(groups) == 0 {
-		return t, nil
+	if end := nameOff + int64(nameLen); len(blocks) > 0 && blocks[0].Offset != end {
+		return "", nil, nil, 0, fmt.Errorf("trace: first block at offset %d, header ends at %d", blocks[0].Offset, end)
 	}
-	t.Events = make([]Event, total)
-	if len(blocks) > 0 && blocks[0].Offset != nameOff+int64(nameLen) {
-		return nil, fmt.Errorf("trace: first block at offset %d, header ends at %d", blocks[0].Offset, nameOff+int64(nameLen))
-	}
+	return string(name), blocks, groups, total, nil
+}
 
-	if workers > len(groups) {
-		workers = len(groups)
+// fanOut runs decode for groups 0..n-1 on up to workers goroutines, each
+// with its own reusable scratch buffer. A worker stops at its first
+// error; the error of the lowest-numbered failing worker is returned.
+func fanOut(n, workers int, decode func(gi int, buf *[]byte) error) error {
+	if workers < 1 {
+		workers = 1
+	}
+	if workers > n {
+		workers = n
 	}
 	jobs := make(chan int)
 	errs := make([]error, workers)
@@ -117,24 +143,24 @@ func ReadBinaryParallel(ra io.ReaderAt, size int64, workers int, stats blockio.S
 			defer wg.Done()
 			var buf []byte
 			for gi := range jobs {
-				if err := decodeGroup(ra, blocks, groups[gi], t.Events, &buf, stats); err != nil {
+				if err := decode(gi, &buf); err != nil {
 					errs[w] = err
 					return
 				}
 			}
 		}(w)
 	}
-	for gi := range groups {
+	for gi := 0; gi < n; gi++ {
 		jobs <- gi
 	}
 	close(jobs)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // decodeGroup fetches one window and decodes its blocks into their slab
@@ -172,10 +198,9 @@ func decodeGroup(ra io.ReaderAt, blocks []blockio.Block, g fetchGroup, events []
 	return nil
 }
 
-// ReadFile reads a trace file in any supported format, sniffing binary
-// (either version) vs text. Binary v2 files are decoded block-parallel
-// across workers goroutines (workers <= 1 or v1/text read sequentially).
-// stats may be nil.
+// ReadFile reads a trace file, sniffing binary vs text. Binary files are
+// decoded block-parallel across workers goroutines (workers <= 1 and
+// text read sequentially). stats may be nil.
 func ReadFile(path string, workers int, stats blockio.Stats) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -194,91 +219,25 @@ func ReadFile(path string, workers int, stats blockio.Stats) (*Trace, error) {
 }
 
 // CompileBinaryParallel parses a binary trace and compiles it for replay
-// in one step. V2 block-framed files are decoded straight into the
-// compiled trace's columnar slabs along the footer's block index — up to
-// workers goroutines, no intermediate []Event copy — then finalized
-// (validation, dense renumbering) in one sequential pass, so the result
-// is bit-identical to ReadBinary + Compile. V1 files fall back to the
-// sequential reader. stats may be nil.
+// in one step. Blocks are decoded straight into the compiled trace's
+// columnar slabs along the footer's block index — up to workers
+// goroutines, no intermediate []Event copy — then finalized (validation,
+// dense renumbering) in one sequential pass, so the result is
+// bit-identical to ReadBinary + Compile. stats may be nil.
 func CompileBinaryParallel(ra io.ReaderAt, size int64, workers int, stats blockio.Stats) (*Compiled, error) {
-	header := make([]byte, len(binaryMagic)+1+binary.MaxVarintLen64)
-	if int64(len(header)) > size {
-		header = header[:size]
-	}
-	if _, err := ra.ReadAt(header, 0); err != nil && err != io.EOF {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if len(header) < len(binaryMagic)+1 || string(header[:len(binaryMagic)]) != binaryMagic {
-		return nil, fmt.Errorf("trace: bad magic")
-	}
-	if version := header[len(binaryMagic)]; version != binaryVersionV2 {
-		// V1 has no block structure to split on or decode in place.
-		t, err := readBinary(io.NewSectionReader(ra, 0, size), stats)
-		if err != nil {
-			return nil, err
-		}
-		return Compile(t)
-	}
-	nameLen, n := binary.Uvarint(header[len(binaryMagic)+1:])
-	if n <= 0 {
-		return nil, fmt.Errorf("trace: truncated name length")
-	}
-	if nameLen > maxNameLen {
-		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
-	}
-	nameOff := int64(len(binaryMagic) + 1 + n)
-	name := make([]byte, nameLen)
-	if _, err := ra.ReadAt(name, nameOff); err != nil {
-		return nil, fmt.Errorf("trace: reading name: %w", err)
-	}
-
-	blocks, err := blockio.ReadIndex(ra, size)
+	name, blocks, groups, total, err := openV2(ra, size)
 	if err != nil {
 		return nil, err
 	}
-	groups, total, err := groupBlocks(blocks)
-	if err != nil {
-		return nil, err
-	}
-	c, rawIDs := newCompiled(string(name), int(total))
+	c, rawIDs := newCompiled(name, int(total))
 	if len(groups) == 0 {
 		return c, nil
 	}
-	if len(blocks) > 0 && blocks[0].Offset != nameOff+int64(nameLen) {
-		return nil, fmt.Errorf("trace: first block at offset %d, header ends at %d", blocks[0].Offset, nameOff+int64(nameLen))
-	}
-
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	jobs := make(chan int)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var buf []byte
-			for gi := range jobs {
-				if err := decodeGroupSlab(ra, blocks, groups[gi], c, rawIDs, &buf, stats); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	for gi := range groups {
-		jobs <- gi
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err = fanOut(len(groups), workers, func(gi int, buf *[]byte) error {
+		return decodeGroupSlab(ra, blocks, groups[gi], c, rawIDs, buf, stats)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := c.finalize(rawIDs); err != nil {
 		return nil, err
@@ -325,7 +284,7 @@ func decodeGroupSlab(ra io.ReaderAt, blocks []blockio.Block, g fetchGroup, c *Co
 }
 
 // ReadCompiledFile reads a trace file and compiles it for replay in one
-// step. Binary files go through CompileBinaryParallel, so v2 block-framed
+// step. Binary files go through CompileBinaryParallel, so block-framed
 // traces land directly in the columnar slabs without an intermediate
 // []Event copy; text files are parsed then compiled.
 func ReadCompiledFile(path string, workers int, stats blockio.Stats) (*Compiled, error) {

@@ -55,18 +55,6 @@ func rawRecord(e RawEvent) []byte {
 	return rec
 }
 
-// EncodeRawV1 encodes evs as a v1 binary trace.
-func EncodeRawV1(name string, evs []RawEvent) []byte {
-	buf := append([]byte(binaryMagic), binaryVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(name)))
-	buf = append(buf, name...)
-	buf = binary.AppendUvarint(buf, uint64(len(evs)))
-	for _, e := range evs {
-		buf = append(buf, rawRecord(e)...)
-	}
-	return buf
-}
-
 // EncodeRawV2 encodes evs as a v2 block-framed trace, blocks of about
 // target bytes.
 func EncodeRawV2(name string, evs []RawEvent, target int) []byte {
@@ -114,11 +102,9 @@ func TestDecodersRangeCheckArgs(t *testing.T) {
 	for _, field := range []string{"reads", "writes", "cycles"} {
 		for _, v := range []uint64{math.MaxUint32, math.MaxUint32 + 1} {
 			evs := WideEvents(field, v)
-			v1 := EncodeRawV1("w", evs)
 			v2 := EncodeRawV2("w", evs, 8)
 			reads := map[string]func() (*Trace, error){
 				"text": func() (*Trace, error) { return ReadText(strings.NewReader(EncodeRawText("w", evs))) },
-				"v1":   func() (*Trace, error) { return ReadBinary(bytes.NewReader(v1)) },
 				"v2":   func() (*Trace, error) { return ReadBinary(bytes.NewReader(v2)) },
 				"v2-parallel": func() (*Trace, error) {
 					return ReadBinaryParallel(bytes.NewReader(v2), int64(len(v2)), 3, nil)

@@ -243,7 +243,7 @@ func generateLog(wantBytes int64) (string, int, error) {
 	if err != nil {
 		return "", 0, err
 	}
-	if err := profile.WriteSyntheticLog(f, records, profile.LogV2, 42); err != nil {
+	if err := profile.WriteSyntheticLog(f, records, 42); err != nil {
 		f.Close()
 		return "", 0, err
 	}

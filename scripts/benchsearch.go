@@ -121,9 +121,9 @@ func run() error {
 			EvalLatency: evalLatency,
 		}
 		start := time.Now()
-		results, err := r.Evolve(space, objs, core.EvolveOptions{
+		results, err := r.EvolveIsland(space, objs, core.IslandOptions{EvolveOptions: core.EvolveOptions{
 			Population: population, Budget: budget, Seed: seed,
-		})
+		}})
 		if err != nil {
 			return fmt.Errorf("workers=%d: %w", workers, err)
 		}

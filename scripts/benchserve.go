@@ -4,7 +4,7 @@
 // the same 512-evaluation island-model NSGA-II job (4 islands x
 // population 16, budget 128 per island) run through a loopback-HTTP
 // coordinator with 1, 2 and 4 in-process workers, against the serial
-// single-process Evolve at the same total budget. The evaluation cost is
+// single-process search at the same total budget. The evaluation cost is
 // dominated by Runner.EvalLatency (5 ms per simulation), modelling the
 // regime the service is built for: a per-configuration backend latency
 // (on-target profiling, co-simulation) that a single process cannot
@@ -210,9 +210,9 @@ func run() error {
 	fmt.Printf("space %s: %d configurations, trace %d events\n",
 		env.Space.Name, env.Space.Size(), env.Trace.Len())
 	serialStart := time.Now()
-	serial, err := env.Runner.Evolve(env.Space, sp.Objectives, core.EvolveOptions{
+	serial, err := env.Runner.EvolveIsland(env.Space, sp.Objectives, core.IslandOptions{EvolveOptions: core.EvolveOptions{
 		Population: serialPop, Budget: islands * budgetPer, Seed: seed,
-	})
+	}})
 	if err != nil {
 		return err
 	}
