@@ -62,9 +62,8 @@ func storeKeys(st *Store) []string {
 	return keys
 }
 
-// TestStoreRoundTrip saves both record kinds and reloads them: lookups,
-// kinds and accounting survive, and a key of one kind never serves the
-// other.
+// TestStoreRoundTrip saves metrics records and reloads them: lookups
+// survive, and a key of one kind never serves the other.
 func TestStoreRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
 	st := openStore(t, path, 0)
@@ -72,14 +71,42 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal("fresh store not empty")
 	}
 	m := &profile.Metrics{Accesses: 42, FootprintBytes: 1000, EnergyNJ: 1.5, Cycles: 99}
-	run := storeRun(t, 8)
 	st.PutMetrics("m1", m)
-	st.PutPoolRun("p1", run)
-	if _, ok := st.Metrics("nope"); ok {
+	st.PutMetrics("m2", &profile.Metrics{Accesses: 7})
+	st.PutPoolRun("p1", storeRun(t, 8))
+	if err := st.Save(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := openStore(t, path, 0)
+	if re.Len() != 3 {
+		t.Fatalf("reloaded %d entries, want 3", re.Len())
+	}
+	got, ok := re.Metrics("m1")
+	if !ok || !reflect.DeepEqual(got, m) {
+		t.Fatalf("metrics m1: %+v %v", got, ok)
+	}
+	if _, ok := re.Metrics("nope"); ok {
 		t.Fatal("phantom metrics hit")
 	}
-	if s := st.Stats(); s.Hits != 0 || s.Misses != 1 || s.Loaded != 0 {
-		t.Fatalf("stats %+v", s)
+	if _, ok := re.PoolRun("m1"); ok {
+		t.Fatal("metrics record served as a pool run")
+	}
+	if _, ok := re.Metrics("p1"); ok {
+		t.Fatal("pool-run record served as metrics")
+	}
+}
+
+// TestStorePoolRunRoundTrip saves pool runs of different lengths and
+// reloads them bit-identically.
+func TestStorePoolRunRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	st := openStore(t, path, 0)
+	a, b := storeRun(t, 8), storeRun(t, 20)
+	st.PutPoolRun("ka", a)
+	st.PutPoolRun("kb", b)
+	if _, ok := st.PoolRun("missing"); ok {
+		t.Fatal("phantom hit")
 	}
 	if err := st.Save(); err != nil {
 		t.Fatal(err)
@@ -89,25 +116,58 @@ func TestStoreRoundTrip(t *testing.T) {
 	if re.Len() != 2 {
 		t.Fatalf("reloaded %d entries, want 2", re.Len())
 	}
-	if s := re.Stats(); s.Loaded != 2 || s.Stale != 0 || s.Hits != 0 || s.Misses != 0 {
+	if s := re.Stats(); s.Loaded != 2 || s.Stale != 0 {
 		t.Fatalf("reload stats %+v", s)
 	}
-	got, ok := re.Metrics("m1")
-	if !ok || !reflect.DeepEqual(got, m) {
-		t.Fatalf("metrics m1: %+v %v", got, ok)
+	for key, want := range map[string]*profile.PoolRun{"ka": a, "kb": b} {
+		got, ok := re.PoolRun(key)
+		if !ok {
+			t.Fatalf("key %s lost across save/load", key)
+		}
+		if !reflect.DeepEqual(got.State(), want.State()) {
+			t.Fatalf("key %s run diverged across save/load", key)
+		}
 	}
-	gotRun, ok := re.PoolRun("p1")
-	if !ok || !reflect.DeepEqual(gotRun.State(), run.State()) {
-		t.Fatal("pool run p1 diverged across save/load")
+	if s := re.Stats(); s.Hits != 2 {
+		t.Fatalf("hit accounting %+v", s)
 	}
-	if _, ok := re.PoolRun("m1"); ok {
-		t.Fatal("metrics record served as a pool run")
+}
+
+// TestStoreStats pins the accounting: lookups of either kind count hits
+// and misses, replacing an entry keeps one resident copy, and a reload
+// counts its entries loaded with fresh lookup counters.
+func TestStoreStats(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	st := openStore(t, path, 0)
+	m1 := &profile.Metrics{Accesses: 1}
+	st.PutMetrics("k1", m1)
+	st.PutPoolRun("p1", storeRun(t, 4))
+	if _, ok := st.Metrics("k1"); !ok {
+		t.Fatal("k1 missing")
 	}
-	if _, ok := re.Metrics("p1"); ok {
-		t.Fatal("pool-run record served as metrics")
+	if _, ok := st.PoolRun("p1"); !ok {
+		t.Fatal("p1 missing")
 	}
-	if s := re.Stats(); s.Hits != 2 || s.Misses != 2 {
-		t.Fatalf("lookup accounting %+v", s)
+	if _, ok := st.Metrics("k2"); ok {
+		t.Fatal("phantom k2")
+	}
+	st.PutMetrics("k1", &profile.Metrics{Accesses: 2}) // superseded in place
+	if st.Len() != 2 {
+		t.Fatalf("%d resident entries after a replacement, want 2", st.Len())
+	}
+	if s := st.Stats(); s.Hits != 2 || s.Misses != 1 || s.Stale != 0 || s.Loaded != 0 {
+		t.Fatalf("stats %+v", s)
+	}
+	if err := st.Save(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := openStore(t, path, 0)
+	if s := re.Stats(); s.Loaded != 2 || s.Stale != 0 || s.Hits != 0 || s.Misses != 0 {
+		t.Fatalf("reloaded stats %+v", s)
+	}
+	if got, ok := re.Metrics("k1"); !ok || got.Accesses != 2 {
+		t.Fatalf("replacement lost across save/load: %+v %v", got, ok)
 	}
 }
 
@@ -138,44 +198,73 @@ func TestStoreRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// TestStoreStaleVersionDropped pins the version gate: records from any
-// other schema version (the two pre-merge formats included) and pool
-// runs of impossible shape are dropped at load, counted stale, and
-// purged from disk by the next Save.
+// TestStoreStaleVersionDropped pins the version gate for metrics
+// records: records of any other schema version, version-less pre-merge
+// ones included, are dropped at load, counted stale, and purged from disk
+// by the next Save.
 func TestStoreStaleVersionDropped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
-	good := storeRun(t, 4).State()
-	run := fmt.Sprintf(`{"ops":%s,"g_after":%s,"counters":%s,"cycles":%d}`,
-		mustJSON(t, good.Ops), mustJSON(t, good.GAfter), mustJSON(t, good.Counters), good.Cycles)
 	lines := `{"key":"versionless","metrics":{"Accesses":1}}
-{"v":1,"key":"old-metrics","metrics":{"Accesses":2}}
-{"v":1,"key":"old-run","run":` + run + `}
-{"v":2,"key":"bad-shape","run":{"ops":[64,128],"g_after":[0]}}
-{"v":2,"key":"cur-metrics","metrics":{"Accesses":3}}
-{"v":2,"key":"cur-run","run":` + run + `}
+{"v":1,"key":"old","metrics":{"Accesses":2}}
+{"v":99,"key":"future","metrics":{"Accesses":3}}
+{"v":2,"key":"current","metrics":{"Accesses":4}}
 `
 	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st := openStore(t, path, 0)
-	if st.Len() != 2 {
-		t.Fatalf("kept %d entries, want the 2 current ones", st.Len())
+	if st.Len() != 1 {
+		t.Fatalf("kept %d entries, want only the current one", st.Len())
 	}
-	if s := st.Stats(); s.Stale != 4 || s.Loaded != 2 {
+	if s := st.Stats(); s.Stale != 3 || s.Loaded != 1 {
 		t.Fatalf("stats %+v", s)
 	}
-	if _, ok := st.Metrics("old-metrics"); ok {
+	if _, ok := st.Metrics("old"); ok {
 		t.Fatal("stale entry served")
 	}
-	if _, ok := st.PoolRun("cur-run"); !ok {
-		t.Fatal("current pool run lost")
+	if m, ok := st.Metrics("current"); !ok || m.Accesses != 4 {
+		t.Fatal("current entry lost")
 	}
 	// Dropping records marks the store dirty: Save rewrites, and the
 	// rewritten file reloads clean.
 	if err := st.Save(); err != nil {
 		t.Fatal(err)
 	}
-	if s := openStore(t, path, 0).Stats(); s.Stale != 0 || s.Loaded != 2 {
+	if s := openStore(t, path, 0).Stats(); s.Stale != 0 || s.Loaded != 1 {
+		t.Fatalf("rewritten file still carries stale entries: %+v", s)
+	}
+}
+
+// TestStorePoolRunStaleVersionPurged pins the same gate for pool runs:
+// an older-version run and a current-version run of impossible shape are
+// dropped and purged, the valid current run survives.
+func TestStorePoolRunStaleVersionPurged(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	good := storeRun(t, 4).State()
+	run := fmt.Sprintf(`{"ops":%s,"g_after":%s,"counters":%s,"cycles":%d}`,
+		mustJSON(t, good.Ops), mustJSON(t, good.GAfter), mustJSON(t, good.Counters), good.Cycles)
+	lines := `{"v":1,"key":"old","run":` + run + `}
+{"v":2,"key":"cur","run":` + run + `}
+{"v":2,"key":"bad","run":{"ops":[64,128],"g_after":[0]}}
+`
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, path, 0)
+	if st.Len() != 1 {
+		t.Fatalf("kept %d entries, want only the current-version one", st.Len())
+	}
+	if s := st.Stats(); s.Stale != 2 || s.Loaded != 1 {
+		t.Fatalf("stale accounting %+v, want 2", s)
+	}
+	gotRun, ok := st.PoolRun("cur")
+	if !ok || !reflect.DeepEqual(gotRun.State(), good) {
+		t.Fatal("current-version pool run lost or altered")
+	}
+	if err := st.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if s := openStore(t, path, 0).Stats(); s.Stale != 0 || s.Loaded != 1 {
 		t.Fatalf("rewritten file still carries stale entries: %+v", s)
 	}
 }

@@ -21,6 +21,12 @@ func FuzzParseLog(f *testing.F) {
 	}
 	f.Add([]byte(logMagic + "\x02\x00"))
 	f.Add([]byte{1 << 1, 0x80, 0x01, 4}) // headerless record stream
+	f.Add([]byte(logMagic + "\x01"))     // retired v1 version byte
+	var cut bytes.Buffer
+	if err := WriteSyntheticLog(&cut, 1000, 11); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(cut.Bytes()[:cut.Len()/2]) // cut mid-block, footer index gone
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseLog(bytes.NewReader(data))
 		if err != nil {

@@ -62,12 +62,14 @@ func seedTraces(f *testing.F) []*trace.Trace {
 }
 
 func FuzzReadBinary(f *testing.F) {
+	var truncated [][]byte
 	for _, tr := range seedTraces(f) {
 		var v2 bytes.Buffer
 		if err := trace.WriteBinaryV2(&v2, tr); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(v2.Bytes())
+		truncated = append(truncated, v2.Bytes()[:v2.Len()/2])
 	}
 	f.Add([]byte("DMTR\x01\x00\x00"))
 	f.Add([]byte("DMTR\x02\x00\x00"))
@@ -95,6 +97,15 @@ func FuzzReadBinary(f *testing.F) {
 	// (accepted exactly) and 2^32 (rejected, never truncated).
 	for _, args := range boundaryArgs() {
 		f.Add(trace.EncodeRawV2("wide", args, 0))
+	}
+	// The same boundaries with one record per block, so the range checks
+	// also run at block edges.
+	for _, args := range boundaryArgs() {
+		f.Add(trace.EncodeRawV2("wide", args, 1))
+	}
+	// Real traces cut mid-block with the footer index gone.
+	for _, data := range truncated {
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := trace.ReadBinary(bytes.NewReader(data))
@@ -154,12 +165,14 @@ func FuzzReadBinary(f *testing.F) {
 // multiset or any per-allocation lifetime by more than the swap the
 // documentation allows).
 func FuzzTraceFeatures(f *testing.F) {
+	var truncated [][]byte
 	for _, tr := range seedTraces(f) {
 		var v2 bytes.Buffer
 		if err := trace.WriteBinaryV2(&v2, tr); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(v2.Bytes())
+		truncated = append(truncated, v2.Bytes()[:v2.Len()/2])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := trace.ReadBinary(bytes.NewReader(data))
