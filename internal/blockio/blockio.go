@@ -81,18 +81,26 @@ func (b Block) DataLen() int64 {
 	return int64(n) + 4 + b.PayloadLen
 }
 
-// Writer frames records into blocks. It buffers one block's payload at a
-// time and tracks every block for the footer index. Errors are sticky:
-// the first underlying write error is kept and every later call is a
-// no-op, so emitters on a hot path can check Err at their own cadence.
+// headroom is the space reserved in front of every block's payload for
+// its header — two uvarints and the CRC — so the header is written
+// right-aligned against the payload and the whole block goes out in one
+// Write, with no copy through an intermediate buffer.
+const headroom = 2*binary.MaxVarintLen64 + 4
+
+// Writer frames records into blocks. Callers encode each record straight
+// into the current block's buffer (Begin/Commit); every block goes to the
+// sink as one Write, and the writer tracks every block for the footer
+// index. Errors are sticky: the first underlying write error is kept and
+// nothing more is written, so emitters on a hot path can check Err at
+// their own cadence. Reset points a writer at a new sink and keeps its
+// buffers, so a writer reused across files allocates nothing once warm.
 type Writer struct {
-	bw      *bufio.Writer
+	w       io.Writer
 	off     int64 // bytes emitted so far (headers, blocks)
 	target  int
-	payload []byte
+	buf     []byte // headroom, then the current block's payload
 	records int64
 	index   []Block
-	scratch [binary.MaxVarintLen64]byte
 	err     error
 	closed  bool
 }
@@ -103,41 +111,51 @@ func NewWriter(w io.Writer, target int) *Writer {
 	if target <= 0 {
 		target = DefaultTargetBlockBytes
 	}
-	return &Writer{
-		bw:      bufio.NewWriterSize(w, 1<<20),
-		target:  target,
-		payload: make([]byte, 0, target+4096),
-	}
+	bw := &Writer{target: target, buf: make([]byte, headroom, headroom+target+4096)}
+	bw.Reset(w)
+	return bw
+}
+
+// Reset discards any unwritten state and points the writer at dst,
+// keeping its block buffer and index capacity.
+func (w *Writer) Reset(dst io.Writer) {
+	w.w = dst
+	w.off = 0
+	w.buf = w.buf[:headroom]
+	w.records = 0
+	w.index = w.index[:0]
+	w.err = nil
+	w.closed = false
 }
 
 // WriteHeader emits the caller's format-specific header bytes. It must be
-// called before the first Record.
+// called before the first record.
 func (w *Writer) WriteHeader(b []byte) {
 	if w.err != nil {
 		return
 	}
-	if w.records > 0 || len(w.payload) > 0 || len(w.index) > 0 {
+	if w.records > 0 || len(w.index) > 0 {
 		w.err = fmt.Errorf("blockio: WriteHeader after records")
 		return
 	}
-	if _, err := w.bw.Write(b); err != nil {
-		w.err = err
-		return
-	}
-	w.off += int64(len(b))
+	w.write(b)
 }
 
-// Record appends one record's encoded bytes to the current block,
-// flushing a full block first. The bytes are copied; the caller may reuse
-// its scratch buffer.
-func (w *Writer) Record(b []byte) {
-	if w.err != nil {
-		return
-	}
-	if len(w.payload) >= w.target {
+// Begin starts one record: it returns the current block's buffer, to
+// which the caller appends exactly one encoded record before passing the
+// extended slice to Commit. A full block is emitted first, so a block
+// closes at the first record boundary at or past the target size.
+func (w *Writer) Begin() []byte {
+	if len(w.buf)-headroom >= w.target {
 		w.emitBlock()
 	}
-	w.payload = append(w.payload, b...)
+	return w.buf
+}
+
+// Commit ends the record begun by Begin; b is Begin's slice with the
+// record appended.
+func (w *Writer) Commit(b []byte) {
+	w.buf = b
 	w.records++
 }
 
@@ -146,80 +164,78 @@ func (w *Writer) Record(b []byte) {
 // disk fills instead of simulating on against a dead file.
 func (w *Writer) Err() error { return w.err }
 
-// emitBlock writes the buffered payload as one block and records it in
-// the index.
+// write sends b to the sink, keeping the first error.
+func (w *Writer) write(b []byte) {
+	if w.err != nil {
+		return
+	}
+	n, err := w.w.Write(b)
+	if err == nil && n < len(b) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		w.err = err
+		return
+	}
+	w.off += int64(n)
+}
+
+// seal writes the pending block's header into the headroom, records the
+// block in the index, and returns the offset in buf where the block's
+// bytes start (the end of the headroom when no records are pending).
+func (w *Writer) seal() int {
+	if w.records == 0 {
+		return headroom
+	}
+	payload := w.buf[headroom:]
+	var hdr [headroom]byte
+	n := binary.PutUvarint(hdr[:], uint64(w.records))
+	n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[n:], crc32.Checksum(payload, castagnoli))
+	n += 4
+	start := headroom - n
+	copy(w.buf[start:], hdr[:n])
+	w.index = append(w.index, Block{Offset: w.off, Records: w.records, PayloadLen: int64(len(payload))})
+	return start
+}
+
+// emitBlock writes the pending block with one Write and starts the next.
 func (w *Writer) emitBlock() {
-	if w.err != nil || w.records == 0 {
-		return
+	if w.err == nil {
+		w.write(w.buf[w.seal():])
 	}
-	blk := Block{Offset: w.off, Records: w.records, PayloadLen: int64(len(w.payload))}
-	n := binary.PutUvarint(w.scratch[:], uint64(w.records))
-	if _, err := w.bw.Write(w.scratch[:n]); err != nil {
-		w.err = err
-		return
-	}
-	w.off += int64(n)
-	n = binary.PutUvarint(w.scratch[:], uint64(len(w.payload)))
-	if _, err := w.bw.Write(w.scratch[:n]); err != nil {
-		w.err = err
-		return
-	}
-	w.off += int64(n)
-	binary.LittleEndian.PutUint32(w.scratch[:4], crc32.Checksum(w.payload, castagnoli))
-	if _, err := w.bw.Write(w.scratch[:4]); err != nil {
-		w.err = err
-		return
-	}
-	w.off += 4
-	if _, err := w.bw.Write(w.payload); err != nil {
-		w.err = err
-		return
-	}
-	w.off += int64(len(w.payload))
-	w.index = append(w.index, blk)
-	w.payload = w.payload[:0]
+	w.buf = w.buf[:headroom]
 	w.records = 0
 }
 
-// Close flushes the final block, the end marker and the footer index.
-// The underlying writer is not closed.
+// Close writes the final block, the end marker and the footer index in
+// one Write. The underlying writer is not closed.
 func (w *Writer) Close() error {
 	if w.closed {
 		return w.err
 	}
 	w.closed = true
-	w.emitBlock()
 	if w.err != nil {
 		return w.err
 	}
-	if err := w.bw.WriteByte(0); err != nil { // end marker
-		w.err = err
-		return w.err
-	}
-	footer := make([]byte, 0, 16+len(w.index)*6)
-	footer = binary.AppendUvarint(footer, uint64(len(w.index)))
+	start := w.seal()
+	b := append(w.buf, 0) // end marker
+	footerAt := len(b)
+	b = binary.AppendUvarint(b, uint64(len(w.index)))
 	prev := int64(0)
 	for _, blk := range w.index {
-		footer = binary.AppendUvarint(footer, uint64(blk.Offset-prev))
-		footer = binary.AppendUvarint(footer, uint64(blk.Records))
-		footer = binary.AppendUvarint(footer, uint64(blk.PayloadLen))
+		b = binary.AppendUvarint(b, uint64(blk.Offset-prev))
+		b = binary.AppendUvarint(b, uint64(blk.Records))
+		b = binary.AppendUvarint(b, uint64(blk.PayloadLen))
 		prev = blk.Offset
 	}
-	if _, err := w.bw.Write(footer); err != nil {
-		w.err = err
-		return w.err
-	}
-	var tail [footerTrailerLen]byte
-	binary.LittleEndian.PutUint32(tail[0:4], crc32.Checksum(footer, castagnoli))
-	binary.LittleEndian.PutUint64(tail[4:12], uint64(len(footer)))
-	copy(tail[12:], footerMagic)
-	if _, err := w.bw.Write(tail[:]); err != nil {
-		w.err = err
-		return w.err
-	}
-	if err := w.bw.Flush(); err != nil {
-		w.err = err
-	}
+	footerLen := len(b) - footerAt
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[footerAt:], castagnoli))
+	b = binary.LittleEndian.AppendUint64(b, uint64(footerLen))
+	b = append(b, footerMagic...)
+	w.write(b[start:])
+	w.buf = b[:headroom] // keep any capacity the footer grew
+	w.records = 0
 	return w.err
 }
 

@@ -2,10 +2,14 @@ package blockio
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // countingStats is a test Stats sink.
@@ -27,10 +31,8 @@ func writeRecords(t *testing.T, n, target int, header []byte) []byte {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, target)
 	w.WriteHeader(header)
-	var scratch [binary.MaxVarintLen64]byte
 	for i := 0; i < n; i++ {
-		k := binary.PutUvarint(scratch[:], uint64(i))
-		w.Record(scratch[:k])
+		w.Commit(binary.AppendUvarint(w.Begin(), uint64(i)))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -184,12 +186,10 @@ func (f *failAfter) Write(p []byte) (int, error) {
 
 func TestWriterSurfacesDeferredError(t *testing.T) {
 	fw := &failAfter{n: 512, err: io.ErrShortWrite}
-	w := NewWriter(fw, 64) // small blocks so the bufio drains early
-	var scratch [8]byte
+	w := NewWriter(fw, 64) // small blocks so the sink fails early
 	sawErr := false
 	for i := 0; i < 1_000_000; i++ {
-		n := binary.PutUvarint(scratch[:], uint64(i))
-		w.Record(scratch[:n])
+		w.Commit(binary.AppendUvarint(w.Begin(), uint64(i)))
 		if w.Err() != nil {
 			sawErr = true
 			break
@@ -200,5 +200,156 @@ func TestWriterSurfacesDeferredError(t *testing.T) {
 	}
 	if err := w.Close(); err == nil {
 		t.Fatal("close swallowed the error")
+	}
+}
+
+// TestWriterBytesPinned pins the on-disk framing: these digests were
+// recorded from the writer that copied records through a scratch buffer
+// and a bufio.Writer. Encoding in place with one Write per block must
+// not change one byte, at any block target.
+func TestWriterBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		records, target int
+		size            int
+		digest          string
+	}{
+		{10000, 64, 22694, "b34d711442d105011f2bff55cc386f278c9fec67a13425e4ba7ad59e669991d8"},
+		{10000, 1000, 20173, "30eff7988afcfc374a8ea278a430745756c329d94aa577688e02f9e07c8cb383"},
+		{10000, 0, 19909, "aa2e1186d2475221717bad7f9d5a228ee13f9d6150648ce5afb81cb97fbcdfb9"},
+		{0, 0, 22, "cb0e2b224f262aed183ee8ae15eef5de1cad8289534857b48851f5b520e16fe7"},
+	} {
+		data := writeRecords(t, c.records, c.target, []byte("HDRX"))
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != c.size || got != c.digest {
+			t.Errorf("%d records, target %d: %d bytes sha256 %s, want %d bytes %s", c.records, c.target, len(data), got, c.size, c.digest)
+		}
+	}
+}
+
+var testHeader = []byte("HDRX")
+
+// writeLog writes n records through w, reset onto dst, and closes it.
+func writeLog(w *Writer, dst io.Writer, n int) error {
+	w.Reset(dst)
+	w.WriteHeader(testHeader)
+	for i := 0; i < n; i++ {
+		w.Commit(binary.AppendUvarint(w.Begin(), uint64(i)))
+	}
+	return w.Close()
+}
+
+// TestWriterResetReuses requires a writer reset onto a new sink to emit
+// exactly the bytes a fresh writer does, and to allocate nothing once
+// its buffers have grown.
+func TestWriterResetReuses(t *testing.T) {
+	want := writeRecords(t, 10000, 1000, []byte("HDRX"))
+	var buf bytes.Buffer
+	w := NewWriter(io.Discard, 1000)
+	for round := 0; round < 3; round++ {
+		buf.Reset()
+		if err := writeLog(w, &buf, 10000); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("round %d: reset writer emitted %d bytes differing from a fresh writer's %d", round, buf.Len(), len(want))
+		}
+	}
+	avg := testing.AllocsPerRun(5, func() {
+		buf.Reset()
+		if err := writeLog(w, &buf, 10000); err != nil {
+			t.Error(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("warm writer allocates %.1f times per file, want 0", avg)
+	}
+}
+
+// writeCounter records the size of every Write it receives.
+type writeCounter struct{ sizes []int }
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.sizes = append(c.sizes, len(p))
+	return len(p), nil
+}
+
+// TestWriterOneWritePerBlock pins the sink traffic: one Write for the
+// header, one per block, and the last block travels with the end marker
+// and footer in a single final Write.
+func TestWriterOneWritePerBlock(t *testing.T) {
+	var c writeCounter
+	if err := writeLog(NewWriter(nil, 256), &c, 5000); err != nil {
+		t.Fatal(err)
+	}
+	data := writeRecords(t, 5000, 256, []byte("HDRX"))
+	blocks, err := ReadIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.sizes) != 1+len(blocks) {
+		t.Fatalf("%d writes for a header and %d blocks", len(c.sizes), len(blocks))
+	}
+	for i, blk := range blocks[:len(blocks)-1] {
+		if got := int64(c.sizes[1+i]); got != blk.DataLen() {
+			t.Fatalf("write %d is %d bytes, block %d is %d", 1+i, got, i, blk.DataLen())
+		}
+	}
+}
+
+// TestGroupBlocksRejectsGap requires the fetch-group split to refuse an
+// index whose blocks are not contiguous.
+func TestGroupBlocksRejectsGap(t *testing.T) {
+	data := writeRecords(t, 5000, 128, nil)
+	blocks, err := ReadIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, total, err := GroupBlocks(blocks, 1024)
+	if err != nil || total != 5000 || len(groups) < 2 {
+		t.Fatalf("%d groups, %d records, %v", len(groups), total, err)
+	}
+	for i, g := range groups {
+		if i > 0 && (g.First != groups[i-1].Last+1 || g.Off != groups[i-1].Off+groups[i-1].Len) {
+			t.Fatalf("group %d does not follow group %d: %+v after %+v", i, i-1, g, groups[i-1])
+		}
+	}
+	blocks[3].Offset++
+	if _, _, err := GroupBlocks(blocks, 1024); err == nil || !strings.Contains(err.Error(), "gap") {
+		t.Fatalf("gapped index: %v, want a gap error", err)
+	}
+}
+
+// TestFanOutStopsOnError is the regression test for the parallel-reader
+// hang: with every worker failed and groups left to dispatch, FanOut must
+// return instead of blocking, and report the lowest failing group.
+func TestFanOutStopsOnError(t *testing.T) {
+	data := writeRecords(t, 5000, 64, nil)
+	blocks, err := ReadIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, _, err := GroupBlocks(blocks, 1) // one block per group
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		var calls atomic.Int64
+		done := make(chan error, 1)
+		go func() {
+			done <- FanOut(bytes.NewReader(data), groups, workers, func(_, gi int, _ []byte) error {
+				calls.Add(1)
+				return fmt.Errorf("group %d failed", gi)
+			})
+		}()
+		select {
+		case err := <-done:
+			if err == nil || calls.Load() > int64(workers) {
+				t.Fatalf("workers=%d: %v after %d calls", workers, err, calls.Load())
+			}
+			if workers == 1 && err.Error() != "group 0 failed" {
+				t.Fatalf("workers=1: %v, want group 0's error", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers=%d: FanOut hung after every worker failed", workers)
+		}
 	}
 }

@@ -1,0 +1,121 @@
+package blockio
+
+import (
+	"fmt"
+	"io"
+	"sync"
+	"sync/atomic"
+)
+
+// DefaultFetchWindow is how many contiguous file bytes a parallel reader
+// fetches per ReadAt. Coalescing adjacent blocks into one request keeps
+// the request count low (it is the dominant cost on high-latency
+// storage) while staying small enough to spread a file across workers.
+const DefaultFetchWindow = 4 << 20
+
+// Group is a contiguous run of blocks that one worker fetches with a
+// single ReadAt and decodes.
+type Group struct {
+	Off, Len    int64 // file range covering every block in the group
+	First, Last int   // block index range [First, Last]
+	FirstRecord int64 // records in all earlier groups
+}
+
+// GroupBlocks coalesces a footer index into fetch groups of at most
+// window bytes (a block larger than window gets a group of its own) and
+// returns them with the total record count. The blocks must be
+// contiguous, as every Writer lays them out: a gap in the index is an
+// error.
+func GroupBlocks(blocks []Block, window int64) ([]Group, int64, error) {
+	var groups []Group
+	var total int64
+	for i := 0; i < len(blocks); {
+		g := Group{Off: blocks[i].Offset, First: i, FirstRecord: total}
+		end := blocks[i].Offset
+		for i < len(blocks) {
+			if blocks[i].Offset != end {
+				return nil, 0, fmt.Errorf("blockio: footer index gap at block %d (offset %d, expected %d)", i, blocks[i].Offset, end)
+			}
+			blkEnd := end + blocks[i].DataLen()
+			if blkEnd-g.Off > window && i > g.First {
+				break
+			}
+			end = blkEnd
+			total += blocks[i].Records
+			g.Last = i
+			i++
+		}
+		g.Len = end - g.Off
+		groups = append(groups, g)
+	}
+	return groups, total, nil
+}
+
+// windows recycles fetch windows across FanOut calls: ingesting a run of
+// logs reuses the same few buffers instead of allocating one per worker
+// per file.
+var windows = sync.Pool{New: func() any { return new([]byte) }}
+
+// FanOut fetches every group into a reusable window with one ReadAt and
+// hands it to decode, on up to workers goroutines; worker is the index
+// (0..workers-1) of the goroutine running the call, for per-worker
+// accumulators. The first error stops the dispatch: every worker
+// finishes the group in hand and takes no other, and FanOut returns the
+// error of the lowest-numbered group that failed.
+func FanOut(ra io.ReaderAt, groups []Group, workers int, decode func(worker, group int, window []byte) error) error {
+	if workers > len(groups) {
+		workers = len(groups)
+	}
+	if workers < 1 {
+		return nil
+	}
+	var next atomic.Int64
+	var failed atomic.Bool
+	type failure struct {
+		group int
+		err   error
+	}
+	fails := make([]failure, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			buf := windows.Get().(*[]byte)
+			defer windows.Put(buf)
+			for !failed.Load() {
+				gi := int(next.Add(1) - 1)
+				if gi >= len(groups) {
+					return
+				}
+				g := groups[gi]
+				if int64(cap(*buf)) < g.Len {
+					*buf = make([]byte, g.Len)
+				}
+				window := (*buf)[:g.Len]
+				var err error
+				if _, rerr := ra.ReadAt(window, g.Off); rerr != nil {
+					err = fmt.Errorf("blockio: reading blocks %d-%d (offset %d): %w", g.First, g.Last, g.Off, unexpectedEOF(rerr))
+				} else {
+					err = decode(w, gi, window)
+				}
+				if err != nil {
+					fails[w] = failure{gi, err}
+					failed.Store(true)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	var first *failure
+	for w := range fails {
+		if f := &fails[w]; f.err != nil && (first == nil || f.group < first.group) {
+			first = f
+		}
+	}
+	if first != nil {
+		return first.err
+	}
+	return nil
+}

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"bytes"
 	"testing"
 
 	"dmexplore/internal/alloc"
@@ -135,6 +136,84 @@ func BenchmarkReplayTelemetry(b *testing.B) {
 			b.StopTimer()
 			eventsPerSec := float64(ct.Len()) * float64(b.N) / b.Elapsed().Seconds()
 			b.ReportMetric(eventsPerSec, "events/sec")
+		})
+	}
+}
+
+// loggedTrace is the Easyport trace the log benchmarks replay, compiled.
+func loggedTrace(b *testing.B) *trace.Compiled {
+	b.Helper()
+	p := workload.DefaultEasyportParams()
+	p.Packets = 3000
+	tr, err := p.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ct, err := trace.Compile(tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ct
+}
+
+// BenchmarkRunLogged measures logged replay: a reused Replayer profiles
+// each preset with its raw access log going to a reused in-memory sink.
+// The MB/s column is log bytes written per second, the
+// profile.log_write_mb_per_s layer of the profile-log workload.
+func BenchmarkRunLogged(b *testing.B) {
+	ct := loggedTrace(b)
+	h := memhier.EmbeddedSoC()
+	for _, cfg := range presetConfigs() {
+		b.Run(cfg.Label, func(b *testing.B) {
+			rep := NewReplayer()
+			var sink bytes.Buffer
+			opts := Options{LogWriter: &sink}
+			if _, err := rep.Run(ct, cfg, h, opts); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(sink.Len())) // "bytes" = log bytes written
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink.Reset()
+				if _, err := rep.Run(ct, cfg, h, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkParseLog measures log ingest over the presets' real access
+// logs: serial (ParseLog) and parallel (ParseLogParallel, 4 workers, the
+// default fetch window). The MB/s column is log bytes parsed per second,
+// the profile.log_parse_mb_per_s layer of the profile-log workload.
+func BenchmarkParseLog(b *testing.B) {
+	ct := loggedTrace(b)
+	h := memhier.EmbeddedSoC()
+	for _, cfg := range presetConfigs() {
+		var log bytes.Buffer
+		if _, err := NewReplayer().Run(ct, cfg, h, Options{LogWriter: &log}); err != nil {
+			b.Fatal(err)
+		}
+		data := log.Bytes()
+		b.Run("serial/"+cfg.Label, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ParseLog(bytes.NewReader(data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("parallel/"+cfg.Label, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ParseLogParallel(bytes.NewReader(data), int64(len(data)), 4, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -28,6 +28,9 @@ import (
 // records into CRC32C blocks with a seekable footer index
 // (internal/blockio), so corruption is detected per block and a
 // multi-gigabyte log can be ingested in parallel.
+//
+// The layer id has seven bits, so a log names at most logMaxLayers+1
+// layers; Replayer.Run refuses to log a deeper hierarchy.
 const logMaxLayers = 127
 
 const (
@@ -35,19 +38,29 @@ const (
 	logVersionV2 = 2
 )
 
-// logWriter implements simheap.AccessTracer, streaming records to w as a
-// block-framed log. Write errors are sticky and surfaced by Err, so the
-// profiler can abort a doomed multi-gigabyte emit early instead of
-// discovering the dead file at Flush.
+// logHeader opens every log.
+var logHeader = []byte{logMagic[0], logMagic[1], logMagic[2], logMagic[3], logVersionV2}
+
+// logWriter implements simheap.AccessTracer, streaming records to a sink
+// as a block-framed log. Each record is encoded straight into the block
+// buffer, and a Replayer keeps one logWriter across runs (reset) so a
+// warm logged replay allocates nothing. Write errors are sticky and
+// surfaced by Err, so the profiler can abort a doomed multi-gigabyte
+// emit early instead of discovering the dead file at Flush.
 type logWriter struct {
-	blk     *blockio.Writer
-	scratch [1 + 2*binary.MaxVarintLen64]byte
+	blk *blockio.Writer
 }
 
 func newLogWriter(w io.Writer) *logWriter {
-	blk := blockio.NewWriter(w, 0)
-	blk.WriteHeader([]byte{logMagic[0], logMagic[1], logMagic[2], logMagic[3], logVersionV2})
-	return &logWriter{blk: blk}
+	l := &logWriter{blk: blockio.NewWriter(w, 0)}
+	l.blk.WriteHeader(logHeader)
+	return l
+}
+
+// reset starts a new log on w, keeping the block buffer.
+func (l *logWriter) reset(w io.Writer) {
+	l.blk.Reset(w)
+	l.blk.WriteHeader(logHeader)
 }
 
 // TraceAccess implements simheap.AccessTracer.
@@ -56,10 +69,9 @@ func (l *logWriter) TraceAccess(layer memhier.LayerID, addr uint64, words uint64
 	if write {
 		flags |= 1
 	}
-	l.scratch[0] = flags
-	n := 1 + binary.PutUvarint(l.scratch[1:], addr)
-	n += binary.PutUvarint(l.scratch[n:], words)
-	l.blk.Record(l.scratch[:n])
+	b := append(l.blk.Begin(), flags)
+	b = binary.AppendUvarint(b, addr)
+	l.blk.Commit(binary.AppendUvarint(b, words))
 }
 
 // Err returns the first deferred write error without finalizing the log.
@@ -97,19 +109,45 @@ func (s *LogSummary) merge(o *LogSummary) {
 	}
 }
 
-// parseLogRecords aggregates the records in one in-memory chunk.
+// parseLogRecords aggregates the records in one in-memory chunk. Every
+// word count and the shortest addresses fit in one varint byte, so the
+// common lengths decode inline; anything longer goes through
+// binary.Uvarint, and the decoder accepts and rejects exactly the inputs
+// binary.Uvarint does.
 func parseLogRecords(buf []byte, s *LogSummary) error {
 	for len(buf) > 0 {
 		flags := buf[0]
-		_, n := binary.Uvarint(buf[1:]) // address (unused by the summary)
-		if n <= 0 {
-			return fmt.Errorf("profile: record %d: bad address", s.Records)
+		// The address is unused by the summary: only its length matters.
+		// A varint of up to four bytes cannot overflow, so any terminator
+		// byte (high bit clear) among them ends it.
+		var n int
+		switch {
+		case len(buf) > 1 && buf[1] < 0x80:
+			n = 2
+		case len(buf) > 2 && buf[2] < 0x80:
+			n = 3
+		case len(buf) > 3 && buf[3] < 0x80:
+			n = 4
+		default:
+			_, k := binary.Uvarint(buf[1:])
+			if k <= 0 {
+				return fmt.Errorf("profile: record %d: bad address", s.Records)
+			}
+			n = 1 + k
 		}
-		words, k := binary.Uvarint(buf[1+n:])
-		if k <= 0 {
-			return fmt.Errorf("profile: record %d: bad word count", s.Records)
+		var words uint64
+		if n < len(buf) && buf[n] < 0x80 {
+			words = uint64(buf[n])
+			n++
+		} else {
+			w, k := binary.Uvarint(buf[n:])
+			if k <= 0 {
+				return fmt.Errorf("profile: record %d: bad word count", s.Records)
+			}
+			words = w
+			n += k
 		}
-		buf = buf[1+n+k:]
+		buf = buf[n:]
 		layer := flags >> 1
 		if flags&1 == 1 {
 			s.Writes[layer] += words
@@ -190,90 +228,37 @@ func ParseLogParallel(ra io.ReaderAt, size int64, workers int, stats blockio.Sta
 	if err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
-	groups := groupLogBlocks(blocks)
-	if len(groups) == 0 {
-		return &LogSummary{}, nil
+	groups, _, err := blockio.GroupBlocks(blocks, logFetchWindowBytes)
+	if err != nil {
+		return nil, fmt.Errorf("profile: %w", err)
 	}
 	if workers > len(groups) {
 		workers = len(groups)
 	}
-	jobs := make(chan logGroup)
 	partials := make([]LogSummary, workers)
-	errs := make([]error, workers)
-	done := make(chan int)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer func() { done <- w }()
-			var buf []byte
-			for g := range jobs {
-				if err := parseLogGroup(ra, g, &partials[w], &buf, stats); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
+	err = blockio.FanOut(ra, groups, workers, func(w, gi int, window []byte) error {
+		return parseLogGroup(window, groups[gi], &partials[w], stats)
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, g := range groups {
-		jobs <- g
-	}
-	close(jobs)
 	s := &LogSummary{}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			return nil, errs[w]
-		}
+	for w := range partials {
 		s.merge(&partials[w])
 	}
 	return s, nil
 }
 
-// logGroup is a contiguous run of blocks fetched with one ReadAt.
-type logGroup struct {
-	off, length int64
-	blocks      int
-}
+// logFetchWindowBytes is the fetch window ParseLogParallel groups blocks
+// into (see blockio.GroupBlocks). A variable for tests.
+var logFetchWindowBytes int64 = blockio.DefaultFetchWindow
 
-// groupLogBlocks coalesces adjacent index entries into fetch windows.
-func groupLogBlocks(blocks []blockio.Block) []logGroup {
-	var groups []logGroup
-	for i := 0; i < len(blocks); {
-		g := logGroup{off: blocks[i].Offset}
-		end := blocks[i].Offset
-		for i < len(blocks) {
-			blkEnd := blocks[i].Offset + blocks[i].DataLen()
-			if blkEnd-g.off > logFetchWindowBytes && g.blocks > 0 {
-				break
-			}
-			end = blkEnd
-			g.blocks++
-			i++
-		}
-		g.length = end - g.off
-		groups = append(groups, g)
-	}
-	return groups
-}
-
-// logFetchWindowBytes mirrors the trace reader's fetch window: one
-// ReadAt per ~4 MiB of contiguous blocks. A variable for tests.
-var logFetchWindowBytes int64 = 4 << 20
-
-// parseLogGroup fetches one window and aggregates its blocks into s.
-func parseLogGroup(ra io.ReaderAt, g logGroup, s *LogSummary, buf *[]byte, stats blockio.Stats) error {
-	if int64(cap(*buf)) < g.length {
-		*buf = make([]byte, g.length)
-	}
-	window := (*buf)[:g.length]
-	if _, err := ra.ReadAt(window, g.off); err != nil {
-		return fmt.Errorf("profile: reading log blocks at offset %d: %w", g.off, err)
-	}
-	for b := 0; b < g.blocks; b++ {
+// parseLogGroup aggregates one fetched window's blocks into s.
+func parseLogGroup(window []byte, g blockio.Group, s *LogSummary, stats blockio.Stats) error {
+	for b := g.First; b <= g.Last; b++ {
 		records, payload, rest, err := blockio.ParseBlock(window, stats)
 		if err != nil {
-			return fmt.Errorf("profile: log block at offset %d: %w", g.off, err)
+			return fmt.Errorf("profile: log block %d (offset %d): %w", b, g.Off+g.Len-int64(len(window)), err)
 		}
 		window = rest
 		before := s.Records
@@ -281,7 +266,7 @@ func parseLogGroup(ra io.ReaderAt, g logGroup, s *LogSummary, buf *[]byte, stats
 			return err
 		}
 		if s.Records-before != uint64(records) {
-			return fmt.Errorf("profile: log block holds %d records, header says %d", s.Records-before, records)
+			return fmt.Errorf("profile: log block %d holds %d records, header says %d", b, s.Records-before, records)
 		}
 	}
 	return nil

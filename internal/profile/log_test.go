@@ -2,13 +2,18 @@ package profile
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dmexplore/internal/alloc"
+	"dmexplore/internal/blockio"
 	"dmexplore/internal/memhier"
+	"dmexplore/internal/trace"
 )
 
 // syntheticLog returns a synthetic log and its serial summary.
@@ -155,5 +160,116 @@ func TestRunLogRoundTripsThroughParallelParse(t *testing.T) {
 	}
 	if got.TotalWords() != m.Accesses {
 		t.Fatalf("parallel log words %d != metrics accesses %d", got.TotalWords(), m.Accesses)
+	}
+}
+
+// TestLogBytesPinned pins the log format byte for byte: the digests were
+// recorded from the writer that copied each record through a scratch
+// buffer and a bufio.Writer, before records were encoded in place. Each
+// preset's log over the short Easyport trace spans one or two blocks.
+func TestLogBytesPinned(t *testing.T) {
+	h := memhier.EmbeddedSoC()
+	want := map[string]struct {
+		size   int
+		digest string
+	}{
+		"kingsley": {84128, "8662f80fdaa04a46055058fe0ceaccc99a10f65bd44646e5d514e6d3f3207d41"},
+		"lea":      {364935, "e2d799c2e906386890b9c09e7152fd8f696dcb647eba111fe39dab5ac88ee3d7"},
+		"firstfit": {302034, "1eb553bf22a380173a7784c98774ba1070dd62d1e8f4ef6503c927e2ba451f3b"},
+	}
+	ct, err := trace.Compile(smallEasyport(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := NewReplayer() // one Replayer: later logs go through a reset writer
+	for _, cfg := range presetConfigs() {
+		var buf bytes.Buffer
+		if _, err := rep.Run(ct, cfg, h, Options{LogWriter: &buf}); err != nil {
+			t.Fatal(err)
+		}
+		w, ok := want[cfg.Label]
+		if !ok {
+			t.Fatalf("no pinned digest for %s", cfg.Label)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != w.size || got != w.digest {
+			t.Errorf("%s: log is %d bytes sha256 %s, want %d bytes %s", cfg.Label, buf.Len(), got, w.size, w.digest)
+		}
+	}
+}
+
+// deepHierarchy returns a hierarchy of n unbounded layers named L0...
+func deepHierarchy(t *testing.T, n int) *memhier.Hierarchy {
+	t.Helper()
+	layers := make([]memhier.Layer, n)
+	for i := range layers {
+		layers[i] = memhier.Layer{Name: fmt.Sprintf("L%d", i), ReadEnergy: 1, WriteEnergy: 1, ReadCycles: 1, WriteCycles: 1}
+	}
+	h, err := memhier.New(layers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestRunRejectsUnloggableHierarchy pins the log format's layer limit:
+// the flags byte holds a seven-bit layer id, so a 129-layer hierarchy
+// cannot be logged and Run must say so instead of writing wrong ids,
+// while 128 layers log correctly up to the last id.
+func TestRunRejectsUnloggableHierarchy(t *testing.T) {
+	tr := smallEasyport(t)
+	var buf bytes.Buffer
+	_, err := Run(tr, alloc.LeaConfig("L128"), deepHierarchy(t, 129), Options{LogWriter: &buf})
+	if err == nil || !strings.Contains(err.Error(), "at most 128 layers") {
+		t.Fatalf("129-layer log: %v, want an error naming the 128-layer limit", err)
+	}
+	if _, err := Run(tr, alloc.LeaConfig("L128"), deepHierarchy(t, 129), Options{}); err != nil {
+		t.Fatalf("129 layers without a log: %v", err)
+	}
+	buf.Reset()
+	m, err := Run(tr, alloc.LeaConfig("L127"), deepHierarchy(t, 128), Options{LogWriter: &buf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ParseLog(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := m.PerLayer[127]; last.Reads == 0 || s.Reads[127] != last.Reads || s.Writes[127] != last.Writes {
+		t.Fatalf("layer 127: log %d/%d, metrics %d/%d", s.Reads[127], s.Writes[127], last.Reads, last.Writes)
+	}
+}
+
+// TestParseLogParallelFailsFast is the regression test for the parallel
+// reader hang: with one block per fetch group and the CRC broken on the
+// first two blocks, both workers fail while groups remain to dispatch,
+// and the parse must return the error instead of blocking.
+func TestParseLogParallelFailsFast(t *testing.T) {
+	defer func(w int64) { logFetchWindowBytes = w }(logFetchWindowBytes)
+	logFetchWindowBytes = 1 // one block per fetch group
+
+	data, _ := syntheticLog(t, 200_000)
+	blocks, err := blockio.ReadIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blocks) < 4 {
+		t.Fatalf("only %d blocks", len(blocks))
+	}
+	corrupt := bytes.Clone(data)
+	for _, blk := range blocks[:2] {
+		corrupt[blk.Offset+blk.DataLen()-1] ^= 0xFF // last payload byte
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := ParseLogParallel(bytes.NewReader(corrupt), int64(len(corrupt)), 2, nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "crc") {
+			t.Fatalf("corrupt log: %v, want a crc error", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("ParseLogParallel hung after every worker failed")
 	}
 }

@@ -3,6 +3,7 @@ package profile
 import (
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"dmexplore/internal/alloc"
@@ -36,6 +37,8 @@ type Replayer struct {
 	live []bool      // dense ID -> allocation currently live (not failed)
 
 	genPtrs []alloc.Ptr // partial-replay scratch: recorded-alloc pointers
+
+	log *logWriter // kept across runs and reset onto each Options.LogWriter
 }
 
 // NewReplayer returns a Replayer with empty scratch state. The first Run
@@ -66,12 +69,28 @@ func (r *Replayer) reset(n int) {
 	}
 }
 
+// logTo returns the Replayer's log writer started on a new log to w.
+// The writer and its block buffer live as long as the Replayer, so a warm
+// logged run allocates nothing for logging.
+func (r *Replayer) logTo(w io.Writer) *logWriter {
+	if r.log == nil {
+		r.log = newLogWriter(w)
+	} else {
+		r.log.reset(w)
+	}
+	return r.log
+}
+
 // applyOptions attaches the run options' models to a fresh context and
-// returns the log writer, if any.
-func applyOptions(ctx *simheap.Context, h *memhier.Hierarchy, opts Options) (*logWriter, error) {
+// returns the log writer, if any: the Replayer's own, reset onto
+// opts.LogWriter.
+func (r *Replayer) applyOptions(ctx *simheap.Context, h *memhier.Hierarchy, opts Options) (*logWriter, error) {
 	var lw *logWriter
 	if opts.LogWriter != nil {
-		lw = newLogWriter(opts.LogWriter)
+		if n := h.NumLayers(); n > logMaxLayers+1 {
+			return nil, fmt.Errorf("profile: the access log names at most %d layers, hierarchy has %d", logMaxLayers+1, n)
+		}
+		lw = r.logTo(opts.LogWriter)
 		ctx.SetTracer(lw)
 	}
 	for layerName, spec := range opts.Caches {
@@ -112,9 +131,12 @@ func (r *Replayer) Run(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hierarch
 		start = time.Now()
 	}
 	ctx := simheap.NewContext(h)
-	lw, err := applyOptions(ctx, h, opts)
+	lw, err := r.applyOptions(ctx, h, opts)
 	if err != nil {
 		return nil, err
+	}
+	if lw != nil {
+		defer lw.blk.Reset(nil) // drop the caller's sink once the run is over
 	}
 	a, err := cfg.Build(ctx)
 	if err != nil {

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -22,7 +23,7 @@ import (
 // bytes. The compiled Replayer must produce byte-identical Metrics.
 func referenceRun(tr *trace.Trace, cfg alloc.Config, h *memhier.Hierarchy, opts Options) (*Metrics, error) {
 	ctx := simheap.NewContext(h)
-	lw, err := applyOptions(ctx, h, opts)
+	lw, err := NewReplayer().applyOptions(ctx, h, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +298,9 @@ func oomConfigs() []alloc.Config {
 // with FreeAll, so the same allocator instance can replay it repeatedly.
 // The capacity-failing configurations hold the out-of-memory path to
 // the same guarantee: every failed malloc, and every fixed-pool overflow
-// that falls back, must allocate nothing either.
+// that falls back, must allocate nothing either. Logged replay is held to
+// it too: the Replayer's log writer, reset onto a reused sink, encodes
+// and emits every record and block without allocating.
 func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 	p := workload.DefaultEasyportParams()
 	p.Packets = 200
@@ -337,6 +340,28 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Errorf("%s: steady-state replay allocates %.1f times per run, want 0", cfg.Label, avg)
+		}
+
+		var sink bytes.Buffer
+		logged := func() {
+			sink.Reset()
+			lw := r.logTo(&sink)
+			ctx.SetTracer(lw)
+			r.reset(ct.NumIDs)
+			var m Metrics
+			if err := r.replay(ct, a, ctx, &m, 0, lw); err != nil {
+				t.Errorf("%s: logged replay: %v", cfg.Label, err)
+			}
+			if err := lw.Flush(); err != nil {
+				t.Errorf("%s: flushing log: %v", cfg.Label, err)
+			}
+		}
+		logged() // warm the log writer and the sink
+		if avg := testing.AllocsPerRun(5, logged); avg != 0 {
+			t.Errorf("%s: steady-state logged replay allocates %.1f times per run, want 0", cfg.Label, avg)
+		}
+		if sink.Len() == 0 {
+			t.Errorf("%s: logged replay wrote no log", cfg.Label)
 		}
 	}
 }

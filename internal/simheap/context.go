@@ -206,11 +206,13 @@ func (ctx *Context) Write(id memhier.LayerID, addr uint64, words uint64) {
 	ctx.access(id, addr, words, true)
 }
 
+// access is the modelled path: tracer, cache and row buffer. Latencies
+// come from the cached per-layer cycles; only the row-buffer model reads
+// the Layer itself, for its access energies.
 func (ctx *Context) access(id memhier.LayerID, addr uint64, words uint64, write bool) {
 	if words == 0 {
 		return
 	}
-	layer := ctx.hier.Layer(id)
 	c := &ctx.counters[id]
 	if ctx.trace != nil {
 		ctx.trace.TraceAccess(id, addr, words, write)
@@ -226,22 +228,23 @@ func (ctx *Context) access(id memhier.LayerID, addr uint64, words uint64, write 
 				c.Reads += res.BackingReads
 				c.Writes += res.BackingWrite
 				if res.BackingReads > 0 {
-					ctx.cycles += uint64(layer.ReadCycles) + (res.BackingReads - 1)
+					ctx.cycles += ctx.readCycles[id] + (res.BackingReads - 1)
 				}
 				if res.BackingWrite > 0 {
-					ctx.cycles += uint64(layer.WriteCycles) + (res.BackingWrite - 1)
+					ctx.cycles += ctx.writeCycles[id] + (res.BackingWrite - 1)
 				}
 			}
 		}
 		return
 	}
 	if rb := ctx.rowbufs[id]; rb != nil {
+		layer := ctx.hier.Layer(id)
 		for i := uint64(0); i < words; i++ {
-			flatCycles := uint64(layer.ReadCycles)
+			flatCycles := ctx.readCycles[id]
 			flatEnergy := layer.ReadEnergy
 			if write {
 				c.Writes++
-				flatCycles = uint64(layer.WriteCycles)
+				flatCycles = ctx.writeCycles[id]
 				flatEnergy = layer.WriteEnergy
 			} else {
 				c.Reads++
@@ -257,10 +260,10 @@ func (ctx *Context) access(id memhier.LayerID, addr uint64, words uint64, write 
 	}
 	if write {
 		c.Writes += words
-		ctx.cycles += uint64(layer.WriteCycles) * words
+		ctx.cycles += ctx.writeCycles[id] * words
 	} else {
 		c.Reads += words
-		ctx.cycles += uint64(layer.ReadCycles) * words
+		ctx.cycles += ctx.readCycles[id] * words
 	}
 }
 

@@ -257,14 +257,12 @@ func writeBinaryV2(w io.Writer, t *Trace, target int) error {
 	header = binary.AppendUvarint(header, uint64(len(t.Name)))
 	header = append(header, t.Name...)
 	bw.WriteHeader(header)
-	scratch := make([]byte, 0, 64)
 	for i := range t.Events {
-		var err error
-		scratch, err = appendEvent(scratch[:0], &t.Events[i], i)
+		rec, err := appendEvent(bw.Begin(), &t.Events[i], i)
 		if err != nil {
 			return err
 		}
-		bw.Record(scratch)
+		bw.Commit(rec)
 		if err := bw.Err(); err != nil {
 			return err
 		}
@@ -354,13 +352,4 @@ func readBinaryV2(br *bufio.Reader, name string, offset func() int64, stats bloc
 		}
 		block++
 	}
-}
-
-// unexpectedEOF converts a clean EOF into io.ErrUnexpectedEOF: running
-// out of bytes mid-structure is truncation.
-func unexpectedEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }

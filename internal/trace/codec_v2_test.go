@@ -2,14 +2,18 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"dmexplore/internal/blockio"
 	"dmexplore/internal/stats"
 )
 
@@ -203,5 +207,76 @@ func TestBinaryV2MissingFooterFailsParallelOnly(t *testing.T) {
 	// ...but the index-driven parallel reader must refuse loudly.
 	if _, err := ReadBinaryParallel(bytes.NewReader(data), int64(len(data)), 4, nil); err == nil {
 		t.Fatal("parallel read accepted a chopped footer")
+	}
+}
+
+// TestWriteBinaryV2BytesPinned pins the v2 trace bytes: the digests were
+// recorded from the writer that copied each record through a scratch
+// buffer and a bufio.Writer, before records were encoded in place.
+func TestWriteBinaryV2BytesPinned(t *testing.T) {
+	tr := randomTrace("pin", 20000, 5)
+	for _, c := range []struct {
+		target int
+		size   int
+		digest string
+	}{
+		{0, 106970, "7f2e954edf631defb2f2d71f083688104ae2de9f0e75971cbf34e639c3dc31df"},
+		{4096, 107330, "f8829236b3fd9e4bf2adb9f7a7af26dce73772c6edb74a94bfaa4312d0291e2c"},
+	} {
+		var buf bytes.Buffer
+		if err := writeBinaryV2(&buf, tr, c.target); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != c.size || got != c.digest {
+			t.Errorf("target %d: %d bytes sha256 %s, want %d bytes %s", c.target, buf.Len(), got, c.size, c.digest)
+		}
+	}
+}
+
+// TestParallelReadersFailFast is the regression test for the parallel
+// reader hang: with one block per fetch group and the CRC broken on the
+// first two blocks, both workers fail while groups remain to dispatch,
+// and each reader must return the error instead of blocking.
+func TestParallelReadersFailFast(t *testing.T) {
+	defer func(w int64) { fetchWindowBytes = w }(fetchWindowBytes)
+	fetchWindowBytes = 1 // one block per fetch group
+
+	var buf bytes.Buffer
+	if err := writeBinaryV2(&buf, randomTrace("crc", 20000, 3), 1024); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	blocks, err := blockio.ReadIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blocks) < 4 {
+		t.Fatalf("only %d blocks", len(blocks))
+	}
+	corrupt := bytes.Clone(data)
+	for _, blk := range blocks[:2] {
+		corrupt[blk.Offset+blk.DataLen()-1] ^= 0xFF // last payload byte
+	}
+	readers := map[string]func() error{
+		"ReadBinaryParallel": func() error {
+			_, err := ReadBinaryParallel(bytes.NewReader(corrupt), int64(len(corrupt)), 2, nil)
+			return err
+		},
+		"CompileBinaryParallel": func() error {
+			_, err := CompileBinaryParallel(bytes.NewReader(corrupt), int64(len(corrupt)), 2, nil)
+			return err
+		},
+	}
+	for name, read := range readers {
+		done := make(chan error, 1)
+		go func() { done <- read() }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "crc") {
+				t.Fatalf("%s: %v, want a crc error", name, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s hung after every worker failed", name)
+		}
 	}
 }

@@ -5,54 +5,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"dmexplore/internal/blockio"
 )
 
-// fetchWindowBytes is how many contiguous file bytes a parallel worker
-// fetches per ReadAt. Coalescing adjacent blocks into one request keeps
-// the request count low (it is the dominant cost on high-latency
-// storage) while staying small enough to spread a file across workers.
-// A variable so tests can exercise multi-window decoding on small files.
-var fetchWindowBytes int64 = 4 << 20
-
-// fetchGroup is a contiguous run of blocks one worker decodes from a
-// single ReadAt.
-type fetchGroup struct {
-	off         int64 // file offset of the first block header
-	length      int64 // bytes covering every block in the group
-	first, last int   // block index range [first, last]
-	eventStart  int64 // slab index of the group's first event
-}
-
-// groupBlocks coalesces the footer index into fetch windows and computes
-// each group's slab start from the per-block record counts.
-func groupBlocks(blocks []blockio.Block) (groups []fetchGroup, total int64, err error) {
-	for i := 0; i < len(blocks); {
-		g := fetchGroup{off: blocks[i].Offset, first: i, eventStart: total}
-		end := blocks[i].Offset
-		for i < len(blocks) {
-			blkEnd := blocks[i].Offset + blocks[i].DataLen()
-			if blocks[i].Offset != end {
-				return nil, 0, fmt.Errorf("trace: footer index gap at block %d (offset %d, expected %d)", i, blocks[i].Offset, end)
-			}
-			if blkEnd-g.off > fetchWindowBytes && i > g.first {
-				break
-			}
-			end = blkEnd
-			total += blocks[i].Records
-			g.last = i
-			i++
-		}
-		g.length = end - g.off
-		groups = append(groups, g)
-	}
-	if total > maxBinaryEvents {
-		return nil, 0, fmt.Errorf("trace: implausible event count %d (max %d) — corrupt or hostile footer", total, int64(maxBinaryEvents))
-	}
-	return groups, total, nil
-}
+// fetchWindowBytes is the fetch window the parallel readers group
+// blocks into (see blockio.GroupBlocks). A variable so tests can
+// exercise multi-window decoding on small files.
+var fetchWindowBytes int64 = blockio.DefaultFetchWindow
 
 // ReadBinaryParallel parses a binary trace with up to workers goroutines.
 // The file is split along the footer's block index: every block's
@@ -72,8 +32,8 @@ func ReadBinaryParallel(ra io.ReaderAt, size int64, workers int, stats blockio.S
 		return t, nil
 	}
 	t.Events = make([]Event, total)
-	err = fanOut(len(groups), workers, func(gi int, buf *[]byte) error {
-		return decodeGroup(ra, blocks, groups[gi], t.Events, buf, stats)
+	err = blockio.FanOut(ra, groups, workers, func(_, gi int, window []byte) error {
+		return decodeGroup(window, blocks, groups[gi], t.Events, stats)
 	})
 	if err != nil {
 		return nil, err
@@ -84,7 +44,7 @@ func ReadBinaryParallel(ra io.ReaderAt, size int64, workers int, stats blockio.S
 // openV2 validates a v2 trace's header and footer index and groups its
 // blocks into fetch windows. It returns the trace name, the block index,
 // the windows and the total event count.
-func openV2(ra io.ReaderAt, size int64) (string, []blockio.Block, []fetchGroup, int64, error) {
+func openV2(ra io.ReaderAt, size int64) (string, []blockio.Block, []blockio.Group, int64, error) {
 	header := make([]byte, len(binaryMagic)+1+binary.MaxVarintLen64)
 	if int64(len(header)) > size {
 		header = header[:size]
@@ -114,9 +74,12 @@ func openV2(ra io.ReaderAt, size int64) (string, []blockio.Block, []fetchGroup, 
 	if err != nil {
 		return "", nil, nil, 0, err
 	}
-	groups, total, err := groupBlocks(blocks)
+	groups, total, err := blockio.GroupBlocks(blocks, fetchWindowBytes)
 	if err != nil {
 		return "", nil, nil, 0, err
+	}
+	if total > maxBinaryEvents {
+		return "", nil, nil, 0, fmt.Errorf("trace: implausible event count %d (max %d) — corrupt or hostile footer", total, int64(maxBinaryEvents))
 	}
 	if end := nameOff + int64(nameLen); len(blocks) > 0 && blocks[0].Offset != end {
 		return "", nil, nil, 0, fmt.Errorf("trace: first block at offset %d, header ends at %d", blocks[0].Offset, end)
@@ -124,57 +87,11 @@ func openV2(ra io.ReaderAt, size int64) (string, []blockio.Block, []fetchGroup, 
 	return string(name), blocks, groups, total, nil
 }
 
-// fanOut runs decode for groups 0..n-1 on up to workers goroutines, each
-// with its own reusable scratch buffer. A worker stops at its first
-// error; the error of the lowest-numbered failing worker is returned.
-func fanOut(n, workers int, decode func(gi int, buf *[]byte) error) error {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	jobs := make(chan int)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var buf []byte
-			for gi := range jobs {
-				if err := decode(gi, &buf); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	for gi := 0; gi < n; gi++ {
-		jobs <- gi
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// decodeGroup fetches one window and decodes its blocks into their slab
-// slices. buf is per-worker scratch, grown as needed and reused.
-func decodeGroup(ra io.ReaderAt, blocks []blockio.Block, g fetchGroup, events []Event, buf *[]byte, stats blockio.Stats) error {
-	if int64(cap(*buf)) < g.length {
-		*buf = make([]byte, g.length)
-	}
-	window := (*buf)[:g.length]
-	if _, err := ra.ReadAt(window, g.off); err != nil {
-		return fmt.Errorf("trace: reading blocks %d-%d (offset %d): %w", g.first, g.last, g.off, unexpectedEOF(err))
-	}
-	next := g.eventStart
-	for b := g.first; b <= g.last; b++ {
+// decodeGroup decodes one fetched window's blocks into their slab
+// slices.
+func decodeGroup(window []byte, blocks []blockio.Block, g blockio.Group, events []Event, stats blockio.Stats) error {
+	next := g.FirstRecord
+	for b := g.First; b <= g.Last; b++ {
 		records, payload, rest, err := blockio.ParseBlock(window, stats)
 		if err != nil {
 			return fmt.Errorf("trace: block %d (offset %d): %w", b, blocks[b].Offset, err)
@@ -233,8 +150,8 @@ func CompileBinaryParallel(ra io.ReaderAt, size int64, workers int, stats blocki
 	if len(groups) == 0 {
 		return c, nil
 	}
-	err = fanOut(len(groups), workers, func(gi int, buf *[]byte) error {
-		return decodeGroupSlab(ra, blocks, groups[gi], c, rawIDs, buf, stats)
+	err = blockio.FanOut(ra, groups, workers, func(_, gi int, window []byte) error {
+		return decodeGroupSlab(window, blocks, groups[gi], c, rawIDs, stats)
 	})
 	if err != nil {
 		return nil, err
@@ -245,19 +162,11 @@ func CompileBinaryParallel(ra io.ReaderAt, size int64, workers int, stats blocki
 	return c, nil
 }
 
-// decodeGroupSlab fetches one window and decodes its blocks straight
-// into the compiled slabs. buf is per-worker scratch, grown as needed
-// and reused.
-func decodeGroupSlab(ra io.ReaderAt, blocks []blockio.Block, g fetchGroup, c *Compiled, rawIDs []uint64, buf *[]byte, stats blockio.Stats) error {
-	if int64(cap(*buf)) < g.length {
-		*buf = make([]byte, g.length)
-	}
-	window := (*buf)[:g.length]
-	if _, err := ra.ReadAt(window, g.off); err != nil {
-		return fmt.Errorf("trace: reading blocks %d-%d (offset %d): %w", g.first, g.last, g.off, unexpectedEOF(err))
-	}
-	next := g.eventStart
-	for b := g.first; b <= g.last; b++ {
+// decodeGroupSlab decodes one fetched window's blocks straight into the
+// compiled slabs.
+func decodeGroupSlab(window []byte, blocks []blockio.Block, g blockio.Group, c *Compiled, rawIDs []uint64, stats blockio.Stats) error {
+	next := g.FirstRecord
+	for b := g.First; b <= g.Last; b++ {
 		records, payload, rest, err := blockio.ParseBlock(window, stats)
 		if err != nil {
 			return fmt.Errorf("trace: block %d (offset %d): %w", b, blocks[b].Offset, err)

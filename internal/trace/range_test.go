@@ -47,8 +47,8 @@ func WideEvents(field string, v uint64) []RawEvent {
 // WideAt is the index of WideEvents' wide event.
 const WideAt = 4
 
-func rawRecord(e RawEvent) []byte {
-	rec := []byte{byte(e.Kind)}
+func appendRawRecord(rec []byte, e RawEvent) []byte {
+	rec = append(rec, byte(e.Kind))
 	for _, a := range e.Args {
 		rec = binary.AppendUvarint(rec, a)
 	}
@@ -64,7 +64,7 @@ func EncodeRawV2(name string, evs []RawEvent, target int) []byte {
 	header = binary.AppendUvarint(header, uint64(len(name)))
 	w.WriteHeader(append(header, name...))
 	for _, e := range evs {
-		w.Record(rawRecord(e))
+		w.Commit(appendRawRecord(w.Begin(), e))
 	}
 	if err := w.Close(); err != nil {
 		panic(err)
