@@ -75,8 +75,8 @@ bench-serve:
 	$(GO) run scripts/benchserve.go
 
 # fuzz-smoke runs each native fuzz target for a few seconds — enough to
-# execute the seed corpus plus a short mutation run on every decoder and
-# on the result-store loader.
+# execute the seed corpus plus a short mutation run on every decoder, on
+# the result-store loader and on the indexed-vs-linear free list.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 5s
@@ -84,6 +84,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzTraceFeatures$$' -fuzztime 5s
 	$(GO) test ./internal/profile/ -run '^$$' -fuzz '^FuzzParseLog$$' -fuzztime 5s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzOpenStore$$' -fuzztime 5s
+	$(GO) test ./internal/alloc/ -run '^$$' -fuzz '^FuzzFreeList$$' -fuzztime 5s
 
 # bench-telemetry compares the instrumented steady-state replay loop
 # (telemetry shard attached, as Runner workers run it) against the plain

@@ -126,7 +126,7 @@ func BenchmarkComposedChurn(b *testing.B) {
 			Headers: HeaderMinimal, Growth: GrowFixedChunk, ChunkBytes: 64 * 1024,
 		},
 	}
-	a, err := cfg.Build(ctx)
+	a, err := cfg.Build(ctx, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

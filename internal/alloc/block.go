@@ -21,15 +21,19 @@ type Block struct {
 	addr uint64 // address of the block start (header word)
 	size int64  // total bytes including overhead
 	free bool
+	node int32 // b's node in its list's indexes (blockindex.go), 0 for none
 
 	prevAdj, nextAdj *Block // physical neighbours within the arena
 
 	flPrev, flNext *Block // free-list links (simulator side)
 	list           *FreeList
 
-	arena *arena
-
 	tag uint64 // fixed-pool slot: the live Ptr's handle tag, 0 while free
+
+	// key orders b within its list and never changes while b is listed:
+	// a falling push sequence under LIFO, a rising one under FIFO, the
+	// address under AddrOrder.
+	key uint64
 }
 
 // Addr returns the block's start address.
@@ -59,16 +63,78 @@ type arena struct {
 }
 
 // newArena reserves size bytes from the layer and returns the arena with
-// a single free-spanning block.
-func newArena(ctx *simheap.Context, layer memhier.LayerID, size int64) (*arena, *Block, error) {
+// a single free-spanning block, recycled from stash when it has one.
+func newArena(ctx *simheap.Context, layer memhier.LayerID, size int64, stash *BlockStash) (*arena, *Block, error) {
 	region, err := reserve(ctx, layer, size)
 	if err != nil {
 		return nil, nil, err
 	}
-	a := &arena{region: region}
-	b := &Block{addr: region.Base(), size: size, free: true, arena: a}
-	a.first = b
+	b := stash.get()
+	if b == nil {
+		b = &Block{}
+	}
+	*b = Block{addr: region.Base(), size: size, free: true}
+	a := &arena{region: region, first: b}
 	return a, b, nil
+}
+
+// BlockStash recycles Block objects: between a merge and the next split
+// inside one general pool, and across the pools built on it, which hand
+// every Block — with their live-allocation table and index-node slab —
+// back when Reclaim retires them. A Replayer keeps one, so a warm replay
+// allocates no Block. It is not safe for concurrent use.
+type BlockStash struct {
+	free  *Block // linked via flNext
+	n     int
+	pools []*GeneralPool // built on the stash since the last Reclaim
+
+	live  handleTable[*Block] // a retired pool's table storage, for the next
+	nodes nodeSlab            // and its index-node slab
+}
+
+// Len returns the number of stashed Blocks.
+func (s *BlockStash) Len() int { return s.n }
+
+// get pops a stashed Block, or nil when none is available.
+func (s *BlockStash) get() *Block {
+	b := s.free
+	if b != nil {
+		s.free = b.flNext
+		b.flNext = nil
+		s.n--
+	}
+	return b
+}
+
+// put stashes a Block no pool links any more.
+func (s *BlockStash) put(b *Block) {
+	*b = Block{flNext: s.free}
+	s.free = b
+	s.n++
+}
+
+// Reclaim retires every pool built on the stash since the last Reclaim
+// and stashes all their Blocks, free and live. Those pools must not be
+// used again.
+func (s *BlockStash) Reclaim() {
+	for i, p := range s.pools {
+		for _, a := range p.arenas {
+			for b := a.first; b != nil; {
+				next := b.nextAdj
+				s.put(b)
+				b = next
+			}
+		}
+		if cap(p.live.entries) > cap(s.live.entries) {
+			s.live = handleTable[*Block]{entries: p.live.entries[:0], free: p.live.free[:0]}
+		}
+		if cap(p.nodes.nodes) > cap(s.nodes.nodes) {
+			s.nodes = nodeSlab{nodes: p.nodes.nodes[:0], free: p.nodes.free[:0]}
+		}
+		p.arenas, p.bins, p.live, p.nodes = nil, nil, handleTable[*Block]{}, nodeSlab{}
+		s.pools[i] = nil
+	}
+	s.pools = s.pools[:0]
 }
 
 // splitBlock carves the trailing part of b into a new block of size
@@ -85,10 +151,9 @@ func splitBlock(b *Block, keep int64, reuse *Block) *Block {
 		rest = &Block{}
 	}
 	*rest = Block{
-		addr:  b.addr + uint64(keep),
-		size:  b.size - keep,
-		free:  true,
-		arena: b.arena,
+		addr: b.addr + uint64(keep),
+		size: b.size - keep,
+		free: true,
 	}
 	b.size = keep
 	rest.prevAdj = b

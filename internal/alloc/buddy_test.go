@@ -276,7 +276,7 @@ func TestBuddyViaConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := newCtx(t, h)
-	a, err := cfg.Build(ctx)
+	a, err := cfg.Build(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,7 +208,7 @@ func TestConfigBuildAndRun(t *testing.T) {
 		},
 	}
 	ctx := newCtx(t, h)
-	a, err := cfg.Build(ctx)
+	a, err := cfg.Build(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestPresetsBuildAndWork(t *testing.T) {
 	} {
 		t.Run(cfg.Label, func(t *testing.T) {
 			ctx := newCtx(t, h)
-			a, err := cfg.Build(ctx)
+			a, err := cfg.Build(ctx, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -325,7 +325,7 @@ func TestKingsleyCheaperButFatterThanLea(t *testing.T) {
 	h := memhier.FlatDRAM()
 	run := func(cfg Config) (accesses uint64, footprint int64) {
 		ctx := newCtx(t, h)
-		a, err := cfg.Build(ctx)
+		a, err := cfg.Build(ctx, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

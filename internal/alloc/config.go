@@ -168,45 +168,18 @@ func (g GeneralConfig) params(layer memhier.LayerID, classes SizeClasser) Genera
 }
 
 // Build instantiates the configuration on ctx. The returned allocator is
-// bound to ctx's hierarchy and counters.
-func (c Config) Build(ctx *simheap.Context) (*Composed, error) {
-	h := ctx.Hierarchy()
-	if err := c.Validate(h); err != nil {
+// bound to ctx's hierarchy and counters. A general pool draws its Blocks
+// from stash when it is not nil (see BlockStash).
+func (c Config) Build(ctx *simheap.Context, stash *BlockStash) (*Composed, error) {
+	fixed, err := c.buildFixed(ctx)
+	if err != nil {
 		return nil, err
 	}
-	fixed := make([]*FixedPool, 0, len(c.Fixed))
-	for i, fc := range c.Fixed {
-		layer, _ := h.ByName(fc.Layer)
-		fp, err := NewFixedPool(ctx, fc.params(layer))
-		if err != nil {
-			return nil, fmt.Errorf("alloc: building fixed pool %d: %w", i, err)
-		}
-		fixed = append(fixed, fp)
+	general, err := c.buildGeneral(ctx, stash)
+	if err != nil {
+		return nil, err
 	}
-	layer, _ := h.ByName(c.General.Layer)
-	var general FallbackPool
-	if bp, ok := c.General.buddyParams(layer); ok {
-		pool, err := NewBuddyPool(ctx, bp)
-		if err != nil {
-			return nil, fmt.Errorf("alloc: building buddy pool: %w", err)
-		}
-		general = pool
-	} else {
-		classes, err := ParseClasses(c.General.Classes)
-		if err != nil {
-			return nil, err
-		}
-		pool, err := NewGeneralPool(ctx, c.General.params(layer, classes))
-		if err != nil {
-			return nil, fmt.Errorf("alloc: building general pool: %w", err)
-		}
-		general = pool
-	}
-	name := c.Label
-	if name == "" {
-		name = c.ID()
-	}
-	return NewComposed(name, ctx, fixed, general)
+	return c.compose(ctx, fixed, general)
 }
 
 // BuildWithFallback instantiates the configuration's fixed pools on ctx
@@ -216,6 +189,29 @@ func (c Config) Build(ctx *simheap.Context) (*Composed, error) {
 // recording fallback to replay the fixed-side-invariant part of a trace
 // once per fixed-pool signature.
 func (c Config) BuildWithFallback(ctx *simheap.Context, general FallbackPool) (*Composed, error) {
+	fixed, err := c.buildFixed(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return c.compose(ctx, fixed, general)
+}
+
+// BuildGeneral instantiates only the configuration's general (fallback)
+// pool on ctx, with no fixed pools in front of it. The incremental
+// evaluator replays a partition's recorded fallback ops against this
+// standalone pool; the pool code paths are identical to a full Build,
+// only the context it charges is private to the partial replay. A general
+// pool draws its Blocks from stash when it is not nil.
+func (c Config) BuildGeneral(ctx *simheap.Context, stash *BlockStash) (FallbackPool, error) {
+	if err := c.Validate(ctx.Hierarchy()); err != nil {
+		return nil, err
+	}
+	return c.buildGeneral(ctx, stash)
+}
+
+// buildFixed validates the configuration and builds its fixed pools in
+// routing order.
+func (c Config) buildFixed(ctx *simheap.Context) ([]*FixedPool, error) {
 	h := ctx.Hierarchy()
 	if err := c.Validate(h); err != nil {
 		return nil, err
@@ -229,24 +225,11 @@ func (c Config) BuildWithFallback(ctx *simheap.Context, general FallbackPool) (*
 		}
 		fixed = append(fixed, fp)
 	}
-	name := c.Label
-	if name == "" {
-		name = c.ID()
-	}
-	return NewComposed(name, ctx, fixed, general)
+	return fixed, nil
 }
 
-// BuildGeneral instantiates only the configuration's general (fallback)
-// pool on ctx, with no fixed pools in front of it. The incremental
-// evaluator replays a partition's recorded fallback ops against this
-// standalone pool; the pool code paths are identical to a full Build,
-// only the context it charges is private to the partial replay.
-func (c Config) BuildGeneral(ctx *simheap.Context) (FallbackPool, error) {
-	h := ctx.Hierarchy()
-	if err := c.Validate(h); err != nil {
-		return nil, err
-	}
-	layer, _ := h.ByName(c.General.Layer)
+func (c Config) buildGeneral(ctx *simheap.Context, stash *BlockStash) (FallbackPool, error) {
+	layer, _ := ctx.Hierarchy().ByName(c.General.Layer)
 	if bp, ok := c.General.buddyParams(layer); ok {
 		pool, err := NewBuddyPool(ctx, bp)
 		if err != nil {
@@ -258,11 +241,19 @@ func (c Config) BuildGeneral(ctx *simheap.Context) (FallbackPool, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool, err := NewGeneralPool(ctx, c.General.params(layer, classes))
+	pool, err := newGeneralPool(ctx, c.General.params(layer, classes), stash)
 	if err != nil {
 		return nil, fmt.Errorf("alloc: building general pool: %w", err)
 	}
 	return pool, nil
+}
+
+func (c Config) compose(ctx *simheap.Context, fixed []*FixedPool, general FallbackPool) (*Composed, error) {
+	name := c.Label
+	if name == "" {
+		name = c.ID()
+	}
+	return NewComposed(name, ctx, fixed, general)
 }
 
 // ID returns a canonical compact identifier of the parameter vector,

@@ -32,7 +32,7 @@ func ExampleConfig_Build() {
 			ChunkBytes: 8 * 1024,
 		},
 	}
-	a, err := cfg.Build(ctx)
+	a, err := cfg.Build(ctx, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,17 @@ import (
 // the word reads and writes the chosen discipline (order × linkage) would
 // perform. The Go-side doubly-linked representation exists only so the
 // simulator itself stays O(1) where the target is O(1).
+//
+// Where the target walks the list, the simulator walks it too and charges
+// each visited block at its own address — unless the list was built on a
+// flat context (simheap.Context.Flat), the context is still flat and the
+// list is long. Then a best/worst-fit scan and an address-ordered insert
+// walk are answered from host-side indexes (blockindex.go) in O(log n),
+// and their reads are charged as one read of the walk's word count. A
+// list builds its indexes when it reaches indexFrom blocks and drops them
+// below indexDrop: on a short list the walk is cheaper than keeping an
+// index. First, next and exact fit keep the walk: it stops at the first
+// fit, a few blocks in.
 type FreeList struct {
 	ctx      *simheap.Context
 	layer    memhier.LayerID
@@ -24,7 +35,18 @@ type FreeList struct {
 	head, tail *Block
 	rover      *Block // next-fit resume point
 	count      int
+
+	seq   uint64     // LIFO/FIFO pushes so far: the next list-order key
+	index *listIndex // nil when the list keeps no index
 }
+
+// A list indexes its blocks from indexFrom blocks on and drops the
+// indexes again below indexDrop; the gap keeps a list hovering near one
+// length from rebuilding them.
+const (
+	indexFrom = 64
+	indexDrop = 16
+)
 
 // MetaWords is the number of metadata words each FreeList occupies in its
 // pool's metadata area (head, tail, rover).
@@ -33,7 +55,23 @@ const MetaWords = 3
 // NewFreeList returns an empty free list whose pointers live at metaAddr
 // in the given layer.
 func NewFreeList(ctx *simheap.Context, layer memhier.LayerID, metaAddr uint64, order ListOrder, links ListLinks) *FreeList {
-	return &FreeList{ctx: ctx, layer: layer, metaAddr: metaAddr, order: order, links: links}
+	return newFreeList(ctx, layer, metaAddr, order, links, FirstFit, nil)
+}
+
+// newFreeList is NewFreeList for a list whose own searches use fit, with
+// index nodes from slab (nil for a slab of its own): on a flat context a
+// long best/worst-fit list keeps a size index, and a long address-ordered
+// list an address index.
+func newFreeList(ctx *simheap.Context, layer memhier.LayerID, metaAddr uint64, order ListOrder, links ListLinks, fit FitPolicy, slab *nodeSlab) *FreeList {
+	l := &FreeList{ctx: ctx, layer: layer, metaAddr: metaAddr, order: order, links: links}
+	bySize, byAddr := fit == BestFit || fit == WorstFit, order == AddrOrder
+	if ctx.Flat() && (bySize || byAddr) {
+		if slab == nil {
+			slab = &nodeSlab{}
+		}
+		l.index = &listIndex{slab: slab, size: bySize, addr: byAddr}
+	}
+	return l
 }
 
 // Len returns the number of blocks on the list.
@@ -66,6 +104,8 @@ func (l *FreeList) Push(b *Block) {
 	switch l.order {
 	case LIFO:
 		// new.next = head; head = new.
+		l.seq++
+		b.key = ^l.seq
 		l.metaRead(0)
 		l.blockWrite(b, 1) // link word
 		l.metaWrite(0)
@@ -78,6 +118,8 @@ func (l *FreeList) Push(b *Block) {
 		l.insertFront(b)
 	case FIFO:
 		// tail.next = new; tail = new.
+		l.seq++
+		b.key = l.seq
 		l.metaRead(1)
 		l.blockWrite(b, 1) // new.next = nil
 		if l.tail == nil {
@@ -92,13 +134,20 @@ func (l *FreeList) Push(b *Block) {
 		l.insertBack(b)
 	case AddrOrder:
 		// Walk from head to the insertion point.
+		b.key = b.addr
 		l.metaRead(0)
-		var prev *Block
-		cur := l.head
-		for cur != nil && cur.addr < b.addr {
-			l.blockRead(cur, 1) // read cur.next
-			prev = cur
-			cur = cur.flNext
+		var prev, cur *Block
+		if l.index.ready(l.ctx) && l.index.addr {
+			var below uint64
+			below, prev, cur = l.index.neighbours(b.addr)
+			l.ctx.Read(l.layer, l.metaAddr, below) // each below's next
+		} else {
+			cur = l.head
+			for cur != nil && cur.addr < b.addr {
+				l.blockRead(cur, 1) // read cur.next
+				prev = cur
+				cur = cur.flNext
+			}
 		}
 		l.blockWrite(b, 1) // b.next = cur
 		if prev == nil {
@@ -118,6 +167,9 @@ func (l *FreeList) Push(b *Block) {
 	}
 	b.list = l
 	l.count++
+	if l.index != nil {
+		l.index.pushed(l, b)
+	}
 }
 
 // PopHead removes and returns the first block, or nil (charging only the
@@ -160,10 +212,13 @@ func (l *FreeList) Remove(b *Block) {
 		}
 	default: // SingleLink: scan for predecessor
 		l.metaRead(0)
-		cur := l.head
-		for cur != nil && cur != b {
-			l.blockRead(cur, 1)
-			cur = cur.flNext
+		if l.index.ready(l.ctx) && l.index.addr {
+			below, _, _ := l.index.neighbours(b.addr)
+			l.ctx.Read(l.layer, l.metaAddr, below)
+		} else {
+			for cur := l.head; cur != b; cur = cur.flNext {
+				l.blockRead(cur, 1)
+			}
 		}
 		l.blockRead(b, 1) // b.next
 		if b.flPrev == nil {
@@ -256,6 +311,16 @@ func (l *FreeList) Take(fit FitPolicy, need int64) *Block {
 			l.metaWrite(2)
 		}
 	case BestFit, WorstFit:
+		if l.index.ready(l.ctx) && l.index.size {
+			// The scan visits every block; the index finds its winner.
+			scanned = uint64(l.count)
+			if fit == BestFit {
+				found = l.index.bestFit(need)
+			} else {
+				found = l.index.worstFit(need)
+			}
+			break
+		}
 		for cur := l.head; cur != nil; cur = cur.flNext {
 			visit(cur)
 			if cur.size < need {
@@ -324,4 +389,33 @@ func (l *FreeList) unlink(b *Block) {
 	}
 	b.flPrev, b.flNext, b.list = nil, nil, nil
 	l.count--
+	if l.index != nil {
+		l.index.unlinked(l, b)
+	}
+}
+
+// check verifies the list-order key invariant and the list's indexes:
+// keys rise strictly from head to tail (an address-ordered list's key is
+// the address), and every index holds exactly the listed blocks under
+// their current size, key and address.
+func (l *FreeList) check() error {
+	n := 0
+	var prev *Block
+	for b := l.head; b != nil; b = b.flNext {
+		if b.list != l {
+			return fmt.Errorf("alloc: %v linked into a list it does not name", b)
+		}
+		if prev != nil && prev.key >= b.key || l.order == AddrOrder && b.key != b.addr {
+			return fmt.Errorf("alloc: list-order key %d of %v out of order", b.key, b)
+		}
+		prev = b
+		n++
+	}
+	if n != l.count {
+		return fmt.Errorf("alloc: list links %d blocks, counts %d", n, l.count)
+	}
+	if l.index != nil {
+		return l.index.check(l, n)
+	}
+	return nil
 }

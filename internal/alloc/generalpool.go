@@ -71,30 +71,22 @@ type GeneralPool struct {
 	live  handleTable[*Block] // live allocations by handle
 	frees int                 // since last deferred sweep
 
-	// spare recycles Block objects between merges and splits (linked via
-	// flNext), so steady-state split/coalesce churn allocates nothing.
-	spare *Block
-}
-
-// takeSpare pops a recycled Block, or nil when none is available.
-func (p *GeneralPool) takeSpare() *Block {
-	n := p.spare
-	if n != nil {
-		p.spare = n.flNext
-		n.flNext = nil
-	}
-	return n
-}
-
-// putSpare stashes an absorbed Block for reuse by the next split.
-func (p *GeneralPool) putSpare(n *Block) {
-	*n = Block{flNext: p.spare}
-	p.spare = n
+	// stash recycles Block objects between merges and splits, so
+	// steady-state split/coalesce churn allocates nothing.
+	stash *BlockStash
+	nodes nodeSlab // the bins' index nodes
 }
 
 // NewGeneralPool reserves the pool's metadata area and returns the pool.
 // The pool holds no arena memory until the first allocation forces growth.
 func NewGeneralPool(ctx *simheap.Context, params GeneralPoolParams) (*GeneralPool, error) {
+	return newGeneralPool(ctx, params, nil)
+}
+
+// newGeneralPool is NewGeneralPool drawing its Blocks from stash, which
+// reclaims them when it retires the pool; nil gives the pool a stash of
+// its own.
+func newGeneralPool(ctx *simheap.Context, params GeneralPoolParams, stash *BlockStash) (*GeneralPool, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -110,10 +102,18 @@ func NewGeneralPool(ctx *simheap.Context, params GeneralPoolParams) (*GeneralPoo
 		meta:      meta,
 		bins:      make([]*FreeList, n),
 		nextChunk: params.ChunkBytes,
+		stash:     stash,
+	}
+	if stash == nil {
+		p.stash = &BlockStash{}
+	} else {
+		stash.pools = append(stash.pools, p)
+		p.live, stash.live = stash.live, handleTable[*Block]{}
+		p.nodes, stash.nodes = stash.nodes, nodeSlab{}
 	}
 	for c := 0; c < n; c++ {
 		addr := meta.Base() + uint64(c)*MetaWords*simheap.WordSize
-		p.bins[c] = NewFreeList(ctx, params.Layer, addr, params.Order, params.Links)
+		p.bins[c] = newFreeList(ctx, params.Layer, addr, params.Order, params.Links, params.Fit, &p.nodes)
 	}
 	return p, nil
 }
@@ -199,7 +199,7 @@ func (p *GeneralPool) maybeSplit(b *Block, need int64) {
 	if !split {
 		return
 	}
-	rest := splitBlock(b, need, p.takeSpare())
+	rest := splitBlock(b, need, p.stash.get())
 	p.writeBlockMeta(rest) // remainder's header (+footer)
 	p.pushToBin(rest)
 }
@@ -232,7 +232,7 @@ func (p *GeneralPool) grow(need int64) (*Block, error) {
 			return nil, errPoolBudget
 		}
 	}
-	a, b, err := newArena(p.ctx, p.params.Layer, size)
+	a, b, err := newArena(p.ctx, p.params.Layer, size, p.stash)
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +256,7 @@ func (p *GeneralPool) growCarved(need int64) (*Block, error) {
 	}
 	first := b
 	for b.size >= 2*need {
-		rest := splitBlock(b, need, p.takeSpare())
+		rest := splitBlock(b, need, p.stash.get())
 		p.writeBlockMeta(b)
 		if b != first {
 			p.pushToBin(b)
@@ -315,7 +315,7 @@ func (p *GeneralPool) coalesceNeighbours(b *Block) *Block {
 		p.ctx.Read(p.params.Layer, b.addr-simheap.WordSize, 1)
 		if prev := b.prevAdj; prev.free && prev.list != nil {
 			prev.list.Remove(prev)
-			p.putSpare(mergeWithNext(prev))
+			p.stash.put(mergeWithNext(prev))
 			b = prev
 			p.writeBlockMeta(b)
 		}
@@ -325,7 +325,7 @@ func (p *GeneralPool) coalesceNeighbours(b *Block) *Block {
 		p.ctx.Read(p.params.Layer, b.End(), 1)
 		if next.free && next.list != nil {
 			next.list.Remove(next)
-			p.putSpare(mergeWithNext(b))
+			p.stash.put(mergeWithNext(b))
 			p.writeBlockMeta(b)
 		}
 	}
@@ -350,7 +350,7 @@ func (p *GeneralPool) sweep() {
 				if b.list != nil {
 					b.list.Remove(b)
 				}
-				p.putSpare(mergeWithNext(b))
+				p.stash.put(mergeWithNext(b))
 				merged = true
 			}
 			if merged {
@@ -383,8 +383,10 @@ func (p *GeneralPool) FreeBlocks() int {
 }
 
 // checkInvariants verifies simulator-side consistency: adjacency chains
-// cover each arena exactly, free blocks are on bins, live blocks are not.
-// Tests call it after operation sequences.
+// cover each arena exactly, free blocks are on bins, live blocks are not,
+// and every bin's list-order keys and indexes agree with its blocks (so a
+// block's size never changed while it was listed). Tests call it after
+// operation sequences.
 func (p *GeneralPool) checkInvariants() error {
 	for i, a := range p.arenas {
 		addr := a.region.Base()
@@ -410,6 +412,11 @@ func (p *GeneralPool) checkInvariants() error {
 		}
 		if total != a.region.Size() {
 			return fmt.Errorf("arena %d: blocks cover %d of %d bytes", i, total, a.region.Size())
+		}
+	}
+	for c, bin := range p.bins {
+		if err := bin.check(); err != nil {
+			return fmt.Errorf("bin %d: %w", c, err)
 		}
 	}
 	return nil

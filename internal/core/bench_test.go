@@ -106,3 +106,40 @@ func BenchmarkEvolveWorkers(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFullEasyportWalk runs a seeded 256-evaluation NSGA-II walk
+// over FullEasyportSpace on the default Easyport trace, incremental
+// evaluation on, and reports the slowest evaluation's Duration. Its tail
+// is the unsegregated best/worst-fit configurations, whose free-list
+// scans the indexed free lists answer in O(log n).
+func BenchmarkFullEasyportWalk(b *testing.B) {
+	tr, err := workload.DefaultEasyportParams().Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ct, err := trace.Compile(tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	space := FullEasyportSpace()
+	r := &Runner{Hierarchy: memhier.EmbeddedSoC(), Compiled: ct, Incremental: true}
+	var slowest Result
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		results, err := r.EvolveIsland(space, []string{"accesses", "footprint"}, IslandOptions{
+			EvolveOptions: EvolveOptions{Population: 64, Budget: 256, Seed: 42},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, res := range results {
+			if res.Duration > slowest.Duration {
+				slowest = res
+			}
+		}
+	}
+	b.ReportMetric(float64(slowest.Duration.Microseconds())/1e3, "slowest_eval_ms")
+	if slowest.Metrics != nil {
+		b.Logf("slowest: %s (%v)", slowest.Metrics.ConfigID, slowest.Duration)
+	}
+}

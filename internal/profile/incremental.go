@@ -3,6 +3,8 @@ package profile
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"dmexplore/internal/alloc"
@@ -116,15 +118,15 @@ func (p *recordingFallback) observe() {
 // unchanged since the last observe (fixed pools do not move during a
 // fallback op), so the recorded maximum is final.
 func (p *recordingFallback) boundary() {
-	p.fMax = append(p.fMax, p.gapMax)
+	p.fMax = appendDoubling(p.fMax, p.gapMax)
 	p.gapMax = p.ctx.Counters(p.layer).ReservedBytes
 }
 
 func (p *recordingFallback) Malloc(size int64) (alloc.Ptr, int64, error) {
 	p.boundary()
 	k := len(p.sizes)
-	p.sizes = append(p.sizes, size)
-	p.ops = append(p.ops, size)
+	p.sizes = appendDoubling(p.sizes, size)
+	p.ops = appendDoubling(p.ops, size)
 	p.live++
 	p.allocs++
 	return alloc.Ptr{Layer: p.layer, Addr: recBase + uint64(k)*simheap.WordSize}, size, nil
@@ -136,7 +138,7 @@ func (p *recordingFallback) Free(ptr alloc.Ptr) (int64, error) {
 	if k < 0 || k >= int64(len(p.sizes)) {
 		return 0, fmt.Errorf("profile: recording fallback: free of unknown addr %#x", ptr.Addr)
 	}
-	p.ops = append(p.ops, ^k)
+	p.ops = appendDoubling(p.ops, ^k)
 	p.live--
 	return p.sizes[k], nil
 }
@@ -242,11 +244,11 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 		}
 	}
 	r.reset(ct.NumIDs)
-	kinds, ids, args := ct.Slabs()
-	for i := range kinds {
-		switch kinds[i] {
+	args, ids := ct.Slabs()
+	for i, arg := range args {
+		switch trace.ArgKind(arg) {
 		case trace.KindAlloc:
-			ptr, err := a.Malloc(int64(args[i]))
+			ptr, err := a.Malloc(int64(ct.Arg(arg)))
 			if err != nil {
 				// The recording fallback cannot fail, so any error is a
 				// fixed-side fault the full replay path must surface.
@@ -272,15 +274,15 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 				continue
 			}
 			ptr := r.ptrs[id]
-			reads, writes := trace.AccessArgs(args[i])
+			reads, writes := ct.AccessArgs(arg)
 			if ptr.Addr >= recBase {
 				// Traffic charged to a recorded (fallback-served)
 				// allocation: tallied per allocation so failure replay can
 				// subtract the accesses the real run never performs.
 				k := int((ptr.Addr - recBase) / simheap.WordSize)
 				for k >= len(p.recReads) {
-					p.recReads = append(p.recReads, 0)
-					p.recWrites = append(p.recWrites, 0)
+					p.recReads = appendDoubling(p.recReads, 0)
+					p.recWrites = appendDoubling(p.recWrites, 0)
 				}
 				p.recReads[k] += reads
 				p.recWrites[k] += writes
@@ -292,9 +294,7 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 				ctx.Write(ptr.Layer, ptr.Addr, writes)
 			}
 		case trace.KindTick:
-			ctx.Compute(args[i])
-		default:
-			return nil, fmt.Errorf("profile: partition event %d: unknown kind %d", i, kinds[i])
+			ctx.Compute(ct.Arg(arg))
 		}
 		rec.observe()
 	}
@@ -326,7 +326,9 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 type PoolRun struct {
 	ops []int64 // the replayed sequence (shared with the recording partition)
 
-	gAfter   []int64 // len(ops)+1: pool-reserved bytes after build and after each op
+	// gSteps holds the pool-reserved bytes after the build and after each
+	// op as change points: the level moves only when the pool grows.
+	gSteps   []gStep
 	counters []simheap.LayerCounters
 	cycles   uint64
 
@@ -337,6 +339,22 @@ type PoolRun struct {
 	failed       []bool
 	failures     uint64
 	skippedFrees uint64
+}
+
+// gStep is one change point of a PoolRun's reserved bytes: the level
+// after op at-1 (after the build for at 0) and onward until the next step.
+type gStep struct {
+	at    int
+	bytes int64
+}
+
+// stepEnd returns where step s stops holding: the next step's start, or
+// n, the length of the gAfter sequence, for the last step.
+func (pr *PoolRun) stepEnd(s, n int) int {
+	if s+1 < len(pr.gSteps) {
+		return pr.gSteps[s+1].at
+	}
+	return n
 }
 
 // Ops returns the length of the replayed op sequence.
@@ -365,7 +383,7 @@ func (pr *PoolRun) MatchesOps(part *Partition) bool {
 // MemBytes estimates the run's retained heap footprint (the shared ops
 // slice is charged to the partition that recorded it).
 func (pr *PoolRun) MemBytes() int64 {
-	return int64(len(pr.gAfter))*8 + int64(len(pr.failed)) +
+	return int64(len(pr.gSteps))*16 + int64(len(pr.failed)) +
 		int64(len(pr.counters))*32 + 192
 }
 
@@ -378,7 +396,8 @@ func (pr *PoolRun) MemBytes() int64 {
 // ok=false (a full replay must surface it).
 func (r *Replayer) PoolReplay(part *Partition, cfg alloc.Config, h *memhier.Hierarchy) (*PoolRun, bool) {
 	ctx := simheap.NewContext(h)
-	pool, err := cfg.BuildGeneral(ctx)
+	defer r.blocks.Reclaim()
+	pool, err := cfg.BuildGeneral(ctx, &r.blocks)
 	if err != nil {
 		return nil, false
 	}
@@ -389,11 +408,9 @@ func (r *Replayer) PoolReplay(part *Partition, cfg alloc.Config, h *memhier.Hier
 	// ptrs holds one entry per recorded allocation; a failed one keeps
 	// the zero Ptr, never freed, so later indices stay aligned.
 	ptrs := r.genPtrs[:0]
-	run := &PoolRun{
-		ops:    part.ops,
-		gAfter: make([]int64, len(part.ops)+1),
-	}
-	run.gAfter[0] = ctx.Counters(genLayer).ReservedBytes
+	run := &PoolRun{ops: part.ops}
+	g := ctx.Counters(genLayer).ReservedBytes
+	run.gSteps = append(run.gSteps, gStep{0, g})
 	allocIdx := 0
 	for j, op := range part.ops {
 		if op > 0 {
@@ -421,7 +438,10 @@ func (r *Replayer) PoolReplay(part *Partition, cfg alloc.Config, h *memhier.Hier
 				return nil, false
 			}
 		}
-		run.gAfter[j+1] = ctx.Counters(genLayer).ReservedBytes
+		if now := ctx.Counters(genLayer).ReservedBytes; now != g {
+			g = now
+			run.gSteps = append(run.gSteps, gStep{j + 1, g})
+		}
 	}
 	run.counters = make([]simheap.LayerCounters, h.NumLayers())
 	for i := range run.counters {
@@ -448,10 +468,10 @@ func (r *Replayer) Compose(ct *trace.Compiled, part *Partition, run *PoolRun, cf
 		return nil, false
 	}
 	genLayer := part.genLayer
-	maxSum := part.fMax[0] + run.gAfter[0]
-	for j := 1; j < len(run.gAfter); j++ {
-		if s := part.fMax[j] + run.gAfter[j]; s > maxSum {
-			maxSum = s
+	maxSum := int64(math.MinInt64)
+	for s, st := range run.gSteps {
+		for _, f := range part.fMax[st.at:run.stepEnd(s, len(part.fMax))] {
+			maxSum = max(maxSum, f+st.bytes)
 		}
 	}
 	if layer := h.Layer(genLayer); layer.Bounded() && maxSum > layer.Capacity {
@@ -498,6 +518,7 @@ func (r *Replayer) Compose(ct *trace.Compiled, part *Partition, run *PoolRun, cf
 		ConfigID:    cfg.ID(),
 		ConfigLabel: cfg.Label,
 		Workload:    ct.Name,
+		PerLayer:    make([]LayerMetrics, 0, h.NumLayers()),
 	}
 	var accesses uint64
 	var footprint int64
@@ -550,6 +571,16 @@ func (r *Replayer) RunPartial(ct *trace.Compiled, part *Partition, cfg alloc.Con
 	return m, true
 }
 
+// appendDoubling appends v, doubling s when it is full: append's gentler
+// growth of large slices would leave several times a partition's
+// recordings in garbage behind.
+func appendDoubling[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, len(s)+1)
+	}
+	return append(s, v)
+}
+
 // hashOps is FNV-1a over the op words — the memo-key content hash of a
 // recorded fallback sequence. Collisions are tolerated (PoolRun.MatchesOps
 // verifies the full sequence before reuse), the hash only has to make
@@ -587,11 +618,18 @@ type PoolRunState struct {
 	SkippedFrees uint64                  `json:"skipped_frees,omitempty"`
 }
 
-// State exports the run for persistence.
+// State exports the run for persistence, with the reserved bytes after
+// the build and after each op written out in full.
 func (pr *PoolRun) State() PoolRunState {
+	gAfter := make([]int64, len(pr.ops)+1)
+	for s, st := range pr.gSteps {
+		for j := st.at; j < pr.stepEnd(s, len(gAfter)); j++ {
+			gAfter[j] = st.bytes
+		}
+	}
 	return PoolRunState{
 		Ops:          pr.ops,
-		GAfter:       pr.gAfter,
+		GAfter:       gAfter,
 		Counters:     pr.counters,
 		Cycles:       pr.cycles,
 		Failed:       pr.failed,
@@ -610,9 +648,15 @@ func PoolRunFromState(st PoolRunState) *PoolRun {
 	if st.Failed != nil && len(st.Failed) > len(st.Ops) {
 		return nil
 	}
+	var steps []gStep
+	for j, g := range st.GAfter {
+		if j == 0 || g != steps[len(steps)-1].bytes {
+			steps = append(steps, gStep{j, g})
+		}
+	}
 	return &PoolRun{
 		ops:          st.Ops,
-		gAfter:       st.GAfter,
+		gSteps:       steps,
 		counters:     st.Counters,
 		cycles:       st.Cycles,
 		failed:       st.Failed,

@@ -38,6 +38,10 @@ type Replayer struct {
 
 	genPtrs []alloc.Ptr // partial-replay scratch: recorded-alloc pointers
 
+	// blocks recycles the general pools' Blocks from one run to the next;
+	// every run reclaims its pool's Blocks when it ends.
+	blocks alloc.BlockStash
+
 	log *logWriter // kept across runs and reset onto each Options.LogWriter
 }
 
@@ -138,7 +142,8 @@ func (r *Replayer) Run(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hierarch
 	if lw != nil {
 		defer lw.blk.Reset(nil) // drop the caller's sink once the run is over
 	}
-	a, err := cfg.Build(ctx)
+	defer r.blocks.Reclaim()
+	a, err := cfg.Build(ctx, &r.blocks)
 	if err != nil {
 		return nil, fmt.Errorf("profile: building %s: %w", cfg.ID(), err)
 	}
@@ -147,6 +152,7 @@ func (r *Replayer) Run(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hierarch
 		ConfigID:    cfg.ID(),
 		ConfigLabel: cfg.Label,
 		Workload:    ct.Name,
+		PerLayer:    make([]LayerMetrics, 0, h.NumLayers()),
 	}
 	if opts.SampleEvery > 0 {
 		m.Series = make([]FootprintSample, 0, ct.Len()/opts.SampleEvery+2)
@@ -191,12 +197,13 @@ const logErrCheckMask = 1<<16 - 1
 // replay is the steady-state hot loop: every per-event branch works on
 // flat pre-sized state, and footprint samples read the context's running
 // reserved-bytes total instead of looping over layers. The loop streams
-// the compiled trace's columnar slabs — a 1-byte kind column drives the
-// dispatch and each arm loads only the argument words its kind uses.
+// the compiled trace's columnar slabs — the kind in each argument word
+// drives the dispatch and each arm loads the ID only when its kind has
+// one.
 func (r *Replayer) replay(ct *trace.Compiled, a alloc.Allocator, ctx *simheap.Context, m *Metrics, sampleEvery int, lw *logWriter) error {
-	kinds, ids, args := ct.Slabs()
+	args, ids := ct.Slabs()
 	var liveRequested int64
-	for i := range kinds {
+	for i, arg := range args {
 		if lw != nil && i&logErrCheckMask == logErrCheckMask {
 			if err := lw.Err(); err != nil {
 				return fmt.Errorf("profile: writing log (event %d): %w", i, err)
@@ -209,9 +216,9 @@ func (r *Replayer) replay(ct *trace.Compiled, a alloc.Allocator, ctx *simheap.Co
 				RequestedBytes: liveRequested,
 			})
 		}
-		switch kinds[i] {
+		switch trace.ArgKind(arg) {
 		case trace.KindAlloc:
-			size := int64(args[i])
+			size := int64(ct.Arg(arg))
 			liveRequested += size
 			ptr, err := a.Malloc(size)
 			if err != nil {
@@ -226,7 +233,7 @@ func (r *Replayer) replay(ct *trace.Compiled, a alloc.Allocator, ctx *simheap.Co
 			r.ptrs[id] = ptr
 			r.live[id] = true
 		case trace.KindFree:
-			liveRequested -= int64(args[i])
+			liveRequested -= int64(ct.Arg(arg))
 			id := ids[i]
 			if !r.live[id] {
 				// The allocation failed; nothing to free.
@@ -243,7 +250,7 @@ func (r *Replayer) replay(ct *trace.Compiled, a alloc.Allocator, ctx *simheap.Co
 				continue
 			}
 			ptr := r.ptrs[id]
-			reads, writes := trace.AccessArgs(args[i])
+			reads, writes := ct.AccessArgs(arg)
 			if reads > 0 {
 				ctx.Read(ptr.Layer, ptr.Addr, reads)
 			}
@@ -251,9 +258,7 @@ func (r *Replayer) replay(ct *trace.Compiled, a alloc.Allocator, ctx *simheap.Co
 				ctx.Write(ptr.Layer, ptr.Addr, writes)
 			}
 		case trace.KindTick:
-			ctx.Compute(args[i])
-		default:
-			return fmt.Errorf("profile: event %d: unknown kind %d", i, kinds[i])
+			ctx.Compute(ct.Arg(arg))
 		}
 	}
 	if sampleEvery > 0 {

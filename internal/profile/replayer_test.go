@@ -27,7 +27,7 @@ func referenceRun(tr *trace.Trace, cfg alloc.Config, h *memhier.Hierarchy, opts 
 	if err != nil {
 		return nil, err
 	}
-	a, err := cfg.Build(ctx)
+	a, err := cfg.Build(ctx, nil)
 	if err != nil {
 		return nil, fmt.Errorf("profile: building %s: %w", cfg.ID(), err)
 	}
@@ -317,7 +317,7 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 	for i, cfg := range append(presetConfigs(), oom...) {
 		mustFail := i >= len(presetConfigs())
 		ctx := simheap.NewContext(h)
-		a, err := cfg.Build(ctx)
+		a, err := cfg.Build(ctx, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Label, err)
 		}
@@ -364,6 +364,35 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 			t.Errorf("%s: logged replay wrote no log", cfg.Label)
 		}
 	}
+
+	// Warm PoolReplay: the standalone general pool a partial replay
+	// builds per run draws every Block from the Replayer's stash and hands
+	// them back when the run ends, so a warm pass over a best-fit ×
+	// address-ordered pool (both free-list indexes live) allocates no
+	// Block: the stash neither grows nor shrinks. Without coalescing no
+	// merge hands a Block back early, so a Block the run end failed to
+	// reclaim would empty the stash.
+	cfg := alloc.SimpleFirstFitConfig(memhier.LayerDRAM)
+	cfg.General.Fit = alloc.BestFit
+	cfg.General.Coalesce = alloc.CoalesceNever
+	r := NewReplayer()
+	part, err := r.Partition(ct, cfg, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poolReplay := func() {
+		if _, ok := r.PoolReplay(part, cfg, h); !ok {
+			t.Fatalf("%s: pool replay declined", cfg.ID())
+		}
+	}
+	poolReplay()
+	stashed := r.blocks.Len()
+	for i := 0; i < 3; i++ {
+		poolReplay()
+	}
+	if n := r.blocks.Len(); n != stashed || n == 0 {
+		t.Errorf("warm pool replay moved the Block stash from %d to %d", stashed, n)
+	}
 }
 
 // TestReplayTelemetryZeroAllocs extends the hot-path guard to the
@@ -385,7 +414,7 @@ func TestReplayTelemetryZeroAllocs(t *testing.T) {
 	col := telemetry.NewCollector(1)
 	for _, cfg := range presetConfigs() {
 		ctx := simheap.NewContext(h)
-		a, err := cfg.Build(ctx)
+		a, err := cfg.Build(ctx, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Label, err)
 		}
@@ -435,7 +464,7 @@ func TestReplaySpansZeroAllocs(t *testing.T) {
 	rec := span.NewRecorder(1, 1024)
 	for _, cfg := range presetConfigs() {
 		ctx := simheap.NewContext(h)
-		a, err := cfg.Build(ctx)
+		a, err := cfg.Build(ctx, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Label, err)
 		}

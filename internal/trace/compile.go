@@ -27,21 +27,23 @@ type Op struct {
 // every buffer. One Compiled trace is built per exploration and shared
 // read-only by all workers.
 //
-// Events are stored structure-of-arrays, 13 bytes per event: a 1-byte
-// kind column, a 4-byte dense-ID column and one 8-byte argument column,
-// so the replay loop streams the kinds and touches only the words the
-// kind uses. Block-framed v2 files decode straight into the slabs
-// (CompileBinaryParallel) without materializing an []Event copy.
+// Events are stored structure-of-arrays, 8 bytes per event: a 4-byte
+// argument column that also carries the kind, and a 4-byte dense-ID
+// column, so the replay loop streams the arguments and touches an ID
+// only when the kind has one. Block-framed v2 files decode straight into
+// the slabs (CompileBinaryParallel) without materializing an []Event
+// copy.
 type Compiled struct {
 	Name string
 
-	// kinds discriminates each event; ids holds the dense allocation
-	// index (Alloc/Free/Access); args holds the kind's argument — Alloc
-	// and Free: size bytes; Access: reads and writes packed by
-	// packAccess; Tick: cycles. All three slabs have equal length.
-	kinds []EventKind
-	ids   []uint32
-	args  []uint64
+	// args holds each event's kind (ArgKind) and argument — Alloc and
+	// Free: size bytes; Access: word reads and writes, 13 and 16 bits;
+	// Tick: cycles — or, for an argument too wide for that, wideFlag|i
+	// with the value (Access: packAccess) in wide[i]. ids holds the dense
+	// allocation index (Alloc/Free/Access). Both slabs have equal length.
+	args []uint32
+	ids  []uint32
+	wide []uint64
 
 	// NumIDs is the dense allocation-ID space: every dense ID is < NumIDs.
 	NumIDs int
@@ -63,14 +65,26 @@ type Compiled struct {
 
 // Len returns the number of compiled operations (identical to the source
 // trace's event count; At(i) corresponds to Events[i]).
-func (c *Compiled) Len() int { return len(c.kinds) }
+func (c *Compiled) Len() int { return len(c.args) }
 
 // Slabs exposes the columnar event slabs for branch-light replay loops.
-// All three slices have length Len() and are shared read-only; callers
-// must not mutate them. An Access argument unpacks with AccessArgs.
-func (c *Compiled) Slabs() (kinds []EventKind, ids []uint32, args []uint64) {
-	return c.kinds, c.ids, c.args
+// Both slices have length Len() and are shared read-only; callers must
+// not mutate them. An argument's kind reads with ArgKind, its value with
+// Arg, an Access argument's with AccessArgs.
+func (c *Compiled) Slabs() (args, ids []uint32) {
+	return c.args, c.ids
 }
+
+// An args entry is kind-1 in its top two bits, then wideFlag, then the
+// argument or its index in the wide column.
+const (
+	kindShift = 30
+	wideFlag  = 1 << 29
+	argMask   = wideFlag - 1
+)
+
+// ArgKind returns the kind of the event whose slab argument is a.
+func ArgKind(a uint32) EventKind { return EventKind(a>>kindShift) + KindAlloc }
 
 // packAccess packs an Access event's word reads (high half) and writes
 // (low half) into one argument word.
@@ -78,86 +92,128 @@ func packAccess(reads, writes uint32) uint64 {
 	return uint64(reads)<<32 | uint64(writes)
 }
 
+// Arg returns an Alloc, Free or Tick slab argument: size bytes or cycles.
+func (c *Compiled) Arg(a uint32) uint64 {
+	if a&wideFlag != 0 {
+		return c.wide[a&argMask]
+	}
+	return uint64(a & argMask)
+}
+
 // AccessArgs unpacks a KindAccess slab argument into its word reads and
 // writes.
-func AccessArgs(arg uint64) (reads, writes uint64) {
-	return arg >> 32, arg & math.MaxUint32
+func (c *Compiled) AccessArgs(a uint32) (reads, writes uint64) {
+	if a&wideFlag != 0 {
+		v := c.wide[a&argMask]
+		return v >> 32, v & math.MaxUint32
+	}
+	return uint64(a & argMask >> 16), uint64(a & 0xffff)
+}
+
+// setArg stores event i's kind and full argument v, narrow when it fits.
+func (c *Compiled) setArg(i int, kind EventKind, v uint64) {
+	k := uint32(kind-KindAlloc) << kindShift
+	if kind == KindAccess {
+		if reads, writes := v>>32, v&math.MaxUint32; reads < 1<<13 && writes < 1<<16 {
+			c.args[i] = k | uint32(reads<<16|writes)
+			return
+		}
+	} else if v < wideFlag {
+		c.args[i] = k | uint32(v)
+		return
+	}
+	c.args[i] = k | wideFlag | uint32(len(c.wide))
+	c.wide = append(c.wide, v)
 }
 
 // At reconstructs operation i as a row-oriented Op. It is the
 // compatibility view for cold paths and tests; replay loops iterate the
 // slabs from Slabs directly.
 func (c *Compiled) At(i int) Op {
-	op := Op{Kind: c.kinds[i], ID: c.ids[i]}
+	op := Op{Kind: ArgKind(c.args[i]), ID: c.ids[i]}
 	switch op.Kind {
 	case KindAlloc, KindFree:
-		op.Size = int64(c.args[i])
+		op.Size = int64(c.Arg(c.args[i]))
 	case KindAccess:
-		op.Reads, op.Writes = AccessArgs(c.args[i])
+		op.Reads, op.Writes = c.AccessArgs(c.args[i])
 	case KindTick:
-		op.Cycles = c.args[i]
+		op.Cycles = c.Arg(c.args[i])
 	}
 	return op
 }
 
-// newCompiled allocates the slabs for n events plus the temporary
-// raw-ID slab finalize consumes.
-func newCompiled(name string, n int) (*Compiled, []uint64) {
+// rawSlabs holds each event's kind, original allocation ID and full
+// argument until finalize validates, renumbers and narrows them.
+type rawSlabs struct {
+	kinds     []EventKind
+	ids, args []uint64
+}
+
+// newCompiled allocates the slabs for n events plus the temporary raw
+// slabs finalize consumes.
+func newCompiled(name string, n int) (*Compiled, rawSlabs) {
 	c := &Compiled{
-		Name:  name,
-		kinds: make([]EventKind, n),
-		ids:   make([]uint32, n),
-		args:  make([]uint64, n),
+		Name: name,
+		args: make([]uint32, n),
+		ids:  make([]uint32, n),
 	}
-	return c, make([]uint64, n)
+	return c, rawSlabs{make([]EventKind, n), make([]uint64, n), make([]uint64, n)}
 }
 
 // Compile validates t and builds its compiled representation. The
 // returned Compiled is immutable and safe for concurrent replay.
 func Compile(t *Trace) (*Compiled, error) {
-	c, rawIDs := newCompiled(t.Name, len(t.Events))
+	c, raw := newCompiled(t.Name, len(t.Events))
 	for i := range t.Events {
-		c.setEvent(i, &t.Events[i], rawIDs)
+		c.setEvent(i, &t.Events[i], raw)
 	}
-	if err := c.finalize(rawIDs); err != nil {
+	if err := c.finalize(raw); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// setEvent stores event e into the slabs at index i, its raw ID into
-// rawIDs. KindFree carries no argument here (finalize resolves the
-// size); unknown kinds are rejected by finalize.
-func (c *Compiled) setEvent(i int, e *Event, rawIDs []uint64) {
-	c.kinds[i] = e.Kind
-	rawIDs[i] = e.ID
+// setEvent stores event e's kind, raw ID and argument into raw at index
+// i. KindFree carries no argument here (finalize
+// resolves the size); unknown kinds are rejected by finalize.
+func (c *Compiled) setEvent(i int, e *Event, raw rawSlabs) {
+	raw.kinds[i] = e.Kind
+	raw.ids[i] = e.ID
 	switch e.Kind {
 	case KindAlloc:
-		c.args[i] = uint64(e.Size)
+		raw.args[i] = uint64(e.Size)
 	case KindAccess:
-		c.args[i] = packAccess(e.Reads, e.Writes)
+		raw.args[i] = packAccess(e.Reads, e.Writes)
 	case KindTick:
-		c.args[i] = uint64(e.Cycles)
+		raw.args[i] = uint64(e.Cycles)
 	}
 }
 
-// finalize turns raw slabs (kinds/args filled, rawIDs holding the
-// original allocation IDs) into the compiled form: it validates the
-// event stream, renumbers IDs densely into c.ids, resolves Free sizes
-// into args and computes the replay counts. Shared by Compile and the
-// direct block-parallel path so both produce identical results and
-// identical error messages.
-func (c *Compiled) finalize(rawIDs []uint64) error {
+// finalize turns raw slabs (the events' kinds, original allocation IDs
+// and arguments) into the compiled form: it validates the event stream,
+// renumbers IDs densely into c.ids, resolves Free sizes, packs kinds and
+// arguments into c.args and computes the replay counts.
+// Shared by Compile and the direct block-parallel path so both produce
+// identical results and identical error messages.
+func (c *Compiled) finalize(raw rawSlabs) error {
+	rawIDs := raw.ids
 	// dense maps original IDs to dense indices; size holds the requested
-	// bytes of the live allocation so Free ops can carry it.
-	dense := make(map[uint64]uint32, 64)
-	size := make([]int64, 0, 64)
-	live := make([]bool, 0, 64)
+	// bytes of the live allocation so Free ops can carry it. All three
+	// are sized for the trace's allocations up front.
+	allocs := 0
+	for _, kind := range raw.kinds {
+		if kind == KindAlloc {
+			allocs++
+		}
+	}
+	dense := make(map[uint64]uint32, allocs)
+	size := make([]int64, 0, allocs)
+	live := make([]bool, 0, allocs)
 	var liveCount, liveBytes int64
-	for i, kind := range c.kinds {
+	for i, kind := range raw.kinds {
 		switch kind {
 		case KindAlloc:
-			sz := int64(c.args[i])
+			sz := int64(raw.args[i])
 			if sz <= 0 {
 				return fmt.Errorf("trace %s: event %d: alloc %d with size %d", c.Name, i, rawIDs[i], sz)
 			}
@@ -188,7 +244,7 @@ func (c *Compiled) finalize(rawIDs []uint64) error {
 			}
 			live[idx] = false
 			c.ids[i] = idx
-			c.args[i] = uint64(size[idx])
+			raw.args[i] = uint64(size[idx])
 			c.Frees++
 			liveCount--
 			liveBytes -= size[idx]
@@ -197,19 +253,20 @@ func (c *Compiled) finalize(rawIDs []uint64) error {
 			if !seen || !live[idx] {
 				return fmt.Errorf("trace %s: event %d: access to dead id %d", c.Name, i, rawIDs[i])
 			}
-			if c.args[i] == 0 {
+			if raw.args[i] == 0 {
 				return fmt.Errorf("trace %s: event %d: empty access", c.Name, i)
 			}
 			c.ids[i] = idx
 			c.Accesses++
 		case KindTick:
-			if c.args[i] == 0 {
+			if raw.args[i] == 0 {
 				return fmt.Errorf("trace %s: event %d: zero tick", c.Name, i)
 			}
 			c.Ticks++
 		default:
 			return fmt.Errorf("trace %s: event %d: unknown kind %d", c.Name, i, kind)
 		}
+		c.setArg(i, kind, raw.args[i])
 	}
 	c.NumIDs = len(size)
 	return nil

@@ -75,7 +75,7 @@ func Features(c *Compiled) []float64 {
 		float64(c.Ticks)/events,
 	)
 
-	kinds, ids, args := c.Slabs()
+	args, ids := c.Slabs()
 
 	// One pass over the slabs: allocation sizes and birth indices (for
 	// lifetimes), the live-byte curve summary, and per-window alloc
@@ -99,13 +99,14 @@ func Features(c *Compiled) []float64 {
 	}
 	windowAllocs := make([]float64, featureWindows)
 	windowLive := make([]float64, featureWindows) // max live bytes per window
-	for i := 0; i < n; i++ {
-		switch kinds[i] {
+	for i, a := range args {
+		switch ArgKind(a) {
 		case KindAlloc:
-			sz := float64(args[i])
+			arg := int64(c.Arg(a))
+			sz := float64(arg)
 			sizeSum += sz
 			b := 0
-			for s := int64(args[i]); s > 1 && b < featureSizeBuckets-1; s >>= 1 {
+			for s := arg; s > 1 && b < featureSizeBuckets-1; s >>= 1 {
 				b++
 			}
 			sizeHist[b]++
@@ -117,7 +118,7 @@ func Features(c *Compiled) []float64 {
 			windowAllocs[windowOf(i)]++
 		case KindFree:
 			lifetimes = append(lifetimes, float64(int64(i)-born[ids[i]]))
-			liveBytes -= float64(args[i])
+			liveBytes -= float64(c.Arg(a))
 		}
 		liveIntegral += liveBytes
 		if w := windowOf(i); liveBytes > windowLive[w] {

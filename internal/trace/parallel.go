@@ -146,17 +146,17 @@ func CompileBinaryParallel(ra io.ReaderAt, size int64, workers int, stats blocki
 	if err != nil {
 		return nil, err
 	}
-	c, rawIDs := newCompiled(name, int(total))
+	c, raw := newCompiled(name, int(total))
 	if len(groups) == 0 {
 		return c, nil
 	}
 	err = blockio.FanOut(ra, groups, workers, func(_, gi int, window []byte) error {
-		return decodeGroupSlab(window, blocks, groups[gi], c, rawIDs, stats)
+		return decodeGroupSlab(window, blocks, groups[gi], c, raw, stats)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := c.finalize(rawIDs); err != nil {
+	if err := c.finalize(raw); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -164,7 +164,7 @@ func CompileBinaryParallel(ra io.ReaderAt, size int64, workers int, stats blocki
 
 // decodeGroupSlab decodes one fetched window's blocks straight into the
 // compiled slabs.
-func decodeGroupSlab(window []byte, blocks []blockio.Block, g blockio.Group, c *Compiled, rawIDs []uint64, stats blockio.Stats) error {
+func decodeGroupSlab(window []byte, blocks []blockio.Block, g blockio.Group, c *Compiled, raw rawSlabs, stats blockio.Stats) error {
 	next := g.FirstRecord
 	for b := g.First; b <= g.Last; b++ {
 		records, payload, rest, err := blockio.ParseBlock(window, stats)
@@ -181,7 +181,7 @@ func decodeGroupSlab(window []byte, blocks []blockio.Block, g blockio.Group, c *
 			if err != nil {
 				return fmt.Errorf("trace: block %d, record %d (event %d): %w", b, k, next, err)
 			}
-			c.setEvent(int(next), &e, rawIDs)
+			c.setEvent(int(next), &e, raw)
 			payload = payload[n:]
 			next++
 		}

@@ -10,6 +10,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -204,6 +205,13 @@ func (b *Builder) FreeAll() {
 	for _, id := range ids {
 		b.Free(id)
 	}
+}
+
+// Grow reserves room for n more events. A generator that knows its
+// trace's rough length calls it once, so the event slice is not regrown
+// (and its old copies left as garbage) as the trace is built.
+func (b *Builder) Grow(n int) {
+	b.t.Events = slices.Grow(b.t.Events, n)
 }
 
 // Build finalizes and returns the trace. The builder must not be used

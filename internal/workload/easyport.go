@@ -95,6 +95,9 @@ func (p EasyportParams) Generate() (*trace.Trace, error) {
 	}
 	rng := stats.NewRNG(p.Seed)
 	b := trace.NewBuilder(fmt.Sprintf("easyport[p=%d,seed=%d]", p.Packets, p.Seed))
+	// A packet is an alloc, two accesses and a free; bursts add ticks and
+	// session touches, a session a few events more.
+	b.Grow(5*p.Packets + 4*p.Sessions)
 
 	// Long-lived session contexts, allocated at port bring-up.
 	sessions := make([]uint64, 0, p.Sessions)
