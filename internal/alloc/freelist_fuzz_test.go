@@ -6,16 +6,22 @@ import (
 	"dmexplore/internal/memhier"
 )
 
-// nopTracer observes accesses without acting on them; attaching it makes
+// wordTracer counts the words of every traced access. Attaching it makes
 // a context per-address, so a list built on it keeps the linear walks.
-type nopTracer struct{}
+type wordTracer struct{ reads, writes uint64 }
 
-func (nopTracer) TraceAccess(memhier.LayerID, uint64, uint64, bool) {}
+func (w *wordTracer) TraceAccess(_ memhier.LayerID, _ uint64, words uint64, write bool) {
+	if write {
+		w.writes += words
+	} else {
+		w.reads += words
+	}
+}
 
 // FuzzFreeList is the differential check of the indexed free list: the
 // same Push / Take / Remove / PopHead sequence drives a list built on a
-// flat context (indexed) and one built on a traced context (linear walk)
-// over twin blocks. The first byte picks fit × order × links; then each
+// flat context (indexed) and one built on a context with a counting
+// tracer (linear walk) over twin blocks. The first byte picks fit × order × links; then each
 // (op, arg) byte pair is one operation, with a bulk push that grows the
 // lists to thousands of blocks. After every operation both lists must
 // have chosen the same block and charged the same reads, writes and
@@ -37,7 +43,8 @@ func FuzzFreeList(f *testing.F) {
 		links := ListLinks(data[0] / 15)
 		fast := testCtx(t)
 		traced := testCtx(t)
-		traced.SetTracer(nopTracer{})
+		tracer := &wordTracer{}
+		traced.SetTracer(tracer)
 		lx := newFreeList(fast, 0, 0, order, links, fit, nil)
 		ll := newFreeList(traced, 0, 0, order, links, fit, nil)
 		if indexable := fit == BestFit || fit == WorstFit || order == AddrOrder; (lx.index != nil) != indexable {
@@ -129,6 +136,9 @@ func FuzzFreeList(f *testing.F) {
 			if cx.Reads != cl.Reads || cx.Writes != cl.Writes || fast.Cycles() != traced.Cycles() {
 				t.Fatalf("%v/%v/%v op %d (%d, %d): indexed %d/%d/%d, linear %d/%d/%d reads/writes/cycles",
 					fit, order, links, j/2, op, arg, cx.Reads, cx.Writes, fast.Cycles(), cl.Reads, cl.Writes, traced.Cycles())
+			}
+			if tracer.reads != cl.Reads || tracer.writes != cl.Writes {
+				t.Fatalf("op %d: tracer saw %d/%d words, counters hold %d/%d", j/2, tracer.reads, tracer.writes, cl.Reads, cl.Writes)
 			}
 			if lx.Len() <= 1024 {
 				if err := lx.check(); err != nil {

@@ -255,11 +255,11 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 				return nil, fmt.Errorf("profile: partition event %d: %w", i, err)
 			}
 			p.mallocs++
-			id := ids[i]
+			id := ids.At(i)
 			r.ptrs[id] = ptr
 			r.live[id] = true
 		case trace.KindFree:
-			id := ids[i]
+			id := ids.At(i)
 			if !r.live[id] {
 				continue
 			}
@@ -269,7 +269,7 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 			}
 			p.frees++
 		case trace.KindAccess:
-			id := ids[i]
+			id := ids.At(i)
 			if !r.live[id] {
 				continue
 			}

@@ -229,12 +229,12 @@ func (r *Replayer) replay(ct *trace.Compiled, a alloc.Allocator, ctx *simheap.Co
 				return fmt.Errorf("profile: event %d: %w", i, err)
 			}
 			m.Mallocs++
-			id := ids[i]
+			id := ids.At(i)
 			r.ptrs[id] = ptr
 			r.live[id] = true
 		case trace.KindFree:
 			liveRequested -= int64(ct.Arg(arg))
-			id := ids[i]
+			id := ids.At(i)
 			if !r.live[id] {
 				// The allocation failed; nothing to free.
 				continue
@@ -245,7 +245,7 @@ func (r *Replayer) replay(ct *trace.Compiled, a alloc.Allocator, ctx *simheap.Co
 			}
 			m.Frees++
 		case trace.KindAccess:
-			id := ids[i]
+			id := ids.At(i)
 			if !r.live[id] {
 				continue
 			}

@@ -27,10 +27,11 @@ type Op struct {
 // every buffer. One Compiled trace is built per exploration and shared
 // read-only by all workers.
 //
-// Events are stored structure-of-arrays, 8 bytes per event: a 4-byte
-// argument column that also carries the kind, and a 4-byte dense-ID
-// column, so the replay loop streams the arguments and touches an ID
-// only when the kind has one. Block-framed v2 files decode straight into
+// Events are stored structure-of-arrays, 6 bytes per event: a 4-byte
+// argument column that also carries the kind, and a dense-ID column of 2
+// bytes an event while the trace has at most 65,536 allocations (IDs),
+// so the replay loop streams the arguments and touches an ID only when
+// the kind has one. Block-framed v2 files decode straight into
 // the slabs (CompileBinaryParallel) without materializing an []Event
 // copy.
 type Compiled struct {
@@ -40,9 +41,9 @@ type Compiled struct {
 	// Free: size bytes; Access: word reads and writes, 13 and 16 bits;
 	// Tick: cycles — or, for an argument too wide for that, wideFlag|i
 	// with the value (Access: packAccess) in wide[i]. ids holds the dense
-	// allocation index (Alloc/Free/Access). Both slabs have equal length.
+	// allocation index (Alloc/Free/Access). Both have Len() events.
 	args []uint32
-	ids  []uint32
+	ids  IDs
 	wide []uint64
 
 	// NumIDs is the dense allocation-ID space: every dense ID is < NumIDs.
@@ -71,8 +72,33 @@ func (c *Compiled) Len() int { return len(c.args) }
 // Both slices have length Len() and are shared read-only; callers must
 // not mutate them. An argument's kind reads with ArgKind, its value with
 // Arg, an Access argument's with AccessArgs.
-func (c *Compiled) Slabs() (args, ids []uint32) {
+func (c *Compiled) Slabs() (args []uint32, ids IDs) {
 	return c.args, c.ids
+}
+
+// IDs is the dense-ID column: the low 16 bits of each event's ID, and
+// the high 16 bits only once an ID needs them.
+type IDs struct {
+	lo, hi []uint16
+}
+
+// At returns event i's dense allocation ID.
+func (d IDs) At(i int) uint32 {
+	id := uint32(d.lo[i])
+	if d.hi != nil {
+		id |= uint32(d.hi[i]) << 16
+	}
+	return id
+}
+
+func (d *IDs) set(i int, id uint32) {
+	d.lo[i] = uint16(id)
+	if id > math.MaxUint16 && d.hi == nil {
+		d.hi = make([]uint16, len(d.lo))
+	}
+	if d.hi != nil {
+		d.hi[i] = uint16(id >> 16)
+	}
 }
 
 // An args entry is kind-1 in its top two bits, then wideFlag, then the
@@ -130,7 +156,7 @@ func (c *Compiled) setArg(i int, kind EventKind, v uint64) {
 // compatibility view for cold paths and tests; replay loops iterate the
 // slabs from Slabs directly.
 func (c *Compiled) At(i int) Op {
-	op := Op{Kind: ArgKind(c.args[i]), ID: c.ids[i]}
+	op := Op{Kind: ArgKind(c.args[i]), ID: c.ids.At(i)}
 	switch op.Kind {
 	case KindAlloc, KindFree:
 		op.Size = int64(c.Arg(c.args[i]))
@@ -155,7 +181,7 @@ func newCompiled(name string, n int) (*Compiled, rawSlabs) {
 	c := &Compiled{
 		Name: name,
 		args: make([]uint32, n),
-		ids:  make([]uint32, n),
+		ids:  IDs{lo: make([]uint16, n)},
 	}
 	return c, rawSlabs{make([]EventKind, n), make([]uint64, n), make([]uint64, n)}
 }
@@ -227,7 +253,7 @@ func (c *Compiled) finalize(raw rawSlabs) error {
 			dense[rawIDs[i]] = idx
 			size = append(size, sz)
 			live = append(live, true)
-			c.ids[i] = idx
+			c.ids.set(i, idx)
 			c.Allocs++
 			liveCount++
 			if int(liveCount) > c.PeakLive {
@@ -243,7 +269,7 @@ func (c *Compiled) finalize(raw rawSlabs) error {
 				return fmt.Errorf("trace %s: event %d: free of dead id %d", c.Name, i, rawIDs[i])
 			}
 			live[idx] = false
-			c.ids[i] = idx
+			c.ids.set(i, idx)
 			raw.args[i] = uint64(size[idx])
 			c.Frees++
 			liveCount--
@@ -256,7 +282,7 @@ func (c *Compiled) finalize(raw rawSlabs) error {
 			if raw.args[i] == 0 {
 				return fmt.Errorf("trace %s: event %d: empty access", c.Name, i)
 			}
-			c.ids[i] = idx
+			c.ids.set(i, idx)
 			c.Accesses++
 		case KindTick:
 			if raw.args[i] == 0 {

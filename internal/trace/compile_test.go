@@ -50,6 +50,42 @@ func TestCompileRenumbersDense(t *testing.T) {
 	}
 }
 
+// TestCompileWideIDsAndArgs covers the compact columns' escapes: dense
+// IDs past 65,535 (the high ID column) and arguments too wide for the
+// argument word (the wide column) must read back exactly.
+func TestCompileWideIDsAndArgs(t *testing.T) {
+	const n = 70000
+	b := NewBuilder("wide")
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = b.Alloc(int64(8 + i%3))
+	}
+	b.Access(ids[n-1], 1<<13, 1<<16)
+	b.Tick(1 << 30)
+	big := b.Alloc(1 << 40)
+	b.Free(big)
+	b.FreeAll()
+	c, err := Compile(b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Op{
+		{Kind: KindAlloc, ID: n - 1, Size: 8 + (n-1)%3},
+		{Kind: KindAccess, ID: n - 1, Reads: 1 << 13, Writes: 1 << 16},
+		{Kind: KindTick, Cycles: 1 << 30},
+		{Kind: KindAlloc, ID: n, Size: 1 << 40},
+		{Kind: KindFree, ID: n, Size: 1 << 40},
+	}
+	for k, w := range want {
+		if op := c.At(n - 1 + k); op != w {
+			t.Errorf("event %d: got %+v, want %+v", n-1+k, op, w)
+		}
+	}
+	if op := c.At(c.Len() - 1); op.Kind != KindFree || op.ID != n-1 {
+		t.Errorf("last free: %+v", op)
+	}
+}
+
 func TestCompileResolvesFreeSizes(t *testing.T) {
 	c, err := Compile(buildSample())
 	if err != nil {

@@ -110,14 +110,14 @@ func Features(c *Compiled) []float64 {
 				b++
 			}
 			sizeHist[b]++
-			born[ids[i]] = int64(i)
+			born[ids.At(i)] = int64(i)
 			liveBytes += sz
 			if liveBytes > peakLive {
 				peakLive = liveBytes
 			}
 			windowAllocs[windowOf(i)]++
 		case KindFree:
-			lifetimes = append(lifetimes, float64(int64(i)-born[ids[i]]))
+			lifetimes = append(lifetimes, float64(int64(i)-born[ids.At(i)]))
 			liveBytes -= float64(c.Arg(a))
 		}
 		liveIntegral += liveBytes
