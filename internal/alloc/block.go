@@ -30,9 +30,9 @@ type Block struct {
 
 	tag uint64 // fixed-pool slot: the live Ptr's handle tag, 0 while free
 
-	// key orders b within its list and never changes while b is listed:
-	// a falling push sequence under LIFO, a rising one under FIFO, the
-	// address under AddrOrder.
+	// key orders b within a list that keeps an index and never changes
+	// while b is listed: a falling push sequence under LIFO, a rising one
+	// under FIFO, the address under AddrOrder.
 	key uint64
 }
 
@@ -63,68 +63,71 @@ type arena struct {
 }
 
 // newArena reserves size bytes from the layer and returns the arena with
-// a single free-spanning block, recycled from stash when it has one.
+// a single free-spanning block from stash.
 func newArena(ctx *simheap.Context, layer memhier.LayerID, size int64, stash *BlockStash) (*arena, *Block, error) {
 	region, err := reserve(ctx, layer, size)
 	if err != nil {
 		return nil, nil, err
 	}
 	b := stash.get()
-	if b == nil {
-		b = &Block{}
-	}
 	*b = Block{addr: region.Base(), size: size, free: true}
 	a := &arena{region: region, first: b}
 	return a, b, nil
 }
 
-// BlockStash recycles Block objects: between a merge and the next split
-// inside one general pool, and across the pools built on it, which hand
-// every Block — with their live-allocation table and index-node slab —
-// back when Reclaim retires them. A Replayer keeps one, so a warm replay
-// allocates no Block. It is not safe for concurrent use.
+// BlockStash hands out Block objects for the general pools built on it:
+// those a merge gave back first, then the next one from its pages, in
+// the order the pages were first filled. Reclaim retires the pools and
+// starts the pages over, taking back their live-allocation tables and
+// index-node slabs too, so a warm Replayer (which keeps one) allocates no
+// Block, and each run finds its Blocks laid out in memory in the order it
+// creates them, as fresh allocations would be. It is not safe for
+// concurrent use.
 type BlockStash struct {
-	free  *Block // linked via flNext
-	n     int
-	pools []*GeneralPool // built on the stash since the last Reclaim
+	pages      [][]Block
+	page, next int    // the next Block to hand out: pages[page][next]
+	n          int    // Blocks in pages
+	free       *Block // given back by merges since the last Reclaim, linked via flNext
 
+	pools []*GeneralPool      // built on the stash since the last Reclaim
 	live  handleTable[*Block] // a retired pool's table storage, for the next
 	nodes nodeSlab            // and its index-node slab
 }
 
-// Len returns the number of stashed Blocks.
+// Len returns the number of Blocks the stash owns.
 func (s *BlockStash) Len() int { return s.n }
 
-// get pops a stashed Block, or nil when none is available.
+// get returns a zeroed Block.
 func (s *BlockStash) get() *Block {
-	b := s.free
-	if b != nil {
+	if b := s.free; b != nil {
 		s.free = b.flNext
 		b.flNext = nil
-		s.n--
+		return b
+	}
+	if s.page == len(s.pages) {
+		size := min(16<<len(s.pages), 1024)
+		s.pages = append(s.pages, make([]Block, size))
+		s.n += size
+	}
+	b := &s.pages[s.page][s.next]
+	*b = Block{}
+	if s.next++; s.next == len(s.pages[s.page]) {
+		s.page, s.next = s.page+1, 0
 	}
 	return b
 }
 
-// put stashes a Block no pool links any more.
+// put gives back a Block no pool links any more.
 func (s *BlockStash) put(b *Block) {
 	*b = Block{flNext: s.free}
 	s.free = b
-	s.n++
 }
 
 // Reclaim retires every pool built on the stash since the last Reclaim
-// and stashes all their Blocks, free and live. Those pools must not be
-// used again.
+// and makes all their Blocks, free and live, available again. Those
+// pools must not be used again.
 func (s *BlockStash) Reclaim() {
 	for i, p := range s.pools {
-		for _, a := range p.arenas {
-			for b := a.first; b != nil; {
-				next := b.nextAdj
-				s.put(b)
-				b = next
-			}
-		}
 		if cap(p.live.entries) > cap(s.live.entries) {
 			s.live = handleTable[*Block]{entries: p.live.entries[:0], free: p.live.free[:0]}
 		}
@@ -135,20 +138,16 @@ func (s *BlockStash) Reclaim() {
 		s.pools[i] = nil
 	}
 	s.pools = s.pools[:0]
+	s.page, s.next, s.free = 0, 0, nil
 }
 
-// splitBlock carves the trailing part of b into a new block of size
-// remainder and returns it. The caller charges the header writes; this
-// only updates simulator bookkeeping. b must be at least remainder+1
-// bytes large. reuse, when non-nil, is recycled as the remainder's Block
-// object so steady-state split/merge churn performs no Go allocations.
-func splitBlock(b *Block, keep int64, reuse *Block) *Block {
+// splitBlock carves the trailing part of b into rest, a Block no pool
+// links, and returns it. The caller charges the header writes; this only
+// updates simulator bookkeeping. b must be at least remainder+1 bytes
+// large.
+func splitBlock(b *Block, keep int64, rest *Block) *Block {
 	if keep <= 0 || keep >= b.size {
 		panic(fmt.Sprintf("alloc: bad split keep=%d of %v", keep, b))
-	}
-	rest := reuse
-	if rest == nil {
-		rest = &Block{}
 	}
 	*rest = Block{
 		addr: b.addr + uint64(keep),

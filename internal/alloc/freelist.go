@@ -36,7 +36,7 @@ type FreeList struct {
 	rover      *Block // next-fit resume point
 	count      int
 
-	seq   uint64     // LIFO/FIFO pushes so far: the next list-order key
+	seq   uint64     // LIFO/FIFO pushes so far, counted while index != nil
 	index *listIndex // nil when the list keeps no index
 }
 
@@ -104,8 +104,10 @@ func (l *FreeList) Push(b *Block) {
 	switch l.order {
 	case LIFO:
 		// new.next = head; head = new.
-		l.seq++
-		b.key = ^l.seq
+		if l.index != nil {
+			l.seq++
+			b.key = ^l.seq
+		}
 		l.metaRead(0)
 		l.blockWrite(b, 1) // link word
 		l.metaWrite(0)
@@ -118,8 +120,10 @@ func (l *FreeList) Push(b *Block) {
 		l.insertFront(b)
 	case FIFO:
 		// tail.next = new; tail = new.
-		l.seq++
-		b.key = l.seq
+		if l.index != nil {
+			l.seq++
+			b.key = l.seq
+		}
 		l.metaRead(1)
 		l.blockWrite(b, 1) // new.next = nil
 		if l.tail == nil {
@@ -189,6 +193,9 @@ func (l *FreeList) PopHead() *Block {
 		l.metaWrite(1) // tail = nil
 	}
 	l.unlink(b)
+	if l.index != nil {
+		l.index.unlinked(l, b)
+	}
 	return b
 }
 
@@ -231,6 +238,9 @@ func (l *FreeList) Remove(b *Block) {
 		l.metaWrite(1) // tail moved
 	}
 	l.unlink(b)
+	if l.index != nil {
+		l.index.unlinked(l, b)
+	}
 }
 
 // removeAfterScan unlinks b when the caller's search already visited its
@@ -251,6 +261,9 @@ func (l *FreeList) removeAfterScan(b *Block) {
 		l.metaWrite(1)
 	}
 	l.unlink(b)
+	if l.index != nil {
+		l.index.unlinked(l, b)
+	}
 }
 
 // Take searches the list under the fit policy for a block with total size
@@ -389,15 +402,13 @@ func (l *FreeList) unlink(b *Block) {
 	}
 	b.flPrev, b.flNext, b.list = nil, nil, nil
 	l.count--
-	if l.index != nil {
-		l.index.unlinked(l, b)
-	}
 }
 
-// check verifies the list-order key invariant and the list's indexes:
-// keys rise strictly from head to tail (an address-ordered list's key is
-// the address), and every index holds exactly the listed blocks under
-// their current size, key and address.
+// check verifies the list's links and, on a list that keeps an index,
+// the list-order key invariant and the index: keys rise strictly from
+// head to tail (an address-ordered list's key is the address), and the
+// index holds exactly the listed blocks under their current size and
+// key.
 func (l *FreeList) check() error {
 	n := 0
 	var prev *Block
@@ -405,7 +416,7 @@ func (l *FreeList) check() error {
 		if b.list != l {
 			return fmt.Errorf("alloc: %v linked into a list it does not name", b)
 		}
-		if prev != nil && prev.key >= b.key || l.order == AddrOrder && b.key != b.addr {
+		if l.index != nil && (prev != nil && prev.key >= b.key || l.order == AddrOrder && b.key != b.addr) {
 			return fmt.Errorf("alloc: list-order key %d of %v out of order", b.key, b)
 		}
 		prev = b
