@@ -97,11 +97,10 @@ type BlockStash struct {
 // Len returns the number of Blocks the stash owns.
 func (s *BlockStash) Len() int { return s.n }
 
-// get returns a zeroed Block.
+// get returns a Block no pool links, for the caller to overwrite.
 func (s *BlockStash) get() *Block {
 	if b := s.free; b != nil {
 		s.free = b.flNext
-		b.flNext = nil
 		return b
 	}
 	if s.page == len(s.pages) {
@@ -110,7 +109,6 @@ func (s *BlockStash) get() *Block {
 		s.n += size
 	}
 	b := &s.pages[s.page][s.next]
-	*b = Block{}
 	if s.next++; s.next == len(s.pages[s.page]) {
 		s.page, s.next = s.page+1, 0
 	}

@@ -71,8 +71,8 @@ type GeneralPool struct {
 	live  handleTable[*Block] // live allocations by handle
 	frees int                 // since last deferred sweep
 
-	// stash recycles Block objects between merges and splits, so
-	// steady-state split/coalesce churn allocates nothing.
+	// stash supplies the pool's Blocks and takes back those merges
+	// absorb, so steady-state split/coalesce churn allocates nothing.
 	stash *BlockStash
 	nodes nodeSlab // the bins' index nodes
 }
