@@ -34,11 +34,15 @@ type Ptr struct {
 }
 
 // handle ties a Ptr to the entry that issued it: slot indexes the
-// issuing allocator's dense table and tag is the stamp recorded there.
-// Tags are unique across every allocator in the process and never zero,
-// so a stale, forged or foreign Ptr matches no live entry.
+// issuing pool's dense table and tag is the stamp recorded there. Tags
+// are unique across every allocator in the process and never zero, so a
+// stale, forged or foreign Ptr matches no live entry. pool names the
+// serving pool within a Composed (see Composed.route); a bare pool
+// leaves it 0. It sits in what would otherwise be padding, so a Ptr
+// stays 32 bytes.
 type handle struct {
 	slot uint32
+	pool uint32
 	tag  uint64
 }
 

@@ -32,9 +32,19 @@ type Block struct {
 
 	// key orders b within a list that keeps an index and never changes
 	// while b is listed: a falling push sequence under LIFO, a rising one
-	// under FIFO, the address under AddrOrder.
+	// under FIFO, the address under AddrOrder. An allocated block is
+	// never listed, so while b is allocated key holds the allocation's
+	// requested bytes instead (requested, setRequested), and a Block stays
+	// 80 bytes.
 	key uint64
 }
+
+// requested returns the requested bytes of allocated block b.
+func (b *Block) requested() int64 { return int64(b.key) }
+
+// setRequested records the requested bytes of the allocation b now
+// holds.
+func (b *Block) setRequested(n int64) { b.key = uint64(n) }
 
 // Addr returns the block's start address.
 func (b *Block) Addr() uint64 { return b.addr }

@@ -43,9 +43,10 @@ func (p BuddyPoolParams) Validate() error {
 
 // buddyBlock is one block in the buddy system.
 type buddyBlock struct {
-	addr  uint64
-	order int // size = MinBlock << order
-	free  bool
+	addr      uint64
+	order     int // size = MinBlock << order
+	free      bool
+	requested int64 // the live allocation's requested bytes, 0 while free
 
 	flNext, flPrev *buddyBlock // free-list links within its order
 }
@@ -66,7 +67,8 @@ type BuddyPool struct {
 	arenas     []*simheap.Region
 	arenaBytes int64
 
-	live handleTable[*buddyBlock] // live allocations by handle
+	live      handleTable[*buddyBlock] // live allocations by handle
+	requested int64                    // requested bytes of the live allocations
 }
 
 // NewBuddyPool reserves the order-vector metadata and returns the pool.
@@ -207,6 +209,8 @@ func (p *BuddyPool) Malloc(size int64) (Ptr, int64, error) {
 		p.push(buddy)
 	}
 	b.free = false
+	b.requested = size
+	p.requested += size
 	p.ctx.Write(p.params.Layer, b.addr, 1) // allocated header
 	h := p.live.put(b)
 	return Ptr{Layer: p.params.Layer, Addr: b.addr + simheap.WordSize, h: h}, p.blockSize(b.order), nil
@@ -247,6 +251,8 @@ func (p *BuddyPool) Free(ptr Ptr) (int64, error) {
 		return 0, badFree(ptr)
 	}
 	p.live.drop(ptr.h)
+	p.requested -= b.requested
+	b.requested = 0
 	p.ctx.Read(p.params.Layer, b.addr, 1) // header: order/status
 	released := p.blockSize(b.order)
 
@@ -291,11 +297,20 @@ func (p *BuddyPool) arenaBase(addr uint64) uint64 {
 	panic(fmt.Sprintf("alloc: address %#x outside buddy arenas", addr))
 }
 
-// Owns reports whether ptr is a live allocation of this pool.
-func (p *BuddyPool) Owns(ptr Ptr) bool { return p.lookup(ptr) != nil }
+// SizeOf returns the requested size of the live allocation ptr names,
+// and whether it names one.
+func (p *BuddyPool) SizeOf(ptr Ptr) (int64, bool) {
+	if b := p.lookup(ptr); b != nil {
+		return b.requested, true
+	}
+	return 0, false
+}
 
 // LiveBlocks returns the number of live allocations.
 func (p *BuddyPool) LiveBlocks() int { return p.live.live }
+
+// RequestedLive returns the requested bytes of the live allocations.
+func (p *BuddyPool) RequestedLive() int64 { return p.requested }
 
 // ArenaBytes returns the total reserved arena bytes.
 func (p *BuddyPool) ArenaBytes() int64 { return p.arenaBytes }

@@ -47,7 +47,7 @@ func TestBuddyMallocFree(t *testing.T) {
 	if allocated != 128 {
 		t.Fatalf("allocated %d, want 128", allocated)
 	}
-	if !p.Owns(ptr) || p.LiveBlocks() != 1 {
+	if !owns(p, ptr) || p.LiveBlocks() != 1 {
 		t.Fatal("ownership wrong")
 	}
 	if err := p.checkInvariants(); err != nil {

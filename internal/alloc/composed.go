@@ -16,8 +16,13 @@ type FallbackPool interface {
 	// Free releases an allocation this pool's Malloc returned, returning
 	// the block bytes released.
 	Free(p Ptr) (int64, error)
+	// SizeOf returns the requested size of the live allocation p, and
+	// whether p is one.
+	SizeOf(p Ptr) (int64, bool)
 	// LiveBlocks returns the number of live allocations.
 	LiveBlocks() int
+	// RequestedLive returns the requested bytes of the live allocations.
+	RequestedLive() int64
 }
 
 // Composed is a complete custom allocator: an ordered set of dedicated
@@ -25,31 +30,20 @@ type FallbackPool interface {
 // to the first matching fixed pool; when a fixed pool cannot grow (its
 // layer or budget is exhausted) the request falls back to the general
 // pool, which models scratchpad-overflow behaviour on the target.
+//
+// Composed keeps no table of its own: the Ptr it hands out is the
+// serving pool's, with that pool's index in its handle, so Free
+// dispatches straight to the pool, whose own handle check rejects a
+// stale, forged or foreign Ptr. On the target the dispatch is an
+// address-range check per pool, charged as compute cycles.
 type Composed struct {
 	name    string
 	ctx     *simheap.Context
 	fixed   []*FixedPool
 	general FallbackPool
 
-	// live holds, per live allocation, the owning pool (so Free can
-	// dispatch), the pool's own handle and the requested size. On the
-	// target the dispatch is an address-range check per pool, charged as
-	// compute cycles.
-	live handleTable[liveAlloc]
-
-	stats Stats
+	stats Stats // all but RequestedLive, which the pools keep
 }
-
-// liveAlloc is the per-allocation bookkeeping entry.
-type liveAlloc struct {
-	addr      uint64
-	requested int64
-	inner     handle // the serving pool's handle
-	pool      int32  // index into fixed; generalPool for the fallback
-}
-
-// generalPool marks an allocation served by the general fallback pool.
-const generalPool int32 = -1
 
 // NewComposed assembles an allocator from already-constructed pools.
 // general may not be nil: every configuration needs a fallback pool.
@@ -86,7 +80,7 @@ func (c *Composed) Malloc(size int64) (Ptr, error) {
 		}
 		ptr, allocated, err := fp.Malloc(size)
 		if err == nil {
-			return c.commit(ptr, int32(i), size, allocated), nil
+			return c.commit(ptr, i, allocated), nil
 		}
 		// Dedicated pool exhausted: fall back to the general pool.
 		break
@@ -96,72 +90,82 @@ func (c *Composed) Malloc(size int64) (Ptr, error) {
 		c.stats.Failures++
 		return Ptr{}, err
 	}
-	return c.commit(ptr, generalPool, size, allocated), nil
+	return c.commit(ptr, len(c.fixed), allocated), nil
 }
 
-// commit records the pool's allocation ptr and returns the Ptr handed to
-// the caller: the same layer and address under this allocator's handle.
-func (c *Composed) commit(ptr Ptr, pool int32, requested, allocated int64) Ptr {
-	h := c.live.put(liveAlloc{addr: ptr.Addr, requested: requested, inner: ptr.h, pool: pool})
+// commit counts the allocation ptr of pool i (len(fixed) for the general
+// pool) and returns it marked with the pool.
+func (c *Composed) commit(ptr Ptr, i int, allocated int64) Ptr {
 	c.stats.Mallocs++
 	c.stats.LiveBlocks++
-	c.stats.RequestedLive += requested
 	c.stats.AllocatedLive += allocated
-	return Ptr{Layer: ptr.Layer, Addr: ptr.Addr, h: h}
+	ptr.h.pool = uint32(i) + 1
+	return ptr
 }
 
-// lookup returns the live entry p names, or nil.
-func (c *Composed) lookup(p Ptr) *liveAlloc {
-	la := c.live.get(p.h)
-	if la == nil || la.addr != p.Addr {
-		return nil
-	}
-	return la
+// route returns the index of the pool p names (len(fixed) for the
+// general pool) and p as that pool issued it. ok is false when p names
+// no pool of c: it was not issued through a Composed, or its index is
+// out of range.
+func (c *Composed) route(p Ptr) (i int, inner Ptr, ok bool) {
+	i = int(p.h.pool) - 1
+	p.h.pool = 0
+	return i, p, i >= 0 && i <= len(c.fixed)
 }
 
 // Free implements Allocator.
 func (c *Composed) Free(p Ptr) error {
-	la := c.lookup(p)
-	if la == nil {
+	i, inner, ok := c.route(p)
+	if !ok {
 		return badFree(p)
 	}
-	c.ctx.Compute(uint64(len(c.fixed) + 1)) // address-range dispatch
-	inner := Ptr{Layer: p.Layer, Addr: p.Addr, h: la.inner}
 	var (
 		released int64
 		err      error
 	)
-	if la.pool >= 0 {
-		released, err = c.fixed[la.pool].Free(inner)
+	if i < len(c.fixed) {
+		released, err = c.fixed[i].Free(inner)
 	} else {
 		released, err = c.general.Free(inner)
 	}
 	if err != nil {
 		return err
 	}
+	c.ctx.Compute(uint64(len(c.fixed) + 1)) // address-range dispatch
 	c.stats.Frees++
 	c.stats.LiveBlocks--
-	c.stats.RequestedLive -= la.requested
 	c.stats.AllocatedLive -= released
-	c.live.drop(p.h)
 	return nil
 }
 
 // Where implements Allocator.
 func (c *Composed) Where(p Ptr) (Ptr, bool) {
-	return p, c.lookup(p) != nil
+	_, ok := c.SizeOf(p)
+	return p, ok
 }
 
 // SizeOf implements Allocator.
 func (c *Composed) SizeOf(p Ptr) (int64, bool) {
-	if la := c.lookup(p); la != nil {
-		return la.requested, true
+	i, inner, ok := c.route(p)
+	switch {
+	case !ok:
+		return 0, false
+	case i < len(c.fixed):
+		return c.fixed[i].SizeOf(inner)
+	default:
+		return c.general.SizeOf(inner)
 	}
-	return 0, false
 }
 
 // Stats implements Allocator.
-func (c *Composed) Stats() Stats { return c.stats }
+func (c *Composed) Stats() Stats {
+	st := c.stats
+	for _, fp := range c.fixed {
+		st.RequestedLive += fp.RequestedLive()
+	}
+	st.RequestedLive += c.general.RequestedLive()
+	return st
+}
 
 // CheckInvariants verifies the allocator's simulator-side consistency.
 func (c *Composed) CheckInvariants() error {

@@ -93,9 +93,10 @@ type FixedPool struct {
 	bumpEnd    uint64 // end of the newest arena
 	nextSlots  int
 
-	live     int    // live slots
-	tags     tagger // stamps each allocated slot's Ptr
-	reclaims int    // chunks returned to the layer
+	live      int    // live slots
+	requested int64  // requested bytes of the live slots
+	tags      tagger // stamps each allocated slot's Ptr
+	reclaims  int    // chunks returned to the layer
 }
 
 // fixedMetaWords: free-list words plus the bump frontier pointer.
@@ -176,12 +177,15 @@ func (p *FixedPool) slotOf(addr uint64) (*fixedArena, *Block) {
 	return a, a.slot(int(i))
 }
 
-// issue marks slot b allocated and returns its Ptr.
-func (p *FixedPool) issue(a *fixedArena, b *Block) (Ptr, int64, error) {
+// issue marks slot b allocated for a request of size bytes and returns
+// its Ptr.
+func (p *FixedPool) issue(a *fixedArena, b *Block, size int64) (Ptr, int64, error) {
 	b.free = false
 	b.tag = p.tags.next()
+	b.setRequested(size)
 	a.live++
 	p.live++
+	p.requested += size
 	return Ptr{Layer: p.params.Layer, Addr: b.addr, h: handle{tag: b.tag}}, p.slotBytes, nil
 }
 
@@ -197,7 +201,7 @@ func (p *FixedPool) Malloc(size int64) (Ptr, int64, error) {
 	}
 	// Recycled slot first.
 	if b := p.list.PopHead(); b != nil {
-		return p.issue(p.arenaOf(b.addr), b)
+		return p.issue(p.arenaOf(b.addr), b, size)
 	}
 	// Bump-carve from the newest arena.
 	p.ctx.Read(p.params.Layer, p.bumpAddr(), 1)
@@ -217,7 +221,7 @@ func (p *FixedPool) Malloc(size int64) (Ptr, int64, error) {
 	a.slots++
 	b := a.slot(i)
 	*b = Block{addr: addr, size: p.slotBytes}
-	return p.issue(a, b)
+	return p.issue(a, b, size)
 }
 
 // grow reserves a new arena of ChunkSlots (doubling under GrowDouble).
@@ -266,6 +270,7 @@ func (p *FixedPool) Free(ptr Ptr) (int64, error) {
 	}
 	a.live--
 	p.live--
+	p.requested -= b.requested()
 	b.tag = 0
 	b.free = true
 	p.list.Push(b)
@@ -299,14 +304,20 @@ func (p *FixedPool) reclaim(a *fixedArena) {
 	p.reclaims++
 }
 
-// Owns reports whether ptr is a live allocation of this pool.
-func (p *FixedPool) Owns(ptr Ptr) bool {
-	_, b := p.lookup(ptr)
-	return b != nil
+// SizeOf returns the requested size of the live slot ptr names, and
+// whether it names one.
+func (p *FixedPool) SizeOf(ptr Ptr) (int64, bool) {
+	if _, b := p.lookup(ptr); b != nil {
+		return b.requested(), true
+	}
+	return 0, false
 }
 
 // LiveBlocks returns the number of live slots.
 func (p *FixedPool) LiveBlocks() int { return p.live }
+
+// RequestedLive returns the requested bytes of the live slots.
+func (p *FixedPool) RequestedLive() int64 { return p.requested }
 
 // ArenaBytes returns the total bytes reserved for slot arenas.
 func (p *FixedPool) ArenaBytes() int64 { return p.arenaBytes }

@@ -54,14 +54,14 @@ func TestFixedPoolMallocFree(t *testing.T) {
 	if allocated != 80 {
 		t.Fatalf("allocated %d", allocated)
 	}
-	if !p.Owns(ptr) || p.LiveBlocks() != 1 {
+	if !owns(p, ptr) || p.LiveBlocks() != 1 {
 		t.Fatal("ownership wrong")
 	}
 	released, err := p.Free(ptr)
 	if err != nil || released != 80 {
 		t.Fatalf("free: %d %v", released, err)
 	}
-	if p.Owns(ptr) || p.LiveBlocks() != 0 || p.FreeSlots() != 1 {
+	if owns(p, ptr) || p.LiveBlocks() != 0 || p.FreeSlots() != 1 {
 		t.Fatal("state after free wrong")
 	}
 }

@@ -68,8 +68,9 @@ type GeneralPool struct {
 	arenaBytes int64
 	nextChunk  int64
 
-	live  handleTable[*Block] // live allocations by handle
-	frees int                 // since last deferred sweep
+	live      handleTable[*Block] // live allocations by handle
+	requested int64               // requested bytes of the live allocations
+	frees     int                 // since last deferred sweep
 
 	// stash supplies the pool's Blocks and takes back those merges
 	// absorb, so steady-state split/coalesce churn allocates nothing.
@@ -176,6 +177,8 @@ func (p *GeneralPool) Malloc(size int64) (Ptr, int64, error) {
 
 	p.maybeSplit(b, need)
 	b.free = false
+	b.setRequested(size)
+	p.requested += size
 	p.writeBlockMeta(b) // allocated header (+footer)
 	h := p.live.put(b)
 	return Ptr{Layer: p.params.Layer, Addr: b.addr + simheap.WordSize, h: h}, b.size, nil
@@ -286,6 +289,7 @@ func (p *GeneralPool) Free(ptr Ptr) (int64, error) {
 		return 0, badFree(ptr)
 	}
 	p.live.drop(ptr.h)
+	p.requested -= b.requested()
 	p.ctx.Read(p.params.Layer, b.addr, 1) // header read: size/status
 	released := b.size
 	b.free = true
@@ -363,11 +367,20 @@ func (p *GeneralPool) sweep() {
 	}
 }
 
-// Owns reports whether ptr is a live allocation of this pool.
-func (p *GeneralPool) Owns(ptr Ptr) bool { return p.lookup(ptr) != nil }
+// SizeOf returns the requested size of the live allocation ptr names,
+// and whether it names one.
+func (p *GeneralPool) SizeOf(ptr Ptr) (int64, bool) {
+	if b := p.lookup(ptr); b != nil {
+		return b.requested(), true
+	}
+	return 0, false
+}
 
 // LiveBlocks returns the number of live allocations.
 func (p *GeneralPool) LiveBlocks() int { return p.live.live }
+
+// RequestedLive returns the requested bytes of the live allocations.
+func (p *GeneralPool) RequestedLive() int64 { return p.requested }
 
 // ArenaBytes returns the total bytes reserved for arenas.
 func (p *GeneralPool) ArenaBytes() int64 { return p.arenaBytes }

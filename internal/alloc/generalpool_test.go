@@ -67,7 +67,7 @@ func TestGeneralPoolMallocFree(t *testing.T) {
 	if allocated < 100 {
 		t.Fatalf("allocated %d < requested", allocated)
 	}
-	if !p.Owns(ptr) || p.LiveBlocks() != 1 {
+	if !owns(p, ptr) || p.LiveBlocks() != 1 {
 		t.Fatal("ownership wrong")
 	}
 	if err := p.checkInvariants(); err != nil {

@@ -65,11 +65,12 @@ func checkHandleContract(t *testing.T, mk func(t *testing.T) handleSubject) {
 	}
 }
 
-// poolSubject adapts a FallbackPool-shaped pool.
+// poolSubject adapts a FallbackPool-shaped pool. SizeOf must report the
+// requested size of a live allocation.
 func poolSubject(t *testing.T, pool interface {
 	Malloc(int64) (Ptr, int64, error)
 	Free(Ptr) (int64, error)
-	Owns(Ptr) bool
+	SizeOf(Ptr) (int64, bool)
 }, size int64) handleSubject {
 	return handleSubject{
 		malloc: func() Ptr {
@@ -80,7 +81,13 @@ func poolSubject(t *testing.T, pool interface {
 			return p
 		},
 		free: func(p Ptr) error { _, err := pool.Free(p); return err },
-		live: pool.Owns,
+		live: func(p Ptr) bool {
+			n, ok := pool.SizeOf(p)
+			if ok && n != size {
+				t.Errorf("SizeOf = %d, want %d", n, size)
+			}
+			return ok
+		},
 	}
 }
 
@@ -116,6 +123,85 @@ func TestHandleContractComposed(t *testing.T) {
 	t.Run("general", func(t *testing.T) {
 		checkHandleContract(t, func(t *testing.T) handleSubject { return composedSubject(t, 200) })
 	})
+}
+
+// TestComposedRejectsMisroutedPtr covers the Composed's own dispatch:
+// it keeps no table, so the pool index in a Ptr's handle picks the pool
+// and that pool's check must catch every Ptr it did not issue through
+// this Composed. Each case returns ErrBadFree, reports dead through Where
+// and SizeOf alike, and leaves the live allocations intact.
+func TestComposedRejectsMisroutedPtr(t *testing.T) {
+	a, _ := buildTestAllocator(t, 64*1024)
+	other, _ := buildTestAllocator(t, 64*1024)
+	live := func(p Ptr) bool {
+		t.Helper()
+		_, where := a.Where(p)
+		_, sized := a.SizeOf(p)
+		if where != sized {
+			t.Errorf("Where %v and SizeOf %v disagree on %+v", where, sized, p)
+		}
+		return where
+	}
+	malloc := func(a *Composed, size int64) Ptr {
+		t.Helper()
+		p, err := a.Malloc(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	fixedPtr, generalPtr := malloc(a, 74), malloc(a, 200)
+
+	fromFallback, _, err := a.Fallback().Malloc(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFixed, _, err := a.FixedPools()[0].Malloc(74)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := fixedPtr
+	forged.h.pool = generalPtr.h.pool // a live fixed slot sent to the general pool
+	outOfRange := generalPtr
+	outOfRange.h.pool++
+
+	stale := malloc(a, 200)
+	if err := a.Free(stale); err != nil {
+		t.Fatal(err)
+	}
+	if reused := malloc(a, 200); reused.Addr != stale.Addr || reused.h.slot != stale.h.slot {
+		t.Fatalf("reallocation landed at %#x slot %d, not the freed %#x slot %d; the stale case needs reuse",
+			reused.Addr, reused.h.slot, stale.Addr, stale.h.slot)
+	}
+	foreign := malloc(other, 74)
+	if foreign.Addr != fixedPtr.Addr {
+		t.Fatalf("twin allocators issued %#x and %#x; the foreign case needs equal addresses", foreign.Addr, fixedPtr.Addr)
+	}
+
+	for _, c := range []struct {
+		name string
+		p    Ptr
+	}{
+		{"Fallback() Ptr", fromFallback},
+		{"FixedPools()[0] Ptr", fromFixed},
+		{"forged pool index", forged},
+		{"out-of-range pool index", outOfRange},
+		{"freed and reused slot", stale},
+		{"another Composed's Ptr", foreign},
+	} {
+		if err := a.Free(c.p); !errors.Is(err, ErrBadFree) {
+			t.Errorf("%s: got %v, want ErrBadFree", c.name, err)
+		}
+		if live(c.p) {
+			t.Errorf("%s: reported live", c.name)
+		}
+	}
+	if !live(fixedPtr) || !live(generalPtr) {
+		t.Fatal("a rejected free disturbed a live allocation")
+	}
+	if n := a.Stats().LiveBlocks; n != 3 {
+		t.Errorf("%d live blocks after the rejected frees, want 3", n)
+	}
 }
 
 func TestHandleContractFixedPool(t *testing.T) {

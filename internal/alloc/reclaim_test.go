@@ -162,7 +162,7 @@ func TestReclaimStress(t *testing.T) {
 	}
 	// Consistency: every live slot must still be owned.
 	for _, ptr := range addrs {
-		if !p.Owns(ptr) {
+		if !owns(p, ptr) {
 			t.Fatalf("live slot %#x lost", ptr.Addr)
 		}
 	}

@@ -94,10 +94,11 @@ type recordingFallback struct {
 
 	// ops is the recorded fallback sequence: v > 0 is an allocation of v
 	// bytes; v < 0 frees the (^v)-th recorded allocation.
-	ops    []int64
-	sizes  []int64 // requested bytes per recorded allocation
-	live   int
-	allocs int
+	ops       []int64
+	sizes     []int64 // requested bytes per recorded allocation, 0 once freed
+	live      int
+	allocs    int
+	requested int64 // requested bytes of the live allocations
 
 	fMax   []int64 // per closed gap: max fixed-side reserved bytes
 	gapMax int64   // running max within the open gap
@@ -129,21 +130,43 @@ func (p *recordingFallback) Malloc(size int64) (alloc.Ptr, int64, error) {
 	p.ops = appendDoubling(p.ops, size)
 	p.live++
 	p.allocs++
+	p.requested += size
 	return alloc.Ptr{Layer: p.layer, Addr: recBase + uint64(k)*simheap.WordSize}, size, nil
 }
 
 func (p *recordingFallback) Free(ptr alloc.Ptr) (int64, error) {
 	p.boundary()
-	k := int64((ptr.Addr - recBase) / simheap.WordSize)
-	if k < 0 || k >= int64(len(p.sizes)) {
+	k, ok := p.index(ptr)
+	if !ok {
 		return 0, fmt.Errorf("profile: recording fallback: free of unknown addr %#x", ptr.Addr)
 	}
-	p.ops = appendDoubling(p.ops, ^k)
+	size := p.sizes[k]
+	p.sizes[k] = 0
+	p.ops = appendDoubling(p.ops, ^int64(k))
 	p.live--
-	return p.sizes[k], nil
+	p.requested -= size
+	return size, nil
+}
+
+// index returns the recorded allocation ptr names, if it is live.
+func (p *recordingFallback) index(ptr alloc.Ptr) (int, bool) {
+	k := (ptr.Addr - recBase) / simheap.WordSize
+	if ptr.Addr < recBase || k >= uint64(len(p.sizes)) || p.sizes[k] == 0 {
+		return 0, false
+	}
+	return int(k), true
+}
+
+func (p *recordingFallback) SizeOf(ptr alloc.Ptr) (int64, bool) {
+	if k, ok := p.index(ptr); ok {
+		return p.sizes[k], true
+	}
+	return 0, false
 }
 
 func (p *recordingFallback) LiveBlocks() int { return p.live }
+
+func (p *recordingFallback) RequestedLive() int64 { return p.requested }
 
 // Partition is the fixed-side-invariant decomposition of one compiled
 // trace under one fixed-pool signature: everything a partial replay

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"dmexplore/internal/alloc"
@@ -15,10 +16,18 @@ import (
 )
 
 // Replayer replays compiled traces against allocator configurations. Its
-// scratch state — a flat pointer table indexed by dense allocation ID —
-// is allocated once and reused across runs, so the steady-state replay
-// loop performs no Go heap allocations per event. A Replayer is not safe
-// for concurrent use; explorations run one per worker.
+// scratch state — a flat pointer table indexed by dense allocation ID,
+// and the flat view of the last trace it ran — is allocated once and
+// reused across runs, so the steady-state replay loop performs no Go
+// heap allocations per event.
+//
+// A run under the flat cost model with no samples and no log takes the
+// flat loop (replayFlat): it visits only the alloc and free events and
+// charges each successful allocation its ID's lifetime access words and
+// the whole trace's tick cycles in one sum, with a bit-identical result
+// (DESIGN.md §17). Every other run takes the per-event loop (replay).
+// A Replayer is not safe for concurrent use; explorations run one per
+// worker.
 type Replayer struct {
 	// Shard, when non-nil, receives per-run telemetry: simulation wall
 	// time and events replayed. Recording is a few uncontended atomic
@@ -37,6 +46,8 @@ type Replayer struct {
 	live []bool      // dense ID -> allocation currently live (not failed)
 
 	genPtrs []alloc.Ptr // partial-replay scratch: recorded-alloc pointers
+
+	flat flatView // the flat loop's view of the last trace it ran
 
 	// blocks recycles the general pools' Blocks from one run to the next;
 	// every run reclaims its pool's Blocks when it ends.
@@ -158,7 +169,12 @@ func (r *Replayer) Run(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hierarch
 		m.Series = make([]FootprintSample, 0, ct.Len()/opts.SampleEvery+2)
 	}
 	r.reset(ct.NumIDs)
-	if err := r.replay(ct, a, ctx, m, opts.SampleEvery, lw); err != nil {
+	if ctx.Flat() && opts.SampleEvery == 0 && lw == nil {
+		err = r.replayFlat(ct, a, ctx, m)
+	} else {
+		err = r.replay(ct, a, ctx, m, opts.SampleEvery, lw)
+	}
+	if err != nil {
 		return nil, err
 	}
 
@@ -268,5 +284,118 @@ func (r *Replayer) replay(ct *trace.Compiled, a alloc.Allocator, ctx *simheap.Co
 			RequestedBytes: liveRequested,
 		})
 	}
+	return nil
+}
+
+// flatView is what the flat loop reads of one compiled trace: its alloc
+// and free events in trace order, each dense ID's lifetime access words
+// and the trace's total tick cycles. It lives in the Replayer, not in the
+// shared trace, and is rebuilt in place when the Replayer moves to
+// another trace, so a warm Replayer builds it without allocating.
+type flatView struct {
+	ct     *trace.Compiled // the trace the view describes; nil before the first build
+	ops    []flatOp        // the alloc and free events, in trace order
+	reads  []uint64        // dense ID -> word reads of all its accesses
+	writes []uint64        // dense ID -> word writes of all its accesses
+	ticks  uint64          // cycles of all tick events
+}
+
+// flatOp is one alloc or free event: its slab argument and dense ID.
+type flatOp struct {
+	arg, id uint32
+}
+
+// of returns the view of ct, building it unless it already describes ct.
+// A compiled trace is immutable, and the view holds ct, so ct's address
+// cannot be reused by another trace while the view names it.
+func (v *flatView) of(ct *trace.Compiled) *flatView {
+	if v.ct == ct {
+		return v
+	}
+	v.ct = ct
+	v.ops = slices.Grow(v.ops[:0], ct.Allocs+ct.Frees)
+	v.reads = zeroed(v.reads, ct.NumIDs)
+	v.writes = zeroed(v.writes, ct.NumIDs)
+	v.ticks = 0
+	args, ids := ct.Slabs()
+	for i, arg := range args {
+		switch trace.ArgKind(arg) {
+		case trace.KindAlloc, trace.KindFree:
+			v.ops = append(v.ops, flatOp{arg: arg, id: ids.At(i)})
+		case trace.KindAccess:
+			id := ids.At(i)
+			reads, writes := ct.AccessArgs(arg)
+			v.reads[id] += reads
+			v.writes[id] += writes
+		case trace.KindTick:
+			v.ticks += ct.Arg(arg)
+		}
+	}
+	return v
+}
+
+// zeroed returns s resized to n zeroes, reusing its array when it can.
+func zeroed(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// position returns the trace index of the view's j-th op, for error
+// messages.
+func (v *flatView) position(j int) int {
+	args, _ := v.ct.Slabs()
+	for i, arg := range args {
+		if k := trace.ArgKind(arg); k == trace.KindAlloc || k == trace.KindFree {
+			if j == 0 {
+				return i
+			}
+			j--
+		}
+	}
+	return len(args)
+}
+
+// replayFlat is the flat loop: the per-event loop's result for a run
+// under the flat cost model with no samples and no log, from the alloc
+// and free events alone. Under that model a charge adds to uint64 sums
+// that do not depend on the address or on when it is made, and
+// trace.Compile guarantees that every access hits a live ID that is
+// never reused. So charging an ID's accesses in one Read and one Write
+// when its allocation succeeds, and no accesses for an ID whose
+// allocation failed, leaves the same counters and cycles as charging
+// them event by event; so does adding every tick's cycles at once.
+func (r *Replayer) replayFlat(ct *trace.Compiled, a alloc.Allocator, ctx *simheap.Context, m *Metrics) error {
+	v := r.flat.of(ct)
+	for j, op := range v.ops {
+		if trace.ArgKind(op.arg) == trace.KindAlloc {
+			ptr, err := a.Malloc(int64(ct.Arg(op.arg)))
+			if err != nil {
+				if errors.Is(err, alloc.ErrOutOfMemory) {
+					m.Failures++
+					continue
+				}
+				return fmt.Errorf("profile: event %d: %w", v.position(j), err)
+			}
+			m.Mallocs++
+			r.ptrs[op.id] = ptr
+			r.live[op.id] = true
+			ctx.Read(ptr.Layer, ptr.Addr, v.reads[op.id])
+			ctx.Write(ptr.Layer, ptr.Addr, v.writes[op.id])
+			continue
+		}
+		if !r.live[op.id] {
+			continue // the allocation failed; nothing to free
+		}
+		r.live[op.id] = false
+		if err := a.Free(r.ptrs[op.id]); err != nil {
+			return fmt.Errorf("profile: event %d: %w", v.position(j), err)
+		}
+		m.Frees++
+	}
+	ctx.Compute(v.ticks)
 	return nil
 }

@@ -176,6 +176,7 @@ func TestReplayerMatchesReferenceEasyport(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkEquivalence(t, tr, Options{SampleEvery: 200})
+	checkEquivalence(t, tr, Options{}) // the flat loop
 }
 
 func TestReplayerMatchesReferenceVTC(t *testing.T) {
@@ -184,6 +185,7 @@ func TestReplayerMatchesReferenceVTC(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkEquivalence(t, tr, Options{SampleEvery: 500})
+	checkEquivalence(t, tr, Options{}) // the flat loop
 }
 
 // oomTrace builds a synthetic trace whose large allocation overflows a
@@ -212,6 +214,9 @@ func oomConfig() alloc.Config {
 	return cfg
 }
 
+// TestReplayerMatchesReferenceOOM runs the per-event loop (samples on)
+// and the flat loop (no options), which must leave the failed
+// allocation's accesses uncharged as well.
 func TestReplayerMatchesReferenceOOM(t *testing.T) {
 	tr := oomTrace()
 	ct, err := trace.Compile(tr)
@@ -220,20 +225,57 @@ func TestReplayerMatchesReferenceOOM(t *testing.T) {
 	}
 	h := memhier.EmbeddedSoC()
 	cfg := oomConfig()
-	opts := Options{SampleEvery: 2}
-	want, err := referenceRun(tr, cfg, h, opts)
+	for _, opts := range []Options{{SampleEvery: 2}, {}} {
+		want, err := referenceRun(tr, cfg, h, opts)
+		if err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		if want.Failures == 0 {
+			t.Fatal("oom trace did not trigger an allocation failure")
+		}
+		got, err := NewReplayer().Run(ct, cfg, h, opts)
+		if err != nil {
+			t.Fatalf("replayer: %v", err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%+v: compiled replay diverges on failed allocations\nwant %+v\ngot  %+v", opts, want, got)
+		}
+	}
+}
+
+// TestFlatReplayMatchesReferenceWide covers the flat loop's per-ID
+// totals where they outgrow 32 bits: one allocation takes three accesses
+// of 2^32-1 reads and writes each, and the flat loop charges their sum
+// in one call.
+func TestFlatReplayMatchesReferenceWide(t *testing.T) {
+	b := trace.NewBuilder("wide")
+	id := b.Alloc(4096)
+	for i := 0; i < 3; i++ {
+		b.Access(id, 1<<32-1, 1<<32-1)
+		b.Tick(1<<32 - 1)
+	}
+	b.Free(id)
+	tr := b.Build()
+	ct, err := trace.Compile(tr)
 	if err != nil {
-		t.Fatalf("reference: %v", err)
+		t.Fatal(err)
 	}
-	if want.Failures == 0 {
-		t.Fatal("oom trace did not trigger an allocation failure")
-	}
-	got, err := NewReplayer().Run(ct, cfg, h, opts)
-	if err != nil {
-		t.Fatalf("replayer: %v", err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("compiled replay diverges on failed allocations\nwant %+v\ngot  %+v", want, got)
+	h := memhier.EmbeddedSoC()
+	for _, cfg := range presetConfigs() {
+		want, err := referenceRun(tr, cfg, h, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Accesses < 6*(1<<32-1) {
+			t.Fatalf("%s: %d accesses, want the wide totals charged", cfg.Label, want.Accesses)
+		}
+		got, err := NewReplayer().Run(ct, cfg, h, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: flat replay diverges on wide totals\nwant %+v\ngot  %+v", cfg.Label, want, got)
+		}
 	}
 }
 
@@ -298,9 +340,10 @@ func oomConfigs() []alloc.Config {
 // with FreeAll, so the same allocator instance can replay it repeatedly.
 // The capacity-failing configurations hold the out-of-memory path to
 // the same guarantee: every failed malloc, and every fixed-pool overflow
-// that falls back, must allocate nothing either. Logged replay is held to
-// it too: the Replayer's log writer, reset onto a reused sink, encodes
-// and emits every record and block without allocating.
+// that falls back, must allocate nothing either. The flat loop is held to
+// it too, also when one Replayer alternates between two traces. So is
+// logged replay: the Replayer's log writer, reset onto a reused sink,
+// encodes and emits every record and block without allocating.
 func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 	p := workload.DefaultEasyportParams()
 	p.Packets = 200
@@ -309,6 +352,15 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct, err := trace.Compile(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Seed, p.Packets = 2, 300
+	tr, err = p.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := trace.Compile(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,6 +392,28 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Errorf("%s: steady-state replay allocates %.1f times per run, want 0", cfg.Label, avg)
+		}
+
+		// The flat loop, and the flat loop alternating two traces on one
+		// Replayer: once its view has grown to both, rebuilding it for
+		// the other trace allocates nothing.
+		flat := func(ct *trace.Compiled) {
+			r.reset(ct.NumIDs)
+			var m Metrics
+			if err := r.replayFlat(ct, a, ctx, &m); err != nil {
+				t.Errorf("%s: flat replay: %v", cfg.Label, err)
+			}
+			if mustFail && m.Failures == 0 {
+				t.Errorf("%s: flat replay recorded no allocation failure", cfg.Label)
+			}
+		}
+		flat(ct)
+		if avg := testing.AllocsPerRun(5, func() { flat(ct) }); avg != 0 {
+			t.Errorf("%s: steady-state flat replay allocates %.1f times per run, want 0", cfg.Label, avg)
+		}
+		flat(other)
+		if avg := testing.AllocsPerRun(5, func() { flat(ct); flat(other) }); avg != 0 {
+			t.Errorf("%s: flat replay alternating two traces allocates %.1f times per pair, want 0", cfg.Label, avg)
 		}
 
 		var sink bytes.Buffer

@@ -69,6 +69,22 @@ func (p VTCParams) Validate() error {
 	return nil
 }
 
+// events returns the number of events Generate emits, which its
+// parameters fix: every random draw picks a size, an ID or when a node
+// dies, never whether an event happens.
+func (p VTCParams) events() int {
+	subbands := 3*p.Levels + 1
+	// Per tile: the bitstream's alloc and fill, each subband's alloc,
+	// read-back and free, six events per zerotree node (alloc, three
+	// accesses, tick, free), the two model touches, and the output's
+	// alloc and write, the transform tick and the bitstream free.
+	perTile := 2 + 3*subbands + 6*p.NodesPerTile + 2 + 4
+	queued := min(p.Tiles, p.QueueDepth)
+	// The tables' allocs and fills and their frees, a scan-out read and
+	// free per dequeued texture, and the final frees of the queue.
+	return 4 + 2 + p.Tiles*perTile + 2*(p.Tiles-queued) + queued
+}
+
 // zerotree node sizes (bytes): decoder bookkeeping structures.
 var vtcNodeSizes = []int64{24, 40, 56, 64}
 
@@ -79,6 +95,7 @@ func (p VTCParams) Generate() (*trace.Trace, error) {
 	}
 	rng := stats.NewRNG(p.Seed)
 	b := trace.NewBuilder(fmt.Sprintf("vtc[t=%d,seed=%d]", p.Tiles, p.Seed))
+	b.Grow(p.events())
 
 	// Decoder-lifetime tables: quantization and Huffman/arith models.
 	quant := b.Alloc(2048)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"dmexplore/internal/trace"
@@ -170,6 +171,34 @@ func TestVTCCPUDominated(t *testing.T) {
 	if prof.TickCycles < prof.AccessWords {
 		t.Fatalf("tick cycles %d below access words %d: not CPU-dominated",
 			prof.TickCycles, prof.AccessWords)
+	}
+}
+
+// TestVTCPresizedExactly pins the VTC event count, which the parameters
+// fix, and the generator's presizing to it: the trace's events take one
+// allocation, never regrown.
+func TestVTCPresizedExactly(t *testing.T) {
+	small := DefaultVTCParams()
+	small.Tiles, small.Levels, small.NodesPerTile = 1, 1, 0 // fewer tiles than the queue holds
+	deep := DefaultVTCParams()
+	deep.Seed, deep.Tiles, deep.Levels, deep.QueueDepth, deep.NodesPerTile = 3, 7, 8, 5, 13
+	for _, c := range []struct {
+		p    VTCParams
+		want int
+	}{
+		{DefaultVTCParams(), 235108},
+		{small, 27},
+		{deep, 1142},
+	} {
+		tr, err := c.p.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One allocation of want events, rounded up to its size class.
+		presized := cap(slices.Grow([]trace.Event(nil), c.want))
+		if n := len(tr.Events); n != c.want || cap(tr.Events) != presized {
+			t.Errorf("%+v: %d events in capacity %d, want %d in %d", c.p, n, cap(tr.Events), c.want, presized)
+		}
 	}
 }
 
