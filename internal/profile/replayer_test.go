@@ -52,14 +52,14 @@ func referenceRun(tr *trace.Trace, cfg alloc.Config, h *memhier.Hierarchy, opts 
 		if opts.SampleEvery > 0 && i%opts.SampleEvery == 0 {
 			sample(i)
 		}
-		switch e.Kind {
+		switch e.Kind() {
 		case trace.KindAlloc:
-			liveRequested += e.Size
-			reqSize[e.ID] = e.Size
+			liveRequested += e.Size()
+			reqSize[e.ID()] = e.Size()
 			if liveRequested > peakRequested {
 				peakRequested = liveRequested
 			}
-			ptr, err := a.Malloc(e.Size)
+			ptr, err := a.Malloc(e.Size())
 			if err != nil {
 				if errors.Is(err, alloc.ErrOutOfMemory) {
 					m.Failures++
@@ -68,11 +68,11 @@ func referenceRun(tr *trace.Trace, cfg alloc.Config, h *memhier.Hierarchy, opts 
 				return nil, fmt.Errorf("profile: event %d: %w", i, err)
 			}
 			m.Mallocs++
-			ptrs[e.ID] = ptr
+			ptrs[e.ID()] = ptr
 		case trace.KindFree:
-			liveRequested -= reqSize[e.ID]
-			delete(reqSize, e.ID)
-			ptr, ok := ptrs[e.ID]
+			liveRequested -= reqSize[e.ID()]
+			delete(reqSize, e.ID())
+			ptr, ok := ptrs[e.ID()]
 			if !ok {
 				continue
 			}
@@ -80,22 +80,22 @@ func referenceRun(tr *trace.Trace, cfg alloc.Config, h *memhier.Hierarchy, opts 
 				return nil, fmt.Errorf("profile: event %d: %w", i, err)
 			}
 			m.Frees++
-			delete(ptrs, e.ID)
+			delete(ptrs, e.ID())
 		case trace.KindAccess:
-			ptr, ok := ptrs[e.ID]
+			ptr, ok := ptrs[e.ID()]
 			if !ok {
 				continue
 			}
-			if e.Reads > 0 {
-				ctx.Read(ptr.Layer, ptr.Addr, uint64(e.Reads))
+			if e.Reads() > 0 {
+				ctx.Read(ptr.Layer, ptr.Addr, uint64(e.Reads()))
 			}
-			if e.Writes > 0 {
-				ctx.Write(ptr.Layer, ptr.Addr, uint64(e.Writes))
+			if e.Writes() > 0 {
+				ctx.Write(ptr.Layer, ptr.Addr, uint64(e.Writes()))
 			}
 		case trace.KindTick:
-			ctx.Compute(uint64(e.Cycles))
+			ctx.Compute(uint64(e.Cycles()))
 		default:
-			return nil, fmt.Errorf("profile: event %d: unknown kind %d", i, e.Kind)
+			return nil, fmt.Errorf("profile: event %d: unknown kind %d", i, e.Kind())
 		}
 	}
 	if opts.SampleEvery > 0 {

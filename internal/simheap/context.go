@@ -174,8 +174,15 @@ func (ctx *Context) RowBuffer(id memhier.LayerID) *memhier.RowBuffer { return ct
 // Counters returns a snapshot of the counters for layer id.
 func (ctx *Context) Counters(id memhier.LayerID) LayerCounters { return ctx.counters[id] }
 
-// Cycles returns the current simulated cycle count.
-func (ctx *Context) Cycles() uint64 { return ctx.cycles }
+// Cycles returns the current simulated cycle count: the clock plus every
+// charged word at its layer's flat latency (see Read).
+func (ctx *Context) Cycles() uint64 {
+	total := ctx.cycles
+	for i, c := range ctx.counters {
+		total += c.Reads*ctx.readCycles[i] + c.Writes*ctx.writeCycles[i]
+	}
+	return total
+}
 
 // Flat reports whether the cost model is flat: no tracer, cache or row
 // buffer is attached, so an access costs the same wherever it lands and a
@@ -186,21 +193,23 @@ func (ctx *Context) Flat() bool { return ctx.fast }
 // Allocator search loops use it for their non-memory work.
 func (ctx *Context) Compute(n uint64) { ctx.cycles += n }
 
-// Read charges words word-reads at addr to layer id.
+// Read charges words word-reads at addr to layer id. Under the flat cost
+// model it only bumps the layer's counter, small enough to inline into
+// the allocators' metadata charges: Cycles adds the counted words' flat
+// latency when asked. The modelled path keeps the sum exact by taking
+// the flat latency of the words it counts back off the clock.
 func (ctx *Context) Read(id memhier.LayerID, addr uint64, words uint64) {
 	if ctx.fast {
 		ctx.counters[id].Reads += words
-		ctx.cycles += ctx.readCycles[id] * words
 		return
 	}
 	ctx.access(id, addr, words, false)
 }
 
-// Write charges words word-writes at addr to layer id.
+// Write charges words word-writes at addr to layer id, like Read.
 func (ctx *Context) Write(id memhier.LayerID, addr uint64, words uint64) {
 	if ctx.fast {
 		ctx.counters[id].Writes += words
-		ctx.cycles += ctx.writeCycles[id] * words
 		return
 	}
 	ctx.access(id, addr, words, true)
@@ -208,7 +217,10 @@ func (ctx *Context) Write(id memhier.LayerID, addr uint64, words uint64) {
 
 // access is the modelled path: tracer, cache and row buffer. Latencies
 // come from the cached per-layer cycles; only the row-buffer model reads
-// the Layer itself, for its access energies.
+// the Layer itself, for its access energies. Every word it adds to a
+// counter is already worth its flat latency in Cycles, so the clock gets
+// the modelled latency minus the flat one (in modular uint64
+// arithmetic, exact once Cycles adds the flat part back).
 func (ctx *Context) access(id memhier.LayerID, addr uint64, words uint64, write bool) {
 	if words == 0 {
 		return
@@ -227,6 +239,7 @@ func (ctx *Context) access(id memhier.LayerID, addr uint64, words uint64, write 
 			if !res.Hit {
 				c.Reads += res.BackingReads
 				c.Writes += res.BackingWrite
+				ctx.cycles -= res.BackingReads*ctx.readCycles[id] + res.BackingWrite*ctx.writeCycles[id]
 				if res.BackingReads > 0 {
 					ctx.cycles += ctx.readCycles[id] + (res.BackingReads - 1)
 				}
@@ -250,20 +263,16 @@ func (ctx *Context) access(id memhier.LayerID, addr uint64, words uint64, write 
 				c.Reads++
 			}
 			if rb.Access(addr + i) {
-				ctx.cycles += rowHitCycles
+				ctx.cycles += rowHitCycles - flatCycles
 				ctx.energyAdj -= (1 - rowHitEnergyFactor) * flatEnergy
-			} else {
-				ctx.cycles += flatCycles
 			}
 		}
 		return
 	}
 	if write {
 		c.Writes += words
-		ctx.cycles += ctx.writeCycles[id] * words
 	} else {
 		c.Reads += words
-		ctx.cycles += ctx.readCycles[id] * words
 	}
 }
 
@@ -337,7 +346,7 @@ func (ctx *Context) TotalAccesses() uint64 {
 // hierarchy's cost model: dynamic access energy plus capacity leakage
 // integrated over the run time.
 func (ctx *Context) Energy() float64 {
-	return EnergyOf(ctx.hier, ctx.counters, ctx.cycles, ctx.energyAdj)
+	return EnergyOf(ctx.hier, ctx.counters, ctx.Cycles(), ctx.energyAdj)
 }
 
 // EnergyOf computes the memory energy of a run described by per-layer

@@ -196,6 +196,11 @@ func TestContextWithCache(t *testing.T) {
 	if cache.HitRate() != 0.5 {
 		t.Fatalf("hit rate %v", cache.HitRate())
 	}
+	// Two cache accesses (1 cycle each) and one 4-word burst fill (16
+	// cycles for the first word, 1 for each of the other 3).
+	if got, want := ctx.Cycles(), uint64(1+16+3+1); got != want {
+		t.Fatalf("cycles %d, want %d", got, want)
+	}
 }
 
 type recordingTracer struct {
@@ -399,5 +404,38 @@ func TestFastPathMatchesSlowPath(t *testing.T) {
 	slow.Read(0, 0, 1)
 	if tr.n != 4 {
 		t.Fatal("tracer still active after SetTracer(nil)")
+	}
+}
+
+// TestCyclesExactAcrossModelSwitches charges flat, then with a tracer
+// and a row buffer attached mid-run, then flat again: the clock must
+// equal the hand-computed latency sum, so the flat cost Cycles derives
+// from the counters never double-counts or drops a modelled word.
+func TestCyclesExactAcrossModelSwitches(t *testing.T) {
+	ctx := NewContext(testHier(t))
+	ctx.Read(1, 0, 4)  // 4*16
+	ctx.Write(0, 0, 3) // 3*1
+	ctx.SetTracer(&countingTracer{})
+	ctx.Write(1, 0, 2) // 2*18
+	rb, err := memhier.NewRowBuffer(128, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.AttachRowBuffer(1, rb); err != nil {
+		t.Fatal(err)
+	}
+	ctx.Read(1, 0, 5) // one miss (16), then 4 hits (2 each)
+	ctx.SetTracer(nil)
+	ctx.Write(1, 8, 1) // same row: a hit (2)
+	ctx.rowbufs[1] = nil
+	ctx.updateFast()
+	ctx.Read(1, 0, 2) // flat again: 2*16
+	ctx.Compute(7)
+	want := uint64(4*16 + 3*1 + 2*18 + 16 + 4*2 + 2 + 2*16 + 7)
+	if got := ctx.Cycles(); got != want {
+		t.Fatalf("cycles %d, want %d", got, want)
+	}
+	if c := ctx.Counters(1); c.Reads != 11 || c.Writes != 3 {
+		t.Fatalf("dram counters %+v", c)
 	}
 }

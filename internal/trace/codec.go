@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"dmexplore/internal/blockio"
@@ -33,21 +34,13 @@ func WriteText(w io.Writer, t *Trace) error {
 	if _, err := fmt.Fprintf(bw, "# dmtrace %s\n", t.Name); err != nil {
 		return err
 	}
+	var line []byte
 	for i, e := range t.Events {
-		var err error
-		switch e.Kind {
-		case KindAlloc:
-			_, err = fmt.Fprintf(bw, "a %d %d\n", e.ID, e.Size)
-		case KindFree:
-			_, err = fmt.Fprintf(bw, "f %d\n", e.ID)
-		case KindAccess:
-			_, err = fmt.Fprintf(bw, "x %d %d %d\n", e.ID, e.Reads, e.Writes)
-		case KindTick:
-			_, err = fmt.Fprintf(bw, "t %d\n", e.Cycles)
-		default:
-			return fmt.Errorf("trace: event %d has unknown kind %d", i, e.Kind)
+		if k := e.Kind(); k < KindAlloc || k > KindTick {
+			return fmt.Errorf("trace: event %d has unknown kind %d", i, k)
 		}
-		if err != nil {
+		line = append(e.appendText(line[:0]), '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
@@ -72,43 +65,41 @@ func ReadText(r io.Reader) (*Trace, error) {
 			}
 			continue
 		}
-		var e Event
+		var kind EventKind
+		var id, a, b uint64
 		var n int
 		var err error
 		switch line[0] {
 		case 'a':
-			e.Kind = KindAlloc
-			n, err = fmt.Sscanf(line, "a %d %d", &e.ID, &e.Size)
+			kind = KindAlloc
+			n, err = fmt.Sscanf(line, "a %d %d", &id, &a)
 			if err != nil || n != 2 {
 				return nil, fmt.Errorf("trace: line %d: bad alloc %q", lineNo, line)
 			}
 		case 'f':
-			e.Kind = KindFree
-			n, err = fmt.Sscanf(line, "f %d", &e.ID)
+			kind = KindFree
+			n, err = fmt.Sscanf(line, "f %d", &id)
 			if err != nil || n != 1 {
 				return nil, fmt.Errorf("trace: line %d: bad free %q", lineNo, line)
 			}
 		case 'x':
-			e.Kind = KindAccess
-			var reads, writes uint64
-			n, err = fmt.Sscanf(line, "x %d %d %d", &e.ID, &reads, &writes)
+			kind = KindAccess
+			n, err = fmt.Sscanf(line, "x %d %d %d", &id, &a, &b)
 			if err != nil || n != 3 {
 				return nil, fmt.Errorf("trace: line %d: bad access %q", lineNo, line)
 			}
-			err = setAccess(&e, reads, writes)
 		case 't':
-			e.Kind = KindTick
-			var cycles uint64
-			n, err = fmt.Sscanf(line, "t %d", &cycles)
+			kind = KindTick
+			n, err = fmt.Sscanf(line, "t %d", &a)
 			if err != nil || n != 1 {
 				return nil, fmt.Errorf("trace: line %d: bad tick %q", lineNo, line)
 			}
-			err = setTick(&e, cycles)
 		default:
 			return nil, fmt.Errorf("trace: line %d: unknown record %q", lineNo, line)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d (event %d): %w", lineNo, len(t.Events), err)
+		e, ok := decodedEvent(kind, id, a, b)
+		if !ok {
+			return nil, fmt.Errorf("trace: line %d (event %d): %w", lineNo, len(t.Events), rangeError(kind, id, a, b))
 		}
 		t.Events = append(t.Events, e)
 	}
@@ -146,45 +137,53 @@ func ReadAuto(r io.Reader) (*Trace, error) {
 // appendEvent appends event i's binary record (kind byte plus varint
 // fields) to buf.
 func appendEvent(buf []byte, e *Event, i int) ([]byte, error) {
-	buf = append(buf, byte(e.Kind))
-	switch e.Kind {
+	kind := e.Kind()
+	buf = append(buf, byte(kind))
+	switch kind {
 	case KindAlloc:
-		buf = binary.AppendUvarint(buf, e.ID)
-		buf = binary.AppendUvarint(buf, uint64(e.Size))
+		buf = binary.AppendUvarint(buf, e.ID())
+		buf = binary.AppendUvarint(buf, uint64(e.Size()))
 	case KindFree:
-		buf = binary.AppendUvarint(buf, e.ID)
+		buf = binary.AppendUvarint(buf, e.ID())
 	case KindAccess:
-		buf = binary.AppendUvarint(buf, e.ID)
-		buf = binary.AppendUvarint(buf, uint64(e.Reads))
-		buf = binary.AppendUvarint(buf, uint64(e.Writes))
+		buf = binary.AppendUvarint(buf, e.ID())
+		buf = binary.AppendUvarint(buf, uint64(e.Reads()))
+		buf = binary.AppendUvarint(buf, uint64(e.Writes()))
 	case KindTick:
-		buf = binary.AppendUvarint(buf, uint64(e.Cycles))
+		buf = binary.AppendUvarint(buf, uint64(e.Cycles()))
 	default:
-		return nil, fmt.Errorf("trace: event %d has unknown kind %d", i, e.Kind)
+		return nil, fmt.Errorf("trace: event %d has unknown kind %d", i, kind)
 	}
 	return buf, nil
 }
 
-// setAccess stores an Access event's reads and writes, rejecting either
-// beyond 32 bits.
-func setAccess(e *Event, reads, writes uint64) error {
-	if err := checkArg("access reads", reads); err != nil {
-		return err
+// decodedEvent builds a decoded record's event from its ID and the
+// fields after it (Alloc: size; Access: reads, writes; Tick: cycles). It
+// reports false for an ID above MaxID or an Access or Tick argument
+// beyond 32 bits, which the decoders reject (rangeError) instead of
+// truncating. Small enough to inline into the decode loops.
+func decodedEvent(kind EventKind, id, a, b uint64) (Event, bool) {
+	if id > MaxID || (kind >= KindAccess && a|b > math.MaxUint32) { // b is 0 for a Tick
+		return Event{}, false
 	}
-	if err := checkArg("access writes", writes); err != nil {
-		return err
+	if kind == KindAccess {
+		a = packAccess(uint32(a), uint32(b))
 	}
-	e.Reads, e.Writes = uint32(reads), uint32(writes)
-	return nil
+	return newEvent(kind, id, a), true
 }
 
-// setTick stores a Tick event's cycles, rejecting a count beyond 32 bits.
-func setTick(e *Event, cycles uint64) error {
-	if err := checkArg("tick cycles", cycles); err != nil {
+// rangeError names the first out-of-range field of a decoded record.
+func rangeError(kind EventKind, id, a, b uint64) error {
+	if id > MaxID {
+		return idRangeError(id)
+	}
+	if kind == KindTick {
+		return checkArg("tick cycles", a)
+	}
+	if err := checkArg("access reads", a); err != nil {
 		return err
 	}
-	e.Cycles = uint32(cycles)
-	return nil
+	return checkArg("access writes", b)
 }
 
 // decodeEvent decodes one binary record from the front of buf into e
@@ -195,7 +194,7 @@ func decodeEvent(buf []byte, e *Event) (int, error) {
 	if len(buf) == 0 {
 		return 0, io.ErrUnexpectedEOF
 	}
-	*e = Event{Kind: EventKind(buf[0])}
+	kind := EventKind(buf[0])
 	n := 1
 	bad := false
 	get := func() uint64 {
@@ -207,31 +206,25 @@ func decodeEvent(buf []byte, e *Event) (int, error) {
 		n += k
 		return v
 	}
-	switch e.Kind {
+	var id, a, b uint64
+	switch kind {
 	case KindAlloc:
-		e.ID = get()
-		e.Size = int64(get())
+		id, a = get(), get()
 	case KindFree:
-		e.ID = get()
+		id = get()
 	case KindAccess:
-		e.ID = get()
-		reads, writes := get(), get()
-		if !bad {
-			if err := setAccess(e, reads, writes); err != nil {
-				return 0, err
-			}
-		}
+		id, a, b = get(), get(), get()
 	case KindTick:
-		if cycles := get(); !bad {
-			if err := setTick(e, cycles); err != nil {
-				return 0, err
-			}
-		}
+		a = get()
 	default:
-		return 0, fmt.Errorf("unknown kind %d", e.Kind)
+		return 0, fmt.Errorf("unknown kind %d", kind)
 	}
 	if bad {
 		return 0, io.ErrUnexpectedEOF
+	}
+	var ok bool
+	if *e, ok = decodedEvent(kind, id, a, b); !ok {
+		return 0, rangeError(kind, id, a, b)
 	}
 	return n, nil
 }

@@ -200,19 +200,13 @@ func Compile(t *Trace) (*Compiled, error) {
 }
 
 // setEvent stores event e's kind, raw ID and argument into raw at index
-// i. KindFree carries no argument here (finalize
-// resolves the size); unknown kinds are rejected by finalize.
+// i. An Event's argument word already has the compiled packing (Access:
+// packAccess); KindFree carries none here (finalize resolves the size);
+// unknown kinds are rejected by finalize.
 func (c *Compiled) setEvent(i int, e *Event, raw rawSlabs) {
-	raw.kinds[i] = e.Kind
-	raw.ids[i] = e.ID
-	switch e.Kind {
-	case KindAlloc:
-		raw.args[i] = uint64(e.Size)
-	case KindAccess:
-		raw.args[i] = packAccess(e.Reads, e.Writes)
-	case KindTick:
-		raw.args[i] = uint64(e.Cycles)
-	}
+	raw.kinds[i] = e.Kind()
+	raw.ids[i] = e.ID()
+	raw.args[i] = e.arg
 }
 
 // finalize turns raw slabs (the events' kinds, original allocation IDs

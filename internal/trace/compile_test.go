@@ -9,15 +9,15 @@ import (
 // hand to get a sparse ID space).
 func buildSample() *Trace {
 	return &Trace{Name: "sample", Events: []Event{
-		{Kind: KindAlloc, ID: 100, Size: 64},
-		{Kind: KindAlloc, ID: 7, Size: 16},
-		{Kind: KindAccess, ID: 100, Reads: 3, Writes: 1},
-		{Kind: KindTick, Cycles: 10},
-		{Kind: KindFree, ID: 100},
-		{Kind: KindAlloc, ID: 900, Size: 32},
-		{Kind: KindAccess, ID: 7, Writes: 2},
-		{Kind: KindFree, ID: 7},
-		{Kind: KindFree, ID: 900},
+		AllocEvent(100, 64),
+		AllocEvent(7, 16),
+		AccessEvent(100, 3, 1),
+		TickEvent(10),
+		FreeEvent(100),
+		AllocEvent(900, 32),
+		AccessEvent(7, 0, 2),
+		FreeEvent(7),
+		FreeEvent(900),
 	}}
 }
 
@@ -126,27 +126,27 @@ func TestCompileCounts(t *testing.T) {
 func TestCompileRejectsInvalid(t *testing.T) {
 	cases := map[string]*Trace{
 		"double alloc": {Events: []Event{
-			{Kind: KindAlloc, ID: 1, Size: 8},
-			{Kind: KindAlloc, ID: 1, Size: 8},
+			AllocEvent(1, 8),
+			AllocEvent(1, 8),
 		}},
 		"reuse after free": {Events: []Event{
-			{Kind: KindAlloc, ID: 1, Size: 8},
-			{Kind: KindFree, ID: 1},
-			{Kind: KindAlloc, ID: 1, Size: 8},
+			AllocEvent(1, 8),
+			FreeEvent(1),
+			AllocEvent(1, 8),
 		}},
-		"free dead": {Events: []Event{{Kind: KindFree, ID: 1}}},
+		"free dead": {Events: []Event{FreeEvent(1)}},
 		"access dead": {Events: []Event{
-			{Kind: KindAlloc, ID: 1, Size: 8},
-			{Kind: KindFree, ID: 1},
-			{Kind: KindAccess, ID: 1, Reads: 1},
+			AllocEvent(1, 8),
+			FreeEvent(1),
+			AccessEvent(1, 1, 0),
 		}},
 		"empty access": {Events: []Event{
-			{Kind: KindAlloc, ID: 1, Size: 8},
-			{Kind: KindAccess, ID: 1},
+			AllocEvent(1, 8),
+			AccessEvent(1, 0, 0),
 		}},
-		"zero tick": {Events: []Event{{Kind: KindTick}}},
-		"bad size":  {Events: []Event{{Kind: KindAlloc, ID: 1, Size: 0}}},
-		"bad kind":  {Events: []Event{{Kind: EventKind(99)}}},
+		"zero tick": {Events: []Event{TickEvent(0)}},
+		"bad size":  {Events: []Event{AllocEvent(1, 0)}},
+		"bad kind":  {Events: []Event{{}}},
 	}
 	for name, tr := range cases {
 		if _, err := Compile(tr); err == nil {
@@ -191,13 +191,13 @@ func TestBuilderFreeAllAscending(t *testing.T) {
 	var prev uint64
 	var started bool
 	for _, e := range tr.Events[102:] { // after 100 allocs + 2 manual frees
-		if e.Kind != KindFree {
-			t.Fatalf("unexpected %v after FreeAll", e.Kind)
+		if e.Kind() != KindFree {
+			t.Fatalf("unexpected %v after FreeAll", e.Kind())
 		}
-		if started && e.ID <= prev {
-			t.Fatalf("FreeAll out of order: %d after %d", e.ID, prev)
+		if started && e.ID() <= prev {
+			t.Fatalf("FreeAll out of order: %d after %d", e.ID(), prev)
 		}
-		prev, started = e.ID, true
+		prev, started = e.ID(), true
 	}
 	if b.NumLive() != 0 {
 		t.Fatalf("%d still live", b.NumLive())

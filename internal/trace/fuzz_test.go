@@ -10,7 +10,6 @@ package trace_test
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"dmexplore/internal/trace"
@@ -31,12 +30,14 @@ func sameEvents(a, b []trace.Event) bool {
 	return true
 }
 
-// boundaryArgs returns small traces carrying each 32-bit event argument
-// (Access reads and writes, Tick cycles) at 2^32-1 and at 2^32.
+// boundaryArgs returns small traces carrying each bounded event
+// argument at its limit and one past it: an allocation ID at MaxID and
+// MaxID+1, Access reads and writes and Tick cycles at 2^32-1 and 2^32.
 func boundaryArgs() [][]trace.RawEvent {
 	var out [][]trace.RawEvent
-	for _, field := range []string{"reads", "writes", "cycles"} {
-		for _, v := range []uint64{math.MaxUint32, math.MaxUint32 + 1} {
+	for _, field := range trace.WideFields {
+		limit := trace.WideLimit(field)
+		for _, v := range []uint64{limit, limit + 1} {
 			out = append(out, trace.WideEvents(field, v))
 		}
 	}
@@ -79,13 +80,13 @@ func FuzzReadBinary(f *testing.F) {
 	colSeed := &trace.Trace{Name: "columnar-seed"}
 	for i := uint64(1); i <= 32; i++ {
 		colSeed.Events = append(colSeed.Events,
-			trace.Event{Kind: trace.KindAlloc, ID: i, Size: int64(8 * i)},
-			trace.Event{Kind: trace.KindAccess, ID: i, Reads: uint32(i), Writes: uint32(i % 3)},
-			trace.Event{Kind: trace.KindTick, Cycles: 100},
+			trace.AllocEvent(i, int64(8*i)),
+			trace.AccessEvent(i, uint32(i), uint32(i%3)),
+			trace.TickEvent(100),
 		)
 		if i%2 == 0 {
 			colSeed.Events = append(colSeed.Events,
-				trace.Event{Kind: trace.KindFree, ID: i - 1})
+				trace.FreeEvent(i-1))
 		}
 	}
 	var colBuf bytes.Buffer
@@ -93,8 +94,9 @@ func FuzzReadBinary(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(colBuf.Bytes())
-	// Range boundary seeds: 32-bit Access and Tick arguments at 2^32-1
-	// (accepted exactly) and 2^32 (rejected, never truncated).
+	// Range boundary seeds: IDs and 32-bit Access and Tick arguments at
+	// their limit (accepted exactly) and one past it (rejected, never
+	// truncated).
 	for _, args := range boundaryArgs() {
 		f.Add(trace.EncodeRawV2("wide", args, 0))
 	}
@@ -204,10 +206,10 @@ func FuzzTraceFeatures(f *testing.F) {
 		// identical on the relabeled trace.
 		relabeled := &trace.Trace{Name: tr.Name, Events: make([]trace.Event, len(tr.Events))}
 		copy(relabeled.Events, tr.Events)
-		for i := range relabeled.Events {
-			switch relabeled.Events[i].Kind {
+		for i, e := range relabeled.Events {
+			switch e.Kind() {
 			case trace.KindAlloc, trace.KindFree, trace.KindAccess:
-				relabeled.Events[i].ID ^= 0x5a5a5a5a5a5a5a5a // bijective relabeling
+				relabeled.Events[i] = e.WithID(e.ID() ^ 0x1a5a5a5a5a5a5a5a) // bijective relabeling within MaxID
 			}
 		}
 		rc, err := trace.Compile(relabeled)

@@ -34,12 +34,13 @@ func Analyze(t *Trace) *Profile {
 	live := make(map[uint64]liveRec)
 	var liveBytes, liveBlocks int64
 	for i, e := range t.Events {
-		switch e.Kind {
+		switch e.Kind() {
 		case KindAlloc:
+			size := e.Size()
 			p.Allocs++
-			p.Sizes.Add(e.Size)
-			live[e.ID] = liveRec{size: e.Size, bornIdx: i}
-			liveBytes += e.Size
+			p.Sizes.Add(size)
+			live[e.ID()] = liveRec{size: size, bornIdx: i}
+			liveBytes += size
 			liveBlocks++
 			if liveBytes > p.PeakLiveBytes {
 				p.PeakLiveBytes = liveBytes
@@ -49,16 +50,16 @@ func Analyze(t *Trace) *Profile {
 			}
 		case KindFree:
 			p.Frees++
-			rec := live[e.ID]
+			rec := live[e.ID()]
 			p.Lifetimes.Add(int64(i - rec.bornIdx))
 			liveBytes -= rec.size
 			liveBlocks--
-			delete(live, e.ID)
+			delete(live, e.ID())
 		case KindAccess:
 			p.Accesses++
-			p.AccessWords += uint64(e.Reads) + uint64(e.Writes)
+			p.AccessWords += uint64(e.Reads()) + uint64(e.Writes())
 		case KindTick:
-			p.TickCycles += uint64(e.Cycles)
+			p.TickCycles += uint64(e.Cycles())
 		}
 	}
 	p.FinalLiveBytes = liveBytes

@@ -12,6 +12,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 )
 
 // EventKind discriminates trace events.
@@ -46,26 +47,133 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one trace record. Field use depends on Kind; unused fields are
-// zero. Access reads and writes and Tick cycles are 32-bit, which keeps
-// an Event at 32 bytes; the decoders reject larger values and Builder
-// panics on them, so nothing is ever truncated.
+// Event is one trace record, packed into two words (16 bytes) because
+// the in-memory trace is the explorer's largest data structure. The
+// first word holds the kind in its top 3 bits (so the zero Event has an
+// invalid kind) and the allocation ID in the low 61 bits; the second
+// holds the kind's argument: Alloc size, Access reads<<32|writes, Tick
+// cycles, 0 for Free. Build events with AllocEvent, FreeEvent,
+// AccessEvent and TickEvent and read them through the accessor methods.
+// IDs above MaxID and Access or Tick arguments above 32 bits do not fit:
+// the decoders reject them, Builder panics on them, and the
+// constructors panic on an ID above MaxID, so nothing is ever truncated.
 type Event struct {
-	Kind   EventKind
-	Cycles uint32 // CPU cycles (Tick)
-	ID     uint64 // allocation id (Alloc/Free/Access)
-	Size   int64  // requested bytes (Alloc)
-	Reads  uint32 // application word reads (Access)
-	Writes uint32 // application word writes (Access)
+	head uint64 // kind<<idBits | ID
+	arg  uint64
+}
+
+// idBits is the width of an Event's allocation ID.
+const idBits = 61
+
+// MaxID is the largest allocation ID an Event holds.
+const MaxID = 1<<idBits - 1
+
+// newEvent packs an event, panicking on an ID above MaxID.
+func newEvent(kind EventKind, id, arg uint64) Event {
+	if id > MaxID {
+		panic(idRangeError(id)) // a caller bug: fail loudly, never truncate
+	}
+	return Event{head: uint64(kind)<<idBits | id, arg: arg}
+}
+
+// AllocEvent returns an allocation of size bytes for id.
+func AllocEvent(id uint64, size int64) Event { return newEvent(KindAlloc, id, uint64(size)) }
+
+// FreeEvent returns a free of id.
+func FreeEvent(id uint64) Event { return newEvent(KindFree, id, 0) }
+
+// AccessEvent returns reads word-reads and writes word-writes on id.
+func AccessEvent(id uint64, reads, writes uint32) Event {
+	return newEvent(KindAccess, id, packAccess(reads, writes))
+}
+
+// TickEvent returns cycles of CPU compute work.
+func TickEvent(cycles uint32) Event { return newEvent(KindTick, 0, uint64(cycles)) }
+
+// WithID returns e with its allocation ID replaced by id.
+func (e Event) WithID(id uint64) Event { return newEvent(e.Kind(), id, e.arg) }
+
+// Kind returns the event kind.
+func (e Event) Kind() EventKind { return EventKind(e.head >> idBits) }
+
+// ID returns the allocation ID (Alloc/Free/Access; 0 for Tick).
+func (e Event) ID() uint64 { return e.head & MaxID }
+
+// Size returns the requested bytes (Alloc).
+func (e Event) Size() int64 {
+	if e.Kind() != KindAlloc {
+		return 0
+	}
+	return int64(e.arg)
+}
+
+// Reads returns the application word reads (Access).
+func (e Event) Reads() uint32 {
+	if e.Kind() != KindAccess {
+		return 0
+	}
+	return uint32(e.arg >> 32)
+}
+
+// Writes returns the application word writes (Access).
+func (e Event) Writes() uint32 {
+	if e.Kind() != KindAccess {
+		return 0
+	}
+	return uint32(e.arg)
+}
+
+// Cycles returns the CPU cycles (Tick).
+func (e Event) Cycles() uint32 {
+	if e.Kind() != KindTick {
+		return 0
+	}
+	return uint32(e.arg)
+}
+
+// String formats e as its text-format record.
+func (e Event) String() string { return string(e.appendText(nil)) }
+
+// appendText appends e's text-format record, without the newline, to b.
+func (e Event) appendText(b []byte) []byte {
+	kind := e.Kind()
+	switch kind {
+	case KindAlloc:
+		b = append(b, "a "...)
+	case KindFree:
+		b = append(b, "f "...)
+	case KindAccess:
+		b = append(b, "x "...)
+	case KindTick:
+		return strconv.AppendUint(append(b, "t "...), uint64(e.Cycles()), 10)
+	default:
+		return append(b, kind.String()...)
+	}
+	b = strconv.AppendUint(b, e.ID(), 10)
+	switch kind {
+	case KindAlloc:
+		b = strconv.AppendInt(append(b, ' '), e.Size(), 10)
+	case KindAccess:
+		b = strconv.AppendUint(append(b, ' '), uint64(e.Reads()), 10)
+		b = strconv.AppendUint(append(b, ' '), uint64(e.Writes()), 10)
+	}
+	return b
 }
 
 // checkArg rejects an Access or Tick argument that does not fit its
-// 32-bit Event field; what names the argument in the error.
+// 32 bits; what names the argument in the error.
 func checkArg(what string, v uint64) error {
 	if v > math.MaxUint32 {
 		return fmt.Errorf("%s %d exceeds the 32-bit limit", what, v)
 	}
 	return nil
+}
+
+// idRangeError reports an allocation ID above MaxID.
+type idRangeError uint64
+
+func (e idRangeError) Error() string {
+	return fmt.Sprintf("id %d exceeds the 61-bit limit", uint64(e))
 }
 
 // Trace is an ordered event sequence with an identifying name.
@@ -83,37 +191,38 @@ func (t *Trace) Validate() error {
 	live := make(map[uint64]bool)
 	freed := make(map[uint64]bool)
 	for i, e := range t.Events {
-		switch e.Kind {
+		id := e.ID()
+		switch e.Kind() {
 		case KindAlloc:
-			if e.Size <= 0 {
-				return fmt.Errorf("trace %s: event %d: alloc %d with size %d", t.Name, i, e.ID, e.Size)
+			if e.Size() <= 0 {
+				return fmt.Errorf("trace %s: event %d: alloc %d with size %d", t.Name, i, id, e.Size())
 			}
-			if live[e.ID] {
-				return fmt.Errorf("trace %s: event %d: id %d allocated twice", t.Name, i, e.ID)
+			if live[id] {
+				return fmt.Errorf("trace %s: event %d: id %d allocated twice", t.Name, i, id)
 			}
-			if freed[e.ID] {
-				return fmt.Errorf("trace %s: event %d: id %d reused after free", t.Name, i, e.ID)
+			if freed[id] {
+				return fmt.Errorf("trace %s: event %d: id %d reused after free", t.Name, i, id)
 			}
-			live[e.ID] = true
+			live[id] = true
 		case KindFree:
-			if !live[e.ID] {
-				return fmt.Errorf("trace %s: event %d: free of dead id %d", t.Name, i, e.ID)
+			if !live[id] {
+				return fmt.Errorf("trace %s: event %d: free of dead id %d", t.Name, i, id)
 			}
-			delete(live, e.ID)
-			freed[e.ID] = true
+			delete(live, id)
+			freed[id] = true
 		case KindAccess:
-			if !live[e.ID] {
-				return fmt.Errorf("trace %s: event %d: access to dead id %d", t.Name, i, e.ID)
+			if !live[id] {
+				return fmt.Errorf("trace %s: event %d: access to dead id %d", t.Name, i, id)
 			}
-			if e.Reads == 0 && e.Writes == 0 {
+			if e.Reads() == 0 && e.Writes() == 0 {
 				return fmt.Errorf("trace %s: event %d: empty access", t.Name, i)
 			}
 		case KindTick:
-			if e.Cycles == 0 {
+			if e.Cycles() == 0 {
 				return fmt.Errorf("trace %s: event %d: zero tick", t.Name, i)
 			}
 		default:
-			return fmt.Errorf("trace %s: event %d: unknown kind %d", t.Name, i, e.Kind)
+			return fmt.Errorf("trace %s: event %d: unknown kind %d", t.Name, i, e.Kind())
 		}
 	}
 	return nil
@@ -131,7 +240,8 @@ func NewBuilder(name string) *Builder {
 	return &Builder{t: Trace{Name: name}, nextID: 1, live: make(map[uint64]bool)}
 }
 
-// Alloc appends an allocation of size bytes and returns its ID.
+// Alloc appends an allocation of size bytes and returns its ID. It
+// panics once the IDs it hands out would pass MaxID.
 func (b *Builder) Alloc(size int64) uint64 {
 	if size <= 0 {
 		panic(fmt.Sprintf("trace: alloc size %d", size))
@@ -139,7 +249,7 @@ func (b *Builder) Alloc(size int64) uint64 {
 	id := b.nextID
 	b.nextID++
 	b.live[id] = true
-	b.t.Events = append(b.t.Events, Event{Kind: KindAlloc, ID: id, Size: size})
+	b.t.Events = append(b.t.Events, AllocEvent(id, size))
 	return id
 }
 
@@ -150,7 +260,7 @@ func (b *Builder) Free(id uint64) {
 		panic(fmt.Sprintf("trace: free of dead id %d", id))
 	}
 	delete(b.live, id)
-	b.t.Events = append(b.t.Events, Event{Kind: KindFree, ID: id})
+	b.t.Events = append(b.t.Events, FreeEvent(id))
 }
 
 // Access appends an application access to live allocation id. Reads and
@@ -164,7 +274,7 @@ func (b *Builder) Access(id uint64, reads, writes uint64) {
 	if reads == 0 && writes == 0 {
 		return
 	}
-	b.t.Events = append(b.t.Events, Event{Kind: KindAccess, ID: id, Reads: uint32(reads), Writes: uint32(writes)})
+	b.t.Events = append(b.t.Events, AccessEvent(id, uint32(reads), uint32(writes)))
 }
 
 // Tick appends cycles of CPU compute work (0 is a no-op). Cycles must
@@ -174,7 +284,7 @@ func (b *Builder) Tick(cycles uint64) {
 	if cycles == 0 {
 		return
 	}
-	b.t.Events = append(b.t.Events, Event{Kind: KindTick, Cycles: uint32(cycles)})
+	b.t.Events = append(b.t.Events, TickEvent(uint32(cycles)))
 }
 
 // mustFit panics on an out-of-range Access or Tick argument — a

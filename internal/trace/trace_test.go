@@ -75,8 +75,8 @@ func TestBuilderFreeAll(t *testing.T) {
 	// FreeAll must be deterministic: ascending IDs.
 	var frees []uint64
 	for _, e := range tr.Events {
-		if e.Kind == KindFree {
-			frees = append(frees, e.ID)
+		if e.Kind() == KindFree {
+			frees = append(frees, e.ID())
 		}
 	}
 	for i := 1; i < len(frees); i++ {
@@ -91,20 +91,20 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		name   string
 		events []Event
 	}{
-		{"free before alloc", []Event{{Kind: KindFree, ID: 1}}},
+		{"free before alloc", []Event{FreeEvent(1)}},
 		{"double free", []Event{
-			{Kind: KindAlloc, ID: 1, Size: 8}, {Kind: KindFree, ID: 1}, {Kind: KindFree, ID: 1}}},
+			AllocEvent(1, 8), FreeEvent(1), FreeEvent(1)}},
 		{"double alloc", []Event{
-			{Kind: KindAlloc, ID: 1, Size: 8}, {Kind: KindAlloc, ID: 1, Size: 8}}},
+			AllocEvent(1, 8), AllocEvent(1, 8)}},
 		{"id reuse", []Event{
-			{Kind: KindAlloc, ID: 1, Size: 8}, {Kind: KindFree, ID: 1},
-			{Kind: KindAlloc, ID: 1, Size: 8}}},
-		{"access dead", []Event{{Kind: KindAccess, ID: 1, Reads: 1}}},
-		{"zero size", []Event{{Kind: KindAlloc, ID: 1, Size: 0}}},
+			AllocEvent(1, 8), FreeEvent(1),
+			AllocEvent(1, 8)}},
+		{"access dead", []Event{AccessEvent(1, 1, 0)}},
+		{"zero size", []Event{AllocEvent(1, 0)}},
 		{"empty access", []Event{
-			{Kind: KindAlloc, ID: 1, Size: 8}, {Kind: KindAccess, ID: 1}}},
-		{"zero tick", []Event{{Kind: KindTick}}},
-		{"unknown kind", []Event{{Kind: 99}}},
+			AllocEvent(1, 8), AccessEvent(1, 0, 0)}},
+		{"zero tick", []Event{TickEvent(0)}},
+		{"unknown kind", []Event{{}}},
 	}
 	for _, c := range cases {
 		tr := &Trace{Name: c.name, Events: c.events}

@@ -25,17 +25,17 @@ func Slice(t *Trace, from, to int) (*Trace, error) {
 	live := make(map[uint64]int64)
 	var order []uint64
 	for _, e := range t.Events[:from] {
-		switch e.Kind {
+		switch e.Kind() {
 		case KindAlloc:
-			live[e.ID] = e.Size
-			order = append(order, e.ID)
+			live[e.ID()] = e.Size()
+			order = append(order, e.ID())
 		case KindFree:
-			delete(live, e.ID)
+			delete(live, e.ID())
 		}
 	}
 	for _, id := range order {
 		if size, ok := live[id]; ok {
-			out.Events = append(out.Events, Event{Kind: KindAlloc, ID: id, Size: size})
+			out.Events = append(out.Events, AllocEvent(id, size))
 		}
 	}
 	out.Events = append(out.Events, t.Events[from:to]...)
@@ -57,10 +57,9 @@ func Interleave(name string, seed uint64, traces ...*Trace) (*Trace, error) {
 	out := &Trace{Name: name, Events: make([]Event, 0, total)}
 	rng := stats.NewRNG(seed)
 	pos := make([]int, len(traces))
-	// idBase gives each input trace a disjoint ID namespace.
-	idBase := make([]uint64, len(traces))
-	for i := 1; i < len(traces); i++ {
-		idBase[i] = idBase[i-1] + maxID(traces[i-1]) + 1
+	idBase, err := idBases(traces)
+	if err != nil {
+		return nil, err
 	}
 	for {
 		// Weighted pick proportional to remaining events.
@@ -83,19 +82,42 @@ func Interleave(name string, seed uint64, traces ...*Trace) (*Trace, error) {
 		}
 		e := traces[src].Events[pos[src]]
 		pos[src]++
-		if e.ID != 0 {
-			e.ID += idBase[src]
-		}
-		out.Events = append(out.Events, e)
+		out.Events = append(out.Events, rebase(e, idBase[src]))
 	}
+}
+
+// idBases gives each input trace a disjoint ID namespace: trace i's IDs
+// are shifted by the i-th base. It fails when a shifted ID would pass
+// MaxID.
+func idBases(traces []*Trace) ([]uint64, error) {
+	bases := make([]uint64, len(traces))
+	var next uint64 // first ID of the next namespace; at most MaxID+1
+	for i, t := range traces {
+		bases[i] = next
+		top := next + maxID(t) // both terms are at most 2^61, so no wrap
+		if top > MaxID {
+			return nil, fmt.Errorf("trace: %s: ids shifted by %d pass the 61-bit limit", t.Name, next)
+		}
+		next = top + 1
+	}
+	return bases, nil
+}
+
+// rebase shifts e's allocation ID by base; an event without an ID (Tick)
+// keeps 0.
+func rebase(e Event, base uint64) Event {
+	if e.ID() == 0 {
+		return e
+	}
+	return e.WithID(e.ID() + base)
 }
 
 // maxID returns the largest allocation ID used in t.
 func maxID(t *Trace) uint64 {
 	var max uint64
 	for _, e := range t.Events {
-		if e.ID > max {
-			max = e.ID
+		if id := e.ID(); id > max {
+			max = id
 		}
 	}
 	return max
@@ -107,16 +129,15 @@ func Concat(name string, traces ...*Trace) (*Trace, error) {
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("trace: nothing to concatenate")
 	}
+	idBase, err := idBases(traces)
+	if err != nil {
+		return nil, err
+	}
 	out := &Trace{Name: name}
-	var base uint64
-	for _, t := range traces {
+	for i, t := range traces {
 		for _, e := range t.Events {
-			if e.ID != 0 {
-				e.ID += base
-			}
-			out.Events = append(out.Events, e)
+			out.Events = append(out.Events, rebase(e, idBase[i]))
 		}
-		base += maxID(t) + 1
 	}
 	return out, nil
 }

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -25,7 +27,7 @@ func TestSliceSelfContained(t *testing.T) {
 		t.Fatalf("slice invalid: %v", err)
 	}
 	// Pre-window live allocation (id2) is re-created first.
-	if s.Events[0].Kind != KindAlloc || s.Events[0].ID != id2 || s.Events[0].Size != 200 {
+	if s.Events[0].Kind() != KindAlloc || s.Events[0].ID() != id2 || s.Events[0].Size() != 200 {
 		t.Fatalf("first event %+v", s.Events[0])
 	}
 	// id3 is left unfreed (the window ends before its free).
@@ -115,13 +117,13 @@ func TestInterleaveActuallyInterleaves(t *testing.T) {
 	last74 := -1
 	first1024 := -1
 	for i, e := range merged.Events {
-		if e.Kind != KindAlloc {
+		if e.Kind() != KindAlloc {
 			continue
 		}
-		if e.Size == 74 {
+		if e.Size() == 74 {
 			last74 = i
 		}
-		if e.Size == 1024 && first1024 == -1 {
+		if e.Size() == 1024 && first1024 == -1 {
 			first1024 = i
 		}
 	}
@@ -179,5 +181,35 @@ func TestConcat(t *testing.T) {
 	}
 	if _, err := Concat("x"); err == nil {
 		t.Fatal("empty concat accepted")
+	}
+}
+
+// TestMergeRejectsIDOverflow checks that Concat and Interleave fail,
+// instead of wrapping, when shifting a trace's IDs into its namespace
+// would pass MaxID, and still accept a merge that ends exactly at MaxID.
+func TestMergeRejectsIDOverflow(t *testing.T) {
+	one := func(id uint64) *Trace {
+		return &Trace{Name: fmt.Sprint(id), Events: []Event{AllocEvent(id, 8), TickEvent(1), FreeEvent(id)}}
+	}
+	merges := map[string]func(...*Trace) (*Trace, error){
+		"Concat":     func(ts ...*Trace) (*Trace, error) { return Concat("m", ts...) },
+		"Interleave": func(ts ...*Trace) (*Trace, error) { return Interleave("m", 1, ts...) },
+	}
+	for name, merge := range merges {
+		for _, ts := range [][]*Trace{{one(MaxID), one(1)}, {one(1), one(MaxID - 1)}} {
+			if _, err := merge(ts...); err == nil || !strings.Contains(err.Error(), "61-bit limit") {
+				t.Errorf("%s(%s, %s): err %v, want the 61-bit limit", name, ts[0].Name, ts[1].Name, err)
+			}
+		}
+		m, err := merge(one(1), one(MaxID-2))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := maxID(m); got != MaxID {
+			t.Errorf("%s: largest merged id %d, want MaxID", name, got)
+		}
 	}
 }

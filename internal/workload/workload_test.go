@@ -1,7 +1,11 @@
 package workload
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"dmexplore/internal/trace"
@@ -279,5 +283,86 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := New("easyport", 1, 0); err == nil {
 		t.Fatal("zero scale accepted")
+	}
+}
+
+// defaultTraces returns the default Easyport and VTC traces.
+func defaultTraces(t *testing.T) []*trace.Trace {
+	t.Helper()
+	var out []*trace.Trace
+	for _, g := range []Generator{DefaultEasyportParams(), DefaultVTCParams()} {
+		tr, err := g.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, tr)
+	}
+	return out
+}
+
+// TestDefaultTraceEncodingsPinned pins the SHA-256 of the v2 binary and
+// text encodings of both default traces, so a change to the in-memory
+// Event layout cannot change a byte the codecs write.
+func TestDefaultTraceEncodingsPinned(t *testing.T) {
+	want := map[string][2]string{ // v2, text
+		"easyport": {
+			"5b5e13a3aac78030d1dd6614d02fe9c189f3dfea9ee6c713666079a31087f5c2",
+			"4fbd380a010d6a8ba063347f21acb6f44f4ff6136b6776ce4401fb49fb180297",
+		},
+		"vtc": {
+			"fc163d8ece14d9b24dc20520448c18fa297f6fa136caa3d16c7618851a21a3a9",
+			"bc2ea73ffb8c34f6870744692ddf2a3a9463e33f62a79ceabcc12a6329dfc0eb",
+		},
+	}
+	for _, tr := range defaultTraces(t) {
+		name, _, _ := strings.Cut(tr.Name, "[")
+		var v2, txt bytes.Buffer
+		if err := trace.WriteBinaryV2(&v2, tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.WriteText(&txt, tr); err != nil {
+			t.Fatal(err)
+		}
+		got := [2]string{fmt.Sprintf("%x", sha256.Sum256(v2.Bytes())), fmt.Sprintf("%x", sha256.Sum256(txt.Bytes()))}
+		if got != want[name] {
+			t.Errorf("%s: encodings hash to v2 %s, text %s; want %s, %s", tr.Name, got[0], got[1], want[name][0], want[name][1])
+		}
+	}
+}
+
+// TestCompiledAtMatchesEvents checks that every compiled operation of
+// both default traces reads back as its source event: same kind and
+// arguments, the dense ID a bijection of the original, and a Free's size
+// that of its allocation.
+func TestCompiledAtMatchesEvents(t *testing.T) {
+	for _, tr := range defaultTraces(t) {
+		c, err := trace.Compile(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Len() != tr.Len() {
+			t.Fatalf("%s: %d compiled ops for %d events", tr.Name, c.Len(), tr.Len())
+		}
+		dense := map[uint64]uint32{}
+		size := map[uint64]int64{}
+		for i, e := range tr.Events {
+			op := c.At(i)
+			want := trace.Op{Kind: e.Kind(), ID: dense[e.ID()]}
+			switch e.Kind() {
+			case trace.KindAlloc:
+				want.ID = uint32(len(dense))
+				want.Size = e.Size()
+				dense[e.ID()], size[e.ID()] = want.ID, e.Size()
+			case trace.KindFree:
+				want.Size = size[e.ID()]
+			case trace.KindAccess:
+				want.Reads, want.Writes = uint64(e.Reads()), uint64(e.Writes())
+			case trace.KindTick:
+				want.Cycles = uint64(e.Cycles())
+			}
+			if op != want {
+				t.Fatalf("%s: At(%d) = %+v, want %+v (event %v)", tr.Name, i, op, want, e)
+			}
+		}
 	}
 }
