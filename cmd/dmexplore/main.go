@@ -773,13 +773,6 @@ func writeReports(dir string, space *core.Space, all, feasible, front []core.Res
 	return report.WriteHTML(hf, title, space.AxisLabels(), feasible, front, objs[0], objs[1])
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func contains(xs []string, s string) bool {
 	for _, x := range xs {
 		if x == s {

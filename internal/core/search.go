@@ -202,44 +202,26 @@ func (r *Runner) HillClimb(space *Space, weights []Weighted, budget int, seed ui
 			return nil, err
 		}
 		for b.len() < budget {
-			improved := false
+			// Without a surrogate the whole neighbourhood is one wave in
+			// shuffled order; with one it is evaluated best-predicted first,
+			// a chunk at a time, so an accepted move costs a few
+			// simulations instead of the whole Hamming-1 ring. The first
+			// improvement in that order is taken.
+			ns := scratch.neighbors(space, cur.Index)
+			chunk := surrogateClimbChunk
 			if sur != nil {
-				// Surrogate path: evaluate the neighbourhood best-predicted
-				// first, a chunk at a time, so an accepted move costs a few
-				// simulations instead of the whole Hamming-1 ring.
-				ranked := sur.rank(scratch.neighbors(space, cur.Index))
-				for off := 0; off < len(ranked) && b.len() < budget && !improved; off += surrogateClimbChunk {
-					end := off + surrogateClimbChunk
-					if end > len(ranked) {
-						end = len(ranked)
-					}
-					wave := b.limit(ranked[off:end], budget-b.len())
-					for _, n := range wave {
-						b.tag(n, "neighbor", cur.Index)
-					}
-					cands, err := b.getBatch(wave)
-					if err != nil {
-						return nil, err
-					}
-					for _, cand := range cands {
-						score, err := scalarize(cand.Metrics, weights, ref)
-						if err != nil {
-							return nil, err
-						}
-						if score < curScore {
-							cur, curScore = cand, score
-							improved = true
-							break // first improvement in predicted-best order
-						}
-					}
-				}
+				ns = sur.rank(ns)
 			} else {
-				ns := shuffled(rng, scratch.neighbors(space, cur.Index))
-				ns = b.limit(ns, budget-b.len())
-				for _, n := range ns {
+				ns = shuffled(rng, ns)
+				chunk = len(ns)
+			}
+			improved := false
+			for off := 0; off < len(ns) && b.len() < budget && !improved; off += chunk {
+				wave := b.limit(ns[off:min(off+chunk, len(ns))], budget-b.len())
+				for _, n := range wave {
 					b.tag(n, "neighbor", cur.Index)
 				}
-				cands, err := b.getBatch(ns)
+				cands, err := b.getBatch(wave)
 				if err != nil {
 					return nil, err
 				}
@@ -251,7 +233,7 @@ func (r *Runner) HillClimb(space *Space, weights []Weighted, budget int, seed ui
 					if score < curScore {
 						cur, curScore = cand, score
 						improved = true
-						break // first improvement in shuffled order
+						break
 					}
 				}
 			}

@@ -25,9 +25,9 @@ import (
 // Partition replays the trace once per signature with the real fixed
 // pools composed over an inert recording fallback, capturing (a) the
 // invariant per-layer counters and cycles and (b) the exact sequence of
-// ops that reached the fallback. RunPartial then replays only that op
-// sequence against a candidate's standalone general pool and composes
-// the two runs into bit-identical full-replay metrics.
+// ops that reached the fallback. PoolReplay then replays only that op
+// sequence against a candidate's standalone general pool, and Compose
+// adds the two runs into bit-identical full-replay metrics.
 //
 // Exactness on the shared layer: fixed pools and the general pool may
 // reserve from the same layer (e.g. both on DRAM). The layer's reserved
@@ -38,25 +38,27 @@ import (
 //	peak(F+G) = max over gaps j of (max F within gap j) + (G after op j)
 //
 // where a "gap" is the run of events between consecutive fallback ops.
-// Every candidate value is attained at a real reserve instant and every
-// real reserve instant is dominated by a candidate, so the composed peak
-// is exact. When the shared layer is bounded the composed peak is also
-// how capacity divergence is detected: the real run's first failing
-// reserve would make some candidate exceed the capacity, so RunPartial
-// bails to a full replay whenever the composed peak overflows (and
-// whenever the standalone pool itself errors), leaving the incremental
-// path to serve only runs it reproduces exactly.
+// Partition reads max F within a gap as the general layer's PeakBytes,
+// restarted by Context.ResetPeak at every fallback op. Every candidate
+// value is attained at a real reserve instant and every real reserve
+// instant is dominated by a candidate, so the composed peak is exact.
+// When the shared layer is bounded the composed peak is also how
+// capacity divergence is detected: the real run's first failing reserve
+// would make some candidate exceed the capacity, so Compose declines
+// whenever the composed peak overflows (and PoolReplay whenever the
+// standalone pool itself errors), leaving the incremental path to serve
+// only runs it reproduces exactly; the caller falls back to a full
+// replay.
 //
 // The partial path requires fast-path profiling (no tracer, caches or
 // row buffers, no footprint series): the recording fallback hands out
 // synthetic addresses, which only the flat address-independent cost
 // model may observe.
 //
-// The partial replay itself splits further (PoolReplay/Compose): the
-// standalone general-pool run depends only on the recorded op sequence
-// and the general pool's parameters — not on which fixed-pool signature
-// recorded the sequence — so a PoolRun captured under one partition
-// composes exactly with any partition whose recorded ops are
+// The standalone general-pool run depends only on the recorded op
+// sequence and the general pool's parameters — not on which fixed-pool
+// signature recorded the sequence — so a PoolRun captured under one
+// partition composes exactly with any partition whose recorded ops are
 // content-identical. The session memoizes PoolRuns by (ops content hash,
 // GeneralConfig.ID), turning a fixed-axis move whose neighbour records
 // the same fallback sequence (reclaim flips, pool-set swaps that route
@@ -86,8 +88,8 @@ const recBase = uint64(1) << 48
 // recordingFallback is the inert general pool behind Partition's
 // invariant replay: it satisfies every request without touching the
 // simulation counters, records the op sequence for later standalone
-// replay, and samples the fixed-side reserved bytes on the general
-// layer at each op boundary (closing one "gap").
+// replay, and reads the fixed-side peak on the general layer at each op
+// boundary (closing one "gap").
 type recordingFallback struct {
 	ctx   *simheap.Context
 	layer memhier.LayerID
@@ -100,27 +102,15 @@ type recordingFallback struct {
 	allocs    int
 	requested int64 // requested bytes of the live allocations
 
-	fMax   []int64 // per closed gap: max fixed-side reserved bytes
-	gapMax int64   // running max within the open gap
+	fMax []int64 // per closed gap: max fixed-side reserved bytes
 }
 
-// observe folds the current fixed-side reservation level on the general
-// layer into the open gap's maximum. The partition loop calls it after
-// every event; within one event the level moves at most once (one chunk
-// reserve or release), so the post-event sample captures the event's
-// maximum.
-func (p *recordingFallback) observe() {
-	if f := p.ctx.Counters(p.layer).ReservedBytes; f > p.gapMax {
-		p.gapMax = f
-	}
-}
-
-// boundary closes the open gap at a fallback op: the fixed-side level is
-// unchanged since the last observe (fixed pools do not move during a
-// fallback op), so the recorded maximum is final.
+// boundary closes the open gap at a fallback op. Only fixed pools
+// reserve on the partition's context, and its general layer's peak is
+// reset at every boundary, so that peak is the open gap's maximum.
 func (p *recordingFallback) boundary() {
-	p.fMax = appendDoubling(p.fMax, p.gapMax)
-	p.gapMax = p.ctx.Counters(p.layer).ReservedBytes
+	p.fMax = appendDoubling(p.fMax, p.ctx.Counters(p.layer).PeakBytes)
+	p.ctx.ResetPeak(p.layer)
 }
 
 func (p *recordingFallback) Malloc(size int64) (alloc.Ptr, int64, error) {
@@ -201,7 +191,7 @@ type Partition struct {
 	// then sees the real run's exact reserve headroom).
 	sharesGen bool
 
-	// recReads/recWrites tally, per recorded allocation, the word reads
+	// recReads/recWrites hold, per recorded allocation, the word reads
 	// and writes the trace charges to it — the general-layer traffic the
 	// real replay loop skips when that allocation fails.
 	recReads  []uint64
@@ -225,11 +215,6 @@ func (p *Partition) SkippedEvents() int { return p.events - len(p.ops) }
 // sequence (see PoolRun.MatchesOps).
 func (p *Partition) OpsHash() uint64 { return p.opsHash }
 
-// SharesGeneralLayer reports whether a fixed pool reserves from the
-// general pool's layer. When it does, capacity-failing candidates cannot
-// be served by the partial path.
-func (p *Partition) SharesGeneralLayer() bool { return p.sharesGen }
-
 // MemBytes estimates the partition's retained heap footprint, the unit
 // the session's size-aware cache bound accounts in.
 func (p *Partition) MemBytes() int64 {
@@ -239,8 +224,9 @@ func (p *Partition) MemBytes() int64 {
 
 // Partition replays ct once with cfg's fixed pools composed over an
 // inert recording fallback, producing the invariant decomposition shared
-// by every configuration with the same fixed-pool signature. It uses the
-// fast-path cost model only (the equivalent of Run with zero Options).
+// by every configuration with the same fixed-pool signature. It runs the
+// flat loop (replayFlat): the fast-path cost model of Run with zero
+// Options.
 func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hierarchy) (*Partition, error) {
 	var start time.Time
 	if r.Shard != nil || r.Spans != nil {
@@ -258,7 +244,7 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 	}
 	// Gap 0 opens after the fixed pools' construction-time reserves — the
 	// instant the real build would construct the general pool.
-	rec.gapMax = ctx.Counters(genLayer).ReservedBytes
+	ctx.ResetPeak(genLayer)
 
 	p := &Partition{genLayer: genLayer, events: ct.Len(), numFixed: len(cfg.Fixed)}
 	for _, f := range cfg.Fixed {
@@ -266,71 +252,36 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 			p.sharesGen = true
 		}
 	}
+	// The recording fallback never fails, so any error is a fixed-side
+	// fault the full replay path must surface.
+	var m Metrics
 	r.reset(ct.NumIDs)
-	args, ids := ct.Slabs()
-	for i, arg := range args {
-		switch trace.ArgKind(arg) {
-		case trace.KindAlloc:
-			ptr, err := a.Malloc(int64(ct.Arg(arg)))
-			if err != nil {
-				// The recording fallback cannot fail, so any error is a
-				// fixed-side fault the full replay path must surface.
-				return nil, fmt.Errorf("profile: partition event %d: %w", i, err)
-			}
-			p.mallocs++
-			id := ids.At(i)
-			r.ptrs[id] = ptr
-			r.live[id] = true
-		case trace.KindFree:
-			id := ids.At(i)
-			if !r.live[id] {
-				continue
-			}
-			r.live[id] = false
-			if err := a.Free(r.ptrs[id]); err != nil {
-				return nil, fmt.Errorf("profile: partition event %d: %w", i, err)
-			}
-			p.frees++
-		case trace.KindAccess:
-			id := ids.At(i)
-			if !r.live[id] {
-				continue
-			}
-			ptr := r.ptrs[id]
-			reads, writes := ct.AccessArgs(arg)
-			if ptr.Addr >= recBase {
-				// Traffic charged to a recorded (fallback-served)
-				// allocation: tallied per allocation so failure replay can
-				// subtract the accesses the real run never performs.
-				k := int((ptr.Addr - recBase) / simheap.WordSize)
-				for k >= len(p.recReads) {
-					p.recReads = appendDoubling(p.recReads, 0)
-					p.recWrites = appendDoubling(p.recWrites, 0)
-				}
-				p.recReads[k] += reads
-				p.recWrites[k] += writes
-			}
-			if reads > 0 {
-				ctx.Read(ptr.Layer, ptr.Addr, reads)
-			}
-			if writes > 0 {
-				ctx.Write(ptr.Layer, ptr.Addr, writes)
-			}
-		case trace.KindTick:
-			ctx.Compute(ct.Arg(arg))
-		}
-		rec.observe()
+	if err := r.replayFlat(ct, a, ctx, &m); err != nil {
+		return nil, err
 	}
-	rec.boundary() // close the final gap; the trailing level is unused
+	rec.boundary() // close the final gap
 
+	// IDs are never reused, so the pointer table still names every
+	// allocation, and a recorded one by its synthetic address.
+	p.recReads = make([]uint64, rec.allocs)
+	p.recWrites = make([]uint64, rec.allocs)
+	for id, ptr := range r.ptrs {
+		if ptr.Addr >= recBase {
+			k := (ptr.Addr - recBase) / simheap.WordSize
+			p.recReads[k] = r.flat.reads[id]
+			p.recWrites[k] = r.flat.writes[id]
+		}
+	}
 	p.counters = make([]simheap.LayerCounters, h.NumLayers())
 	for i := range p.counters {
 		p.counters[i] = ctx.Counters(memhier.LayerID(i))
 	}
 	p.cycles = ctx.Cycles()
+	p.mallocs = m.Mallocs
+	p.frees = m.Frees
 	p.ops = rec.ops
 	p.allocs = rec.allocs
-	p.fMax = rec.fMax[:len(rec.ops)+1]
+	p.fMax = rec.fMax
 	p.opsHash = hashOps(rec.ops)
 	if r.Shard != nil {
 		r.Shard.ObservePartitionBuild(time.Since(start), ct.Len())
@@ -563,34 +514,6 @@ func (r *Replayer) Compose(ct *trace.Compiled, part *Partition, run *PoolRun, cf
 	m.Frees = part.frees - run.skippedFrees
 	m.Failures = run.failures
 	m.PeakRequestedBytes = ct.PeakRequestedBytes
-	return m, true
-}
-
-// RunPartial profiles cfg by replaying only part's recorded fallback ops
-// against a standalone general pool (PoolReplay) and composing the
-// result with the partition's invariant half (Compose). cfg must share
-// part's fixed-pool signature. The returned metrics are bit-identical to
-// a full fast-path Run — including runs with allocation failures, when
-// no fixed pool shares the general layer. ok is false when the partial
-// path cannot reproduce the full replay exactly and the caller must fall
-// back to a full replay.
-func (r *Replayer) RunPartial(ct *trace.Compiled, part *Partition, cfg alloc.Config, h *memhier.Hierarchy) (*Metrics, bool) {
-	var start time.Time
-	if r.Shard != nil || r.Spans != nil {
-		start = time.Now()
-	}
-	run, ok := r.PoolReplay(part, cfg, h)
-	if !ok {
-		return nil, false
-	}
-	m, ok := r.Compose(ct, part, run, cfg, h)
-	if !ok {
-		return nil, false
-	}
-	if r.Shard != nil {
-		r.Shard.ObservePartialSim(time.Since(start), len(part.ops), part.SkippedEvents())
-	}
-	r.Spans.Since(span.StagePartialSim, start, int64(len(part.ops)))
 	return m, true
 }
 

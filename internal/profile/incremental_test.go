@@ -87,6 +87,17 @@ func incrementalConfigs() []alloc.Config {
 	return cfgs
 }
 
+// runPartial profiles cfg the way the session's partial path does:
+// PoolReplay of part's recorded ops, then Compose. ok is false when
+// either declines.
+func runPartial(rep *Replayer, ct *trace.Compiled, part *Partition, cfg alloc.Config, h *memhier.Hierarchy) (*Metrics, bool) {
+	run, ok := rep.PoolReplay(part, cfg, h)
+	if !ok {
+		return nil, false
+	}
+	return rep.Compose(ct, part, run, cfg, h)
+}
+
 // TestRunPartialMatchesFullReplay is the profile-level exactness check:
 // for every configuration where the partial path accepts the replay, its
 // metrics must be bit-identical to a full fast-path Run — including the
@@ -116,7 +127,7 @@ func TestRunPartialMatchesFullReplay(t *testing.T) {
 					cfg.Label, part.Ops(), part.Events())
 			}
 		}
-		pm, ok := rep.RunPartial(ct, part, cfg, h)
+		pm, ok := runPartial(rep, ct, part, cfg, h)
 		if !ok {
 			// The partial path may bail (capacity interaction, pool
 			// failures); the full replay must then show why.
@@ -169,7 +180,7 @@ func TestPartialSharesPartitionAcrossNeighbours(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Label, err)
 		}
-		pm, ok := rep.RunPartial(ct, part, cfg, h)
+		pm, ok := runPartial(rep, ct, part, cfg, h)
 		if !ok {
 			continue
 		}
@@ -254,7 +265,7 @@ func TestRunPartialFailureReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if part.SharesGeneralLayer() {
+	if part.sharesGen {
 		t.Fatal("scratchpad fixed pool reported as sharing the general layer")
 	}
 	run, ok := rep.PoolReplay(part, cfg, h)
@@ -265,7 +276,7 @@ func TestRunPartialFailureReplay(t *testing.T) {
 		t.Fatalf("standalone replay recorded %d failures, full replay %d",
 			run.Failures(), full.Failures)
 	}
-	pm, ok := rep.RunPartial(ct, part, cfg, h)
+	pm, ok := runPartial(rep, ct, part, cfg, h)
 	if !ok {
 		t.Fatal("partial path declined a failure-replayable run")
 	}
@@ -298,7 +309,7 @@ func TestRunPartialFailureDeclinesSharedLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !part.SharesGeneralLayer() {
+	if !part.sharesGen {
 		t.Fatal("DRAM fixed pool not flagged as sharing the general layer")
 	}
 	run, ok := rep.PoolReplay(part, cfg, h)
@@ -307,9 +318,6 @@ func TestRunPartialFailureDeclinesSharedLayer(t *testing.T) {
 	}
 	if _, ok := rep.Compose(ct, part, run, cfg, h); ok {
 		t.Fatal("Compose accepted a failing run with a fixed pool on the general layer")
-	}
-	if _, ok := rep.RunPartial(ct, part, cfg, h); ok {
-		t.Fatal("RunPartial accepted a failing run with a fixed pool on the general layer")
 	}
 }
 
@@ -372,7 +380,7 @@ func TestPoolRunComposesAcrossPartitions(t *testing.T) {
 	}
 }
 
-// TestReplayerResetReuse exercises the exported Reset path: a warmed
+// TestReplayerResetReuse exercises the reset path: a warmed
 // Replayer reused across traces of different ID-space sizes must behave
 // like a fresh one.
 func TestReplayerResetReuse(t *testing.T) {
@@ -385,7 +393,7 @@ func TestReplayerResetReuse(t *testing.T) {
 	if _, err := warm.Run(big, cfg, h, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	warm.Reset(small.NumIDs)
+	warm.reset(small.NumIDs)
 	got, err := warm.Run(small, cfg, h, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -396,5 +404,59 @@ func TestReplayerResetReuse(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reused Replayer diverges:\n  got  %+v\n  want %+v", got, want)
+	}
+}
+
+// TestComposeSharedLayerPeakAfterReclaim pins the per-gap peak window: a
+// reclaiming DRAM fixed pool grows to 64 packets and hands every chunk
+// back before any fallback op, so the fixed side's peak lies in gap 0
+// alone. The general pool then grows on the same layer, and the composed
+// peak must pair each gap's own fixed-side maximum with the general
+// level after it, not the fixed side's all-time peak.
+func TestComposeSharedLayerPeakAfterReclaim(t *testing.T) {
+	b := trace.NewBuilder("reclaim-then-general")
+	var pkts []uint64
+	for i := 0; i < 64; i++ {
+		pkts = append(pkts, b.Alloc(74))
+	}
+	for _, p := range pkts {
+		b.Free(p)
+	}
+	for i := 0; i < 8; i++ {
+		b.Alloc(3000)
+	}
+	b.FreeAll()
+	ct, err := trace.Compile(b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := memhier.EmbeddedSoC()
+	rep := NewReplayer()
+	cfg := alloc.Config{
+		Label: "reclaim/d74",
+		Fixed: []alloc.FixedConfig{{
+			SlotBytes: 74, MatchLo: 74, MatchHi: 74, Layer: memhier.LayerDRAM,
+			Order: alloc.LIFO, Links: alloc.SingleLink,
+			Growth: alloc.GrowFixedChunk, ChunkSlots: 8, Reclaim: true,
+		}},
+		General: incrementalConfigs()[0].General,
+	}
+	full, err := rep.Run(ct, cfg, h, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := rep.Partition(ct, cfg, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, ok := runPartial(rep, ct, part, cfg, h)
+	if !ok {
+		t.Fatal("partial path declined an unbounded shared layer")
+	}
+	if !reflect.DeepEqual(pm, full) {
+		t.Errorf("composed metrics diverge:\n  partial %+v\n  full    %+v", pm, full)
+	}
+	if full.FootprintBytes != 33464 {
+		t.Errorf("footprint %d B, want 33464", full.FootprintBytes)
 	}
 }

@@ -62,14 +62,8 @@ func NewReplayer() *Replayer {
 	return &Replayer{}
 }
 
-// Reset prepares the scratch tables for a trace with n dense IDs,
-// reusing the packed pointer and live tables when capacity suffices.
-// Run calls it automatically; checkpoint restores and partial replays
-// (see RunPartial) call it directly to reuse a warmed Replayer without
-// reallocating.
-func (r *Replayer) Reset(n int) { r.reset(n) }
-
-// reset prepares the scratch tables for a trace with n dense IDs.
+// reset prepares the scratch tables for a trace with n dense IDs,
+// reusing the pointer and live tables when capacity suffices.
 func (r *Replayer) reset(n int) {
 	if cap(r.ptrs) < n {
 		r.ptrs = make([]alloc.Ptr, n)

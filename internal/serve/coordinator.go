@@ -945,10 +945,3 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_, _ = w.Write([]byte(b.String()))
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

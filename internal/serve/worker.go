@@ -66,7 +66,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.Poll = 200 * time.Millisecond
 	}
 	w.client = &Client{Base: w.Coordinator}
-	w.col = telemetry.NewCollector(maxInt(w.SessionWorkers, 1))
+	w.col = telemetry.NewCollector(max(w.SessionWorkers, 1))
 	w.cancel = make(map[string]context.CancelFunc)
 	w.envs = make(map[string]*workerEnv)
 	w.ttl = DefaultLeaseTTL
@@ -333,11 +333,4 @@ func warmSession(sess *core.EvalSession, warm []WarmResult) {
 		m[wr.Index] = wr.Metrics
 	}
 	sess.Warm(m)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -174,6 +174,12 @@ func (ctx *Context) RowBuffer(id memhier.LayerID) *memhier.RowBuffer { return ct
 // Counters returns a snapshot of the counters for layer id.
 func (ctx *Context) Counters(id memhier.LayerID) LayerCounters { return ctx.counters[id] }
 
+// ResetPeak restarts layer id's high-water mark at its current reserved
+// bytes, so PeakBytes then reads the maximum since the reset.
+func (ctx *Context) ResetPeak(id memhier.LayerID) {
+	ctx.counters[id].PeakBytes = ctx.counters[id].ReservedBytes
+}
+
 // Cycles returns the current simulated cycle count: the clock plus every
 // charged word at its layer's flat latency (see Read).
 func (ctx *Context) Cycles() uint64 {

@@ -108,6 +108,31 @@ func TestReserveAndFootprint(t *testing.T) {
 	}
 }
 
+func TestResetPeak(t *testing.T) {
+	ctx := NewContext(testHier(t))
+	r1, err := ctx.Reserve(1, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.Reserve(1, 200); err != nil {
+		t.Fatal(err)
+	}
+	r1.Release()
+	ctx.ResetPeak(1)
+	if c := ctx.Counters(1); c.PeakBytes != 200 {
+		t.Fatalf("peak after reset %d, want the reserved 200", c.PeakBytes)
+	}
+	if _, err := ctx.Reserve(1, 100); err != nil {
+		t.Fatal(err)
+	}
+	if c := ctx.Counters(1); c.PeakBytes != 300 {
+		t.Fatalf("peak since reset %d, want 300", c.PeakBytes)
+	}
+	if c := ctx.Counters(0); c.PeakBytes != 0 {
+		t.Fatalf("reset touched another layer: %+v", c)
+	}
+}
+
 func TestReserveUnboundedLayer(t *testing.T) {
 	ctx := NewContext(testHier(t))
 	if _, err := ctx.Reserve(1, 1<<40); err != nil {

@@ -72,10 +72,3 @@ func New(name string, seed uint64, scale int) (Generator, error) {
 	}
 	return ctor(seed, scale), nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
