@@ -34,9 +34,10 @@ type Ptr struct {
 }
 
 // handle ties a Ptr to the entry that issued it: slot indexes the
-// issuing pool's dense table and tag is the stamp recorded there. Tags
-// are unique across every allocator in the process and never zero, so a
-// stale, forged or foreign Ptr matches no live entry. pool names the
+// issuing pool's dense table (a fixed pool's page table of slots) and
+// tag is the stamp recorded there. Tags are unique across every
+// allocator in the process and at least firstTag, so a stale, forged or
+// foreign Ptr matches no live entry. pool names the
 // serving pool within a Composed (see Composed.route); a bare pool
 // leaves it 0. It sits in what would otherwise be padding, so a Ptr
 // stays 32 bytes.
@@ -48,6 +49,9 @@ type handle struct {
 
 // tagSpace hands out disjoint 2^32-tag ranges, one per tagger claim.
 var tagSpace atomic.Uint64
+
+// firstTag is below every tag: the first claim is range 1.
+const firstTag = 1 << 32
 
 // tagger issues tags from its claimed range. The zero tagger claims its
 // range on first use, and a fresh one when the range runs out.

@@ -28,7 +28,7 @@ type Block struct {
 	flPrev, flNext *Block // free-list links (simulator side)
 	list           *FreeList
 
-	tag uint64 // fixed-pool slot: the live Ptr's handle tag, 0 while free
+	tag uint64 // fixed-pool slot: the live Ptr's handle tag; while free, the slot's ordinal
 
 	// key orders b within a list that keeps an index and never changes
 	// while b is listed: a falling push sequence under LIFO, a rising one
@@ -91,7 +91,8 @@ func newArena(ctx *simheap.Context, layer memhier.LayerID, size int64, stash *Bl
 // starts the pages over, taking back their live-allocation tables and
 // index-node slabs too, so a warm Replayer (which keeps one) allocates no
 // Block, and each run finds its Blocks laid out in memory in the order it
-// creates them, as fresh allocations would be. It is not safe for
+// creates them, as fresh allocations would be. The fixed pools built on
+// it draw their slot pages from it the same way. It is not safe for
 // concurrent use.
 type BlockStash struct {
 	pages      [][]Block
@@ -102,6 +103,9 @@ type BlockStash struct {
 	pools []*GeneralPool      // built on the stash since the last Reclaim
 	live  handleTable[*Block] // a retired pool's table storage, for the next
 	nodes nodeSlab            // and its index-node slab
+
+	fixed     []*FixedPool // built on the stash since the last Reclaim
+	slotPages []*slotPage  // slot pages retired or reclaimed arenas gave back
 }
 
 // Len returns the number of Blocks the stash owns.
@@ -125,6 +129,25 @@ func (s *BlockStash) get() *Block {
 	return b
 }
 
+// slotPage returns an empty fixed-pool slot page.
+func (s *BlockStash) slotPage() *slotPage {
+	n := len(s.slotPages)
+	if n == 0 {
+		return new(slotPage)
+	}
+	pg := s.slotPages[n-1]
+	s.slotPages = s.slotPages[:n-1]
+	// Clear the slots: an uncarved slot must hold no tag a Ptr could
+	// name.
+	*pg = slotPage{}
+	return pg
+}
+
+// putSlotPage gives back a slot page no pool uses any more.
+func (s *BlockStash) putSlotPage(pg *slotPage) {
+	s.slotPages = append(s.slotPages, pg)
+}
+
 // put gives back a Block no pool links any more.
 func (s *BlockStash) put(b *Block) {
 	*b = Block{flNext: s.free}
@@ -139,13 +162,23 @@ func (s *BlockStash) Reclaim() {
 		if cap(p.live.entries) > cap(s.live.entries) {
 			s.live = handleTable[*Block]{entries: p.live.entries[:0], free: p.live.free[:0]}
 		}
-		if cap(p.nodes.nodes) > cap(s.nodes.nodes) {
-			s.nodes = nodeSlab{nodes: p.nodes.nodes[:0], free: p.nodes.free[:0]}
+		if len(p.nodes.pages) > len(s.nodes.pages) {
+			s.nodes = nodeSlab{pages: p.nodes.pages, path: p.nodes.path[:0]}
 		}
 		p.arenas, p.bins, p.live, p.nodes = nil, nil, handleTable[*Block]{}, nodeSlab{}
 		s.pools[i] = nil
 	}
 	s.pools = s.pools[:0]
+	for i, p := range s.fixed {
+		for _, pg := range p.pages {
+			if pg != nil {
+				s.putSlotPage(pg)
+			}
+		}
+		p.arenas, p.pages, p.list = nil, nil, nil
+		s.fixed[i] = nil
+	}
+	s.fixed = s.fixed[:0]
 	s.page, s.next, s.free = 0, 0, nil
 }
 

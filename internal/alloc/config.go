@@ -168,10 +168,10 @@ func (g GeneralConfig) params(layer memhier.LayerID, classes SizeClasser) Genera
 }
 
 // Build instantiates the configuration on ctx. The returned allocator is
-// bound to ctx's hierarchy and counters. A general pool draws its Blocks
-// from stash when it is not nil (see BlockStash).
+// bound to ctx's hierarchy and counters. Its pools draw their Blocks from
+// stash when it is not nil (see BlockStash).
 func (c Config) Build(ctx *simheap.Context, stash *BlockStash) (*Composed, error) {
-	fixed, err := c.buildFixed(ctx)
+	fixed, err := c.buildFixed(ctx, stash)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +189,7 @@ func (c Config) Build(ctx *simheap.Context, stash *BlockStash) (*Composed, error
 // recording fallback to replay the fixed-side-invariant part of a trace
 // once per fixed-pool signature.
 func (c Config) BuildWithFallback(ctx *simheap.Context, general FallbackPool) (*Composed, error) {
-	fixed, err := c.buildFixed(ctx)
+	fixed, err := c.buildFixed(ctx, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -210,8 +210,8 @@ func (c Config) BuildGeneral(ctx *simheap.Context, stash *BlockStash) (FallbackP
 }
 
 // buildFixed validates the configuration and builds its fixed pools in
-// routing order.
-func (c Config) buildFixed(ctx *simheap.Context) ([]*FixedPool, error) {
+// routing order, on stash when it is not nil.
+func (c Config) buildFixed(ctx *simheap.Context, stash *BlockStash) ([]*FixedPool, error) {
 	h := ctx.Hierarchy()
 	if err := c.Validate(h); err != nil {
 		return nil, err
@@ -219,7 +219,7 @@ func (c Config) buildFixed(ctx *simheap.Context) ([]*FixedPool, error) {
 	fixed := make([]*FixedPool, 0, len(c.Fixed))
 	for i, fc := range c.Fixed {
 		layer, _ := h.ByName(fc.Layer)
-		fp, err := NewFixedPool(ctx, fc.params(layer))
+		fp, err := newFixedPool(ctx, fc.params(layer), stash)
 		if err != nil {
 			return nil, fmt.Errorf("alloc: building fixed pool %d: %w", i, err)
 		}

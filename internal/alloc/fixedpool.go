@@ -60,21 +60,26 @@ func (p FixedPoolParams) Validate() error {
 
 // fixedArena is one slot chunk with its occupancy bookkeeping.
 type fixedArena struct {
-	region    *simheap.Region
-	base, end uint64 // the region's address range
-	live      int    // slots currently allocated
-	slots     int    // slots carved so far
+	region *simheap.Region
+	live   int // slots currently allocated
+	slots  int // slots carved so far
 
 	// pages holds the Block of every carved slot, slotPageLen to a page,
-	// so a slot's Block is found from its offset in the arena and stays
-	// put (free lists link Blocks by pointer) as the arena is carved.
+	// so a slot's Block stays put (free lists link Blocks by pointer) as
+	// the arena is carved.
 	pages []*slotPage
 }
 
 // slotPageLen is the number of slot Blocks per page.
 const slotPageLen = 32
 
-type slotPage [slotPageLen]Block
+// slotPage holds slotPageLen slot Blocks of one arena. Its ordinal in
+// the pool's page table names it in the Ptrs of its slots.
+type slotPage struct {
+	slots [slotPageLen]Block
+	arena *fixedArena
+	ord   uint32
+}
 
 // FixedPool is a headerless pool of equal-size slots: allocation pops the
 // free list or bumps a frontier pointer; free pushes. Both are O(1) —
@@ -87,11 +92,21 @@ type FixedPool struct {
 	meta *simheap.Region
 	list *FreeList
 
-	arenas     []*fixedArena // in ascending address order
+	arenas     []*fixedArena
 	arenaBytes int64
 	bump       uint64 // next unused slot address in the newest arena
 	bumpEnd    uint64 // end of the newest arena
 	nextSlots  int
+
+	// pages is the page table: every carved slot page by ordinal, nil
+	// where a reclaimed arena's page was. A slot's ordinal (its page's
+	// ordinal times slotPageLen, plus its place in the page) is the slot
+	// of its Ptrs' handles, so Free finds the slot without a search.
+	// freeOrds are the ordinals of reclaimed pages, for the next arena's
+	// pages.
+	pages    []*slotPage
+	freeOrds []uint32
+	stash    *BlockStash // supplies the slot pages
 
 	live      int    // live slots
 	requested int64  // requested bytes of the live slots
@@ -105,6 +120,13 @@ const fixedMetaWords = MetaWords + 1
 // NewFixedPool reserves the pool's metadata and returns the pool. No slot
 // memory is reserved until the first allocation.
 func NewFixedPool(ctx *simheap.Context, params FixedPoolParams) (*FixedPool, error) {
+	return newFixedPool(ctx, params, nil)
+}
+
+// newFixedPool is NewFixedPool drawing its slot pages from stash, which
+// takes them back when it retires the pool; nil gives the pool a stash
+// of its own.
+func newFixedPool(ctx *simheap.Context, params FixedPoolParams, stash *BlockStash) (*FixedPool, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -118,6 +140,12 @@ func NewFixedPool(ctx *simheap.Context, params FixedPoolParams) (*FixedPool, err
 		ctx:       ctx,
 		meta:      meta,
 		nextSlots: params.ChunkSlots,
+		stash:     stash,
+	}
+	if stash == nil {
+		p.stash = &BlockStash{}
+	} else {
+		stash.fixed = append(stash.fixed, p)
 	}
 	p.list = NewFreeList(ctx, params.Layer, meta.Base(), params.Order, params.Links)
 	return p, nil
@@ -139,54 +167,49 @@ func (p *FixedPool) bumpAddr() uint64 {
 	return p.meta.Base() + MetaWords*simheap.WordSize
 }
 
-// arenaOf locates the arena containing addr by binary search over the
-// address-ordered arenas, or returns nil.
-func (p *FixedPool) arenaOf(addr uint64) *fixedArena {
-	lo, hi := 0, len(p.arenas)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if p.arenas[m].end <= addr {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	if lo < len(p.arenas) && p.arenas[lo].base <= addr {
-		return p.arenas[lo]
-	}
-	return nil
-}
-
 // slot returns the Block of carved slot i of arena a.
 func (a *fixedArena) slot(i int) *Block {
-	return &a.pages[i/slotPageLen][i%slotPageLen]
+	return &a.pages[i/slotPageLen].slots[i%slotPageLen]
 }
 
-// slotOf returns the arena and Block of the carved slot starting at
-// addr, or nils when addr is not a slot start.
-func (p *FixedPool) slotOf(addr uint64) (*fixedArena, *Block) {
-	a := p.arenaOf(addr)
-	if a == nil {
-		return nil, nil
+// slotAt returns the page and Block of the slot with the given ordinal,
+// or nils when no carved page has it.
+func (p *FixedPool) slotAt(ord uint32) (*slotPage, *Block) {
+	if i := ord / slotPageLen; i < uint32(len(p.pages)) {
+		if pg := p.pages[i]; pg != nil {
+			return pg, &pg.slots[ord%slotPageLen]
+		}
 	}
-	off := addr - a.base
-	i := off / uint64(p.slotBytes)
-	if off%uint64(p.slotBytes) != 0 || i >= uint64(a.slots) {
-		return nil, nil
-	}
-	return a, a.slot(int(i))
+	return nil, nil
 }
 
-// issue marks slot b allocated for a request of size bytes and returns
-// its Ptr.
-func (p *FixedPool) issue(a *fixedArena, b *Block, size int64) (Ptr, int64, error) {
+// newPage adds a slot page to arena a under a free ordinal.
+func (p *FixedPool) newPage(a *fixedArena) {
+	pg := p.stash.slotPage()
+	pg.arena = a
+	if n := len(p.freeOrds); n > 0 {
+		pg.ord = p.freeOrds[n-1]
+		p.freeOrds = p.freeOrds[:n-1]
+		p.pages[pg.ord] = pg
+	} else {
+		pg.ord = uint32(len(p.pages))
+		p.pages = append(p.pages, pg)
+	}
+	a.pages = append(a.pages, pg)
+}
+
+// issue marks slot b, number ord, allocated for a request of size bytes
+// and returns its Ptr. A free slot keeps its ordinal where a live one
+// keeps its Ptr's tag: ordinals fit in 32 bits and every tag is larger
+// (tagger), so no Ptr names a free slot.
+func (p *FixedPool) issue(a *fixedArena, b *Block, ord uint32, size int64) (Ptr, int64, error) {
 	b.free = false
 	b.tag = p.tags.next()
 	b.setRequested(size)
 	a.live++
 	p.live++
 	p.requested += size
-	return Ptr{Layer: p.params.Layer, Addr: b.addr, h: handle{tag: b.tag}}, p.slotBytes, nil
+	return Ptr{Layer: p.params.Layer, Addr: b.addr, h: handle{slot: ord, tag: b.tag}}, p.slotBytes, nil
 }
 
 // Malloc allocates one slot. The returned int64 is the slot capacity
@@ -201,7 +224,9 @@ func (p *FixedPool) Malloc(size int64) (Ptr, int64, error) {
 	}
 	// Recycled slot first.
 	if b := p.list.PopHead(); b != nil {
-		return p.issue(p.arenaOf(b.addr), b, size)
+		ord := uint32(b.tag)
+		pg, _ := p.slotAt(ord)
+		return p.issue(pg.arena, b, ord, size)
 	}
 	// Bump-carve from the newest arena.
 	p.ctx.Read(p.params.Layer, p.bumpAddr(), 1)
@@ -216,12 +241,12 @@ func (p *FixedPool) Malloc(size int64) (Ptr, int64, error) {
 	a := p.arenas[len(p.arenas)-1]
 	i := a.slots
 	if i/slotPageLen == len(a.pages) {
-		a.pages = append(a.pages, new(slotPage))
+		p.newPage(a)
 	}
 	a.slots++
 	b := a.slot(i)
 	*b = Block{addr: addr, size: p.slotBytes}
-	return p.issue(a, b, size)
+	return p.issue(a, b, a.pages[i/slotPageLen].ord*slotPageLen+uint32(i%slotPageLen), size)
 }
 
 // grow reserves a new arena of ChunkSlots (doubling under GrowDouble).
@@ -238,7 +263,7 @@ func (p *FixedPool) grow() error {
 	if err != nil {
 		return err
 	}
-	p.arenas = append(p.arenas, &fixedArena{region: region, base: region.Base(), end: region.End()})
+	p.arenas = append(p.arenas, &fixedArena{region: region})
 	p.arenaBytes += size
 	p.bump = region.Base()
 	p.bumpEnd = region.End()
@@ -248,16 +273,19 @@ func (p *FixedPool) grow() error {
 	return nil
 }
 
-// lookup returns the arena and Block of the live slot ptr names, or nils.
+// lookup returns the arena and Block of the live slot ptr names, or
+// nils: the handle's slot ordinal picks the Block, which must hold the
+// handle's tag (a free slot holds its ordinal, below every tag) and
+// start at the Ptr's address.
 func (p *FixedPool) lookup(ptr Ptr) (*fixedArena, *Block) {
-	if ptr.Layer != p.params.Layer || ptr.h.tag == 0 {
+	if ptr.Layer != p.params.Layer || ptr.h.tag < firstTag {
 		return nil, nil
 	}
-	a, b := p.slotOf(ptr.Addr)
-	if b == nil || b.tag != ptr.h.tag {
+	pg, b := p.slotAt(ptr.h.slot)
+	if b == nil || b.tag != ptr.h.tag || b.addr != ptr.Addr {
 		return nil, nil
 	}
-	return a, b
+	return pg.arena, b
 }
 
 // Free releases the slot ptr names. Under Reclaim, a chunk whose last
@@ -271,7 +299,7 @@ func (p *FixedPool) Free(ptr Ptr) (int64, error) {
 	a.live--
 	p.live--
 	p.requested -= b.requested()
-	b.tag = 0
+	b.tag = uint64(ptr.h.slot)
 	b.free = true
 	p.list.Push(b)
 
@@ -286,12 +314,18 @@ func (p *FixedPool) isBumpArena(a *fixedArena) bool {
 	return len(p.arenas) > 0 && p.arenas[len(p.arenas)-1] == a
 }
 
-// reclaim unlinks every slot of a fully-free arena and releases it.
+// reclaim unlinks every slot of a fully-free arena and releases it,
+// and its page ordinals with it.
 func (p *FixedPool) reclaim(a *fixedArena) {
 	for i := 0; i < a.slots; i++ {
 		if b := a.slot(i); b.list != nil {
 			p.list.Remove(b)
 		}
+	}
+	for _, pg := range a.pages {
+		p.pages[pg.ord] = nil
+		p.freeOrds = append(p.freeOrds, pg.ord)
+		p.stash.putSlotPage(pg)
 	}
 	for i, other := range p.arenas {
 		if other == a {

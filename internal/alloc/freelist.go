@@ -17,13 +17,14 @@ import (
 // Where the target walks the list, the simulator walks it too and charges
 // each visited block at its own address — unless the list was built on a
 // flat context (simheap.Context.Flat), the context is still flat and the
-// list is long. Then a best/worst-fit scan and an address-ordered insert
-// walk are answered from host-side indexes (blockindex.go) in O(log n),
-// and their reads are charged as one read of the walk's word count. A
-// list builds its indexes when it reaches indexFrom blocks and drops them
-// below indexDrop: on a short list the walk is cheaper than keeping an
-// index. First, next and exact fit keep the walk: it stops at the first
-// fit, a few blocks in.
+// walks are long. Then the walk is answered from host-side indexes
+// (blockindex.go) in O(log n), and its reads are charged as one read of
+// the walk's word count. Best/worst-fit scans visit the whole list and
+// address-ordered inserts pass half of it, so those indexes follow the
+// list's length: built at indexFrom blocks, dropped below indexDrop.
+// First- and next-fit walks stop at the first fit, usually a few blocks
+// in, so their order index follows the walks' own length (walked). Exact
+// fit keeps the walk.
 type FreeList struct {
 	ctx      *simheap.Context
 	layer    memhier.LayerID
@@ -48,24 +49,30 @@ const (
 	indexDrop = 16
 )
 
+// fitPrefix is the number of blocks an indexed first/next-fit search
+// walks before it asks the order index.
+const fitPrefix = 8
+
 // MetaWords is the number of metadata words each FreeList occupies in its
 // pool's metadata area (head, tail, rover).
 const MetaWords = 3
 
 // NewFreeList returns an empty free list whose pointers live at metaAddr
-// in the given layer.
+// in the given layer. It is built for pushes and pops, as a fixed pool
+// uses its list: a search of it walks.
 func NewFreeList(ctx *simheap.Context, layer memhier.LayerID, metaAddr uint64, order ListOrder, links ListLinks) *FreeList {
-	return newFreeList(ctx, layer, metaAddr, order, links, FirstFit, nil)
+	return newFreeList(ctx, layer, metaAddr, order, links, ExactFit, nil)
 }
 
 // newFreeList is NewFreeList for a list whose own searches use fit, with
 // index nodes from slab (nil for a slab of its own): on a flat context a
-// long best/worst-fit list keeps a size index, and a long address-ordered
-// list an address index.
+// long best/worst-fit list keeps a size index, a long address-ordered
+// list an order index, and a first/next-fit list an order index while its
+// walks are long.
 func newFreeList(ctx *simheap.Context, layer memhier.LayerID, metaAddr uint64, order ListOrder, links ListLinks, fit FitPolicy, slab *nodeSlab) *FreeList {
 	l := &FreeList{ctx: ctx, layer: layer, metaAddr: metaAddr, order: order, links: links}
 	bySize, byAddr := fit == BestFit || fit == WorstFit, order == AddrOrder
-	if ctx.Flat() && (bySize || byAddr) {
+	if ctx.Flat() && (bySize || byAddr || fit == FirstFit || fit == NextFit) {
 		if slab == nil {
 			slab = &nodeSlab{}
 		}
@@ -141,9 +148,9 @@ func (l *FreeList) Push(b *Block) {
 		b.key = b.addr
 		l.metaRead(0)
 		var prev, cur *Block
-		if l.index.ready(l.ctx) && l.index.addr {
+		if l.index.ranked(l.ctx) {
 			var below uint64
-			below, prev, cur = l.index.neighbours(b.addr)
+			below, prev, cur = l.index.rank(b.key)
 			l.ctx.Read(l.layer, l.metaAddr, below) // each below's next
 		} else {
 			cur = l.head
@@ -171,8 +178,8 @@ func (l *FreeList) Push(b *Block) {
 	}
 	b.list = l
 	l.count++
-	if l.index != nil {
-		l.index.pushed(l, b)
+	if x := l.index; x != nil && (x.built != [2]bool{} || l.count == indexFrom) {
+		x.pushed(l, b)
 	}
 }
 
@@ -193,7 +200,7 @@ func (l *FreeList) PopHead() *Block {
 		l.metaWrite(1) // tail = nil
 	}
 	l.unlink(b)
-	if l.index != nil {
+	if b.node != 0 {
 		l.index.unlinked(l, b)
 	}
 	return b
@@ -219,8 +226,10 @@ func (l *FreeList) Remove(b *Block) {
 		}
 	default: // SingleLink: scan for predecessor
 		l.metaRead(0)
-		if l.index.ready(l.ctx) && l.index.addr {
-			below, _, _ := l.index.neighbours(b.addr)
+		if l.index.ranked(l.ctx) {
+			// The rank is by list-order key, which is the address only
+			// on an address-ordered list.
+			below, _, _ := l.index.rank(b.key)
 			l.ctx.Read(l.layer, l.metaAddr, below)
 		} else {
 			for cur := l.head; cur != b; cur = cur.flNext {
@@ -238,7 +247,7 @@ func (l *FreeList) Remove(b *Block) {
 		l.metaWrite(1) // tail moved
 	}
 	l.unlink(b)
-	if l.index != nil {
+	if b.node != 0 {
 		l.index.unlinked(l, b)
 	}
 }
@@ -261,7 +270,7 @@ func (l *FreeList) removeAfterScan(b *Block) {
 		l.metaWrite(1)
 	}
 	l.unlink(b)
-	if l.index != nil {
+	if b.node != 0 {
 		l.index.unlinked(l, b)
 	}
 }
@@ -269,7 +278,8 @@ func (l *FreeList) removeAfterScan(b *Block) {
 // Take searches the list under the fit policy for a block with total size
 // >= need (== need for ExactFit), unlinks and returns it; nil when no
 // block qualifies. The traversal charges two word reads per visited block
-// (header for the size, link word to advance). Under a flat cost model
+// (header for the size, link word to advance), and a next-fit walk that
+// passes the tail re-reads the head pointer. Under a flat cost model
 // the n visited blocks are charged as one read of 2n words after the
 // scan, which costs the same; otherwise each block is charged at its own
 // address, in list order.
@@ -289,42 +299,71 @@ func (l *FreeList) Take(fit FitPolicy, need int64) *Block {
 	}
 	var found *Block
 	switch fit {
-	case FirstFit, ExactFit:
-		for cur := l.head; cur != nil; cur = cur.flNext {
-			visit(cur)
-			if fits(fit, cur.size, need) {
-				found = cur
-				break
+	case FirstFit, NextFit, ExactFit:
+		start := l.head
+		if fit == NextFit {
+			l.metaRead(2) // rover
+			if r := l.rover; r != nil && r.list == l {
+				start = r
 			}
 		}
-	case NextFit:
-		l.metaRead(2) // rover
-		start := l.rover
-		if start == nil || start.list != l {
-			start = l.head
+		var visited uint64
+		if fit != ExactFit && l.index.fitting(l.ctx) {
+			// Most walks stop within a few blocks even on a list whose
+			// walks are long on average, so look there before asking
+			// the index.
+			for cur := start; cur != nil && visited < fitPrefix; cur = cur.flNext {
+				if visited++; cur.size >= need {
+					found = cur
+					break
+				}
+			}
+			if found == nil {
+				var wrapped bool
+				found, visited, wrapped = l.index.fit(l, start, fit == NextFit, need)
+				if wrapped {
+					l.metaRead(0)
+				}
+			}
+			scanned = visited
+		} else {
+			for cur := start; ; {
+				visited++
+				if !flat {
+					l.blockRead(cur, 2)
+				}
+				if fits(fit, cur.size, need) {
+					found = cur
+					break
+				}
+				if cur = cur.flNext; cur == nil {
+					if fit != NextFit {
+						break
+					}
+					cur = l.head // wrap: re-read head pointer
+					l.metaRead(0)
+				}
+				if cur == start {
+					break
+				}
+			}
+			if flat {
+				scanned = visited
+			}
 		}
-		cur := start
-		for {
-			visit(cur)
-			if fits(fit, cur.size, need) {
-				found = cur
-				break
-			}
-			cur = cur.flNext
-			if cur == nil {
-				cur = l.head // wrap: re-read head pointer
-				l.metaRead(0)
-			}
-			if cur == start {
-				break
-			}
-		}
-		if found != nil {
+		if fit == NextFit && found != nil {
 			l.rover = found.flNext
 			l.metaWrite(2)
 		}
+		if x := l.index; x != nil && fit != ExactFit {
+			// Inline: most searches only add to the window.
+			x.visited += uint32(min(visited, walkCap))
+			if x.takes++; x.takes == walkWindow {
+				x.walked(l)
+			}
+		}
 	case BestFit, WorstFit:
-		if l.index.ready(l.ctx) && l.index.size {
+		if l.index.sized(l.ctx) {
 			// The scan visits every block; the index finds its winner.
 			scanned = uint64(l.count)
 			if fit == BestFit {

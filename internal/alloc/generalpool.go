@@ -395,6 +395,19 @@ func (p *GeneralPool) FreeBlocks() int {
 	return n
 }
 
+// FitIndexedBins returns the number of bins whose first/next-fit
+// searches the order index answers now (simulator introspection; charges
+// nothing).
+func (p *GeneralPool) FitIndexedBins() int {
+	n := 0
+	for _, bin := range p.bins {
+		if bin.index.fitting(p.ctx) {
+			n++
+		}
+	}
+	return n
+}
+
 // checkInvariants verifies simulator-side consistency: adjacency chains
 // cover each arena exactly, free blocks are on bins, live blocks are not,
 // and every bin's list-order keys and indexes agree with its blocks (so a

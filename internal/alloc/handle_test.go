@@ -271,3 +271,86 @@ func TestOutOfMemoryErrorIsAllocationFree(t *testing.T) {
 		}
 	}
 }
+
+// TestFixedPoolRejectsReclaimedOrdinal covers the fixed pool's handle
+// check, which finds a slot from the page ordinal in its Ptr: a Ptr into
+// an arena that was reclaimed, whose page ordinal a new arena now
+// carries, and a live Ptr with its slot ordinal or address forged, all
+// return ErrBadFree, report dead, and leave the live slots intact.
+func TestFixedPoolRejectsReclaimedOrdinal(t *testing.T) {
+	params := fixedParams()
+	params.ChunkSlots = slotPageLen // one page an arena
+	params.Reclaim = true
+	p, err := NewFixedPool(testCtx(t), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	malloc := func() Ptr {
+		t.Helper()
+		ptr, _, err := p.Malloc(74)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ptr
+	}
+	var first, second []Ptr
+	for i := 0; i < slotPageLen; i++ {
+		first = append(first, malloc())
+	}
+	for i := 0; i < slotPageLen; i++ {
+		second = append(second, malloc())
+	}
+	for _, ptr := range first {
+		if _, err := p.Free(ptr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.Reclaims() != 1 {
+		t.Fatalf("%d reclaims after freeing the first arena, want 1", p.Reclaims())
+	}
+	// The second arena is full and the first is gone, so the next slots
+	// come from a third arena, under the first one's page ordinal.
+	third := []Ptr{malloc(), malloc(), malloc()}
+	for i, ptr := range third {
+		if ptr.h.slot != first[i].h.slot {
+			t.Fatalf("new slot %d has ordinal %d, not the reclaimed %d; the reuse case needs it", i, ptr.h.slot, first[i].h.slot)
+		}
+	}
+	// A freed slot holds its ordinal in place of a tag.
+	freed := third[2]
+	third = third[:2]
+	if _, err := p.Free(freed); err != nil {
+		t.Fatal(err)
+	}
+	forgedSlot := second[0]
+	forgedSlot.h.slot = second[1].h.slot
+	forgedAddr := second[0]
+	forgedAddr.Addr = second[1].Addr
+	for _, c := range []struct {
+		name string
+		ptr  Ptr
+	}{
+		{"reclaimed arena, ordinal reused and live", first[0]},
+		{"reclaimed arena, ordinal reused and not yet carved", first[slotPageLen-1]},
+		{"forged slot ordinal", forgedSlot},
+		{"forged address", forgedAddr},
+		{"ordinal past the page table", Ptr{Layer: second[0].Layer, Addr: second[0].Addr, h: handle{slot: 1 << 20, tag: second[0].h.tag}}},
+		{"a free slot's ordinal as tag", Ptr{Layer: freed.Layer, Addr: freed.Addr, h: handle{slot: freed.h.slot, tag: uint64(freed.h.slot)}}},
+		{"freed slot", freed},
+	} {
+		if _, err := p.Free(c.ptr); !errors.Is(err, ErrBadFree) {
+			t.Errorf("%s: got %v, want ErrBadFree", c.name, err)
+		}
+		if _, ok := p.SizeOf(c.ptr); ok {
+			t.Errorf("%s: reported live", c.name)
+		}
+	}
+	for _, ptr := range append(second, third...) {
+		if n, ok := p.SizeOf(ptr); !ok || n != 74 {
+			t.Fatalf("a rejected free disturbed live %+v", ptr)
+		}
+	}
+	if p.LiveBlocks() != slotPageLen+len(third) {
+		t.Fatalf("%d live slots, want %d", p.LiveBlocks(), slotPageLen+len(third))
+	}
+}

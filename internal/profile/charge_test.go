@@ -31,7 +31,8 @@ func (c *countingTracer) TraceAccess(layer memhier.LayerID, _ uint64, words uint
 // a short Easyport trace to identical per-layer reads, writes and cycles
 // either way, and the tracer must see exactly the words the counters
 // hold. A worst-fit stress trace then repeats the check with free lists
-// past 1,000 blocks.
+// past 1,000 blocks, and a long-walk stress trace with first- and
+// next-fit lists whose order index answers the searches.
 func TestFlatScanChargeMatchesPerAddress(t *testing.T) {
 	p := workload.DefaultEasyportParams()
 	p.Packets = 120
@@ -148,4 +149,75 @@ func TestFlatScanChargeMatchesPerAddress(t *testing.T) {
 			}
 		}
 	}
+
+	longWalks := longWalkTrace()
+	longWalk := func(fit alloc.FitPolicy, order alloc.ListOrder, link alloc.ListLinks, co alloc.CoalesceMode) {
+		cfg := longWalkConfig(fit, order, link, co)
+		a := compare(longWalks, cfg)
+		if n := a.Fallback().(*alloc.GeneralPool).FitIndexedBins(); n != 1 {
+			t.Errorf("%s: the order index answers searches on %d bins at the end, want 1", cfg.ID(), n)
+		}
+	}
+	for _, order := range orders {
+		for _, link := range links {
+			for _, co := range coalesce[:2] {
+				longWalk(alloc.NextFit, order, link, co)
+			}
+		}
+	}
+	// Address-ordered first fit, shaped like EasyportSpace 10 and 138
+	// (walks averaging 175–277 blocks).
+	for _, link := range links {
+		for _, co := range coalesce[:2] {
+			longWalk(alloc.FirstFit, alloc.AddrOrder, link, co)
+		}
+	}
+}
+
+// longWalkTrace is a stress trace shaped like VTCSpace configurations 14
+// and 15 (one size class, next fit, split always; walks averaging
+// 474–610 blocks on 8k-block lists): 4,000 small free blocks kept apart
+// by live ones, then small requests, which stop a few blocks past the
+// rover, mixed with one request in eight larger than any free block,
+// whose walk passes the whole list (and, under next fit, wraps to the
+// head). It ends with every block freed.
+func longWalkTrace() *trace.Trace {
+	b := trace.NewBuilder("long-walk-stress")
+	ids := make([]uint64, 8000)
+	for i := range ids {
+		ids[i] = b.Alloc(int64(16 + i*29%48))
+	}
+	for i := 0; i < len(ids); i += 2 {
+		b.Free(ids[i])
+	}
+	var held []uint64
+	for i := 0; i < 3000; i++ {
+		size := int64(8 + i*53%40)
+		if i%8 == 7 {
+			size = 9000 + int64(i%5)*512
+		}
+		id := b.Alloc(size)
+		b.Access(id, 1, 1)
+		held = append(held, id)
+		if i%3 == 2 {
+			b.Free(held[i*7%len(held)])
+			held[i*7%len(held)] = held[len(held)-1]
+			held = held[:len(held)-1]
+		}
+	}
+	b.FreeAll()
+	return b.Build()
+}
+
+// longWalkConfig is a one-class DRAM general pool that splits always,
+// searched and ordered as given.
+func longWalkConfig(fit alloc.FitPolicy, order alloc.ListOrder, link alloc.ListLinks, co alloc.CoalesceMode) alloc.Config {
+	cfg := alloc.SimpleFirstFitConfig(memhier.LayerDRAM)
+	cfg.General.Classes = "single"
+	cfg.General.Fit = fit
+	cfg.General.Order = order
+	cfg.General.Links = link
+	cfg.General.Coalesce = co
+	cfg.General.Split = alloc.SplitAlways
+	return cfg
 }

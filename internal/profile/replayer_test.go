@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -466,6 +467,55 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 	}
 	if n := r.blocks.Len(); n != stashed || n == 0 {
 		t.Errorf("warm pool replay moved the Block stash from %d to %d", stashed, n)
+	}
+
+	// Long next-fit walks: the order index they build takes its nodes
+	// from the pool's slab. A warm Run, whose new pool draws the slab
+	// from the Replayer's stash, builds the index again and must
+	// allocate far less than the slab itself (thousands of 56-byte
+	// nodes). Replaying the same allocator again allocates nothing: its
+	// later passes find whole free arenas for the large requests, so
+	// their walks are short and the index built in the first pass is
+	// dropped, its nodes kept for the next build. Coalescing returns the
+	// pool to one state after each pass; without it every pass splits
+	// the free blocks further, and more blocks need more nodes.
+	lct, err := trace.Compile(longWalkTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = longWalkConfig(alloc.NextFit, alloc.LIFO, alloc.SingleLink, alloc.CoalesceImmediate)
+	ctx := simheap.NewContext(h)
+	a, err := cfg.Build(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r = NewReplayer()
+	pass := func() {
+		r.reset(lct.NumIDs)
+		var m Metrics
+		if err := r.replayFlat(lct, a, ctx, &m); err != nil {
+			t.Errorf("%s: flat replay: %v", cfg.ID(), err)
+		}
+	}
+	pass()
+	if n := a.Fallback().(*alloc.GeneralPool).FitIndexedBins(); n != 1 {
+		t.Errorf("%s: the order index answers searches on %d bins after the first pass, want 1", cfg.ID(), n)
+	}
+	if avg := testing.AllocsPerRun(5, pass); avg != 0 {
+		t.Errorf("%s: steady-state long-walk replay allocates %.1f times per run, want 0", cfg.ID(), avg)
+	}
+	run := func() {
+		if _, err := r.Run(lct, cfg, h, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Errorf("%s: a warm Run allocates %d bytes, want at most 64 KiB", cfg.ID(), n)
 	}
 }
 
