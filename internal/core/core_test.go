@@ -317,6 +317,67 @@ func TestFullSpaceCardinality(t *testing.T) {
 	}
 }
 
+// TestShippedSpacesHaveNoInertOption materializes every configuration of
+// every shipped space and requires each pair of options of each axis to
+// give different Config.IDs somewhere in the space: an option that never
+// changes the ID only relabels configurations another option already
+// names. It also pins each space's number of distinct IDs.
+// FullEasyportSpace has 58,320: its 64,800 configurations less the
+// 6,480 where reclaim marks no pool (pools none).
+func TestShippedSpacesHaveNoInertOption(t *testing.T) {
+	suggested, err := SuggestSpace("auto", easyportProfile(t), memhier.EmbeddedSoC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		space    *Space
+		distinct int
+	}{
+		{FullEasyportSpace(), 58320},
+		{EasyportSpace(), 640},
+		{VTCSpace(), 288},
+		{suggested, suggested.Size()},
+	} {
+		s := tc.space
+		ids := make([]string, s.Size())
+		seen := make(map[string]bool, len(ids))
+		for i := range ids {
+			cfg, _, err := s.Config(i)
+			if err != nil {
+				t.Fatalf("%s[%d]: %v", s.Name, i, err)
+			}
+			ids[i] = cfg.ID()
+			seen[ids[i]] = true
+		}
+		if len(seen) != tc.distinct {
+			t.Errorf("%s: %d distinct configuration IDs, want %d", s.Name, len(seen), tc.distinct)
+		}
+		stride := s.Size()
+		for _, ax := range s.Axes {
+			n := len(ax.Options)
+			stride /= n
+			for j := 0; j < n; j++ {
+				for k := j + 1; k < n; k++ {
+					differ := false
+					// Every index whose digit on this axis is j.
+					for base := j * stride; base < s.Size() && !differ; base += n * stride {
+						for i := base; i < base+stride; i++ {
+							if ids[i] != ids[i+(k-j)*stride] {
+								differ = true
+								break
+							}
+						}
+					}
+					if !differ {
+						t.Errorf("%s: axis %q options %q and %q give the same configuration everywhere",
+							s.Name, ax.Name, ax.Options[j].Label, ax.Options[k].Label)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestExploreMemoizesDuplicateConfigs(t *testing.T) {
 	// An axis that is a no-op under another axis's value produces
 	// duplicate configurations; they must share one simulation result.

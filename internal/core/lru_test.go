@@ -76,7 +76,7 @@ func TestLRUKeepsOversizedNewest(t *testing.T) {
 func TestLRUUnbounded(t *testing.T) {
 	c := newLRUCache[int](0)
 	for i, k := range []string{"a", "b", "c", "d"} {
-		c.put(k, i, 1 << 30)
+		c.put(k, i, 1<<30)
 	}
 	if c.len() != 4 || c.evicted() != 0 {
 		t.Fatalf("unbounded cache evicted: len %d evictions %d", c.len(), c.evicted())

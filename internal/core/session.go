@@ -17,8 +17,10 @@ import (
 
 // EvalSession is a persistent evaluation pipeline over one (space, trace,
 // hierarchy) triple: the trace is compiled once, a pool of long-lived
-// workers is spawned once, and every worker keeps its Replayer — scratch
-// tables sized on the first configuration and reused for all that follow.
+// workers is spawned once, and every worker holds one Replayer for the
+// session's life — taken warm from profile's process-wide pool, so its
+// scratch tables keep the sizes an earlier session gave them, and given
+// back on Close for the next session.
 // Batches of configuration indices are fed to the pool over a channel, so
 // a guided search issuing hundreds of small evaluation waves (one per
 // NSGA-II generation, one per hill-climb neighbourhood, one per annealing
@@ -322,11 +324,14 @@ func (s *EvalSession) Close() {
 }
 
 // worker is one long-lived pool member: a telemetry shard and a Replayer
-// whose scratch tables persist across every batch of the session.
+// whose scratch tables persist across every batch of the session, and
+// past it: the Replayer goes back to profile's pool when the worker
+// exits.
 func (s *EvalSession) worker(w int) {
 	defer s.wg.Done()
 	shard := s.col.Shard(w)
-	rep := profile.NewReplayer()
+	rep := profile.GetReplayer()
+	defer profile.PutReplayer(rep)
 	rep.Shard = shard
 	rep.Spans = s.r.Spans.Ring(w)
 	var debt time.Duration

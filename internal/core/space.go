@@ -70,20 +70,21 @@ func (s *Space) Size() int {
 }
 
 // Config materializes configuration idx (mixed-radix decode over the
-// axes) and returns it with the per-axis option labels.
+// axes) and returns it with the per-axis option labels. The options
+// apply in axis order, so an option may act on what an earlier axis
+// built (reclaim marks the pools the pools axis appended).
 func (s *Space) Config(idx int) (alloc.Config, []string, error) {
 	if idx < 0 || idx >= s.Size() {
 		return alloc.Config{}, nil, fmt.Errorf("core: index %d out of range [0,%d)", idx, s.Size())
 	}
 	cfg := cloneConfig(s.Base)
 	labels := make([]string, len(s.Axes))
-	rem := idx
-	for i := len(s.Axes) - 1; i >= 0; i-- {
-		ax := s.Axes[i]
-		k := rem % len(ax.Options)
-		rem /= len(ax.Options)
-		labels[i] = ax.Options[k].Label
-		ax.Options[k].Apply(&cfg)
+	stride := s.Size()
+	for i, ax := range s.Axes {
+		stride /= len(ax.Options)
+		opt := ax.Options[idx/stride%len(ax.Options)]
+		labels[i] = opt.Label
+		opt.Apply(&cfg)
 	}
 	if cfg.Label == "" {
 		cfg.Label = fmt.Sprintf("%s#%d[%s]", s.Name, idx, strings.Join(labels, ","))

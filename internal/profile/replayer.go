@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"dmexplore/internal/alloc"
@@ -27,7 +29,7 @@ import (
 // the whole trace's tick cycles in one sum, with a bit-identical result
 // (DESIGN.md §17). Every other run takes the per-event loop (replay).
 // A Replayer is not safe for concurrent use; explorations run one per
-// worker.
+// worker, taken warm from GetReplayer's pool and given back after.
 type Replayer struct {
 	// Shard, when non-nil, receives per-run telemetry: simulation wall
 	// time and events replayed. Recording is a few uncontended atomic
@@ -60,6 +62,50 @@ type Replayer struct {
 // sizes the tables to the trace's dense ID space.
 func NewReplayer() *Replayer {
 	return &Replayer{}
+}
+
+// warm is the process-wide pool of Replayers that GetReplayer and
+// PutReplayer pass between sessions: a mutex-guarded free list, not a
+// sync.Pool, because a sync.Pool empties on every GC and generating a
+// trace forces several. It holds at most GOMAXPROCS Replayers.
+var warm struct {
+	mu   sync.Mutex
+	free []*Replayer
+}
+
+// GetReplayer returns a Replayer from the process-wide pool, its scratch
+// tables already sized by an earlier session, or a new one when the pool
+// is empty. Give it back with PutReplayer when done.
+func GetReplayer() *Replayer {
+	warm.mu.Lock()
+	defer warm.mu.Unlock()
+	n := len(warm.free)
+	if n == 0 {
+		return NewReplayer()
+	}
+	r := warm.free[n-1]
+	warm.free[n-1] = nil
+	warm.free = warm.free[:n-1]
+	return r
+}
+
+// PutReplayer gives r back to the pool, which drops it when it already
+// holds GOMAXPROCS Replayers. r keeps the capacity of its scratch tables
+// but drops the telemetry shard, the span ring, the log sink and the
+// trace its flat view describes: a pooled Replayer keeps no job's trace
+// alive, and a later trace allocated at the same address cannot match
+// the stale view. r must not be used after PutReplayer.
+func PutReplayer(r *Replayer) {
+	r.Shard, r.Spans = nil, nil
+	if r.log != nil {
+		r.log.blk.Reset(nil)
+	}
+	r.flat.ct = nil
+	warm.mu.Lock()
+	defer warm.mu.Unlock()
+	if len(warm.free) < runtime.GOMAXPROCS(0) {
+		warm.free = append(warm.free, r)
+	}
 }
 
 // reset prepares the scratch tables for a trace with n dense IDs,
@@ -285,7 +331,8 @@ func (r *Replayer) replay(ct *trace.Compiled, a alloc.Allocator, ctx *simheap.Co
 // and free events in trace order, each dense ID's lifetime access words
 // and the trace's total tick cycles. It lives in the Replayer, not in the
 // shared trace, and is rebuilt in place when the Replayer moves to
-// another trace, so a warm Replayer builds it without allocating.
+// another trace or comes back from the pool (PutReplayer forgets the
+// trace), so a warm Replayer builds it without allocating.
 type flatView struct {
 	ct     *trace.Compiled // the trace the view describes; nil before the first build
 	ops    []flatOp        // the alloc and free events, in trace order

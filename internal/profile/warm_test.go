@@ -1,0 +1,171 @@
+package profile
+
+import (
+	"bytes"
+	"reflect"
+	"sync"
+	"testing"
+
+	"dmexplore/internal/alloc"
+	"dmexplore/internal/memhier"
+	"dmexplore/internal/trace"
+	"dmexplore/internal/workload"
+)
+
+// smallVTC returns a 24-tile VTC trace and its compilation.
+func smallVTC(t *testing.T) (*trace.Trace, *trace.Compiled) {
+	t.Helper()
+	p := workload.DefaultVTCParams()
+	p.Tiles = 24
+	tr, err := p.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := trace.Compile(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, ct
+}
+
+// TestWarmReplayerMatchesFresh passes one Replayer through the pool
+// between every step — full runs, partitions, pool replays and
+// compositions over a VTC and an Easyport trace, a logged run, and a
+// recompiled trace — and requires each result to be bit-identical to a
+// fresh Replayer's. The last step overwrites a trace the Replayer ran
+// in place, so the next trace sits at the old one's address: the flat
+// view must not take it for the trace it described.
+func TestWarmReplayerMatchesFresh(t *testing.T) {
+	warm.mu.Lock()
+	warm.free = nil // start from an empty pool so the Replayer comes back
+	warm.mu.Unlock()
+
+	h := memhier.EmbeddedSoC()
+	vtcTrace, vtc := smallVTC(t)
+	ep := easyportCompiled(t, 300)
+	r := GetReplayer()
+	cycle := func() {
+		t.Helper()
+		PutReplayer(r)
+		if got := GetReplayer(); got != r {
+			t.Fatal("the pool did not hand back the Replayer it was given")
+		}
+	}
+	defer PutReplayer(r)
+
+	check := func(name string, ct *trace.Compiled) {
+		t.Helper()
+		for _, cfg := range incrementalConfigs() {
+			fresh := NewReplayer()
+			want, err := fresh.Run(ct, cfg, h, Options{})
+			if err != nil {
+				t.Fatalf("%s %s: fresh run: %v", name, cfg.Label, err)
+			}
+			got, err := r.Run(ct, cfg, h, Options{})
+			if err != nil {
+				t.Fatalf("%s %s: warm run: %v", name, cfg.Label, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: warm run diverges:\n  got  %+v\n  want %+v", name, cfg.Label, got, want)
+			}
+			cycle()
+
+			wantPart, err := fresh.Partition(ct, cfg, h)
+			if err != nil {
+				t.Fatalf("%s %s: fresh partition: %v", name, cfg.Label, err)
+			}
+			part, err := r.Partition(ct, cfg, h)
+			if err != nil {
+				t.Fatalf("%s %s: warm partition: %v", name, cfg.Label, err)
+			}
+			if !reflect.DeepEqual(part, wantPart) {
+				t.Errorf("%s %s: warm partition diverges", name, cfg.Label)
+			}
+			cycle()
+
+			wantRun, wantOK := fresh.PoolReplay(wantPart, cfg, h)
+			run, ok := r.PoolReplay(part, cfg, h)
+			if ok != wantOK || !reflect.DeepEqual(run, wantRun) {
+				t.Errorf("%s %s: warm pool replay diverges (ok %v, want %v)", name, cfg.Label, ok, wantOK)
+			}
+			if ok && wantOK {
+				wantM, wantOK := fresh.Compose(ct, wantPart, wantRun, cfg, h)
+				m, ok := r.Compose(ct, part, run, cfg, h)
+				if ok != wantOK || !reflect.DeepEqual(m, wantM) {
+					t.Errorf("%s %s: warm composition diverges (ok %v, want %v)", name, cfg.Label, ok, wantOK)
+				}
+			}
+			cycle()
+		}
+	}
+	check("vtc", vtc)
+	check("easyport", ep)
+
+	var wantLog, gotLog bytes.Buffer
+	cfg := alloc.LeaConfig(memhier.LayerDRAM)
+	want, err := NewReplayer().Run(ep, cfg, h, Options{LogWriter: &wantLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Run(ep, cfg, h, Options{LogWriter: &gotLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || !bytes.Equal(gotLog.Bytes(), wantLog.Bytes()) {
+		t.Error("warm logged run diverges from a fresh one")
+	}
+	cycle()
+
+	recompiled, err := trace.Compile(vtcTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("vtc recompiled", recompiled)
+
+	// Leave the flat view describing ep, then overwrite ep in place with
+	// the VTC trace, at the same address.
+	if _, err := r.Run(ep, cfg, h, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	cycle()
+	if r.flat.ct != nil {
+		t.Fatal("a pooled Replayer keeps its last trace")
+	}
+	*ep = *recompiled
+	check("vtc at the easyport address", ep)
+}
+
+// TestReplayerPoolConcurrent takes and gives back pooled Replayers from
+// several goroutines at once, as the workers of concurrent sessions do;
+// run it under the race detector. Every run must match a fresh one.
+func TestReplayerPoolConcurrent(t *testing.T) {
+	h := memhier.EmbeddedSoC()
+	ct := easyportCompiled(t, 50)
+	cfgs := incrementalConfigs()
+	want := make([]*Metrics, len(cfgs))
+	for i, cfg := range cfgs {
+		m, err := NewReplayer().Run(ct, cfg, h, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = m
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range 3 * len(cfgs) {
+				k := (g + i) % len(cfgs)
+				r := GetReplayer()
+				got, err := r.Run(ct, cfgs[k], h, Options{})
+				PutReplayer(r)
+				if err != nil || !reflect.DeepEqual(got, want[k]) {
+					t.Errorf("%s: pooled run diverges from a fresh one (err %v)", cfgs[k].Label, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

@@ -203,7 +203,11 @@ func (c *Coordinator) loadJob(path string) error {
 			if l.Spec == nil {
 				return fmt.Errorf("serve: checkpoint %s line %d: spec line without spec", path, line)
 			}
-			j, err = c.newJob(id, *l.Spec)
+			spec, err := prepareSpec(*l.Spec)
+			if err != nil {
+				return fmt.Errorf("serve: checkpoint %s line %d: %w", path, line, err)
+			}
+			j, err = c.newJob(id, spec)
 			if err != nil {
 				return err
 			}
@@ -323,16 +327,27 @@ func (c *Coordinator) checkpoint(j *job, l ckptLine) {
 	_ = j.ckpt.Encode(l)
 }
 
-// Submit registers a job and returns its ID.
-func (c *Coordinator) Submit(spec JobSpec) (string, error) {
+// prepareSpec fills spec's defaults and checks it as a job the
+// coordinator can shard and its workers can build. Submitted specs and
+// the specs of checkpointed jobs both pass through it.
+func prepareSpec(spec JobSpec) (JobSpec, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
-		return "", err
+		return spec, err
 	}
 	if _, err := workload.New(spec.Workload, spec.WorkloadSeed, spec.Scale); err != nil {
-		return "", err
+		return spec, err
 	}
 	if _, err := ResolveHierarchy(spec.Hierarchy); err != nil {
+		return spec, err
+	}
+	return spec, nil
+}
+
+// Submit registers a job and returns its ID.
+func (c *Coordinator) Submit(spec JobSpec) (string, error) {
+	spec, err := prepareSpec(spec)
+	if err != nil {
 		return "", err
 	}
 	c.mu.Lock()

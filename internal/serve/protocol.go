@@ -112,6 +112,13 @@ func (s JobSpec) withDefaults() JobSpec {
 
 // Validate rejects specs the coordinator cannot shard.
 func (s JobSpec) Validate() error {
+	space, err := ResolveSpace(s.Workload, s.Space)
+	if err != nil {
+		return err
+	}
+	if s.ShardSize < 1 {
+		return fmt.Errorf("serve: shard size %d below 1", s.ShardSize)
+	}
 	switch s.Strategy {
 	case "sweep":
 	case "nsga2":
@@ -120,6 +127,9 @@ func (s JobSpec) Validate() error {
 		}
 		if s.Budget < s.Population {
 			return fmt.Errorf("serve: budget %d below population %d", s.Budget, s.Population)
+		}
+		if s.Islands < 1 || s.Islands > space.Size() {
+			return fmt.Errorf("serve: %d islands, want 1 to the space's %d configurations", s.Islands, space.Size())
 		}
 	default:
 		return fmt.Errorf("serve: unknown strategy %q (sweep|nsga2)", s.Strategy)

@@ -107,7 +107,7 @@ func TestFormatETA(t *testing.T) {
 		d    time.Duration
 		want string
 	}{
-		{-time.Second, "--:--"}, // the etaFor "unknown" sentinel
+		{-time.Second, "--:--"},          // the etaFor "unknown" sentinel
 		{400 * time.Millisecond, "0:01"}, // rounds up, never 0:00 mid-run
 		{59 * time.Second, "0:59"},
 		{90 * time.Second, "1:30"},
