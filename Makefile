@@ -76,13 +76,15 @@ bench-serve:
 
 # fuzz-smoke runs each native fuzz target for a few seconds — enough to
 # execute the seed corpus plus a short mutation run on every decoder, on
-# the result-store loader, on the coordinator's checkpoint replay and on
-# the indexed-vs-linear free list.
+# the result-store loader, on the coordinator's checkpoint replay, on
+# the indexed-vs-linear free list and on the ID table against a Go-map
+# reference compiler.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 5s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime 5s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzTraceFeatures$$' -fuzztime 5s
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 5s
 	$(GO) test ./internal/profile/ -run '^$$' -fuzz '^FuzzParseLog$$' -fuzztime 5s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzOpenStore$$' -fuzztime 5s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzCheckpointReplay$$' -fuzztime 5s

@@ -108,8 +108,11 @@ func PutReplayer(r *Replayer) {
 	}
 }
 
-// reset prepares the scratch tables for a trace with n dense IDs,
-// reusing the pointer and live tables when capacity suffices.
+// reset sizes the scratch tables for a trace with n dense IDs, reusing
+// them when capacity suffices. It does not clear them: every dense ID
+// has exactly one alloc event, replayed before its free or accesses, and
+// both replay loops write the ID's pointer and liveness at that alloc,
+// Ptr{} and false when it fails.
 func (r *Replayer) reset(n int) {
 	if cap(r.ptrs) < n {
 		r.ptrs = make([]alloc.Ptr, n)
@@ -118,10 +121,6 @@ func (r *Replayer) reset(n int) {
 	}
 	r.ptrs = r.ptrs[:n]
 	r.live = r.live[:n]
-	for i := range r.ptrs {
-		r.ptrs[i] = alloc.Ptr{}
-		r.live[i] = false
-	}
 }
 
 // logTo returns the Replayer's log writer started on a new log to w.
@@ -277,17 +276,17 @@ func (r *Replayer) replay(ct *trace.Compiled, a alloc.Allocator, ctx *simheap.Co
 			size := int64(ct.Arg(arg))
 			liveRequested += size
 			ptr, err := a.Malloc(size)
+			id := ids.At(i)
 			if err != nil {
+				r.ptrs[id], r.live[id] = alloc.Ptr{}, false
 				if errors.Is(err, alloc.ErrOutOfMemory) {
 					m.Failures++
 					continue
 				}
 				return fmt.Errorf("profile: event %d: %w", i, err)
 			}
+			r.ptrs[id], r.live[id] = ptr, true
 			m.Mallocs++
-			id := ids.At(i)
-			r.ptrs[id] = ptr
-			r.live[id] = true
 		case trace.KindFree:
 			liveRequested -= int64(ct.Arg(arg))
 			id := ids.At(i)
@@ -415,15 +414,15 @@ func (r *Replayer) replayFlat(ct *trace.Compiled, a alloc.Allocator, ctx *simhea
 		if trace.ArgKind(op.arg) == trace.KindAlloc {
 			ptr, err := a.Malloc(int64(ct.Arg(op.arg)))
 			if err != nil {
+				r.ptrs[op.id], r.live[op.id] = alloc.Ptr{}, false
 				if errors.Is(err, alloc.ErrOutOfMemory) {
 					m.Failures++
 					continue
 				}
 				return fmt.Errorf("profile: event %d: %w", v.position(j), err)
 			}
+			r.ptrs[op.id], r.live[op.id] = ptr, true
 			m.Mallocs++
-			r.ptrs[op.id] = ptr
-			r.live[op.id] = true
 			ctx.Read(ptr.Layer, ptr.Addr, v.reads[op.id])
 			ctx.Write(ptr.Layer, ptr.Addr, v.writes[op.id])
 			continue

@@ -135,6 +135,49 @@ func TestWarmReplayerMatchesFresh(t *testing.T) {
 	check("vtc at the easyport address", ep)
 }
 
+// TestWarmReplayerFailedAllocsForgetLastRun runs one Replayer over a
+// trace that leaves its allocations live at the end, first with every
+// allocation succeeding, then under a 32 KB budget where most fail, in
+// both replay loops. The Replayer does not clear its pointer table
+// between runs, so a failed allocation must overwrite what the last run
+// left for its ID: an access to it must charge nothing, as on a fresh
+// Replayer.
+func TestWarmReplayerFailedAllocsForgetLastRun(t *testing.T) {
+	b := trace.NewBuilder("unfreed")
+	for i := 0; i < 200; i++ {
+		id := b.Alloc(int64(64 + i%7*32))
+		b.Access(id, 3, 2)
+	}
+	ct, err := trace.Compile(b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := memhier.EmbeddedSoC()
+	roomy := alloc.KingsleyConfig(memhier.LayerDRAM)
+	tight := alloc.KingsleyConfig(memhier.LayerDRAM)
+	tight.General.MaxBytes = 32 * 1024
+	for _, opts := range []Options{{}, {SampleEvery: 16}} {
+		r := NewReplayer()
+		if _, err := r.Run(ct, roomy, h, opts); err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewReplayer().Run(ct, tight, h, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Failures == 0 {
+			t.Fatal("the 32 KB budget failed no allocation")
+		}
+		got, err := r.Run(ct, tight, h, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: warm run diverges:\n  got  %+v\n  want %+v", opts, got, want)
+		}
+	}
+}
+
 // TestReplayerPoolConcurrent takes and gives back pooled Replayers from
 // several goroutines at once, as the workers of concurrent sessions do;
 // run it under the race detector. Every run must match a fresh one.

@@ -31,9 +31,7 @@ type Op struct {
 // argument column that also carries the kind, and a dense-ID column of 2
 // bytes an event while the trace has at most 65,536 allocations (IDs),
 // so the replay loop streams the arguments and touches an ID only when
-// the kind has one. Block-framed v2 files decode straight into
-// the slabs (CompileBinaryParallel) without materializing an []Event
-// copy.
+// the kind has one.
 type Compiled struct {
 	Name string
 
@@ -168,126 +166,90 @@ func (c *Compiled) At(i int) Op {
 	return op
 }
 
-// rawSlabs holds each event's kind, original allocation ID and full
-// argument until finalize validates, renumbers and narrows them.
-type rawSlabs struct {
-	kinds     []EventKind
-	ids, args []uint64
-}
-
-// newCompiled allocates the slabs for n events plus the temporary raw
-// slabs finalize consumes.
-func newCompiled(name string, n int) (*Compiled, rawSlabs) {
-	c := &Compiled{
-		Name: name,
-		args: make([]uint32, n),
-		ids:  IDs{lo: make([]uint16, n)},
-	}
-	return c, rawSlabs{make([]EventKind, n), make([]uint64, n), make([]uint64, n)}
-}
-
 // Compile validates t and builds its compiled representation. The
 // returned Compiled is immutable and safe for concurrent replay.
 func Compile(t *Trace) (*Compiled, error) {
-	c, raw := newCompiled(t.Name, len(t.Events))
-	for i := range t.Events {
-		c.setEvent(i, &t.Events[i], raw)
+	c := &Compiled{
+		Name: t.Name,
+		args: make([]uint32, len(t.Events)),
+		ids:  IDs{lo: make([]uint16, len(t.Events))},
 	}
-	if err := c.finalize(raw); err != nil {
+	if err := scan(t.Name, t.Events, c); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// setEvent stores event e's kind, raw ID and argument into raw at index
-// i. An Event's argument word already has the compiled packing (Access:
-// packAccess); KindFree carries none here (finalize resolves the size);
-// unknown kinds are rejected by finalize.
-func (c *Compiled) setEvent(i int, e *Event, raw rawSlabs) {
-	raw.kinds[i] = e.Kind()
-	raw.ids[i] = e.ID()
-	raw.args[i] = e.arg
-}
-
-// finalize turns raw slabs (the events' kinds, original allocation IDs
-// and arguments) into the compiled form: it validates the event stream,
-// renumbers IDs densely into c.ids, resolves Free sizes, packs kinds and
-// arguments into c.args and computes the replay counts.
-// Shared by Compile and the direct block-parallel path so both produce
-// identical results and identical error messages.
-func (c *Compiled) finalize(raw rawSlabs) error {
-	rawIDs := raw.ids
-	// dense maps original IDs to dense indices; size holds the requested
-	// bytes of the live allocation so Free ops can carry it. All three
-	// are sized for the trace's allocations up front.
-	allocs := 0
-	for _, kind := range raw.kinds {
-		if kind == KindAlloc {
-			allocs++
-		}
-	}
-	dense := make(map[uint64]uint32, allocs)
+// scan is the one checking pass behind Validate and Compile: it walks
+// events in order, rejects the first invalid one and numbers allocation
+// IDs densely in first-alloc order. With c non-nil it also writes each
+// event into c's slabs, a Free with the size it releases, and sets c's
+// counts; Validate passes nil and builds no slabs.
+func scan(name string, events []Event, c *Compiled) error {
+	dense, allocs := newIDTable(events)
+	// size and live hold each dense ID's requested bytes and whether it
+	// is still allocated.
 	size := make([]int64, 0, allocs)
 	live := make([]bool, 0, allocs)
-	var liveCount, liveBytes int64
-	for i, kind := range raw.kinds {
+	var frees, accesses, ticks, liveCount, peakLive int
+	var liveBytes, peakBytes int64
+	for i := range events {
+		kind, id, arg := events[i].Kind(), events[i].ID(), events[i].arg
+		var idx uint32
 		switch kind {
 		case KindAlloc:
-			sz := int64(raw.args[i])
+			sz := int64(arg)
 			if sz <= 0 {
-				return fmt.Errorf("trace %s: event %d: alloc %d with size %d", c.Name, i, rawIDs[i], sz)
+				return fmt.Errorf("trace %s: event %d: alloc %d with size %d", name, i, id, sz)
 			}
-			if idx, seen := dense[rawIDs[i]]; seen {
+			var fresh bool
+			if idx, fresh = dense.add(id); !fresh {
 				if live[idx] {
-					return fmt.Errorf("trace %s: event %d: id %d allocated twice", c.Name, i, rawIDs[i])
+					return fmt.Errorf("trace %s: event %d: id %d allocated twice", name, i, id)
 				}
-				return fmt.Errorf("trace %s: event %d: id %d reused after free", c.Name, i, rawIDs[i])
+				return fmt.Errorf("trace %s: event %d: id %d reused after free", name, i, id)
 			}
-			idx := uint32(len(size))
-			dense[rawIDs[i]] = idx
 			size = append(size, sz)
 			live = append(live, true)
-			c.ids.set(i, idx)
-			c.Allocs++
 			liveCount++
-			if int(liveCount) > c.PeakLive {
-				c.PeakLive = int(liveCount)
-			}
+			peakLive = max(peakLive, liveCount)
 			liveBytes += sz
-			if liveBytes > c.PeakRequestedBytes {
-				c.PeakRequestedBytes = liveBytes
-			}
+			peakBytes = max(peakBytes, liveBytes)
 		case KindFree:
-			idx, seen := dense[rawIDs[i]]
-			if !seen || !live[idx] {
-				return fmt.Errorf("trace %s: event %d: free of dead id %d", c.Name, i, rawIDs[i])
+			var ok bool
+			if idx, ok = dense.lookup(id); !ok || !live[idx] {
+				return fmt.Errorf("trace %s: event %d: free of dead id %d", name, i, id)
 			}
 			live[idx] = false
-			c.ids.set(i, idx)
-			raw.args[i] = uint64(size[idx])
-			c.Frees++
+			arg = uint64(size[idx])
+			frees++
 			liveCount--
 			liveBytes -= size[idx]
 		case KindAccess:
-			idx, seen := dense[rawIDs[i]]
-			if !seen || !live[idx] {
-				return fmt.Errorf("trace %s: event %d: access to dead id %d", c.Name, i, rawIDs[i])
+			var ok bool
+			if idx, ok = dense.lookup(id); !ok || !live[idx] {
+				return fmt.Errorf("trace %s: event %d: access to dead id %d", name, i, id)
 			}
-			if raw.args[i] == 0 {
-				return fmt.Errorf("trace %s: event %d: empty access", c.Name, i)
+			if arg == 0 {
+				return fmt.Errorf("trace %s: event %d: empty access", name, i)
 			}
-			c.ids.set(i, idx)
-			c.Accesses++
+			accesses++
 		case KindTick:
-			if raw.args[i] == 0 {
-				return fmt.Errorf("trace %s: event %d: zero tick", c.Name, i)
+			if arg == 0 {
+				return fmt.Errorf("trace %s: event %d: zero tick", name, i)
 			}
-			c.Ticks++
+			ticks++
 		default:
-			return fmt.Errorf("trace %s: event %d: unknown kind %d", c.Name, i, kind)
+			return fmt.Errorf("trace %s: event %d: unknown kind %d", name, i, kind)
 		}
-		c.setArg(i, kind, raw.args[i])
+		if c != nil {
+			c.ids.set(i, idx)
+			c.setArg(i, kind, arg)
+		}
 	}
-	c.NumIDs = len(size)
+	if c != nil {
+		c.NumIDs, c.Allocs, c.Frees, c.Accesses, c.Ticks = len(size), len(size), frees, accesses, ticks
+		c.PeakLive, c.PeakRequestedBytes = peakLive, peakBytes
+	}
 	return nil
 }

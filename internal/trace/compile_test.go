@@ -203,3 +203,26 @@ func TestBuilderFreeAllAscending(t *testing.T) {
 		t.Fatalf("%d still live", b.NumLive())
 	}
 }
+
+// TestIDTableSpreadsStridedIDs feeds the ID table ID sets a fixed slot
+// function would pile into a few slots — multiples of a large power of
+// two, and strides that wrap the 61-bit ID space — and requires the
+// hashed slots to keep lookups short.
+func TestIDTableSpreadsStridedIDs(t *testing.T) {
+	const n = 20000
+	for name, id := range map[string]func(k uint64) uint64{
+		"k<<32":        func(k uint64) uint64 { return k << 32 },
+		"k<<44":        func(k uint64) uint64 { return k << 44 },
+		"MaxID stride": func(k uint64) uint64 { return (k * (MaxID / n)) & MaxID },
+		"high bits":    func(k uint64) uint64 { return MaxID - k<<40 },
+	} {
+		events := make([]Event, n)
+		for k := range events {
+			events[k] = AllocEvent(id(uint64(k)+1), 8)
+		}
+		probes, hashed := MeanProbes(events)
+		if !hashed || probes >= 2 {
+			t.Errorf("%s: hashed %v, %.3f probes a lookup", name, hashed, probes)
+		}
+	}
+}

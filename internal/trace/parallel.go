@@ -23,6 +23,13 @@ func ReadBinaryParallel(ra io.ReaderAt, size int64, workers int, stats blockio.S
 	if workers <= 1 {
 		return readBinary(io.NewSectionReader(ra, 0, size), stats)
 	}
+	return readBlocks(ra, size, workers, stats)
+}
+
+// readBlocks decodes a v2 trace's blocks into their preallocated slices
+// of one event slab, a fetch window at a time across workers
+// goroutines.
+func readBlocks(ra io.ReaderAt, size int64, workers int, stats blockio.Stats) (*Trace, error) {
 	name, blocks, groups, total, err := openV2(ra, size)
 	if err != nil {
 		return nil, err
@@ -136,66 +143,22 @@ func ReadFile(path string, workers int, stats blockio.Stats) (*Trace, error) {
 }
 
 // CompileBinaryParallel parses a binary trace and compiles it for replay
-// in one step. Blocks are decoded straight into the compiled trace's
-// columnar slabs along the footer's block index — up to workers
-// goroutines, no intermediate []Event copy — then finalized (validation,
-// dense renumbering) in one sequential pass, so the result is
-// bit-identical to ReadBinary + Compile. stats may be nil.
+// in one step: its blocks are decoded along the footer's block index by
+// up to workers goroutines, then checked and densely renumbered in one
+// sequential pass, so the result is bit-identical to ReadBinary +
+// Compile. stats may be nil.
 func CompileBinaryParallel(ra io.ReaderAt, size int64, workers int, stats blockio.Stats) (*Compiled, error) {
-	name, blocks, groups, total, err := openV2(ra, size)
+	t, err := readBlocks(ra, size, workers, stats)
 	if err != nil {
 		return nil, err
 	}
-	c, raw := newCompiled(name, int(total))
-	if len(groups) == 0 {
-		return c, nil
-	}
-	err = blockio.FanOut(ra, groups, workers, func(_, gi int, window []byte) error {
-		return decodeGroupSlab(window, blocks, groups[gi], c, raw, stats)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := c.finalize(raw); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// decodeGroupSlab decodes one fetched window's blocks straight into the
-// compiled slabs.
-func decodeGroupSlab(window []byte, blocks []blockio.Block, g blockio.Group, c *Compiled, raw rawSlabs, stats blockio.Stats) error {
-	next := g.FirstRecord
-	for b := g.First; b <= g.Last; b++ {
-		records, payload, rest, err := blockio.ParseBlock(window, stats)
-		if err != nil {
-			return fmt.Errorf("trace: block %d (offset %d): %w", b, blocks[b].Offset, err)
-		}
-		if records != blocks[b].Records {
-			return fmt.Errorf("trace: block %d: header says %d records, footer says %d", b, records, blocks[b].Records)
-		}
-		window = rest
-		for k := int64(0); k < records; k++ {
-			var e Event
-			n, err := decodeEvent(payload, &e)
-			if err != nil {
-				return fmt.Errorf("trace: block %d, record %d (event %d): %w", b, k, next, err)
-			}
-			c.setEvent(int(next), &e, raw)
-			payload = payload[n:]
-			next++
-		}
-		if len(payload) != 0 {
-			return fmt.Errorf("trace: block %d: %d payload bytes beyond its %d records", b, len(payload), records)
-		}
-	}
-	return nil
+	return Compile(t)
 }
 
 // ReadCompiledFile reads a trace file and compiles it for replay in one
-// step. Binary files go through CompileBinaryParallel, so block-framed
-// traces land directly in the columnar slabs without an intermediate
-// []Event copy; text files are parsed then compiled.
+// step. Binary files go through CompileBinaryParallel, which decodes
+// their blocks in parallel even for one worker; text files are parsed
+// then compiled.
 func ReadCompiledFile(path string, workers int, stats blockio.Stats) (*Compiled, error) {
 	f, err := os.Open(path)
 	if err != nil {

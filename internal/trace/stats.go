@@ -27,20 +27,20 @@ type Profile struct {
 // Analyze computes the profile of a valid trace.
 func Analyze(t *Trace) *Profile {
 	p := &Profile{Sizes: stats.NewHistogram(), Lifetimes: stats.NewHistogram()}
-	type liveRec struct {
-		size    int64
-		bornIdx int
-	}
-	live := make(map[uint64]liveRec)
+	// size and born hold each dense ID's requested bytes and alloc index.
+	dense, allocs := newIDTable(t.Events)
+	size := make([]int64, allocs)
+	born := make([]int, allocs)
 	var liveBytes, liveBlocks int64
 	for i, e := range t.Events {
 		switch e.Kind() {
 		case KindAlloc:
-			size := e.Size()
+			sz := e.Size()
 			p.Allocs++
-			p.Sizes.Add(size)
-			live[e.ID()] = liveRec{size: size, bornIdx: i}
-			liveBytes += size
+			p.Sizes.Add(sz)
+			idx, _ := dense.add(e.ID())
+			size[idx], born[idx] = sz, i
+			liveBytes += sz
 			liveBlocks++
 			if liveBytes > p.PeakLiveBytes {
 				p.PeakLiveBytes = liveBytes
@@ -50,11 +50,11 @@ func Analyze(t *Trace) *Profile {
 			}
 		case KindFree:
 			p.Frees++
-			rec := live[e.ID()]
-			p.Lifetimes.Add(int64(i - rec.bornIdx))
-			liveBytes -= rec.size
 			liveBlocks--
-			delete(live, e.ID())
+			if idx, ok := dense.lookup(e.ID()); ok {
+				p.Lifetimes.Add(int64(i - born[idx]))
+				liveBytes -= size[idx]
+			}
 		case KindAccess:
 			p.Accesses++
 			p.AccessWords += uint64(e.Reads()) + uint64(e.Writes())

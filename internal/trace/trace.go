@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 )
 
@@ -187,57 +186,22 @@ func (t *Trace) Len() int { return len(t.Events) }
 
 // Validate checks the trace's referential integrity: IDs allocate before
 // they free or access, no double-alloc or double-free, positive sizes.
-func (t *Trace) Validate() error {
-	live := make(map[uint64]bool)
-	freed := make(map[uint64]bool)
-	for i, e := range t.Events {
-		id := e.ID()
-		switch e.Kind() {
-		case KindAlloc:
-			if e.Size() <= 0 {
-				return fmt.Errorf("trace %s: event %d: alloc %d with size %d", t.Name, i, id, e.Size())
-			}
-			if live[id] {
-				return fmt.Errorf("trace %s: event %d: id %d allocated twice", t.Name, i, id)
-			}
-			if freed[id] {
-				return fmt.Errorf("trace %s: event %d: id %d reused after free", t.Name, i, id)
-			}
-			live[id] = true
-		case KindFree:
-			if !live[id] {
-				return fmt.Errorf("trace %s: event %d: free of dead id %d", t.Name, i, id)
-			}
-			delete(live, id)
-			freed[id] = true
-		case KindAccess:
-			if !live[id] {
-				return fmt.Errorf("trace %s: event %d: access to dead id %d", t.Name, i, id)
-			}
-			if e.Reads() == 0 && e.Writes() == 0 {
-				return fmt.Errorf("trace %s: event %d: empty access", t.Name, i)
-			}
-		case KindTick:
-			if e.Cycles() == 0 {
-				return fmt.Errorf("trace %s: event %d: zero tick", t.Name, i)
-			}
-		default:
-			return fmt.Errorf("trace %s: event %d: unknown kind %d", t.Name, i, e.Kind())
-		}
-	}
-	return nil
-}
+// It runs Compile's checking pass, so a trace compiles iff it is valid,
+// with the same error.
+func (t *Trace) Validate() error { return scan(t.Name, t.Events, nil) }
 
-// Builder incrementally constructs a valid trace, handing out IDs.
+// Builder incrementally constructs a valid trace, handing out the IDs
+// 1, 2, 3, ... in order.
 type Builder struct {
 	t      Trace
 	nextID uint64
-	live   map[uint64]bool
+	live   []bool // live[id-1]: id is allocated and not yet freed
+	nlive  int
 }
 
 // NewBuilder returns a builder for a trace with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{t: Trace{Name: name}, nextID: 1, live: make(map[uint64]bool)}
+	return &Builder{t: Trace{Name: name}, nextID: 1}
 }
 
 // Alloc appends an allocation of size bytes and returns its ID. It
@@ -247,26 +211,28 @@ func (b *Builder) Alloc(size int64) uint64 {
 		panic(fmt.Sprintf("trace: alloc size %d", size))
 	}
 	id := b.nextID
-	b.nextID++
-	b.live[id] = true
 	b.t.Events = append(b.t.Events, AllocEvent(id, size))
+	b.nextID++
+	b.live = append(b.live, true)
+	b.nlive++
 	return id
 }
 
 // Free appends a free of id. It panics when id is not live — generator
 // bugs must fail loudly, not produce invalid workloads.
 func (b *Builder) Free(id uint64) {
-	if !b.live[id] {
+	if !b.isLive(id) {
 		panic(fmt.Sprintf("trace: free of dead id %d", id))
 	}
-	delete(b.live, id)
+	b.live[id-1] = false
+	b.nlive--
 	b.t.Events = append(b.t.Events, FreeEvent(id))
 }
 
 // Access appends an application access to live allocation id. Reads and
 // writes must each fit in 32 bits.
 func (b *Builder) Access(id uint64, reads, writes uint64) {
-	if !b.live[id] {
+	if !b.isLive(id) {
 		panic(fmt.Sprintf("trace: access to dead id %d", id))
 	}
 	mustFit("access reads", reads)
@@ -295,25 +261,32 @@ func mustFit(what string, v uint64) {
 	}
 }
 
-// Live returns the IDs currently live, in unspecified order.
+// isLive reports whether id is allocated and not yet freed.
+func (b *Builder) isLive(id uint64) bool {
+	return id-1 < uint64(len(b.live)) && b.live[id-1]
+}
+
+// Live returns the IDs currently live, in ascending order.
 func (b *Builder) Live() []uint64 {
-	ids := make([]uint64, 0, len(b.live))
-	for id := range b.live {
-		ids = append(ids, id)
+	ids := make([]uint64, 0, b.nlive)
+	for i, l := range b.live {
+		if l {
+			ids = append(ids, uint64(i)+1)
+		}
 	}
 	return ids
 }
 
 // NumLive returns the number of live allocations.
-func (b *Builder) NumLive() int { return len(b.live) }
+func (b *Builder) NumLive() int { return b.nlive }
 
-// FreeAll frees every live allocation (deterministic ascending-ID order)
-// so traces end with an empty heap.
+// FreeAll frees every live allocation, in ascending ID order, so traces
+// end with an empty heap.
 func (b *Builder) FreeAll() {
-	ids := b.Live()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		b.Free(id)
+	for i, l := range b.live {
+		if l {
+			b.Free(uint64(i) + 1)
+		}
 	}
 }
 

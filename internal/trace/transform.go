@@ -22,20 +22,22 @@ func Slice(t *Trace, from, to int) (*Trace, error) {
 	out := &Trace{Name: fmt.Sprintf("%s[%d:%d]", t.Name, from, to)}
 
 	// Allocations live at the window start, in allocation order.
-	live := make(map[uint64]int64)
-	var order []uint64
+	dense, allocs := newIDTable(t.Events[:from])
+	size := make([]int64, allocs) // dense ID -> requested bytes; 0 when not live
 	for _, e := range t.Events[:from] {
 		switch e.Kind() {
 		case KindAlloc:
-			live[e.ID()] = e.Size()
-			order = append(order, e.ID())
+			idx, _ := dense.add(e.ID())
+			size[idx] = e.Size()
 		case KindFree:
-			delete(live, e.ID())
+			if idx, ok := dense.lookup(e.ID()); ok {
+				size[idx] = 0
+			}
 		}
 	}
-	for _, id := range order {
-		if size, ok := live[id]; ok {
-			out.Events = append(out.Events, AllocEvent(id, size))
+	for idx, sz := range size {
+		if sz > 0 {
+			out.Events = append(out.Events, AllocEvent(dense.raw[idx], sz))
 		}
 	}
 	out.Events = append(out.Events, t.Events[from:to]...)
