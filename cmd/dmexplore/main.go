@@ -96,17 +96,7 @@ func run(args []string, out io.Writer) error {
 		}
 		if *strategy == "evolve" {
 			spec.Strategy = "nsga2"
-			pop := *sample
-			if pop <= 0 {
-				pop = 32
-			}
-			if pop%2 != 0 {
-				pop++
-			}
-			total := *budget
-			if total <= 0 {
-				total = 16 * pop
-			}
+			pop, total := evolveSize(*sample, *budget)
 			// dmexplore's -budget is the job total; the spec's budget is
 			// per island, so the fleet spends the same total regardless of
 			// how many islands split it.
@@ -124,7 +114,7 @@ func run(args []string, out io.Writer) error {
 		return runSubmit(out, *submitURL, spec, *outDir)
 	}
 
-	hier, err := pickHierarchy(*hierName)
+	hier, err := memhier.Preset(*hierName)
 	if err != nil {
 		return err
 	}
@@ -142,18 +132,10 @@ func run(args []string, out io.Writer) error {
 	}
 	var tr *trace.Trace
 	if *tracePath != "" {
-		f, err := os.Open(*tracePath)
-		if err != nil {
-			return err
-		}
 		ingestStart := time.Now()
-		tr, err = trace.ReadAuto(f)
-		f.Close()
+		tr, err = trace.ReadFile(*tracePath, workerN, nil)
 		if err != nil {
 			return err
-		}
-		if err := tr.Validate(); err != nil {
-			return fmt.Errorf("trace %s: %w", *tracePath, err)
 		}
 		if spans != nil {
 			spans.Coord().Since(span.StageTraceIngest, ingestStart, int64(tr.Len()))
@@ -167,6 +149,20 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
+	}
+	// Compile the trace once up front: every configuration the sweep
+	// profiles replays the same compiled form, and compiling checks a
+	// trace file before -space auto analyzes it.
+	compileStart := time.Now()
+	ct, err := trace.Compile(tr)
+	if err != nil {
+		if *tracePath != "" {
+			return fmt.Errorf("trace %s: %w", *tracePath, err)
+		}
+		return err
+	}
+	if spans != nil {
+		spans.Coord().Since(span.StageCompile, compileStart, int64(tr.Len()))
 	}
 	var space *core.Space
 	if *spaceKind == "auto" && *spaceFile == "" {
@@ -186,7 +182,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	} else {
-		space, err = pickSpace(*workloadName, *spaceKind)
+		space, err = core.WorkloadSpace(*workloadName, *spaceKind)
 		if err != nil {
 			return err
 		}
@@ -204,16 +200,6 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(out)
 
-	// Compile the trace once up front: every configuration the sweep
-	// profiles replays the same compiled form.
-	compileStart := time.Now()
-	ct, err := trace.Compile(tr)
-	if err != nil {
-		return err
-	}
-	if spans != nil {
-		spans.Coord().Since(span.StageCompile, compileStart, int64(tr.Len()))
-	}
 	col := telemetry.NewCollector(workerN)
 	runner := &core.Runner{Hierarchy: hier, Trace: tr, Compiled: ct, Workers: *workers, Telemetry: col, Incremental: *incremental, EvalLatency: *evalLatency, Spans: spans,
 		PartitionBudgetBytes: cacheBudgetBytes(*partitionMB),
@@ -351,17 +337,7 @@ func run(args []string, out io.Writer) error {
 		}
 		results, err = runner.ScreenAndRefine(space, objs, screen, total, *sampleSeed)
 	case *strategy == "evolve":
-		pop := *sample
-		if pop <= 0 {
-			pop = 32
-		}
-		if pop%2 != 0 {
-			pop++
-		}
-		total := *budget
-		if total <= 0 {
-			total = 16 * pop
-		}
+		pop, total := evolveSize(*sample, *budget)
 		results, err = runner.EvolveIsland(space, objs, core.IslandOptions{EvolveOptions: core.EvolveOptions{
 			Population: pop, Budget: total, Seed: *sampleSeed,
 		}})
@@ -674,6 +650,24 @@ func activeStages(rec *span.Recorder) []span.StageSnapshot {
 	return out
 }
 
+// evolveSize reads -sample and -budget for -strategy evolve: the
+// population (default 32, rounded up to even) and the total simulation
+// budget (default 16× the population).
+func evolveSize(sample, budget int) (pop, total int) {
+	pop = sample
+	if pop <= 0 {
+		pop = 32
+	}
+	if pop%2 != 0 {
+		pop++
+	}
+	total = budget
+	if total <= 0 {
+		total = 16 * pop
+	}
+	return pop, total
+}
+
 // cacheBudgetBytes maps a MiB flag value onto the Runner budget knobs:
 // 0 on the command line means unbounded (negative for the Runner, whose
 // own zero means "use the default").
@@ -682,34 +676,6 @@ func cacheBudgetBytes(mb int) int64 {
 		return -1
 	}
 	return int64(mb) << 20
-}
-
-func pickHierarchy(name string) (*memhier.Hierarchy, error) {
-	switch name {
-	case "soc":
-		return memhier.EmbeddedSoC(), nil
-	case "soc3":
-		return memhier.EmbeddedSoC3Level(), nil
-	case "flat":
-		return memhier.FlatDRAM(), nil
-	default:
-		return nil, fmt.Errorf("unknown hierarchy %q", name)
-	}
-}
-
-func pickSpace(workloadName, kind string) (*core.Space, error) {
-	switch workloadName + "/" + kind {
-	case "easyport/narrow", "synthetic/narrow":
-		return core.EasyportSpace(), nil
-	case "easyport/full", "synthetic/full":
-		return core.FullEasyportSpace(), nil
-	case "vtc/narrow":
-		return core.VTCSpace(), nil
-	case "vtc/full":
-		return core.FullEasyportSpace(), nil // full product applies to any workload
-	default:
-		return nil, fmt.Errorf("no %s space for workload %s", kind, workloadName)
-	}
 }
 
 func writeReports(dir string, space *core.Space, all, feasible, front []core.Result, objs []string) error {

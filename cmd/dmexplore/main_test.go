@@ -15,6 +15,8 @@ import (
 	"dmexplore/internal/serve"
 	"dmexplore/internal/telemetry"
 	"dmexplore/internal/telemetry/span"
+	"dmexplore/internal/trace"
+	"dmexplore/internal/workload"
 )
 
 func TestRunSmallExploration(t *testing.T) {
@@ -97,6 +99,64 @@ func TestRunSpaceFile(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "cli-spec: 4 configurations") {
 		t.Fatalf("spacefile output:\n%s", out.String())
+	}
+}
+
+// TestRunTraceFile replays the narrow Easyport trace from a v2 and a
+// text file: both must print the front the generated workload prints.
+// A text trace that frees an unknown ID must fail with an error naming
+// the file.
+func TestRunTraceFile(t *testing.T) {
+	front := func(args ...string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(append(args, "-sample", "24", "-quiet"), &out); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		s := out.String()
+		i := strings.Index(s, "\nPareto-optimal configurations:")
+		if i < 0 {
+			t.Fatalf("%v: no front in output:\n%s", args, s)
+		}
+		return s[i:]
+	}
+	want := front("-workload", "easyport", "-scale", "5")
+
+	gen, err := workload.New("easyport", 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := gen.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var text bytes.Buffer
+	if err := trace.WriteText(&text, tr); err != nil {
+		t.Fatal(err)
+	}
+	var v2 bytes.Buffer
+	if err := trace.WriteBinaryV2(&v2, tr); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{"v2": v2.Bytes(), "text": text.Bytes()}
+	for format, data := range files {
+		path := filepath.Join(dir, format+".trace")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got := front("-workload", "easyport", "-trace", path); got != want {
+			t.Fatalf("%s trace file front differs from the generated workload's:\n%s\nwant:\n%s", format, got, want)
+		}
+	}
+
+	bad := filepath.Join(dir, "bad.trace")
+	if err := os.WriteFile(bad, append(text.Bytes(), "f 999999999\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"-trace", bad, "-sample", "4", "-quiet"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("free of an unknown ID: error %v does not name %s", err, bad)
 	}
 }
 

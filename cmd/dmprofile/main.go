@@ -61,7 +61,7 @@ func run(args []string, out io.Writer) error {
 		return parseLog(out, *parseLogPath, *workers)
 	}
 
-	hier, err := pickHierarchy(*hierName)
+	hier, err := memhier.Preset(*hierName)
 	if err != nil {
 		return err
 	}
@@ -206,19 +206,6 @@ func parseLog(out io.Writer, path string, workers int) error {
 		fmt.Fprintf(out, "%-8d %16d %16d\n", layer, s.Reads[layer], s.Writes[layer])
 	}
 	return nil
-}
-
-func pickHierarchy(name string) (*memhier.Hierarchy, error) {
-	switch name {
-	case "soc":
-		return memhier.EmbeddedSoC(), nil
-	case "soc3":
-		return memhier.EmbeddedSoC3Level(), nil
-	case "flat":
-		return memhier.FlatDRAM(), nil
-	default:
-		return nil, fmt.Errorf("unknown hierarchy %q", name)
-	}
 }
 
 func pickConfig(preset, path string) (alloc.Config, error) {

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"dmexplore/internal/pareto"
-	"dmexplore/internal/profile"
 	"dmexplore/internal/stats"
 )
 
@@ -130,16 +129,4 @@ func ReductionPercent(factor float64) float64 {
 		return 0
 	}
 	return (1 - 1/factor) * 100
-}
-
-// SummarizeMetrics returns the metrics of the result set, in result
-// order, for reporting.
-func SummarizeMetrics(results []Result) []*profile.Metrics {
-	out := make([]*profile.Metrics, 0, len(results))
-	for _, r := range results {
-		if r.Metrics != nil {
-			out = append(out, r.Metrics)
-		}
-	}
-	return out
 }

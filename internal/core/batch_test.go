@@ -36,7 +36,7 @@ func TestBatcherDedupesWithinAndAcrossBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	b := newEvalBatcher(sess)
+	b := newEvalBatcher(sess, "", nil)
 
 	// Duplicates within one batch: one evaluation each.
 	res, err := b.getBatch([]int{5, 9, 5, 9, 5})
@@ -73,53 +73,6 @@ func TestBatcherDedupesWithinAndAcrossBatches(t *testing.T) {
 	}
 }
 
-func TestBatcherConcurrentOverlapEvaluatesOnce(t *testing.T) {
-	r, mu, counts := countingRunner(t, 4)
-	space := EasyportSpace()
-	sess, err := r.NewSession(space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	b := newEvalBatcher(sess)
-
-	// Many goroutines requesting heavily overlapping batches: in-flight
-	// deduplication must keep every index at exactly one evaluation.
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			batch := make([]int, 0, 16)
-			for i := 0; i < 16; i++ {
-				batch = append(batch, (g+i)%20)
-			}
-			res, err := b.getBatch(batch)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for i, idx := range batch {
-				if res[i].Index != idx || res[i].Metrics == nil {
-					t.Errorf("goroutine %d slot %d: bad result %+v", g, i, res[i])
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	for idx, n := range counts {
-		if n != 1 {
-			t.Fatalf("index %d evaluated %d times under concurrency", idx, n)
-		}
-	}
-	if len(counts) != 20 {
-		t.Fatalf("evaluated %d distinct indices, want 20", len(counts))
-	}
-}
-
 func TestBatcherLimit(t *testing.T) {
 	r, _, _ := countingRunner(t, 1)
 	space := EasyportSpace()
@@ -128,7 +81,7 @@ func TestBatcherLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	b := newEvalBatcher(sess)
+	b := newEvalBatcher(sess, "", nil)
 	if _, err := b.getBatch([]int{1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +119,7 @@ func TestBatcherLimitPreRanked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	b := newEvalBatcher(sess)
+	b := newEvalBatcher(sess, "", nil)
 	if _, err := b.getBatch([]int{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -206,58 +159,6 @@ func TestBatcherLimitPreRanked(t *testing.T) {
 	}
 	if counts[9] != 0 {
 		t.Fatalf("index 9 beyond the budget prefix was evaluated %d times", counts[9])
-	}
-}
-
-// TestBatcherConcurrentPreRankedOverlap is the in-flight partitioning
-// contract under non-shuffled input: goroutines submitting identically
-// ordered (pre-ranked) overlapping slices — the worst case for claim
-// contention, since every goroutine walks the same order — must still
-// evaluate each index exactly once.
-func TestBatcherConcurrentPreRankedOverlap(t *testing.T) {
-	r, mu, counts := countingRunner(t, 4)
-	space := EasyportSpace()
-	sess, err := r.NewSession(space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	b := newEvalBatcher(sess)
-	ranked := make([]int, 24)
-	for i := range ranked {
-		ranked[i] = i
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			// Each goroutine takes an overlapping window of the shared
-			// ranking, in ranked (ascending) order.
-			batch := ranked[g : g+16]
-			res, err := b.getBatch(batch)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for i, idx := range batch {
-				if res[i].Index != idx || res[i].Metrics == nil {
-					t.Errorf("goroutine %d slot %d: bad result %+v", g, i, res[i])
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	for idx, n := range counts {
-		if n != 1 {
-			t.Fatalf("index %d evaluated %d times under pre-ranked overlap", idx, n)
-		}
-	}
-	if len(counts) != 23 {
-		t.Fatalf("evaluated %d distinct indices, want 23", len(counts))
 	}
 }
 

@@ -145,25 +145,12 @@ func (r *Runner) EvolveIslandSession(sess *EvalSession, space *Space, objectives
 		return nil, fmt.Errorf("core: island %d must be >= 0", opts.Island)
 	}
 
-	batcher := newEvalBatcher(sess)
-	batcher.strategy = "nsga2"
 	rng := stats.NewRNG(IslandSeed(opts.Seed, opts.Island))
 	sur := r.newSurrogate(sess, equalWeights(objectives))
 	sur.paretoRank()
-	sur.attach(batcher)
 	defer sur.finish()
-	if opts.OnResult != nil {
-		// Chain behind any surrogate hook: the models train first, then
-		// the result streams out, both in batcher request order.
-		prev := batcher.onResult
-		hook := opts.OnResult
-		batcher.onResult = func(res Result) {
-			if prev != nil {
-				prev(res)
-			}
-			hook(res)
-		}
-	}
+	batcher := newEvalBatcher(sess, "nsga2", sur)
+	batcher.onResult = opts.OnResult
 
 	// Initial population: uniform random genomes, one evaluation wave.
 	pop := make([]int, 0, opts.Population)

@@ -168,11 +168,9 @@ func (r *Runner) HillClimb(space *Space, weights []Weighted, budget int, seed ui
 		return nil, err
 	}
 	defer sess.Close()
-	b := newEvalBatcher(sess)
-	b.strategy = "hillclimb"
 	rng := stats.NewRNG(seed)
 	sur := r.newSurrogate(sess, weights)
-	sur.attach(b)
+	b := newEvalBatcher(sess, "hillclimb", sur)
 	defer sur.finish()
 	ref, err := referenceScales(space, b, weights, rng)
 	if err != nil {
@@ -274,11 +272,9 @@ func (r *Runner) Anneal(space *Space, weights []Weighted, budget int, seed uint6
 		return nil, err
 	}
 	defer sess.Close()
-	b := newEvalBatcher(sess)
-	b.strategy = "anneal"
 	rng := stats.NewRNG(seed)
 	sur := r.newSurrogate(sess, weights)
-	sur.attach(b)
+	b := newEvalBatcher(sess, "anneal", sur)
 	defer sur.finish()
 	ref, err := referenceScales(space, b, weights, rng)
 	if err != nil {
@@ -316,14 +312,11 @@ func (r *Runner) Anneal(space *Space, weights []Weighted, budget int, seed uint6
 		for len(proposals) < annealSpeculation {
 			proposals = append(proposals, ns[propRNG.Intn(len(ns))])
 		}
-		wave := proposals
-		if sur != nil {
-			// Predicted-best first: the acceptance scan meets the most
-			// promising proposal earliest, so an accepted move abandons
-			// (and never pays for) fewer speculative simulations.
-			wave = sur.rank(proposals)
-		}
-		wave = b.limit(wave, budget-b.len())
+		// Predicted-best first (rank is the identity without a ready
+		// surrogate): the acceptance scan meets the most promising
+		// proposal earliest, so an accepted move abandons (and never pays
+		// for) fewer speculative simulations.
+		wave := b.limit(sur.rank(proposals), budget-b.len())
 		for _, p := range wave {
 			b.tag(p, "propose", cur.Index)
 		}
@@ -373,12 +366,10 @@ func (r *Runner) ScreenAndRefine(space *Space, objectives []string, screen, budg
 		return nil, err
 	}
 	defer sess.Close()
-	b := newEvalBatcher(sess)
-	b.strategy = "screen-refine"
 	rng := stats.NewRNG(seed)
 	sur := r.newSurrogate(sess, equalWeights(objectives))
 	sur.paretoRank()
-	sur.attach(b)
+	b := newEvalBatcher(sess, "screen-refine", sur)
 	defer sur.finish()
 	scratch := newNeighborScratch(space)
 
@@ -459,11 +450,9 @@ func (r *Runner) ScreenAndRefine(space *Space, objectives []string, screen, budg
 		if len(ring) == 0 {
 			break
 		}
-		if sur != nil {
-			ring = sur.rank(ring)
-			if len(ring) > remaining {
-				ring = ring[:remaining]
-			}
+		ring = sur.rank(ring)
+		if len(ring) > remaining {
+			ring = ring[:remaining]
 		}
 		if _, err := b.getBatch(ring); err != nil {
 			return nil, err

@@ -194,6 +194,22 @@ func growthAxis() Axis {
 	}}
 }
 
+// WorkloadSpace returns the shipped space of the given kind ("narrow" or
+// "full") for a generated workload: the curated EasyportSpace or
+// VTCSpace, or the full Easyport product, which applies to any workload.
+func WorkloadSpace(workloadName, kind string) (*Space, error) {
+	switch workloadName + "/" + kind {
+	case "easyport/narrow", "synthetic/narrow":
+		return EasyportSpace(), nil
+	case "easyport/full", "synthetic/full", "vtc/full":
+		return FullEasyportSpace(), nil
+	case "vtc/narrow":
+		return VTCSpace(), nil
+	default:
+		return nil, fmt.Errorf("no %s space for workload %s", kind, workloadName)
+	}
+}
+
 // FullEasyportSpace is the complete parameter product for the Easyport
 // case study: 5·2·5·4·3·2·3·3·2·3 = 64,800 configurations (experiment E5's
 // "tens of thousands").

@@ -115,16 +115,16 @@ type SurrogateReport struct {
 }
 
 // surrogate is the per-search instance: models, encoding buffers and the
-// accuracy ledger. All methods are nil-safe so strategies can thread one
-// pointer through without branching on every call; only the ranking
-// entry points (rank, screen) require a non-nil receiver.
+// accuracy ledger. The methods strategies and the batcher call are
+// nil-safe, so they thread one pointer through without branching; rank
+// returns its input unchanged until the models are ready.
 type surrogate struct {
 	space   *Space
 	weights []Weighted
 	opts    SurrogateOptions
 	col     *telemetry.Collector
 	spans   *span.Ring   // coordinator flight-recorder ring (nil-safe)
-	b       *evalBatcher // attached batcher, for lineage annotations
+	b       *evalBatcher // set by newEvalBatcher, for lineage annotations
 
 	feats   []float64 // trace feature block, constant per run
 	axisOff []int     // one-hot offset of each axis within the digit block
@@ -192,18 +192,6 @@ func (r *Runner) newSurrogate(sess *EvalSession, weights []Weighted) *surrogate 
 		s.warmStart(rec)
 	}
 	return s
-}
-
-// attach wires the surrogate into a batcher: fresh evaluations carry the
-// model's predictions into the journal, and every exact result trains
-// the models in request order.
-func (s *surrogate) attach(b *evalBatcher) {
-	if s == nil {
-		return
-	}
-	s.b = b
-	b.predict = s.predictAt
-	b.onResult = s.observe
 }
 
 // encode builds the feature vector of configuration idx into the scratch
@@ -372,10 +360,8 @@ func (s *surrogate) rank(cands []int) []int {
 		})
 	}
 	s.spans.Since(span.StageSurrogateScreen, start, int64(len(cands)))
-	if s.b != nil {
-		for i, idx := range out {
-			s.b.noteRank(idx, i+1)
-		}
+	for i, idx := range out {
+		s.b.noteRank(idx, i+1)
 	}
 	return out
 }
@@ -546,10 +532,8 @@ func (s *surrogate) screen(cands []int, k int) []int {
 	ranked := s.rank(cands)
 	nExplore := int(s.opts.Epsilon * float64(k))
 	picked := append([]int(nil), ranked[:k-nExplore]...)
-	if s.b != nil {
-		for _, idx := range picked {
-			s.b.noteAdmit(idx, "score")
-		}
+	for _, idx := range picked {
+		s.b.noteAdmit(idx, "score")
 	}
 	if nExplore > 0 {
 		rest := append([]int(nil), ranked[k-nExplore:]...)
@@ -565,10 +549,8 @@ func (s *surrogate) screen(cands []int, k int) []int {
 			return rest[i] < rest[j]
 		})
 		picked = append(picked, rest[:nExplore]...)
-		if s.b != nil {
-			for _, idx := range rest[:nExplore] {
-				s.b.noteAdmit(idx, "explore")
-			}
+		for _, idx := range rest[:nExplore] {
+			s.b.noteAdmit(idx, "explore")
 		}
 	}
 	dropped := uint64(len(cands) - len(picked))

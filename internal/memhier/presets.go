@@ -1,5 +1,7 @@
 package memhier
 
+import "fmt"
+
 // Preset hierarchies. The per-access energy and latency constants follow
 // the published embedded SRAM vs. off-chip SDRAM ratios used in the
 // IMEC/DACYA methodology papers (CACTI-style SRAM models, ~0.2-0.4 nJ per
@@ -13,6 +15,22 @@ const (
 	LayerSRAM       = "L2-sram"
 	LayerDRAM       = "main-dram"
 )
+
+// Preset returns the preset hierarchy the command-line tools and job
+// specs name: "soc" (EmbeddedSoC), "soc3" (EmbeddedSoC3Level) or "flat"
+// (FlatDRAM).
+func Preset(name string) (*Hierarchy, error) {
+	switch name {
+	case "soc":
+		return EmbeddedSoC(), nil
+	case "soc3":
+		return EmbeddedSoC3Level(), nil
+	case "flat":
+		return FlatDRAM(), nil
+	default:
+		return nil, fmt.Errorf("unknown hierarchy %q", name)
+	}
+}
 
 // EmbeddedSoC returns the platform of the paper's running example: a
 // 64 KB L1 software-controlled scratchpad plus 4 MB external SDRAM.

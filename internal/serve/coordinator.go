@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dmexplore/internal/core"
+	"dmexplore/internal/memhier"
 	"dmexplore/internal/pareto"
 	"dmexplore/internal/profile"
 	"dmexplore/internal/telemetry"
@@ -273,7 +274,7 @@ func (c *Coordinator) loadJob(path string) error {
 // newJob builds the in-memory job (no checkpoint writes). Caller holds
 // no particular lock during load; Submit holds c.mu.
 func (c *Coordinator) newJob(id string, spec JobSpec) (*job, error) {
-	space, err := ResolveSpace(spec.Workload, spec.Space)
+	space, err := core.WorkloadSpace(spec.Workload, spec.Space)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +339,7 @@ func prepareSpec(spec JobSpec) (JobSpec, error) {
 	if _, err := workload.New(spec.Workload, spec.WorkloadSeed, spec.Scale); err != nil {
 		return spec, err
 	}
-	if _, err := ResolveHierarchy(spec.Hierarchy); err != nil {
+	if _, err := memhier.Preset(spec.Hierarchy); err != nil {
 		return spec, err
 	}
 	return spec, nil

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"time"
 
 	"dmexplore/internal/core"
@@ -11,36 +10,6 @@ import (
 	"dmexplore/internal/trace"
 	"dmexplore/internal/workload"
 )
-
-// ResolveHierarchy maps a spec's hierarchy name to the model, mirroring
-// dmexplore's -hierarchy choices.
-func ResolveHierarchy(name string) (*memhier.Hierarchy, error) {
-	switch name {
-	case "soc":
-		return memhier.EmbeddedSoC(), nil
-	case "soc3":
-		return memhier.EmbeddedSoC3Level(), nil
-	case "flat":
-		return memhier.FlatDRAM(), nil
-	default:
-		return nil, fmt.Errorf("serve: unknown hierarchy %q", name)
-	}
-}
-
-// ResolveSpace maps a spec's (workload, space kind) pair to the
-// configuration space, mirroring dmexplore's -space choices.
-func ResolveSpace(workloadName, kind string) (*core.Space, error) {
-	switch workloadName + "/" + kind {
-	case "easyport/narrow", "synthetic/narrow":
-		return core.EasyportSpace(), nil
-	case "easyport/full", "synthetic/full", "vtc/full":
-		return core.FullEasyportSpace(), nil
-	case "vtc/narrow":
-		return core.VTCSpace(), nil
-	default:
-		return nil, fmt.Errorf("serve: no %s space for workload %s", kind, workloadName)
-	}
-}
 
 // Env is a fully resolved evaluation environment for one job spec: the
 // regenerated and compiled trace, the space, the hierarchy, and a Runner
@@ -58,11 +27,11 @@ type Env struct {
 // the Runner's session pool; collector, when non-nil, receives the
 // environment's telemetry (pass nil to use a private collector).
 func BuildEnv(spec JobSpec, workers int, collector *telemetry.Collector) (*Env, error) {
-	hier, err := ResolveHierarchy(spec.Hierarchy)
+	hier, err := memhier.Preset(spec.Hierarchy)
 	if err != nil {
 		return nil, err
 	}
-	space, err := ResolveSpace(spec.Workload, spec.Space)
+	space, err := core.WorkloadSpace(spec.Workload, spec.Space)
 	if err != nil {
 		return nil, err
 	}

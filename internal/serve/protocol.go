@@ -112,7 +112,7 @@ func (s JobSpec) withDefaults() JobSpec {
 
 // Validate rejects specs the coordinator cannot shard.
 func (s JobSpec) Validate() error {
-	space, err := ResolveSpace(s.Workload, s.Space)
+	space, err := core.WorkloadSpace(s.Workload, s.Space)
 	if err != nil {
 		return err
 	}

@@ -123,17 +123,6 @@ const (
 	maxBinaryEvents = 1 << 33
 )
 
-// ReadAuto sniffs the trace format (binary magic vs text) and parses
-// accordingly.
-func ReadAuto(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(binaryMagic))
-	if err == nil && string(head) == binaryMagic {
-		return ReadBinary(br)
-	}
-	return ReadText(br)
-}
-
 // appendEvent appends event i's binary record (kind byte plus varint
 // fields) to buf.
 func appendEvent(buf []byte, e *Event, i int) ([]byte, error) {

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -273,6 +276,9 @@ func TestBinaryDenserThanText(t *testing.T) {
 	}
 }
 
+// TestReadAuto checks that ReadFile sniffs the format of a file: v2
+// binary and text files of the same trace read alike, and a file that
+// is neither is rejected.
 func TestReadAuto(t *testing.T) {
 	tr := sampleTrace()
 	var bin, txt strings.Builder
@@ -282,16 +288,25 @@ func TestReadAuto(t *testing.T) {
 	if err := WriteText(&txt, tr); err != nil {
 		t.Fatal(err)
 	}
-	for _, in := range []string{bin.String(), txt.String()} {
-		got, err := ReadAuto(strings.NewReader(in))
-		if err != nil {
+	dir := t.TempDir()
+	for format, in := range map[string]string{"v2": bin.String(), "text": txt.String()} {
+		path := filepath.Join(dir, format+".dmt")
+		if err := os.WriteFile(path, []byte(in), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if got.Len() != tr.Len() || got.Name != tr.Name {
-			t.Fatalf("auto read: %d events, name %q", got.Len(), got.Name)
+		got, err := ReadFile(path, 2, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", format, err)
+		}
+		if got.Name != tr.Name || !reflect.DeepEqual(got.Events, tr.Events) {
+			t.Fatalf("%s: auto read: %d events, name %q", format, got.Len(), got.Name)
 		}
 	}
-	if _, err := ReadAuto(strings.NewReader("q 1 2\n")); err == nil {
+	garbage := filepath.Join(dir, "garbage.dmt")
+	if err := os.WriteFile(garbage, []byte("q 1 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(garbage, 2, nil); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
