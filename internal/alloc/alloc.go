@@ -199,9 +199,9 @@ func (e oomError) Is(target error) bool { return target == ErrOutOfMemory }
 
 // reserve claims size bytes from layer for a pool arena. A bounded layer
 // that cannot hold them fails with errLayerFull, without allocating.
-func reserve(ctx *simheap.Context, layer memhier.LayerID, size int64) (*simheap.Region, error) {
+func reserve(ctx *simheap.Context, layer memhier.LayerID, size int64) (simheap.Region, error) {
 	if !ctx.Fits(layer, size) {
-		return nil, errLayerFull
+		return simheap.Region{}, errLayerFull
 	}
 	return ctx.Reserve(layer, size)
 }

@@ -68,45 +68,69 @@ func (b *Block) String() string {
 
 // arena is one region reserved from a layer, carved into blocks.
 type arena struct {
-	region *simheap.Region
+	region simheap.Region
 	first  *Block // head of the adjacency chain
 }
 
 // newArena reserves size bytes from the layer and returns the arena with
 // a single free-spanning block from stash.
-func newArena(ctx *simheap.Context, layer memhier.LayerID, size int64, stash *BlockStash) (*arena, *Block, error) {
+func newArena(ctx *simheap.Context, layer memhier.LayerID, size int64, stash *BlockStash) (arena, *Block, error) {
 	region, err := reserve(ctx, layer, size)
 	if err != nil {
-		return nil, nil, err
+		return arena{}, nil, err
 	}
 	b := stash.get()
 	*b = Block{addr: region.Base(), size: size, free: true}
-	a := &arena{region: region, first: b}
-	return a, b, nil
+	return arena{region: region, first: b}, b, nil
 }
 
-// BlockStash hands out Block objects for the general pools built on it:
-// those a merge gave back first, then the next one from its pages, in
-// the order the pages were first filled. Reclaim retires the pools and
-// starts the pages over, taking back their live-allocation tables and
-// index-node slabs too, so a warm Replayer (which keeps one) allocates no
-// Block, and each run finds its Blocks laid out in memory in the order it
-// creates them, as fresh allocations would be. The fixed pools built on
-// it draw their slot pages from it the same way. It is not safe for
-// concurrent use.
+// BlockStash holds what the allocators built on it are made of, for
+// reuse: their Blocks, their GeneralPool, FixedPool and Composed structs
+// with the slices those hold (bins, arenas, live-allocation tables,
+// index-node slabs, page tables), fixed-pool arenas and slot pages, and
+// the size-class maps of the specs it has parsed. Reclaim retires every
+// allocator built on it since the last Reclaim and makes all of it
+// available again, so a warm Replayer (which keeps one) builds each
+// configuration's allocator without allocating, and each run finds its
+// Blocks laid out in memory in the order it creates them, as fresh
+// allocations would be. Blocks are handed out as those a merge gave back
+// first, then the next one from the pages, in the order the pages were
+// first filled. Build on a nil stash gives the allocator a stash of its
+// own. It is not safe for concurrent use.
 type BlockStash struct {
 	pages      [][]Block
 	page, next int    // the next Block to hand out: pages[page][next]
 	n          int    // Blocks in pages
 	free       *Block // given back by merges since the last Reclaim, linked via flNext
 
-	pools []*GeneralPool      // built on the stash since the last Reclaim
-	live  handleTable[*Block] // a retired pool's table storage, for the next
-	nodes nodeSlab            // and its index-node slab
+	// The structs built on the stash: the first nGeneral, nFixed and
+	// nComposed are in use since the last Reclaim, the rest wait for
+	// reuse.
+	general   []*GeneralPool
+	fixed     []*FixedPool
+	composed  []*Composed
+	nGeneral  int
+	nFixed    int
+	nComposed int
 
-	fixed     []*FixedPool // built on the stash since the last Reclaim
-	slotPages []*slotPage  // slot pages retired or reclaimed arenas gave back
+	fixedArenas []*fixedArena // retired fixed-pool arenas
+	slotPages   []*slotPage   // slot pages retired or reclaimed arenas gave back
+
+	classes []parsedClasses // size-class maps by spec, at most maxClassSpecs
 }
+
+// parsedClasses is a size-class spec and the map ParseClasses built
+// from it. Size-class maps are immutable, so the pools built on one
+// stash share them.
+type parsedClasses struct {
+	spec    string
+	classes SizeClasser
+}
+
+// maxClassSpecs bounds the stash's size-class maps: a space's
+// configurations use a handful of specs, and a stash that meets more
+// starts its list over.
+const maxClassSpecs = 16
 
 // Len returns the number of Blocks the stash owns.
 func (s *BlockStash) Len() int { return s.n }
@@ -129,6 +153,12 @@ func (s *BlockStash) get() *Block {
 	return b
 }
 
+// put gives back a Block no pool links any more.
+func (s *BlockStash) put(b *Block) {
+	*b = Block{flNext: s.free}
+	s.free = b
+}
+
 // slotPage returns an empty fixed-pool slot page.
 func (s *BlockStash) slotPage() *slotPage {
 	n := len(s.slotPages)
@@ -143,42 +173,83 @@ func (s *BlockStash) slotPage() *slotPage {
 	return pg
 }
 
-// putSlotPage gives back a slot page no pool uses any more.
-func (s *BlockStash) putSlotPage(pg *slotPage) {
-	s.slotPages = append(s.slotPages, pg)
+// retireFixedArena gives back arena a of a fixed pool, with its slot
+// pages.
+func (s *BlockStash) retireFixedArena(a *fixedArena) {
+	s.slotPages = append(s.slotPages, a.pages...)
+	clear(a.pages)
+	*a = fixedArena{pages: a.pages[:0]}
+	s.fixedArenas = append(s.fixedArenas, a)
 }
 
-// put gives back a Block no pool links any more.
-func (s *BlockStash) put(b *Block) {
-	*b = Block{flNext: s.free}
-	s.free = b
-}
-
-// Reclaim retires every pool built on the stash since the last Reclaim
-// and makes all their Blocks, free and live, available again. Those
-// pools must not be used again.
-func (s *BlockStash) Reclaim() {
-	for i, p := range s.pools {
-		if cap(p.live.entries) > cap(s.live.entries) {
-			s.live = handleTable[*Block]{entries: p.live.entries[:0], free: p.live.free[:0]}
-		}
-		if len(p.nodes.pages) > len(s.nodes.pages) {
-			s.nodes = nodeSlab{pages: p.nodes.pages, path: p.nodes.path[:0]}
-		}
-		p.arenas, p.bins, p.live, p.nodes = nil, nil, handleTable[*Block]{}, nodeSlab{}
-		s.pools[i] = nil
+// fixedArena returns an empty fixed-pool arena over region.
+func (s *BlockStash) fixedArena(region simheap.Region) *fixedArena {
+	n := len(s.fixedArenas)
+	if n == 0 {
+		return &fixedArena{region: region}
 	}
-	s.pools = s.pools[:0]
-	for i, p := range s.fixed {
-		for _, pg := range p.pages {
-			if pg != nil {
-				s.putSlotPage(pg)
+	a := s.fixedArenas[n-1]
+	s.fixedArenas = s.fixedArenas[:n-1]
+	a.region = region
+	return a
+}
+
+// reuse returns the first of structs past the n in use, making one when
+// all are, and counts it in use. The struct keeps what its last use left,
+// for the caller to reset.
+func reuse[T any](structs *[]*T, n *int) *T {
+	if *n == len(*structs) {
+		*structs = append(*structs, new(T))
+	}
+	*n++
+	return (*structs)[*n-1]
+}
+
+// newComposed returns an empty Composed on ctx, its fixed-pool slice kept
+// for reuse.
+func (s *BlockStash) newComposed(ctx *simheap.Context) *Composed {
+	c := reuse(&s.composed, &s.nComposed)
+	*c = Composed{ctx: ctx, fixed: c.fixed[:0]}
+	return c
+}
+
+// sizeClasses returns the size-class map spec describes, parsing a spec
+// only the first time the stash sees it. A nil stash parses every time.
+func (s *BlockStash) sizeClasses(spec string) (SizeClasser, error) {
+	if s != nil {
+		for _, e := range s.classes {
+			if e.spec == spec {
+				return e.classes, nil
 			}
 		}
-		p.arenas, p.pages, p.list = nil, nil, nil
-		s.fixed[i] = nil
 	}
-	s.fixed = s.fixed[:0]
+	classes, err := ParseClasses(spec)
+	if err != nil || s == nil {
+		return classes, err
+	}
+	if len(s.classes) == maxClassSpecs {
+		s.classes = s.classes[:0]
+	}
+	s.classes = append(s.classes, parsedClasses{spec: spec, classes: classes})
+	return classes, nil
+}
+
+// Reclaim retires every allocator built on the stash since the last
+// Reclaim and makes all of what they were made of, their Blocks free and
+// live, available again. Those allocators must not be used again.
+func (s *BlockStash) Reclaim() {
+	for _, p := range s.fixed[:s.nFixed] {
+		for _, a := range p.arenas {
+			s.retireFixedArena(a)
+		}
+		clear(p.arenas)
+		clear(p.pages)
+	}
+	for _, c := range s.composed[:s.nComposed] {
+		clear(c.fixed)
+		c.general, c.cfg = nil, Config{}
+	}
+	s.nGeneral, s.nFixed, s.nComposed = 0, 0, 0
 	s.page, s.next, s.free = 0, 0, nil
 }
 

@@ -136,19 +136,19 @@ func prio(addr uint64) uint32 {
 // sized reports whether the size index may answer a best/worst-fit scan
 // on ctx now.
 func (x *listIndex) sized(ctx *simheap.Context) bool {
-	return x != nil && x.built[sizeIdx] && ctx.Flat()
+	return x.built[sizeIdx] && ctx.Flat()
 }
 
 // ranked reports whether the order index may answer an insert walk or a
 // predecessor scan on ctx now.
 func (x *listIndex) ranked(ctx *simheap.Context) bool {
-	return x != nil && x.built[orderIdx] && ctx.Flat()
+	return x.built[orderIdx] && ctx.Flat()
 }
 
 // fitting reports whether the order index answers first/next-fit
 // searches on ctx now: it is built and recent walks were long.
 func (x *listIndex) fitting(ctx *simheap.Context) bool {
-	return x != nil && x.long && x.built[orderIdx] && ctx.Flat()
+	return x.long && x.built[orderIdx] && ctx.Flat()
 }
 
 // pushed enters b, just pushed onto l, into the built indexes, and builds

@@ -58,13 +58,13 @@ type BuddyPool struct {
 	params BuddyPoolParams
 	ctx    *simheap.Context
 
-	meta   *simheap.Region
+	meta   simheap.Region
 	orders int
 
 	heads  []*buddyBlock          // free list head per order (Go side)
 	blocks map[uint64]*buddyBlock // all blocks by address
 
-	arenas     []*simheap.Region
+	arenas     []simheap.Region
 	arenaBytes int64
 
 	live      handleTable[*buddyBlock] // live allocations by handle
@@ -289,8 +289,8 @@ func (p *BuddyPool) buddyAddr(b *buddyBlock) uint64 {
 }
 
 func (p *BuddyPool) arenaBase(addr uint64) uint64 {
-	for _, a := range p.arenas {
-		if a.Contains(addr) {
+	for i := range p.arenas {
+		if a := &p.arenas[i]; a.Contains(addr) {
 			return a.Base()
 		}
 	}

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"errors"
 	"fmt"
 
 	"dmexplore/internal/simheap"
@@ -37,7 +38,8 @@ type FallbackPool interface {
 // stale, forged or foreign Ptr. On the target the dispatch is an
 // address-range check per pool, charged as compute cycles.
 type Composed struct {
-	name    string
+	name    string // empty for a Config's allocator with no Label: Name derives it
+	cfg     Config // the configuration Build made it from, if any
 	ctx     *simheap.Context
 	fixed   []*FixedPool
 	general FallbackPool
@@ -45,11 +47,14 @@ type Composed struct {
 	stats Stats // all but RequestedLive, which the pools keep
 }
 
+// errNoFallback rejects a composed allocator without a general pool.
+var errNoFallback = errors.New("alloc: composed allocator needs a general pool")
+
 // NewComposed assembles an allocator from already-constructed pools.
 // general may not be nil: every configuration needs a fallback pool.
 func NewComposed(name string, ctx *simheap.Context, fixed []*FixedPool, general FallbackPool) (*Composed, error) {
 	if general == nil {
-		return nil, fmt.Errorf("alloc: composed allocator needs a general pool")
+		return nil, errNoFallback
 	}
 	return &Composed{
 		name:    name,
@@ -59,8 +64,15 @@ func NewComposed(name string, ctx *simheap.Context, fixed []*FixedPool, general 
 	}, nil
 }
 
-// Name implements Allocator.
-func (c *Composed) Name() string { return c.name }
+// Name implements Allocator: the name NewComposed was given, or the
+// Label of the configuration Build made c from, or else that
+// configuration's ID.
+func (c *Composed) Name() string {
+	if c.name == "" {
+		return c.cfg.ID()
+	}
+	return c.name
+}
 
 // FixedPools returns the dedicated pools in routing order.
 func (c *Composed) FixedPools() []*FixedPool { return c.fixed }

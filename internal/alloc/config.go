@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"dmexplore/internal/memhier"
@@ -89,33 +90,40 @@ func ParseClasses(spec string) (SizeClasser, error) {
 
 // Validate checks the configuration against a hierarchy without building.
 func (c Config) Validate(h *memhier.Hierarchy) error {
+	_, err := c.validate(h, nil)
+	return err
+}
+
+// validate is Validate returning the general pool's size-class map (nil
+// for a buddy pool), parsed through stash's cache when stash is not nil.
+func (c Config) validate(h *memhier.Hierarchy, stash *BlockStash) (SizeClasser, error) {
 	for i, f := range c.Fixed {
 		if _, ok := h.ByName(f.Layer); !ok {
-			return fmt.Errorf("alloc: fixed pool %d: unknown layer %q", i, f.Layer)
+			return nil, fmt.Errorf("alloc: fixed pool %d: unknown layer %q", i, f.Layer)
 		}
 		p := f.params(0)
 		if err := p.Validate(); err != nil {
-			return fmt.Errorf("alloc: fixed pool %d: %w", i, err)
+			return nil, fmt.Errorf("alloc: fixed pool %d: %w", i, err)
 		}
 	}
 	if _, ok := h.ByName(c.General.Layer); !ok {
-		return fmt.Errorf("alloc: general pool: unknown layer %q", c.General.Layer)
+		return nil, fmt.Errorf("alloc: general pool: unknown layer %q", c.General.Layer)
 	}
 	if bp, ok := c.General.buddyParams(0); ok {
 		if err := bp.Validate(); err != nil {
-			return fmt.Errorf("alloc: general pool: %w", err)
+			return nil, fmt.Errorf("alloc: general pool: %w", err)
 		}
-		return nil
+		return nil, nil
 	}
-	classes, err := ParseClasses(c.General.Classes)
+	classes, err := stash.sizeClasses(c.General.Classes)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	gp := c.General.params(0, classes)
 	if err := gp.Validate(); err != nil {
-		return fmt.Errorf("alloc: general pool: %w", err)
+		return nil, fmt.Errorf("alloc: general pool: %w", err)
 	}
-	return nil
+	return classes, nil
 }
 
 // buddyParams recognizes the "buddy:min:max" class spec, which selects a
@@ -168,18 +176,24 @@ func (g GeneralConfig) params(layer memhier.LayerID, classes SizeClasser) Genera
 }
 
 // Build instantiates the configuration on ctx. The returned allocator is
-// bound to ctx's hierarchy and counters. Its pools draw their Blocks from
-// stash when it is not nil (see BlockStash).
+// bound to ctx's hierarchy and counters. It is built on stash (see
+// BlockStash), or on a stash of its own when stash is nil.
 func (c Config) Build(ctx *simheap.Context, stash *BlockStash) (*Composed, error) {
-	fixed, err := c.buildFixed(ctx, stash)
+	if stash == nil {
+		stash = new(BlockStash)
+	}
+	classes, err := c.validate(ctx.Hierarchy(), stash)
 	if err != nil {
 		return nil, err
 	}
-	general, err := c.buildGeneral(ctx, stash)
+	a, err := c.buildFixed(ctx, stash)
 	if err != nil {
 		return nil, err
 	}
-	return c.compose(ctx, fixed, general)
+	if a.general, err = c.buildGeneral(ctx, stash, classes); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // BuildWithFallback instantiates the configuration's fixed pools on ctx
@@ -187,48 +201,64 @@ func (c Config) Build(ctx *simheap.Context, stash *BlockStash) (*Composed, error
 // supplied fallback pool instead of building the general pool. The
 // incremental evaluator pairs the real fixed pools with an inert
 // recording fallback to replay the fixed-side-invariant part of a trace
-// once per fixed-pool signature.
-func (c Config) BuildWithFallback(ctx *simheap.Context, general FallbackPool) (*Composed, error) {
-	fixed, err := c.buildFixed(ctx, nil)
+// once per fixed-pool signature. Like Build, it builds on stash, or on a
+// stash of its own when stash is nil.
+func (c Config) BuildWithFallback(ctx *simheap.Context, general FallbackPool, stash *BlockStash) (*Composed, error) {
+	if general == nil {
+		return nil, errNoFallback
+	}
+	if stash == nil {
+		stash = new(BlockStash)
+	}
+	if _, err := c.validate(ctx.Hierarchy(), stash); err != nil {
+		return nil, err
+	}
+	a, err := c.buildFixed(ctx, stash)
 	if err != nil {
 		return nil, err
 	}
-	return c.compose(ctx, fixed, general)
+	a.general = general
+	return a, nil
 }
 
 // BuildGeneral instantiates only the configuration's general (fallback)
 // pool on ctx, with no fixed pools in front of it. The incremental
 // evaluator replays a partition's recorded fallback ops against this
 // standalone pool; the pool code paths are identical to a full Build,
-// only the context it charges is private to the partial replay. A general
-// pool draws its Blocks from stash when it is not nil.
+// only the context it charges is private to the partial replay. Like
+// Build, it builds on stash, or on a stash of its own when stash is nil.
 func (c Config) BuildGeneral(ctx *simheap.Context, stash *BlockStash) (FallbackPool, error) {
-	if err := c.Validate(ctx.Hierarchy()); err != nil {
+	if stash == nil {
+		stash = new(BlockStash)
+	}
+	classes, err := c.validate(ctx.Hierarchy(), stash)
+	if err != nil {
 		return nil, err
 	}
-	return c.buildGeneral(ctx, stash)
+	return c.buildGeneral(ctx, stash, classes)
 }
 
-// buildFixed validates the configuration and builds its fixed pools in
-// routing order, on stash when it is not nil.
-func (c Config) buildFixed(ctx *simheap.Context, stash *BlockStash) ([]*FixedPool, error) {
+// buildFixed builds the configuration's fixed pools on stash, in routing
+// order, into a Composed from stash that still lacks its general pool.
+// The configuration must be valid.
+func (c Config) buildFixed(ctx *simheap.Context, stash *BlockStash) (*Composed, error) {
 	h := ctx.Hierarchy()
-	if err := c.Validate(h); err != nil {
-		return nil, err
-	}
-	fixed := make([]*FixedPool, 0, len(c.Fixed))
+	a := stash.newComposed(ctx)
+	a.name, a.cfg = c.Label, c
 	for i, fc := range c.Fixed {
 		layer, _ := h.ByName(fc.Layer)
 		fp, err := newFixedPool(ctx, fc.params(layer), stash)
 		if err != nil {
 			return nil, fmt.Errorf("alloc: building fixed pool %d: %w", i, err)
 		}
-		fixed = append(fixed, fp)
+		a.fixed = append(a.fixed, fp)
 	}
-	return fixed, nil
+	return a, nil
 }
 
-func (c Config) buildGeneral(ctx *simheap.Context, stash *BlockStash) (FallbackPool, error) {
+// buildGeneral builds the configuration's general pool on stash, with
+// the size-class map validate returned for it.
+func (c Config) buildGeneral(ctx *simheap.Context, stash *BlockStash, classes SizeClasser) (FallbackPool, error) {
 	layer, _ := ctx.Hierarchy().ByName(c.General.Layer)
 	if bp, ok := c.General.buddyParams(layer); ok {
 		pool, err := NewBuddyPool(ctx, bp)
@@ -237,10 +267,6 @@ func (c Config) buildGeneral(ctx *simheap.Context, stash *BlockStash) (FallbackP
 		}
 		return pool, nil
 	}
-	classes, err := ParseClasses(c.General.Classes)
-	if err != nil {
-		return nil, err
-	}
 	pool, err := newGeneralPool(ctx, c.General.params(layer, classes), stash)
 	if err != nil {
 		return nil, fmt.Errorf("alloc: building general pool: %w", err)
@@ -248,29 +274,18 @@ func (c Config) buildGeneral(ctx *simheap.Context, stash *BlockStash) (FallbackP
 	return pool, nil
 }
 
-func (c Config) compose(ctx *simheap.Context, fixed []*FixedPool, general FallbackPool) (*Composed, error) {
-	name := c.Label
-	if name == "" {
-		name = c.ID()
-	}
-	return NewComposed(name, ctx, fixed, general)
-}
-
 // ID returns a canonical compact identifier of the parameter vector,
 // stable across runs; the explorer uses it as the configuration key.
 func (c Config) ID() string {
-	var b strings.Builder
-	c.writeFixedID(&b)
-	c.General.writeID(&b)
-	return b.String()
+	var buf [idBufLen]byte
+	return string(c.General.appendID(c.appendFixedID(buf[:0])))
 }
 
 // FixedID returns the canonical identifier of the fixed-pool half of the
 // parameter vector (the routing-determining axes), a prefix of ID().
 func (c Config) FixedID() string {
-	var b strings.Builder
-	c.writeFixedID(&b)
-	return b.String()
+	var buf [idBufLen]byte
+	return string(c.appendFixedID(buf[:0]))
 }
 
 // ID returns the canonical identifier of the general-pool parameter
@@ -279,29 +294,63 @@ func (c Config) FixedID() string {
 // configurations with equal GeneralConfig IDs build byte-for-byte
 // identical fallback pools.
 func (g GeneralConfig) ID() string {
-	var b strings.Builder
-	g.writeID(&b)
-	return b.String()
+	var buf [idBufLen]byte
+	return string(g.appendID(buf[:0]))
 }
 
-func (c Config) writeFixedID(b *strings.Builder) {
+// idBufLen is the stack buffer the IDs are built in; the string is then
+// their only allocation, unless an ID is longer.
+const idBufLen = 256
+
+// appendFixedID appends the fixed pools' part of the ID to b.
+func (c Config) appendFixedID(b []byte) []byte {
 	for _, f := range c.Fixed {
-		fmt.Fprintf(b, "F%d@%s[%d-%d]%s%s%s×%d/%d",
-			f.SlotBytes, f.Layer, f.MatchLo, f.MatchHi,
-			f.Order, f.Links, f.Growth, f.ChunkSlots, f.MaxBytes)
+		b = append(b, 'F')
+		b = strconv.AppendInt(b, f.SlotBytes, 10)
+		b = append(b, '@')
+		b = append(b, f.Layer...)
+		b = append(b, '[')
+		b = strconv.AppendInt(b, f.MatchLo, 10)
+		b = append(b, '-')
+		b = strconv.AppendInt(b, f.MatchHi, 10)
+		b = append(b, ']')
+		b = append(b, f.Order.String()...)
+		b = append(b, f.Links.String()...)
+		b = append(b, f.Growth.String()...)
+		b = append(b, "×"...)
+		b = strconv.AppendInt(b, int64(f.ChunkSlots), 10)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, f.MaxBytes, 10)
 		if f.Reclaim {
-			b.WriteString("r")
+			b = append(b, 'r')
 		}
-		b.WriteString("|")
+		b = append(b, '|')
 	}
+	return b
 }
 
-func (g GeneralConfig) writeID(b *strings.Builder) {
-	fmt.Fprintf(b, "G@%s:%s:%s:%s:%s:%s%d:%s%d:%s:%s:%d/%d",
-		g.Layer, g.Classes, g.Fit, g.Order, g.Links,
-		g.Split, g.SplitThreshold, g.Coalesce, g.CoalesceEvery,
-		g.Headers, g.Growth, g.ChunkBytes, g.MaxBytes)
-	if g.RoundToClass {
-		b.WriteString(":round")
+// appendID appends the general pool's part of the ID to b.
+func (g GeneralConfig) appendID(b []byte) []byte {
+	b = append(b, "G@"...)
+	for _, s := range [...]string{g.Layer, g.Classes, g.Fit.String(), g.Order.String(), g.Links.String()} {
+		b = append(b, s...)
+		b = append(b, ':')
 	}
+	b = append(b, g.Split.String()...)
+	b = strconv.AppendInt(b, g.SplitThreshold, 10)
+	b = append(b, ':')
+	b = append(b, g.Coalesce.String()...)
+	b = strconv.AppendInt(b, int64(g.CoalesceEvery), 10)
+	b = append(b, ':')
+	b = append(b, g.Headers.String()...)
+	b = append(b, ':')
+	b = append(b, g.Growth.String()...)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, g.ChunkBytes, 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, g.MaxBytes, 10)
+	if g.RoundToClass {
+		b = append(b, ":round"...)
+	}
+	return b
 }

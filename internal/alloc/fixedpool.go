@@ -60,7 +60,7 @@ func (p FixedPoolParams) Validate() error {
 
 // fixedArena is one slot chunk with its occupancy bookkeeping.
 type fixedArena struct {
-	region *simheap.Region
+	region simheap.Region
 	live   int // slots currently allocated
 	slots  int // slots carved so far
 
@@ -89,8 +89,9 @@ type FixedPool struct {
 	slotBytes int64 // word-aligned slot size
 	ctx       *simheap.Context
 
-	meta *simheap.Region
-	list *FreeList
+	meta  simheap.Region
+	list  FreeList
+	nodes nodeSlab // the list's index nodes, if it keeps an index
 
 	arenas     []*fixedArena
 	arenaBytes int64
@@ -106,7 +107,7 @@ type FixedPool struct {
 	// pages.
 	pages    []*slotPage
 	freeOrds []uint32
-	stash    *BlockStash // supplies the slot pages
+	stash    *BlockStash // supplies the arenas and slot pages
 
 	live      int    // live slots
 	requested int64  // requested bytes of the live slots
@@ -120,12 +121,13 @@ const fixedMetaWords = MetaWords + 1
 // NewFixedPool reserves the pool's metadata and returns the pool. No slot
 // memory is reserved until the first allocation.
 func NewFixedPool(ctx *simheap.Context, params FixedPoolParams) (*FixedPool, error) {
-	return newFixedPool(ctx, params, nil)
+	return newFixedPool(ctx, params, new(BlockStash))
 }
 
-// newFixedPool is NewFixedPool drawing its slot pages from stash, which
-// takes them back when it retires the pool; nil gives the pool a stash
-// of its own.
+// newFixedPool is NewFixedPool built on stash: the pool struct, its
+// arena list, page table and index-node slab are the stash's, kept from
+// a pool it retired, and its arenas and slot pages come from the stash
+// too.
 func newFixedPool(ctx *simheap.Context, params FixedPoolParams, stash *BlockStash) (*FixedPool, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -134,20 +136,20 @@ func newFixedPool(ctx *simheap.Context, params FixedPoolParams, stash *BlockStas
 	if err != nil {
 		return nil, fmt.Errorf("alloc: reserving fixed pool metadata: %w", err)
 	}
-	p := &FixedPool{
+	p := reuse(&stash.fixed, &stash.nFixed)
+	*p = FixedPool{
 		params:    params,
 		slotBytes: align(params.SlotBytes, simheap.WordSize),
 		ctx:       ctx,
 		meta:      meta,
+		nodes:     nodeSlab{pages: p.nodes.pages, path: p.nodes.path[:0]},
+		arenas:    p.arenas[:0],
 		nextSlots: params.ChunkSlots,
+		pages:     p.pages[:0],
+		freeOrds:  p.freeOrds[:0],
 		stash:     stash,
 	}
-	if stash == nil {
-		p.stash = &BlockStash{}
-	} else {
-		stash.fixed = append(stash.fixed, p)
-	}
-	p.list = NewFreeList(ctx, params.Layer, meta.Base(), params.Order, params.Links)
+	p.list.init(ctx, params.Layer, meta.Base(), params.Order, params.Links, ExactFit, &p.nodes)
 	return p, nil
 }
 
@@ -263,7 +265,7 @@ func (p *FixedPool) grow() error {
 	if err != nil {
 		return err
 	}
-	p.arenas = append(p.arenas, &fixedArena{region: region})
+	p.arenas = append(p.arenas, p.stash.fixedArena(region))
 	p.arenaBytes += size
 	p.bump = region.Base()
 	p.bumpEnd = region.End()
@@ -325,7 +327,6 @@ func (p *FixedPool) reclaim(a *fixedArena) {
 	for _, pg := range a.pages {
 		p.pages[pg.ord] = nil
 		p.freeOrds = append(p.freeOrds, pg.ord)
-		p.stash.putSlotPage(pg)
 	}
 	for i, other := range p.arenas {
 		if other == a {
@@ -335,6 +336,7 @@ func (p *FixedPool) reclaim(a *fixedArena) {
 	}
 	p.arenaBytes -= a.region.Size()
 	a.region.Release()
+	p.stash.retireFixedArena(a)
 	p.reclaims++
 }
 

@@ -37,8 +37,8 @@ type FreeList struct {
 	rover      *Block // next-fit resume point
 	count      int
 
-	seq   uint64     // LIFO/FIFO pushes so far, counted while index != nil
-	index *listIndex // nil when the list keeps no index
+	seq   uint64    // LIFO/FIFO pushes so far, counted while the list keeps an index
+	index listIndex // its slab is nil when the list keeps no index
 }
 
 // A list indexes its blocks from indexFrom blocks on and drops the
@@ -61,25 +61,29 @@ const MetaWords = 3
 // in the given layer. It is built for pushes and pops, as a fixed pool
 // uses its list: a search of it walks.
 func NewFreeList(ctx *simheap.Context, layer memhier.LayerID, metaAddr uint64, order ListOrder, links ListLinks) *FreeList {
-	return newFreeList(ctx, layer, metaAddr, order, links, ExactFit, nil)
+	l := new(FreeList)
+	l.init(ctx, layer, metaAddr, order, links, ExactFit, nil)
+	return l
 }
 
-// newFreeList is NewFreeList for a list whose own searches use fit, with
-// index nodes from slab (nil for a slab of its own): on a flat context a
-// long best/worst-fit list keeps a size index, a long address-ordered
-// list an order index, and a first/next-fit list an order index while its
-// walks are long.
-func newFreeList(ctx *simheap.Context, layer memhier.LayerID, metaAddr uint64, order ListOrder, links ListLinks, fit FitPolicy, slab *nodeSlab) *FreeList {
-	l := &FreeList{ctx: ctx, layer: layer, metaAddr: metaAddr, order: order, links: links}
+// init makes l an empty list, as NewFreeList returns, whose own searches
+// use fit, with index nodes from slab (nil for a slab of its own): on a
+// flat context a long best/worst-fit list keeps a size index, a long
+// address-ordered list an order index, and a first/next-fit list an
+// order index while its walks are long.
+func (l *FreeList) init(ctx *simheap.Context, layer memhier.LayerID, metaAddr uint64, order ListOrder, links ListLinks, fit FitPolicy, slab *nodeSlab) {
+	*l = FreeList{ctx: ctx, layer: layer, metaAddr: metaAddr, order: order, links: links}
 	bySize, byAddr := fit == BestFit || fit == WorstFit, order == AddrOrder
 	if ctx.Flat() && (bySize || byAddr || fit == FirstFit || fit == NextFit) {
 		if slab == nil {
 			slab = &nodeSlab{}
 		}
-		l.index = &listIndex{slab: slab, size: bySize, addr: byAddr}
+		l.index = listIndex{slab: slab, size: bySize, addr: byAddr}
 	}
-	return l
 }
+
+// indexed reports whether the list keeps an index.
+func (l *FreeList) indexed() bool { return l.index.slab != nil }
 
 // Len returns the number of blocks on the list.
 func (l *FreeList) Len() int { return l.count }
@@ -111,7 +115,7 @@ func (l *FreeList) Push(b *Block) {
 	switch l.order {
 	case LIFO:
 		// new.next = head; head = new.
-		if l.index != nil {
+		if l.indexed() {
 			l.seq++
 			b.key = ^l.seq
 		}
@@ -127,7 +131,7 @@ func (l *FreeList) Push(b *Block) {
 		l.insertFront(b)
 	case FIFO:
 		// tail.next = new; tail = new.
-		if l.index != nil {
+		if l.indexed() {
 			l.seq++
 			b.key = l.seq
 		}
@@ -178,7 +182,7 @@ func (l *FreeList) Push(b *Block) {
 	}
 	b.list = l
 	l.count++
-	if x := l.index; x != nil && (x.built != [2]bool{} || l.count == indexFrom) {
+	if x := &l.index; x.slab != nil && (x.built != [2]bool{} || l.count == indexFrom) {
 		x.pushed(l, b)
 	}
 }
@@ -355,7 +359,7 @@ func (l *FreeList) Take(fit FitPolicy, need int64) *Block {
 			l.rover = found.flNext
 			l.metaWrite(2)
 		}
-		if x := l.index; x != nil && fit != ExactFit {
+		if x := &l.index; x.slab != nil && fit != ExactFit {
 			// Inline: most searches only add to the window.
 			x.visited += uint32(min(visited, walkCap))
 			if x.takes++; x.takes == walkWindow {
@@ -455,7 +459,7 @@ func (l *FreeList) check() error {
 		if b.list != l {
 			return fmt.Errorf("alloc: %v linked into a list it does not name", b)
 		}
-		if l.index != nil && (prev != nil && prev.key >= b.key || l.order == AddrOrder && b.key != b.addr) {
+		if l.indexed() && (prev != nil && prev.key >= b.key || l.order == AddrOrder && b.key != b.addr) {
 			return fmt.Errorf("alloc: list-order key %d of %v out of order", b.key, b)
 		}
 		prev = b
@@ -464,7 +468,7 @@ func (l *FreeList) check() error {
 	if n != l.count {
 		return fmt.Errorf("alloc: list links %d blocks, counts %d", n, l.count)
 	}
-	if l.index != nil {
+	if l.indexed() {
 		return l.index.check(l, n)
 	}
 	return nil

@@ -101,10 +101,10 @@ func runFreeListOps(t *testing.T, data []byte) (fitted bool) {
 	// Every list but an exact-fit LIFO/FIFO one may index: by length
 	// (best/worst fit, address order) or by walk length (first and
 	// next fit).
-	if indexable := fit != ExactFit || order == AddrOrder; (lx.index != nil) != indexable {
-		t.Fatalf("%v/%v list on a flat context: index %v", fit, order, lx.index)
+	if indexable := fit != ExactFit || order == AddrOrder; lx.indexed() != indexable {
+		t.Fatalf("%v/%v list on a flat context: index %v", fit, order, lx.indexed())
 	}
-	if ll.index != nil {
+	if ll.indexed() {
 		t.Fatal("list on a traced context keeps an index")
 	}
 
@@ -202,7 +202,7 @@ func runFreeListOps(t *testing.T, data []byte) (fitted bool) {
 				t.Fatalf("op %d: %v", j/2, err)
 			}
 		}
-		if x := lx.index; x != nil && lx.Len() >= indexFrom && (x.size && !x.built[sizeIdx] || x.addr && !x.built[orderIdx]) {
+		if x := &lx.index; lx.indexed() && lx.Len() >= indexFrom && (x.size && !x.built[sizeIdx] || x.addr && !x.built[orderIdx]) {
 			t.Fatalf("op %d: %d-block list is not indexed", j/2, lx.Len())
 		}
 	}

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"fmt"
+	"slices"
 
 	"dmexplore/internal/memhier"
 	"dmexplore/internal/simheap"
@@ -62,9 +63,9 @@ type GeneralPool struct {
 	params GeneralPoolParams
 	ctx    *simheap.Context
 
-	meta       *simheap.Region
-	bins       []*FreeList
-	arenas     []*arena
+	meta       simheap.Region
+	bins       []FreeList // one per size class; Blocks point into it, so it never grows
+	arenas     []arena
 	arenaBytes int64
 	nextChunk  int64
 
@@ -81,12 +82,12 @@ type GeneralPool struct {
 // NewGeneralPool reserves the pool's metadata area and returns the pool.
 // The pool holds no arena memory until the first allocation forces growth.
 func NewGeneralPool(ctx *simheap.Context, params GeneralPoolParams) (*GeneralPool, error) {
-	return newGeneralPool(ctx, params, nil)
+	return newGeneralPool(ctx, params, new(BlockStash))
 }
 
-// newGeneralPool is NewGeneralPool drawing its Blocks from stash, which
-// reclaims them when it retires the pool; nil gives the pool a stash of
-// its own.
+// newGeneralPool is NewGeneralPool built on stash: the pool struct, its
+// bins, arena list, live table and index-node slab are the stash's, kept
+// from a pool it retired, and its Blocks come from the stash too.
 func newGeneralPool(ctx *simheap.Context, params GeneralPoolParams, stash *BlockStash) (*GeneralPool, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -97,24 +98,21 @@ func newGeneralPool(ctx *simheap.Context, params GeneralPoolParams, stash *Block
 	if err != nil {
 		return nil, fmt.Errorf("alloc: reserving pool metadata: %w", err)
 	}
-	p := &GeneralPool{
+	p := reuse(&stash.general, &stash.nGeneral)
+	*p = GeneralPool{
 		params:    params,
 		ctx:       ctx,
 		meta:      meta,
-		bins:      make([]*FreeList, n),
+		bins:      slices.Grow(p.bins[:0], n)[:n],
+		arenas:    p.arenas[:0],
 		nextChunk: params.ChunkBytes,
+		live:      handleTable[*Block]{entries: p.live.entries[:0], free: p.live.free[:0]},
 		stash:     stash,
+		nodes:     nodeSlab{pages: p.nodes.pages, path: p.nodes.path[:0]},
 	}
-	if stash == nil {
-		p.stash = &BlockStash{}
-	} else {
-		stash.pools = append(stash.pools, p)
-		p.live, stash.live = stash.live, handleTable[*Block]{}
-		p.nodes, stash.nodes = stash.nodes, nodeSlab{}
-	}
-	for c := 0; c < n; c++ {
+	for c := range p.bins {
 		addr := meta.Base() + uint64(c)*MetaWords*simheap.WordSize
-		p.bins[c] = newFreeList(ctx, params.Layer, addr, params.Order, params.Links, params.Fit, &p.nodes)
+		p.bins[c].init(ctx, params.Layer, addr, params.Order, params.Links, params.Fit, &p.nodes)
 	}
 	return p, nil
 }
@@ -339,8 +337,8 @@ func (p *GeneralPool) coalesceNeighbours(b *Block) *Block {
 // sweep walks every arena merging runs of adjacent free blocks — the
 // deferred-coalescing pass.
 func (p *GeneralPool) sweep() {
-	for _, a := range p.arenas {
-		for b := a.first; b != nil; b = b.nextAdj {
+	for i := range p.arenas {
+		for b := p.arenas[i].first; b != nil; b = b.nextAdj {
 			p.ctx.Read(p.params.Layer, b.addr, 1) // header read
 			if !b.free {
 				continue
@@ -389,8 +387,8 @@ func (p *GeneralPool) ArenaBytes() int64 { return p.arenaBytes }
 // (simulator introspection; charges nothing).
 func (p *GeneralPool) FreeBlocks() int {
 	n := 0
-	for _, bin := range p.bins {
-		n += bin.Len()
+	for i := range p.bins {
+		n += p.bins[i].Len()
 	}
 	return n
 }
@@ -400,8 +398,8 @@ func (p *GeneralPool) FreeBlocks() int {
 // nothing).
 func (p *GeneralPool) FitIndexedBins() int {
 	n := 0
-	for _, bin := range p.bins {
-		if bin.index.fitting(p.ctx) {
+	for i := range p.bins {
+		if p.bins[i].index.fitting(p.ctx) {
 			n++
 		}
 	}
@@ -440,8 +438,8 @@ func (p *GeneralPool) checkInvariants() error {
 			return fmt.Errorf("arena %d: blocks cover %d of %d bytes", i, total, a.region.Size())
 		}
 	}
-	for c, bin := range p.bins {
-		if err := bin.check(); err != nil {
+	for c := range p.bins {
+		if err := p.bins[c].check(); err != nil {
 			return fmt.Errorf("bin %d: %w", c, err)
 		}
 	}

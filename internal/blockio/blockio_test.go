@@ -353,3 +353,27 @@ func TestFanOutStopsOnError(t *testing.T) {
 		}
 	}
 }
+
+// TestFetchWindow: a file splits into a window per worker until the
+// share reaches the limit; one worker, and every file of at least
+// workers×limit bytes, keeps the limit.
+func TestFetchWindow(t *testing.T) {
+	for _, c := range []struct {
+		size    int64
+		workers int
+		want    int64
+	}{
+		{600 << 10, 2, 300 << 10},
+		{600<<10 + 1, 2, 300<<10 + 1},
+		{600 << 10, 1, DefaultFetchWindow},
+		{600 << 10, 0, DefaultFetchWindow},
+		{192 << 20, 2, DefaultFetchWindow},
+		{192 << 20, 16, DefaultFetchWindow},
+		{8 << 20, 2, DefaultFetchWindow},
+		{1, 4, 1},
+	} {
+		if got := FetchWindow(DefaultFetchWindow, c.size, c.workers); got != c.want {
+			t.Errorf("FetchWindow(%d bytes, %d workers) = %d, want %d", c.size, c.workers, got, c.want)
+		}
+	}
+}

@@ -13,6 +13,17 @@ import (
 // storage) while staying small enough to spread a file across workers.
 const DefaultFetchWindow = 4 << 20
 
+// FetchWindow returns the fetch window for reading a file of size bytes
+// on workers goroutines: at most limit, and no more than the file's
+// share per worker, so a file under workers×limit bytes still splits
+// into a window per worker. Larger files keep limit.
+func FetchWindow(limit, size int64, workers int) int64 {
+	if workers <= 1 {
+		return limit
+	}
+	return min(limit, (size+int64(workers)-1)/int64(workers))
+}
+
 // Group is a contiguous run of blocks that one worker fetches with a
 // single ReadAt and decodes.
 type Group struct {

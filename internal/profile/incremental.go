@@ -236,9 +236,10 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 	if !ok {
 		return nil, fmt.Errorf("profile: unknown general layer %q", cfg.General.Layer)
 	}
-	ctx := simheap.NewContext(h)
+	ctx := r.context(h)
 	rec := &recordingFallback{ctx: ctx, layer: genLayer}
-	a, err := cfg.BuildWithFallback(ctx, rec)
+	defer r.blocks.Reclaim()
+	a, err := cfg.BuildWithFallback(ctx, rec, &r.blocks)
 	if err != nil {
 		return nil, fmt.Errorf("profile: building fixed side of %s: %w", cfg.ID(), err)
 	}
@@ -369,7 +370,7 @@ func (pr *PoolRun) MemBytes() int64 {
 // and skips the allocation's later frees; any other pool error returns
 // ok=false (a full replay must surface it).
 func (r *Replayer) PoolReplay(part *Partition, cfg alloc.Config, h *memhier.Hierarchy) (*PoolRun, bool) {
-	ctx := simheap.NewContext(h)
+	ctx := r.context(h)
 	defer r.blocks.Reclaim()
 	pool, err := cfg.BuildGeneral(ctx, &r.blocks)
 	if err != nil {
@@ -383,8 +384,10 @@ func (r *Replayer) PoolReplay(part *Partition, cfg alloc.Config, h *memhier.Hier
 	// the zero Ptr, never freed, so later indices stay aligned.
 	ptrs := r.genPtrs[:0]
 	run := &PoolRun{ops: part.ops}
+	// The change points collect in the Replayer's scratch and are copied
+	// out at their final length.
 	g := ctx.Counters(genLayer).ReservedBytes
-	run.gSteps = append(run.gSteps, gStep{0, g})
+	steps := append(r.steps[:0], gStep{0, g})
 	allocIdx := 0
 	for j, op := range part.ops {
 		if op > 0 {
@@ -414,9 +417,11 @@ func (r *Replayer) PoolReplay(part *Partition, cfg alloc.Config, h *memhier.Hier
 		}
 		if now := ctx.Counters(genLayer).ReservedBytes; now != g {
 			g = now
-			run.gSteps = append(run.gSteps, gStep{j + 1, g})
+			steps = append(steps, gStep{j + 1, g})
 		}
 	}
+	r.steps = steps
+	run.gSteps = slices.Clone(steps)
 	run.counters = make([]simheap.LayerCounters, h.NumLayers())
 	for i := range run.counters {
 		run.counters[i] = ctx.Counters(memhier.LayerID(i))
@@ -472,7 +477,8 @@ func (r *Replayer) Compose(ct *trace.Compiled, part *Partition, run *PoolRun, cf
 		adjWrites*uint64(genLayerInfo.WriteCycles) -
 		run.skippedFrees*uint64(part.numFixed+1)
 
-	counters := make([]simheap.LayerCounters, h.NumLayers())
+	r.counters = slices.Grow(r.counters[:0], h.NumLayers())[:h.NumLayers()]
+	counters := r.counters
 	for i := range counters {
 		inv := part.counters[i]
 		gen := run.counters[i]

@@ -217,20 +217,9 @@ func ParseLogParallel(ra io.ReaderAt, size int64, workers int, stats blockio.Sta
 	if workers <= 1 {
 		return parseLog(io.NewSectionReader(ra, 0, size), stats)
 	}
-	header := make([]byte, len(logMagic)+1)
-	if _, err := ra.ReadAt(header, 0); err != nil {
-		return nil, fmt.Errorf("profile: reading log header: %w", err)
-	}
-	if err := checkLogHeader(header); err != nil {
+	groups, err := openLog(ra, size, workers)
+	if err != nil {
 		return nil, err
-	}
-	blocks, err := blockio.ReadIndex(ra, size)
-	if err != nil {
-		return nil, fmt.Errorf("profile: %w", err)
-	}
-	groups, _, err := blockio.GroupBlocks(blocks, logFetchWindowBytes)
-	if err != nil {
-		return nil, fmt.Errorf("profile: %w", err)
 	}
 	if workers > len(groups) {
 		workers = len(groups)
@@ -249,8 +238,30 @@ func ParseLogParallel(ra io.ReaderAt, size int64, workers int, stats blockio.Sta
 	return s, nil
 }
 
-// logFetchWindowBytes is the fetch window ParseLogParallel groups blocks
-// into (see blockio.GroupBlocks). A variable for tests.
+// openLog checks a log's header, reads its footer index and groups its
+// blocks into fetch windows for workers goroutines.
+func openLog(ra io.ReaderAt, size int64, workers int) ([]blockio.Group, error) {
+	header := make([]byte, len(logMagic)+1)
+	if _, err := ra.ReadAt(header, 0); err != nil {
+		return nil, fmt.Errorf("profile: reading log header: %w", err)
+	}
+	if err := checkLogHeader(header); err != nil {
+		return nil, err
+	}
+	blocks, err := blockio.ReadIndex(ra, size)
+	if err != nil {
+		return nil, fmt.Errorf("profile: %w", err)
+	}
+	groups, _, err := blockio.GroupBlocks(blocks, blockio.FetchWindow(logFetchWindowBytes, size, workers))
+	if err != nil {
+		return nil, fmt.Errorf("profile: %w", err)
+	}
+	return groups, nil
+}
+
+// logFetchWindowBytes is the largest fetch window ParseLogParallel groups
+// blocks into (see blockio.FetchWindow and GroupBlocks). A variable for
+// tests.
 var logFetchWindowBytes int64 = blockio.DefaultFetchWindow
 
 // parseLogGroup aggregates one fetched window's blocks into s.

@@ -80,6 +80,40 @@ func (c *blockCounter) ObserveBlock(payloadBytes, records int) {
 
 func (c *blockCounter) CRCFailure() {}
 
+// TestParseLogParallelSplitsSmallLog: a preset's access log smaller than
+// one fetch window still splits into at least two fetch groups at two
+// workers, and ParseLogParallel's summary of it equals ParseLog's.
+func TestParseLogParallelSplitsSmallLog(t *testing.T) {
+	ct := easyportCompiled(t, 2000)
+	var buf bytes.Buffer
+	if _, err := NewReplayer().Run(ct, alloc.LeaConfig(memhier.LayerDRAM), memhier.EmbeddedSoC(), Options{LogWriter: &buf}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	size := int64(len(data))
+	if size >= logFetchWindowBytes {
+		t.Fatalf("the %d-byte log fills a %d-byte fetch window", size, logFetchWindowBytes)
+	}
+	groups, err := openLog(bytes.NewReader(data), size, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(groups) < 2 {
+		t.Fatalf("the %d-byte log forms %d fetch groups at two workers, want at least 2", size, len(groups))
+	}
+	want, err := ParseLog(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParseLogParallel(bytes.NewReader(data), size, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !SameSummary(got, want) {
+		t.Fatalf("parallel summary of %d records, serial %d: they differ", got.Records, want.Records)
+	}
+}
+
 // TestParseLogSerialFeedsStats requires the serial ingest path to report
 // its blocks exactly like the parallel one.
 func TestParseLogSerialFeedsStats(t *testing.T) {

@@ -47,13 +47,17 @@ type Replayer struct {
 	ptrs []alloc.Ptr // dense ID -> payload pointer
 	live []bool      // dense ID -> allocation currently live (not failed)
 
-	genPtrs []alloc.Ptr // partial-replay scratch: recorded-alloc pointers
+	genPtrs  []alloc.Ptr             // partial-replay scratch: recorded-alloc pointers
+	steps    []gStep                 // partial-replay scratch: reserved-bytes change points
+	counters []simheap.LayerCounters // composition scratch: the composed counters
 
 	flat flatView // the flat loop's view of the last trace it ran
 
-	// blocks recycles the general pools' Blocks from one run to the next;
-	// every run reclaims its pool's Blocks when it ends.
+	// blocks recycles what each run's allocator is made of, and ctx is
+	// the context every run resets and charges: a warm run builds both
+	// without allocating. Every run reclaims its allocator when it ends.
 	blocks alloc.BlockStash
+	ctx    simheap.Context
 
 	log *logWriter // kept across runs and reset onto each Options.LogWriter
 }
@@ -123,6 +127,12 @@ func (r *Replayer) reset(n int) {
 	r.live = r.live[:n]
 }
 
+// context returns the Replayer's context reset onto h for a new run.
+func (r *Replayer) context(h *memhier.Hierarchy) *simheap.Context {
+	r.ctx.Reset(h)
+	return &r.ctx
+}
+
 // logTo returns the Replayer's log writer started on a new log to w.
 // The writer and its block buffer live as long as the Replayer, so a warm
 // logged run allocates nothing for logging.
@@ -184,7 +194,7 @@ func (r *Replayer) Run(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hierarch
 	if r.Shard != nil || r.Spans != nil {
 		start = time.Now()
 	}
-	ctx := simheap.NewContext(h)
+	ctx := r.context(h)
 	lw, err := r.applyOptions(ctx, h, opts)
 	if err != nil {
 		return nil, err

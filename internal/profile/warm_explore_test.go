@@ -18,11 +18,13 @@ import (
 // warm-up session, one worker's cycle over VTCSpace — take a Replayer,
 // run every configuration, give it back, as the worker of a second
 // one-worker Runner.Explore does — allocates exactly as much as the
-// same runs on a Replayer that never leaves the worker. So the round trip through the pool allocates
-// nothing in the Block stash, the pointer and live tables, the
-// index-node slab or the flat view; only what every run builds anyway
-// (its allocator, context and Metrics) remains. A fresh Replayer per
-// cycle must allocate more, or the comparison would show nothing.
+// same runs on a Replayer that never leaves the worker. So the round
+// trip through the pool allocates nothing in the stash (the allocator's
+// Blocks, pools, tables and pages), the context, the pointer and live
+// tables or the flat view; only each run's result (its Metrics, their
+// PerLayer slice and ConfigID string, see TestWarmBuildZeroAllocs)
+// remains. A fresh Replayer per cycle must allocate more, or the
+// comparison would show nothing.
 func TestWarmReplayerZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")

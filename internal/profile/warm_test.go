@@ -212,3 +212,90 @@ func TestReplayerPoolConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestWarmBuildMatchesFresh interleaves configurations and options on
+// one warm Replayer, whose every run builds its allocator and context
+// from what the runs before it left in the stash, and requires each
+// result to match a fresh Replayer's bit for bit. The mix holds the
+// presets, a buddy fallback, capacity-failing configurations (one with a
+// bounded scratchpad pool that overflows), a logged run, whose log must
+// match too, and runs with a cache or a row buffer: the runs after those
+// must not see the tracer, cache or row buffer a reset context dropped.
+// Partitions and pool replays run in between, building on the same
+// stash.
+func TestWarmBuildMatchesFresh(t *testing.T) {
+	h := memhier.EmbeddedSoC()
+	ep := easyportCompiled(t, 200)
+	_, vtc := smallVTC(t)
+	oom, err := trace.Compile(oomTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := Options{Caches: map[string]CacheSpec{memhier.LayerDRAM: {SizeWords: 512, LineWords: 8, Ways: 2}}}
+	rowbuf := Options{RowBuffers: map[string]RowBufferSpec{memhier.LayerDRAM: {RowWords: 256, Banks: 4}}}
+	type step struct {
+		ct   *trace.Compiled
+		cfg  alloc.Config
+		opts Options
+		log  bool
+	}
+	var steps []step
+	mixed := append(presetConfigs(), incrementalConfigs()...)
+	for i, cfg := range mixed {
+		steps = append(steps, step{ct: ep, cfg: cfg})
+		switch i % 5 {
+		case 0:
+			steps = append(steps, step{ct: vtc, cfg: cfg, opts: cached})
+		case 1:
+			steps = append(steps, step{ct: oom, cfg: oomConfig()})
+		case 2:
+			steps = append(steps, step{ct: ep, cfg: oomConfigs()[i%2], log: true})
+		case 3:
+			steps = append(steps, step{ct: ep, cfg: cfg, opts: rowbuf})
+		case 4:
+			steps = append(steps, step{ct: vtc, cfg: cfg, opts: Options{SampleEvery: 64}})
+		}
+	}
+
+	r := NewReplayer()
+	failed := 0
+	for i, s := range steps {
+		var gotLog, wantLog bytes.Buffer
+		gotOpts, wantOpts := s.opts, s.opts
+		if s.log {
+			gotOpts.LogWriter, wantOpts.LogWriter = &gotLog, &wantLog
+		}
+		got, err := r.Run(s.ct, s.cfg, h, gotOpts)
+		if err != nil {
+			t.Fatalf("step %d %s: warm run: %v", i, s.cfg.ID(), err)
+		}
+		want, err := NewReplayer().Run(s.ct, s.cfg, h, wantOpts)
+		if err != nil {
+			t.Fatalf("step %d %s: fresh run: %v", i, s.cfg.ID(), err)
+		}
+		if !reflect.DeepEqual(got, want) || !bytes.Equal(gotLog.Bytes(), wantLog.Bytes()) {
+			t.Errorf("step %d %s (%+v): warm run diverges:\n  got  %+v\n  want %+v", i, s.cfg.ID(), s.opts, got, want)
+		}
+		if got.Failures > 0 {
+			failed++
+		}
+		if i%3 == 0 {
+			part, err := r.Partition(ep, s.cfg, h)
+			if err != nil {
+				t.Fatalf("step %d %s: partition: %v", i, s.cfg.ID(), err)
+			}
+			wantPart, err := NewReplayer().Partition(ep, s.cfg, h)
+			if err != nil || !reflect.DeepEqual(part, wantPart) {
+				t.Errorf("step %d %s: warm partition diverges (err %v)", i, s.cfg.ID(), err)
+			}
+			run, ok := r.PoolReplay(part, s.cfg, h)
+			wantRun, wantOK := NewReplayer().PoolReplay(wantPart, s.cfg, h)
+			if ok != wantOK || !reflect.DeepEqual(run, wantRun) {
+				t.Errorf("step %d %s: warm pool replay diverges (ok %v, want %v)", i, s.cfg.ID(), ok, wantOK)
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no step failed an allocation")
+	}
+}

@@ -89,23 +89,43 @@ type AccessTracer interface {
 
 // NewContext returns a fresh context over h.
 func NewContext(h *memhier.Hierarchy) *Context {
+	ctx := new(Context)
+	ctx.Reset(h)
+	return ctx
+}
+
+// Reset makes ctx a fresh context over h, as NewContext(h) would return,
+// reusing its per-layer tables: counters, clock and energy adjustment
+// start at zero, and the tracer, caches and row buffers are dropped.
+// Regions reserved before the reset must not be used after it.
+func (ctx *Context) Reset(h *memhier.Hierarchy) {
 	n := h.NumLayers()
-	ctx := &Context{
-		hier:        h,
-		counters:    make([]LayerCounters, n),
-		nextBase:    make([]uint64, n),
-		caches:      make([]*memhier.Cache, n),
-		rowbufs:     make([]*memhier.RowBuffer, n),
-		readCycles:  make([]uint64, n),
-		writeCycles: make([]uint64, n),
-		fast:        true,
-	}
+	ctx.hier = h
+	ctx.counters = zeroed(ctx.counters, n)
+	ctx.nextBase = zeroed(ctx.nextBase, n)
+	ctx.caches = zeroed(ctx.caches, n)
+	ctx.rowbufs = zeroed(ctx.rowbufs, n)
+	ctx.readCycles = zeroed(ctx.readCycles, n)
+	ctx.writeCycles = zeroed(ctx.writeCycles, n)
 	for i := 0; i < n; i++ {
 		layer := h.Layer(memhier.LayerID(i))
 		ctx.readCycles[i] = uint64(layer.ReadCycles)
 		ctx.writeCycles[i] = uint64(layer.WriteCycles)
 	}
-	return ctx
+	ctx.cycles, ctx.totalReserved, ctx.energyAdj = 0, 0, 0
+	ctx.trace = nil
+	ctx.fast = true
+}
+
+// zeroed returns s resized to n zero values, reusing its array when it
+// can.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Hierarchy returns the hierarchy the context simulates.
@@ -292,20 +312,21 @@ func (ctx *Context) Fits(id memhier.LayerID, size int64) bool {
 	return !layer.Bounded() || ctx.counters[id].ReservedBytes+size <= layer.Capacity
 }
 
-// Reserve claims size bytes from layer id and returns the region. It
-// fails when the layer is bounded and the reservation would exceed its
-// capacity — the simulated equivalent of a scratchpad overflow.
-func (ctx *Context) Reserve(id memhier.LayerID, size int64) (*Region, error) {
+// Reserve claims size bytes from layer id and returns the region, by
+// value, so a pool keeps it without a heap allocation. It fails when the
+// layer is bounded and the reservation would exceed its capacity — the
+// simulated equivalent of a scratchpad overflow.
+func (ctx *Context) Reserve(id memhier.LayerID, size int64) (Region, error) {
 	if !ctx.hier.Valid(id) {
-		return nil, fmt.Errorf("simheap: invalid layer %d", id)
+		return Region{}, fmt.Errorf("simheap: invalid layer %d", id)
 	}
 	if size <= 0 {
-		return nil, fmt.Errorf("simheap: non-positive reservation %d", size)
+		return Region{}, fmt.Errorf("simheap: non-positive reservation %d", size)
 	}
 	layer := ctx.hier.Layer(id)
 	c := &ctx.counters[id]
 	if layer.Bounded() && c.ReservedBytes+size > layer.Capacity {
-		return nil, &CapacityError{
+		return Region{}, &CapacityError{
 			Layer: layer.Name, Requested: size,
 			InUse: c.ReservedBytes, Capacity: layer.Capacity,
 		}
@@ -317,7 +338,7 @@ func (ctx *Context) Reserve(id memhier.LayerID, size int64) (*Region, error) {
 	if c.ReservedBytes > c.PeakBytes {
 		c.PeakBytes = c.ReservedBytes
 	}
-	return &Region{ctx: ctx, layer: id, base: base, size: size}, nil
+	return Region{ctx: ctx, layer: id, base: base, size: size}, nil
 }
 
 // TotalPeakBytes returns the peak footprint summed over all layers.
@@ -392,6 +413,8 @@ func (e *CapacityError) Error() string {
 
 // Region is a contiguous arena reserved from one layer. Pools carve their
 // blocks out of regions; block addresses are region-relative plus base.
+// A pool holds its Regions by value; Release marks the copy it is
+// called on.
 type Region struct {
 	ctx      *Context
 	layer    memhier.LayerID

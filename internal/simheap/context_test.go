@@ -256,7 +256,7 @@ func TestContextTracer(t *testing.T) {
 
 func TestPropertyReserveNeverOverlaps(t *testing.T) {
 	ctx := NewContext(testHier(t))
-	var regions []*Region
+	var regions []Region
 	if err := quick.Check(func(sz uint16) bool {
 		size := int64(sz%512) + 1
 		r, err := ctx.Reserve(1, size)
@@ -362,7 +362,7 @@ func TestTotalReservedRunningTotal(t *testing.T) {
 		}
 		return total
 	}
-	var regions []*Region
+	var regions []Region
 	for i, size := range []int64{400, 2048, 128, 64} {
 		r, err := ctx.Reserve(memhier.LayerID(i%2), size)
 		if err != nil {
@@ -373,8 +373,8 @@ func TestTotalReservedRunningTotal(t *testing.T) {
 			t.Fatalf("after reserve %d: running total %d, recomputed %d", i, got, want)
 		}
 	}
-	for i, r := range regions {
-		r.Release()
+	for i := range regions {
+		regions[i].Release()
 		if got, want := ctx.TotalReservedBytes(), sum(); got != want {
 			t.Fatalf("after release %d: running total %d, recomputed %d", i, got, want)
 		}
@@ -463,4 +463,89 @@ func TestCyclesExactAcrossModelSwitches(t *testing.T) {
 	if c := ctx.Counters(1); c.Reads != 11 || c.Writes != 3 {
 		t.Fatalf("dram counters %+v", c)
 	}
+}
+
+// TestContextResetMatchesNew holds Reset to its contract: a context that
+// reserved, charged, computed and had a tracer, a cache and a row buffer
+// attached reads, after Reset onto another hierarchy, exactly as a new
+// one does, and charges the same from then on.
+func TestContextResetMatchesNew(t *testing.T) {
+	ctx := NewContext(memhier.EmbeddedSoC())
+	if _, err := ctx.Reserve(0, 4096); err != nil {
+		t.Fatal(err)
+	}
+	c, err := memhier.NewCache(256, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := memhier.NewRowBuffer(512, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.AttachCache(0, c); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.AttachRowBuffer(1, rb); err != nil {
+		t.Fatal(err)
+	}
+	tr := &countingTracer{}
+	ctx.SetTracer(tr)
+	ctx.Read(0, 0, 5)
+	ctx.Write(1, 64, 3)
+	ctx.Compute(77)
+
+	h := testHier(t)
+	ctx.Reset(h)
+	fresh := NewContext(h)
+	run := func(ctx *Context) (Region, error) {
+		r, err := ctx.Reserve(1, 300)
+		ctx.Read(0, 0, 4)
+		ctx.Write(1, r.Base(), 2)
+		ctx.Compute(9)
+		return r, err
+	}
+	if !ctx.Flat() || ctx.Cache(0) != nil || ctx.RowBuffer(1) != nil {
+		t.Fatalf("reset context keeps a model: flat %v, cache %v, row buffer %v", ctx.Flat(), ctx.Cache(0), ctx.RowBuffer(1))
+	}
+	got, gotErr := run(ctx)
+	want, wantErr := run(fresh)
+	if gotErr != nil || wantErr != nil || got.Base() != want.Base() || got.Size() != want.Size() {
+		t.Fatalf("reserve after reset %+v (%v), on a new context %+v (%v)", got, gotErr, want, wantErr)
+	}
+	if tr.n != 2 {
+		t.Fatalf("the tracer saw %d accesses, want the 2 made before the reset", tr.n)
+	}
+	for id := memhier.LayerID(0); int(id) < h.NumLayers(); id++ {
+		if g, w := ctx.Counters(id), fresh.Counters(id); g != w {
+			t.Fatalf("layer %d: counters %+v after reset, %+v on a new context", id, g, w)
+		}
+	}
+	if ctx.Cycles() != fresh.Cycles() || ctx.Energy() != fresh.Energy() || ctx.TotalReservedBytes() != fresh.TotalReservedBytes() {
+		t.Fatalf("after reset: cycles %d energy %v reserved %d; new context: %d %v %d",
+			ctx.Cycles(), ctx.Energy(), ctx.TotalReservedBytes(), fresh.Cycles(), fresh.Energy(), fresh.TotalReservedBytes())
+	}
+}
+
+// TestContextResetZeroAllocs: once a context's tables fit the
+// hierarchy, Reset and a run of reserves and charges allocate nothing,
+// Regions included (Reserve returns them by value).
+func TestContextResetZeroAllocs(t *testing.T) {
+	h := memhier.EmbeddedSoC()
+	ctx := NewContext(h)
+	var sink uint64
+	avg := testing.AllocsPerRun(100, func() {
+		ctx.Reset(h)
+		for i := 0; i < 8; i++ {
+			r, err := ctx.Reserve(memhier.LayerID(i%h.NumLayers()), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx.Write(r.Layer(), r.Base(), 2)
+			sink += r.End()
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("Reset and 8 reserves allocate %.1f times, want 0", avg)
+	}
+	_ = sink
 }

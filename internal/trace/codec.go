@@ -184,32 +184,37 @@ func decodeEvent(buf []byte, e *Event) (int, error) {
 		return 0, io.ErrUnexpectedEOF
 	}
 	kind := EventKind(buf[0])
-	n := 1
-	bad := false
-	get := func() uint64 {
-		v, k := binary.Uvarint(buf[n:])
-		if k <= 0 {
-			bad = true
-			return 0
-		}
-		n += k
-		return v
-	}
-	var id, a, b uint64
+	var fields int
 	switch kind {
 	case KindAlloc:
-		id, a = get(), get()
-	case KindFree:
-		id = get()
+		fields = 2 // id, size
+	case KindFree, KindTick:
+		fields = 1 // id; cycles
 	case KindAccess:
-		id, a, b = get(), get(), get()
-	case KindTick:
-		a = get()
+		fields = 3 // id, reads, writes
 	default:
 		return 0, fmt.Errorf("unknown kind %d", kind)
 	}
-	if bad {
-		return 0, io.ErrUnexpectedEOF
+	// A one-byte varint (high bit clear) decodes inline; a longer one,
+	// or a truncated or overflowing one, goes to binary.Uvarint.
+	var v [3]uint64
+	n := 1
+	for i := range v[:fields] {
+		if n < len(buf) && buf[n] < 0x80 {
+			v[i] = uint64(buf[n])
+			n++
+			continue
+		}
+		x, k := binary.Uvarint(buf[n:])
+		if k <= 0 {
+			return 0, io.ErrUnexpectedEOF
+		}
+		v[i] = x
+		n += k
+	}
+	id, a, b := v[0], v[1], v[2]
+	if kind == KindTick {
+		id, a = 0, v[0]
 	}
 	var ok bool
 	if *e, ok = decodedEvent(kind, id, a, b); !ok {

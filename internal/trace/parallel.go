@@ -9,9 +9,9 @@ import (
 	"dmexplore/internal/blockio"
 )
 
-// fetchWindowBytes is the fetch window the parallel readers group
-// blocks into (see blockio.GroupBlocks). A variable so tests can
-// exercise multi-window decoding on small files.
+// fetchWindowBytes is the largest fetch window the parallel readers
+// group blocks into (see blockio.FetchWindow and GroupBlocks). A
+// variable so tests can exercise multi-window decoding on small files.
 var fetchWindowBytes int64 = blockio.DefaultFetchWindow
 
 // ReadBinaryParallel parses a binary trace with up to workers goroutines.
@@ -30,7 +30,7 @@ func ReadBinaryParallel(ra io.ReaderAt, size int64, workers int, stats blockio.S
 // of one event slab, a fetch window at a time across workers
 // goroutines.
 func readBlocks(ra io.ReaderAt, size int64, workers int, stats blockio.Stats) (*Trace, error) {
-	name, blocks, groups, total, err := openV2(ra, size)
+	name, blocks, groups, total, err := openV2(ra, size, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -49,9 +49,9 @@ func readBlocks(ra io.ReaderAt, size int64, workers int, stats blockio.Stats) (*
 }
 
 // openV2 validates a v2 trace's header and footer index and groups its
-// blocks into fetch windows. It returns the trace name, the block index,
-// the windows and the total event count.
-func openV2(ra io.ReaderAt, size int64) (string, []blockio.Block, []blockio.Group, int64, error) {
+// blocks into fetch windows for workers goroutines. It returns the trace
+// name, the block index, the windows and the total event count.
+func openV2(ra io.ReaderAt, size int64, workers int) (string, []blockio.Block, []blockio.Group, int64, error) {
 	header := make([]byte, len(binaryMagic)+1+binary.MaxVarintLen64)
 	if int64(len(header)) > size {
 		header = header[:size]
@@ -81,7 +81,7 @@ func openV2(ra io.ReaderAt, size int64) (string, []blockio.Block, []blockio.Grou
 	if err != nil {
 		return "", nil, nil, 0, err
 	}
-	groups, total, err := blockio.GroupBlocks(blocks, fetchWindowBytes)
+	groups, total, err := blockio.GroupBlocks(blocks, blockio.FetchWindow(fetchWindowBytes, size, workers))
 	if err != nil {
 		return "", nil, nil, 0, err
 	}
