@@ -76,9 +76,9 @@ bench-serve:
 
 # fuzz-smoke runs each native fuzz target for a few seconds — enough to
 # execute the seed corpus plus a short mutation run on every decoder, on
-# the result-store loader, on the coordinator's checkpoint replay, on
-# the indexed-vs-linear free list and on the ID table against a Go-map
-# reference compiler.
+# the result-store loader, on the coordinator's checkpoint replay and job
+# submission endpoint, on the indexed-vs-linear free list and on the ID
+# table against a Go-map reference compiler.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 5s
@@ -88,6 +88,7 @@ fuzz-smoke:
 	$(GO) test ./internal/profile/ -run '^$$' -fuzz '^FuzzParseLog$$' -fuzztime 5s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzOpenStore$$' -fuzztime 5s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzCheckpointReplay$$' -fuzztime 5s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzSubmitJob$$' -fuzztime 5s
 	$(GO) test ./internal/alloc/ -run '^$$' -fuzz '^FuzzFreeList$$' -fuzztime 5s
 
 # bench-telemetry compares the instrumented steady-state replay loop

@@ -278,14 +278,20 @@ func (c Config) buildGeneral(ctx *simheap.Context, stash *BlockStash, classes Si
 // stable across runs; the explorer uses it as the configuration key.
 func (c Config) ID() string {
 	var buf [idBufLen]byte
-	return string(c.General.appendID(c.appendFixedID(buf[:0])))
+	return string(c.AppendID(buf[:0]))
+}
+
+// AppendID appends ID's bytes to b: a caller that keeps b builds keys
+// without allocating.
+func (c Config) AppendID(b []byte) []byte {
+	return c.General.AppendID(c.AppendFixedID(b))
 }
 
 // FixedID returns the canonical identifier of the fixed-pool half of the
 // parameter vector (the routing-determining axes), a prefix of ID().
 func (c Config) FixedID() string {
 	var buf [idBufLen]byte
-	return string(c.appendFixedID(buf[:0]))
+	return string(c.AppendFixedID(buf[:0]))
 }
 
 // ID returns the canonical identifier of the general-pool parameter
@@ -295,15 +301,15 @@ func (c Config) FixedID() string {
 // identical fallback pools.
 func (g GeneralConfig) ID() string {
 	var buf [idBufLen]byte
-	return string(g.appendID(buf[:0]))
+	return string(g.AppendID(buf[:0]))
 }
 
 // idBufLen is the stack buffer the IDs are built in; the string is then
 // their only allocation, unless an ID is longer.
 const idBufLen = 256
 
-// appendFixedID appends the fixed pools' part of the ID to b.
-func (c Config) appendFixedID(b []byte) []byte {
+// AppendFixedID appends FixedID's bytes to b.
+func (c Config) AppendFixedID(b []byte) []byte {
 	for _, f := range c.Fixed {
 		b = append(b, 'F')
 		b = strconv.AppendInt(b, f.SlotBytes, 10)
@@ -329,8 +335,8 @@ func (c Config) appendFixedID(b []byte) []byte {
 	return b
 }
 
-// appendID appends the general pool's part of the ID to b.
-func (g GeneralConfig) appendID(b []byte) []byte {
+// AppendID appends ID's bytes to b.
+func (g GeneralConfig) AppendID(b []byte) []byte {
 	b = append(b, "G@"...)
 	for _, s := range [...]string{g.Layer, g.Classes, g.Fit.String(), g.Order.String(), g.Links.String()} {
 		b = append(b, s...)

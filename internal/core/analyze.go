@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"dmexplore/internal/pareto"
 	"dmexplore/internal/stats"
@@ -67,46 +68,65 @@ func Range(results []Result, objective string) (ObjectiveRange, error) {
 // first objective ascending; the parallel points slice carries the
 // objective vectors (Tag = configuration index).
 func ParetoSet(results []Result, objectives []string) ([]Result, []pareto.Point, error) {
-	if len(objectives) < 2 {
-		return nil, nil, fmt.Errorf("core: need at least two objectives, got %d", len(objectives))
+	dim := len(objectives)
+	if dim < 2 {
+		return nil, nil, fmt.Errorf("core: need at least two objectives, got %d", dim)
 	}
-	byTag := make(map[string]Result, len(results))
-	points := make([]pareto.Point, 0, len(results))
-	for _, r := range results {
+	// pos[k] is the result behind points[k]; the objective vectors share
+	// one backing slice.
+	pos := make([]int, 0, len(results))
+	vals := make([]float64, 0, len(results)*dim)
+	for i, r := range results {
 		if r.Metrics == nil {
 			continue
 		}
-		vals := make([]float64, len(objectives))
-		for d, obj := range objectives {
+		for _, obj := range objectives {
 			v, err := r.Metrics.Objective(obj)
 			if err != nil {
 				return nil, nil, err
 			}
-			vals[d] = v
+			vals = append(vals, v)
 		}
-		tag := fmt.Sprintf("%d", r.Index)
-		byTag[tag] = r
-		points = append(points, pareto.Point{Tag: tag, Values: vals})
+		pos = append(pos, i)
 	}
-	front := pareto.Front(points)
-	out := make([]Result, 0, len(front))
-	seen := make(map[string]bool, len(front))
-	for _, p := range front {
-		if seen[p.Tag] {
-			continue // duplicate objective vectors map to one result each
-		}
-		seen[p.Tag] = true
-		out = append(out, byTag[p.Tag])
+	points := make([]pareto.Point, len(pos))
+	for k := range points {
+		points[k].Values = vals[k*dim : (k+1)*dim : (k+1)*dim]
 	}
-	sort.Slice(out, func(i, j int) bool {
-		vi, _ := out[i].Metrics.Objective(objectives[0])
-		vj, _ := out[j].Metrics.Objective(objectives[0])
-		if vi != vj {
+	index := func(k int) int { return results[pos[k]].Index }
+	// Equal vectors keep Front's Tag order: the indices' decimal forms.
+	front := pareto.FrontIndices(points, func(i, j int) bool { return decimalLess(index(i), index(j)) })
+	frontPoints := make([]pareto.Point, len(front))
+	for n, k := range front {
+		frontPoints[n] = pareto.Point{Tag: strconv.Itoa(index(k)), Values: points[k].Values}
+	}
+	// One result per configuration index, the last with that index: the
+	// indices of equal vectors sort adjacent, the later position first.
+	sort.Slice(front, func(a, b int) bool {
+		i, j := front[a], front[b]
+		if vi, vj := vals[i*dim], vals[j*dim]; vi != vj {
 			return vi < vj
 		}
-		return out[i].Index < out[j].Index
+		if index(i) != index(j) {
+			return index(i) < index(j)
+		}
+		return i > j
 	})
-	return out, front, nil
+	out := make([]Result, 0, len(front))
+	for n, k := range front {
+		if n > 0 && index(k) == index(front[n-1]) {
+			continue
+		}
+		out = append(out, results[pos[k]])
+	}
+	return out, frontPoints, nil
+}
+
+// decimalLess orders two integers by their decimal strings, as Tags
+// compare.
+func decimalLess(a, b int) bool {
+	var x, y [20]byte
+	return string(strconv.AppendInt(x[:0], int64(a), 10)) < string(strconv.AppendInt(y[:0], int64(b), 10))
 }
 
 // ParetoImprovement reports, within a Pareto set, the best-to-worst

@@ -140,6 +140,6 @@ func BenchmarkFullEasyportWalk(b *testing.B) {
 	}
 	b.ReportMetric(float64(slowest.Duration.Microseconds())/1e3, "slowest_eval_ms")
 	if slowest.Metrics != nil {
-		b.Logf("slowest: %s (%v)", slowest.Metrics.ConfigID, slowest.Duration)
+		b.Logf("slowest: %s (%v)", slowest.Metrics.ConfigLabel, slowest.Duration)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"dmexplore/internal/alloc"
+	"dmexplore/internal/memhier"
+	"dmexplore/internal/stats"
 )
 
 // fmtFixedID and fmtGeneralID are the configuration IDs as fmt.Fprintf
@@ -88,5 +90,42 @@ func TestConfigIDMatchesFmt(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = last.General.ID() }); n != 1 {
 		t.Errorf("GeneralConfig.ID allocates %.0f times, want 1", n)
+	}
+}
+
+// TestPoolRunKeyMatchesFmt pins the persisted pool-run key to the bytes
+// storeKey over fmt's "%016x·%d·<general ID>" gives, for every general
+// pool of the shipped spaces, hashes with leading zero digits and op
+// counts of every length. A changed byte would orphan every pool run a
+// Store file holds.
+func TestPoolRunKeyMatchesFmt(t *testing.T) {
+	hierarchy := memhier.EmbeddedSoC().Fingerprint()
+	hashes := []uint64{0, 1, 0xf, 0xabc, 0x0123456789abcdef, 0xfedcba9876543210, ^uint64(0)}
+	rng := stats.NewRNG(3)
+	for range 20 {
+		hashes = append(hashes, rng.Uint64()>>(rng.Intn(64)))
+	}
+	opCounts := []int{0, 7, 12345, 1 << 40}
+	seen := make(map[string]bool)
+	for _, space := range []*Space{VTCSpace(), EasyportSpace(), FullEasyportSpace()} {
+		for i := 0; i < space.Size(); i++ {
+			cfg, _, err := space.Config(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := cfg.General.ID()
+			if seen[id] {
+				continue
+			}
+			seen[id] = true
+			for _, h := range hashes {
+				for _, ops := range opCounts {
+					want := storeKey(kindPoolRun, hierarchy, fmt.Sprintf("%016x·%d·%s", h, ops, id))
+					if got := poolRunKey(hierarchy, h, ops, cfg.General); got != want {
+						t.Fatalf("pool-run key %q, fmt formats %q", got, want)
+					}
+				}
+			}
+		}
 	}
 }

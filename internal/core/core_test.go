@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -406,7 +407,49 @@ func TestExploreMemoizesDuplicateConfigs(t *testing.T) {
 	if len(results) != 2 {
 		t.Fatalf("results %d", len(results))
 	}
-	if results[0].Metrics != results[1].Metrics {
+	if !results[1].MemoHit {
 		t.Fatal("duplicate configurations did not share one simulation")
+	}
+	first, second := *results[0].Metrics, *results[1].Metrics
+	first.ConfigLabel, second.ConfigLabel = "", ""
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("the memo served other metrics than the simulation")
+	}
+}
+
+// TestMemoHitCarriesOwnLabel is the memo-hit label regression: VTCSpace
+// with an inert two-option axis appended has two indices per ID, and the
+// second of each pair is served by the session memo. Every result must
+// carry its own configuration's label, so results.csv's label column
+// names the row's index.
+func TestMemoHitCarriesOwnLabel(t *testing.T) {
+	s := VTCSpace()
+	s.Axes = append(s.Axes, Axis{Name: "inert", Options: []Option{
+		{Label: "a", Apply: func(c *alloc.Config) {}},
+		{Label: "b", Apply: func(c *alloc.Config) {}},
+	}})
+	r := &Runner{Hierarchy: memhier.EmbeddedSoC(), Trace: tinyTrace(t), Workers: 1}
+	results, err := r.Explore(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := 0
+	for i, res := range results {
+		want, _, err := s.Config(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Metrics.ConfigLabel; got != want.Label {
+			t.Fatalf("result %d carries label %q, want %q", i, got, want.Label)
+		}
+		if res.MemoHit {
+			memo++
+		}
+	}
+	if memo != len(results)/2 {
+		t.Fatalf("%d memo hits, want %d", memo, len(results)/2)
+	}
+	if got, want := results[1].Metrics.ConfigLabel, "vtc#1[none,single,first,never,never,chunk8k,b]"; got != want {
+		t.Fatalf("result 1 label %q, want %q", got, want)
 	}
 }

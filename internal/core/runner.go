@@ -233,12 +233,18 @@ func (r *Runner) run(space *Space, indices []int) ([]Result, error) {
 		return nil, err
 	}
 	defer s.Close()
-	// Sweeps have no ancestry, but stamping a uniform origin keeps the
-	// journal's provenance surface total: dmreport -lineage works on
-	// exhaustive runs too.
-	origins := make([]*telemetry.Origin, len(indices))
+	return s.Eval(indices, nil, SweepOrigins(len(indices)))
+}
+
+// SweepOrigins returns n origins for a sweep's results. Sweeps have no
+// ancestry, but stamping a uniform origin keeps the journal's
+// provenance surface total: dmreport -lineage works on exhaustive runs
+// too. All n point to one Origin, which no reader modifies.
+func SweepOrigins(n int) []*telemetry.Origin {
+	o := &telemetry.Origin{Strategy: "sweep", Op: "sweep", Wave: 1}
+	origins := make([]*telemetry.Origin, n)
 	for i := range origins {
-		origins[i] = &telemetry.Origin{Strategy: "sweep", Op: "sweep", Wave: 1}
+		origins[i] = o
 	}
-	return s.Eval(indices, nil, origins)
+	return origins
 }

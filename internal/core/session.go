@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,7 +48,9 @@ type EvalSession struct {
 	// Axis combinations can collapse to the same canonical configuration
 	// (an axis that is inapplicable under another axis's value). The memo
 	// spans the whole session, so duplicates cost one simulation across
-	// every batch of a search, not just within one.
+	// every batch of a search, not just within one. It is keyed by
+	// Config.ID: workers look up with their scratch ID bytes, and the key
+	// string is allocated once per distinct configuration, on insert.
 	memoMu sync.Mutex
 	memo   map[string]*profile.Metrics
 
@@ -96,6 +99,10 @@ type poolRunEntry struct {
 	run  *profile.PoolRun
 	ok   bool
 }
+
+// memoSizeHint caps the memo's initial size: a session over a space of
+// at most this many configurations never grows its memo.
+const memoSizeHint = 1024
 
 // Default byte budgets for the session's incremental caches. At typical
 // trace scales (10^5–10^6 recorded ops, ~16 bytes per op across the
@@ -151,16 +158,27 @@ func (s *EvalSession) IncrementalCacheStats() IncrementalCacheStats {
 }
 
 // evalJob is one configuration handed to a session worker: where to write
-// the result and which batch to signal when done. predicted, when
-// non-nil, is the surrogate's forecast for this configuration, stamped
-// onto the result so the journal pairs it with the exact metrics; origin
-// is its search provenance, stamped the same way.
+// the result and which batch to signal when done. labels is the result's
+// slot per axis for its option labels. predicted, when non-nil, is the
+// surrogate's forecast for this configuration, stamped onto the result
+// so the journal pairs it with the exact metrics; origin is its search
+// provenance, stamped the same way.
 type evalJob struct {
 	idx       int
 	out       *Result
 	wg        *sync.WaitGroup
+	labels    []string
 	predicted map[string]float64
 	origin    *telemetry.Origin
+}
+
+// evalScratch is one worker's reusable evaluation state: the
+// configuration each evaluation is materialized into and the buffer its
+// ID is built in. Nothing that outlives an evaluation may alias either:
+// the configuration's Fixed array is rewritten by the next one.
+type evalScratch struct {
+	cfg alloc.Config
+	id  []byte
 }
 
 // NewSession opens a persistent evaluation session for the space. Callers
@@ -207,7 +225,7 @@ func (r *Runner) newSession(space *Space, maxWorkers int) (*EvalSession, error) 
 		hierarchy: r.Hierarchy.Fingerprint(),
 		traceID:   fmt.Sprintf("%s(%d)", ct.Name, ct.Len()),
 		jobs:      make(chan evalJob, 2*workers),
-		memo:      make(map[string]*profile.Metrics),
+		memo:      make(map[string]*profile.Metrics, min(space.Size(), memoSizeHint)),
 	}
 	opts := r.Options
 	s.incremental = r.Incremental && opts.LogWriter == nil &&
@@ -238,18 +256,15 @@ func (s *EvalSession) Workers() int { return s.workers }
 // with any memo fill; indices that fail to materialize are skipped (the
 // live walk will surface the error itself if it reaches them).
 func (s *EvalSession) Warm(results map[int]*profile.Metrics) {
+	var sc evalScratch
 	for idx, m := range results {
-		if m == nil {
+		if m == nil || s.space.configInto(idx, &sc.cfg, nil) != nil {
 			continue
 		}
-		cfg, _, err := s.space.Config(idx)
-		if err != nil {
-			continue
-		}
-		id := cfg.ID()
+		sc.id = sc.cfg.AppendID(sc.id[:0])
 		s.memoMu.Lock()
-		if s.memo[id] == nil {
-			s.memo[id] = m
+		if s.memo[string(sc.id)] == nil {
+			s.memo[string(sc.id)] = m
 		}
 		s.memoMu.Unlock()
 	}
@@ -290,11 +305,14 @@ func (s *EvalSession) Eval(indices []int, preds []map[string]float64, origins []
 		waveStart = time.Now()
 	}
 	results := make([]Result, len(indices))
+	axes := len(s.space.Axes)
+	labels := make([]string, len(indices)*axes)
 	s.total.Add(int64(len(indices)))
 	var batch sync.WaitGroup
 	batch.Add(len(indices))
 	for i, idx := range indices {
-		job := evalJob{idx: idx, out: &results[i], wg: &batch}
+		job := evalJob{idx: idx, out: &results[i], wg: &batch,
+			labels: labels[i*axes : (i+1)*axes : (i+1)*axes]}
 		if preds != nil {
 			job.predicted = preds[i]
 		}
@@ -335,8 +353,9 @@ func (s *EvalSession) worker(w int) {
 	rep.Shard = shard
 	rep.Spans = s.r.Spans.Ring(w)
 	var debt time.Duration
+	var sc evalScratch
 	for job := range s.jobs {
-		res := s.evalOne(job.idx, rep, shard, &debt)
+		res := s.evalOne(job.idx, job.labels, &sc, rep, shard, &debt)
 		res.Predicted = job.predicted
 		res.Origin = job.origin
 		*job.out = res
@@ -370,24 +389,25 @@ func (s *EvalSession) chargeLatency(debt *time.Duration, d time.Duration) {
 	}
 }
 
-// evalOne profiles one configuration: materialize, memo lookup, store
-// lookup, then partial replay or composition, else a full replay.
-func (s *EvalSession) evalOne(idx int, rep *profile.Replayer, shard *telemetry.Shard, debt *time.Duration) Result {
+// evalOne profiles one configuration: materialize into the worker's
+// scratch, memo lookup, store lookup, then partial replay or
+// composition, else a full replay. labels receives the option labels.
+func (s *EvalSession) evalOne(idx int, labels []string, sc *evalScratch, rep *profile.Replayer, shard *telemetry.Shard, debt *time.Duration) Result {
 	r := s.r
 	start := time.Now()
 	res := Result{Index: idx}
-	cfg, labels, err := s.space.Config(idx)
-	if err != nil {
+	cfg := &sc.cfg
+	if err := s.space.configInto(idx, cfg, labels); err != nil {
 		res.Err = fmt.Errorf("configuration %d: %w", idx, err)
 		shard.ConfigError()
 	} else {
 		res.Labels = labels
-		id := cfg.ID()
+		sc.id = cfg.AppendID(sc.id[:0])
 		s.memoMu.Lock()
-		memoized := s.memo[id]
+		memoized := s.memo[string(sc.id)]
 		s.memoMu.Unlock()
 		if memoized != nil {
-			res.Metrics = memoized
+			res.Metrics = relabel(memoized, cfg.Label)
 			res.MemoHit = true
 			shard.MemoHit()
 		}
@@ -397,10 +417,10 @@ func (s *EvalSession) evalOne(idx int, rep *profile.Replayer, shard *telemetry.S
 			if rep.Spans != nil {
 				probeStart = time.Now()
 			}
-			key = storeKey(kindMetrics, s.hierarchy, s.traceID+"\x1f"+id)
+			key = storeKey(kindMetrics, s.hierarchy, s.traceID+"\x1f"+string(sc.id))
 			hit := int64(0)
 			if m, ok := r.Store.Metrics(key); ok {
-				res.Metrics = m
+				res.Metrics = relabel(m, cfg.Label)
 				res.CacheHit = true
 				hit = 1
 				shard.CacheHit()
@@ -420,10 +440,10 @@ func (s *EvalSession) evalOne(idx int, rep *profile.Replayer, shard *telemetry.S
 			// declined partial (capacity interaction, pool failure the
 			// failure-replay path cannot reproduce) falls through to the
 			// full replay below.
-			if part := s.partition(cfg, rep); part != nil {
+			if part := s.partition(*cfg, rep); part != nil {
 				pstart := time.Now()
-				if run, built := s.poolRun(part, cfg, rep); run != nil {
-					if m, ok := rep.Compose(s.ct, part, run, cfg, r.Hierarchy); ok {
+				if run, built := s.poolRun(part, *cfg, rep); run != nil {
+					if m, ok := rep.Compose(s.ct, part, run, *cfg, r.Hierarchy); ok {
 						res.Metrics = m
 						res.Incremental = true
 						if built {
@@ -454,7 +474,7 @@ func (s *EvalSession) evalOne(idx int, rep *profile.Replayer, shard *telemetry.S
 			}
 		}
 		if res.Metrics == nil {
-			res.Metrics, res.Err = rep.Run(s.ct, cfg, r.Hierarchy, r.Options)
+			res.Metrics, res.Err = rep.Run(s.ct, *cfg, r.Hierarchy, r.Options)
 			if res.Err != nil {
 				// Surface which configuration died, not just how: index
 				// and axis labels identify it in the space without a
@@ -475,13 +495,26 @@ func (s *EvalSession) evalOne(idx int, rep *profile.Replayer, shard *telemetry.S
 		}
 		if res.Err == nil && memoized == nil {
 			s.memoMu.Lock()
-			s.memo[id] = res.Metrics
+			s.memo[string(sc.id)] = res.Metrics
 			s.memoMu.Unlock()
 		}
 	}
 	res.Duration = time.Since(start)
 	shard.AddBusy(res.Duration)
 	return res
+}
+
+// relabel returns m as the result of the configuration labelled label.
+// A memo or Store hit serves metrics that another configuration with
+// the same ID produced; its copy carries the requesting label, so every
+// result names its own configuration.
+func relabel(m *profile.Metrics, label string) *profile.Metrics {
+	if m.ConfigLabel == label {
+		return m
+	}
+	c := *m
+	c.ConfigLabel = label
+	return &c
 }
 
 // partition returns the invariant partition for cfg's fixed-pool
@@ -529,7 +562,7 @@ const (
 // evaluation). A nil run means the replay declined and only a full
 // replay can evaluate the configuration.
 func (s *EvalSession) poolRun(part *profile.Partition, cfg alloc.Config, rep *profile.Replayer) (run *profile.PoolRun, built bool) {
-	key := s.poolRunKey(part, cfg)
+	key := poolRunKey(s.hierarchy, part.OpsHash(), part.Ops(), cfg.General)
 	s.runsMu.Lock()
 	e, ok := s.runs.get(key)
 	if !ok {
@@ -585,23 +618,38 @@ func (s *EvalSession) poolRun(part *profile.Partition, cfg alloc.Config, rep *pr
 // vector. Everything a standalone replay depends on is in the key; the
 // sequence itself is verified on reuse (PoolRun.MatchesOps) so a hash
 // collision degrades to a private rebuild, never a wrong composition.
-func (s *EvalSession) poolRunKey(part *profile.Partition, cfg alloc.Config) string {
-	return storeKey(kindPoolRun, s.hierarchy,
-		fmt.Sprintf("%016x·%d·%s", part.OpsHash(), part.Ops(), cfg.General.ID()))
+// The key is persisted: its bytes are storeKey's over
+// "%016x·%d·<general ID>", built by appending.
+func poolRunKey(hierarchy string, opsHash uint64, ops int, g alloc.GeneralConfig) string {
+	var buf [keyBufLen]byte
+	b := append(buf[:0], kindPoolRun...)
+	b = append(b, '\x1f')
+	b = append(b, hierarchy...)
+	b = append(b, '\x1f')
+	var hex [16]byte
+	h := strconv.AppendUint(hex[:0], opsHash, 16)
+	for range len(hex) - len(h) {
+		b = append(b, '0')
+	}
+	b = append(b, h...)
+	b = append(b, "·"...)
+	b = strconv.AppendInt(b, int64(ops), 10)
+	b = append(b, "·"...)
+	return string(g.AppendID(b))
 }
 
 // partitionKey canonicalizes the fixed-pool signature: the fixed pools
 // (which fully determine request routing and the fixed-side simulation)
 // plus the general pool's layer (which determines where fallback ops
-// land). Configurations sharing a key share one Partition.
+// land). Configurations sharing a key share one Partition. The key is
+// FixedID's bytes, then "G@" and the layer, as in ID; it never leaves
+// the session.
 func partitionKey(cfg alloc.Config) string {
-	var b strings.Builder
-	for _, f := range cfg.Fixed {
-		fmt.Fprintf(&b, "F%d@%s[%d-%d]%s%s%s×%d/%d;%t|",
-			f.SlotBytes, f.Layer, f.MatchLo, f.MatchHi,
-			f.Order, f.Links, f.Growth, f.ChunkSlots, f.MaxBytes, f.Reclaim)
-	}
-	b.WriteString("G@")
-	b.WriteString(cfg.General.Layer)
-	return b.String()
+	var buf [keyBufLen]byte
+	b := append(cfg.AppendFixedID(buf[:0]), "G@"...)
+	return string(append(b, cfg.General.Layer...))
 }
+
+// keyBufLen is the stack buffer the session's cache keys are built in;
+// the string is then their only allocation, unless a key is longer.
+const keyBufLen = 256

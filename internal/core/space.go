@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"dmexplore/internal/alloc"
@@ -74,31 +75,65 @@ func (s *Space) Size() int {
 // apply in axis order, so an option may act on what an earlier axis
 // built (reclaim marks the pools the pools axis appended).
 func (s *Space) Config(idx int) (alloc.Config, []string, error) {
-	if idx < 0 || idx >= s.Size() {
-		return alloc.Config{}, nil, fmt.Errorf("core: index %d out of range [0,%d)", idx, s.Size())
-	}
-	cfg := cloneConfig(s.Base)
+	cfg := alloc.Config{Fixed: make([]alloc.FixedConfig, 0, len(s.Base.Fixed))}
 	labels := make([]string, len(s.Axes))
-	stride := s.Size()
-	for i, ax := range s.Axes {
-		stride /= len(ax.Options)
-		opt := ax.Options[idx/stride%len(ax.Options)]
-		labels[i] = opt.Label
-		opt.Apply(&cfg)
-	}
-	if cfg.Label == "" {
-		cfg.Label = fmt.Sprintf("%s#%d[%s]", s.Name, idx, strings.Join(labels, ","))
+	if err := s.configInto(idx, &cfg, labels); err != nil {
+		return alloc.Config{}, nil, err
 	}
 	return cfg, labels, nil
 }
 
-// cloneConfig deep-copies a configuration so Apply mutations cannot leak
-// into the base through the Fixed slice.
-func cloneConfig(c alloc.Config) alloc.Config {
-	out := c
-	out.Fixed = make([]alloc.FixedConfig, len(c.Fixed))
-	copy(out.Fixed, c.Fixed)
-	return out
+// configInto writes configuration idx into *cfg: the base, then each
+// axis's option. It reuses cfg.Fixed's backing array, which must not be
+// the base's, so a caller that keeps one scratch config materializes
+// configuration after configuration without allocating for them; only a
+// generated label costs one allocation. labels, when not nil, has one
+// slot per axis and receives the option labels.
+func (s *Space) configInto(idx int, cfg *alloc.Config, labels []string) error {
+	size := s.Size()
+	if idx < 0 || idx >= size {
+		return fmt.Errorf("core: index %d out of range [0,%d)", idx, size)
+	}
+	fixed := cfg.Fixed[:0]
+	*cfg = s.Base
+	cfg.Fixed = append(fixed, s.Base.Fixed...)
+	n := 0 // the option labels' length, one separator each
+	stride := size
+	for i, ax := range s.Axes {
+		stride /= len(ax.Options)
+		opt := ax.Options[idx/stride%len(ax.Options)]
+		if labels != nil {
+			labels[i] = opt.Label
+		}
+		n += len(opt.Label) + 1
+		opt.Apply(cfg)
+	}
+	if cfg.Label == "" {
+		cfg.Label = s.label(idx, size, n)
+	}
+	return nil
+}
+
+// label builds configuration idx's "name#idx[label,label,...]" in one
+// allocation; n is the option labels' length plus one per axis.
+func (s *Space) label(idx, size, n int) string {
+	var digits [20]byte
+	num := strconv.AppendInt(digits[:0], int64(idx), 10)
+	var b strings.Builder
+	b.Grow(len(s.Name) + 1 + len(num) + 1 + n)
+	b.WriteString(s.Name)
+	b.WriteByte('#')
+	b.Write(num)
+	b.WriteByte('[')
+	for i, ax := range s.Axes {
+		size /= len(ax.Options)
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(ax.Options[idx/size%len(ax.Options)].Label)
+	}
+	b.WriteByte(']')
+	return b.String()
 }
 
 // AxisLabels returns the axis names in order (CSV headers etc.).

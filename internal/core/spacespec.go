@@ -77,7 +77,7 @@ func ParseSpaceSpec(data []byte) (*Space, error) {
 			opt := opt // capture
 			if opt.General != nil {
 				// Eager syntax/field check against a scratch config.
-				scratch := cloneConfig(spec.Base)
+				scratch := spec.Base
 				if err := patchGeneral(&scratch, opt.General); err != nil {
 					return nil, fmt.Errorf("core: axis %q option %q: %w", ax.Name, opt.Label, err)
 				}

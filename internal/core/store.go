@@ -148,7 +148,7 @@ func (st *Store) load(r io.Reader) error {
 func (e storeEntry) bytes(key string) int64 {
 	n := int64(len(key)) + 128
 	if m := e.metrics; m != nil {
-		n += 160 + int64(len(m.ConfigID)+len(m.ConfigLabel)+len(m.Workload)) +
+		n += 160 + int64(len(m.ConfigLabel)+len(m.Workload)) +
 			int64(len(m.PerLayer))*48 + int64(len(m.Series))*24
 	}
 	if e.run != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -309,7 +310,7 @@ func TestStoreSaveDeterministic(t *testing.T) {
 	st := openStore(t, first, 0)
 	for i := 0; i < 200; i++ {
 		if i%2 == 0 {
-			st.PutMetrics(fmt.Sprintf("m%03d", i), &profile.Metrics{ConfigID: fmt.Sprint(i), Accesses: uint64(i)})
+			st.PutMetrics(fmt.Sprintf("m%03d", i), &profile.Metrics{ConfigLabel: fmt.Sprint(i), Accesses: uint64(i)})
 		} else {
 			st.PutPoolRun(fmt.Sprintf("p%03d", i), storeRun(t, 1+i%7))
 		}
@@ -598,5 +599,63 @@ func TestStoreKeysIncludeHierarchy(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertResultsIdentical(t, name, full, got)
+	}
+}
+
+// TestStoreLoadsRecordsWithConfigID reads a store file as it was written
+// while Metrics still carried a ConfigID field: every metrics record with
+// that field. The file loads with nothing stale, and a second sweep is
+// served from it, bit-identical to the first.
+func TestStoreLoadsRecordsWithConfigID(t *testing.T) {
+	tr := tinyTrace(t)
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	st := openStore(t, path, 0)
+	space := tinySpace()
+	r := &Runner{Hierarchy: memhier.EmbeddedSoC(), Trace: tr, Store: st}
+	first, err := r.Explore(space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy bytes.Buffer
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var rec map[string]any
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		key := rec["key"].(string)
+		rec["metrics"].(map[string]any)["ConfigID"] = key[strings.LastIndex(key, "\x1f")+1:]
+		legacy.WriteString(mustJSON(t, rec) + "\n")
+	}
+	if !bytes.Contains(legacy.Bytes(), []byte(`"ConfigID":"G@`)) {
+		t.Fatal("the legacy file carries no ConfigID")
+	}
+	if err := os.WriteFile(path, legacy.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re := openStore(t, path, 0)
+	if got := re.Stats(); got.Loaded != uint64(space.Size()) || got.Stale != 0 {
+		t.Fatalf("legacy store loaded %d records, %d stale; want %d, 0", got.Loaded, got.Stale, space.Size())
+	}
+	r.Store = re
+	second, err := r.Explore(space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range second {
+		if !second[i].CacheHit {
+			t.Fatalf("configuration %d missed the legacy store", i)
+		}
+		if !reflect.DeepEqual(second[i].Metrics, first[i].Metrics) {
+			t.Fatalf("configuration %d: %+v from the legacy store, %+v simulated", i, second[i].Metrics, first[i].Metrics)
+		}
 	}
 }

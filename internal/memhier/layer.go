@@ -114,9 +114,6 @@ func (h *Hierarchy) ByName(name string) (LayerID, bool) {
 	return 0, false
 }
 
-// Cheapest returns the id of the first (cheapest) layer.
-func (h *Hierarchy) Cheapest() LayerID { return 0 }
-
 // Largest returns the id of the last layer, conventionally the main
 // memory, which presets model as unbounded.
 func (h *Hierarchy) Largest() LayerID { return LayerID(len(h.layers) - 1) }

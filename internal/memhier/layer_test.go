@@ -79,8 +79,8 @@ func TestHierarchyLookup(t *testing.T) {
 	if _, ok := h.ByName("nope"); ok {
 		t.Fatal("found nonexistent layer")
 	}
-	if h.Cheapest() != 0 || h.Largest() != 1 {
-		t.Fatal("cheapest/largest wrong")
+	if h.Largest() != 1 {
+		t.Fatal("largest wrong")
 	}
 	if !h.Valid(0) || !h.Valid(1) || h.Valid(2) || h.Valid(-1) {
 		t.Fatal("Valid wrong")

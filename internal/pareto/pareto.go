@@ -47,10 +47,26 @@ func Dominates(a, b Point) bool {
 // objective, ties broken by the remaining objectives then Tag, so output
 // is deterministic.
 func Front(points []Point) []Point {
+	idx := FrontIndices(points, func(i, j int) bool { return points[i].Tag < points[j].Tag })
+	out := make([]Point, len(idx))
+	for k, i := range idx {
+		out[k] = points[i]
+	}
+	return out
+}
+
+// FrontIndices is Front over positions: it returns the positions in
+// points of the Pareto-optimal ones, in Front's order, with ties between
+// equal objective vectors broken by tie(i, j) (true when points[i] goes
+// first) instead of by Tag. Callers that identify points by position
+// need no Tags.
+func FrontIndices(points []Point, tie func(i, j int) bool) []int {
+	order := make([]int, len(points))
+	for i := range order {
+		order[i] = i
+	}
 	if len(points) <= 1 {
-		out := make([]Point, len(points))
-		copy(out, points)
-		return out
+		return order
 	}
 	dim := len(points[0].Values)
 	for _, p := range points {
@@ -58,40 +74,48 @@ func Front(points []Point) []Point {
 			panic(fmt.Sprintf("pareto: mixed dimensionality: %d vs %d", len(p.Values), dim))
 		}
 	}
-	sorted := make([]Point, len(points))
-	copy(sorted, points)
-	sort.Slice(sorted, func(i, j int) bool { return less(sorted[i], sorted[j]) })
-
+	sort.Slice(order, func(a, b int) bool {
+		i, j := order[a], order[b]
+		if c := compareValues(points[i], points[j]); c != 0 {
+			return c < 0
+		}
+		return tie(i, j)
+	})
 	if dim == 2 {
-		return front2D(sorted)
+		return front2D(points, order)
 	}
-	return frontND(sorted)
+	return frontND(points, order)
 }
 
-// less orders points lexicographically by objectives then Tag.
-func less(a, b Point) bool {
+// compareValues orders two points lexicographically by objectives.
+func compareValues(a, b Point) int {
 	for i := range a.Values {
 		if a.Values[i] != b.Values[i] {
-			return a.Values[i] < b.Values[i]
+			if a.Values[i] < b.Values[i] {
+				return -1
+			}
+			return 1
 		}
 	}
-	return a.Tag < b.Tag
+	return 0
 }
 
-// front2D sweeps points sorted by (x, y): a point is on the front iff its
-// y strictly improves on the best y seen so far (equal vectors kept).
-func front2D(sorted []Point) []Point {
-	var out []Point
+// front2D sweeps the points in order, sorted by (x, y): a point is on the
+// front iff its y strictly improves on the best y seen so far (equal
+// vectors kept). It returns the front's positions in order's backing
+// array.
+func front2D(points []Point, order []int) []int {
+	out := order[:0]
 	bestY := math.Inf(1)
-	for _, p := range sorted {
-		y := p.Values[1]
+	for _, i := range order {
+		y := points[i].Values[1]
 		switch {
 		case y < bestY:
-			out = append(out, p)
+			out = append(out, i)
 			bestY = y
-		case y == bestY && len(out) > 0 && sameValues(out[len(out)-1], p):
+		case y == bestY && len(out) > 0 && sameValues(points[out[len(out)-1]], points[i]):
 			// Exact duplicate of the last front point: keep it.
-			out = append(out, p)
+			out = append(out, i)
 		}
 	}
 	return out
@@ -111,31 +135,32 @@ func sameValues(a, b Point) bool {
 // caller running Front concurrently never races the instrumentation.
 var frontNDComparisons atomic.Int64
 
-// frontND is the general (>= 3 objectives) filter. It exploits the
-// lexicographic sort: any dominator of p is componentwise <= p, hence
-// lexicographically before p, and because dominance is transitive every
-// dominated point is dominated by some *front* member that precedes it.
-// So each point is tested only against the front accumulated so far —
-// O(n·f) dominance tests for n points and a final front of size f,
-// instead of the naive all-pairs O(n²) over the sorted tail. The worst
-// case (every point non-dominated, f = n) remains quadratic, which is
-// inherent to pairwise filtering; BenchmarkFrontND tracks it and
-// TestFrontNDComparisonBound pins the O(n·f) behaviour on
-// dominated-heavy inputs.
-func frontND(sorted []Point) []Point {
-	var out []Point
+// frontND is the general (>= 3 objectives) filter over the points in
+// order, sorted lexicographically. It exploits the sort: any dominator
+// of p is componentwise <= p, hence lexicographically before p, and
+// because dominance is transitive every dominated point is dominated by
+// some *front* member that precedes it. So each point is tested only
+// against the front accumulated so far — O(n·f) dominance tests for n
+// points and a final front of size f, instead of the naive all-pairs
+// O(n²) over the sorted tail. The worst case (every point
+// non-dominated, f = n) remains quadratic, which is inherent to pairwise
+// filtering; BenchmarkFrontND tracks it and TestFrontNDComparisonBound
+// pins the O(n·f) behaviour on dominated-heavy inputs. It returns the
+// front's positions in order's backing array.
+func frontND(points []Point, order []int) []int {
+	out := order[:0]
 	comparisons := int64(0)
-	for _, p := range sorted {
+	for _, i := range order {
 		dominated := false
 		for _, q := range out {
 			comparisons++
-			if Dominates(q, p) {
+			if Dominates(points[q], points[i]) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			out = append(out, p)
+			out = append(out, i)
 		}
 	}
 	frontNDComparisons.Add(comparisons)

@@ -169,10 +169,16 @@ func TestFront2DMatchesND(t *testing.T) {
 				float64(rng.Intn(15)), float64(rng.Intn(15)))
 		}
 		sweep := Front(points)
-		sorted := make([]Point, len(points))
-		copy(sorted, points)
 		// Use the same ordering then the quadratic filter.
-		general := frontND(sortedCopy(sorted))
+		sorted := sortedCopy(points)
+		order := make([]int, len(sorted))
+		for i := range order {
+			order[i] = i
+		}
+		var general []Point
+		for _, i := range frontND(sorted, order) {
+			general = append(general, sorted[i])
+		}
 		if len(sweep) != len(general) {
 			t.Fatalf("iter %d: sweep %d vs general %d", iter, len(sweep), len(general))
 		}
@@ -184,11 +190,19 @@ func TestFront2DMatchesND(t *testing.T) {
 	}
 }
 
+// pointLess is Front's order: objectives lexicographically, then Tag.
+func pointLess(a, b Point) bool {
+	if c := compareValues(a, b); c != 0 {
+		return c < 0
+	}
+	return a.Tag < b.Tag
+}
+
 func sortedCopy(points []Point) []Point {
 	out := make([]Point, len(points))
 	copy(out, points)
 	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && less(out[j], out[j-1]); j-- {
+		for j := i; j > 0 && pointLess(out[j], out[j-1]); j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}

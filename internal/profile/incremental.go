@@ -495,7 +495,6 @@ func (r *Replayer) Compose(ct *trace.Compiled, part *Partition, run *PoolRun, cf
 	}
 
 	m := &Metrics{
-		ConfigID:    cfg.ID(),
 		ConfigLabel: cfg.Label,
 		Workload:    ct.Name,
 		PerLayer:    make([]LayerMetrics, 0, h.NumLayers()),

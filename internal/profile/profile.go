@@ -28,7 +28,6 @@ func (m LayerMetrics) Accesses() uint64 { return m.Reads + m.Writes }
 
 // Metrics are the complete profiling results of one configuration run.
 type Metrics struct {
-	ConfigID    string
 	ConfigLabel string
 	Workload    string
 

@@ -209,7 +209,6 @@ func (r *Replayer) Run(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hierarch
 	}
 
 	m := &Metrics{
-		ConfigID:    cfg.ID(),
 		ConfigLabel: cfg.Label,
 		Workload:    ct.Name,
 		PerLayer:    make([]LayerMetrics, 0, h.NumLayers()),

@@ -33,7 +33,6 @@ func referenceRun(tr *trace.Trace, cfg alloc.Config, h *memhier.Hierarchy, opts 
 		return nil, fmt.Errorf("profile: building %s: %w", cfg.ID(), err)
 	}
 	m := &Metrics{
-		ConfigID:    cfg.ID(),
 		ConfigLabel: cfg.Label,
 		Workload:    tr.Name,
 	}

@@ -29,8 +29,8 @@ func leastAllocs(want float64, f func()) float64 {
 // TestWarmBuildZeroAllocs holds a warm Replayer to building without the
 // Go heap: once it has run every configuration of VTCSpace (on a VTC
 // trace) and EasyportSpace (on an Easyport trace), a Run of any of them
-// allocates only its result — the *Metrics, its PerLayer slice and its
-// ConfigID string. The allocator (pools, bins, arenas, tables, slot
+// allocates only its result — the *Metrics and its PerLayer slice. The
+// allocator (pools, bins, arenas, tables, slot
 // pages, size-class map, Composed) comes from the Replayer's stash and
 // the context is the Replayer's own, reset. A warm PoolReplay, which
 // builds a standalone general pool on the same stash, allocates only
@@ -73,7 +73,7 @@ func TestWarmBuildZeroAllocs(t *testing.T) {
 		}
 		bad := 0
 		for _, cfg := range cfgs {
-			const want = 3 // the Metrics, its PerLayer and its ConfigID
+			const want = 2 // the Metrics and its PerLayer
 			n := leastAllocs(want, func() {
 				if _, err := r.Run(ct, cfg, h, profile.Options{}); err != nil {
 					t.Fatal(err)

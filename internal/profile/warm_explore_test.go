@@ -21,9 +21,8 @@ import (
 // same runs on a Replayer that never leaves the worker. So the round
 // trip through the pool allocates nothing in the stash (the allocator's
 // Blocks, pools, tables and pages), the context, the pointer and live
-// tables or the flat view; only each run's result (its Metrics, their
-// PerLayer slice and ConfigID string, see TestWarmBuildZeroAllocs)
-// remains. A fresh Replayer per cycle must allocate more, or the
+// tables or the flat view; only each run's result (its Metrics and
+// their PerLayer slice, see TestWarmBuildZeroAllocs) remains. A fresh Replayer per cycle must allocate more, or the
 // comparison would show nothing.
 func TestWarmReplayerZeroAllocs(t *testing.T) {
 	if raceEnabled {

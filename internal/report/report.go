@@ -32,12 +32,13 @@ func WriteResultsCSV(w io.Writer, axisNames []string, results []core.Result) err
 	if err := cw.Write(header); err != nil {
 		return err
 	}
+	var row []string // reused: the writer is done with a row once Write returns
 	for _, r := range results {
 		if r.Metrics == nil {
 			continue
 		}
 		m := r.Metrics
-		row := append(append([]string{}, r.Labels...),
+		row = append(append(row[:0], r.Labels...),
 			strconv.Itoa(r.Index),
 			m.ConfigLabel,
 			strconv.FormatBool(m.Feasible()),
@@ -59,8 +60,7 @@ func WriteResultsCSV(w io.Writer, axisNames []string, results []core.Result) err
 }
 
 // ReadResultsCSV parses a file produced by WriteResultsCSV back into
-// partially-populated results (labels + metrics; ConfigID is not stored in
-// the CSV).
+// partially-populated results: the labels and the metrics the CSV holds.
 func ReadResultsCSV(r io.Reader, numAxes int) ([]core.Result, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()

@@ -96,7 +96,7 @@ func FuzzCheckpointReplay(f *testing.F) {
 	sweep := sweepSpec()
 	island := islandSpec(2)
 	rec := telemetry.Record{Index: 3, Labels: []string{"none", "single"}, Shard: 1}
-	m := &profile.Metrics{ConfigID: "c3", Accesses: 100, FootprintBytes: 4096, Cycles: 900, EnergyNJ: 1.5}
+	m := &profile.Metrics{ConfigLabel: "c3", Accesses: 100, FootprintBytes: 4096, Cycles: 900, EnergyNJ: 1.5}
 	f.Add(journal(
 		ckptLine{T: "spec", Spec: &sweep},
 		ckptLine{T: "result", Shard: 1, Record: &rec, Metrics: m},

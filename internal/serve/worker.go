@@ -249,6 +249,7 @@ func (w *Worker) stamp(res core.Result, sh ShardState) ResultLine {
 func (w *Worker) runRange(ctx context.Context, we *workerEnv, g LeaseGrant, stream *ResultStream) error {
 	const wave = 64
 	indices := g.Indices
+	origins := core.SweepOrigins(min(wave, len(indices)))
 	for lo := 0; lo < len(indices); lo += wave {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -258,11 +259,7 @@ func (w *Worker) runRange(ctx context.Context, we *workerEnv, g LeaseGrant, stre
 			hi = len(indices)
 		}
 		batch := indices[lo:hi]
-		origins := make([]*telemetry.Origin, len(batch))
-		for i := range origins {
-			origins[i] = &telemetry.Origin{Strategy: "sweep", Op: "sweep", Wave: 1}
-		}
-		results, err := we.sess.Eval(batch, nil, origins)
+		results, err := we.sess.Eval(batch, nil, origins[:len(batch)])
 		if err != nil {
 			return err
 		}

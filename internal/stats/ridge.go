@@ -53,13 +53,11 @@ func NewRidge(d int, lambda float64) *Ridge {
 	return r
 }
 
-// Dim returns the feature dimension.
-func (r *Ridge) Dim() int { return r.d }
-
 // N returns the number of observations absorbed so far.
 func (r *Ridge) N() int64 { return r.n }
 
-// Observe absorbs one (x, y) observation. x must have length Dim.
+// Observe absorbs one (x, y) observation. x must have the dimension d
+// the regressor was made with.
 func (r *Ridge) Observe(x []float64, y float64) {
 	if len(x) != r.d {
 		panic("stats: ridge observation dimension mismatch")

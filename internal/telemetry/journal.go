@@ -71,6 +71,10 @@ type Journal struct {
 	enc *json.Encoder
 	c   io.Closer
 	n   int
+
+	// rec holds the record being encoded, so Encode reads it through a
+	// pointer into the Journal instead of a boxed copy per line.
+	rec Record
 }
 
 // NewJournal wraps an open writer (testing, in-memory use).
@@ -94,7 +98,10 @@ func CreateJournal(path string) (*Journal, error) {
 func (j *Journal) Record(r Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.enc.Encode(r); err != nil {
+	j.rec = r
+	err := j.enc.Encode(&j.rec)
+	j.rec = Record{} // keep no reference to the caller's labels and maps
+	if err != nil {
 		return err
 	}
 	j.n++

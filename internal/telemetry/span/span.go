@@ -221,14 +221,6 @@ func (r *Recorder) Workers() int {
 	return len(r.rings) - 1
 }
 
-// Epoch returns the recorder's time origin.
-func (r *Recorder) Epoch() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.epoch
-}
-
 // StageSnapshot is one stage's merged accounting across every ring — the
 // run-summary breakdown row and the Prometheus histogram source.
 type StageSnapshot struct {

@@ -151,10 +151,6 @@ func (c *Collector) Shard(i int) *Shard {
 // Workers returns the shard count.
 func (c *Collector) Workers() int { return len(c.shards) }
 
-// RestartClock resets the run's wall clock; utilization and events/sec
-// in later snapshots are measured from this instant.
-func (c *Collector) RestartClock() { c.start = time.Now() }
-
 // AddCacheStale records stale results-cache entries (version-mismatched
 // at load, or superseded by a recomputed result).
 func (c *Collector) AddCacheStale(n uint64) { c.cacheStale.Add(n) }
