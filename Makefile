@@ -1,10 +1,14 @@
 GO ?= go
 
-# tier1 is the CI gate: static checks plus the full test suite under the
-# race detector (the exploration fan-out is lock-free and must stay clean),
-# plus a short real fuzz of every decoder.
+# tier1 is the CI gate: static checks (gofmt lists no file, go vet) plus
+# the full test suite under the race detector (the exploration fan-out is
+# lock-free and must stay clean), plus a short real fuzz of every decoder.
 .PHONY: tier1
-tier1: vet race fuzz-smoke
+tier1: fmt vet race fuzz-smoke
+
+.PHONY: fmt
+fmt:
+	test -z "$$(gofmt -l .)"
 
 .PHONY: vet
 vet:

@@ -129,15 +129,6 @@ type Stats struct {
 	AllocatedLive int64  // sum of actually reserved block sizes (>= requested)
 }
 
-// InternalFragmentation returns the fraction of live allocated bytes lost
-// to rounding (0 when nothing is live).
-func (s Stats) InternalFragmentation() float64 {
-	if s.AllocatedLive == 0 {
-		return 0
-	}
-	return 1 - float64(s.RequestedLive)/float64(s.AllocatedLive)
-}
-
 // Allocator is a dynamic-memory allocator configuration under simulation.
 type Allocator interface {
 	// Name returns a short human-readable identifier of the configuration.

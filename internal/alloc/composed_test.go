@@ -95,10 +95,6 @@ func TestComposedStats(t *testing.T) {
 	if st.AllocatedLive < st.RequestedLive {
 		t.Fatalf("allocated %d < requested %d", st.AllocatedLive, st.RequestedLive)
 	}
-	frag := st.InternalFragmentation()
-	if frag < 0 || frag >= 1 {
-		t.Fatalf("fragmentation %v", frag)
-	}
 	a.Free(p1)
 	a.Free(p2)
 	st = a.Stats()

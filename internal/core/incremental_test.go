@@ -2,12 +2,14 @@ package core
 
 import (
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"dmexplore/internal/memhier"
 	"dmexplore/internal/stats"
+	"dmexplore/internal/telemetry"
 	"dmexplore/internal/trace"
 	"dmexplore/internal/workload"
 )
@@ -383,27 +385,6 @@ func TestSessionCacheEviction(t *testing.T) {
 	t.Logf("stats after churn: %+v", st)
 }
 
-// TestIncrementalDisabledUnderRichOptions: footprint sampling (and any
-// other non-fast-path option) must force full replays — the partial
-// path's synthetic addresses are only valid under the flat cost model.
-func TestIncrementalDisabledUnderRichOptions(t *testing.T) {
-	r := easyportRunner(t, true)
-	r.Options.SampleEvery = 64
-	space := EasyportSpace()
-	rs, err := r.Sample(space, 12, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range rs {
-		if res.Incremental {
-			t.Fatalf("config %d took the partial path with SampleEvery set", res.Index)
-		}
-		if res.Err == nil && res.Metrics.Series == nil {
-			t.Fatalf("config %d lost its footprint series", res.Index)
-		}
-	}
-}
-
 // TestIncrementalExploreMatchesFull sweeps a slice of the easyport space
 // exhaustively both ways: identical metrics, and the incremental run must
 // serve a substantial share of configurations from partial replays.
@@ -430,4 +411,87 @@ func TestIncrementalExploreMatchesFull(t *testing.T) {
 		t.Fatal("incremental results report zero skipped events")
 	}
 	t.Logf("%d/%d configurations served incrementally, %d events skipped", n, len(inc), skipped)
+}
+
+// TestIncrementalTierSequencePinned pins which evaluation tier serves
+// each configuration of a fixed request sequence, and the telemetry
+// counters each tier bumps. One worker makes the order of partition
+// builds, pool-run builds and compositions deterministic. The first
+// session covers partial replays, compositions (d74@sp records the same
+// fallback ops as d74, so it reuses d74's pool runs), a declined partial
+// path (d74 with the double growth policy) and, in its second wave, memo
+// hits. A second session over the same Store is served metrics hits and
+// composes a pool run the first session stored.
+func TestIncrementalTierSequencePinned(t *testing.T) {
+	type tier struct {
+		memo, cache, incremental, composed bool
+		skipped                            uint64
+	}
+	type counts struct {
+		sims, partial, composed, builds, memo, cache uint64
+	}
+	store, err := OpenStore(filepath.Join(t.TempDir(), "store.jsonl"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(waves [][]int) ([]tier, counts) {
+		t.Helper()
+		r := easyportRunner(t, true)
+		r.Workers = 1
+		r.Store = store
+		r.Telemetry = telemetry.NewCollector(1)
+		sess, err := r.NewSession(EasyportSpace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		var got []tier
+		for _, wave := range waves {
+			rs, err := sess.Eval(wave, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, res := range rs {
+				got = append(got, tier{res.MemoHit, res.CacheHit, res.Incremental, res.Composed, res.EventsSkipped})
+			}
+		}
+		s := r.Telemetry.Snapshot()
+		return got, counts{s.Sims, s.PartialSims, s.ComposedEvals, s.PartitionBuilds, s.MemoHits, s.CacheHits}
+	}
+	check := func(name string, gotT []tier, gotC counts, wantT []tier, wantC counts) {
+		t.Helper()
+		if len(gotT) != len(wantT) {
+			t.Fatalf("%s: %d results, want %d", name, len(gotT), len(wantT))
+		}
+		for i := range wantT {
+			if gotT[i] != wantT[i] {
+				t.Errorf("%s: result %d tier %+v, want %+v", name, i, gotT[i], wantT[i])
+			}
+		}
+		if gotC != wantC {
+			t.Errorf("%s: counters %+v, want %+v", name, gotC, wantC)
+		}
+	}
+
+	var (
+		full     = tier{}
+		memo     = tier{memo: true}
+		cache    = tier{cache: true}
+		partialD = tier{incremental: true, skipped: 1081} // d74 partition
+		partialN = tier{incremental: true, skipped: 711}  // no fixed pools
+		composed = tier{incremental: true, composed: true, skipped: 1363}
+	)
+	// 128 builds the d74 partition and its pool run; 129 (double growth)
+	// declines to a full replay; 256 and 257 build the d74@sp partition
+	// and compose 128's and 129's pool runs; 0 builds the pool-less
+	// partition. The second wave repeats 128 and 256.
+	gotT, gotC := run([][]int{{128, 129, 256, 257, 0}, {128, 256, 1, 130}})
+	check("first session", gotT, gotC,
+		[]tier{partialD, full, composed, composed, partialN, memo, memo, partialN, partialD},
+		counts{sims: 5, partial: 4, composed: 2, builds: 3, memo: 2, cache: 0})
+	// 258 composes the pool run 130 stored; 2 is a fresh partial replay.
+	gotT, gotC = run([][]int{{128, 129, 257, 258, 2}})
+	check("second session", gotT, gotC,
+		[]tier{cache, cache, cache, composed, partialN},
+		counts{sims: 1, partial: 1, composed: 1, builds: 2, memo: 0, cache: 3})
 }

@@ -192,7 +192,7 @@ func (r *Runner) EvolveIslandSession(sess *EvalSession, space *Space, objectives
 			for len(cands) < surrogateOversample*opts.Population {
 				a := tournament(rng, pop, ranks, crowd)
 				b := tournament(rng, pop, ranks, crowd)
-				child := mutate(rng, space, crossover(rng, space, a, b), opts.MutationRate)
+				child := mutate(rng, space, crossover(rng, space, a, b))
 				batcher.tag(child, "crossover", a, b)
 				cands = append(cands, child)
 			}
@@ -217,7 +217,7 @@ func (r *Runner) EvolveIslandSession(sess *EvalSession, space *Space, objectives
 				a := tournament(rng, pop, ranks, crowd)
 				b := tournament(rng, pop, ranks, crowd)
 				child := crossover(rng, space, a, b)
-				child = mutate(rng, space, child, opts.MutationRate)
+				child = mutate(rng, space, child)
 				if !batcher.has(child) {
 					newEvals++
 				}

@@ -1,5 +1,7 @@
 package core
 
+import "sync"
+
 // lruCache is a size-aware least-recently-used cache bounding the
 // session's partition cache and pool-run memo and the persisted Store:
 // entries carry a byte cost, a budget caps the total, and inserts evict
@@ -14,6 +16,64 @@ type lruCache[V any] struct {
 
 	entries    map[string]*lruNode[V]
 	head, tail *lruNode[V] // head = most recently used
+}
+
+// onceCache is a concurrent lruCache of values built once per key: the
+// session's partition cache and pool-run memo. A lookup claims or gets
+// the key's entry under the lock; the build runs outside it, once, while
+// concurrent lookups of the key wait; a successful build is resized to
+// its real cost. A failed build stays cached until evicted.
+type onceCache[V memSized] struct {
+	mu  sync.Mutex
+	lru lruCache[*onceEntry[V]]
+}
+
+// memSized is a cached value that reports the bytes it retains.
+type memSized interface{ MemBytes() int64 }
+
+// onceEntry is one key's build: its value and whether it succeeded.
+type onceEntry[V any] struct {
+	once sync.Once
+	val  V
+	ok   bool
+}
+
+// onceEntryBytes is an entry's cost before (or beyond) its value: map
+// slot, recency-list node, entry struct.
+const onceEntryBytes = 128
+
+// newOnceCache returns a cache bounded to budget bytes (<= 0: unbounded).
+func newOnceCache[V memSized](budget int64) *onceCache[V] {
+	return &onceCache[V]{lru: *newLRUCache[*onceEntry[V]](budget)}
+}
+
+// get returns key's value and whether its build succeeded, running build
+// on the first request for key.
+func (c *onceCache[V]) get(key string, build func() (V, bool)) (V, bool) {
+	c.mu.Lock()
+	e, ok := c.lru.get(key)
+	if !ok {
+		e = &onceEntry[V]{}
+		c.lru.put(key, e, onceEntryBytes)
+	}
+	c.mu.Unlock()
+	e.once.Do(func() {
+		if e.val, e.ok = build(); e.ok {
+			// The budget may now evict colder keys, never this one.
+			c.mu.Lock()
+			c.lru.resize(key, onceEntryBytes+e.val.MemBytes())
+			c.mu.Unlock()
+		}
+	})
+	return e.val, e.ok
+}
+
+// stats returns the resident entries, their accounted bytes and how many
+// entries the budget has evicted.
+func (c *onceCache[V]) stats() (entries int, bytes int64, evictions uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.len(), c.lru.bytes(), c.lru.evicted()
 }
 
 // lruNode is one resident entry in the cache's recency list.

@@ -11,10 +11,9 @@ import (
 
 // EvolveOptions tune the NSGA-II evolutionary search (EvolveIsland).
 type EvolveOptions struct {
-	Population   int     // even, >= 4 (default 32)
-	Budget       int     // total simulations (default 16 generations worth)
-	MutationRate float64 // per-axis mutation probability (default 1/axes)
-	Seed         uint64
+	Population int // even, >= 4 (default 32)
+	Budget     int // total simulations (default 16 generations worth)
+	Seed       uint64
 }
 
 func (o EvolveOptions) withDefaults() EvolveOptions {
@@ -134,11 +133,9 @@ func crossover(rng *stats.RNG, space *Space, a, b int) int {
 	return space.index(child)
 }
 
-// mutate re-rolls each axis with probability rate (default 1/axes).
-func mutate(rng *stats.RNG, space *Space, idx int, rate float64) int {
-	if rate <= 0 {
-		rate = 1 / float64(len(space.Axes))
-	}
+// mutate re-rolls each axis with probability 1/axes.
+func mutate(rng *stats.RNG, space *Space, idx int) int {
+	rate := 1 / float64(len(space.Axes))
 	d := space.digits(idx)
 	for ax := range d {
 		if rng.Bool(rate) {

@@ -140,7 +140,7 @@ func TestCrossoverAndMutateStayInSpace(t *testing.T) {
 		if child < 0 || child >= space.Size() {
 			t.Fatalf("crossover escaped: %d", child)
 		}
-		m := mutate(rng, space, child, 0.3)
+		m := mutate(rng, space, child)
 		if m < 0 || m >= space.Size() {
 			t.Fatalf("mutation escaped: %d", m)
 		}

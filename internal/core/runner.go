@@ -119,17 +119,13 @@ type Runner struct {
 	// it.
 	Spans *span.Recorder
 
-	// Options are passed through to every profiling run.
-	Options profile.Options
-
 	// Store, when non-nil, persists results across runs and tool
 	// invocations (see Store). Sessions consult it before evaluating a
 	// configuration and record every result they compute. With
 	// Incremental set they also consult it before a standalone
 	// general-pool replay and record every run they build. A metrics hit
-	// skips the evaluation entirely (Result.CacheHit), and therefore any
-	// Options side effects (raw logs, series) for that configuration; a
-	// pool-run hit composes with no simulation (Result.Composed).
+	// skips the evaluation entirely (Result.CacheHit); a pool-run hit
+	// composes with no simulation (Result.Composed).
 	Store *Store
 
 	// Incremental enables partition-based partial re-evaluation:
@@ -139,8 +135,6 @@ type Runner struct {
 	// re-simulate only the ops that reached the general pool thereafter.
 	// Results are bit-identical to full replays; runs the partial path
 	// cannot reproduce exactly fall back to a full replay automatically.
-	// The flag only takes effect under fast-path profiling (no log
-	// writer, caches, row buffers or footprint sampling).
 	//
 	// On top of the per-signature partitions, sessions memoize the
 	// standalone general-pool runs by (recorded-op content hash,

@@ -376,8 +376,8 @@ func (r *Runner) ScreenAndRefine(space *Space, objectives []string, screen, budg
 	// Screening sample: one wave. With a surrogate, a quarter of the wave
 	// evaluates exactly as the training bootstrap; the remaining slots are
 	// surrogate-picked from a pool far larger than the wave — the same
-	// number of simulations covers the best of PoolCap candidates instead
-	// of a blind uniform sample.
+	// number of simulations covers the best of surrogatePoolCap
+	// candidates instead of a blind uniform sample.
 	perm := rng.Perm(space.Size())
 	if screen > len(perm) {
 		screen = len(perm)
@@ -397,8 +397,8 @@ func (r *Runner) ScreenAndRefine(space *Space, objectives []string, screen, budg
 			return nil, err
 		}
 		pool := perm[nBoot:]
-		if len(pool) > sur.opts.PoolCap {
-			pool = pool[:sur.opts.PoolCap]
+		if len(pool) > surrogatePoolCap {
+			pool = pool[:surrogatePoolCap]
 		}
 		picks := sur.screen(pool, screen-nBoot)
 		for _, idx := range picks {
@@ -423,15 +423,15 @@ func (r *Runner) ScreenAndRefine(space *Space, objectives []string, screen, budg
 		}
 		// Refinement ring: every unseen neighbour of every front member,
 		// deduplicated, capped at the remaining budget. The surrogate
-		// gathers a larger ring (up to PoolCap) and ranks it, so the
+		// gathers a larger ring (up to surrogatePoolCap) and ranks it, so the
 		// budget-capped prefix lands on the predicted-best neighbours
 		// instead of whichever front members were enumerated first.
 		var ring []int
 		inRing := make(map[int]bool)
 		remaining := budget - b.len()
 		ringCap := remaining
-		if sur != nil && ringCap < sur.opts.PoolCap {
-			ringCap = sur.opts.PoolCap
+		if sur != nil && ringCap < surrogatePoolCap {
+			ringCap = surrogatePoolCap
 			front = dedupFrontMetrics(front)
 		}
 		for _, f := range front {

@@ -54,26 +54,20 @@ type EvalSession struct {
 	memoMu sync.Mutex
 	memo   map[string]*profile.Metrics
 
-	// incremental gates the partial-replay path: Runner.Incremental set
-	// and fast-path profiling options (the partial path's exactness
-	// argument holds only for the flat cost model).
-	incremental bool
-
-	// parts caches the invariant partition per fixed-pool signature; the
-	// entry's once makes concurrent workers build it exactly once. The
-	// cache is a size-aware LRU bounded by Runner.PartitionBudgetBytes so
-	// long NSGA-II runs over signature-rich spaces cannot grow it without
-	// limit; an evicted signature simply rebuilds on next use.
-	partsMu sync.Mutex
-	parts   *lruCache[*partitionEntry]
+	// parts caches the invariant partition per fixed-pool signature,
+	// built once however many workers ask for it; it and runs are nil
+	// unless Runner.Incremental was set at session start. It is bounded by
+	// Runner.PartitionBudgetBytes so long NSGA-II runs over
+	// signature-rich spaces cannot grow it without limit; an evicted
+	// signature simply rebuilds on next use.
+	parts *onceCache[*profile.Partition]
 
 	// runs memoizes standalone general-pool replays by poolRunKey
 	// (recorded-op content hash, general-pool parameters). A hit
 	// composes cached per-gap reserve levels and metric components with
 	// the candidate's partition in O(ops) additions — no simulation.
 	// Bounded like parts, by Runner.PoolMemoBudgetBytes.
-	runsMu sync.Mutex
-	runs   *lruCache[*poolRunEntry]
+	runs *onceCache[*profile.PoolRun]
 
 	// total/done drive the Progress callback: total grows as batches are
 	// submitted, done as configurations complete.
@@ -81,23 +75,6 @@ type EvalSession struct {
 	done  atomic.Int64
 
 	closed atomic.Bool
-}
-
-// partitionEntry is one signature's cached partition build.
-type partitionEntry struct {
-	once sync.Once
-	part *profile.Partition
-	err  error
-}
-
-// poolRunEntry is one (ops hash, general vector) key's cached standalone
-// general-pool replay. ok is false when the replay declined (a pool
-// error only a full replay may surface) — cached so the key is not
-// retried.
-type poolRunEntry struct {
-	once sync.Once
-	run  *profile.PoolRun
-	ok   bool
 }
 
 // memoSizeHint caps the memo's initial size: a session over a space of
@@ -139,21 +116,11 @@ type IncrementalCacheStats struct {
 
 // IncrementalCacheStats snapshots the bounded incremental caches. Zero
 // for sessions running without the incremental path.
-func (s *EvalSession) IncrementalCacheStats() IncrementalCacheStats {
-	var st IncrementalCacheStats
-	if !s.incremental {
-		return st
+func (s *EvalSession) IncrementalCacheStats() (st IncrementalCacheStats) {
+	if s.parts != nil {
+		st.PartitionEntries, st.PartitionBytes, st.PartitionEvictions = s.parts.stats()
+		st.PoolRunEntries, st.PoolRunBytes, st.PoolRunEvictions = s.runs.stats()
 	}
-	s.partsMu.Lock()
-	st.PartitionEntries = s.parts.len()
-	st.PartitionBytes = s.parts.bytes()
-	st.PartitionEvictions = s.parts.evicted()
-	s.partsMu.Unlock()
-	s.runsMu.Lock()
-	st.PoolRunEntries = s.runs.len()
-	st.PoolRunBytes = s.runs.bytes()
-	st.PoolRunEvictions = s.runs.evicted()
-	s.runsMu.Unlock()
 	return st
 }
 
@@ -227,13 +194,10 @@ func (r *Runner) newSession(space *Space, maxWorkers int) (*EvalSession, error) 
 		jobs:      make(chan evalJob, 2*workers),
 		memo:      make(map[string]*profile.Metrics, min(space.Size(), memoSizeHint)),
 	}
-	opts := r.Options
-	s.incremental = r.Incremental && opts.LogWriter == nil &&
-		opts.SampleEvery == 0 && len(opts.Caches) == 0 && len(opts.RowBuffers) == 0
-	if s.incremental {
-		s.parts = newLRUCache[*partitionEntry](
+	if r.Incremental {
+		s.parts = newOnceCache[*profile.Partition](
 			cacheBudget(r.PartitionBudgetBytes, DefaultPartitionBudgetBytes))
-		s.runs = newLRUCache[*poolRunEntry](
+		s.runs = newOnceCache[*profile.PoolRun](
 			cacheBudget(r.PoolMemoBudgetBytes, DefaultPoolMemoBudgetBytes))
 	}
 	for w := 0; w < workers; w++ {
@@ -374,134 +338,133 @@ func (s *EvalSession) worker(w int) {
 	}
 }
 
-// chargeLatency accrues modelled backend time and sleeps once the debt
-// reaches one backend round-trip (EvalLatency). Partial evaluations
-// charge sub-millisecond pro-rata slices; sleeping each individually
-// would overshoot by the runtime's timer granularity per call, silently
-// inflating the modelled backend by tens of percent. Accumulating to one
-// round-trip keeps the total slept time equal to the total charged time
-// regardless of how finely the charges are sliced.
-func (s *EvalSession) chargeLatency(debt *time.Duration, d time.Duration) {
-	*debt += d
-	if *debt >= s.r.EvalLatency {
-		time.Sleep(*debt)
-		*debt = 0
-	}
-}
-
-// evalOne profiles one configuration: materialize into the worker's
-// scratch, memo lookup, store lookup, then partial replay or
-// composition, else a full replay. labels receives the option labels.
+// evalOne profiles one configuration: resolve finds its metrics, and
+// the epilogue below is the one place a result is written to the Store
+// and the memo, charged modelled backend latency and counted as busy.
+// Memo hits do none of the first three; Store hits are only memoized.
 func (s *EvalSession) evalOne(idx int, labels []string, sc *evalScratch, rep *profile.Replayer, shard *telemetry.Shard, debt *time.Duration) Result {
-	r := s.r
 	start := time.Now()
 	res := Result{Index: idx}
-	cfg := &sc.cfg
-	if err := s.space.configInto(idx, cfg, labels); err != nil {
-		res.Err = fmt.Errorf("configuration %d: %w", idx, err)
-		shard.ConfigError()
-	} else {
-		res.Labels = labels
-		sc.id = cfg.AppendID(sc.id[:0])
+	key, charge := s.resolve(&res, labels, sc, rep, shard)
+	if res.Err == nil && !res.MemoHit {
+		if !res.CacheHit && s.r.Store != nil {
+			s.r.Store.PutMetrics(key, res.Metrics)
+		}
 		s.memoMu.Lock()
-		memoized := s.memo[string(sc.id)]
+		s.memo[string(sc.id)] = res.Metrics
 		s.memoMu.Unlock()
-		if memoized != nil {
-			res.Metrics = relabel(memoized, cfg.Label)
-			res.MemoHit = true
-			shard.MemoHit()
-		}
-		key := ""
-		if res.Metrics == nil && r.Store != nil {
-			var probeStart time.Time
-			if rep.Spans != nil {
-				probeStart = time.Now()
+		if charge > 0 { // accrue; sleep in whole round-trips (see EvalLatency)
+			*debt += charge
+			if *debt >= s.r.EvalLatency {
+				time.Sleep(*debt)
+				*debt = 0
 			}
-			key = storeKey(kindMetrics, s.hierarchy, s.traceID+"\x1f"+string(sc.id))
-			hit := int64(0)
-			if m, ok := r.Store.Metrics(key); ok {
-				res.Metrics = relabel(m, cfg.Label)
-				res.CacheHit = true
-				hit = 1
-				shard.CacheHit()
-			} else {
-				shard.CacheMiss()
-			}
-			if rep.Spans != nil {
-				rep.Spans.Since(span.StageCacheProbe, probeStart, hit)
-			}
-		}
-		if res.Metrics == nil && s.incremental {
-			// Partial re-evaluation: configurations sharing a fixed-pool
-			// signature reuse one invariant partition; the standalone
-			// general-pool run is memoized by recorded-op content, so a
-			// candidate whose sequence was already replayed under the same
-			// general vector composes in O(ops) with no simulation. A
-			// declined partial (capacity interaction, pool failure the
-			// failure-replay path cannot reproduce) falls through to the
-			// full replay below.
-			if part := s.partition(*cfg, rep); part != nil {
-				pstart := time.Now()
-				if run, built := s.poolRun(part, *cfg, rep); run != nil {
-					if m, ok := rep.Compose(s.ct, part, run, *cfg, r.Hierarchy); ok {
-						res.Metrics = m
-						res.Incremental = true
-						if built {
-							res.EventsSkipped = uint64(part.SkippedEvents())
-							shard.ObservePartialSim(time.Since(pstart), part.Ops(), part.SkippedEvents())
-							rep.Spans.Since(span.StagePartialSim, pstart, int64(part.Ops()))
-							if r.EvalLatency > 0 {
-								// The modelled backend replays only the partition's
-								// recorded ops, so it charges latency pro-rata to the
-								// replayed fraction of the trace.
-								s.chargeLatency(debt, time.Duration(float64(r.EvalLatency)*
-									float64(part.Ops())/float64(part.Events())))
-							}
-						} else {
-							// Memo hit: the evaluation is a pure composition.
-							// It charges its own (microsecond) cost and no
-							// modelled backend latency — nothing re-ran.
-							res.Composed = true
-							res.EventsSkipped = uint64(part.Events())
-							shard.ObserveCompose(time.Since(pstart), part.Events())
-							rep.Spans.Since(span.StageCompose, pstart, int64(part.Ops()))
-						}
-						if r.Store != nil {
-							r.Store.PutMetrics(key, res.Metrics)
-						}
-					}
-				}
-			}
-		}
-		if res.Metrics == nil {
-			res.Metrics, res.Err = rep.Run(s.ct, *cfg, r.Hierarchy, r.Options)
-			if res.Err != nil {
-				// Surface which configuration died, not just how: index
-				// and axis labels identify it in the space without a
-				// replay.
-				res.Err = fmt.Errorf("configuration %d [%s]: %w",
-					idx, strings.Join(labels, " "), res.Err)
-				shard.SimError()
-			} else {
-				if r.EvalLatency > 0 {
-					// Model an external evaluation backend (see the
-					// EvalLatency doc comment).
-					s.chargeLatency(debt, r.EvalLatency)
-				}
-				if r.Store != nil {
-					r.Store.PutMetrics(key, res.Metrics)
-				}
-			}
-		}
-		if res.Err == nil && memoized == nil {
-			s.memoMu.Lock()
-			s.memo[string(sc.id)] = res.Metrics
-			s.memoMu.Unlock()
 		}
 	}
 	res.Duration = time.Since(start)
 	shard.AddBusy(res.Duration)
 	return res
+}
+
+// resolve fills res with configuration idx's metrics from the first tier
+// that has them: materialize into the worker's scratch (labels receives
+// the option labels), the session memo, the Store, the partial replay or
+// composition, and last a full replay. It returns the Store key (empty
+// without a Store, or on a memo hit) and the modelled backend latency the
+// evaluation costs.
+func (s *EvalSession) resolve(res *Result, labels []string, sc *evalScratch, rep *profile.Replayer, shard *telemetry.Shard) (key string, charge time.Duration) {
+	r := s.r
+	cfg := &sc.cfg
+	if err := s.space.configInto(res.Index, cfg, labels); err != nil {
+		res.Err = fmt.Errorf("configuration %d: %w", res.Index, err)
+		shard.ConfigError()
+		return "", 0
+	}
+	res.Labels = labels
+	sc.id = cfg.AppendID(sc.id[:0])
+
+	s.memoMu.Lock()
+	m := s.memo[string(sc.id)]
+	s.memoMu.Unlock()
+	if m != nil {
+		res.Metrics, res.MemoHit = relabel(m, cfg.Label), true
+		shard.MemoHit()
+		return "", 0
+	}
+
+	if r.Store != nil {
+		probeStart := time.Now()
+		key = storeKey(kindMetrics, s.hierarchy, s.traceID+"\x1f"+string(sc.id))
+		hit := int64(0)
+		if m, ok := r.Store.Metrics(key); ok {
+			res.Metrics, res.CacheHit = relabel(m, cfg.Label), true
+			hit = 1
+			shard.CacheHit()
+		} else {
+			shard.CacheMiss()
+		}
+		rep.Spans.Since(span.StageCacheProbe, probeStart, hit)
+		if res.CacheHit {
+			return key, 0
+		}
+	}
+
+	if s.parts != nil {
+		if charge, ok := s.partial(res, *cfg, rep, shard); ok {
+			return key, charge
+		}
+	}
+
+	res.Metrics, res.Err = rep.Run(s.ct, *cfg, r.Hierarchy, profile.Options{})
+	if res.Err != nil {
+		// Surface which configuration died, not just how: index and axis
+		// labels identify it in the space without a replay.
+		res.Err = fmt.Errorf("configuration %d [%s]: %w",
+			res.Index, strings.Join(labels, " "), res.Err)
+		shard.SimError()
+		return key, 0
+	}
+	return key, r.EvalLatency
+}
+
+// partial evaluates cfg by partial re-evaluation: configurations sharing
+// a fixed-pool signature reuse one invariant partition, and the
+// standalone general-pool run is memoized by recorded-op content, so a
+// candidate whose sequence was already replayed under the same general
+// vector composes in O(ops) with no simulation. It returns false when the
+// path declines (a partition fault, a capacity interaction, a pool
+// failure the failure-replay path cannot reproduce); the caller then
+// replays in full.
+func (s *EvalSession) partial(res *Result, cfg alloc.Config, rep *profile.Replayer, shard *telemetry.Shard) (charge time.Duration, ok bool) {
+	part := s.partition(cfg, rep)
+	if part == nil {
+		return 0, false
+	}
+	pstart := time.Now()
+	run, built := s.poolRun(part, cfg, rep)
+	if run == nil {
+		return 0, false
+	}
+	if res.Metrics, ok = rep.Compose(s.ct, part, run, cfg, s.r.Hierarchy); !ok {
+		return 0, false
+	}
+	res.Incremental = true
+	if !built {
+		// Memo hit: the evaluation is a pure composition. It charges its
+		// own (microsecond) cost and no modelled backend latency —
+		// nothing re-ran.
+		res.Composed = true
+		res.EventsSkipped = uint64(part.Events())
+		shard.ObserveCompose(time.Since(pstart), part.Events())
+		rep.Spans.Since(span.StageCompose, pstart, int64(part.Ops()))
+		return 0, true
+	}
+	res.EventsSkipped = uint64(part.SkippedEvents())
+	shard.ObservePartialSim(time.Since(pstart), part.Ops(), part.SkippedEvents())
+	rep.Spans.Since(span.StagePartialSim, pstart, int64(part.Ops()))
+	// The modelled backend replays only the partition's recorded ops, so
+	// it charges latency pro-rata to the replayed fraction of the trace.
+	return time.Duration(float64(s.r.EvalLatency) * float64(part.Ops()) / float64(part.Events())), true
 }
 
 // relabel returns m as the result of the configuration labelled label.
@@ -523,36 +486,12 @@ func relabel(m *profile.Metrics, label string) *profile.Metrics {
 // return means the partition could not be built (a fault the full
 // replay path will surface per configuration).
 func (s *EvalSession) partition(cfg alloc.Config, rep *profile.Replayer) *profile.Partition {
-	sig := partitionKey(cfg)
-	s.partsMu.Lock()
-	e, ok := s.parts.get(sig)
-	if !ok {
-		e = &partitionEntry{}
-		s.parts.put(sig, e, partitionEntryBytes)
-	}
-	s.partsMu.Unlock()
-	e.once.Do(func() {
-		e.part, e.err = rep.Partition(s.ct, cfg, s.r.Hierarchy)
-		if e.part != nil {
-			// Account the built partition's real size; the budget may
-			// evict colder signatures (never this one — it is in use).
-			s.partsMu.Lock()
-			s.parts.resize(sig, partitionEntryBytes+e.part.MemBytes())
-			s.partsMu.Unlock()
-		}
+	part, _ := s.parts.get(partitionKey(cfg), func() (*profile.Partition, bool) {
+		part, err := rep.Partition(s.ct, cfg, s.r.Hierarchy)
+		return part, err == nil
 	})
-	if e.err != nil {
-		return nil
-	}
-	return e.part
+	return part
 }
-
-// Baseline byte costs of a cache entry before (or beyond) its payload:
-// map slot, recency-list node, entry struct.
-const (
-	partitionEntryBytes = 128
-	poolRunEntryBytes   = 128
-)
 
 // poolRun returns the memoized standalone general-pool run for part's
 // recorded op sequence under cfg's general-pool parameters, building it
@@ -563,15 +502,9 @@ const (
 // replay can evaluate the configuration.
 func (s *EvalSession) poolRun(part *profile.Partition, cfg alloc.Config, rep *profile.Replayer) (run *profile.PoolRun, built bool) {
 	key := poolRunKey(s.hierarchy, part.OpsHash(), part.Ops(), cfg.General)
-	s.runsMu.Lock()
-	e, ok := s.runs.get(key)
-	if !ok {
-		e = &poolRunEntry{}
-		s.runs.put(key, e, poolRunEntryBytes)
-	}
-	s.runsMu.Unlock()
-	e.once.Do(func() {
-		if store := s.r.Store; store != nil {
+	store := s.r.Store
+	run, ok := s.runs.get(key, func() (*profile.PoolRun, bool) {
+		if store != nil {
 			// Store probe: a run recorded by a previous tool invocation
 			// under the same key serves this session like an in-session
 			// hit (the caller's composition is the whole evaluation).
@@ -579,28 +512,20 @@ func (s *EvalSession) poolRun(part *profile.Partition, cfg alloc.Config, rep *pr
 			// in-session reuse; a collision falls through to a fresh
 			// replay.
 			if run, ok := store.PoolRun(key); ok && run.MatchesOps(part) {
-				e.run, e.ok = run, true
-				s.runsMu.Lock()
-				s.runs.resize(key, poolRunEntryBytes+run.MemBytes())
-				s.runsMu.Unlock()
-				return
+				return run, true
 			}
 		}
 		built = true
-		e.run, e.ok = rep.PoolReplay(part, cfg, s.r.Hierarchy)
-		if e.ok {
-			s.runsMu.Lock()
-			s.runs.resize(key, poolRunEntryBytes+e.run.MemBytes())
-			s.runsMu.Unlock()
-			if store := s.r.Store; store != nil {
-				store.PutPoolRun(key, e.run)
-			}
+		run, ok := rep.PoolReplay(part, cfg, s.r.Hierarchy)
+		if ok && store != nil {
+			store.PutPoolRun(key, run)
 		}
+		return run, ok
 	})
-	if !e.ok {
+	if !ok {
 		return nil, built
 	}
-	if !built && !e.run.MatchesOps(part) {
+	if !built && !run.MatchesOps(part) {
 		// Content-hash collision: the cached run replayed a different op
 		// sequence. Compute privately rather than trust or replace it.
 		if r2, ok2 := rep.PoolReplay(part, cfg, s.r.Hierarchy); ok2 {
@@ -608,7 +533,7 @@ func (s *EvalSession) poolRun(part *profile.Partition, cfg alloc.Config, rep *pr
 		}
 		return nil, true
 	}
-	return e.run, built
+	return run, built
 }
 
 // poolRunKey keys the pool-run memo and the Store's pool runs: the

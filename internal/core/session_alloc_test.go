@@ -151,11 +151,13 @@ func TestScratchReuseKeepsEarlierResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := s.parts.get(partitionKey(cfgA))
-	if !ok || e.part == nil {
+	part, ok := s.parts.get(partitionKey(cfgA), func() (*profile.Partition, bool) {
+		return nil, false // not cached: fail the lookup
+	})
+	if !ok {
 		t.Fatalf("configuration %d's partition is not cached", a)
 	}
-	if !reflect.DeepEqual(e.part, wantPart) {
+	if !reflect.DeepEqual(part, wantPart) {
 		t.Errorf("configuration %d's cached partition changed", a)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 
 	"dmexplore/internal/alloc"
 )
@@ -58,8 +59,8 @@ func LoadSpaceSpec(r io.Reader) (*Space, error) {
 }
 
 // ParseSpaceSpec compiles a JSON space specification into a Space. Every
-// option's patch is validated eagerly (test-applied against the base) so
-// malformed specs fail at load time, not mid-sweep.
+// option's patch is decoded here, once, so malformed specs fail at load
+// time, not mid-sweep, and materializing a configuration decodes nothing.
 func ParseSpaceSpec(data []byte) (*Space, error) {
 	var spec SpaceSpec
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -74,24 +75,15 @@ func ParseSpaceSpec(data []byte) (*Space, error) {
 	for _, ax := range spec.Axes {
 		axis := Axis{Name: ax.Name}
 		for _, opt := range ax.Options {
-			opt := opt // capture
-			if opt.General != nil {
-				// Eager syntax/field check against a scratch config.
-				scratch := spec.Base
-				if err := patchGeneral(&scratch, opt.General); err != nil {
-					return nil, fmt.Errorf("core: axis %q option %q: %w", ax.Name, opt.Label, err)
-				}
+			patch, err := parseGeneralPatch(opt.General)
+			if err != nil {
+				return nil, fmt.Errorf("core: axis %q option %q: %w", ax.Name, opt.Label, err)
 			}
 			axis.Options = append(axis.Options, Option{
 				Label: opt.Label,
 				Apply: func(c *alloc.Config) {
-					if opt.General != nil {
-						// Validated at parse time; the merge cannot fail now.
-						_ = patchGeneral(c, opt.General)
-					}
-					if len(opt.Fixed) > 0 {
-						c.Fixed = append(c.Fixed, opt.Fixed...)
-					}
+					patch.apply(&c.General)
+					c.Fixed = append(c.Fixed, opt.Fixed...)
 				},
 			})
 		}
@@ -103,13 +95,57 @@ func ParseSpaceSpec(data []byte) (*Space, error) {
 	return space, nil
 }
 
-// patchGeneral merges a JSON patch into the general pool configuration:
-// only the fields present in the patch change.
-func patchGeneral(c *alloc.Config, patch json.RawMessage) error {
-	dec := json.NewDecoder(bytes.NewReader(patch))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c.General); err != nil {
-		return fmt.Errorf("bad general patch: %w", err)
+// generalPatch is a general-pool patch decoded once: val holds the
+// value of every field the patch names, fields their indices in
+// alloc.GeneralConfig. Absent and null keys name no field.
+type generalPatch struct {
+	val    reflect.Value // an addressable alloc.GeneralConfig
+	fields []int
+}
+
+// parseGeneralPatch decodes patch onto two GeneralConfigs that differ in
+// every field. The decoder sets a field in both or in neither, so the
+// fields that decode equal are the ones the patch names, whatever the
+// keys' case, duplicates or nulls. A nil patch is a nil *generalPatch.
+func parseGeneralPatch(patch json.RawMessage) (*generalPatch, error) {
+	if patch == nil {
+		return nil, nil
 	}
-	return nil
+	var a, b alloc.GeneralConfig
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := range bv.NumField() {
+		switch f := bv.Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString("\x00")
+		case reflect.Bool:
+			f.SetBool(true)
+		default: // the other fields are integers; SetInt panics on any other kind
+			f.SetInt(1)
+		}
+	}
+	for _, v := range []*alloc.GeneralConfig{&a, &b} {
+		dec := json.NewDecoder(bytes.NewReader(patch))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(v); err != nil {
+			return nil, fmt.Errorf("bad general patch: %w", err)
+		}
+	}
+	p := &generalPatch{val: av}
+	for i := range av.NumField() {
+		if av.Field(i).Equal(bv.Field(i)) {
+			p.fields = append(p.fields, i)
+		}
+	}
+	return p, nil
+}
+
+// apply sets the fields p names in g. A nil patch changes nothing.
+func (p *generalPatch) apply(g *alloc.GeneralConfig) {
+	if p == nil {
+		return
+	}
+	dst := reflect.ValueOf(g).Elem()
+	for _, i := range p.fields {
+		dst.Field(i).Set(p.val.Field(i))
+	}
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
+	"dmexplore/internal/alloc"
 	"dmexplore/internal/memhier"
 )
 
@@ -132,5 +136,115 @@ func TestSpaceSpecExplores(t *testing.T) {
 		if res.Metrics == nil || res.Metrics.Accesses == 0 {
 			t.Fatalf("config %d empty", res.Index)
 		}
+	}
+}
+
+// patchSpec patches the general pool from four axes. Later axes override
+// earlier ones' keys, keys differ in case and repeat within one patch,
+// and null values must leave their field unchanged.
+const patchSpec = `{
+  "name": "patch-test",
+  "base": {
+    "general": {
+      "layer": "main-dram", "classes": "single", "fit": "first",
+      "order": "lifo", "links": "single", "split": "always",
+      "coalesce": "immediate", "headers": "btag", "growth": "chunk",
+      "chunk_bytes": 8192
+    }
+  },
+  "axes": [
+    {"name": "fit", "options": [
+      {"label": "first", "general": {"fit": "first"}},
+      {"label": "best", "general": {"fit": "best", "order": "fifo"}},
+      {"label": "null", "general": {"fit": null, "links": "double"}}
+    ]},
+    {"name": "order", "options": [
+      {"label": "keep", "general": {"order": null}},
+      {"label": "addr", "general": {"order": "addr", "Split": "never", "split": "threshold", "split_threshold": 64}}
+    ]},
+    {"name": "chunk", "options": [
+      {"label": "same"},
+      {"label": "16k", "general": {"chunk_bytes": 16384, "fit": null, "round_to_class": true}},
+      {"label": "zero", "general": {"chunk_bytes": 0, "FIT": "worst", "classes": "pow2:8:4096", "max_bytes": 65536}}
+    ]},
+    {"name": "mix", "options": [
+      {"label": "none", "general": {}},
+      {"label": "d74", "general": {"coalesce": "never", "chunk_bytes": 4096, "coalesce_every": 3}, "fixed": [{
+        "slot_bytes": 74, "match_lo": 74, "match_hi": 74,
+        "layer": "L1-scratchpad", "order": "lifo", "links": "single",
+        "growth": "chunk", "chunk_slots": 64, "max_bytes": 16384
+      }]}
+    ]}
+  ]
+}`
+
+// TestSpecPatchesMatchJSONDecode: every configuration of patchSpec
+// materializes equal to decoding its options' patches with encoding/json
+// onto the base, in axis order.
+func TestSpecPatchesMatchJSONDecode(t *testing.T) {
+	space, err := ParseSpaceSpec([]byte(patchSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec SpaceSpec
+	if err := json.Unmarshal([]byte(patchSpec), &spec); err != nil {
+		t.Fatal(err)
+	}
+	for idx := 0; idx < space.Size(); idx++ {
+		got, labels, err := space.Config(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := spec.Base
+		stride := space.Size()
+		for _, ax := range spec.Axes {
+			stride /= len(ax.Options)
+			opt := ax.Options[idx/stride%len(ax.Options)]
+			if opt.General != nil {
+				dec := json.NewDecoder(bytes.NewReader(opt.General))
+				dec.DisallowUnknownFields()
+				if err := dec.Decode(&want.General); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want.Fixed = append(want.Fixed, opt.Fixed...)
+		}
+		if got.General != want.General {
+			t.Errorf("config %d %v: general %+v, want %+v", idx, labels, got.General, want.General)
+		}
+		if len(got.Fixed) != len(want.Fixed) || (len(got.Fixed) > 0 && !reflect.DeepEqual(got.Fixed, want.Fixed)) {
+			t.Errorf("config %d %v: fixed %+v, want %+v", idx, labels, got.Fixed, want.Fixed)
+		}
+	}
+}
+
+// TestSpecSpaceConfigAllocs: materializing a spec-defined configuration
+// costs no more allocations than a VTCSpace one (its label), because
+// the patches were decoded at parse time.
+func TestSpecSpaceConfigAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	spec, err := ParseSpaceSpec([]byte(patchSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perConfig := func(space *Space) float64 {
+		var cfg alloc.Config
+		labels := make([]string, len(space.Axes))
+		if err := space.configInto(0, &cfg, labels); err != nil { // size the scratch
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			for idx := 0; idx < space.Size(); idx++ {
+				if err := space.configInto(idx, &cfg, labels); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}) / float64(space.Size())
+	}
+	got, vtc := perConfig(spec), perConfig(VTCSpace())
+	if got > vtc {
+		t.Fatalf("spec space: %.2f allocations per configuration, VTCSpace %.2f", got, vtc)
 	}
 }

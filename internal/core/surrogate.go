@@ -61,22 +61,20 @@ const surrogateClimbChunk = 8
 // screening them down to one generation's worth of real simulations.
 const surrogateOversample = 4
 
-// SurrogateOptions enable and tune surrogate-assisted screening on a
-// Runner. The zero value of each field picks the documented default.
+// surrogateEpsilon is the fraction of every screened wave reserved for
+// exploration: candidates with the highest model uncertainty (ridge
+// leverage) rather than the best predicted score.
+const surrogateEpsilon = 0.125
+
+// surrogatePoolCap caps how many candidates one ranking call scores (the
+// screening pool the strategies draw from).
+const surrogatePoolCap = 4096
+
+// surrogateLambda is the ridge regularization strength.
+const surrogateLambda = 1e-3
+
+// SurrogateOptions enable surrogate-assisted screening on a Runner.
 type SurrogateOptions struct {
-	// Epsilon is the fraction of every screened wave reserved for
-	// exploration: candidates with the highest model uncertainty
-	// (ridge leverage) rather than the best predicted score.
-	// Default 0.125.
-	Epsilon float64
-
-	// PoolCap caps how many candidates one ranking call scores (the
-	// screening pool the strategies draw from). Default 4096.
-	PoolCap int
-
-	// Lambda is the ridge regularization strength. Default 1e-3.
-	Lambda float64
-
 	// WarmStart replays prior journal records (same space and workload)
 	// into the models before the search begins, so the first waves are
 	// already guided.
@@ -85,19 +83,6 @@ type SurrogateOptions struct {
 	// Report, when non-nil, is filled with the run's surrogate accuracy
 	// digest when the strategy returns.
 	Report *SurrogateReport
-}
-
-func (o SurrogateOptions) withDefaults() SurrogateOptions {
-	if o.Epsilon == 0 {
-		o.Epsilon = 0.125
-	}
-	if o.PoolCap == 0 {
-		o.PoolCap = 4096
-	}
-	if o.Lambda == 0 {
-		o.Lambda = 1e-3
-	}
-	return o
 }
 
 // SurrogateReport is the post-run accuracy digest: how much the models
@@ -156,7 +141,6 @@ func (r *Runner) newSurrogate(sess *EvalSession, weights []Weighted) *surrogate 
 	if r.Surrogate == nil {
 		return nil
 	}
-	opts := r.Surrogate.withDefaults()
 	space := sess.space
 	axisOff := make([]int, len(space.Axes))
 	oneHot := 0
@@ -168,7 +152,7 @@ func (r *Runner) newSurrogate(sess *EvalSession, weights []Weighted) *surrogate 
 	s := &surrogate{
 		space:   space,
 		weights: weights,
-		opts:    opts,
+		opts:    *r.Surrogate,
 		col:     sess.col,
 		spans:   r.Spans.Coord(),
 		feats:   feats,
@@ -181,14 +165,14 @@ func (r *Runner) newSurrogate(sess *EvalSession, weights []Weighted) *surrogate 
 		digits:  make([]int, len(space.Axes)),
 	}
 	s.x = make([]float64, s.dim)
-	s.infeas = stats.NewRidge(s.dim, opts.Lambda)
+	s.infeas = stats.NewRidge(s.dim, surrogateLambda)
 	for _, w := range weights {
 		if s.models[w.Objective] == nil {
-			s.models[w.Objective] = stats.NewRidge(s.dim, opts.Lambda)
+			s.models[w.Objective] = stats.NewRidge(s.dim, surrogateLambda)
 		}
 		s.penalty += 4 * math.Abs(w.Weight)
 	}
-	for _, rec := range opts.WarmStart {
+	for _, rec := range s.opts.WarmStart {
 		s.warmStart(rec)
 	}
 	return s
@@ -513,7 +497,7 @@ func dedupFrontMetrics(front []Result) []Result {
 }
 
 // screen picks k of cands for exact evaluation: the best predicted
-// scores, with an Epsilon fraction of the slots going to the
+// scores, with a surrogateEpsilon fraction of the slots going to the
 // highest-leverage (most informative) candidates instead — the
 // deterministic ε-exploration that keeps the models from locking onto
 // their own early bias. The dropped remainder is counted as screened out.
@@ -530,7 +514,7 @@ func (s *surrogate) screen(cands []int, k int) []int {
 		return cands[:k]
 	}
 	ranked := s.rank(cands)
-	nExplore := int(s.opts.Epsilon * float64(k))
+	nExplore := int(surrogateEpsilon * float64(k))
 	picked := append([]int(nil), ranked[:k-nExplore]...)
 	for _, idx := range picked {
 		s.b.noteAdmit(idx, "score")

@@ -9,7 +9,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -186,30 +185,4 @@ func MarkdownSummary(name string, feasible, front []core.Result, objectives []st
 			core.ReductionPercent(par.Factor))
 	}
 	return b.String(), nil
-}
-
-// LabelHistogram tallies how often each option label appears among the
-// results (e.g. to see which pool choices populate a Pareto front).
-func LabelHistogram(results []core.Result, axis int) []string {
-	counts := make(map[string]int)
-	for _, r := range results {
-		if axis < len(r.Labels) {
-			counts[r.Labels[axis]]++
-		}
-	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if counts[keys[i]] != counts[keys[j]] {
-			return counts[keys[i]] > counts[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		out[i] = fmt.Sprintf("%s:%d", k, counts[k])
-	}
-	return out
 }

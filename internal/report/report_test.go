@@ -123,18 +123,3 @@ func TestMarkdownSummary(t *testing.T) {
 		t.Fatal("unknown objective accepted")
 	}
 }
-
-func TestLabelHistogram(t *testing.T) {
-	results := []core.Result{
-		{Labels: []string{"a"}},
-		{Labels: []string{"a"}},
-		{Labels: []string{"b"}},
-	}
-	got := LabelHistogram(results, 0)
-	if len(got) != 2 || got[0] != "a:2" || got[1] != "b:1" {
-		t.Fatalf("histogram %v", got)
-	}
-	if out := LabelHistogram(results, 5); len(out) != 0 {
-		t.Fatalf("out-of-range axis %v", out)
-	}
-}

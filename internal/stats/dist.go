@@ -116,31 +116,3 @@ func (w *WeightedChoice) Sample(r *RNG) int {
 	x := r.Float64() * total
 	return sort.SearchFloat64s(w.cum, x)
 }
-
-// Zipf samples ranks 1..n with probability proportional to 1/rank^s, a
-// common model for "few sizes dominate" allocation behaviour.
-type Zipf struct {
-	choice *WeightedChoice
-}
-
-// NewZipf builds a Zipf sampler over n ranks with exponent s > 0.
-func NewZipf(n int, s float64) (*Zipf, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: Zipf requires n > 0")
-	}
-	if s <= 0 {
-		return nil, fmt.Errorf("stats: Zipf requires s > 0")
-	}
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1 / math.Pow(float64(i+1), s)
-	}
-	c, err := NewWeightedChoice(w)
-	if err != nil {
-		return nil, err
-	}
-	return &Zipf{choice: c}, nil
-}
-
-// Sample draws a rank in [0, n).
-func (z *Zipf) Sample(r *RNG) int { return z.choice.Sample(r) }

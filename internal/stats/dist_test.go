@@ -132,28 +132,3 @@ func TestWeightedChoiceErrors(t *testing.T) {
 		t.Fatal("NaN weight accepted")
 	}
 }
-
-func TestZipfSkew(t *testing.T) {
-	z, err := NewZipf(10, 1.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRNG(137)
-	counts := make([]int, 10)
-	for i := 0; i < 100000; i++ {
-		counts[z.Sample(r)]++
-	}
-	// Rank 0 must dominate and counts must be (roughly) monotone overall.
-	if counts[0] <= counts[5] || counts[0] <= counts[9] {
-		t.Fatalf("Zipf not skewed: %v", counts)
-	}
-}
-
-func TestZipfErrors(t *testing.T) {
-	if _, err := NewZipf(0, 1); err == nil {
-		t.Fatal("Zipf n=0 accepted")
-	}
-	if _, err := NewZipf(5, 0); err == nil {
-		t.Fatal("Zipf s=0 accepted")
-	}
-}

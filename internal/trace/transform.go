@@ -124,22 +124,3 @@ func maxID(t *Trace) uint64 {
 	}
 	return max
 }
-
-// Concat appends traces back to back with disjoint ID namespaces —
-// sequential phases of different applications.
-func Concat(name string, traces ...*Trace) (*Trace, error) {
-	if len(traces) == 0 {
-		return nil, fmt.Errorf("trace: nothing to concatenate")
-	}
-	idBase, err := idBases(traces)
-	if err != nil {
-		return nil, err
-	}
-	out := &Trace{Name: name}
-	for i, t := range traces {
-		for _, e := range t.Events {
-			out.Events = append(out.Events, rebase(e, idBase[i]))
-		}
-	}
-	return out, nil
-}

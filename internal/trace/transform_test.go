@@ -163,53 +163,26 @@ func TestInterleaveErrors(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	ta, tb := twoSmallTraces(t)
-	c, err := Concat("seq", ta, tb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != ta.Len()+tb.Len() {
-		t.Fatalf("len %d", c.Len())
-	}
-	// Order preserved: all of a's events first.
-	if c.Events[0] != ta.Events[0] {
-		t.Fatal("first trace not first")
-	}
-	if _, err := Concat("x"); err == nil {
-		t.Fatal("empty concat accepted")
-	}
-}
-
-// TestMergeRejectsIDOverflow checks that Concat and Interleave fail,
-// instead of wrapping, when shifting a trace's IDs into its namespace
-// would pass MaxID, and still accept a merge that ends exactly at MaxID.
+// TestMergeRejectsIDOverflow checks that Interleave fails, instead of
+// wrapping, when shifting a trace's IDs into its namespace would pass
+// MaxID, and still accepts a merge that ends exactly at MaxID.
 func TestMergeRejectsIDOverflow(t *testing.T) {
 	one := func(id uint64) *Trace {
 		return &Trace{Name: fmt.Sprint(id), Events: []Event{AllocEvent(id, 8), TickEvent(1), FreeEvent(id)}}
 	}
-	merges := map[string]func(...*Trace) (*Trace, error){
-		"Concat":     func(ts ...*Trace) (*Trace, error) { return Concat("m", ts...) },
-		"Interleave": func(ts ...*Trace) (*Trace, error) { return Interleave("m", 1, ts...) },
+	for _, ts := range [][]*Trace{{one(MaxID), one(1)}, {one(1), one(MaxID - 1)}} {
+		if _, err := Interleave("m", 1, ts...); err == nil || !strings.Contains(err.Error(), "61-bit limit") {
+			t.Errorf("Interleave(%s, %s): err %v, want the 61-bit limit", ts[0].Name, ts[1].Name, err)
+		}
 	}
-	for name, merge := range merges {
-		for _, ts := range [][]*Trace{{one(MaxID), one(1)}, {one(1), one(MaxID - 1)}} {
-			if _, err := merge(ts...); err == nil || !strings.Contains(err.Error(), "61-bit limit") {
-				t.Errorf("%s(%s, %s): err %v, want the 61-bit limit", name, ts[0].Name, ts[1].Name, err)
-			}
-		}
-		m, err := merge(one(1), one(MaxID-2))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := m.Validate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got := maxID(m); got != MaxID {
-			t.Errorf("%s: largest merged id %d, want MaxID", name, got)
-		}
+	m, err := Interleave("m", 1, one(1), one(MaxID-2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := maxID(m); got != MaxID {
+		t.Errorf("largest merged id %d, want MaxID", got)
 	}
 }
