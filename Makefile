@@ -22,12 +22,6 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench-replay refreshes BENCH_replay.json with the replay-engine and
-# runner fan-out benchmark numbers.
-.PHONY: bench-replay
-bench-replay:
-	$(GO) run scripts/benchreplay.go
-
 # bench-search refreshes BENCH_search.json: the same seeded NSGA-II run
 # at 1/2/4/8 workers against a latency-modelled evaluation backend. Fails
 # if the 8-worker speedup drops below 3x or any worker count diverges
@@ -97,7 +91,8 @@ fuzz-smoke:
 
 # bench-telemetry compares the instrumented steady-state replay loop
 # (telemetry shard attached, as Runner workers run it) against the plain
-# one. The overhead budget is <2%; benchreplay.go computes the ratio.
+# one: the ratio of the two events/s figures is the overhead (budget
+# <2%). perfbench's trace_run.overhead_frac tracks it end to end.
 .PHONY: bench-telemetry
 bench-telemetry:
 	$(GO) test ./internal/profile/ -run '^$$' -bench 'BenchmarkReplay(Easyport|Telemetry)' -benchtime 2s -benchmem

@@ -63,8 +63,6 @@ func run(args []string, out io.Writer) error {
 		cachePath     = fs.String("cache", "", "result store file: resume interrupted sweeps, skip repeated configurations and, with -incremental, reuse general-pool replays across invocations")
 		tracePath     = fs.String("trace", "", "replay a trace file instead of generating the workload")
 		incremental   = fs.Bool("incremental", false, "partial re-evaluation: configurations sharing a fixed-pool signature replay only the ops that reach the general pool (bit-identical results)")
-		partitionMB   = fs.Int("partition-cache-mb", 256, "incremental partition-cache budget in MiB (0 = unbounded)")
-		poolMemoMB    = fs.Int("pool-memo-mb", 128, "byte budget in MiB of the incremental pool-run memo and the -cache store (0 = unbounded)")
 		surrogate     = fs.Bool("surrogate", false, "surrogate-assisted screening: rank candidates with online per-objective models so guided strategies spend the budget on the most promising simulations")
 		surrogateWarm = fs.String("surrogate-warm", "", "warm-start the surrogate from a prior journal.jsonl (same space and workload)")
 		quiet         = fs.Bool("quiet", false, "suppress progress output")
@@ -201,9 +199,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintln(out)
 
 	col := telemetry.NewCollector(workerN)
-	runner := &core.Runner{Hierarchy: hier, Trace: tr, Compiled: ct, Workers: *workers, Telemetry: col, Incremental: *incremental, EvalLatency: *evalLatency, Spans: spans,
-		PartitionBudgetBytes: cacheBudgetBytes(*partitionMB),
-		PoolMemoBudgetBytes:  cacheBudgetBytes(*poolMemoMB)}
+	runner := &core.Runner{Hierarchy: hier, Trace: tr, Compiled: ct, Workers: *workers, Telemetry: col, Incremental: *incremental, EvalLatency: *evalLatency, Spans: spans}
 	var surReport *core.SurrogateReport
 	if *surrogate {
 		surReport = &core.SurrogateReport{}
@@ -231,7 +227,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "metrics    http://%s/metrics (expvar at /debug/vars, pprof at /debug/pprof/)\n", srv.Addr)
 	}
 	if *cachePath != "" {
-		store, err := core.OpenStore(*cachePath, cacheBudgetBytes(*poolMemoMB))
+		store, err := core.OpenStore(*cachePath, core.DefaultPoolMemoBudgetBytes)
 		if err != nil {
 			return err
 		}
@@ -518,12 +514,6 @@ func validateFlags(fs *flag.FlagSet) error {
 	if set["surrogate-warm"] && !on("surrogate") {
 		return fmt.Errorf("-surrogate-warm requires -surrogate")
 	}
-	if set["partition-cache-mb"] && !on("incremental") {
-		return fmt.Errorf("-partition-cache-mb only applies with -incremental")
-	}
-	if set["pool-memo-mb"] && !on("incremental") && !set["cache"] {
-		return fmt.Errorf("-pool-memo-mb only applies with -incremental or -cache")
-	}
 	strategy := val("strategy")
 	if set["budget"] && strategy == "exhaustive" {
 		return fmt.Errorf("-budget has no effect with -strategy exhaustive (use screen|evolve|hillclimb|anneal)")
@@ -651,31 +641,22 @@ func activeStages(rec *span.Recorder) []span.StageSnapshot {
 }
 
 // evolveSize reads -sample and -budget for -strategy evolve: the
-// population (default 32, rounded up to even) and the total simulation
-// budget (default 16× the population).
+// population (default core.DefaultPopulation, rounded up to even) and
+// the total simulation budget (default core.DefaultGenerations
+// generations' worth).
 func evolveSize(sample, budget int) (pop, total int) {
 	pop = sample
 	if pop <= 0 {
-		pop = 32
+		pop = core.DefaultPopulation
 	}
 	if pop%2 != 0 {
 		pop++
 	}
 	total = budget
 	if total <= 0 {
-		total = 16 * pop
+		total = core.DefaultGenerations * pop
 	}
 	return pop, total
-}
-
-// cacheBudgetBytes maps a MiB flag value onto the Runner budget knobs:
-// 0 on the command line means unbounded (negative for the Runner, whose
-// own zero means "use the default").
-func cacheBudgetBytes(mb int) int64 {
-	if mb <= 0 {
-		return -1
-	}
-	return int64(mb) << 20
 }
 
 func writeReports(dir string, space *core.Space, all, feasible, front []core.Result, objs []string) error {

@@ -160,6 +160,33 @@ func TestRunTraceFile(t *testing.T) {
 	}
 }
 
+// TestRunTraceFileFooterCut: a v2 trace whose footer trailer lost its
+// last 8 bytes is refused at every worker count, one included.
+func TestRunTraceFileFooterCut(t *testing.T) {
+	gen, err := workload.New("easyport", 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := gen.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v2 bytes.Buffer
+	if err := trace.WriteBinaryV2(&v2, tr); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cut.trace")
+	if err := os.WriteFile(path, v2.Bytes()[:v2.Len()-8], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []string{"1", "2"} {
+		err := run([]string{"-trace", path, "-workers", workers, "-sample", "4", "-quiet"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "missing footer magic") {
+			t.Fatalf("-workers %s: %v, want the footer-cut trace refused", workers, err)
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"-workload", "nope"},
@@ -490,8 +517,6 @@ func TestValidateFlagRejectsContradictions(t *testing.T) {
 		want string
 	}{
 		{"surrogate-warm alone", []string{"-surrogate-warm", "j.jsonl"}, "-surrogate-warm requires -surrogate"},
-		{"partition budget alone", []string{"-partition-cache-mb", "64"}, "-partition-cache-mb only applies with -incremental"},
-		{"pool memo budget alone", []string{"-pool-memo-mb", "64"}, "-pool-memo-mb only applies with -incremental or -cache"},
 		{"budget on exhaustive", []string{"-budget", "100"}, "-budget has no effect with -strategy exhaustive"},
 		{"sample on hillclimb", []string{"-strategy", "hillclimb", "-sample", "10"}, "-sample is not used"},
 		{"negative latency", []string{"-eval-latency", "-5ms"}, "-eval-latency must be >= 0"},

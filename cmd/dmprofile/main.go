@@ -178,8 +178,8 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// parseLog ingests a raw access log with the parallel parser (serial at
-// one worker) and prints the per-layer summary plus ingest rate.
+// parseLog ingests a raw access log through its footer index on workers
+// goroutines and prints the per-layer summary plus ingest rate.
 func parseLog(out io.Writer, path string, workers int) error {
 	f, err := os.Open(path)
 	if err != nil {

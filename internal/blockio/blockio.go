@@ -20,10 +20,12 @@
 //	         8-byte little-endian footer payload length
 //	         "DMBX" (4-byte trailing magic)
 //
-// The trailing fixed-size fields let ReadIndex find the footer from the
+// The trailing fixed-size fields let readIndex find the footer from the
 // end of the file without scanning; the per-block entries let a parallel
 // reader place every block's records into a preallocated slab before any
-// payload byte is decoded.
+// payload byte is decoded. Production readers go through the footer
+// index only (OpenIndex); the streaming Reader is the reference they are
+// tested against.
 package blockio
 
 import (
@@ -219,11 +221,20 @@ func (w *Writer) Close() error {
 		return w.err
 	}
 	start := w.seal()
-	b := append(w.buf, 0) // end marker
+	b := AppendFooter(append(w.buf, 0), w.index) // end marker, footer
+	w.write(b[start:])
+	w.buf = b[:headroom] // keep any capacity the footer grew
+	w.records = 0
+	return w.err
+}
+
+// AppendFooter appends the footer index of blocks — payload, CRC32C,
+// payload length, magic — to b, which must end with the end marker.
+func AppendFooter(b []byte, blocks []Block) []byte {
 	footerAt := len(b)
-	b = binary.AppendUvarint(b, uint64(len(w.index)))
+	b = binary.AppendUvarint(b, uint64(len(blocks)))
 	prev := int64(0)
-	for _, blk := range w.index {
+	for _, blk := range blocks {
 		b = binary.AppendUvarint(b, uint64(blk.Offset-prev))
 		b = binary.AppendUvarint(b, uint64(blk.Records))
 		b = binary.AppendUvarint(b, uint64(blk.PayloadLen))
@@ -232,30 +243,27 @@ func (w *Writer) Close() error {
 	footerLen := len(b) - footerAt
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[footerAt:], castagnoli))
 	b = binary.LittleEndian.AppendUint64(b, uint64(footerLen))
-	b = append(b, footerMagic...)
-	w.write(b[start:])
-	w.buf = b[:headroom] // keep any capacity the footer grew
-	w.records = 0
-	return w.err
+	return append(b, footerMagic...)
 }
 
-// Reader streams blocks front to back. The caller positions r just after
-// the format-specific header.
+// Reader streams blocks front to back, never reading the footer. It is
+// the streaming reference that tests and benchmarks compare the indexed
+// readers with. The caller positions r just after the format-specific
+// header.
 type Reader struct {
 	br      *bufio.Reader
 	payload []byte
-	stats   Stats
 	block   int64
 	done    bool
 }
 
-// NewReader returns a sequential block reader. stats may be nil.
-func NewReader(r io.Reader, stats Stats) *Reader {
+// NewReader returns a sequential block reader.
+func NewReader(r io.Reader) *Reader {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReaderSize(r, 1<<20)
 	}
-	return &Reader{br: br, stats: stats}
+	return &Reader{br: br}
 }
 
 // Next returns the next block's record count and payload (valid until the
@@ -313,40 +321,34 @@ func (r *Reader) Next() (int, []byte, error) {
 	}
 	want := binary.LittleEndian.Uint32(crcBuf[:])
 	if got := crc32.Checksum(r.payload, castagnoli); got != want {
-		if r.stats != nil {
-			r.stats.CRCFailure()
-		}
 		return 0, nil, fmt.Errorf("blockio: block %d: crc mismatch (stored %08x, computed %08x)", r.block, want, got)
-	}
-	if r.stats != nil {
-		r.stats.ObserveBlock(len(r.payload), int(records))
 	}
 	r.block++
 	return int(records), r.payload, nil
 }
 
-// ParseBlock parses one block at the start of buf (header, CRC, payload),
+// parseBlock parses one block at the start of buf (header, CRC, payload),
 // verifies the CRC, and returns the record count, the payload (aliasing
-// buf) and the remaining bytes. Parallel readers run it over in-memory
-// fetch windows. stats may be nil.
-func ParseBlock(buf []byte, stats Stats) (records int64, payload, rest []byte, err error) {
+// buf) and the remaining bytes. Index.Decode runs it over in-memory
+// fetch windows and names the block in its errors. stats may be nil.
+func parseBlock(buf []byte, stats Stats) (records int64, payload, rest []byte, err error) {
 	u, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return 0, nil, nil, fmt.Errorf("blockio: truncated block header")
+		return 0, nil, nil, fmt.Errorf("truncated block header")
 	}
 	buf = buf[n:]
 	records = int64(u)
 	if records == 0 {
-		return 0, nil, nil, fmt.Errorf("blockio: unexpected end marker inside a fetch window")
+		return 0, nil, nil, fmt.Errorf("unexpected end marker inside a fetch window")
 	}
 	u, n = binary.Uvarint(buf)
 	if n <= 0 {
-		return 0, nil, nil, fmt.Errorf("blockio: truncated payload length")
+		return 0, nil, nil, fmt.Errorf("truncated payload length")
 	}
 	buf = buf[n:]
 	payloadLen := int64(u)
 	if payloadLen > maxPayloadLen || payloadLen > int64(len(buf))-4 {
-		return 0, nil, nil, fmt.Errorf("blockio: payload length %d exceeds window", payloadLen)
+		return 0, nil, nil, fmt.Errorf("payload length %d exceeds window", payloadLen)
 	}
 	want := binary.LittleEndian.Uint32(buf)
 	payload = buf[4 : 4+payloadLen]
@@ -354,7 +356,7 @@ func ParseBlock(buf []byte, stats Stats) (records int64, payload, rest []byte, e
 		if stats != nil {
 			stats.CRCFailure()
 		}
-		return 0, nil, nil, fmt.Errorf("blockio: crc mismatch (stored %08x, computed %08x)", want, got)
+		return 0, nil, nil, fmt.Errorf("crc mismatch (stored %08x, computed %08x)", want, got)
 	}
 	if stats != nil {
 		stats.ObserveBlock(len(payload), int(records))
@@ -362,64 +364,79 @@ func ParseBlock(buf []byte, stats Stats) (records int64, payload, rest []byte, e
 	return records, payload, buf[4+payloadLen:], nil
 }
 
-// ReadIndex reads the footer index from the end of a block-framed file
-// and returns the block descriptors in file order.
-func ReadIndex(ra io.ReaderAt, size int64) ([]Block, error) {
-	if size < footerTrailerLen {
-		return nil, fmt.Errorf("blockio: file of %d bytes cannot hold a footer", size)
+// readIndex reads the footer index from the end of a block-framed file
+// and returns the block descriptors in file order and the offset of the
+// end marker, which it checks sits right before the footer and right
+// after the last block. Every entry's record count must fit its payload
+// (a record takes at least one byte), so the records an index claims
+// never exceed the file's size.
+func readIndex(ra io.ReaderAt, size int64) ([]Block, int64, error) {
+	if size < footerTrailerLen+1 {
+		return nil, 0, fmt.Errorf("blockio: file of %d bytes cannot hold a footer", size)
 	}
 	var tail [footerTrailerLen]byte
 	if _, err := ra.ReadAt(tail[:], size-footerTrailerLen); err != nil {
-		return nil, fmt.Errorf("blockio: reading footer trailer: %w", err)
+		return nil, 0, fmt.Errorf("blockio: reading footer trailer: %w", err)
 	}
 	if string(tail[12:]) != footerMagic {
-		return nil, fmt.Errorf("blockio: missing footer magic (got %q)", tail[12:])
+		return nil, 0, fmt.Errorf("blockio: missing footer magic (got %q)", tail[12:])
 	}
 	payloadLen := int64(binary.LittleEndian.Uint64(tail[4:12]))
-	if payloadLen < 1 || payloadLen > size-footerTrailerLen {
-		return nil, fmt.Errorf("blockio: implausible footer length %d in a %d-byte file", payloadLen, size)
+	if payloadLen < 1 || payloadLen > size-footerTrailerLen-1 {
+		return nil, 0, fmt.Errorf("blockio: implausible footer length %d in a %d-byte file", payloadLen, size)
 	}
-	footer := make([]byte, payloadLen)
-	if _, err := ra.ReadAt(footer, size-footerTrailerLen-payloadLen); err != nil {
-		return nil, fmt.Errorf("blockio: reading footer: %w", err)
+	end := size - footerTrailerLen - payloadLen - 1
+	footer := make([]byte, 1+payloadLen) // end marker, footer payload
+	if _, err := ra.ReadAt(footer, end); err != nil {
+		return nil, 0, fmt.Errorf("blockio: reading footer: %w", err)
 	}
+	if footer[0] != 0 {
+		return nil, 0, fmt.Errorf("blockio: no end marker before the footer (offset %d)", end)
+	}
+	footer = footer[1:]
 	if got := crc32.Checksum(footer, castagnoli); got != binary.LittleEndian.Uint32(tail[0:4]) {
-		return nil, fmt.Errorf("blockio: footer crc mismatch")
+		return nil, 0, fmt.Errorf("blockio: footer crc mismatch")
 	}
 	count, n := binary.Uvarint(footer)
 	if n <= 0 {
-		return nil, fmt.Errorf("blockio: truncated footer block count")
+		return nil, 0, fmt.Errorf("blockio: truncated footer block count")
 	}
 	footer = footer[n:]
-	if count > uint64(size) { // every block needs at least one byte
-		return nil, fmt.Errorf("blockio: implausible block count %d in a %d-byte file", count, size)
+	if count > uint64(len(footer))/3 { // every entry takes at least three bytes
+		return nil, 0, fmt.Errorf("blockio: implausible block count %d in a %d-byte footer", count, payloadLen)
 	}
 	blocks := make([]Block, 0, count)
 	prev := int64(0)
 	for i := uint64(0); i < count; i++ {
-		var blk Block
-		var fields [3]uint64
+		var fields [3]uint64 // offset delta, records, payload length
 		for f := range fields {
 			u, n := binary.Uvarint(footer)
 			if n <= 0 {
-				return nil, fmt.Errorf("blockio: truncated footer entry %d", i)
+				return nil, 0, fmt.Errorf("blockio: truncated footer entry %d", i)
 			}
 			fields[f] = u
 			footer = footer[n:]
 		}
-		blk.Offset = prev + int64(fields[0])
-		blk.Records = int64(fields[1])
-		blk.PayloadLen = int64(fields[2])
-		prev = blk.Offset
-		if blk.PayloadLen > maxPayloadLen || blk.Offset+blk.PayloadLen > size {
-			return nil, fmt.Errorf("blockio: footer entry %d (offset %d, payload %d) exceeds the %d-byte file", i, blk.Offset, blk.PayloadLen, size)
+		if fields[0] > uint64(end) || fields[2] > maxPayloadLen {
+			return nil, 0, fmt.Errorf("blockio: footer entry %d (offset delta %d, payload %d) exceeds the %d-byte file", i, fields[0], fields[2], size)
 		}
+		if fields[1] == 0 || fields[1] > fields[2] {
+			return nil, 0, fmt.Errorf("blockio: footer entry %d: %d records cannot fit in %d payload bytes", i, fields[1], fields[2])
+		}
+		blk := Block{Offset: prev + int64(fields[0]), Records: int64(fields[1]), PayloadLen: int64(fields[2])}
+		if blk.Offset+blk.DataLen() > end {
+			return nil, 0, fmt.Errorf("blockio: footer entry %d (offset %d, payload %d) runs past the end marker at %d", i, blk.Offset, blk.PayloadLen, end)
+		}
+		prev = blk.Offset
 		blocks = append(blocks, blk)
 	}
 	if len(footer) != 0 {
-		return nil, fmt.Errorf("blockio: %d trailing footer bytes", len(footer))
+		return nil, 0, fmt.Errorf("blockio: %d trailing footer bytes", len(footer))
 	}
-	return blocks, nil
+	if n := len(blocks); n > 0 && blocks[n-1].Offset+blocks[n-1].DataLen() != end {
+		return nil, 0, fmt.Errorf("blockio: last block ends at %d, the end marker is at %d", blocks[n-1].Offset+blocks[n-1].DataLen(), end)
+	}
+	return blocks, end, nil
 }
 
 // unexpectedEOF converts a bare io.EOF into io.ErrUnexpectedEOF: inside a

@@ -46,8 +46,7 @@ func TestRoundtripSequential(t *testing.T) {
 	if !bytes.Equal(data[:4], header) {
 		t.Fatalf("header not first: %q", data[:8])
 	}
-	stats := &countingStats{}
-	r := NewReader(bytes.NewReader(data[4:]), stats)
+	r := NewReader(bytes.NewReader(data[4:]))
 	var got []uint64
 	for {
 		records, payload, err := r.Next()
@@ -77,15 +76,12 @@ func TestRoundtripSequential(t *testing.T) {
 			t.Fatalf("record %d = %d", i, v)
 		}
 	}
-	if stats.records.Load() != 10000 || stats.blocks.Load() < 2 || stats.crcFails.Load() != 0 {
-		t.Fatalf("stats: %+v", stats)
-	}
 }
 
 func TestIndexMatchesSequential(t *testing.T) {
 	header := []byte("HH")
 	data := writeRecords(t, 5000, 128, header)
-	blocks, err := ReadIndex(bytes.NewReader(data), int64(len(data)))
+	blocks, _, err := readIndex(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +95,7 @@ func TestIndexMatchesSequential(t *testing.T) {
 			t.Fatalf("block %d offset %d, want %d (blocks must be contiguous)", i, blk.Offset, prevEnd)
 		}
 		// Parse the block straight out of the file bytes.
-		records, payload, _, err := ParseBlock(data[blk.Offset:], nil)
+		records, payload, _, err := parseBlock(data[blk.Offset:], nil)
 		if err != nil {
 			t.Fatalf("block %d: %v", i, err)
 		}
@@ -119,24 +115,23 @@ func TestCRCDetectsCorruption(t *testing.T) {
 	// Flip a byte in the middle of the first block's payload.
 	corrupt := bytes.Clone(data)
 	corrupt[20] ^= 0xFF
-	stats := &countingStats{}
-	r := NewReader(bytes.NewReader(corrupt), stats)
-	_, _, err := r.Next()
-	if err == nil {
+	r := NewReader(bytes.NewReader(corrupt))
+	if _, _, err := r.Next(); err == nil {
 		t.Fatal("corrupted block accepted")
+	}
+	stats := &countingStats{}
+	if _, _, _, err := parseBlock(corrupt, stats); err == nil {
+		t.Fatal("parseBlock accepted corruption")
 	}
 	if stats.crcFails.Load() != 1 {
 		t.Fatalf("crc failures %d", stats.crcFails.Load())
-	}
-	if _, _, _, err := ParseBlock(corrupt, stats); err == nil {
-		t.Fatal("ParseBlock accepted corruption")
 	}
 }
 
 func TestTruncationErrors(t *testing.T) {
 	data := writeRecords(t, 1000, 256, nil)
 	for _, cut := range []int{1, 7, len(data) / 2} {
-		r := NewReader(bytes.NewReader(data[:cut]), nil)
+		r := NewReader(bytes.NewReader(data[:cut]))
 		for {
 			_, _, err := r.Next()
 			if err == io.EOF {
@@ -147,21 +142,21 @@ func TestTruncationErrors(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ReadIndex(bytes.NewReader(data[:len(data)-3]), int64(len(data)-3)); err == nil {
+	if _, _, err := readIndex(bytes.NewReader(data[:len(data)-3]), int64(len(data)-3)); err == nil {
 		t.Fatal("truncated footer accepted")
 	}
-	if _, err := ReadIndex(bytes.NewReader(data[:4]), 4); err == nil {
+	if _, _, err := readIndex(bytes.NewReader(data[:4]), 4); err == nil {
 		t.Fatal("4-byte file accepted")
 	}
 }
 
 func TestEmptyFile(t *testing.T) {
 	data := writeRecords(t, 0, 256, nil)
-	r := NewReader(bytes.NewReader(data), nil)
+	r := NewReader(bytes.NewReader(data))
 	if _, _, err := r.Next(); err != io.EOF {
 		t.Fatalf("empty file: %v", err)
 	}
-	blocks, err := ReadIndex(bytes.NewReader(data), int64(len(data)))
+	blocks, _, err := readIndex(bytes.NewReader(data), int64(len(data)))
 	if err != nil || len(blocks) != 0 {
 		t.Fatalf("empty index: %v %v", blocks, err)
 	}
@@ -281,7 +276,7 @@ func TestWriterOneWritePerBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := writeRecords(t, 5000, 256, []byte("HDRX"))
-	blocks, err := ReadIndex(bytes.NewReader(data), int64(len(data)))
+	blocks, _, err := readIndex(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +294,11 @@ func TestWriterOneWritePerBlock(t *testing.T) {
 // index whose blocks are not contiguous.
 func TestGroupBlocksRejectsGap(t *testing.T) {
 	data := writeRecords(t, 5000, 128, nil)
-	blocks, err := ReadIndex(bytes.NewReader(data), int64(len(data)))
+	blocks, _, err := readIndex(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, total, err := GroupBlocks(blocks, 1024)
+	groups, total, err := groupBlocks(blocks, 1024)
 	if err != nil || total != 5000 || len(groups) < 2 {
 		t.Fatalf("%d groups, %d records, %v", len(groups), total, err)
 	}
@@ -313,21 +308,21 @@ func TestGroupBlocksRejectsGap(t *testing.T) {
 		}
 	}
 	blocks[3].Offset++
-	if _, _, err := GroupBlocks(blocks, 1024); err == nil || !strings.Contains(err.Error(), "gap") {
+	if _, _, err := groupBlocks(blocks, 1024); err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Fatalf("gapped index: %v, want a gap error", err)
 	}
 }
 
 // TestFanOutStopsOnError is the regression test for the parallel-reader
-// hang: with every worker failed and groups left to dispatch, FanOut must
+// hang: with every worker failed and groups left to dispatch, fanOut must
 // return instead of blocking, and report the lowest failing group.
 func TestFanOutStopsOnError(t *testing.T) {
 	data := writeRecords(t, 5000, 64, nil)
-	blocks, err := ReadIndex(bytes.NewReader(data), int64(len(data)))
+	blocks, _, err := readIndex(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, _, err := GroupBlocks(blocks, 1) // one block per group
+	groups, _, err := groupBlocks(blocks, 1) // one block per group
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +330,7 @@ func TestFanOutStopsOnError(t *testing.T) {
 		var calls atomic.Int64
 		done := make(chan error, 1)
 		go func() {
-			done <- FanOut(bytes.NewReader(data), groups, workers, func(_, gi int, _ []byte) error {
+			done <- fanOut(bytes.NewReader(data), groups, workers, func(_, gi int, _ []byte) error {
 				calls.Add(1)
 				return fmt.Errorf("group %d failed", gi)
 			})
@@ -349,7 +344,7 @@ func TestFanOutStopsOnError(t *testing.T) {
 				t.Fatalf("workers=1: %v, want group 0's error", err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("workers=%d: FanOut hung after every worker failed", workers)
+			t.Fatalf("workers=%d: fanOut hung after every worker failed", workers)
 		}
 	}
 }
@@ -372,8 +367,107 @@ func TestFetchWindow(t *testing.T) {
 		{8 << 20, 2, DefaultFetchWindow},
 		{1, 4, 1},
 	} {
-		if got := FetchWindow(DefaultFetchWindow, c.size, c.workers); got != c.want {
-			t.Errorf("FetchWindow(%d bytes, %d workers) = %d, want %d", c.size, c.workers, got, c.want)
+		if got := fetchWindow(DefaultFetchWindow, c.size, c.workers); got != c.want {
+			t.Errorf("fetchWindow(%d bytes, %d workers) = %d, want %d", c.size, c.workers, got, c.want)
+		}
+	}
+}
+
+// TestIndexDecodeMatchesSequential: at every worker count Index.Decode
+// hands fn each block once, with its file-wide first record, so the
+// records land exactly where the streaming Reader reads them, and every
+// block reaches stats.
+func TestIndexDecodeMatchesSequential(t *testing.T) {
+	header := []byte("HDRX")
+	data := writeRecords(t, 10000, 64, header)
+	for _, workers := range []int{0, 1, 2, 8} {
+		idx, err := OpenIndex(bytes.NewReader(data), int64(len(data)), int64(len(header)), 1024, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if idx.Records != 10000 || len(idx.Groups) < 2 {
+			t.Fatalf("workers=%d: %d records in %d groups", workers, idx.Records, len(idx.Groups))
+		}
+		got := make([]uint64, idx.Records)
+		stats := &countingStats{}
+		err = idx.Decode(stats, func(_, b int, first, records int64, payload []byte) error {
+			for k := first; k < first+records; k++ {
+				v, n := binary.Uvarint(payload)
+				if n <= 0 {
+					return fmt.Errorf("block %d: bad record %d", b, k)
+				}
+				got[k] = v
+				payload = payload[n:]
+			}
+			if len(payload) != 0 {
+				return fmt.Errorf("block %d: %d leftover payload bytes", b, len(payload))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, v := range got {
+			if v != uint64(i) {
+				t.Fatalf("workers=%d: record %d = %d", workers, i, v)
+			}
+		}
+		if stats.records.Load() != 10000 || stats.blocks.Load() != int64(len(idx.Blocks)) || stats.crcFails.Load() != 0 {
+			t.Fatalf("workers=%d: stats saw %d blocks, %d records, %d crc failures", workers,
+				stats.blocks.Load(), stats.records.Load(), stats.crcFails.Load())
+		}
+	}
+}
+
+// TestIndexRejectsDamage: the index must describe the whole file — the
+// blocks from the end of the header to the end marker right before the
+// footer, each holding the records the footer claims — or the file is
+// refused, when opened or at the block the footer misdescribes.
+func TestIndexRejectsDamage(t *testing.T) {
+	header := []byte("HDRX")
+	hl := int64(len(header))
+	data := writeRecords(t, 2000, 64, header)
+	blocks, _, err := readIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := blocks[len(blocks)-1]
+	end := last.Offset + last.DataLen() // the end marker
+	body := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	edited := func(edit func([]Block)) []Block {
+		bs := append([]Block(nil), blocks...)
+		edit(bs)
+		return bs
+	}
+	shifted := edited(func(bs []Block) {
+		for i := range bs {
+			bs[i].Offset += 3
+		}
+	})
+	cases := []struct {
+		name, want string
+		file       []byte
+	}{
+		{"tail cut", "footer magic", data[:len(data)-8]},
+		{"junk after header", "data starts at offset 7, header ends at 4",
+			AppendFooter(body(header, []byte("xyz"), data[hl:end+1]), shifted)},
+		{"junk before end marker", "last block ends",
+			AppendFooter(body(data[:end], []byte("xyz"), []byte{0}), blocks)},
+		{"no end marker", "no end marker", AppendFooter(body(data[:end]), blocks)},
+		{"records beyond payload", "cannot fit", AppendFooter(body(data[:end+1]),
+			edited(func(bs []Block) { bs[0].Records = bs[0].PayloadLen + 1 }))},
+		{"footer count off by one", "header says", AppendFooter(body(data[:end+1]),
+			edited(func(bs []Block) { bs[0].Records-- }))},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 2, 8} {
+			idx, err := OpenIndex(bytes.NewReader(c.file), int64(len(c.file)), hl, 1024, workers)
+			if err == nil {
+				err = idx.Decode(nil, func(int, int, int64, int64, []byte) error { return nil })
+			}
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s, workers=%d: %v, want an error naming %q", c.name, workers, err, c.want)
+			}
 		}
 	}
 }

@@ -13,11 +13,11 @@ import (
 // storage) while staying small enough to spread a file across workers.
 const DefaultFetchWindow = 4 << 20
 
-// FetchWindow returns the fetch window for reading a file of size bytes
+// fetchWindow returns the fetch window for reading a file of size bytes
 // on workers goroutines: at most limit, and no more than the file's
 // share per worker, so a file under workers×limit bytes still splits
 // into a window per worker. Larger files keep limit.
-func FetchWindow(limit, size int64, workers int) int64 {
+func fetchWindow(limit, size int64, workers int) int64 {
 	if workers <= 1 {
 		return limit
 	}
@@ -32,12 +32,12 @@ type Group struct {
 	FirstRecord int64 // records in all earlier groups
 }
 
-// GroupBlocks coalesces a footer index into fetch groups of at most
+// groupBlocks coalesces a footer index into fetch groups of at most
 // window bytes (a block larger than window gets a group of its own) and
 // returns them with the total record count. The blocks must be
 // contiguous, as every Writer lays them out: a gap in the index is an
 // error.
-func GroupBlocks(blocks []Block, window int64) ([]Group, int64, error) {
+func groupBlocks(blocks []Block, window int64) ([]Group, int64, error) {
 	var groups []Group
 	var total int64
 	for i := 0; i < len(blocks); {
@@ -62,18 +62,18 @@ func GroupBlocks(blocks []Block, window int64) ([]Group, int64, error) {
 	return groups, total, nil
 }
 
-// windows recycles fetch windows across FanOut calls: ingesting a run of
+// windows recycles fetch windows across fanOut calls: ingesting a run of
 // logs reuses the same few buffers instead of allocating one per worker
 // per file.
 var windows = sync.Pool{New: func() any { return new([]byte) }}
 
-// FanOut fetches every group into a reusable window with one ReadAt and
+// fanOut fetches every group into a reusable window with one ReadAt and
 // hands it to decode, on up to workers goroutines; worker is the index
 // (0..workers-1) of the goroutine running the call, for per-worker
 // accumulators. The first error stops the dispatch: every worker
-// finishes the group in hand and takes no other, and FanOut returns the
+// finishes the group in hand and takes no other, and fanOut returns the
 // error of the lowest-numbered group that failed.
-func FanOut(ra io.ReaderAt, groups []Group, workers int, decode func(worker, group int, window []byte) error) error {
+func fanOut(ra io.ReaderAt, groups []Group, workers int, decode func(worker, group int, window []byte) error) error {
 	if workers > len(groups) {
 		workers = len(groups)
 	}
@@ -129,4 +129,69 @@ func FanOut(ra io.ReaderAt, groups []Group, workers int, decode func(worker, gro
 		return first.err
 	}
 	return nil
+}
+
+// Index is a block-framed file opened through its footer index, split
+// into fetch groups for a worker count. It is the one way production
+// code reads a v2 trace or log, at any worker count: whatever the count,
+// a file reads to the same records or fails the same checks.
+type Index struct {
+	ra      io.ReaderAt
+	workers int
+	Blocks  []Block
+	Groups  []Group
+	Records int64 // records the footer claims across every block
+}
+
+// OpenIndex reads the footer index of a block-framed file of size bytes
+// whose format header ends at headerEnd, and groups its blocks into
+// fetch windows of at most fetchWindow(window, size, workers) bytes;
+// workers below 1 read as 1. The index must describe the whole file:
+// the blocks (or, in an empty file, the end marker) start where the
+// header ends and run contiguously up to the end marker right before
+// the footer.
+func OpenIndex(ra io.ReaderAt, size, headerEnd, window int64, workers int) (*Index, error) {
+	blocks, end, err := readIndex(ra, size)
+	if err != nil {
+		return nil, err
+	}
+	if len(blocks) > 0 {
+		end = blocks[0].Offset
+	}
+	if end != headerEnd {
+		return nil, fmt.Errorf("blockio: data starts at offset %d, header ends at %d", end, headerEnd)
+	}
+	groups, total, err := groupBlocks(blocks, fetchWindow(window, size, workers))
+	if err != nil {
+		return nil, err
+	}
+	return &Index{ra: ra, workers: max(workers, 1), Blocks: blocks, Groups: groups, Records: total}, nil
+}
+
+// Decode fetches the file's groups on up to the opened worker count of
+// goroutines (fanOut), parses each block, checks that its header's
+// record count matches the footer's, and hands it to fn: worker indexes
+// the calling goroutine (below the worker count), first is the file-wide
+// index of the block's first record, and fn must find exactly records
+// records in payload. stats may be nil.
+func (x *Index) Decode(stats Stats, fn func(worker, block int, first, records int64, payload []byte) error) error {
+	return fanOut(x.ra, x.Groups, x.workers, func(w, gi int, window []byte) error {
+		g := x.Groups[gi]
+		first := g.FirstRecord
+		for b := g.First; b <= g.Last; b++ {
+			records, payload, rest, err := parseBlock(window, stats)
+			if err != nil {
+				return fmt.Errorf("blockio: block %d (offset %d): %w", b, x.Blocks[b].Offset, err)
+			}
+			if records != x.Blocks[b].Records {
+				return fmt.Errorf("blockio: block %d: header says %d records, footer says %d", b, records, x.Blocks[b].Records)
+			}
+			if err := fn(w, b, first, records, payload); err != nil {
+				return err
+			}
+			first += records
+			window = rest
+		}
+		return nil
+	})
 }

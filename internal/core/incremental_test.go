@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"dmexplore/internal/memhier"
-	"dmexplore/internal/stats"
+	"dmexplore/internal/profile"
 	"dmexplore/internal/telemetry"
 	"dmexplore/internal/trace"
 	"dmexplore/internal/workload"
@@ -360,15 +360,16 @@ func TestSessionCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := easyportRunner(t, true)
-	r.PartitionBudgetBytes = 2 * 1024 // holds roughly one easyport partition
-	r.PoolMemoBudgetBytes = 2 * 1024
-	sess, err := r.NewSession(space)
+	sess, err := easyportRunner(t, true).NewSession(space)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	indices := stats.NewRNG(5).Perm(space.Size())[:64] // Sample's draw, same seed
+	// Budgets that hold roughly one easyport partition, swapped in before
+	// the first Eval hands a worker any job.
+	sess.parts = newOnceCache[*profile.Partition](2 * 1024)
+	sess.runs = newOnceCache[*profile.PoolRun](2 * 1024)
+	indices := SweepIndices(space.Size(), 64, 5) // Sample's draw, same seed
 	inc, err := sess.Eval(indices, nil, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -43,11 +43,11 @@ type IslandOptions struct {
 	Island int
 
 	// MigrationEvery is the generation period between Migrate calls
-	// (default 4 when a hook is set; 0 with no hook).
+	// (default DefaultMigrationEvery when a hook is set; 0 with no hook).
 	MigrationEvery int
 
 	// MigrationK caps the members exported per exchange (default
-	// Population/4, at least 1).
+	// DefaultMigrationK).
 	MigrationK int
 
 	// Migrate, when non-nil, is called at every migration point. Nil
@@ -65,13 +65,10 @@ type IslandOptions struct {
 func (o IslandOptions) withIslandDefaults() IslandOptions {
 	o.EvolveOptions = o.EvolveOptions.withDefaults()
 	if o.Migrate != nil && o.MigrationEvery <= 0 {
-		o.MigrationEvery = 4
+		o.MigrationEvery = DefaultMigrationEvery
 	}
 	if o.MigrationK <= 0 {
-		o.MigrationK = o.Population / 4
-		if o.MigrationK < 1 {
-			o.MigrationK = 1
-		}
+		o.MigrationK = DefaultMigrationK(o.Population)
 	}
 	return o
 }

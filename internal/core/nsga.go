@@ -9,19 +9,36 @@ import (
 	"dmexplore/internal/stats"
 )
 
+// Search defaults, read by every front end that starts an NSGA-II
+// search (dmexplore -strategy evolve, the service's nsga2 jobs).
+const (
+	// DefaultPopulation is the population when none is given.
+	DefaultPopulation = 32
+	// DefaultGenerations sizes the default simulation budget: this many
+	// generations' worth of the population.
+	DefaultGenerations = 16
+	// DefaultMigrationEvery is the island model's generation period
+	// between migrations.
+	DefaultMigrationEvery = 4
+)
+
+// DefaultMigrationK is the default cap on the members an island exports
+// per migration: a quarter of its population, at least 1.
+func DefaultMigrationK(population int) int { return max(1, population/4) }
+
 // EvolveOptions tune the NSGA-II evolutionary search (EvolveIsland).
 type EvolveOptions struct {
-	Population int // even, >= 4 (default 32)
-	Budget     int // total simulations (default 16 generations worth)
+	Population int // even, >= 4 (default DefaultPopulation)
+	Budget     int // total simulations (default DefaultGenerations generations' worth)
 	Seed       uint64
 }
 
 func (o EvolveOptions) withDefaults() EvolveOptions {
 	if o.Population == 0 {
-		o.Population = 32
+		o.Population = DefaultPopulation
 	}
 	if o.Budget == 0 {
-		o.Budget = o.Population * 16
+		o.Budget = o.Population * DefaultGenerations
 	}
 	return o
 }

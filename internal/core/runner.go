@@ -143,17 +143,11 @@ type Runner struct {
 	// vector — reclaim-axis neighbours, NSGA-II crossover offspring
 	// recombining two seen half-vectors — is served by an O(ops)
 	// composition with no simulation at all (Result.Composed).
+	// The partition cache and the pool-run memo are size-aware LRUs
+	// bounded by DefaultPartitionBudgetBytes and
+	// DefaultPoolMemoBudgetBytes; evicted entries rebuild on next use and
+	// results are unaffected.
 	Incremental bool
-
-	// PartitionBudgetBytes bounds the session's partition cache
-	// (size-aware LRU over the per-signature invariant replays): 0 uses
-	// DefaultPartitionBudgetBytes, negative is unbounded. Evicted
-	// signatures rebuild on next use; results are unaffected.
-	PartitionBudgetBytes int64
-
-	// PoolMemoBudgetBytes bounds the session's pool-run memo the same
-	// way: 0 uses DefaultPoolMemoBudgetBytes, negative is unbounded.
-	PoolMemoBudgetBytes int64
 
 	// Surrogate, when non-nil, enables surrogate-assisted candidate
 	// screening in the guided search strategies (HillClimb, Anneal,
@@ -192,11 +186,7 @@ func (r *Runner) Explore(space *Space) ([]Result, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
 	}
-	indices := make([]int, space.Size())
-	for i := range indices {
-		indices[i] = i
-	}
-	return r.run(space, indices)
+	return r.run(space, SweepIndices(space.Size(), 0, 0))
 }
 
 // Sample profiles n distinct configurations drawn uniformly from the
@@ -208,14 +198,23 @@ func (r *Runner) Sample(space *Space, n int, seed uint64) ([]Result, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: sample size %d", n)
 	}
-	size := space.Size()
-	if n >= size {
-		return r.Explore(space)
+	return r.run(space, SweepIndices(space.Size(), n, seed))
+}
+
+// SweepIndices returns the configuration indices a sweep of n samples
+// from a space of size configurations evaluates, in order: every index
+// in order when n <= 0 or n >= size (exhaustive), else the first n of
+// seed's permutation. Explore, Sample and the service's range shards
+// all walk this order.
+func SweepIndices(size, n int, seed uint64) []int {
+	if n > 0 && n < size {
+		return stats.NewRNG(seed).Perm(size)[:n]
 	}
-	rng := stats.NewRNG(seed)
-	perm := rng.Perm(size)
-	indices := perm[:n]
-	return r.run(space, indices)
+	indices := make([]int, size)
+	for i := range indices {
+		indices[i] = i
+	}
+	return indices
 }
 
 // run profiles the given indices in one wave: a throwaway session, one

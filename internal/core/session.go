@@ -57,7 +57,7 @@ type EvalSession struct {
 	// parts caches the invariant partition per fixed-pool signature,
 	// built once however many workers ask for it; it and runs are nil
 	// unless Runner.Incremental was set at session start. It is bounded by
-	// Runner.PartitionBudgetBytes so long NSGA-II runs over
+	// DefaultPartitionBudgetBytes so long NSGA-II runs over
 	// signature-rich spaces cannot grow it without limit; an evicted
 	// signature simply rebuilds on next use.
 	parts *onceCache[*profile.Partition]
@@ -66,7 +66,7 @@ type EvalSession struct {
 	// (recorded-op content hash, general-pool parameters). A hit
 	// composes cached per-gap reserve levels and metric components with
 	// the candidate's partition in O(ops) additions — no simulation.
-	// Bounded like parts, by Runner.PoolMemoBudgetBytes.
+	// Bounded like parts, by DefaultPoolMemoBudgetBytes.
 	runs *onceCache[*profile.PoolRun]
 
 	// total/done drive the Progress callback: total grows as batches are
@@ -81,27 +81,16 @@ type EvalSession struct {
 // at most this many configurations never grows its memo.
 const memoSizeHint = 1024
 
-// Default byte budgets for the session's incremental caches. At typical
-// trace scales (10^5–10^6 recorded ops, ~16 bytes per op across the
-// partition's slices) the defaults hold hundreds of partitions and
-// thousands of pool runs — far past what a guided search touches — while
-// keeping a week-long NSGA-II service run bounded.
+// Byte budgets of every session's incremental caches; the pool-run
+// budget also bounds dmexplore's -cache Store. At typical trace scales
+// (10^5–10^6 recorded ops, ~16 bytes per op across the partition's
+// slices) they hold hundreds of partitions and thousands of pool runs —
+// far past what a guided search touches — while keeping a week-long
+// NSGA-II service run bounded.
 const (
 	DefaultPartitionBudgetBytes = 256 << 20
 	DefaultPoolMemoBudgetBytes  = 128 << 20
 )
-
-// cacheBudget resolves a Runner budget knob: 0 means the default,
-// negative means unbounded (the lruCache convention for <= 0).
-func cacheBudget(knob, def int64) int64 {
-	if knob == 0 {
-		return def
-	}
-	if knob < 0 {
-		return 0
-	}
-	return knob
-}
 
 // IncrementalCacheStats reports the occupancy of the session's bounded
 // incremental caches (partition cache and pool-run memo).
@@ -195,10 +184,8 @@ func (r *Runner) newSession(space *Space, maxWorkers int) (*EvalSession, error) 
 		memo:      make(map[string]*profile.Metrics, min(space.Size(), memoSizeHint)),
 	}
 	if r.Incremental {
-		s.parts = newOnceCache[*profile.Partition](
-			cacheBudget(r.PartitionBudgetBytes, DefaultPartitionBudgetBytes))
-		s.runs = newOnceCache[*profile.PoolRun](
-			cacheBudget(r.PoolMemoBudgetBytes, DefaultPoolMemoBudgetBytes))
+		s.parts = newOnceCache[*profile.Partition](DefaultPartitionBudgetBytes)
+		s.runs = newOnceCache[*profile.PoolRun](DefaultPoolMemoBudgetBytes)
 	}
 	for w := 0; w < workers; w++ {
 		s.wg.Add(1)

@@ -42,8 +42,8 @@ func BenchmarkRun(b *testing.B) {
 
 // benchReplay measures steady-state exploration throughput: the trace is
 // compiled once and a single Replayer is reused across configurations,
-// exactly as core.Runner workers replay. The events/sec metric is the
-// perf-trajectory number tracked in BENCH_replay.json.
+// exactly as core.Runner workers replay. Its events/sec is the kernel
+// figure perfbench tracks end to end as profile.full_sim_events_per_s.
 func benchReplay(b *testing.B, gen workload.Generator) {
 	b.Helper()
 	tr, err := gen.Generate()
@@ -99,8 +99,8 @@ func BenchmarkReplayVTC(b *testing.B) {
 // BenchmarkReplayEasyport: the same steady-state replay loop with a
 // telemetry shard attached, as core.Runner workers run it. Comparing
 // its events/sec against the plain benchmark bounds the observation
-// overhead (scripts/benchreplay.go computes the ratio; the budget is
-// <2%). ReportAllocs doubles as the zero-allocation guard.
+// overhead (make bench-telemetry; the budget is <2%). ReportAllocs
+// doubles as the zero-allocation guard.
 func BenchmarkReplayTelemetry(b *testing.B) {
 	p := workload.DefaultEasyportParams()
 	p.Packets = 3000

@@ -159,17 +159,14 @@ func parseLogRecords(buf []byte, s *LogSummary) error {
 	return nil
 }
 
-// ParseLog streams a raw profile log and aggregates per-layer counters,
-// checking every block's CRC. It is the performance-critical path of the
-// result pipeline and avoids any per-record allocation.
+// ParseLog streams a raw profile log front to back and aggregates
+// per-layer counters, checking every block's CRC and never reading the
+// footer index. It is the streaming reference the tests, fuzzers and
+// scripts/benchparse.go's serial baseline compare ParseLogParallel with;
+// production code ingests through ParseLogParallel.
 func ParseLog(r io.Reader) (*LogSummary, error) {
-	return parseLog(r, nil)
-}
-
-// parseLog is ParseLog with ingest accounting; stats may be nil.
-func parseLog(r io.Reader, stats blockio.Stats) (*LogSummary, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	head := make([]byte, len(logMagic)+1)
+	head := make([]byte, len(logHeader))
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, fmt.Errorf("profile: reading log header: %w", err)
 	}
@@ -177,7 +174,7 @@ func parseLog(r io.Reader, stats blockio.Stats) (*LogSummary, error) {
 		return nil, err
 	}
 	s := &LogSummary{}
-	blocks := blockio.NewReader(br, stats)
+	blocks := blockio.NewReader(br)
 	for {
 		records, payload, err := blocks.Next()
 		if err == io.EOF {
@@ -207,26 +204,28 @@ func checkLogHeader(head []byte) error {
 	return nil
 }
 
-// ParseLogParallel aggregates a raw profile log with up to workers
-// goroutines. The log is split along the footer index and each worker
-// merges its blocks into a private partial LogSummary; the partials sum
-// at the end, so the totals are identical to ParseLog on the same bytes.
-// workers <= 1 streams the log serially. stats may be nil; both paths
-// feed it.
+// ParseLogParallel aggregates a raw profile log through its footer index
+// with up to workers goroutines (below 1 reads as 1). Each worker merges
+// its blocks into a private partial LogSummary; the partials sum at the
+// end, so the totals are identical to ParseLog on the same bytes. A log
+// without a valid footer index is rejected at every worker count. stats
+// may be nil.
 func ParseLogParallel(ra io.ReaderAt, size int64, workers int, stats blockio.Stats) (*LogSummary, error) {
-	if workers <= 1 {
-		return parseLog(io.NewSectionReader(ra, 0, size), stats)
-	}
-	groups, err := openLog(ra, size, workers)
+	idx, err := openLog(ra, size, workers)
 	if err != nil {
 		return nil, err
 	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	partials := make([]LogSummary, workers)
-	err = blockio.FanOut(ra, groups, workers, func(w, gi int, window []byte) error {
-		return parseLogGroup(window, groups[gi], &partials[w], stats)
+	partials := make([]LogSummary, min(max(workers, 1), len(idx.Groups))) // one per decoding goroutine
+	err = idx.Decode(stats, func(w, b int, _, records int64, payload []byte) error {
+		s := &partials[w]
+		before := s.Records
+		if err := parseLogRecords(payload, s); err != nil {
+			return err
+		}
+		if s.Records-before != uint64(records) {
+			return fmt.Errorf("profile: log block %d holds %d records, header says %d", b, s.Records-before, records)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -238,50 +237,22 @@ func ParseLogParallel(ra io.ReaderAt, size int64, workers int, stats blockio.Sta
 	return s, nil
 }
 
-// openLog checks a log's header, reads its footer index and groups its
-// blocks into fetch windows for workers goroutines.
-func openLog(ra io.ReaderAt, size int64, workers int) ([]blockio.Group, error) {
-	header := make([]byte, len(logMagic)+1)
+// openLog checks a log's header and opens its footer index for workers
+// goroutines.
+func openLog(ra io.ReaderAt, size int64, workers int) (*blockio.Index, error) {
+	header := make([]byte, len(logHeader))
 	if _, err := ra.ReadAt(header, 0); err != nil {
 		return nil, fmt.Errorf("profile: reading log header: %w", err)
 	}
 	if err := checkLogHeader(header); err != nil {
 		return nil, err
 	}
-	blocks, err := blockio.ReadIndex(ra, size)
-	if err != nil {
-		return nil, fmt.Errorf("profile: %w", err)
-	}
-	groups, _, err := blockio.GroupBlocks(blocks, blockio.FetchWindow(logFetchWindowBytes, size, workers))
-	if err != nil {
-		return nil, fmt.Errorf("profile: %w", err)
-	}
-	return groups, nil
+	return blockio.OpenIndex(ra, size, int64(len(logHeader)), logFetchWindowBytes, workers)
 }
 
 // logFetchWindowBytes is the largest fetch window ParseLogParallel groups
-// blocks into (see blockio.FetchWindow and GroupBlocks). A variable for
-// tests.
+// blocks into (see blockio.OpenIndex). A variable for tests.
 var logFetchWindowBytes int64 = blockio.DefaultFetchWindow
-
-// parseLogGroup aggregates one fetched window's blocks into s.
-func parseLogGroup(window []byte, g blockio.Group, s *LogSummary, stats blockio.Stats) error {
-	for b := g.First; b <= g.Last; b++ {
-		records, payload, rest, err := blockio.ParseBlock(window, stats)
-		if err != nil {
-			return fmt.Errorf("profile: log block %d (offset %d): %w", b, g.Off+g.Len-int64(len(window)), err)
-		}
-		window = rest
-		before := s.Records
-		if err := parseLogRecords(payload, s); err != nil {
-			return err
-		}
-		if s.Records-before != uint64(records) {
-			return fmt.Errorf("profile: log block %d holds %d records, header says %d", b, s.Records-before, records)
-		}
-	}
-	return nil
-}
 
 // WriteSyntheticLog emits a deterministic pseudo-random raw profile log
 // of the given record count — the workload for ingestion benchmarks and

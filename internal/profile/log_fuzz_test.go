@@ -5,9 +5,9 @@ package profile
 // inside the valid format space, plus a headerless record stream. The
 // properties under test: the record decoder, read as a raw block
 // payload, makes the same accept/reject decision and the same totals as
-// a plain binary.Uvarint reference; and whenever the serial parser
-// accepts an input and the parallel parser does too, both produce the
-// identical summary.
+// a plain binary.Uvarint reference; the indexed parser gives the same
+// verdict and summary at one worker as at four; and whatever it accepts,
+// the streaming ParseLog accepts with the identical summary.
 
 import (
 	"bytes"
@@ -59,6 +59,7 @@ func FuzzParseLog(f *testing.F) {
 	f.Add(cut.Bytes()[:cut.Len()/2])                                                // cut mid-block, footer index gone
 	f.Add([]byte{0, 0xFF, 0xFF, 0xFF, 0x7F, 0x80, 0x01})                            // 4-byte address, 2-byte words
 	f.Add([]byte{3, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02, 1}) // address overflows
+	f.Add(cut.Bytes()[:cut.Len()-8])                                                // cut into the footer trailer
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got, want LogSummary
 		gotErr, wantErr := parseLogRecords(data, &got), referenceRecords(data, &want)
@@ -68,24 +69,26 @@ func FuzzParseLog(f *testing.F) {
 		if gotErr == nil && !SameSummary(&got, &want) {
 			t.Fatalf("record decoder totals diverged from the reference")
 		}
-		s, err := ParseLog(bytes.NewReader(data))
-		if err != nil {
+		// The indexed parser gives one verdict and one summary per input
+		// at any worker count, and what it accepts the streaming
+		// reference sums the same.
+		one, oneErr := ParseLogParallel(bytes.NewReader(data), int64(len(data)), 1, nil)
+		four, fourErr := ParseLogParallel(bytes.NewReader(data), int64(len(data)), 4, nil)
+		if (oneErr == nil) != (fourErr == nil) {
+			t.Fatalf("indexed verdicts diverge: 1 worker %v, 4 workers %v", oneErr, fourErr)
+		}
+		if oneErr != nil {
 			return
 		}
-		for _, workers := range []int{1, 4} {
-			p, perr := ParseLogParallel(bytes.NewReader(data), int64(len(data)), workers, nil)
-			if perr != nil {
-				// The parallel path additionally requires the footer index;
-				// a truncated-but-serially-parsable tail may fail here. The
-				// serial path (workers=1) must accept what ParseLog does.
-				if workers == 1 {
-					t.Fatalf("serial ParseLogParallel rejected input ParseLog accepted: %v", perr)
-				}
-				continue
-			}
-			if !SameSummary(p, s) {
-				t.Fatalf("workers=%d: parallel summary diverged from serial", workers)
-			}
+		if !SameSummary(one, four) {
+			t.Fatal("1- and 4-worker summaries diverged")
+		}
+		s, err := ParseLog(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("the indexed parser accepted what ParseLog rejects: %v", err)
+		}
+		if !SameSummary(one, s) {
+			t.Fatal("indexed summary diverged from ParseLog")
 		}
 	})
 }

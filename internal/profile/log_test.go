@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dmexplore/internal/alloc"
-	"dmexplore/internal/blockio"
 	"dmexplore/internal/memhier"
 	"dmexplore/internal/trace"
 )
@@ -94,12 +93,12 @@ func TestParseLogParallelSplitsSmallLog(t *testing.T) {
 	if size >= logFetchWindowBytes {
 		t.Fatalf("the %d-byte log fills a %d-byte fetch window", size, logFetchWindowBytes)
 	}
-	groups, err := openLog(bytes.NewReader(data), size, 2)
+	idx, err := openLog(bytes.NewReader(data), size, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(groups) < 2 {
-		t.Fatalf("the %d-byte log forms %d fetch groups at two workers, want at least 2", size, len(groups))
+	if len(idx.Groups) < 2 {
+		t.Fatalf("the %d-byte log forms %d fetch groups at two workers, want at least 2", size, len(idx.Groups))
 	}
 	want, err := ParseLog(bytes.NewReader(data))
 	if err != nil {
@@ -282,10 +281,11 @@ func TestParseLogParallelFailsFast(t *testing.T) {
 	logFetchWindowBytes = 1 // one block per fetch group
 
 	data, _ := syntheticLog(t, 200_000)
-	blocks, err := blockio.ReadIndex(bytes.NewReader(data), int64(len(data)))
+	idx, err := openLog(bytes.NewReader(data), int64(len(data)), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	blocks := idx.Blocks
 	if len(blocks) < 4 {
 		t.Fatalf("only %d blocks", len(blocks))
 	}

@@ -5,7 +5,6 @@ import (
 
 	"dmexplore/internal/core"
 	"dmexplore/internal/memhier"
-	"dmexplore/internal/stats"
 	"dmexplore/internal/telemetry"
 	"dmexplore/internal/trace"
 	"dmexplore/internal/workload"
@@ -59,20 +58,12 @@ func BuildEnv(spec JobSpec, workers int, collector *telemetry.Collector) (*Env, 
 	return &Env{Trace: tr, Compiled: ct, Space: space, Hierarchy: hier, Runner: r}, nil
 }
 
-// sweepIndices materializes a sweep job's index order: the identity
-// order for exhaustive sweeps, or the same seeded permutation prefix
-// core.Runner.Sample draws. Range shards slice this order, so the
-// sharded sweep evaluates exactly the set a local run would.
+// sweepIndices materializes a sweep job's index order, the one
+// core.Runner.Sample walks (core.SweepIndices). Range shards slice this
+// order, so the sharded sweep evaluates exactly the set a local run
+// would.
 func sweepIndices(spec JobSpec, size int) []int {
-	if spec.Sample > 0 && spec.Sample < size {
-		rng := stats.NewRNG(spec.SampleSeed)
-		return rng.Perm(size)[:spec.Sample]
-	}
-	indices := make([]int, size)
-	for i := range indices {
-		indices[i] = i
-	}
-	return indices
+	return core.SweepIndices(size, spec.Sample, spec.SampleSeed)
 }
 
 // planShards partitions a job into its shards: one island shard per

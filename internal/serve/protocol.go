@@ -92,19 +92,16 @@ func (s JobSpec) withDefaults() JobSpec {
 			s.Islands = 1
 		}
 		if s.Population <= 0 {
-			s.Population = 32
+			s.Population = core.DefaultPopulation
 		}
 		if s.Budget <= 0 {
-			s.Budget = 16 * s.Population
+			s.Budget = core.DefaultGenerations * s.Population
 		}
 		if s.MigrationEvery <= 0 {
-			s.MigrationEvery = 4
+			s.MigrationEvery = core.DefaultMigrationEvery
 		}
 		if s.MigrationK <= 0 {
-			s.MigrationK = s.Population / 4
-			if s.MigrationK < 1 {
-				s.MigrationK = 1
-			}
+			s.MigrationK = core.DefaultMigrationK(s.Population)
 		}
 	}
 	return s

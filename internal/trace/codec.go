@@ -270,49 +270,59 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadBinary parses the block-framed v2 binary format sequentially.
+// ReadBinary parses the block-framed v2 binary format front to back,
+// never reading the footer index. It is the streaming reference the
+// tests, fuzzers and scripts/benchparse.go compare ReadBinaryParallel
+// with; production code reads through ReadBinaryParallel.
 func ReadBinary(r io.Reader) (*Trace, error) {
-	return readBinary(r, nil)
-}
-
-func readBinary(r io.Reader, stats blockio.Stats) (*Trace, error) {
 	cr := &countingReader{r: r}
 	br := bufio.NewReaderSize(cr, 1<<20)
-	// offset is the stream position of the next unconsumed byte, for
-	// error messages that point into the file.
-	offset := func() int64 { return cr.n - int64(br.Buffered()) }
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	version, err := br.ReadByte()
+	name, err := readHeader(br)
 	if err != nil {
 		return nil, err
 	}
+	// offset is the stream position of the next unconsumed byte, for
+	// error messages that point into the file.
+	offset := func() int64 { return cr.n - int64(br.Buffered()) }
+	return readBinaryV2(br, name, offset)
+}
+
+// readHeader reads a v2 trace's header — magic, version byte, name —
+// from the front of br and returns the name. Both binary readers check
+// the header through it.
+func readHeader(br *bufio.Reader) (string, error) {
+	magic := make([]byte, len(binaryMagic))
+	if _, err := io.ReadFull(br, magic); err != nil {
+		return "", fmt.Errorf("trace: reading magic: %w", err)
+	}
+	if string(magic) != binaryMagic {
+		return "", fmt.Errorf("trace: bad magic %q", magic)
+	}
+	version, err := br.ReadByte()
+	if err != nil {
+		return "", fmt.Errorf("trace: reading version: %w", err)
+	}
 	if version != binaryVersionV2 {
-		return nil, fmt.Errorf("trace: unsupported version %d", version)
+		return "", fmt.Errorf("trace: unsupported version %d", version)
 	}
 	nameLen, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("trace: reading name length: %w", err)
+		return "", fmt.Errorf("trace: reading name length: %w", err)
 	}
 	if nameLen > maxNameLen {
-		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
+		return "", fmt.Errorf("trace: implausible name length %d", nameLen)
 	}
 	name := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("trace: reading name: %w", err)
+		return "", fmt.Errorf("trace: reading name: %w", err)
 	}
-	return readBinaryV2(br, string(name), offset, stats)
+	return string(name), nil
 }
 
 // readBinaryV2 streams the block-framed v2 format following the header.
-func readBinaryV2(br *bufio.Reader, name string, offset func() int64, stats blockio.Stats) (*Trace, error) {
+func readBinaryV2(br *bufio.Reader, name string, offset func() int64) (*Trace, error) {
 	t := &Trace{Name: name}
-	blocks := blockio.NewReader(br, stats)
+	blocks := blockio.NewReader(br)
 	block := 0
 	for {
 		records, payload, err := blocks.Next()

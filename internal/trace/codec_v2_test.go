@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"dmexplore/internal/blockio"
 	"dmexplore/internal/stats"
 )
 
@@ -100,7 +99,6 @@ func TestBinaryV1Rejected(t *testing.T) {
 		"sequential": func() error { _, err := ReadBinary(bytes.NewReader(v1)); return err },
 		"parallel-1": func() error { _, err := ReadBinaryParallel(bytes.NewReader(v1), int64(len(v1)), 1, nil); return err },
 		"parallel-4": func() error { _, err := ReadBinaryParallel(bytes.NewReader(v1), int64(len(v1)), 4, nil); return err },
-		"compile":    func() error { _, err := CompileBinaryParallel(bytes.NewReader(v1), int64(len(v1)), 4, nil); return err },
 	}
 	for name, read := range reads {
 		if err := read(); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
@@ -109,9 +107,11 @@ func TestBinaryV1Rejected(t *testing.T) {
 	}
 }
 
-// TestBinaryV2ImplausibleCountRejected feeds the block-parallel readers
-// a footer whose single entry claims 2^40 events: it must be rejected by
-// name before any event slab is allocated.
+// TestBinaryV2ImplausibleCountRejected feeds the indexed reader a footer
+// whose single entry claims 2^40 events in an empty payload: it must be
+// rejected by name before any event slab is allocated, at every worker
+// count. Every record takes at least one payload byte, so no footer can
+// claim more events than its file has bytes.
 func TestBinaryV2ImplausibleCountRejected(t *testing.T) {
 	file := []byte("DMTR\x02\x00\x00")       // header, empty name, end marker
 	footer := binary.AppendUvarint(nil, 1)   // one block entry:
@@ -122,13 +122,11 @@ func TestBinaryV2ImplausibleCountRejected(t *testing.T) {
 	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(footer, crc32.MakeTable(crc32.Castagnoli)))
 	file = binary.LittleEndian.AppendUint64(file, uint64(len(footer)))
 	file = append(file, "DMBX"...)
-	if _, err := ReadBinaryParallel(bytes.NewReader(file), int64(len(file)), 4, nil); err == nil ||
-		!strings.Contains(err.Error(), "implausible event count") {
-		t.Fatalf("parallel read: %v, want an implausible-count error", err)
-	}
-	if _, err := CompileBinaryParallel(bytes.NewReader(file), int64(len(file)), 4, nil); err == nil ||
-		!strings.Contains(err.Error(), "implausible event count") {
-		t.Fatalf("compile: %v, want an implausible-count error", err)
+	for _, workers := range []int{1, 4} {
+		if _, err := ReadBinaryParallel(bytes.NewReader(file), int64(len(file)), workers, nil); err == nil ||
+			!strings.Contains(err.Error(), "1099511627776 records cannot fit in 0 payload bytes") {
+			t.Fatalf("workers=%d: %v, want an implausible-count error", workers, err)
+		}
 	}
 }
 
@@ -196,9 +194,12 @@ func TestBinaryV2MissingFooterFailsParallelOnly(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got.Events, tr.Events) {
 		t.Fatalf("streaming read of footer-chopped file: %v", err)
 	}
-	// ...but the index-driven parallel reader must refuse loudly.
-	if _, err := ReadBinaryParallel(bytes.NewReader(data), int64(len(data)), 4, nil); err == nil {
-		t.Fatal("parallel read accepted a chopped footer")
+	// ...but the index-driven reader must refuse loudly, at one worker as
+	// at four.
+	for _, workers := range []int{1, 4} {
+		if _, err := ReadBinaryParallel(bytes.NewReader(data), int64(len(data)), workers, nil); err == nil {
+			t.Fatalf("workers=%d: indexed read accepted a chopped footer", workers)
+		}
 	}
 }
 
@@ -228,7 +229,7 @@ func TestWriteBinaryV2BytesPinned(t *testing.T) {
 // TestParallelReadersFailFast is the regression test for the parallel
 // reader hang: with one block per fetch group and the CRC broken on the
 // first two blocks, both workers fail while groups remain to dispatch,
-// and each reader must return the error instead of blocking.
+// and the reader must return the error instead of blocking.
 func TestParallelReadersFailFast(t *testing.T) {
 	defer func(w int64) { fetchWindowBytes = w }(fetchWindowBytes)
 	fetchWindowBytes = 1 // one block per fetch group
@@ -238,10 +239,11 @@ func TestParallelReadersFailFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	blocks, err := blockio.ReadIndex(bytes.NewReader(data), int64(len(data)))
+	_, idx, err := openV2(bytes.NewReader(data), int64(len(data)), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	blocks := idx.Blocks
 	if len(blocks) < 4 {
 		t.Fatalf("only %d blocks", len(blocks))
 	}
@@ -249,26 +251,17 @@ func TestParallelReadersFailFast(t *testing.T) {
 	for _, blk := range blocks[:2] {
 		corrupt[blk.Offset+blk.DataLen()-1] ^= 0xFF // last payload byte
 	}
-	readers := map[string]func() error{
-		"ReadBinaryParallel": func() error {
-			_, err := ReadBinaryParallel(bytes.NewReader(corrupt), int64(len(corrupt)), 2, nil)
-			return err
-		},
-		"CompileBinaryParallel": func() error {
-			_, err := CompileBinaryParallel(bytes.NewReader(corrupt), int64(len(corrupt)), 2, nil)
-			return err
-		},
-	}
-	for name, read := range readers {
-		done := make(chan error, 1)
-		go func() { done <- read() }()
-		select {
-		case err := <-done:
-			if err == nil || !strings.Contains(err.Error(), "crc") {
-				t.Fatalf("%s: %v, want a crc error", name, err)
-			}
-		case <-time.After(20 * time.Second):
-			t.Fatalf("%s hung after every worker failed", name)
+	done := make(chan error, 1)
+	go func() {
+		_, err := ReadBinaryParallel(bytes.NewReader(corrupt), int64(len(corrupt)), 2, nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "crc") {
+			t.Fatalf("ReadBinaryParallel: %v, want a crc error", err)
 		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("ReadBinaryParallel hung after every worker failed")
 	}
 }

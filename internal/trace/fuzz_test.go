@@ -63,7 +63,7 @@ func seedTraces(f *testing.F) []*trace.Trace {
 }
 
 func FuzzReadBinary(f *testing.F) {
-	var truncated [][]byte
+	var truncated, footless [][]byte
 	for _, tr := range seedTraces(f) {
 		var v2 bytes.Buffer
 		if err := trace.WriteBinaryV2(&v2, tr); err != nil {
@@ -71,6 +71,7 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		f.Add(v2.Bytes())
 		truncated = append(truncated, v2.Bytes()[:v2.Len()/2])
+		footless = append(footless, v2.Bytes()[:v2.Len()-8])
 	}
 	f.Add([]byte("DMTR\x01\x00\x00"))
 	f.Add([]byte("DMTR\x02\x00\x00"))
@@ -105,17 +106,37 @@ func FuzzReadBinary(f *testing.F) {
 	for _, args := range boundaryArgs() {
 		f.Add(trace.EncodeRawV2("wide", args, 1))
 	}
-	// Real traces cut mid-block with the footer index gone.
+	// Real traces cut mid-block with the footer index gone, and cut into
+	// the footer's trailer.
 	for _, data := range truncated {
 		f.Add(data)
 	}
+	for _, data := range footless {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The indexed reader gives one verdict per input at any worker
+		// count, and what it accepts the streaming reference reads to
+		// the same trace.
+		one, oneErr := trace.ReadBinaryParallel(bytes.NewReader(data), int64(len(data)), 1, nil)
+		four, fourErr := trace.ReadBinaryParallel(bytes.NewReader(data), int64(len(data)), 4, nil)
+		if (oneErr == nil) != (fourErr == nil) {
+			t.Fatalf("indexed verdicts diverge: 1 worker %v, 4 workers %v", oneErr, fourErr)
+		}
 		tr, err := trace.ReadBinary(bytes.NewReader(data))
+		if oneErr == nil {
+			if err != nil {
+				t.Fatalf("the indexed reader accepted what ReadBinary rejects: %v", err)
+			}
+			if one.Name != tr.Name || four.Name != tr.Name || !sameEvents(one.Events, tr.Events) || !sameEvents(four.Events, tr.Events) {
+				t.Fatal("indexed read diverged from ReadBinary")
+			}
+		}
 		if err != nil {
 			return
 		}
 		// Whatever parsed must survive a v2 round trip bit-identically,
-		// and the parallel reader must agree with the sequential one.
+		// through both readers.
 		var out bytes.Buffer
 		if err := trace.WriteBinaryV2(&out, tr); err != nil {
 			t.Fatalf("re-encode of parsed trace failed: %v", err)
@@ -129,31 +150,10 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		par, err := trace.ReadBinaryParallel(bytes.NewReader(out.Bytes()), int64(out.Len()), 4, nil)
 		if err != nil {
-			t.Fatalf("parallel re-parse failed: %v", err)
+			t.Fatalf("indexed re-parse failed: %v", err)
 		}
 		if !sameEvents(par.Events, tr.Events) {
-			t.Fatal("parallel read diverged")
-		}
-		// The direct-to-slab compiler must agree with compile-after-read:
-		// same accept/reject verdict, and identical columns when accepted.
-		ref, refErr := trace.Compile(tr)
-		slab, slabErr := trace.CompileBinaryParallel(bytes.NewReader(out.Bytes()), int64(out.Len()), 3, nil)
-		if (refErr == nil) != (slabErr == nil) {
-			t.Fatalf("compile verdicts diverge: ref %v, slab %v", refErr, slabErr)
-		}
-		if refErr != nil {
-			return
-		}
-		if slab.Len() != ref.Len() || slab.NumIDs != ref.NumIDs ||
-			slab.Allocs != ref.Allocs || slab.Frees != ref.Frees ||
-			slab.Accesses != ref.Accesses || slab.Ticks != ref.Ticks ||
-			slab.PeakLive != ref.PeakLive || slab.PeakRequestedBytes != ref.PeakRequestedBytes {
-			t.Fatal("columnar compile counts diverge")
-		}
-		for i := 0; i < ref.Len(); i++ {
-			if slab.At(i) != ref.At(i) {
-				t.Fatalf("columnar compile row %d: %+v != %+v", i, slab.At(i), ref.At(i))
-			}
+			t.Fatal("indexed re-parse diverged")
 		}
 	})
 }

@@ -23,15 +23,18 @@ func TestSmallFileSplitsAcrossWorkers(t *testing.T) {
 	if size >= fetchWindowBytes {
 		t.Fatalf("the %d-byte file fills a %d-byte fetch window", size, fetchWindowBytes)
 	}
-	_, blocks, groups, _, err := openV2(bytes.NewReader(data), size, 2)
+	_, idx, err := openV2(bytes.NewReader(data), size, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(groups) < 2 {
-		t.Fatalf("%d blocks form %d fetch groups at two workers, want at least 2", len(blocks), len(groups))
+	if len(idx.Groups) < 2 {
+		t.Fatalf("%d blocks form %d fetch groups at two workers, want at least 2", len(idx.Blocks), len(idx.Groups))
 	}
-	if _, _, groups, _, err = openV2(bytes.NewReader(data), size, 1); err != nil || len(groups) != 1 {
-		t.Fatalf("one worker reads %d fetch groups (err %v), want 1", len(groups), err)
+	if _, idx, err = openV2(bytes.NewReader(data), size, 1); err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.Groups) != 1 {
+		t.Fatalf("one worker reads %d fetch groups, want 1", len(idx.Groups))
 	}
 
 	path := filepath.Join(t.TempDir(), "small.v2")

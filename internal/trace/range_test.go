@@ -127,7 +127,11 @@ func TestDecodersRangeCheckArgs(t *testing.T) {
 					return ReadBinaryParallel(bytes.NewReader(v2), int64(len(v2)), 3, nil)
 				},
 			}
-			slab, slabErr := CompileBinaryParallel(bytes.NewReader(v2), int64(len(v2)), 3, nil)
+			var slab *Compiled
+			par, slabErr := ReadBinaryParallel(bytes.NewReader(v2), int64(len(v2)), 3, nil)
+			if slabErr == nil {
+				slab, slabErr = Compile(par)
+			}
 			name := fmt.Sprintf("%s=%d", field, v)
 			if v <= limit {
 				for dec, read := range reads {

@@ -75,8 +75,7 @@ const (
 )
 
 // colBaseline is the frozen pre-Replayer replay path (map-based
-// profile.Run, easyport 3000 packets) in events/sec — the same numbers
-// scripts/benchreplay.go tracks.
+// profile.Run, easyport 3000 packets) in events/sec, per preset.
 var colBaseline = map[string]float64{
 	"kingsley": 6.58e6,
 	"lea":      3.71e6,
