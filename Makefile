@@ -74,20 +74,24 @@ bench-serve:
 
 # fuzz-smoke runs each native fuzz target for a few seconds — enough to
 # execute the seed corpus plus a short mutation run on every decoder, on
-# the result-store loader, on the coordinator's checkpoint replay and job
-# submission endpoint, on the indexed-vs-linear free list and on the ID
-# table against a Go-map reference compiler.
+# the result-store loader, on the coordinator's checkpoint replay, job
+# submission endpoint and worker RPC bodies, on the indexed-vs-linear
+# free list and on the ID table against a Go-map reference compiler.
+# Minimizing is off: shrinking each new input grown from the large
+# workload seeds would spend the whole run, leaving no time to mutate.
+FUZZ = -run '^$$' -fuzztime 5s -fuzzminimizetime 0s
 .PHONY: fuzz-smoke
 fuzz-smoke:
-	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 5s
-	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime 5s
-	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzTraceFeatures$$' -fuzztime 5s
-	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 5s
-	$(GO) test ./internal/profile/ -run '^$$' -fuzz '^FuzzParseLog$$' -fuzztime 5s
-	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzOpenStore$$' -fuzztime 5s
-	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzCheckpointReplay$$' -fuzztime 5s
-	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzSubmitJob$$' -fuzztime 5s
-	$(GO) test ./internal/alloc/ -run '^$$' -fuzz '^FuzzFreeList$$' -fuzztime 5s
+	$(GO) test ./internal/trace/ $(FUZZ) -fuzz '^FuzzReadBinary$$'
+	$(GO) test ./internal/trace/ $(FUZZ) -fuzz '^FuzzReadText$$'
+	$(GO) test ./internal/trace/ $(FUZZ) -fuzz '^FuzzTraceFeatures$$'
+	$(GO) test ./internal/trace/ $(FUZZ) -fuzz '^FuzzCompile$$'
+	$(GO) test ./internal/profile/ $(FUZZ) -fuzz '^FuzzParseLog$$'
+	$(GO) test ./internal/core/ $(FUZZ) -fuzz '^FuzzOpenStore$$'
+	$(GO) test ./internal/serve/ $(FUZZ) -fuzz '^FuzzCheckpointReplay$$'
+	$(GO) test ./internal/serve/ $(FUZZ) -fuzz '^FuzzSubmitJob$$'
+	$(GO) test ./internal/serve/ $(FUZZ) -fuzz '^FuzzCoordinatorRPC$$'
+	$(GO) test ./internal/alloc/ $(FUZZ) -fuzz '^FuzzFreeList$$'
 
 # bench-telemetry compares the instrumented steady-state replay loop
 # (telemetry shard attached, as Runner workers run it) against the plain

@@ -27,8 +27,6 @@ import (
 
 	"dmexplore/internal/core"
 	"dmexplore/internal/memhier"
-	"dmexplore/internal/pareto"
-	"dmexplore/internal/profile"
 	"dmexplore/internal/report"
 	"dmexplore/internal/serve"
 	"dmexplore/internal/telemetry"
@@ -133,7 +131,7 @@ func run(args []string, out io.Writer) error {
 		ingestStart := time.Now()
 		tr, err = trace.ReadFile(*tracePath, workerN, nil)
 		if err != nil {
-			return err
+			return fmt.Errorf("trace %s: %w", *tracePath, err)
 		}
 		if spans != nil {
 			spans.Coord().Since(span.StageTraceIngest, ingestStart, int64(tr.Len()))
@@ -200,10 +198,8 @@ func run(args []string, out io.Writer) error {
 
 	col := telemetry.NewCollector(workerN)
 	runner := &core.Runner{Hierarchy: hier, Trace: tr, Compiled: ct, Workers: *workers, Telemetry: col, Incremental: *incremental, EvalLatency: *evalLatency, Spans: spans}
-	var surReport *core.SurrogateReport
 	if *surrogate {
-		surReport = &core.SurrogateReport{}
-		runner.Surrogate = &core.SurrogateOptions{Report: surReport}
+		runner.Surrogate = &core.SurrogateOptions{}
 		if *surrogateWarm != "" {
 			wf, err := os.Open(*surrogateWarm)
 			if err != nil {
@@ -262,6 +258,42 @@ func run(args []string, out io.Writer) error {
 	}
 
 	start := time.Now()
+	var results, feasible, front []core.Result
+	// runSummary is run-summary.json: the finished run's digest or, when
+	// interrupted, the sweep so far. Only a finished run reads the
+	// results.
+	runSummary := func(snap telemetry.Snapshot, elapsed time.Duration, interrupted bool) telemetry.RunSummary {
+		sum := telemetry.RunSummary{
+			Tool:        "dmexplore",
+			Workload:    tr.Name,
+			Space:       space.Name,
+			Strategy:    *strategy,
+			Objectives:  objs,
+			ElapsedSec:  elapsed.Seconds(),
+			Telemetry:   snap,
+			Stages:      activeStages(spans),
+			Interrupted: interrupted,
+		}
+		if interrupted {
+			sum.Configurations = int(snap.Done())
+		} else {
+			sum.Configurations, sum.Feasible, sum.ParetoFront = len(results), len(feasible), len(front)
+		}
+		if journal != nil {
+			sum.JournalRecords = journal.Len()
+		}
+		if runner.Store != nil {
+			cs := runner.Store.Stats()
+			sum.Cache = &telemetry.CacheSummary{
+				Path:    *cachePath,
+				Entries: runner.Store.Len(),
+				Hits:    cs.Hits,
+				Misses:  cs.Misses,
+				Stale:   cs.Stale,
+			}
+		}
+		return sum
+	}
 	// An interrupted sweep must still explain itself: on SIGINT/SIGTERM
 	// flush the journal tail, write an Interrupted run summary and the
 	// span trace, then exit 128+signal like a shell would. The Once makes
@@ -293,22 +325,7 @@ func run(args []string, out io.Writer) error {
 				_ = journal.Flush()
 			}
 			if *outDir != "" {
-				snap := col.Snapshot()
-				sum := telemetry.RunSummary{
-					Tool:           "dmexplore",
-					Workload:       tr.Name,
-					Space:          space.Name,
-					Strategy:       *strategy,
-					Objectives:     objs,
-					Configurations: int(snap.Done()),
-					ElapsedSec:     time.Since(start).Seconds(),
-					Telemetry:      snap,
-					Stages:         activeStages(spans),
-					Interrupted:    true,
-				}
-				if journal != nil {
-					sum.JournalRecords = journal.Len()
-				}
+				sum := runSummary(col.Snapshot(), time.Since(start), true)
 				_ = telemetry.WriteRunSummary(filepath.Join(*outDir, "run-summary.json"), sum)
 			}
 			writeTrace()
@@ -320,7 +337,6 @@ func run(args []string, out io.Writer) error {
 		}
 		os.Exit(code)
 	}()
-	var results []core.Result
 	switch {
 	case *strategy == "screen":
 		screen := *sample
@@ -372,7 +388,7 @@ func run(args []string, out io.Writer) error {
 	elapsed := time.Since(start)
 	snap := col.Snapshot()
 
-	feasible := core.Feasible(results)
+	feasible = core.Feasible(results)
 	front, points, err := core.ParetoSet(feasible, objs)
 	if err != nil {
 		return err
@@ -381,53 +397,23 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "\nexplored %d configurations in %v (%d feasible)\n",
 		len(results), elapsed.Round(time.Millisecond), len(feasible))
 	fmt.Fprintf(out, "telemetry  %s\n", snap)
-	if surReport != nil {
-		if surReport.Trained == 0 {
+	if *surrogate {
+		if snap.SurrogateTrained == 0 {
 			fmt.Fprintf(out, "surrogate  unused (only the guided strategies screen: screen|evolve|hillclimb|anneal)\n")
 		} else {
 			fmt.Fprintf(out, "surrogate  trained on %d results, scored %d candidates, screened out %d\n",
-				surReport.Trained, surReport.Predictions, surReport.ScreenedOut)
+				snap.SurrogateTrained, snap.SurrogatePredictions, snap.SurrogateScreened)
+			acc := core.SurrogateAccuracy(results)
 			for _, obj := range objs {
-				if mae, ok := surReport.MAE[obj]; ok {
+				if a, ok := acc[obj]; ok {
 					fmt.Fprintf(out, "  %-10s Spearman %.3f, MAE %.4g (%d prediction/exact pairs)\n",
-						obj, surReport.Spearman[obj], mae, surReport.Pairs)
+						obj, a.Spearman, a.MAE, a.Pairs)
 				}
 			}
 		}
 	}
-	for _, obj := range objs {
-		r, err := core.Range(feasible, obj)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  %-10s range %.4g .. %.4g  (factor %.1f)\n", obj, r.Min, r.Max, r.Factor)
-	}
-	fmt.Fprintf(out, "\nPareto-optimal configurations: %d\n", len(front))
-	for _, obj := range objs {
-		f, err := core.ParetoImprovement(front, obj)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  %-10s trade-off factor %.2f (up to %.1f%% reduction within the front)\n",
-			obj, f, core.ReductionPercent(f))
-	}
-	// The paper's §3 also reports how much energy and execution time vary
-	// across the Pareto set even when they are not the front's objectives
-	// (picking the right trade-off point saves energy/time too).
-	for _, extra := range []string{profile.ObjEnergy, profile.ObjCycles} {
-		if contains(objs, extra) {
-			continue
-		}
-		f, err := core.ParetoImprovement(front, extra)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  %-10s varies by factor %.2f across the front (up to %.2f%% reduction)\n",
-			extra, f, core.ReductionPercent(f))
-	}
-	if k := pareto.Knee(points); k >= 0 && len(front) > 0 {
-		knee := front[min(k, len(front)-1)]
-		fmt.Fprintf(out, "  knee: config %d %v\n", knee.Index, knee.Labels)
+	if err := report.WriteSummary(out, feasible, front, points, objs); err != nil {
+		return err
 	}
 	if spans != nil {
 		fmt.Fprintln(out, "\npipeline stages (spans, total time):")
@@ -438,52 +424,24 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "  (%d spans dropped: per-worker ring wrapped)\n", d)
 		}
 	}
-	fmt.Fprintln(out, "\nfront (index, labels, objectives):")
-	for _, r := range front {
-		fmt.Fprintf(out, "  #%-6d %-60s", r.Index, strings.Join(r.Labels, ","))
-		for _, obj := range objs {
-			v, _ := r.Metrics.Objective(obj)
-			fmt.Fprintf(out, " %s=%.4g", obj, v)
-		}
-		fmt.Fprintln(out)
-	}
 
 	if *outDir != "" {
-		if err := writeReports(*outDir, space, results, feasible, front, objs); err != nil {
+		if err := report.WriteFile(filepath.Join(*outDir, "results.csv"), func(w io.Writer) error {
+			return report.WriteResultsCSV(w, space.AxisLabels(), results)
+		}); err != nil {
+			return err
+		}
+		if err := report.WriteReports(*outDir, space.Name, space.AxisLabels(), feasible, front, objs); err != nil {
 			return err
 		}
 	}
 	var finErr error
 	finalizeOnce.Do(func() {
 		if *outDir != "" {
-			journalRecords := journal.Len()
+			sum := runSummary(snap, elapsed, false)
 			if err := journal.Close(); err != nil {
 				finErr = fmt.Errorf("closing journal: %w", err)
 				return
-			}
-			sum := telemetry.RunSummary{
-				Tool:           "dmexplore",
-				Workload:       tr.Name,
-				Space:          space.Name,
-				Strategy:       *strategy,
-				Objectives:     objs,
-				Configurations: len(results),
-				Feasible:       len(feasible),
-				ParetoFront:    len(front),
-				JournalRecords: journalRecords,
-				ElapsedSec:     elapsed.Seconds(),
-				Telemetry:      snap,
-				Stages:         activeStages(spans),
-			}
-			if runner.Store != nil {
-				cs := runner.Store.Stats()
-				sum.Cache = &telemetry.CacheSummary{
-					Path:    *cachePath,
-					Entries: runner.Store.Len(),
-					Hits:    cs.Hits,
-					Misses:  cs.Misses,
-					Stale:   cs.Stale,
-				}
 			}
 			if finErr = telemetry.WriteRunSummary(filepath.Join(*outDir, "run-summary.json"), sum); finErr != nil {
 				return
@@ -657,74 +615,4 @@ func evolveSize(sample, budget int) (pop, total int) {
 		total = core.DefaultGenerations * pop
 	}
 	return pop, total
-}
-
-func writeReports(dir string, space *core.Space, all, feasible, front []core.Result, objs []string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	resultsPath := filepath.Join(dir, "results.csv")
-	f, err := os.Create(resultsPath)
-	if err != nil {
-		return err
-	}
-	if err := report.WriteResultsCSV(f, space.AxisLabels(), all); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-
-	if len(objs) >= 2 {
-		datPath := filepath.Join(dir, "pareto.dat")
-		df, err := os.Create(datPath)
-		if err != nil {
-			return err
-		}
-		if err := report.WriteParetoDat(df, feasible, front, objs[0], objs[1]); err != nil {
-			df.Close()
-			return err
-		}
-		if err := df.Close(); err != nil {
-			return err
-		}
-		pf, err := os.Create(filepath.Join(dir, "pareto.plt"))
-		if err != nil {
-			return err
-		}
-		title := fmt.Sprintf("%s: Pareto-optimal DM allocator configurations", space.Name)
-		if err := report.WriteGnuplotScript(pf, datPath, title, objs[0], objs[1]); err != nil {
-			pf.Close()
-			return err
-		}
-		if err := pf.Close(); err != nil {
-			return err
-		}
-	}
-
-	md, err := report.MarkdownSummary(space.Name, feasible, front, objs)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "summary.md"), []byte(md), 0o644); err != nil {
-		return err
-	}
-
-	hf, err := os.Create(filepath.Join(dir, "report.html"))
-	if err != nil {
-		return err
-	}
-	defer hf.Close()
-	title := fmt.Sprintf("%s exploration report", space.Name)
-	return report.WriteHTML(hf, title, space.AxisLabels(), feasible, front, objs[0], objs[1])
-}
-
-func contains(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"dmexplore/internal/core"
+	"dmexplore/internal/memhier"
+	"dmexplore/internal/pareto"
+	"dmexplore/internal/profile"
 	"dmexplore/internal/serve"
 	"dmexplore/internal/telemetry"
 	"dmexplore/internal/telemetry/span"
@@ -161,7 +166,8 @@ func TestRunTraceFile(t *testing.T) {
 }
 
 // TestRunTraceFileFooterCut: a v2 trace whose footer trailer lost its
-// last 8 bytes is refused at every worker count, one included.
+// last 8 bytes is refused at every worker count, one included, with an
+// error naming the file.
 func TestRunTraceFileFooterCut(t *testing.T) {
 	gen, err := workload.New("easyport", 1, 2)
 	if err != nil {
@@ -181,9 +187,62 @@ func TestRunTraceFileFooterCut(t *testing.T) {
 	}
 	for _, workers := range []string{"1", "2"} {
 		err := run([]string{"-trace", path, "-workers", workers, "-sample", "4", "-quiet"}, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), "missing footer magic") {
-			t.Fatalf("-workers %s: %v, want the footer-cut trace refused", workers, err)
+		if err == nil || !strings.Contains(err.Error(), "missing footer magic") || !strings.Contains(err.Error(), path) {
+			t.Fatalf("-workers %s: %v, want the footer-cut trace %s refused", workers, err, path)
 		}
+	}
+}
+
+// TestRunKneeOnTiedFront: on a three-objective front whose first
+// objective ties, dmexplore names as the knee the front member
+// pareto.Knee picks over the front's objective vectors.
+func TestRunKneeOnTiedFront(t *testing.T) {
+	objs := []string{profile.ObjFootprint, profile.ObjEnergy, profile.ObjAccesses}
+	var out bytes.Buffer
+	err := run([]string{
+		"-workload", "easyport", "-scale", "5", "-quiet", "-sample", "64",
+		"-objectives", strings.Join(objs, ","),
+	}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The same sample, evaluated and reduced here.
+	gen, err := workload.New("easyport", 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := gen.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := core.WorkloadSpace("easyport", "narrow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := (&core.Runner{Hierarchy: memhier.EmbeddedSoC(), Trace: tr}).Sample(space, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front, _, err := core.ParetoSet(core.Feasible(results), objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := make([]pareto.Point, len(front))
+	tied := false
+	for i, r := range front {
+		for _, obj := range objs {
+			v, _ := r.Metrics.Objective(obj)
+			points[i].Values = append(points[i].Values, v)
+		}
+		tied = tied || i > 0 && points[i].Values[0] == points[i-1].Values[0]
+	}
+	if !tied {
+		t.Fatalf("front %v has no tie in %s: the case this test is for is gone", points, objs[0])
+	}
+	knee := front[pareto.Knee(points)]
+	if want := fmt.Sprintf("knee: config %d %v\n", knee.Index, knee.Labels); !strings.Contains(out.String(), want) {
+		t.Fatalf("output lacks %q:\n%s", want, out.String())
 	}
 }
 

@@ -193,7 +193,7 @@ func parseLog(out io.Writer, path string, workers int) error {
 	ingest := telemetry.NewIngest()
 	s, err := profile.ParseLogParallel(f, fi.Size(), workers, ingest)
 	if err != nil {
-		return err
+		return fmt.Errorf("log %s: %w", path, err)
 	}
 	fmt.Fprintf(out, "log         %s (%d bytes, %d workers)\n", path, fi.Size(), workers)
 	fmt.Fprintf(out, "records     %d (%d words)\n", s.Records, s.TotalWords())

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -193,6 +194,29 @@ func TestParseLogIngestAtOneWorker(t *testing.T) {
 	}
 	if !strings.Contains(ingest, "blocks") || strings.Contains(ingest, "0 blocks") {
 		t.Fatalf("serial ingest line %q, want block counters:\n%s", ingest, out.String())
+	}
+}
+
+// TestParseLogFooterCut: a log whose footer trailer lost its last 8
+// bytes is refused at every worker count with an error naming the file.
+func TestParseLogFooterCut(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "run.log")
+	var out bytes.Buffer
+	if err := run([]string{"-workload", "easyport", "-scale", "5", "-preset", "lea", "-log", logPath}, &out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(logPath, data[:len(data)-8], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []string{"1", "2"} {
+		err := run([]string{"-parselog", logPath, "-workers", workers}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "missing footer magic") || !strings.Contains(err.Error(), logPath) {
+			t.Fatalf("-workers %s: %v, want the footer-cut log %s refused", workers, err, logPath)
+		}
 	}
 }
 

@@ -16,14 +16,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
 	"dmexplore/internal/core"
-	"dmexplore/internal/profile"
 	"dmexplore/internal/report"
-	"dmexplore/internal/stats"
 	"dmexplore/internal/telemetry"
 )
 
@@ -43,7 +40,7 @@ func run(args []string, out io.Writer) error {
 		axes        = fs.Int("axes", 0, "number of leading axis-label columns in the CSV (required)")
 		objectives  = fs.String("objectives", "accesses,footprint", "comma-separated minimization objectives")
 		outDir      = fs.String("out", "", "directory for regenerated reports (none when empty)")
-		title       = fs.String("title", "dmreport", "report title")
+		title       = fs.String("title", "dmreport", "report name: titles the plot, the summary and the HTML report")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -81,29 +78,14 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	feasible := core.Feasible(results)
-	front, _, err := core.ParetoSet(feasible, objs)
+	front, points, err := core.ParetoSet(feasible, objs)
 	if err != nil {
 		return err
 	}
-
 	fmt.Fprintf(out, "results    %d rows, %d feasible\n", len(results), len(feasible))
-	for _, obj := range objs {
-		r, err := core.Range(feasible, obj)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  %-10s range %.4g .. %.4g (factor %.2f)\n", obj, r.Min, r.Max, r.Factor)
+	if err := report.WriteSummary(out, feasible, front, points, objs); err != nil {
+		return err
 	}
-	fmt.Fprintf(out, "Pareto front: %d configurations\n", len(front))
-	for _, obj := range objs {
-		fct, err := core.ParetoImprovement(front, obj)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  %-10s trade-off factor %.2f (%.1f%% reduction)\n",
-			obj, fct, core.ReductionPercent(fct))
-	}
-
 	if *outDir == "" {
 		return nil
 	}
@@ -114,48 +96,10 @@ func run(args []string, out io.Writer) error {
 	for i := range axisNames {
 		axisNames[i] = fmt.Sprintf("axis%d", i)
 	}
-	datPath := filepath.Join(*outDir, "pareto.dat")
-	df, err := os.Create(datPath)
-	if err != nil {
+	if err := report.WriteReports(*outDir, *title, axisNames, feasible, front, objs); err != nil {
 		return err
 	}
-	err = report.WriteParetoDat(df, feasible, front, objs[0], objs[1])
-	if cerr := df.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	pf, err := os.Create(filepath.Join(*outDir, "pareto.plt"))
-	if err != nil {
-		return err
-	}
-	err = report.WriteGnuplotScript(pf, datPath, *title, objs[0], objs[1])
-	if cerr := pf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	hf, err := os.Create(filepath.Join(*outDir, "report.html"))
-	if err != nil {
-		return err
-	}
-	err = report.WriteHTML(hf, *title, axisNames, feasible, front, objs[0], objs[1])
-	if cerr := hf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	md, err := report.MarkdownSummary(*title, feasible, front, objs)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(*outDir, "summary.md"), []byte(md), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "reports written to %s\n", *outDir)
+	fmt.Fprintf(out, "\nreports written to %s\n", *outDir)
 	return nil
 }
 
@@ -190,7 +134,7 @@ func lineageReport(out io.Writer, path string, objs []string) error {
 	strategies := make(map[string]bool)
 	for _, idx := range idxs {
 		rec := byIdx[idx]
-		results = append(results, journalResult(rec))
+		results = append(results, core.ResultFromRecord(rec))
 		if rec.Origin != nil {
 			strategies[rec.Origin.Strategy] = true
 		}
@@ -219,9 +163,8 @@ func lineageReport(out io.Writer, path string, objs []string) error {
 		rec := byIdx[m.Index]
 		fmt.Fprintf(out, "\n#%-6d %s  [%s]", m.Index, strings.Join(m.Labels, ","), describeOrigin(rec.Origin))
 		for _, obj := range objs {
-			if v, ok := recordObjective(rec, obj); ok {
-				fmt.Fprintf(out, "  %s=%.4g", obj, v)
-			}
+			v, _ := m.Metrics.Objective(obj)
+			fmt.Fprintf(out, "  %s=%.4g", obj, v)
 		}
 		fmt.Fprintln(out)
 		printAncestry(out, byIdx, m.Index, "  ", map[int]bool{m.Index: true})
@@ -281,24 +224,6 @@ func describeOrigin(o *telemetry.Origin) string {
 	return s
 }
 
-// journalResult rebuilds the core result a journal record was written
-// from — enough for feasibility filtering and Pareto reduction.
-func journalResult(rec telemetry.Record) core.Result {
-	res := core.Result{Index: rec.Index, Labels: rec.Labels}
-	if rec.Error != "" {
-		res.Err = fmt.Errorf("%s", rec.Error)
-		return res
-	}
-	res.Metrics = &profile.Metrics{
-		Accesses:       rec.Accesses,
-		FootprintBytes: rec.FootprintBytes,
-		EnergyNJ:       rec.EnergyNJ,
-		Cycles:         rec.Cycles,
-		Failures:       rec.Failures,
-	}
-	return res
-}
-
 // summarizeJournal digests a run journal: where the sweep's time went,
 // what the cache did, which configurations failed and which were slow.
 func summarizeJournal(out io.Writer, path string) error {
@@ -334,48 +259,22 @@ func summarizeJournal(out io.Writer, path string) error {
 // journaled at submission time against the exact results measured on the
 // same records. Nothing is printed for journals without predictions.
 func surrogateAccuracy(out io.Writer, recs []telemetry.Record, d telemetry.JournalDigest) {
-	preds := make(map[string][]float64)
-	actuals := make(map[string][]float64)
-	for _, r := range recs {
-		if r.Error != "" || r.Failures > 0 || len(r.Predicted) == 0 {
-			continue
-		}
-		for obj, p := range r.Predicted {
-			a, ok := recordObjective(r, obj)
-			if !ok {
-				continue
-			}
-			preds[obj] = append(preds[obj], p)
-			actuals[obj] = append(actuals[obj], a)
-		}
+	results := make([]core.Result, len(recs))
+	for i, rec := range recs {
+		results[i] = core.ResultFromRecord(rec)
 	}
-	if d.Predicted == 0 || len(preds) == 0 {
+	acc := core.SurrogateAccuracy(results)
+	if d.Predicted == 0 || len(acc) == 0 {
 		return
 	}
-	objs := make([]string, 0, len(preds))
-	for obj := range preds {
+	objs := make([]string, 0, len(acc))
+	for obj := range acc {
 		objs = append(objs, obj)
 	}
 	sort.Strings(objs)
 	fmt.Fprintf(out, "  surrogate %d of %d records carry predictions\n", d.Predicted, d.Records)
 	for _, obj := range objs {
-		fmt.Fprintf(out, "    %-10s Spearman %.3f, MAE %.4g over %d pairs\n",
-			obj, stats.Spearman(preds[obj], actuals[obj]),
-			stats.MeanAbsError(preds[obj], actuals[obj]), len(preds[obj]))
+		a := acc[obj]
+		fmt.Fprintf(out, "    %-10s Spearman %.3f, MAE %.4g over %d pairs\n", obj, a.Spearman, a.MAE, a.Pairs)
 	}
-}
-
-// recordObjective reads the named objective off a journal record.
-func recordObjective(r telemetry.Record, obj string) (float64, bool) {
-	switch obj {
-	case profile.ObjAccesses:
-		return float64(r.Accesses), true
-	case profile.ObjFootprint:
-		return float64(r.FootprintBytes), true
-	case profile.ObjEnergy:
-		return r.EnergyNJ, true
-	case profile.ObjCycles:
-		return float64(r.Cycles), true
-	}
-	return 0, false
 }

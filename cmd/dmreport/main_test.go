@@ -56,7 +56,7 @@ func TestReportFromCSV(t *testing.T) {
 		t.Fatalf("output:\n%s", s)
 	}
 	// Config 2 is dominated by config 0: front is 2 configurations.
-	if !strings.Contains(s, "Pareto front: 2 configurations") {
+	if !strings.Contains(s, "Pareto-optimal configurations: 2") {
 		t.Fatalf("front wrong:\n%s", s)
 	}
 }
@@ -237,7 +237,7 @@ func TestLineageTreesComplete(t *testing.T) {
 	}
 	results := make([]core.Result, 0, len(idxs))
 	for _, rec := range byIdx {
-		results = append(results, journalResult(rec))
+		results = append(results, core.ResultFromRecord(rec))
 	}
 	front, _, err := core.ParetoSet(core.Feasible(results), []string{"accesses", "footprint"})
 	if err != nil {

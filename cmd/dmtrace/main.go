@@ -52,7 +52,7 @@ func run(args []string, out io.Writer) error {
 		var err error
 		tr, err = trace.ReadFile(*inPath, *workers, ingest)
 		if err != nil {
-			return err
+			return fmt.Errorf("trace %s: %w", *inPath, err)
 		}
 		if snap := ingest.Snapshot(); snap.Blocks > 0 {
 			fmt.Fprintf(out, "ingest %s\n", snap)

@@ -64,16 +64,17 @@ func Range(results []Result, objective string) (ObjectiveRange, error) {
 }
 
 // ParetoSet reduces results to the Pareto-optimal subset under the named
-// objectives (all minimized). The returned results are sorted by the
-// first objective ascending; the parallel points slice carries the
-// objective vectors (Tag = configuration index).
-func ParetoSet(results []Result, objectives []string) ([]Result, []pareto.Point, error) {
+// objectives (all minimized), one result per configuration index. The
+// returned results are sorted by the first objective ascending, ties by
+// index; points[n] is front[n]'s objective vector (Tag = configuration
+// index), so an index into points (pareto.Knee's) is an index into front.
+func ParetoSet(results []Result, objectives []string) (front []Result, points []pareto.Point, err error) {
 	dim := len(objectives)
 	if dim < 2 {
 		return nil, nil, fmt.Errorf("core: need at least two objectives, got %d", dim)
 	}
-	// pos[k] is the result behind points[k]; the objective vectors share
-	// one backing slice.
+	// pos[k] is the result behind all[k]; the objective vectors share one
+	// backing slice.
 	pos := make([]int, 0, len(results))
 	vals := make([]float64, 0, len(results)*dim)
 	for i, r := range results {
@@ -89,21 +90,18 @@ func ParetoSet(results []Result, objectives []string) ([]Result, []pareto.Point,
 		}
 		pos = append(pos, i)
 	}
-	points := make([]pareto.Point, len(pos))
-	for k := range points {
-		points[k].Values = vals[k*dim : (k+1)*dim : (k+1)*dim]
+	all := make([]pareto.Point, len(pos))
+	for k := range all {
+		all[k].Values = vals[k*dim : (k+1)*dim : (k+1)*dim]
 	}
 	index := func(k int) int { return results[pos[k]].Index }
-	// Equal vectors keep Front's Tag order: the indices' decimal forms.
-	front := pareto.FrontIndices(points, func(i, j int) bool { return decimalLess(index(i), index(j)) })
-	frontPoints := make([]pareto.Point, len(front))
-	for n, k := range front {
-		frontPoints[n] = pareto.Point{Tag: strconv.Itoa(index(k)), Values: points[k].Values}
-	}
+	// Which points are optimal does not depend on how ties are ordered:
+	// the sort below fixes the output order.
+	keep := pareto.FrontIndices(all, func(i, j int) bool { return i < j })
 	// One result per configuration index, the last with that index: the
 	// indices of equal vectors sort adjacent, the later position first.
-	sort.Slice(front, func(a, b int) bool {
-		i, j := front[a], front[b]
+	sort.Slice(keep, func(a, b int) bool {
+		i, j := keep[a], keep[b]
 		if vi, vj := vals[i*dim], vals[j*dim]; vi != vj {
 			return vi < vj
 		}
@@ -112,21 +110,53 @@ func ParetoSet(results []Result, objectives []string) ([]Result, []pareto.Point,
 		}
 		return i > j
 	})
-	out := make([]Result, 0, len(front))
-	for n, k := range front {
-		if n > 0 && index(k) == index(front[n-1]) {
+	front = make([]Result, 0, len(keep))
+	points = make([]pareto.Point, 0, len(keep))
+	for n, k := range keep {
+		if n > 0 && index(k) == index(keep[n-1]) {
 			continue
 		}
-		out = append(out, results[pos[k]])
+		front = append(front, results[pos[k]])
+		points = append(points, pareto.Point{Tag: strconv.Itoa(index(k)), Values: all[k].Values})
 	}
-	return out, frontPoints, nil
+	return front, points, nil
 }
 
-// decimalLess orders two integers by their decimal strings, as Tags
-// compare.
-func decimalLess(a, b int) bool {
-	var x, y [20]byte
-	return string(strconv.AppendInt(x[:0], int64(a), 10)) < string(strconv.AppendInt(y[:0], int64(b), 10))
+// PredictionAccuracy is how well the surrogate's predictions of one
+// objective tracked the exact values measured for the same
+// configurations.
+type PredictionAccuracy struct {
+	Spearman float64 // rank correlation of predictions and exact values
+	MAE      float64 // mean absolute error
+	Pairs    int     // (prediction, exact value) pairs compared
+}
+
+// SurrogateAccuracy compares the predictions the results carry with
+// their exact metrics, per predicted objective. It reads the feasible
+// results that carry Predicted, in the order given; objectives the
+// metrics cannot name are skipped.
+func SurrogateAccuracy(results []Result) map[string]PredictionAccuracy {
+	preds := make(map[string][]float64)
+	actuals := make(map[string][]float64)
+	for _, r := range Feasible(results) {
+		for obj, p := range r.Predicted {
+			a, err := r.Metrics.Objective(obj)
+			if err != nil {
+				continue
+			}
+			preds[obj] = append(preds[obj], p)
+			actuals[obj] = append(actuals[obj], a)
+		}
+	}
+	out := make(map[string]PredictionAccuracy, len(preds))
+	for obj, ps := range preds {
+		out[obj] = PredictionAccuracy{
+			Spearman: stats.Spearman(ps, actuals[obj]),
+			MAE:      stats.MeanAbsError(ps, actuals[obj]),
+			Pairs:    len(ps),
+		}
+	}
+	return out
 }
 
 // ParetoImprovement reports, within a Pareto set, the best-to-worst

@@ -2,14 +2,19 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
+	"time"
 
 	"dmexplore/internal/memhier"
 	"dmexplore/internal/pareto"
 	"dmexplore/internal/profile"
 	"dmexplore/internal/stats"
+	"dmexplore/internal/telemetry"
 )
 
 // frontIndices returns the configuration indices ParetoSet keeps, sorted.
@@ -106,7 +111,8 @@ func TestParetoSetMetamorphic(t *testing.T) {
 
 // referenceParetoSet is ParetoSet as it was built on pareto.Front with
 // string tags and a map by tag, the reference its index-based form must
-// match result for result and point for point.
+// match result for result. Its points are pareto.Front's, in Front's
+// order.
 func referenceParetoSet(results []Result, objectives []string) ([]Result, []pareto.Point) {
 	byTag := make(map[string]Result, len(results))
 	points := make([]pareto.Point, 0, len(results))
@@ -182,13 +188,81 @@ func TestParetoSetMatchesReference(t *testing.T) {
 				t.Fatalf("iter %d: front result %d is %d, reference %d", iter, i, got[i].Index, want[i].Index)
 			}
 		}
-		if len(gotPts) != len(wantPts) {
-			t.Fatalf("iter %d: %d front points, reference %d", iter, len(gotPts), len(wantPts))
+		// One point per front result, in the results' order, so an index
+		// into the points (pareto.Knee's) is an index into the results;
+		// the points cover the reference front's tags.
+		if len(gotPts) != len(got) {
+			t.Fatalf("iter %d: %d front points for %d front results", iter, len(gotPts), len(got))
 		}
-		for i := range gotPts {
-			if gotPts[i].Tag != wantPts[i].Tag || !slices.Equal(gotPts[i].Values, wantPts[i].Values) {
-				t.Fatalf("iter %d: front point %d is %+v, reference %+v", iter, i, gotPts[i], wantPts[i])
+		tags := make(map[string]bool, len(gotPts))
+		for i, p := range gotPts {
+			want := pareto.Point{Tag: strconv.Itoa(got[i].Index)}
+			for _, obj := range objs {
+				v, _ := got[i].Metrics.Objective(obj)
+				want.Values = append(want.Values, v)
+			}
+			if p.Tag != want.Tag || !slices.Equal(p.Values, want.Values) {
+				t.Fatalf("iter %d: front point %d is %+v, front result's %+v", iter, i, p, want)
+			}
+			tags[p.Tag] = true
+		}
+		for _, p := range wantPts {
+			if !tags[p.Tag] {
+				t.Fatalf("iter %d: reference front point %+v has no front point", iter, p)
 			}
 		}
+	}
+}
+
+// TestSurrogateAccuracy: the accuracy reads only the feasible results
+// that carry predictions, pairs each prediction with the exact value of
+// its objective, and skips objectives the metrics cannot name.
+func TestSurrogateAccuracy(t *testing.T) {
+	m := func(accesses uint64, footprint int64, failures uint64) *profile.Metrics {
+		return &profile.Metrics{Accesses: accesses, FootprintBytes: footprint, Failures: failures}
+	}
+	results := []Result{
+		{Index: 0, Metrics: m(10, 100, 0), Predicted: map[string]float64{"accesses": 12, "footprint": 90, "bogus": 1}},
+		{Index: 1, Metrics: m(20, 50, 0), Predicted: map[string]float64{"accesses": 18, "footprint": 60}},
+		{Index: 2, Metrics: m(30, 70, 0), Predicted: map[string]float64{"accesses": 33}},
+		{Index: 3, Metrics: m(5, 5, 1), Predicted: map[string]float64{"accesses": 1000}},
+		{Index: 4, Err: fmt.Errorf("boom"), Predicted: map[string]float64{"accesses": 1000}},
+		{Index: 5, Metrics: m(40, 40, 0)},
+	}
+	got := SurrogateAccuracy(results)
+	want := map[string]PredictionAccuracy{
+		"accesses":  {Spearman: 1, MAE: 7.0 / 3, Pairs: 3},
+		"footprint": {Spearman: 1, MAE: 10, Pairs: 2},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("accuracy for %v, want %v", got, want)
+	}
+	for obj, w := range want {
+		g := got[obj]
+		if g.Pairs != w.Pairs || math.Abs(g.Spearman-w.Spearman) > 1e-12 || math.Abs(g.MAE-w.MAE) > 1e-12 {
+			t.Errorf("%s: %+v, want %+v", obj, g, w)
+		}
+	}
+}
+
+// TestResultFromRecordInvertsJournalRecord: a result survives the trip
+// through its journal record, and an error record comes back as an error
+// with no metrics.
+func TestResultFromRecordInvertsJournalRecord(t *testing.T) {
+	res := Result{
+		Index: 7, Labels: []string{"a", "b"},
+		Metrics:  &profile.Metrics{Accesses: 1, FootprintBytes: 2, EnergyNJ: 3.5, Cycles: 4, Failures: 5},
+		Duration: 1500 * time.Microsecond, CacheHit: true, MemoHit: true,
+		Incremental: true, EventsSkipped: 9, Composed: true,
+		Predicted: map[string]float64{"accesses": 1.5},
+		Origin:    &telemetry.Origin{Strategy: "nsga2", Op: "crossover", Parents: []int{1, 2}},
+	}
+	if got := ResultFromRecord(res.JournalRecord()); !reflect.DeepEqual(got, res) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, res)
+	}
+	failed := Result{Index: 3, Err: fmt.Errorf("boom"), Predicted: map[string]float64{"accesses": 1}}
+	got := ResultFromRecord(failed.JournalRecord())
+	if got.Err == nil || got.Err.Error() != "boom" || got.Metrics != nil || got.Predicted != nil {
+		t.Fatalf("error record came back as %+v", got)
 	}
 }

@@ -145,7 +145,6 @@ func (r *Runner) EvolveIslandSession(sess *EvalSession, space *Space, objectives
 	rng := stats.NewRNG(IslandSeed(opts.Seed, opts.Island))
 	sur := r.newSurrogate(sess, equalWeights(objectives))
 	sur.paretoRank()
-	defer sur.finish()
 	batcher := newEvalBatcher(sess, "nsga2", sur)
 	batcher.onResult = opts.OnResult
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -78,6 +79,36 @@ func (r Result) JournalRecord() telemetry.Record {
 		rec.Failures = m.Failures
 	}
 	return rec
+}
+
+// ResultFromRecord is the inverse of JournalRecord: the result a journal
+// record was written from, with the metrics the journal keeps.
+func ResultFromRecord(rec telemetry.Record) Result {
+	res := Result{
+		Index:    rec.Index,
+		Labels:   rec.Labels,
+		Duration: time.Duration(rec.DurationMS * 1e6),
+		CacheHit: rec.CacheHit,
+		MemoHit:  rec.MemoHit,
+
+		Incremental:   rec.Incremental,
+		EventsSkipped: rec.EventsSkipped,
+		Composed:      rec.Composed,
+		Origin:        rec.Origin,
+	}
+	if rec.Error != "" {
+		res.Err = errors.New(rec.Error)
+		return res
+	}
+	res.Predicted = rec.Predicted
+	res.Metrics = &profile.Metrics{
+		Accesses:       rec.Accesses,
+		FootprintBytes: rec.FootprintBytes,
+		EnergyNJ:       rec.EnergyNJ,
+		Cycles:         rec.Cycles,
+		Failures:       rec.Failures,
+	}
+	return res
 }
 
 // Runner drives an exploration: one trace, one hierarchy, many

@@ -171,7 +171,6 @@ func (r *Runner) HillClimb(space *Space, weights []Weighted, budget int, seed ui
 	rng := stats.NewRNG(seed)
 	sur := r.newSurrogate(sess, weights)
 	b := newEvalBatcher(sess, "hillclimb", sur)
-	defer sur.finish()
 	ref, err := referenceScales(space, b, weights, rng)
 	if err != nil {
 		return nil, err
@@ -275,7 +274,6 @@ func (r *Runner) Anneal(space *Space, weights []Weighted, budget int, seed uint6
 	rng := stats.NewRNG(seed)
 	sur := r.newSurrogate(sess, weights)
 	b := newEvalBatcher(sess, "anneal", sur)
-	defer sur.finish()
 	ref, err := referenceScales(space, b, weights, rng)
 	if err != nil {
 		return nil, err
@@ -370,7 +368,6 @@ func (r *Runner) ScreenAndRefine(space *Space, objectives []string, screen, budg
 	sur := r.newSurrogate(sess, equalWeights(objectives))
 	sur.paretoRank()
 	b := newEvalBatcher(sess, "screen-refine", sur)
-	defer sur.finish()
 	scratch := newNeighborScratch(space)
 
 	// Screening sample: one wave. With a surrogate, a quarter of the wave

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"dmexplore/internal/profile"
 	"dmexplore/internal/stats"
 	"dmexplore/internal/telemetry"
 	"dmexplore/internal/telemetry/span"
@@ -79,30 +78,14 @@ type SurrogateOptions struct {
 	// into the models before the search begins, so the first waves are
 	// already guided.
 	WarmStart []telemetry.Record
-
-	// Report, when non-nil, is filled with the run's surrogate accuracy
-	// digest when the strategy returns.
-	Report *SurrogateReport
 }
 
-// SurrogateReport is the post-run accuracy digest: how much the models
-// were used and how well their predictions tracked the exact results.
-type SurrogateReport struct {
-	Trained     int    // exact results absorbed (online + warm start)
-	Predictions uint64 // candidate scores computed
-	ScreenedOut uint64 // candidates dropped from evaluation waves
-	Pairs       int    // (prediction, exact) pairs the digest covers
-
-	// Spearman and MAE compare journaled predictions against the exact
-	// values later measured for the same configurations, per objective.
-	Spearman map[string]float64
-	MAE      map[string]float64
-}
-
-// surrogate is the per-search instance: models, encoding buffers and the
-// accuracy ledger. The methods strategies and the batcher call are
-// nil-safe, so they thread one pointer through without branching; rank
-// returns its input unchanged until the models are ready.
+// surrogate is the per-search instance: models and encoding buffers. It
+// counts its use in the runner's telemetry.Collector; its accuracy is
+// read off the results (SurrogateAccuracy). The methods strategies and
+// the batcher call are nil-safe, so they thread one pointer through
+// without branching; rank returns its input unchanged until the models
+// are ready.
 type surrogate struct {
 	space   *Space
 	weights []Weighted
@@ -121,14 +104,6 @@ type surrogate struct {
 	penalty float64                 // infeasibility score penalty
 	trained int
 	pareto  bool // rank by interleaved scalarization directions
-
-	predictions uint64
-	screenedOut uint64
-
-	// Accuracy ledger: journaled predictions paired with the exact
-	// values measured for the same configurations, per objective.
-	preds   map[string][]float64
-	actuals map[string][]float64
 
 	x      []float64 // encode scratch
 	digits []int
@@ -160,8 +135,6 @@ func (r *Runner) newSurrogate(sess *EvalSession, weights []Weighted) *surrogate 
 		dim:     1 + len(feats) + oneHot,
 		models:  make(map[string]*stats.Ridge, len(weights)),
 		maxSeen: make(map[string]float64, len(weights)),
-		preds:   make(map[string][]float64, len(weights)),
-		actuals: make(map[string][]float64, len(weights)),
 		digits:  make([]int, len(space.Axes)),
 	}
 	s.x = make([]float64, s.dim)
@@ -202,8 +175,7 @@ func (s *surrogate) ready() bool {
 }
 
 // observe absorbs one exact result: feasibility and (when feasible) every
-// objective value, plus the accuracy ledger when the result carried a
-// journaled prediction.
+// objective value.
 func (s *surrogate) observe(res Result) {
 	if s == nil || res.Err != nil || res.Metrics == nil {
 		return
@@ -225,12 +197,6 @@ func (s *surrogate) observe(res Result) {
 				s.maxSeen[w.Objective] = v
 			}
 			s.models[w.Objective].Observe(x, math.Log1p(math.Max(v, 0)))
-			if res.Predicted != nil {
-				if p, ok := res.Predicted[w.Objective]; ok {
-					s.preds[w.Objective] = append(s.preds[w.Objective], p)
-					s.actuals[w.Objective] = append(s.actuals[w.Objective], v)
-				}
-			}
 		}
 	}
 	s.trained++
@@ -239,16 +205,10 @@ func (s *surrogate) observe(res Result) {
 
 // warmStart replays one prior journal record into the models.
 func (s *surrogate) warmStart(rec telemetry.Record) {
-	if rec.Error != "" || rec.Index < 0 || rec.Index >= s.space.Size() {
+	if rec.Index < 0 || rec.Index >= s.space.Size() {
 		return
 	}
-	s.observe(Result{Index: rec.Index, Metrics: &profile.Metrics{
-		Accesses:       rec.Accesses,
-		FootprintBytes: rec.FootprintBytes,
-		EnergyNJ:       rec.EnergyNJ,
-		Cycles:         rec.Cycles,
-		Failures:       rec.Failures,
-	}})
+	s.observe(ResultFromRecord(rec))
 }
 
 // predictAt returns the per-objective predicted values for idx (the
@@ -332,7 +292,6 @@ func (s *surrogate) rank(cands []int) []int {
 				scores[idx] = s.score(idx)
 			}
 		}
-		s.predictions += uint64(len(scores))
 		s.col.AddSurrogatePredictions(uint64(len(scores)))
 		out = append([]int(nil), cands...)
 		sort.SliceStable(out, func(i, j int) bool {
@@ -392,7 +351,6 @@ func (s *surrogate) rankPareto(cands []int) []int {
 		rows[idx] = rw
 		uniq = append(uniq, idx)
 	}
-	s.predictions += uint64(len(uniq))
 	s.col.AddSurrogatePredictions(uint64(len(uniq)))
 
 	dirs := make([][]float64, 0, m+1)
@@ -506,7 +464,6 @@ func (s *surrogate) screen(cands []int, k int) []int {
 		return s.rank(cands)
 	}
 	if k <= 0 {
-		s.screenedOut += uint64(len(cands))
 		s.col.AddSurrogateScreened(uint64(len(cands)))
 		return nil
 	}
@@ -538,32 +495,8 @@ func (s *surrogate) screen(cands []int, k int) []int {
 		}
 	}
 	dropped := uint64(len(cands) - len(picked))
-	s.screenedOut += dropped
 	s.col.AddSurrogateScreened(dropped)
 	return picked
-}
-
-// finish fills the caller's SurrogateReport, if one was requested.
-func (s *surrogate) finish() {
-	if s == nil || s.opts.Report == nil {
-		return
-	}
-	rep := s.opts.Report
-	rep.Trained = s.trained
-	rep.Predictions = s.predictions
-	rep.ScreenedOut = s.screenedOut
-	rep.Spearman = make(map[string]float64)
-	rep.MAE = make(map[string]float64)
-	for obj, ps := range s.preds {
-		if len(ps) == 0 {
-			continue
-		}
-		rep.Spearman[obj] = stats.Spearman(ps, s.actuals[obj])
-		rep.MAE[obj] = stats.MeanAbsError(ps, s.actuals[obj])
-		if len(ps) > rep.Pairs {
-			rep.Pairs = len(ps)
-		}
-	}
 }
 
 // equalWeights adapts a Pareto objective list to the scalarized form the

@@ -61,15 +61,15 @@ func TestObjectiveScalesDegenerate(t *testing.T) {
 
 // TestSurrogateScreenAndRefine exercises the full surrogate loop on a
 // real (small) space: the search must stay within budget, produce a
-// feasible front, journal its predictions, and fill the accuracy report.
+// feasible front, journal its predictions, count its use in telemetry and
+// leave results its accuracy can be read from.
 func TestSurrogateScreenAndRefine(t *testing.T) {
 	var mu sync.Mutex
 	var recs []telemetry.Record
-	rep := &SurrogateReport{}
 	r := &Runner{
 		Hierarchy: memhier.EmbeddedSoC(), Trace: tinyTrace(t), Workers: 4,
 		Telemetry: telemetry.NewCollector(4),
-		Surrogate: &SurrogateOptions{Report: rep},
+		Surrogate: &SurrogateOptions{},
 		Observer: func(res Result) {
 			mu.Lock()
 			recs = append(recs, res.JournalRecord())
@@ -93,21 +93,17 @@ func TestSurrogateScreenAndRefine(t *testing.T) {
 	if len(front) == 0 {
 		t.Fatal("no feasible front found")
 	}
-	if rep.Trained == 0 || rep.Predictions == 0 {
-		t.Fatalf("report not filled: %+v", rep)
+	snap := r.Telemetry.Snapshot()
+	if snap.SurrogateTrained == 0 || snap.SurrogatePredictions == 0 || snap.SurrogateScreened == 0 {
+		t.Fatalf("surrogate use not counted: %+v", snap)
 	}
-	if rep.Pairs == 0 {
-		t.Fatal("no (prediction, exact) accuracy pairs recorded")
-	}
-	for _, obj := range objs {
-		if _, ok := rep.MAE[obj]; !ok {
-			t.Fatalf("report has no MAE for %s: %+v", obj, rep)
-		}
-	}
-	predicted := 0
+	predicted, feasiblePredicted := 0, 0
 	for _, rec := range recs {
 		if len(rec.Predicted) > 0 {
 			predicted++
+			if rec.Error == "" && rec.Failures == 0 {
+				feasiblePredicted++
+			}
 		}
 	}
 	if predicted == 0 {
@@ -118,13 +114,11 @@ func TestSurrogateScreenAndRefine(t *testing.T) {
 	if predicted == len(recs) {
 		t.Fatal("bootstrap records unexpectedly carry predictions")
 	}
-	// Telemetry mirrors the report.
-	snap := r.Telemetry.Snapshot()
-	if snap.SurrogatePredictions != rep.Predictions || snap.SurrogateTrained == 0 {
-		t.Fatalf("telemetry surrogate counters diverge from report: %+v vs %+v", snap, rep)
-	}
-	if snap.SurrogateScreened != rep.ScreenedOut {
-		t.Fatalf("screened-out %d in telemetry, %d in report", snap.SurrogateScreened, rep.ScreenedOut)
+	acc := SurrogateAccuracy(results)
+	for _, obj := range objs {
+		if a, ok := acc[obj]; !ok || a.Pairs != feasiblePredicted {
+			t.Fatalf("%s accuracy %+v, want %d pairs (one per feasible predicted record)", obj, a, feasiblePredicted)
+		}
 	}
 }
 
@@ -193,9 +187,9 @@ func TestSurrogateAllStrategies(t *testing.T) {
 		},
 	}
 	for name, run := range runs {
-		rep := &SurrogateReport{}
 		r := searchRunner(t)
-		r.Surrogate = &SurrogateOptions{Report: rep}
+		r.Telemetry = telemetry.NewCollector(2)
+		r.Surrogate = &SurrogateOptions{}
 		evals, found, err := run(r)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -206,10 +200,11 @@ func TestSurrogateAllStrategies(t *testing.T) {
 		if !found {
 			t.Fatalf("%s: no result found", name)
 		}
-		if rep.Trained == 0 {
+		snap := r.Telemetry.Snapshot()
+		if snap.SurrogateTrained == 0 {
 			t.Fatalf("%s: surrogate never trained", name)
 		}
-		if rep.Predictions == 0 {
+		if snap.SurrogatePredictions == 0 {
 			t.Fatalf("%s: surrogate never consulted", name)
 		}
 	}
@@ -236,9 +231,9 @@ func TestSurrogateWarmStart(t *testing.T) {
 		t.Fatal("first run journaled nothing")
 	}
 
-	rep := &SurrogateReport{}
 	second := searchRunner(t)
-	second.Surrogate = &SurrogateOptions{WarmStart: recs, Report: rep}
+	second.Telemetry = telemetry.NewCollector(2)
+	second.Surrogate = &SurrogateOptions{WarmStart: recs}
 	var secondRecs []telemetry.Record
 	second.Observer = func(res Result) {
 		mu.Lock()
@@ -248,8 +243,8 @@ func TestSurrogateWarmStart(t *testing.T) {
 	if _, err := second.ScreenAndRefine(space, objs, 16, 48, 7); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Trained < len(recs) {
-		t.Fatalf("trained on %d results, warm start had %d records", rep.Trained, len(recs))
+	if trained := second.Telemetry.Snapshot().SurrogateTrained; trained < uint64(len(recs)) {
+		t.Fatalf("trained on %d results, warm start had %d records", trained, len(recs))
 	}
 	// A warm-started model is past its warm-up before the first wave, so
 	// even the bootstrap's fresh evaluations carry predictions.

@@ -1,18 +1,23 @@
 // Package report renders exploration results in the formats the paper's
 // tool emits: CSV/TSV tables "easy to import to Excel", Gnuplot data and
-// script files for the Pareto curves, and markdown summaries for
-// documentation. It also parses its own CSV back, so downstream tooling
-// can post-process sweeps without re-running them.
+// script files for the Pareto curves, markdown summaries for
+// documentation, and the end-of-run summary dmexplore and dmreport
+// print. It also parses its own CSV back, so downstream tooling can
+// post-process sweeps without re-running them.
 package report
 
 import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
 	"dmexplore/internal/core"
+	"dmexplore/internal/pareto"
 	"dmexplore/internal/profile"
 )
 
@@ -185,4 +190,96 @@ func MarkdownSummary(name string, feasible, front []core.Result, objectives []st
 			core.ReductionPercent(par.Factor))
 	}
 	return b.String(), nil
+}
+
+// WriteSummary prints the end-of-run digest of an exploration: each
+// objective's range over the feasible results, the Pareto set's size,
+// each objective's trade-off within the front, how much energy and
+// cycles vary across the front when they are not objectives (the paper's
+// §3 reports both), the knee and the front itself. points are front's
+// objective vectors, as core.ParetoSet returns them.
+func WriteSummary(w io.Writer, feasible, front []core.Result, points []pareto.Point, objectives []string) error {
+	for _, obj := range objectives {
+		r, err := core.Range(feasible, obj)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  %-10s range %.4g .. %.4g  (factor %.1f)\n", obj, r.Min, r.Max, r.Factor)
+	}
+	fmt.Fprintf(w, "\nPareto-optimal configurations: %d\n", len(front))
+	for _, obj := range objectives {
+		f, err := core.ParetoImprovement(front, obj)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  %-10s trade-off factor %.2f (up to %.1f%% reduction within the front)\n",
+			obj, f, core.ReductionPercent(f))
+	}
+	for _, extra := range []string{profile.ObjEnergy, profile.ObjCycles} {
+		if slices.Contains(objectives, extra) {
+			continue
+		}
+		f, err := core.ParetoImprovement(front, extra)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  %-10s varies by factor %.2f across the front (up to %.2f%% reduction)\n",
+			extra, f, core.ReductionPercent(f))
+	}
+	if k := pareto.Knee(points); k >= 0 {
+		fmt.Fprintf(w, "  knee: config %d %v\n", front[k].Index, front[k].Labels)
+	}
+	fmt.Fprintln(w, "\nfront (index, labels, objectives):")
+	for _, r := range front {
+		fmt.Fprintf(w, "  #%-6d %-60s", r.Index, strings.Join(r.Labels, ","))
+		for _, obj := range objectives {
+			v, _ := r.Metrics.Objective(obj)
+			fmt.Fprintf(w, " %s=%.4g", obj, v)
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+// WriteReports writes the report set of an exploration named name into
+// dir: pareto.dat and pareto.plt for the first two objectives, summary.md
+// and report.html.
+func WriteReports(dir, name string, axisNames []string, feasible, front []core.Result, objectives []string) error {
+	objX, objY := objectives[0], objectives[1]
+	datPath := filepath.Join(dir, "pareto.dat")
+	if err := WriteFile(datPath, func(w io.Writer) error {
+		return WriteParetoDat(w, feasible, front, objX, objY)
+	}); err != nil {
+		return err
+	}
+	if err := WriteFile(filepath.Join(dir, "pareto.plt"), func(w io.Writer) error {
+		title := fmt.Sprintf("%s: Pareto-optimal DM allocator configurations", name)
+		return WriteGnuplotScript(w, datPath, title, objX, objY)
+	}); err != nil {
+		return err
+	}
+	md, err := MarkdownSummary(name, feasible, front, objectives)
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(filepath.Join(dir, "summary.md"), []byte(md), 0o644); err != nil {
+		return err
+	}
+	return WriteFile(filepath.Join(dir, "report.html"), func(w io.Writer) error {
+		return WriteHTML(w, name+" exploration report", axisNames, feasible, front, objX, objY)
+	})
+}
+
+// WriteFile creates path and fills it with write, returning the first
+// error of writing and closing.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

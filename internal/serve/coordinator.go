@@ -523,6 +523,26 @@ func (j *job) islandRetired(island int) bool {
 	return true
 }
 
+// checkFront validates a migrate post from the lease on shardID: the
+// island must be that lease's, and every member an index of the space
+// with one value per objective. Caller holds c.mu.
+func (j *job) checkFront(shardID int, req MigrateRequest) error {
+	// Island shards number their islands 0..Islands-1, so this also
+	// refuses an island outside the job.
+	if sh := j.shards[shardID-1]; sh.Kind != "island" || sh.Island != req.Island {
+		return fmt.Errorf("island %d is not the lease's shard", req.Island)
+	}
+	for _, m := range req.Front {
+		if m.Index < 0 || m.Index >= j.space.Size() {
+			return fmt.Errorf("front member %d outside the space's %d configurations", m.Index, j.space.Size())
+		}
+		if len(m.Values) != len(j.spec.Objectives) {
+			return fmt.Errorf("front member %d has %d values for %d objectives", m.Index, len(m.Values), len(j.spec.Objectives))
+		}
+	}
+	return nil
+}
+
 // checkRound resolves a migration barrier when every live island has
 // posted (or retired): merge the posted fronts into the global Pareto
 // front, cap at MigrationK, memoize and checkpoint. Deterministic given
@@ -595,14 +615,8 @@ func (c *Coordinator) status(j *job, includeFront bool) JobStatus {
 	if err != nil {
 		return st
 	}
-	byTag := make(map[string][]float64, len(points))
-	for _, p := range points {
-		byTag[p.Tag] = p.Values
-	}
-	for _, r := range front {
-		st.Front = append(st.Front, FrontPoint{
-			Index: r.Index, Labels: r.Labels, Values: byTag[strconv.Itoa(r.Index)],
-		})
+	for n, r := range front {
+		st.Front = append(st.Front, FrontPoint{Index: r.Index, Labels: r.Labels, Values: points[n].Values})
 	}
 	return st
 }
@@ -845,9 +859,17 @@ func (c *Coordinator) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "job is "+j.state, http.StatusConflict)
 		return
 	}
-	if l := c.leases[req.Lease]; l == nil || l.jobID != req.JobID {
+	l := c.leases[req.Lease]
+	if l == nil || l.jobID != req.JobID {
 		c.mu.Unlock()
 		http.Error(w, "unknown lease", http.StatusConflict)
+		return
+	}
+	// The merge panics on mixed dimensionality and trusts every index, so
+	// a malformed front is refused before it can join a round.
+	if err := j.checkFront(l.shardID, req); err != nil {
+		c.mu.Unlock()
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	round := j.rounds[req.Gen]

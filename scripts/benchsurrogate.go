@@ -39,6 +39,7 @@ import (
 	"dmexplore/internal/memhier"
 	"dmexplore/internal/pareto"
 	"dmexplore/internal/profile"
+	"dmexplore/internal/telemetry"
 	"dmexplore/internal/trace"
 	"dmexplore/internal/workload"
 )
@@ -162,9 +163,10 @@ func run() error {
 		len(exact), len(exactFront), exactWall)
 
 	// Surrogate run: a fraction of the budget, models ranking the pool.
-	rep := &core.SurrogateReport{}
+	col := telemetry.NewCollector(8)
 	r := newRunner(8)
-	r.Surrogate = &core.SurrogateOptions{Report: rep}
+	r.Telemetry = col
+	r.Surrogate = &core.SurrogateOptions{}
 	start = time.Now()
 	assisted, err := r.ScreenAndRefine(space, objs, surrogateScreen, surrogateBudget, seed)
 	if err != nil {
@@ -184,12 +186,17 @@ func run() error {
 	})
 	out.SimReduction = float64(len(exact)) / float64(len(assisted))
 	out.HVFraction = frac
-	out.SurrogateStats.Trained = rep.Trained
-	out.SurrogateStats.Predictions = rep.Predictions
-	out.SurrogateStats.ScreenedOut = rep.ScreenedOut
-	out.SurrogateStats.Pairs = rep.Pairs
-	out.SurrogateStats.Spearman = rep.Spearman
-	out.SurrogateStats.MAE = rep.MAE
+	snap := col.Snapshot()
+	stats := &out.SurrogateStats
+	stats.Trained = int(snap.SurrogateTrained)
+	stats.Predictions = snap.SurrogatePredictions
+	stats.ScreenedOut = snap.SurrogateScreened
+	stats.Spearman = make(map[string]float64)
+	stats.MAE = make(map[string]float64)
+	for obj, a := range core.SurrogateAccuracy(assisted) {
+		stats.Spearman[obj], stats.MAE[obj] = a.Spearman, a.MAE
+		stats.Pairs = max(stats.Pairs, a.Pairs)
+	}
 	fmt.Fprintf(os.Stderr, "surrogate  %4d sims  front=%2d  hv=%5.1f%%  %.2fs  (%.1fx fewer sims)\n",
 		len(assisted), len(surFront), 100*frac, surWall, out.SimReduction)
 
