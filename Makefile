@@ -93,6 +93,28 @@ fuzz-smoke:
 	$(GO) test ./internal/serve/ $(FUZZ) -fuzz '^FuzzCoordinatorRPC$$'
 	$(GO) test ./internal/alloc/ $(FUZZ) -fuzz '^FuzzFreeList$$'
 
+# mutants runs each committed mutant (internal/mutant, DESIGN.md §19)
+# against its killer tests, built with -tags mutants, and fails if any
+# killer passes with the mutant on. Each killer must first pass with no
+# mutant, so a test that fails anyway kills nothing. An entry is
+# mutant:package:test[,test...].
+MUTANTS = \
+	partition-no-gap-reset:./internal/profile/:TestComposeSharedLayerPeakAfterReclaim \
+	recording-untruncated:./internal/core/:TestWarmIncrementalMatchesFresh
+.PHONY: mutants
+mutants:
+	@for m in $(MUTANTS); do \
+		name=$${m%%:*}; rest=$${m#*:}; pkg=$${rest%%:*}; \
+		for t in $$(echo $${rest#*:} | tr , ' '); do \
+			$(GO) test -count=1 -tags mutants -run "^$$t\$$" $$pkg >/dev/null || \
+				{ echo "mutants: $$t fails with no mutant"; exit 1; }; \
+			if DM_MUTANT=$$name $(GO) test -count=1 -tags mutants -run "^$$t\$$" $$pkg >/dev/null 2>&1; then \
+				echo "mutants: $$name survives $$t"; exit 1; \
+			fi; \
+			echo "mutants: $$name killed by $$t"; \
+		done; \
+	done
+
 # bench-telemetry compares the instrumented steady-state replay loop
 # (telemetry shard attached, as Runner workers run it) against the plain
 # one: the ratio of the two events/s figures is the overhead (budget

@@ -346,10 +346,12 @@ func parseBlock(buf []byte, stats Stats) (records int64, payload, rest []byte, e
 		return 0, nil, nil, fmt.Errorf("truncated payload length")
 	}
 	buf = buf[n:]
-	payloadLen := int64(u)
-	if payloadLen > maxPayloadLen || payloadLen > int64(len(buf))-4 {
-		return 0, nil, nil, fmt.Errorf("payload length %d exceeds window", payloadLen)
+	// Compared unsigned first: a length of 2^63 or more would turn
+	// negative as an int64 and pass the window check.
+	if u > maxPayloadLen || int64(u) > int64(len(buf))-4 {
+		return 0, nil, nil, fmt.Errorf("payload length %d exceeds window", u)
 	}
+	payloadLen := int64(u)
 	want := binary.LittleEndian.Uint32(buf)
 	payload = buf[4 : 4+payloadLen]
 	if got := crc32.Checksum(payload, castagnoli); got != want {

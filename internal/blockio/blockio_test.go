@@ -128,6 +128,19 @@ func TestCRCDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestParseBlockRejectsHugeLength: a block header whose payload length
+// is 2^63 or more is refused as exceeding the window, not read as a
+// negative length that slips past the check and panics.
+func TestParseBlockRejectsHugeLength(t *testing.T) {
+	hdr := binary.AppendUvarint(nil, 1)           // one record
+	hdr = binary.AppendUvarint(hdr, 1<<63|0x1234) // payload length
+	for _, tail := range [][]byte{nil, {0}, {0, 0, 0, 0, 0, 0, 0, 0}} {
+		if _, _, _, err := parseBlock(append(hdr, tail...), nil); err == nil || !strings.Contains(err.Error(), "exceeds window") {
+			t.Errorf("%d trailing bytes: err %v, want a payload length that exceeds the window", len(tail), err)
+		}
+	}
+}
+
 func TestTruncationErrors(t *testing.T) {
 	data := writeRecords(t, 1000, 256, nil)
 	for _, cut := range []int{1, 7, len(data) / 2} {

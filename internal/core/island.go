@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dmexplore/internal/stats"
@@ -166,14 +167,15 @@ func (r *Runner) EvolveIslandSession(sess *EvalSession, space *Space, objectives
 		return nil, err
 	}
 
+	var sc nsgaScratch
+	var err error
 	gen := 0
 	dryGenerations := 0
 	for batcher.len() < opts.Budget && batcher.len() < space.Size() {
 		evalsBefore := batcher.len()
 		gen++
 		// Offspring via binary tournaments, crossover, mutation.
-		ranks, crowd, err := rankAndCrowd(batcher, pop, objectives)
-		if err != nil {
+		if err := sc.rankAndCrowd(batcher, pop, objectives); err != nil {
 			return nil, err
 		}
 		var offspring []int
@@ -186,13 +188,13 @@ func (r *Runner) EvolveIslandSession(sess *EvalSession, space *Space, objectives
 			// batcher ever sees them.
 			cands := make([]int, 0, surrogateOversample*opts.Population)
 			for len(cands) < surrogateOversample*opts.Population {
-				a := tournament(rng, pop, ranks, crowd)
-				b := tournament(rng, pop, ranks, crowd)
+				a := sc.tournament(rng, pop)
+				b := sc.tournament(rng, pop)
 				child := mutate(rng, space, crossover(rng, space, a, b))
 				batcher.tag(child, "crossover", a, b)
 				cands = append(cands, child)
 			}
-			cands = dedupInts(cands)
+			cands = sc.dedup(cands)
 			var unseen []int
 			for _, c := range cands {
 				if batcher.has(c) {
@@ -210,8 +212,8 @@ func (r *Runner) EvolveIslandSession(sess *EvalSession, space *Space, objectives
 			offspring = make([]int, 0, opts.Population)
 			newEvals := 0
 			for len(offspring) < opts.Population && newEvals < remaining {
-				a := tournament(rng, pop, ranks, crowd)
-				b := tournament(rng, pop, ranks, crowd)
+				a := sc.tournament(rng, pop)
+				b := sc.tournament(rng, pop)
 				child := crossover(rng, space, a, b)
 				child = mutate(rng, space, child)
 				if !batcher.has(child) {
@@ -229,7 +231,7 @@ func (r *Runner) EvolveIslandSession(sess *EvalSession, space *Space, objectives
 		}
 
 		// Environmental selection over parents + offspring.
-		pop, err = selectPopulation(batcher, append(append([]int(nil), pop...), offspring...), objectives, opts.Population)
+		pop, err = sc.selectPopulation(batcher, append(append([]int(nil), pop...), offspring...), objectives, opts.Population)
 		if err != nil {
 			return nil, err
 		}
@@ -238,7 +240,7 @@ func (r *Runner) EvolveIslandSession(sess *EvalSession, space *Space, objectives
 		// immigrants, and re-select. With no hook the branch is inert —
 		// no RNG draws, no evaluations — so the serial walk is untouched.
 		if opts.Migrate != nil && opts.MigrationEvery > 0 && gen%opts.MigrationEvery == 0 {
-			front, err := islandFront(batcher, pop, objectives, opts.MigrationK)
+			front, err := sc.islandFront(batcher, pop, objectives, opts.MigrationK)
 			if err != nil {
 				return nil, err
 			}
@@ -246,7 +248,7 @@ func (r *Runner) EvolveIslandSession(sess *EvalSession, space *Space, objectives
 			if err != nil {
 				return nil, err
 			}
-			imm = dedupInts(imm)
+			imm = sc.dedup(slices.Clone(imm))
 			valid := imm[:0]
 			for _, m := range imm {
 				if m >= 0 && m < space.Size() {
@@ -263,7 +265,7 @@ func (r *Runner) EvolveIslandSession(sess *EvalSession, space *Space, objectives
 				if _, err := batcher.getBatch(imm); err != nil {
 					return nil, err
 				}
-				pop, err = selectPopulation(batcher, append(append([]int(nil), pop...), imm...), objectives, opts.Population)
+				pop, err = sc.selectPopulation(batcher, append(append([]int(nil), pop...), imm...), objectives, opts.Population)
 				if err != nil {
 					return nil, err
 				}
@@ -286,50 +288,57 @@ func (r *Runner) EvolveIslandSession(sess *EvalSession, space *Space, objectives
 }
 
 // selectPopulation is NSGA-II environmental selection: dedup the union,
-// sort by (rank, crowding) and truncate to size.
-func selectPopulation(b *evalBatcher, union []int, objectives []string, size int) ([]int, error) {
-	union = dedupInts(union)
-	ranks, crowd, err := rankAndCrowd(b, union, objectives)
-	if err != nil {
+// sort by (rank, crowding) and truncate to size. It reorders union, which
+// the caller hands over, and returns its prefix.
+func (sc *nsgaScratch) selectPopulation(b *evalBatcher, union []int, objectives []string, size int) ([]int, error) {
+	union = sc.dedup(union)
+	if err := sc.rankAndCrowd(b, union, objectives); err != nil {
 		return nil, err
 	}
-	sort.SliceStable(union, func(i, j int) bool {
-		a, c := union[i], union[j]
-		if ranks[a] != ranks[c] {
-			return ranks[a] < ranks[c]
-		}
-		return crowd[a] > crowd[c]
-	})
-	if len(union) > size {
-		union = union[:size]
+	sc.order = sc.order[:0]
+	for i := range union {
+		sc.order = append(sc.order, i)
 	}
-	return union, nil
+	sort.SliceStable(sc.order, func(x, y int) bool {
+		i, j := sc.order[x], sc.order[y]
+		if sc.rank[i] != sc.rank[j] {
+			return sc.rank[i] < sc.rank[j]
+		}
+		return sc.crowd[i] > sc.crowd[j]
+	})
+	sc.sorted = sc.sorted[:0]
+	for _, i := range sc.order {
+		sc.sorted = append(sc.sorted, union[i])
+	}
+	return union[:copy(union[:min(len(union), size)], sc.sorted)], nil
 }
 
 // islandFront extracts the island's current elite for export: the rank-0
 // members of pop, best crowding first (ties by index), capped at k, each
 // carrying its objective vector. Deterministic given pop and the
 // batcher's results.
-func islandFront(b *evalBatcher, pop []int, objectives []string, k int) ([]IslandMember, error) {
-	ranks, crowd, err := rankAndCrowd(b, pop, objectives)
-	if err != nil {
+func (sc *nsgaScratch) islandFront(b *evalBatcher, pop []int, objectives []string, k int) ([]IslandMember, error) {
+	if err := sc.rankAndCrowd(b, pop, objectives); err != nil {
 		return nil, err
 	}
 	var elite []int
-	for _, idx := range pop {
-		if ranks[idx] == 0 {
-			elite = append(elite, idx)
+	for i := range pop {
+		if sc.rank[i] == 0 {
+			elite = append(elite, i)
 		}
 	}
-	sort.SliceStable(elite, func(i, j int) bool {
-		a, c := elite[i], elite[j]
-		if crowd[a] != crowd[c] {
-			return crowd[a] > crowd[c]
+	sort.SliceStable(elite, func(x, y int) bool {
+		i, j := elite[x], elite[y]
+		if sc.crowd[i] != sc.crowd[j] {
+			return sc.crowd[i] > sc.crowd[j]
 		}
-		return a < c
+		return pop[i] < pop[j]
 	})
 	if len(elite) > k {
 		elite = elite[:k]
+	}
+	for n, i := range elite {
+		elite[n] = pop[i]
 	}
 	out := make([]IslandMember, 0, len(elite))
 	for _, idx := range elite {

@@ -31,9 +31,11 @@ type onceCache[V memSized] struct {
 // memSized is a cached value that reports the bytes it retains.
 type memSized interface{ MemBytes() int64 }
 
-// onceEntry is one key's build: its value and whether it succeeded.
+// onceEntry is one key's build: its value and whether it succeeded, and
+// the key, which the build resizes by.
 type onceEntry[V any] struct {
 	once sync.Once
+	key  string
 	val  V
 	ok   bool
 }
@@ -47,21 +49,29 @@ func newOnceCache[V memSized](budget int64) *onceCache[V] {
 	return &onceCache[V]{lru: *newLRUCache[*onceEntry[V]](budget)}
 }
 
+// reserve sizes an empty cache's map for n entries, so its first n
+// claims do not grow it.
+func (c *onceCache[V]) reserve(n int) *onceCache[V] {
+	c.lru.entries = make(map[string]*lruNode[*onceEntry[V]], n)
+	return c
+}
+
 // get returns key's value and whether its build succeeded, running build
-// on the first request for key.
-func (c *onceCache[V]) get(key string, build func() (V, bool)) (V, bool) {
+// on the first request for key. A lookup of a resident key does not
+// copy it; the key string is allocated once, when the key is claimed.
+func (c *onceCache[V]) get(key []byte, build func() (V, bool)) (V, bool) {
 	c.mu.Lock()
-	e, ok := c.lru.get(key)
+	e, ok := c.lru.getBytes(key)
 	if !ok {
-		e = &onceEntry[V]{}
-		c.lru.put(key, e, onceEntryBytes)
+		e = &onceEntry[V]{key: string(key)}
+		c.lru.put(e.key, e, onceEntryBytes)
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
 		if e.val, e.ok = build(); e.ok {
 			// The budget may now evict colder keys, never this one.
 			c.mu.Lock()
-			c.lru.resize(key, onceEntryBytes+e.val.MemBytes())
+			c.lru.resize(e.key, onceEntryBytes+e.val.MemBytes())
 			c.mu.Unlock()
 		}
 	})
@@ -90,9 +100,15 @@ func newLRUCache[V any](budget int64) *lruCache[V] {
 }
 
 // get returns the entry for key, marking it most recently used.
-func (c *lruCache[V]) get(key string) (V, bool) {
-	n, ok := c.entries[key]
-	if !ok {
+func (c *lruCache[V]) get(key string) (V, bool) { return c.found(c.entries[key]) }
+
+// getBytes is get for a key held as bytes, which it does not copy.
+func (c *lruCache[V]) getBytes(key []byte) (V, bool) { return c.found(c.entries[string(key)]) }
+
+// found returns n's value, marking it most recently used; a nil n is a
+// missing key.
+func (c *lruCache[V]) found(n *lruNode[V]) (V, bool) {
+	if n == nil {
 		var zero V
 		return zero, false
 	}

@@ -1,9 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 
 	"dmexplore/internal/pareto"
 	"dmexplore/internal/stats"
@@ -43,97 +44,138 @@ func (o EvolveOptions) withDefaults() EvolveOptions {
 	return o
 }
 
-// rankAndCrowd computes non-domination ranks (0 = front) and crowding
-// distances for the given population members. Infeasible configurations
-// rank behind every feasible one.
-func rankAndCrowd(b *evalBatcher, pop []int, objectives []string) (map[int]int, map[int]float64, error) {
-	ranks := make(map[int]int, len(pop))
-	crowd := make(map[int]float64, len(pop))
+// nsgaScratch is one search's ranking scratch, reused by every
+// generation: each population member's rank and crowding distance by
+// its position in the population, and the objective vectors, fronts and
+// orders the ranking works through. Population members are distinct
+// configurations (the initial population repeats one only once the
+// whole space is in it, and then the search ends before any ranking).
+type nsgaScratch struct {
+	rank  []int     // by position; math.MaxInt32 for an infeasible member
+	crowd []float64 // by position
 
-	var feasible []pareto.Point
-	for _, idx := range pop {
+	vals    []float64      // the feasible members' objective vectors, back to back
+	points  []pareto.Point // the members still to rank
+	pos     []int          // population position of points[k]
+	inFront []bool         // by points index: in the front just peeled
+	byObj   byObjective    // crowding's order of one front on one objective
+	order   []int          // selectPopulation's order of positions
+	sorted  []int          // selectPopulation's members in that order
+	seen    map[int]bool   // dedup's set
+}
+
+// rankAndCrowd computes non-domination ranks (0 = front) and crowding
+// distances for the given population members, by position. Infeasible
+// configurations rank behind every feasible one.
+func (sc *nsgaScratch) rankAndCrowd(b *evalBatcher, pop []int, objectives []string) error {
+	sc.rank = slices.Grow(sc.rank[:0], len(pop))[:len(pop)]
+	sc.crowd = slices.Grow(sc.crowd[:0], len(pop))[:len(pop)]
+	// Room for every vector up front, so no append moves the ones the
+	// points already hold.
+	sc.vals = slices.Grow(sc.vals[:0], len(pop)*len(objectives))
+	sc.points, sc.pos = sc.points[:0], sc.pos[:0]
+	for i, idx := range pop {
 		res, _ := b.lookup(idx)
 		if res.Metrics == nil || !res.Metrics.Feasible() {
-			ranks[idx] = math.MaxInt32 // infeasible: worst rank
-			crowd[idx] = 0
+			sc.rank[i], sc.crowd[i] = math.MaxInt32, 0 // infeasible: worst rank
 			continue
 		}
-		vals := make([]float64, len(objectives))
-		for d, obj := range objectives {
+		start := len(sc.vals)
+		for _, obj := range objectives {
 			v, err := res.Metrics.Objective(obj)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
-			vals[d] = v
+			sc.vals = append(sc.vals, v)
 		}
-		feasible = append(feasible, pareto.Point{Tag: fmt.Sprint(idx), Values: vals})
+		sc.points = append(sc.points, pareto.Point{Values: sc.vals[start:len(sc.vals):len(sc.vals)]})
+		sc.pos = append(sc.pos, i)
 	}
 
 	// Peel fronts: rank 0 is the Pareto front of the remainder, etc.
-	remaining := feasible
-	rank := 0
-	for len(remaining) > 0 {
-		front := pareto.Front(remaining)
-		inFront := make(map[string]bool, len(front))
-		for _, p := range front {
-			inFront[p.Tag] = true
-			idx := mustAtoi(p.Tag)
-			ranks[idx] = rank
+	// Equal vectors are ordered by their configuration indices' decimal
+	// strings, the order pareto.Front gives points tagged with them.
+	tie := func(i, j int) bool { return decimalLess(pop[sc.pos[i]], pop[sc.pos[j]]) }
+	for rank := 0; len(sc.points) > 0; rank++ {
+		front := pareto.FrontIndices(sc.points, tie)
+		sc.inFront = slices.Grow(sc.inFront[:0], len(sc.points))[:len(sc.points)]
+		clear(sc.inFront)
+		for _, k := range front {
+			sc.inFront[k] = true
+			sc.rank[sc.pos[k]] = rank
 		}
-		crowding(front, crowd)
-		next := remaining[:0:0]
-		for _, p := range remaining {
-			if !inFront[p.Tag] {
-				next = append(next, p)
+		sc.crowding(front)
+		next := 0
+		for k, p := range sc.points {
+			if !sc.inFront[k] {
+				sc.points[next], sc.pos[next] = p, sc.pos[k]
+				next++
 			}
 		}
-		remaining = next
-		rank++
+		sc.points, sc.pos = sc.points[:next], sc.pos[:next]
 	}
-	return ranks, crowd, nil
+	return nil
 }
 
-// crowding assigns the NSGA-II crowding distance within one front.
-func crowding(front []pareto.Point, crowd map[int]float64) {
+// crowding assigns the NSGA-II crowding distance within one front, given
+// as indices into sc.points in pareto.Front's order.
+func (sc *nsgaScratch) crowding(front []int) {
 	if len(front) == 0 {
 		return
 	}
-	dim := len(front[0].Values)
-	for _, p := range front {
-		crowd[mustAtoi(p.Tag)] = 0
+	for _, k := range front {
+		sc.crowd[sc.pos[k]] = 0
 	}
-	for d := 0; d < dim; d++ {
-		sorted := append([]pareto.Point(nil), front...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Values[d] < sorted[j].Values[d] })
-		lo, hi := sorted[0].Values[d], sorted[len(sorted)-1].Values[d]
-		crowd[mustAtoi(sorted[0].Tag)] = math.Inf(1)
-		crowd[mustAtoi(sorted[len(sorted)-1].Tag)] = math.Inf(1)
+	o := &sc.byObj
+	o.points = sc.points
+	for o.d = range len(sc.points[front[0]].Values) {
+		o.order = append(o.order[:0], front...)
+		sort.Sort(o)
+		first, last := o.order[0], o.order[len(o.order)-1]
+		lo, hi := o.value(first), o.value(last)
+		sc.crowd[sc.pos[first]] = math.Inf(1)
+		sc.crowd[sc.pos[last]] = math.Inf(1)
 		if hi == lo {
 			continue
 		}
-		for i := 1; i < len(sorted)-1; i++ {
-			idx := mustAtoi(sorted[i].Tag)
-			if !math.IsInf(crowd[idx], 1) {
-				crowd[idx] += (sorted[i+1].Values[d] - sorted[i-1].Values[d]) / (hi - lo)
+		for i := 1; i < len(o.order)-1; i++ {
+			at := sc.pos[o.order[i]]
+			if !math.IsInf(sc.crowd[at], 1) {
+				sc.crowd[at] += (o.value(o.order[i+1]) - o.value(o.order[i-1])) / (hi - lo)
 			}
 		}
 	}
 }
 
-// tournament picks the better of two random members (rank, then crowding).
-func tournament(rng *stats.RNG, pop []int, ranks map[int]int, crowd map[int]float64) int {
-	a := pop[rng.Intn(len(pop))]
-	b := pop[rng.Intn(len(pop))]
-	if ranks[a] != ranks[b] {
-		if ranks[a] < ranks[b] {
-			return a
+// byObjective orders indices into points by objective d. It sorts with
+// sort.Sort, the algorithm sort.Slice also runs, so tied values land in
+// the same order the search has always used.
+type byObjective struct {
+	points []pareto.Point
+	order  []int
+	d      int
+}
+
+func (o *byObjective) value(k int) float64 { return o.points[k].Values[o.d] }
+func (o *byObjective) Len() int            { return len(o.order) }
+func (o *byObjective) Less(i, j int) bool  { return o.value(o.order[i]) < o.value(o.order[j]) }
+func (o *byObjective) Swap(i, j int)       { o.order[i], o.order[j] = o.order[j], o.order[i] }
+
+// tournament picks the better of two random members (rank, then
+// crowding) of the population sc last ranked.
+func (sc *nsgaScratch) tournament(rng *stats.RNG, pop []int) int {
+	a := rng.Intn(len(pop))
+	b := rng.Intn(len(pop))
+	if sc.rank[a] != sc.rank[b] {
+		if sc.rank[a] < sc.rank[b] {
+			return pop[a]
 		}
-		return b
+		return pop[b]
 	}
-	if crowd[a] >= crowd[b] {
-		return a
+	if sc.crowd[a] >= sc.crowd[b] {
+		return pop[a]
 	}
-	return b
+	return pop[b]
 }
 
 // crossover mixes two genomes axis-wise (uniform crossover).
@@ -162,22 +204,26 @@ func mutate(rng *stats.RNG, space *Space, idx int) int {
 	return space.index(d)
 }
 
-func dedupInts(xs []int) []int {
-	seen := make(map[int]bool, len(xs))
-	out := xs[:0:0]
+// dedup drops repeated values from xs in place, keeping each first
+// occurrence in order, and returns the shortened slice.
+func (sc *nsgaScratch) dedup(xs []int) []int {
+	if sc.seen == nil {
+		sc.seen = make(map[int]bool, len(xs))
+	}
+	clear(sc.seen)
+	out := xs[:0]
 	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
+		if !sc.seen[x] {
+			sc.seen[x] = true
 			out = append(out, x)
 		}
 	}
 	return out
 }
 
-func mustAtoi(s string) int {
-	n := 0
-	for _, c := range s {
-		n = n*10 + int(c-'0')
-	}
-	return n
+// decimalLess orders two non-negative integers as their decimal strings
+// order.
+func decimalLess(a, b int) bool {
+	var x, y [20]byte
+	return string(strconv.AppendInt(x[:0], int64(a), 10)) < string(strconv.AppendInt(y[:0], int64(b), 10))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"dmexplore/internal/memhier"
@@ -119,13 +120,16 @@ func TestEvolveDeterministic(t *testing.T) {
 	}
 }
 
-func TestMustAtoi(t *testing.T) {
-	for _, c := range []struct {
-		s    string
-		want int
-	}{{"0", 0}, {"7", 7}, {"123", 123}, {"45678", 45678}} {
-		if got := mustAtoi(c.s); got != c.want {
-			t.Fatalf("mustAtoi(%q) = %d", c.s, got)
+// TestDecimalLess checks the ranking's tie order: configuration indices
+// compare as their decimal strings do, the order pareto.Front gives
+// points tagged with fmt.Sprint of each index.
+func TestDecimalLess(t *testing.T) {
+	xs := []int{0, 1, 2, 7, 9, 10, 11, 19, 20, 99, 100, 101, 123, 640, 1000, 45678, 58319}
+	for _, a := range xs {
+		for _, b := range xs {
+			if got, want := decimalLess(a, b), fmt.Sprint(a) < fmt.Sprint(b); got != want {
+				t.Fatalf("decimalLess(%d, %d) = %t, want %t", a, b, got, want)
+			}
 		}
 	}
 }

@@ -77,8 +77,9 @@ type EvalSession struct {
 	closed atomic.Bool
 }
 
-// memoSizeHint caps the memo's initial size: a session over a space of
-// at most this many configurations never grows its memo.
+// memoSizeHint caps the initial size of the memo and the incremental
+// caches: a session over a space of at most this many configurations
+// never grows their maps.
 const memoSizeHint = 1024
 
 // Byte budgets of every session's incremental caches; the pool-run
@@ -129,12 +130,14 @@ type evalJob struct {
 }
 
 // evalScratch is one worker's reusable evaluation state: the
-// configuration each evaluation is materialized into and the buffer its
-// ID is built in. Nothing that outlives an evaluation may alias either:
-// the configuration's Fixed array is rewritten by the next one.
+// configuration each evaluation is materialized into, the buffer its ID
+// is built in and the buffer its cache keys are built in. Nothing that
+// outlives an evaluation may alias any of them: the configuration's
+// Fixed array is rewritten by the next one.
 type evalScratch struct {
 	cfg alloc.Config
 	id  []byte
+	key []byte
 }
 
 // NewSession opens a persistent evaluation session for the space. Callers
@@ -184,8 +187,9 @@ func (r *Runner) newSession(space *Space, maxWorkers int) (*EvalSession, error) 
 		memo:      make(map[string]*profile.Metrics, min(space.Size(), memoSizeHint)),
 	}
 	if r.Incremental {
-		s.parts = newOnceCache[*profile.Partition](DefaultPartitionBudgetBytes)
-		s.runs = newOnceCache[*profile.PoolRun](DefaultPoolMemoBudgetBytes)
+		hint := min(space.Size(), memoSizeHint)
+		s.parts = newOnceCache[*profile.Partition](DefaultPartitionBudgetBytes).reserve(hint)
+		s.runs = newOnceCache[*profile.PoolRun](DefaultPoolMemoBudgetBytes).reserve(hint)
 	}
 	for w := 0; w < workers; w++ {
 		s.wg.Add(1)
@@ -304,7 +308,7 @@ func (s *EvalSession) worker(w int) {
 	rep.Shard = shard
 	rep.Spans = s.r.Spans.Ring(w)
 	var debt time.Duration
-	var sc evalScratch
+	sc := evalScratch{id: make([]byte, 0, keyBufLen), key: make([]byte, 0, keyBufLen)}
 	for job := range s.jobs {
 		res := s.evalOne(job.idx, job.labels, &sc, rep, shard, &debt)
 		res.Predicted = job.predicted
@@ -397,7 +401,7 @@ func (s *EvalSession) resolve(res *Result, labels []string, sc *evalScratch, rep
 	}
 
 	if s.parts != nil {
-		if charge, ok := s.partial(res, *cfg, rep, shard); ok {
+		if charge, ok := s.partial(res, sc, rep, shard); ok {
 			return key, charge
 		}
 	}
@@ -422,17 +426,17 @@ func (s *EvalSession) resolve(res *Result, labels []string, sc *evalScratch, rep
 // path declines (a partition fault, a capacity interaction, a pool
 // failure the failure-replay path cannot reproduce); the caller then
 // replays in full.
-func (s *EvalSession) partial(res *Result, cfg alloc.Config, rep *profile.Replayer, shard *telemetry.Shard) (charge time.Duration, ok bool) {
-	part := s.partition(cfg, rep)
+func (s *EvalSession) partial(res *Result, sc *evalScratch, rep *profile.Replayer, shard *telemetry.Shard) (charge time.Duration, ok bool) {
+	part := s.partition(sc, rep)
 	if part == nil {
 		return 0, false
 	}
 	pstart := time.Now()
-	run, built := s.poolRun(part, cfg, rep)
+	run, built := s.poolRun(part, sc, rep)
 	if run == nil {
 		return 0, false
 	}
-	if res.Metrics, ok = rep.Compose(s.ct, part, run, cfg, s.r.Hierarchy); !ok {
+	if res.Metrics, ok = rep.Compose(s.ct, part, run, sc.cfg, s.r.Hierarchy); !ok {
 		return 0, false
 	}
 	res.Incremental = true
@@ -467,31 +471,35 @@ func relabel(m *profile.Metrics, label string) *profile.Metrics {
 	return &c
 }
 
-// partition returns the invariant partition for cfg's fixed-pool
-// signature, building it on first use — one full-trace replay per
-// signature, shared by every worker for the rest of the session. A nil
-// return means the partition could not be built (a fault the full
-// replay path will surface per configuration).
-func (s *EvalSession) partition(cfg alloc.Config, rep *profile.Replayer) *profile.Partition {
-	part, _ := s.parts.get(partitionKey(cfg), func() (*profile.Partition, bool) {
-		part, err := rep.Partition(s.ct, cfg, s.r.Hierarchy)
+// partition returns the invariant partition for the fixed-pool
+// signature of the worker's configuration, building it on first use —
+// one full-trace replay per signature, shared by every worker for the
+// rest of the session. A nil return means the partition could not be
+// built (a fault the full replay path will surface per configuration).
+func (s *EvalSession) partition(sc *evalScratch, rep *profile.Replayer) *profile.Partition {
+	sc.key = appendPartitionKey(sc.key[:0], &sc.cfg)
+	part, _ := s.parts.get(sc.key, func() (*profile.Partition, bool) {
+		part, err := rep.Partition(s.ct, sc.cfg, s.r.Hierarchy)
 		return part, err == nil
 	})
 	return part
 }
 
 // poolRun returns the memoized standalone general-pool run for part's
-// recorded op sequence under cfg's general-pool parameters, building it
-// on first use; concurrent workers claiming the same key build exactly
-// once. built reports whether this call executed the standalone replay
-// (false: served by the memo — the caller's composition is the whole
-// evaluation). A nil run means the replay declined and only a full
-// replay can evaluate the configuration.
-func (s *EvalSession) poolRun(part *profile.Partition, cfg alloc.Config, rep *profile.Replayer) (run *profile.PoolRun, built bool) {
-	key := poolRunKey(s.hierarchy, part.OpsHash(), part.Ops(), cfg.General)
+// recorded op sequence under the worker configuration's general-pool
+// parameters, building it on first use; concurrent workers claiming the
+// same key build exactly once. built reports whether this call executed
+// the standalone replay (false: served by the memo — the caller's
+// composition is the whole evaluation). A nil run means the replay
+// declined and only a full replay can evaluate the configuration.
+func (s *EvalSession) poolRun(part *profile.Partition, sc *evalScratch, rep *profile.Replayer) (run *profile.PoolRun, built bool) {
+	cfg := &sc.cfg
+	sc.key = appendPoolRunKey(sc.key[:0], s.hierarchy, part.OpsHash(), part.Ops(), cfg.General)
 	store := s.r.Store
-	run, ok := s.runs.get(key, func() (*profile.PoolRun, bool) {
+	run, ok := s.runs.get(sc.key, func() (*profile.PoolRun, bool) {
+		var key string
 		if store != nil {
+			key = string(sc.key)
 			// Store probe: a run recorded by a previous tool invocation
 			// under the same key serves this session like an in-session
 			// hit (the caller's composition is the whole evaluation).
@@ -503,7 +511,7 @@ func (s *EvalSession) poolRun(part *profile.Partition, cfg alloc.Config, rep *pr
 			}
 		}
 		built = true
-		run, ok := rep.PoolReplay(part, cfg, s.r.Hierarchy)
+		run, ok := rep.PoolReplay(part, *cfg, s.r.Hierarchy)
 		if ok && store != nil {
 			store.PutPoolRun(key, run)
 		}
@@ -515,7 +523,7 @@ func (s *EvalSession) poolRun(part *profile.Partition, cfg alloc.Config, rep *pr
 	if !built && !run.MatchesOps(part) {
 		// Content-hash collision: the cached run replayed a different op
 		// sequence. Compute privately rather than trust or replace it.
-		if r2, ok2 := rep.PoolReplay(part, cfg, s.r.Hierarchy); ok2 {
+		if r2, ok2 := rep.PoolReplay(part, *cfg, s.r.Hierarchy); ok2 {
 			return r2, true
 		}
 		return nil, true
@@ -531,10 +539,15 @@ func (s *EvalSession) poolRun(part *profile.Partition, cfg alloc.Config, rep *pr
 // sequence itself is verified on reuse (PoolRun.MatchesOps) so a hash
 // collision degrades to a private rebuild, never a wrong composition.
 // The key is persisted: its bytes are storeKey's over
-// "%016x·%d·<general ID>", built by appending.
+// "%016x·%d·<general ID>".
 func poolRunKey(hierarchy string, opsHash uint64, ops int, g alloc.GeneralConfig) string {
 	var buf [keyBufLen]byte
-	b := append(buf[:0], kindPoolRun...)
+	return string(appendPoolRunKey(buf[:0], hierarchy, opsHash, ops, g))
+}
+
+// appendPoolRunKey appends poolRunKey's bytes to b.
+func appendPoolRunKey(b []byte, hierarchy string, opsHash uint64, ops int, g alloc.GeneralConfig) []byte {
+	b = append(b, kindPoolRun...)
 	b = append(b, '\x1f')
 	b = append(b, hierarchy...)
 	b = append(b, '\x1f')
@@ -547,21 +560,21 @@ func poolRunKey(hierarchy string, opsHash uint64, ops int, g alloc.GeneralConfig
 	b = append(b, "·"...)
 	b = strconv.AppendInt(b, int64(ops), 10)
 	b = append(b, "·"...)
-	return string(g.AppendID(b))
+	return g.AppendID(b)
 }
 
-// partitionKey canonicalizes the fixed-pool signature: the fixed pools
-// (which fully determine request routing and the fixed-side simulation)
-// plus the general pool's layer (which determines where fallback ops
-// land). Configurations sharing a key share one Partition. The key is
-// FixedID's bytes, then "G@" and the layer, as in ID; it never leaves
-// the session.
-func partitionKey(cfg alloc.Config) string {
-	var buf [keyBufLen]byte
-	b := append(cfg.AppendFixedID(buf[:0]), "G@"...)
-	return string(append(b, cfg.General.Layer...))
+// appendPartitionKey appends the canonical fixed-pool signature to b:
+// the fixed pools (which fully determine request routing and the
+// fixed-side simulation) plus the general pool's layer (which determines
+// where fallback ops land). Configurations sharing a key share one
+// Partition. The key is FixedID's bytes, then "G@" and the layer, as in
+// ID; it never leaves the session.
+func appendPartitionKey(b []byte, cfg *alloc.Config) []byte {
+	b = append(cfg.AppendFixedID(b), "G@"...)
+	return append(b, cfg.General.Layer...)
 }
 
-// keyBufLen is the stack buffer the session's cache keys are built in;
-// the string is then their only allocation, unless a key is longer.
+// keyBufLen sizes the buffers keys and IDs are built in: poolRunKey's
+// stack buffer, whose string is then its only allocation, and each
+// worker's scratch, which grows only for a longer key.
 const keyBufLen = 256

@@ -1,0 +1,197 @@
+package core
+
+import (
+	"encoding/json"
+	"math"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"dmexplore/internal/memhier"
+	"dmexplore/internal/profile"
+	"dmexplore/internal/trace"
+)
+
+// warmCase is one kind of incremental session TestWarmIncrementalMatchesFresh
+// runs first and then again on the storage later sessions reused.
+type warmCase struct {
+	name    string
+	space   *Space
+	ct      *trace.Compiled
+	indices []int
+	tiny    bool // 2 KiB caches that evict, as in TestSessionCacheEviction
+	store   bool // a Store attached, a new empty one per session
+}
+
+// run evaluates the case's indices in one one-worker incremental
+// session, in order, and returns the results and the session's Store.
+func (c warmCase) run(t *testing.T, h *memhier.Hierarchy) ([]Result, *Store) {
+	t.Helper()
+	r := &Runner{Hierarchy: h, Compiled: c.ct, Workers: 1, Incremental: true}
+	if c.store {
+		st, err := OpenStore(filepath.Join(t.TempDir(), "store.jsonl"), DefaultPoolMemoBudgetBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Store = st
+	}
+	s, err := r.NewSession(c.space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if c.tiny {
+		s.parts = newOnceCache[*profile.Partition](2 * 1024)
+		s.runs = newOnceCache[*profile.PoolRun](2 * 1024)
+	}
+	res, err := s.Eval(c.indices, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, r.Store
+}
+
+// storedRuns returns the JSON of every pool run st holds, by key.
+func storedRuns(t *testing.T, st *Store) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.entries.each(func(key string, e storeEntry) {
+		if e.run != nil {
+			b, err := json.Marshal(e.run.State())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[key] = string(b)
+		}
+	})
+	return out
+}
+
+// TestWarmIncrementalMatchesFresh runs incremental sessions of several
+// kinds interleaved, each on the warm Replayer the session before it
+// gave back, whose recording buffers still hold the last partition's
+// ops, sizes and gap maxima: VTC and Easyport spaces on different
+// traces, configurations whose scratchpad capacity makes composition
+// decline to full replay, caches small enough to evict, and a Store
+// that keeps the pool runs it was given. Every result must equal, bit
+// for bit, a fresh session's result (tier and skipped events included),
+// whose worker starts from a new Replayer, and its metrics a full
+// Replayer.Run's; the pool runs a Store holds must survive every later
+// session unchanged.
+func TestWarmIncrementalMatchesFresh(t *testing.T) {
+	h := memhier.EmbeddedSoC()
+	vtc := vtcCompiled(t)
+	easyport := easyportRunner(t, true).Compiled
+	all := func(space *Space) []int { return SweepIndices(space.Size(), 0, 0) }
+	cases := []warmCase{
+		{name: "vtc", space: VTCSpace(), ct: vtc, indices: all(VTCSpace())},
+		{name: "easyport", space: EasyportSpace(), ct: easyport, indices: all(EasyportSpace())},
+		{name: "evicting", space: EasyportSpace(), ct: easyport, indices: SweepIndices(EasyportSpace().Size(), 64, 5), tiny: true},
+		{name: "store", space: EasyportSpace(), ct: easyport, indices: SweepIndices(EasyportSpace().Size(), 96, 7), store: true},
+	}
+
+	// Fresh results, each from a session whose worker starts from a new
+	// Replayer, and full replays of every configuration.
+	fresh := map[string][]Result{}
+	rep := profile.NewReplayer()
+	for _, c := range cases {
+		emptyReplayerPool()
+		res, _ := c.run(t, h)
+		fresh[c.name] = res
+		for _, r := range res {
+			cfg, _, err := c.space.Config(r.Index)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := rep.Run(c.ct, cfg, h, profile.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameMetrics(r.Metrics, want) {
+				t.Fatalf("%s: configuration %d: fresh session %+v, full replay %+v", c.name, r.Index, r.Metrics, want)
+			}
+		}
+	}
+	// The configurations whose composition declines: their general pool
+	// sits on the bounded scratchpad, where the composed peak overflows
+	// or the standalone pool fails where a fixed pool shares the layer,
+	// so they replay in full inside an incremental session.
+	decline := warmCase{name: "declining", space: EasyportSpace(), ct: easyport}
+	for _, r := range fresh["easyport"] {
+		if !r.Incremental {
+			decline.indices = append(decline.indices, r.Index)
+		}
+	}
+	if len(decline.indices) == 0 {
+		t.Fatal("no Easyport configuration declines to full replay")
+	}
+	for _, idx := range decline.indices {
+		cfg, _, _ := decline.space.Config(idx)
+		if layer, _ := h.ByName(cfg.General.Layer); !h.Layer(layer).Bounded() {
+			t.Fatalf("declining configuration %d has an unbounded general layer %s", idx, cfg.General.Layer)
+		}
+	}
+	emptyReplayerPool()
+	fresh[decline.name], _ = decline.run(t, h)
+	cases = append(cases, decline)
+
+	// Warm rounds in two orders; each session's Replayer comes from the
+	// one before it.
+	var stores []*Store
+	var storedBefore []map[string]string
+	for round := 0; round < 2; round++ {
+		for k := range cases {
+			c := cases[k]
+			if round == 1 {
+				c = cases[len(cases)-1-k]
+			}
+			got, st := c.run(t, h)
+			if st != nil {
+				stores = append(stores, st)
+				storedBefore = append(storedBefore, storedRuns(t, st))
+			}
+			want := fresh[c.name]
+			for i := range got {
+				if !sameResult(got[i], want[i]) {
+					t.Fatalf("%s, warm round %d: result %d differs from a fresh session's:\n  warm  %+v %+v\n  fresh %+v %+v",
+						c.name, round, i, got[i], got[i].Metrics, want[i], want[i].Metrics)
+				}
+			}
+		}
+	}
+	for i, st := range stores {
+		if len(storedBefore[i]) == 0 {
+			t.Fatal("the Store session stored no pool run")
+		}
+		if after := storedRuns(t, st); !reflect.DeepEqual(after, storedBefore[i]) {
+			t.Errorf("store %d: its pool runs changed after later sessions ran", i)
+		}
+	}
+}
+
+// emptyReplayerPool takes every Replayer the process-wide pool holds and
+// drops it, so the next session's workers start from new ones.
+func emptyReplayerPool() {
+	for range runtime.GOMAXPROCS(0) {
+		profile.GetReplayer()
+	}
+}
+
+// sameResult reports whether two results agree bit for bit in
+// everything but their wall time.
+func sameResult(a, b Result) bool {
+	a.Duration, b.Duration = 0, 0
+	return sameMetrics(a.Metrics, b.Metrics) && reflect.DeepEqual(a, b)
+}
+
+// sameMetrics reports whether two metrics agree bit for bit, energy
+// included.
+func sameMetrics(a, b *profile.Metrics) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return math.Float64bits(a.EnergyNJ) == math.Float64bits(b.EnergyNJ) && reflect.DeepEqual(a, b)
+}

@@ -9,6 +9,7 @@ import (
 
 	"dmexplore/internal/alloc"
 	"dmexplore/internal/memhier"
+	"dmexplore/internal/mutant"
 	"dmexplore/internal/simheap"
 	"dmexplore/internal/telemetry/span"
 	"dmexplore/internal/trace"
@@ -89,7 +90,9 @@ const recBase = uint64(1) << 48
 // invariant replay: it satisfies every request without touching the
 // simulation counters, records the op sequence for later standalone
 // replay, and reads the fixed-side peak on the general layer at each op
-// boundary (closing one "gap").
+// boundary (closing one "gap"). It lives in the Replayer, so its
+// recordings grow once per Replayer; Partition copies them out at their
+// final lengths.
 type recordingFallback struct {
 	ctx   *simheap.Context
 	layer memhier.LayerID
@@ -105,19 +108,30 @@ type recordingFallback struct {
 	fMax []int64 // per closed gap: max fixed-side reserved bytes
 }
 
+// reset starts a recording on ctx's layer, keeping the buffers.
+func (p *recordingFallback) reset(ctx *simheap.Context, layer memhier.LayerID) {
+	fMax := p.fMax[:0]
+	if mutant.Name == "recording-untruncated" {
+		fMax = p.fMax
+	}
+	*p = recordingFallback{ctx: ctx, layer: layer, ops: p.ops[:0], sizes: p.sizes[:0], fMax: fMax}
+}
+
 // boundary closes the open gap at a fallback op. Only fixed pools
 // reserve on the partition's context, and its general layer's peak is
 // reset at every boundary, so that peak is the open gap's maximum.
 func (p *recordingFallback) boundary() {
-	p.fMax = appendDoubling(p.fMax, p.ctx.Counters(p.layer).PeakBytes)
-	p.ctx.ResetPeak(p.layer)
+	p.fMax = append(p.fMax, p.ctx.Counters(p.layer).PeakBytes)
+	if mutant.Name != "partition-no-gap-reset" {
+		p.ctx.ResetPeak(p.layer)
+	}
 }
 
 func (p *recordingFallback) Malloc(size int64) (alloc.Ptr, int64, error) {
 	p.boundary()
 	k := len(p.sizes)
-	p.sizes = appendDoubling(p.sizes, size)
-	p.ops = appendDoubling(p.ops, size)
+	p.sizes = append(p.sizes, size)
+	p.ops = append(p.ops, size)
 	p.live++
 	p.allocs++
 	p.requested += size
@@ -132,7 +146,7 @@ func (p *recordingFallback) Free(ptr alloc.Ptr) (int64, error) {
 	}
 	size := p.sizes[k]
 	p.sizes[k] = 0
-	p.ops = appendDoubling(p.ops, ^int64(k))
+	p.ops = append(p.ops, ^int64(k))
 	p.live--
 	p.requested -= size
 	return size, nil
@@ -237,7 +251,8 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 		return nil, fmt.Errorf("profile: unknown general layer %q", cfg.General.Layer)
 	}
 	ctx := r.context(h)
-	rec := &recordingFallback{ctx: ctx, layer: genLayer}
+	rec := &r.rec
+	rec.reset(ctx, genLayer)
 	defer r.blocks.Reclaim()
 	a, err := cfg.BuildWithFallback(ctx, rec, &r.blocks)
 	if err != nil {
@@ -280,10 +295,12 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 	p.cycles = ctx.Cycles()
 	p.mallocs = m.Mallocs
 	p.frees = m.Frees
-	p.ops = rec.ops
+	// The recordings stay in the Replayer; the partition keeps copies
+	// at their final lengths.
+	p.ops = append(make([]int64, 0, len(rec.ops)), rec.ops...)
 	p.allocs = rec.allocs
-	p.fMax = rec.fMax
-	p.opsHash = hashOps(rec.ops)
+	p.fMax = append(make([]int64, 0, len(rec.fMax)), rec.fMax...)
+	p.opsHash = hashOps(p.ops)
 	if r.Shard != nil {
 		r.Shard.ObservePartitionBuild(time.Since(start), ct.Len())
 	}
@@ -520,16 +537,6 @@ func (r *Replayer) Compose(ct *trace.Compiled, part *Partition, run *PoolRun, cf
 	m.Failures = run.failures
 	m.PeakRequestedBytes = ct.PeakRequestedBytes
 	return m, true
-}
-
-// appendDoubling appends v, doubling s when it is full: append's gentler
-// growth of large slices would leave several times a partition's
-// recordings in garbage behind.
-func appendDoubling[T any](s []T, v T) []T {
-	if len(s) == cap(s) {
-		s = slices.Grow(s, len(s)+1)
-	}
-	return append(s, v)
 }
 
 // hashOps is FNV-1a over the op words — the memo-key content hash of a

@@ -113,8 +113,12 @@ func (s *LogSummary) merge(o *LogSummary) {
 // word count and the shortest addresses fit in one varint byte, so the
 // common lengths decode inline; anything longer goes through
 // binary.Uvarint, and the decoder accepts and rejects exactly the inputs
-// binary.Uvarint does.
+// binary.Uvarint does. Words are summed by flags byte, with no branch on
+// the write bit, and folded into s once the whole chunk has decoded; a
+// chunk that fails leaves s as it was.
 func parseLogRecords(buf []byte, s *LogSummary) error {
+	var byFlags [256]uint64
+	records := s.Records
 	for len(buf) > 0 {
 		flags := buf[0]
 		// The address is unused by the summary: only its length matters.
@@ -131,7 +135,7 @@ func parseLogRecords(buf []byte, s *LogSummary) error {
 		default:
 			_, k := binary.Uvarint(buf[1:])
 			if k <= 0 {
-				return fmt.Errorf("profile: record %d: bad address", s.Records)
+				return fmt.Errorf("profile: record %d: bad address", records)
 			}
 			n = 1 + k
 		}
@@ -142,20 +146,21 @@ func parseLogRecords(buf []byte, s *LogSummary) error {
 		} else {
 			w, k := binary.Uvarint(buf[n:])
 			if k <= 0 {
-				return fmt.Errorf("profile: record %d: bad word count", s.Records)
+				return fmt.Errorf("profile: record %d: bad word count", records)
 			}
 			words = w
 			n += k
 		}
 		buf = buf[n:]
-		layer := flags >> 1
-		if flags&1 == 1 {
-			s.Writes[layer] += words
-		} else {
-			s.Reads[layer] += words
-		}
-		s.Records++
+		byFlags[flags] += words
+		records++
 	}
+	// Flags byte f is layer f>>1, a write when its low bit is set.
+	for layer := range s.Reads {
+		s.Reads[layer] += byFlags[2*layer]
+		s.Writes[layer] += byFlags[2*layer+1]
+	}
+	s.Records = records
 	return nil
 }
 

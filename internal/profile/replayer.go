@@ -60,6 +60,8 @@ type Replayer struct {
 	ctx    simheap.Context
 
 	log *logWriter // kept across runs and reset onto each Options.LogWriter
+
+	rec recordingFallback // partition scratch: the fallback's recordings
 }
 
 // NewReplayer returns a Replayer with empty scratch state. The first Run

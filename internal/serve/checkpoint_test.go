@@ -91,7 +91,8 @@ func TestCheckpointSpecGetsSubmitChecks(t *testing.T) {
 // FuzzCheckpointReplay feeds arbitrary bytes to a restarting coordinator
 // as a job's checkpoint journal: it must load the job or refuse the
 // file, and never panic or hang, also when the loaded job's status and
-// front are asked for.
+// front are asked for; every result a loaded job holds must name a
+// configuration of its space.
 func FuzzCheckpointReplay(f *testing.F) {
 	sweep := sweepSpec()
 	island := islandSpec(2)
@@ -109,6 +110,13 @@ func FuzzCheckpointReplay(f *testing.F) {
 		ckptLine{T: "done"},
 	))
 	f.Add(journal(ckptLine{T: "spec", Spec: &sweep}, ckptLine{T: "failed", Err: "boom"}))
+	outside := telemetry.Record{Index: 999999, Shard: 1}
+	negative := telemetry.Record{Index: -4, Shard: 1}
+	f.Add(journal(
+		ckptLine{T: "spec", Spec: &island},
+		ckptLine{T: "result", Shard: 1, Record: &outside, Metrics: m},
+		ckptLine{T: "result", Shard: 1, Record: &negative, Metrics: m},
+	))
 	f.Add([]byte(`{"t":"spec","spec":{"strategy":"sweep"}}` + "\n"))
 	f.Add([]byte(`{"t":"spec","spec":{"strategy":"nsga2","islands":1000000000}}` + "\n"))
 	f.Add([]byte(`{"t":"result","shard":1}` + "\n" + `{"t":"spec","spec":{"work`))
@@ -122,6 +130,7 @@ func FuzzCheckpointReplay(f *testing.F) {
 			c.status(j, true)
 		}
 		c.mu.Unlock()
+		assertResultsInSpace(t, c)
 		c.Close()
 	})
 }

@@ -301,8 +301,13 @@ func (c *Coordinator) newJob(id string, spec JobSpec) (*job, error) {
 
 // applyResult folds one journal record (+ metrics) into the job's state:
 // dedup by (shard, index), first-wins results map, append to the
-// journal. Used both by the live results stream and checkpoint replay.
+// journal. Used both by the live results stream and checkpoint replay,
+// so a record outside the job's space is dropped here too: warmResults
+// would ship it with every later island lease.
 func (c *Coordinator) applyResult(j *job, shardID int, rec telemetry.Record, m *profile.Metrics) bool {
+	if !j.inSpace(rec.Index) {
+		return false
+	}
 	key := seenKey{shard: shardID, index: rec.Index}
 	if j.seen[key] {
 		return false
@@ -533,7 +538,7 @@ func (j *job) checkFront(shardID int, req MigrateRequest) error {
 		return fmt.Errorf("island %d is not the lease's shard", req.Island)
 	}
 	for _, m := range req.Front {
-		if m.Index < 0 || m.Index >= j.space.Size() {
+		if !j.inSpace(m.Index) {
 			return fmt.Errorf("front member %d outside the space's %d configurations", m.Index, j.space.Size())
 		}
 		if len(m.Values) != len(j.spec.Objectives) {
@@ -542,6 +547,9 @@ func (j *job) checkFront(shardID int, req MigrateRequest) error {
 	}
 	return nil
 }
+
+// inSpace reports whether idx names one of the job's configurations.
+func (j *job) inSpace(idx int) bool { return idx >= 0 && idx < j.space.Size() }
 
 // checkRound resolves a migration barrier when every live island has
 // posted (or retired): merge the posted fronts into the global Pareto
@@ -814,6 +822,10 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		switch {
+		case line.Record != nil && !j.inSpace(line.Record.Index):
+			c.mu.Unlock()
+			http.Error(w, fmt.Sprintf("record %d outside the space's %d configurations", line.Record.Index, j.space.Size()), http.StatusBadRequest)
+			return
 		case line.Record != nil:
 			if c.applyResult(j, shardID, *line.Record, line.Metrics) {
 				c.checkpoint(j, ckptLine{T: "result", Shard: shardID, Record: line.Record, Metrics: line.Metrics})

@@ -91,12 +91,60 @@ func TestMigrateRejectsMalformedFront(t *testing.T) {
 	}
 }
 
+// TestResultsRejectOutOfSpaceIndex: a result line whose record index lies
+// outside the job's space is refused with 400 before it touches the job,
+// so warmResults, which every later island lease carries, never ships
+// it. An in-space line posted under the same lease is kept.
+func TestResultsRejectOutOfSpaceIndex(t *testing.T) {
+	c, h, grants := leasedJob(t, islandSpec(1))
+	path := "/api/v1/results?lease=" + grants[0].Lease
+	warm := func() []WarmResult {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return warmResults(c.jobs["j1"])
+	}
+	for _, body := range []string{
+		`{"record":{"index":-4},"metrics":{"accesses":10,"footprint_bytes":20}}`,
+		`{"record":{"index":999999},"metrics":{"accesses":10,"footprint_bytes":20}}`,
+	} {
+		if rec := serveRequest(t, h, http.MethodPost, path, []byte(body)); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d %s, want 400", body, rec.Code, rec.Body)
+		}
+		if w := warm(); len(w) != 0 {
+			t.Fatalf("%s: warmResults %+v, want none", body, w)
+		}
+	}
+	body := `{"record":{"index":3},"metrics":{"accesses":10,"footprint_bytes":20}}`
+	if rec := serveRequest(t, h, http.MethodPost, path, []byte(body)); rec.Code != http.StatusOK {
+		t.Fatalf("in-space result: status %d %s", rec.Code, rec.Body)
+	}
+	if w := warm(); len(w) != 1 || w[0].Index != 3 {
+		t.Fatalf("warmResults %+v, want configuration 3 alone", w)
+	}
+}
+
+// assertResultsInSpace fails unless every result c holds names a
+// configuration of its job's space.
+func assertResultsInSpace(t *testing.T, c *Coordinator) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for id, j := range c.jobs {
+		for idx := range j.results {
+			if !j.inSpace(idx) {
+				t.Fatalf("job %s holds a result for configuration %d, outside its %d", id, idx, j.space.Size())
+			}
+		}
+	}
+}
+
 // FuzzCoordinatorRPC posts arbitrary bodies to the worker-facing RPC
 // endpoints (heartbeat, results, migrate, lease) of a coordinator running
 // a one-island job under a live lease, so a well-formed migrate resolves
 // at once. Every request must get a 2xx or a 4xx, never a panic, a hang
-// or a 5xx, and the job list and the job's status, front included, must
-// still be served afterwards.
+// or a 5xx, the job list and the job's status, front included, must
+// still be served afterwards, and every result the job holds must name a
+// configuration of its space.
 func FuzzCoordinatorRPC(f *testing.F) {
 	endpoints := []string{"/api/v1/heartbeat", "/api/v1/results?lease=L1", "/api/v1/migrate", "/api/v1/lease"}
 	for i, bodies := range [][]string{
@@ -105,6 +153,7 @@ func FuzzCoordinatorRPC(f *testing.F) {
 			`{"record":{"index":3,"labels":["a"]},"metrics":{"accesses":10,"footprint_bytes":20}}` + "\n" + `{"done":true}`,
 			`{"record":{"index":-4},"metrics":{"failures":2}}` + "\n" + `{"failed":"boom"}`,
 			`{"record":{"index":3}}` + "\n" + `{"record":{"index":3},"metrics":{}}`,
+			`{"record":{"index":999999},"metrics":{"accesses":1}}`,
 		},
 		{
 			`{"job_id":"j1","lease":"L1","island":0,"gen":2,"front":[{"index":3,"values":[1,2]}]}`,
@@ -120,7 +169,7 @@ func FuzzCoordinatorRPC(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
-		_, h, _ := leasedJob(t, islandSpec(1))
+		c, h, _ := leasedJob(t, islandSpec(1))
 		path := endpoints[int(endpoint)%len(endpoints)]
 		rec := serveRequest(t, h, http.MethodPost, path, body)
 		if rec.Code < 200 || rec.Code >= 500 || (rec.Code >= 300 && rec.Code < 400) {
@@ -131,5 +180,6 @@ func FuzzCoordinatorRPC(f *testing.F) {
 				t.Fatalf("GET %s after POST %s %q: %d %s", get, path, body, rec.Code, rec.Body)
 			}
 		}
+		assertResultsInSpace(t, c)
 	})
 }

@@ -126,6 +126,36 @@ func islandSpec(islands int) JobSpec {
 	}
 }
 
+// TestWorkerLeasesWhenASlotFrees: a one-slot worker whose idle poll is a
+// minute leases a sweep's second shard as soon as its first returns,
+// instead of idling out the poll interval with a slot free.
+func TestWorkerLeasesWhenASlotFrees(t *testing.T) {
+	_, _, client := startCoordinator(t, Options{})
+	spec := sweepSpec()
+	spec.ShardSize = 32 // two shards of the 64 sampled configurations
+	id, err := client.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	w := &Worker{Coordinator: client.Base, ID: "w1", Slots: 1, SessionWorkers: 2, Poll: time.Minute}
+	go func() {
+		defer close(done)
+		_ = w.Run(ctx)
+	}()
+	start := time.Now()
+	st := waitJob(t, client, id, 15*time.Second)
+	if st.State != "done" || st.ShardsDone != 2 {
+		t.Fatalf("job ended %s with %d shards done: %s", st.State, st.ShardsDone, st.Error)
+	}
+	t.Logf("two shards on one slot in %v", time.Since(start))
+}
+
 // TestSweepShardsMatchLocal: a sharded, sampled sweep over the service
 // must evaluate exactly the configurations a local run draws, with
 // bit-identical metrics.

@@ -34,7 +34,9 @@ type Worker struct {
 	// SessionWorkers sizes each job's evaluation session pool (default
 	// GOMAXPROCS). Determinism does not depend on it.
 	SessionWorkers int
-	// Poll is the idle lease-poll interval (default 200ms).
+	// Poll is the idle lease-poll interval (default 200ms): how long the
+	// worker waits after a lease call granted nothing, unless one of its
+	// shards returns first.
 	Poll time.Duration
 
 	client *Client
@@ -71,7 +73,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	w.envs = make(map[string]*workerEnv)
 	w.ttl = DefaultLeaseTTL
 
+	// active counts the running shards; freed wakes the lease loop when
+	// one returns, so a free slot is offered at once, not after Poll.
 	var active atomic.Int64
+	freed := make(chan struct{}, 1)
 	var wg sync.WaitGroup
 
 	heartbeatCtx, stopHeartbeat := context.WithCancel(context.Background())
@@ -102,6 +107,10 @@ func (w *Worker) Run(ctx context.Context) error {
 							w.mu.Unlock()
 							cancel()
 							active.Add(-1)
+							select {
+							case freed <- struct{}{}:
+							default:
+							}
 							wg.Done()
 						}()
 						w.runShard(shardCtx, g)
@@ -112,6 +121,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		if granted == 0 {
 			select {
 			case <-ctx.Done():
+			case <-freed:
 			case <-time.After(w.Poll):
 			}
 		}
