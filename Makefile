@@ -31,12 +31,8 @@ bench-search:
 	$(GO) run scripts/benchsearch.go
 
 # bench-incremental refreshes BENCH_incremental.json: raw columnar replay
-# throughput against the frozen pre-Replayer baseline, and the seeded
-# hill-climb over the full Easyport space with incremental re-evaluation
-# off and on, in both the raw-simulation and the latency-modelled backend
-# regime (the one BENCH_search.json's batched baseline is recorded in).
-# Fails if columnar replay drops below 1.5x, the backend-regime effective
-# evals/sec gain drops below 3x, or any run diverges bit-wise.
+# throughput against the frozen pre-Replayer baseline. Fails if columnar
+# replay drops below 1.5x or any replay diverges bit-wise.
 .PHONY: bench-incremental
 bench-incremental:
 	$(GO) run scripts/benchincremental.go
@@ -50,16 +46,6 @@ bench-incremental:
 .PHONY: bench-parse
 bench-parse:
 	$(GO) run scripts/benchparse.go
-
-# bench-surrogate refreshes BENCH_surrogate.json: the exact 512-simulation
-# screen-and-refine of the full Easyport space against the surrogate-
-# assisted run at a fifth of the budget, compared by 2-D hypervolume
-# against a shared reference point. Fails if the simulation reduction
-# drops below 3x, the surrogate hypervolume falls more than 5% short of
-# the exact run, or any worker count diverges from the serial run.
-.PHONY: bench-surrogate
-bench-surrogate:
-	$(GO) run scripts/benchsurrogate.go
 
 # bench-serve gates the distributed exploration service: the same
 # 512-evaluation island-model NSGA-II job (4 islands, 5 ms modelled
@@ -84,7 +70,6 @@ FUZZ = -run '^$$' -fuzztime 5s -fuzzminimizetime 0s
 fuzz-smoke:
 	$(GO) test ./internal/trace/ $(FUZZ) -fuzz '^FuzzReadBinary$$'
 	$(GO) test ./internal/trace/ $(FUZZ) -fuzz '^FuzzReadText$$'
-	$(GO) test ./internal/trace/ $(FUZZ) -fuzz '^FuzzTraceFeatures$$'
 	$(GO) test ./internal/trace/ $(FUZZ) -fuzz '^FuzzCompile$$'
 	$(GO) test ./internal/profile/ $(FUZZ) -fuzz '^FuzzParseLog$$'
 	$(GO) test ./internal/core/ $(FUZZ) -fuzz '^FuzzOpenStore$$'
@@ -100,7 +85,9 @@ fuzz-smoke:
 # mutant:package:test[,test...].
 MUTANTS = \
 	partition-no-gap-reset:./internal/profile/:TestComposeSharedLayerPeakAfterReclaim \
-	recording-untruncated:./internal/core/:TestWarmIncrementalMatchesFresh
+	recording-untruncated:./internal/core/:TestWarmIncrementalMatchesFresh \
+	flat-failed-charged:./internal/profile/:TestReplayerMatchesReferenceOOM \
+	pool-zero-general:./internal/alloc/:TestComposedRejectsMisroutedPtr
 .PHONY: mutants
 mutants:
 	@for m in $(MUTANTS); do \
@@ -123,13 +110,13 @@ mutants:
 bench-telemetry:
 	$(GO) test ./internal/profile/ -run '^$$' -bench 'BenchmarkReplay(Easyport|Telemetry)' -benchtime 2s -benchmem
 
-# bench-observe gates the observability layer: the same seeded
-# surrogate-assisted hill-climb with the span flight recorder attached
-# and without must match bit-for-bit (evaluation sequence, metrics,
-# provenance) at 1 and 4 workers, and recording must cost at most 2% of
-# wall time (interleaved best-of-N minimums). Writes BENCH_observe.json
-# plus the CI artifacts results/observe/run.trace.json (Perfetto-loadable)
-# and results/observe/metrics.txt (the /metrics exposition).
+# bench-observe gates the observability layer: the same seeded NSGA-II
+# search with the span flight recorder attached and without must match
+# bit-for-bit (evaluation sequence, metrics, provenance) at 1 and 4
+# workers, and recording must cost at most 2% of wall time (interleaved
+# best-of-N minimums). Writes BENCH_observe.json plus the CI artifacts
+# results/observe/run.trace.json (Perfetto-loadable) and
+# results/observe/metrics.txt (the /metrics exposition).
 .PHONY: bench-observe
 bench-observe:
 	$(GO) run scripts/benchobserve.go

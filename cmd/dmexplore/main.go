@@ -45,32 +45,30 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("dmexplore", flag.ContinueOnError)
 	var (
-		workloadName  = fs.String("workload", "easyport", "workload: "+strings.Join(workload.Names(), "|"))
-		scale         = fs.Int("scale", 100, "workload scale in percent of the default trace length")
-		seed          = fs.Uint64("seed", 1, "workload RNG seed")
-		spaceKind     = fs.String("space", "narrow", "configuration space: narrow|full|auto (auto derives pools from the workload's profile)")
-		spaceFile     = fs.String("spacefile", "", "JSON space specification file (overrides -space)")
-		sample        = fs.Int("sample", 0, "profile only N sampled configurations (0 = exhaustive)")
-		sampleSeed    = fs.Uint64("sample-seed", 1, "sampling RNG seed")
-		strategy      = fs.String("strategy", "exhaustive", "search strategy: exhaustive|screen|evolve|hillclimb|anneal (-sample = screening size / population, -budget = total simulations)")
-		budget        = fs.Int("budget", 0, "screen strategy: total simulation budget")
-		objectives    = fs.String("objectives", "accesses,footprint", "comma-separated minimization objectives")
-		hierName      = fs.String("hierarchy", "soc", "memory hierarchy: soc|soc3|flat")
-		workers       = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		outDir        = fs.String("out", "", "directory for CSV/Gnuplot reports (none when empty)")
-		cachePath     = fs.String("cache", "", "result store file: resume interrupted sweeps, skip repeated configurations and, with -incremental, reuse general-pool replays across invocations")
-		tracePath     = fs.String("trace", "", "replay a trace file instead of generating the workload")
-		incremental   = fs.Bool("incremental", false, "partial re-evaluation: configurations sharing a fixed-pool signature replay only the ops that reach the general pool (bit-identical results)")
-		surrogate     = fs.Bool("surrogate", false, "surrogate-assisted screening: rank candidates with online per-objective models so guided strategies spend the budget on the most promising simulations")
-		surrogateWarm = fs.String("surrogate-warm", "", "warm-start the surrogate from a prior journal.jsonl (same space and workload)")
-		quiet         = fs.Bool("quiet", false, "suppress progress output")
-		metricsAddr   = fs.String("metrics-addr", "", "serve Prometheus /metrics, /healthz, expvar and pprof at this address, e.g. localhost:6060")
-		traceOut      = fs.String("trace-out", "", "write the pipeline flight recorder as Chrome trace-event JSON (load in Perfetto) to this file")
-		evalLatency   = fs.Duration("eval-latency", 0, "model a per-simulation backend latency, e.g. 2ms (cache/memo hits skip it)")
-		submitURL     = fs.String("submit", "", "submit the job to a dmserve coordinator at this URL and follow its journal instead of running locally")
-		islands       = fs.Int("islands", 1, "submit mode, evolve strategy: NSGA-II islands (shards), exchanging front members through the coordinator")
-		migrateEvery  = fs.Int("migrate-every", 0, "submit mode: generations between migrations (0 = default)")
-		migrateK      = fs.Int("migrate-k", 0, "submit mode: immigrants per migration (0 = population/4)")
+		workloadName = fs.String("workload", "easyport", "workload: "+strings.Join(workload.Names(), "|"))
+		scale        = fs.Int("scale", 100, "workload scale in percent of the default trace length")
+		seed         = fs.Uint64("seed", 1, "workload RNG seed")
+		spaceKind    = fs.String("space", "narrow", "configuration space: narrow|full|auto (auto derives pools from the workload's profile)")
+		spaceFile    = fs.String("spacefile", "", "JSON space specification file (overrides -space)")
+		sample       = fs.Int("sample", 0, "profile only N sampled configurations (0 = exhaustive)")
+		sampleSeed   = fs.Uint64("sample-seed", 1, "sampling RNG seed")
+		strategy     = fs.String("strategy", "exhaustive", "search strategy: exhaustive|screen|evolve (-sample = screening size / population, -budget = total simulations)")
+		budget       = fs.Int("budget", 0, "screen and evolve strategies: total simulation budget (0 = 4 × the screening size for screen, 16 generations for evolve)")
+		objectives   = fs.String("objectives", "accesses,footprint", "comma-separated minimization objectives")
+		hierName     = fs.String("hierarchy", "soc", "memory hierarchy: soc|soc3|flat")
+		workers      = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
+		outDir       = fs.String("out", "", "directory for CSV/Gnuplot reports (none when empty)")
+		cachePath    = fs.String("cache", "", "result store file: resume interrupted sweeps, skip repeated configurations and, with -incremental, reuse general-pool replays across invocations")
+		tracePath    = fs.String("trace", "", "replay a trace file instead of generating the workload")
+		incremental  = fs.Bool("incremental", false, "partial re-evaluation: configurations sharing a fixed-pool signature replay only the ops that reach the general pool (bit-identical results)")
+		quiet        = fs.Bool("quiet", false, "suppress progress output")
+		metricsAddr  = fs.String("metrics-addr", "", "serve Prometheus /metrics, /healthz, expvar and pprof at this address, e.g. localhost:6060")
+		traceOut     = fs.String("trace-out", "", "write the pipeline flight recorder as Chrome trace-event JSON (load in Perfetto) to this file")
+		evalLatency  = fs.Duration("eval-latency", 0, "model a per-simulation backend latency, e.g. 2ms (cache/memo hits skip it)")
+		submitURL    = fs.String("submit", "", "submit the job to a dmserve coordinator at this URL and follow its journal instead of running locally")
+		islands      = fs.Int("islands", 1, "submit mode, evolve strategy: NSGA-II islands (shards), exchanging front members through the coordinator")
+		migrateEvery = fs.Int("migrate-every", 0, "submit mode: generations between migrations (0 = default)")
+		migrateK     = fs.Int("migrate-k", 0, "submit mode: immigrants per migration (0 = population/4)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -198,22 +196,6 @@ func run(args []string, out io.Writer) error {
 
 	col := telemetry.NewCollector(workerN)
 	runner := &core.Runner{Hierarchy: hier, Trace: tr, Compiled: ct, Workers: *workers, Telemetry: col, Incremental: *incremental, EvalLatency: *evalLatency, Spans: spans}
-	if *surrogate {
-		runner.Surrogate = &core.SurrogateOptions{}
-		if *surrogateWarm != "" {
-			wf, err := os.Open(*surrogateWarm)
-			if err != nil {
-				return err
-			}
-			warm, err := telemetry.ReadJournal(wf)
-			wf.Close()
-			if err != nil {
-				return err
-			}
-			runner.Surrogate.WarmStart = warm
-			fmt.Fprintf(out, "surrogate  warm start from %s (%d records)\n", *surrogateWarm, len(warm))
-		}
-	}
 	if *metricsAddr != "" {
 		srv, err := telemetry.Serve(*metricsAddr, col, spans)
 		if err != nil {
@@ -353,30 +335,6 @@ func run(args []string, out io.Writer) error {
 		results, err = runner.EvolveIsland(space, objs, core.IslandOptions{EvolveOptions: core.EvolveOptions{
 			Population: pop, Budget: total, Seed: *sampleSeed,
 		}})
-	case *strategy == "hillclimb" || *strategy == "anneal":
-		total := *budget
-		if total <= 0 {
-			total = 256
-		}
-		// The single-solution searches scalarize the objectives with
-		// equal weights; -objectives still picks which metrics count.
-		weights := make([]core.Weighted, len(objs))
-		for i, obj := range objs {
-			weights[i] = core.Weighted{Objective: obj, Weight: 1}
-		}
-		var sr *core.SearchResult
-		if *strategy == "hillclimb" {
-			sr, err = runner.HillClimb(space, weights, total, *sampleSeed)
-		} else {
-			sr, err = runner.Anneal(space, weights, total, *sampleSeed)
-		}
-		if err == nil {
-			results = sr.Evaluated
-			fmt.Fprintf(out, "\n%s best: config #%d %s (score %.4g)\n",
-				*strategy, sr.Best.Index, strings.Join(sr.Best.Labels, ","), sr.BestScore)
-		}
-	case *strategy != "exhaustive":
-		return fmt.Errorf("unknown strategy %q", *strategy)
 	case *sample > 0:
 		results, err = runner.Sample(space, *sample, *sampleSeed)
 	default:
@@ -397,21 +355,6 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "\nexplored %d configurations in %v (%d feasible)\n",
 		len(results), elapsed.Round(time.Millisecond), len(feasible))
 	fmt.Fprintf(out, "telemetry  %s\n", snap)
-	if *surrogate {
-		if snap.SurrogateTrained == 0 {
-			fmt.Fprintf(out, "surrogate  unused (only the guided strategies screen: screen|evolve|hillclimb|anneal)\n")
-		} else {
-			fmt.Fprintf(out, "surrogate  trained on %d results, scored %d candidates, screened out %d\n",
-				snap.SurrogateTrained, snap.SurrogatePredictions, snap.SurrogateScreened)
-			acc := core.SurrogateAccuracy(results)
-			for _, obj := range objs {
-				if a, ok := acc[obj]; ok {
-					fmt.Fprintf(out, "  %-10s Spearman %.3f, MAE %.4g (%d prediction/exact pairs)\n",
-						obj, a.Spearman, a.MAE, a.Pairs)
-				}
-			}
-		}
-	}
 	if err := report.WriteSummary(out, feasible, front, points, objs); err != nil {
 		return err
 	}
@@ -467,17 +410,15 @@ func validateFlags(fs *flag.FlagSet) error {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	val := func(name string) string { return fs.Lookup(name).Value.String() }
-	on := func(name string) bool { return val(name) == "true" }
 
-	if set["surrogate-warm"] && !on("surrogate") {
-		return fmt.Errorf("-surrogate-warm requires -surrogate")
-	}
 	strategy := val("strategy")
-	if set["budget"] && strategy == "exhaustive" {
-		return fmt.Errorf("-budget has no effect with -strategy exhaustive (use screen|evolve|hillclimb|anneal)")
+	switch strategy {
+	case "exhaustive", "screen", "evolve":
+	default:
+		return fmt.Errorf("unknown strategy %q (use exhaustive|screen|evolve)", strategy)
 	}
-	if set["sample"] && (strategy == "hillclimb" || strategy == "anneal") {
-		return fmt.Errorf("-sample is not used by -strategy %s (its budget is -budget)", strategy)
+	if set["budget"] && strategy == "exhaustive" {
+		return fmt.Errorf("-budget has no effect with -strategy exhaustive (use screen|evolve)")
 	}
 	if d, err := time.ParseDuration(val("eval-latency")); err == nil && d < 0 {
 		return fmt.Errorf("-eval-latency must be >= 0, got %v", d)
@@ -490,7 +431,7 @@ func validateFlags(fs *flag.FlagSet) error {
 		seen[obj] = true
 	}
 	if set["submit"] {
-		for _, name := range []string{"trace", "spacefile", "cache", "surrogate", "surrogate-warm", "metrics-addr", "trace-out", "workers"} {
+		for _, name := range []string{"trace", "spacefile", "cache", "metrics-addr", "trace-out", "workers"} {
 			if set[name] {
 				return fmt.Errorf("-%s is local-only and cannot be combined with -submit", name)
 			}

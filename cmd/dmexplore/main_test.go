@@ -549,22 +549,27 @@ func TestHelperSlowSweep(t *testing.T) {
 	t.Fatalf("sweep ran to completion (err=%v)", err)
 }
 
-func TestRunHillClimbAndAnnealStrategies(t *testing.T) {
-	for _, strategy := range []string{"hillclimb", "anneal"} {
+// TestRunRejectsRetiredSearches: the single-solution searches and the
+// surrogate are gone, and asking for them is an error before any work
+// starts, never a silent fallback to another search.
+func TestRunRejectsRetiredSearches(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-strategy", "hillclimb"}, `unknown strategy "hillclimb"`},
+		{[]string{"-strategy", "anneal", "-budget", "40"}, `unknown strategy "anneal"`},
+		{[]string{"-strategy", "evolve", "-surrogate"}, "flag provided but not defined: -surrogate"},
+		{[]string{"-strategy", "screen", "-surrogate-warm", "j.jsonl"}, "flag provided but not defined: -surrogate-warm"},
+	}
+	for _, c := range cases {
 		var out bytes.Buffer
-		err := run([]string{
-			"-workload", "easyport", "-scale", "5", "-quiet",
-			"-strategy", strategy, "-budget", "40",
-		}, &out)
-		if err != nil {
-			t.Fatalf("%s: %v", strategy, err)
+		err := run(append([]string{"-workload", "easyport", "-scale", "5", "-quiet"}, c.args...), &out)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("args %v: error %v, want it to mention %q", c.args, err, c.want)
 		}
-		s := out.String()
-		if !strings.Contains(s, strategy+" best: config #") {
-			t.Fatalf("%s output missing best line:\n%s", strategy, s)
-		}
-		if !strings.Contains(s, "Pareto-optimal configurations:") {
-			t.Fatalf("%s output missing front summary:\n%s", strategy, s)
+		if out.Len() != 0 {
+			t.Fatalf("args %v: rejected after starting work:\n%s", c.args, out.String())
 		}
 	}
 }
@@ -575,17 +580,17 @@ func TestValidateFlagRejectsContradictions(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"surrogate-warm alone", []string{"-surrogate-warm", "j.jsonl"}, "-surrogate-warm requires -surrogate"},
+		{"surrogate-warm alone", []string{"-surrogate-warm", "j.jsonl"}, "flag provided but not defined: -surrogate-warm"},
 		{"budget on exhaustive", []string{"-budget", "100"}, "-budget has no effect with -strategy exhaustive"},
-		{"sample on hillclimb", []string{"-strategy", "hillclimb", "-sample", "10"}, "-sample is not used"},
+		{"sample on hillclimb", []string{"-strategy", "hillclimb", "-sample", "10"}, `unknown strategy "hillclimb"`},
 		{"negative latency", []string{"-eval-latency", "-5ms"}, "-eval-latency must be >= 0"},
 		{"duplicate objectives", []string{"-objectives", "accesses,accesses"}, "duplicate objective"},
 		{"islands without submit", []string{"-strategy", "evolve", "-islands", "4"}, "-islands only applies with -submit"},
 		{"migrate-every without submit", []string{"-strategy", "evolve", "-migrate-every", "2"}, "-migrate-every only applies with -submit"},
 		{"submit with cache", []string{"-submit", "http://x", "-cache", "c.jsonl"}, "-cache is local-only"},
-		{"submit with surrogate", []string{"-submit", "http://x", "-strategy", "evolve", "-surrogate"}, "-surrogate is local-only"},
+		{"submit with surrogate", []string{"-submit", "http://x", "-strategy", "evolve", "-surrogate"}, "flag provided but not defined: -surrogate"},
 		{"submit with trace", []string{"-submit", "http://x", "-trace", "t.bin"}, "-trace is local-only"},
-		{"submit with guided local strategy", []string{"-submit", "http://x", "-strategy", "anneal"}, "-submit supports -strategy exhaustive|evolve"},
+		{"submit with guided local strategy", []string{"-submit", "http://x", "-strategy", "screen"}, "-submit supports -strategy exhaustive|evolve"},
 		{"submit with auto space", []string{"-submit", "http://x", "-space", "auto"}, "-space auto is local-only"},
 		{"islands on submitted sweep", []string{"-submit", "http://x", "-islands", "4"}, "-islands requires -strategy evolve"},
 		{"zero islands", []string{"-submit", "http://x", "-strategy", "evolve", "-islands", "0"}, "-islands must be >= 1"},

@@ -106,8 +106,7 @@ func run(args []string, out io.Writer) error {
 // lineageReport reconstructs the search's provenance from a journal:
 // the Pareto front for the requested objectives, then for each front
 // member the full ancestry tree — which operator produced it, in which
-// wave, from which parents, and what the surrogate decided — ending in
-// an operator-attribution summary of the whole front.
+// wave, from which parents — ending in an operator-attribution summary of the whole front.
 func lineageReport(out io.Writer, path string, objs []string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -208,20 +207,12 @@ func printAncestry(out io.Writer, byIdx map[int]telemetry.Record, idx int, prefi
 	}
 }
 
-// describeOrigin renders one origin as "op wave N" plus the surrogate's
-// decision when it made one.
+// describeOrigin renders one origin as "op wave N".
 func describeOrigin(o *telemetry.Origin) string {
 	if o == nil {
 		return "(no provenance)"
 	}
-	s := fmt.Sprintf("%s wave %d", o.Op, o.Wave)
-	if o.SurrogateRank > 0 {
-		s += fmt.Sprintf(", surrogate rank %d", o.SurrogateRank)
-	}
-	if o.Admit != "" {
-		s += ", admit " + o.Admit
-	}
-	return s
+	return fmt.Sprintf("%s wave %d", o.Op, o.Wave)
 }
 
 // summarizeJournal digests a run journal: where the sweep's time went,
@@ -245,36 +236,10 @@ func summarizeJournal(out io.Writer, path string) error {
 	fmt.Fprintf(out, "  time     %.2fs total worker time, slowest #%d at %.2fms\n",
 		d.TotalSec, d.MaxIndex, d.MaxMS)
 	fmt.Fprintf(out, "  outcome  %d errors, %d infeasible\n", d.Errors, d.Infeasible)
-	surrogateAccuracy(out, recs, d)
 	for _, r := range recs {
 		if r.Error != "" {
 			fmt.Fprintf(out, "    #%-6d %s\n", r.Index, r.Error)
 		}
 	}
 	return nil
-}
-
-// surrogateAccuracy prints the surrogate-accuracy section of the journal
-// summary: rank correlation and mean absolute error of the predictions
-// journaled at submission time against the exact results measured on the
-// same records. Nothing is printed for journals without predictions.
-func surrogateAccuracy(out io.Writer, recs []telemetry.Record, d telemetry.JournalDigest) {
-	results := make([]core.Result, len(recs))
-	for i, rec := range recs {
-		results[i] = core.ResultFromRecord(rec)
-	}
-	acc := core.SurrogateAccuracy(results)
-	if d.Predicted == 0 || len(acc) == 0 {
-		return
-	}
-	objs := make([]string, 0, len(acc))
-	for obj := range acc {
-		objs = append(objs, obj)
-	}
-	sort.Strings(objs)
-	fmt.Fprintf(out, "  surrogate %d of %d records carry predictions\n", d.Predicted, d.Records)
-	for _, obj := range objs {
-		a := acc[obj]
-		fmt.Fprintf(out, "    %-10s Spearman %.3f, MAE %.4g over %d pairs\n", obj, a.Spearman, a.MAE, a.Pairs)
-	}
 }

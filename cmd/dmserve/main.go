@@ -1,9 +1,9 @@
 // Command dmserve is the coordinator of the distributed exploration
-// service. It accepts sweep and search jobs over HTTP/JSON, partitions
-// them into work-stealing shards, leases the shards to dmworker
-// processes, streams the merged journal to followers and checkpoints
-// every result — restart the coordinator and every running job resumes
-// from its journal.
+// service. It accepts sweep and NSGA-II island jobs over HTTP/JSON,
+// partitions them into work-stealing shards, leases the shards to
+// dmworker processes, streams the merged journal to followers and
+// checkpoints every result — restart the coordinator and every running
+// job resumes from its journal.
 //
 // Examples:
 //

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"dmexplore/internal/mutant"
 	"dmexplore/internal/simheap"
 )
 
@@ -121,6 +122,9 @@ func (c *Composed) commit(ptr Ptr, i int, allocated int64) Ptr {
 // out of range.
 func (c *Composed) route(p Ptr) (i int, inner Ptr, ok bool) {
 	i = int(p.h.pool) - 1
+	if mutant.Name == "pool-zero-general" && i < 0 {
+		i = len(c.fixed)
+	}
 	p.h.pool = 0
 	return i, p, i >= 0 && i <= len(c.fixed)
 }

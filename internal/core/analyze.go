@@ -122,43 +122,6 @@ func ParetoSet(results []Result, objectives []string) (front []Result, points []
 	return front, points, nil
 }
 
-// PredictionAccuracy is how well the surrogate's predictions of one
-// objective tracked the exact values measured for the same
-// configurations.
-type PredictionAccuracy struct {
-	Spearman float64 // rank correlation of predictions and exact values
-	MAE      float64 // mean absolute error
-	Pairs    int     // (prediction, exact value) pairs compared
-}
-
-// SurrogateAccuracy compares the predictions the results carry with
-// their exact metrics, per predicted objective. It reads the feasible
-// results that carry Predicted, in the order given; objectives the
-// metrics cannot name are skipped.
-func SurrogateAccuracy(results []Result) map[string]PredictionAccuracy {
-	preds := make(map[string][]float64)
-	actuals := make(map[string][]float64)
-	for _, r := range Feasible(results) {
-		for obj, p := range r.Predicted {
-			a, err := r.Metrics.Objective(obj)
-			if err != nil {
-				continue
-			}
-			preds[obj] = append(preds[obj], p)
-			actuals[obj] = append(actuals[obj], a)
-		}
-	}
-	out := make(map[string]PredictionAccuracy, len(preds))
-	for obj, ps := range preds {
-		out[obj] = PredictionAccuracy{
-			Spearman: stats.Spearman(ps, actuals[obj]),
-			MAE:      stats.MeanAbsError(ps, actuals[obj]),
-			Pairs:    len(ps),
-		}
-	}
-	return out
-}
-
 // ParetoImprovement reports, within a Pareto set, the best-to-worst
 // factor of one objective — the paper's "decrease up to a factor of N
 // within the Pareto-optimal configurations". The endpoints of a trade-off

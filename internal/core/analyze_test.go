@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -214,37 +213,6 @@ func TestParetoSetMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSurrogateAccuracy: the accuracy reads only the feasible results
-// that carry predictions, pairs each prediction with the exact value of
-// its objective, and skips objectives the metrics cannot name.
-func TestSurrogateAccuracy(t *testing.T) {
-	m := func(accesses uint64, footprint int64, failures uint64) *profile.Metrics {
-		return &profile.Metrics{Accesses: accesses, FootprintBytes: footprint, Failures: failures}
-	}
-	results := []Result{
-		{Index: 0, Metrics: m(10, 100, 0), Predicted: map[string]float64{"accesses": 12, "footprint": 90, "bogus": 1}},
-		{Index: 1, Metrics: m(20, 50, 0), Predicted: map[string]float64{"accesses": 18, "footprint": 60}},
-		{Index: 2, Metrics: m(30, 70, 0), Predicted: map[string]float64{"accesses": 33}},
-		{Index: 3, Metrics: m(5, 5, 1), Predicted: map[string]float64{"accesses": 1000}},
-		{Index: 4, Err: fmt.Errorf("boom"), Predicted: map[string]float64{"accesses": 1000}},
-		{Index: 5, Metrics: m(40, 40, 0)},
-	}
-	got := SurrogateAccuracy(results)
-	want := map[string]PredictionAccuracy{
-		"accesses":  {Spearman: 1, MAE: 7.0 / 3, Pairs: 3},
-		"footprint": {Spearman: 1, MAE: 10, Pairs: 2},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("accuracy for %v, want %v", got, want)
-	}
-	for obj, w := range want {
-		g := got[obj]
-		if g.Pairs != w.Pairs || math.Abs(g.Spearman-w.Spearman) > 1e-12 || math.Abs(g.MAE-w.MAE) > 1e-12 {
-			t.Errorf("%s: %+v, want %+v", obj, g, w)
-		}
-	}
-}
-
 // TestResultFromRecordInvertsJournalRecord: a result survives the trip
 // through its journal record, and an error record comes back as an error
 // with no metrics.
@@ -254,15 +222,14 @@ func TestResultFromRecordInvertsJournalRecord(t *testing.T) {
 		Metrics:  &profile.Metrics{Accesses: 1, FootprintBytes: 2, EnergyNJ: 3.5, Cycles: 4, Failures: 5},
 		Duration: 1500 * time.Microsecond, CacheHit: true, MemoHit: true,
 		Incremental: true, EventsSkipped: 9, Composed: true,
-		Predicted: map[string]float64{"accesses": 1.5},
-		Origin:    &telemetry.Origin{Strategy: "nsga2", Op: "crossover", Parents: []int{1, 2}},
+		Origin: &telemetry.Origin{Strategy: "nsga2", Op: "crossover", Parents: []int{1, 2}},
 	}
 	if got := ResultFromRecord(res.JournalRecord()); !reflect.DeepEqual(got, res) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, res)
 	}
-	failed := Result{Index: 3, Err: fmt.Errorf("boom"), Predicted: map[string]float64{"accesses": 1}}
+	failed := Result{Index: 3, Err: fmt.Errorf("boom")}
 	got := ResultFromRecord(failed.JournalRecord())
-	if got.Err == nil || got.Err.Error() != "boom" || got.Metrics != nil || got.Predicted != nil {
+	if got.Err == nil || got.Err.Error() != "boom" || got.Metrics != nil {
 		t.Fatalf("error record came back as %+v", got)
 	}
 }

@@ -8,9 +8,9 @@ import (
 
 // evalBatcher is the deduplicating evaluation layer under the guided
 // search strategies. A strategy exposes its natural batch width — an
-// NSGA-II offspring generation, a hill-climb neighbourhood, an annealing
-// speculation window — and the batcher evaluates only the indices it has
-// never seen, in one wave across the session's full worker pool.
+// NSGA-II offspring generation, a screening sample, a refinement ring —
+// and the batcher evaluates only the indices it has never seen, in one
+// wave across the session's full worker pool.
 //
 // The batcher is not safe for concurrent use: each search (and each
 // island) owns one and drives it from its coordinating goroutine. The
@@ -19,13 +19,8 @@ import (
 type evalBatcher struct {
 	sess *EvalSession
 
-	// sur is the search's surrogate (nil without screening): it forecasts
-	// every fresh evaluation for the journal and trains on every fresh
-	// success, in request order.
-	sur *surrogate
-
 	// onResult, when set, receives every fresh successful result in
-	// request order, after the surrogate has trained on it.
+	// request order.
 	onResult func(Result)
 
 	// strategy names the owning search in every origin the batcher emits.
@@ -43,21 +38,14 @@ type evalBatcher struct {
 	wave    int
 }
 
-// newEvalBatcher builds the evaluation layer of one search over sess,
-// wiring sur (which may be nil) in both directions: the batcher feeds it
-// results and it annotates the batcher's pending origins.
-func newEvalBatcher(sess *EvalSession, strategy string, sur *surrogate) *evalBatcher {
-	b := &evalBatcher{
+// newEvalBatcher builds the evaluation layer of one search over sess.
+func newEvalBatcher(sess *EvalSession, strategy string) *evalBatcher {
+	return &evalBatcher{
 		sess:     sess,
-		sur:      sur,
 		strategy: strategy,
 		results:  make(map[int]Result),
 		pending:  make(map[int]*telemetry.Origin),
 	}
-	if sur != nil {
-		sur.b = b
-	}
-	return b
 }
 
 // origin returns idx's pending provenance record, creating it on first
@@ -88,23 +76,6 @@ func (b *evalBatcher) tag(idx int, op string, parents ...int) {
 	}
 }
 
-// noteRank annotates a pending candidate with its 1-based position in
-// the latest surrogate ranking; the last ranking before evaluation is
-// the one journaled.
-func (b *evalBatcher) noteRank(idx, rank int) {
-	if o := b.origin(idx); o != nil {
-		o.SurrogateRank = rank
-	}
-}
-
-// noteAdmit annotates how a surrogate screen admitted a pending
-// candidate ("score" or "explore").
-func (b *evalBatcher) noteAdmit(idx int, admit string) {
-	if o := b.origin(idx); o != nil {
-		o.Admit = admit
-	}
-}
-
 // getBatch returns a result per requested index, in request order.
 // Indices already profiled are served from memory; the remainder is
 // deduplicated and evaluated in one session wave. Every slot is filled
@@ -126,14 +97,10 @@ func (b *evalBatcher) getBatch(indices []int) ([]Result, error) {
 	if len(todo) > 0 {
 		// Consume the candidates' pending provenance, stamping the
 		// strategy and the fresh-evaluation wave number. Untagged indices
-		// (reference probes, test-driven batches) fall back to a bare
-		// "probe" origin so every journaled evaluation has one.
+		// (test-driven batches) fall back to a bare "probe" origin so
+		// every journaled evaluation has one.
 		b.wave++
 		origins := make([]*telemetry.Origin, len(todo))
-		var preds []map[string]float64
-		if b.sur != nil {
-			preds = make([]map[string]float64, len(todo))
-		}
 		for i, idx := range todo {
 			o := b.origin(idx)
 			delete(b.pending, idx)
@@ -143,11 +110,8 @@ func (b *evalBatcher) getBatch(indices []int) ([]Result, error) {
 			o.Strategy = b.strategy
 			o.Wave = b.wave
 			origins[i] = o
-			if preds != nil {
-				preds[i] = b.sur.predictAt(idx)
-			}
 		}
-		res, err := b.sess.Eval(todo, preds, origins)
+		res, err := b.sess.Eval(todo, origins)
 		for i, idx := range todo {
 			if res == nil {
 				// Eval failed before producing results (closed session).
@@ -158,7 +122,6 @@ func (b *evalBatcher) getBatch(indices []int) ([]Result, error) {
 			b.results[idx] = r
 			if r.Err == nil {
 				b.order = append(b.order, idx)
-				b.sur.observe(r)
 				if b.onResult != nil {
 					b.onResult(r)
 				}
@@ -176,15 +139,6 @@ func (b *evalBatcher) getBatch(indices []int) ([]Result, error) {
 		}
 	}
 	return out, nil
-}
-
-// getOne is the single-index convenience over getBatch.
-func (b *evalBatcher) getOne(idx int) (Result, error) {
-	res, err := b.getBatch([]int{idx})
-	if err != nil {
-		return Result{}, err
-	}
-	return res[0], nil
 }
 
 // limit returns the longest prefix of indices whose evaluation would

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestBatcherDedupesWithinAndAcrossBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	b := newEvalBatcher(sess, "", nil)
+	b := newEvalBatcher(sess, "")
 
 	// Duplicates within one batch: one evaluation each.
 	res, err := b.getBatch([]int{5, 9, 5, 9, 5})
@@ -81,7 +82,7 @@ func TestBatcherLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	b := newEvalBatcher(sess, "", nil)
+	b := newEvalBatcher(sess, "")
 	if _, err := b.getBatch([]int{1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +107,9 @@ func TestBatcherLimit(t *testing.T) {
 	}
 }
 
-// TestBatcherLimitPreRanked pins limit's budget-prefix semantics for the
-// inputs the surrogate produces: slices ordered by predicted score (or
-// any other deterministic, non-shuffled order), possibly interleaving
-// cached and unseen indices. The prefix rule and the new-index dedup must
+// TestBatcherLimitPreRanked pins limit's budget-prefix semantics for
+// inputs in any deterministic, non-shuffled order (an NSGA-II offspring
+// wave, a migrant list), possibly interleaving cached and unseen indices. The prefix rule and the new-index dedup must
 // not depend on the input having been shuffled.
 func TestBatcherLimitPreRanked(t *testing.T) {
 	r, mu, counts := countingRunner(t, 2)
@@ -119,7 +119,7 @@ func TestBatcherLimitPreRanked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	b := newEvalBatcher(sess, "", nil)
+	b := newEvalBatcher(sess, "")
 	if _, err := b.getBatch([]int{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSessionEvalAfterClose(t *testing.T) {
 	}
 	sess.Close()
 	sess.Close() // idempotent
-	if _, err := sess.Eval([]int{0}, nil, nil); err == nil {
+	if _, err := sess.Eval([]int{0}, nil); err == nil {
 		t.Fatal("eval on closed session accepted")
 	}
 }
@@ -191,7 +191,7 @@ func TestSessionReusesWorkersAcrossBatches(t *testing.T) {
 	}
 	defer sess.Close()
 	for i := 0; i < space.Size(); i += 2 {
-		if _, err := sess.Eval([]int{i, i + 1}, nil, nil); err != nil {
+		if _, err := sess.Eval([]int{i, i + 1}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,14 +262,13 @@ func TestGuidedSearchJournalComplete(t *testing.T) {
 
 // TestSearchDeterministicAcrossWorkers is the determinism contract of the
 // batched evaluation layer: for a fixed seed, every guided strategy must
-// produce the identical evaluation sequence, metrics, best pick, and
-// Pareto front for any worker count — the batch reduction order, not
-// completion order, decides everything the search observes.
+// produce the identical evaluation sequence, metrics and Pareto front for
+// any worker count — the batch reduction order, not completion order,
+// decides everything the search observes.
 func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	tr := tinyTrace(t)
 	space := EasyportSpace()
 	objs := []string{profile.ObjAccesses, profile.ObjFootprint}
-	weights := []Weighted{{profile.ObjAccesses, 1}, {profile.ObjFootprint, 0.5}}
 	const seed, budget = 17, 72
 
 	type outcome struct {
@@ -277,91 +276,56 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 		indices   []int
 		accesses  []uint64
 		footprint []int64
-		bestIndex int
-		bestScore float64
+		front     []int
 	}
-	capture := func(name string, evaluated []Result, best Result, score float64) outcome {
-		o := outcome{name: name, bestIndex: best.Index, bestScore: score}
+	capture := func(name string, evaluated []Result) outcome {
+		o := outcome{name: name}
 		for _, res := range evaluated {
 			o.indices = append(o.indices, res.Index)
 			o.accesses = append(o.accesses, res.Metrics.Accesses)
 			o.footprint = append(o.footprint, res.Metrics.FootprintBytes)
 		}
+		front, _, err := ParetoSet(Feasible(evaluated), objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range front {
+			o.front = append(o.front, f.Index)
+		}
 		return o
 	}
 
-	runAll := func(workers int, surrogate bool) []outcome {
+	runAll := func(workers int) []outcome {
 		r := &Runner{Hierarchy: memhier.EmbeddedSoC(), Trace: tr, Workers: workers}
-		if surrogate {
-			r.Surrogate = &SurrogateOptions{}
-		}
-		var out []outcome
-		sr, err := r.HillClimb(space, weights, budget, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, capture("hillclimb", sr.Evaluated, sr.Best, sr.BestScore))
-		sr, err = r.Anneal(space, weights, budget, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, capture("anneal", sr.Evaluated, sr.Best, sr.BestScore))
 		results, err := r.ScreenAndRefine(space, objs, 16, budget, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		front, _, err := ParetoSet(Feasible(results), objs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bestIdx := -1
-		if len(front) > 0 {
-			bestIdx = front[0].Index
-		}
-		out = append(out, capture("screen", results, Result{Index: bestIdx}, 0))
+		out := []outcome{capture("screen", results)}
 		results, err = r.EvolveIsland(space, objs, IslandOptions{EvolveOptions: EvolveOptions{Population: 8, Budget: budget, Seed: seed}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		front, _, err = ParetoSet(Feasible(results), objs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bestIdx = -1
-		if len(front) > 0 {
-			bestIdx = front[0].Index
-		}
-		out = append(out, capture("evolve", results, Result{Index: bestIdx}, 0))
-		return out
+		return append(out, capture("evolve", results))
 	}
 
-	// Exact strategies and their surrogate-screened variants must both be
-	// bit-deterministic: the surrogate's training and predictions happen
-	// on the coordinating goroutine in batcher request order, so worker
-	// count cannot leak into them either.
-	for _, surrogate := range []bool{false, true} {
-		ref := runAll(1, surrogate)
-		for _, workers := range []int{2, 4, 8, runtime.GOMAXPROCS(0)} {
-			got := runAll(workers, surrogate)
-			for i, o := range got {
-				want := ref[i]
-				if o.bestIndex != want.bestIndex || o.bestScore != want.bestScore {
-					t.Fatalf("%s (surrogate=%t): best %d/%v with %d workers, %d/%v with 1",
-						o.name, surrogate, o.bestIndex, o.bestScore, workers, want.bestIndex, want.bestScore)
+	ref := runAll(1)
+	for _, workers := range []int{2, 4, 8, runtime.GOMAXPROCS(0)} {
+		for i, o := range runAll(workers) {
+			want := ref[i]
+			if !slices.Equal(o.front, want.front) {
+				t.Fatalf("%s: front %v with %d workers, %v with 1", o.name, o.front, workers, want.front)
+			}
+			if len(o.indices) != len(want.indices) {
+				t.Fatalf("%s: %d evaluations with %d workers, %d with 1",
+					o.name, len(o.indices), workers, len(want.indices))
+			}
+			for j := range o.indices {
+				if o.indices[j] != want.indices[j] {
+					t.Fatalf("%s: evaluation order diverges at %d with %d workers", o.name, j, workers)
 				}
-				if len(o.indices) != len(want.indices) {
-					t.Fatalf("%s (surrogate=%t): %d evaluations with %d workers, %d with 1",
-						o.name, surrogate, len(o.indices), workers, len(want.indices))
-				}
-				for j := range o.indices {
-					if o.indices[j] != want.indices[j] {
-						t.Fatalf("%s (surrogate=%t): evaluation order diverges at %d with %d workers",
-							o.name, surrogate, j, workers)
-					}
-					if o.accesses[j] != want.accesses[j] || o.footprint[j] != want.footprint[j] {
-						t.Fatalf("%s (surrogate=%t): metrics diverge at %d with %d workers",
-							o.name, surrogate, j, workers)
-					}
+				if o.accesses[j] != want.accesses[j] || o.footprint[j] != want.footprint[j] {
+					t.Fatalf("%s: metrics diverge at %d with %d workers", o.name, j, workers)
 				}
 			}
 		}

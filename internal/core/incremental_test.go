@@ -95,34 +95,19 @@ func countIncremental(rs []Result) int {
 	return n
 }
 
-// TestIncrementalEquivalenceAcrossStrategies runs all four guided
+// TestIncrementalEquivalenceAcrossStrategies runs both guided
 // strategies with and without incremental re-evaluation and requires the
 // exact same walk and bit-identical metrics — Runner.Incremental must be
 // a pure performance switch.
 func TestIncrementalEquivalenceAcrossStrategies(t *testing.T) {
 	space := EasyportSpace()
 	objectives := []string{"accesses", "footprint"}
-	weights := []Weighted{{Objective: "accesses", Weight: 1}, {Objective: "footprint", Weight: 1}}
 
 	servedPartial := 0
 	for _, seed := range []uint64{1, 7} {
 		run := func(incremental bool, strategy string) []Result {
 			r := easyportRunner(t, incremental)
 			switch strategy {
-			case "hillclimb", "anneal":
-				var (
-					sr  *SearchResult
-					err error
-				)
-				if strategy == "hillclimb" {
-					sr, err = r.HillClimb(space, weights, 60, seed)
-				} else {
-					sr, err = r.Anneal(space, weights, 60, seed)
-				}
-				if err != nil {
-					t.Fatalf("%s seed %d: %v", strategy, seed, err)
-				}
-				return append([]Result{sr.Best}, sr.Evaluated...)
 			case "evolve":
 				rs, err := r.EvolveIsland(space, objectives, IslandOptions{EvolveOptions: EvolveOptions{
 					Population: 8, Budget: 48, Seed: seed,
@@ -141,7 +126,7 @@ func TestIncrementalEquivalenceAcrossStrategies(t *testing.T) {
 			t.Fatalf("unknown strategy %q", strategy)
 			return nil
 		}
-		for _, strategy := range []string{"hillclimb", "anneal", "evolve", "screen"} {
+		for _, strategy := range []string{"evolve", "screen"} {
 			full := run(false, strategy)
 			inc := run(true, strategy)
 			assertResultsIdentical(t, strategy, full, inc)
@@ -234,13 +219,12 @@ func TestMultiAxisDecompositionBitIdentical(t *testing.T) {
 }
 
 // TestIncrementalEquivalenceAcrossWorkerCounts locks the concurrency
-// contract: hill-climb and NSGA-II walks stay bit-identical to the full
+// contract: screen-and-refine and NSGA-II walks stay bit-identical to the full
 // replay path at every worker count. Which evaluation is composed vs
 // partial may vary with scheduling (whoever claims a memo entry first
 // builds it), but metrics — and therefore the walk — may not.
 func TestIncrementalEquivalenceAcrossWorkerCounts(t *testing.T) {
 	space := EasyportSpace()
-	weights := []Weighted{{Objective: "accesses", Weight: 1}, {Objective: "footprint", Weight: 1}}
 	objectives := []string{"accesses", "footprint"}
 
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -249,17 +233,15 @@ func TestIncrementalEquivalenceAcrossWorkerCounts(t *testing.T) {
 			r.Workers = workers
 			return r
 		}
-		hcFull, err := runner(false).HillClimb(space, weights, 48, 3)
+		scFull, err := runner(false).ScreenAndRefine(space, objectives, 16, 48, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hcInc, err := runner(true).HillClimb(space, weights, 48, 3)
+		scInc, err := runner(true).ScreenAndRefine(space, objectives, 16, 48, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertResultsIdentical(t, "hillclimb",
-			append([]Result{hcFull.Best}, hcFull.Evaluated...),
-			append([]Result{hcInc.Best}, hcInc.Evaluated...))
+		assertResultsIdentical(t, "screen", scFull, scInc)
 
 		evFull, err := runner(false).EvolveIsland(space, objectives, IslandOptions{EvolveOptions: EvolveOptions{Population: 8, Budget: 40, Seed: 3}})
 		if err != nil {
@@ -322,7 +304,7 @@ func TestEvalLatencyComposedChargesCompositionOnly(t *testing.T) {
 	}
 	defer sess.Close()
 
-	first, err := sess.Eval([]int{d74}, nil, nil)
+	first, err := sess.Eval([]int{d74}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +316,7 @@ func TestEvalLatencyComposedChargesCompositionOnly(t *testing.T) {
 			first[0].Duration, latency)
 	}
 
-	second, err := sess.Eval([]int{sp}, nil, nil)
+	second, err := sess.Eval([]int{sp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +352,7 @@ func TestSessionCacheEviction(t *testing.T) {
 	sess.parts = newOnceCache[*profile.Partition](2 * 1024)
 	sess.runs = newOnceCache[*profile.PoolRun](2 * 1024)
 	indices := SweepIndices(space.Size(), 64, 5) // Sample's draw, same seed
-	inc, err := sess.Eval(indices, nil, nil)
+	inc, err := sess.Eval(indices, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +430,7 @@ func TestIncrementalTierSequencePinned(t *testing.T) {
 		defer sess.Close()
 		var got []tier
 		for _, wave := range waves {
-			rs, err := sess.Eval(wave, nil, nil)
+			rs, err := sess.Eval(wave, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -144,9 +144,7 @@ func (r *Runner) EvolveIslandSession(sess *EvalSession, space *Space, objectives
 	}
 
 	rng := stats.NewRNG(IslandSeed(opts.Seed, opts.Island))
-	sur := r.newSurrogate(sess, equalWeights(objectives))
-	sur.paretoRank()
-	batcher := newEvalBatcher(sess, "nsga2", sur)
+	batcher := newEvalBatcher(sess, "nsga2")
 	batcher.onResult = opts.OnResult
 
 	// Initial population: uniform random genomes, one evaluation wave.
@@ -178,50 +176,19 @@ func (r *Runner) EvolveIslandSession(sess *EvalSession, space *Space, objectives
 		if err := sc.rankAndCrowd(batcher, pop, objectives); err != nil {
 			return nil, err
 		}
-		var offspring []int
 		remaining := opts.Budget - batcher.len()
-		if sur != nil {
-			// Surrogate path: breed an oversampled candidate wave, let the
-			// already-profiled genomes through for free, and screen the
-			// unseen ones down to at most one generation of real
-			// simulations — the models pre-filter the offspring before the
-			// batcher ever sees them.
-			cands := make([]int, 0, surrogateOversample*opts.Population)
-			for len(cands) < surrogateOversample*opts.Population {
-				a := sc.tournament(rng, pop)
-				b := sc.tournament(rng, pop)
-				child := mutate(rng, space, crossover(rng, space, a, b))
-				batcher.tag(child, "crossover", a, b)
-				cands = append(cands, child)
+		offspring := make([]int, 0, opts.Population)
+		newEvals := 0
+		for len(offspring) < opts.Population && newEvals < remaining {
+			a := sc.tournament(rng, pop)
+			b := sc.tournament(rng, pop)
+			child := crossover(rng, space, a, b)
+			child = mutate(rng, space, child)
+			if !batcher.has(child) {
+				newEvals++
 			}
-			cands = sc.dedup(cands)
-			var unseen []int
-			for _, c := range cands {
-				if batcher.has(c) {
-					offspring = append(offspring, c)
-				} else {
-					unseen = append(unseen, c)
-				}
-			}
-			k := opts.Population
-			if k > remaining {
-				k = remaining
-			}
-			offspring = append(offspring, sur.screen(unseen, k)...)
-		} else {
-			offspring = make([]int, 0, opts.Population)
-			newEvals := 0
-			for len(offspring) < opts.Population && newEvals < remaining {
-				a := sc.tournament(rng, pop)
-				b := sc.tournament(rng, pop)
-				child := crossover(rng, space, a, b)
-				child = mutate(rng, space, child)
-				if !batcher.has(child) {
-					newEvals++
-				}
-				batcher.tag(child, "crossover", a, b)
-				offspring = append(offspring, child)
-			}
+			batcher.tag(child, "crossover", a, b)
+			offspring = append(offspring, child)
 		}
 		// One wave for the whole generation — including offspring that
 		// environmental selection will discard; they still join the

@@ -13,7 +13,7 @@ import (
 
 // journalAll runs fn with an Observer that journals every result and
 // returns the parsed records.
-func journalAll(t *testing.T, workers int, surrogate bool, fn func(r *Runner)) []telemetry.Record {
+func journalAll(t *testing.T, workers int, fn func(r *Runner)) []telemetry.Record {
 	t.Helper()
 	var buf bytes.Buffer
 	journal := telemetry.NewJournal(&buf)
@@ -24,9 +24,6 @@ func journalAll(t *testing.T, workers int, surrogate bool, fn func(r *Runner)) [
 				t.Error(err)
 			}
 		},
-	}
-	if surrogate {
-		r.Surrogate = &SurrogateOptions{}
 	}
 	fn(r)
 	if err := journal.Close(); err != nil {
@@ -42,7 +39,7 @@ func journalAll(t *testing.T, workers int, surrogate bool, fn func(r *Runner)) [
 func TestEvolveLineageJournaled(t *testing.T) {
 	space := EasyportSpace()
 	objs := []string{profile.ObjAccesses, profile.ObjFootprint}
-	recs := journalAll(t, 4, false, func(r *Runner) {
+	recs := journalAll(t, 4, func(r *Runner) {
 		if _, err := r.EvolveIsland(space, objs, IslandOptions{EvolveOptions: EvolveOptions{Population: 8, Budget: 48, Seed: 7}}); err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +109,7 @@ func TestEvolveLineageJournaled(t *testing.T) {
 }
 
 func TestSweepLineageJournaled(t *testing.T) {
-	recs := journalAll(t, 2, false, func(r *Runner) {
+	recs := journalAll(t, 2, func(r *Runner) {
 		if _, err := r.Explore(EasyportSpace()); err != nil {
 			t.Fatal(err)
 		}
@@ -125,15 +122,17 @@ func TestSweepLineageJournaled(t *testing.T) {
 }
 
 // TestLineageDeterministicAcrossWorkers extends the determinism contract
-// to provenance: the journaled origin of every configuration — operator,
-// wave, parents, surrogate rank and admission — must be identical for
-// any worker count.
+// to provenance: the journaled origin of every configuration — strategy,
+// operator, wave and parents — must be identical for any worker count.
 func TestLineageDeterministicAcrossWorkers(t *testing.T) {
 	space := EasyportSpace()
-	weights := []Weighted{{profile.ObjAccesses, 1}, {profile.ObjFootprint, 0.5}}
+	objs := []string{profile.ObjAccesses, profile.ObjFootprint}
 	capture := func(workers int) map[int]telemetry.Origin {
-		recs := journalAll(t, workers, true, func(r *Runner) {
-			if _, err := r.HillClimb(space, weights, 72, 17); err != nil {
+		recs := journalAll(t, workers, func(r *Runner) {
+			if _, err := r.ScreenAndRefine(space, objs, 16, 72, 17); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.EvolveIsland(space, objs, IslandOptions{EvolveOptions: EvolveOptions{Population: 8, Budget: 72, Seed: 17}}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -142,7 +141,9 @@ func TestLineageDeterministicAcrossWorkers(t *testing.T) {
 			if rec.Origin == nil {
 				t.Fatalf("workers=%d: record %d has no origin", workers, rec.Index)
 			}
-			out[rec.Index] = *rec.Origin
+			if _, dup := out[rec.Index]; !dup {
+				out[rec.Index] = *rec.Origin
+			}
 		}
 		return out
 	}
@@ -153,16 +154,16 @@ func TestLineageDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("origins differ between workers=1 and workers=%d", workers)
 		}
 	}
-	// The surrogate must have annotated at least one origin.
-	ranked := false
+	// Both searches must have bred from parents: refinement rings and
+	// crossovers carry them.
+	ops := make(map[string]bool)
 	for _, o := range base {
-		if o.SurrogateRank > 0 {
-			ranked = true
-			break
+		if len(o.Parents) > 0 {
+			ops[o.Op] = true
 		}
 	}
-	if !ranked {
-		t.Fatal("no origin carries a surrogate rank")
+	if !ops["refine"] || !ops["crossover"] {
+		t.Fatalf("parented operators %v, want refine and crossover", ops)
 	}
 }
 
@@ -177,8 +178,8 @@ func TestSessionRecordsSpans(t *testing.T) {
 		Spans: rec,
 	}
 	space := EasyportSpace()
-	weights := []Weighted{{profile.ObjAccesses, 1}, {profile.ObjFootprint, 0.5}}
-	if _, err := r.HillClimb(space, weights, 32, 3); err != nil {
+	objs := []string{profile.ObjAccesses, profile.ObjFootprint}
+	if _, err := r.EvolveIsland(space, objs, IslandOptions{EvolveOptions: EvolveOptions{Population: 8, Budget: 32, Seed: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	snap := rec.Snapshot()

@@ -39,14 +39,8 @@ type Result struct {
 	// partition — no simulation at all, O(ops) additions. Composed
 	// implies Incremental.
 	Composed bool
-	// Predicted carries the surrogate's per-objective predictions made
-	// when this configuration was submitted for exact evaluation (nil
-	// outside surrogate-assisted searches). The journal preserves it, so
-	// prediction accuracy can be audited offline against the exact
-	// metrics on the same record.
-	Predicted map[string]float64
 	// Origin is the configuration's search provenance (strategy, wave,
-	// operator, parents, surrogate decision), stamped by the evaluation
+	// operator, parents), stamped by the evaluation
 	// pipeline on the first exact evaluation and preserved in the
 	// journal for `dmreport -lineage`.
 	Origin *telemetry.Origin
@@ -70,7 +64,6 @@ func (r Result) JournalRecord() telemetry.Record {
 		rec.Error = r.Err.Error()
 		return rec
 	}
-	rec.Predicted = r.Predicted
 	if m := r.Metrics; m != nil {
 		rec.Accesses = m.Accesses
 		rec.FootprintBytes = m.FootprintBytes
@@ -100,7 +93,6 @@ func ResultFromRecord(rec telemetry.Record) Result {
 		res.Err = errors.New(rec.Error)
 		return res
 	}
-	res.Predicted = rec.Predicted
 	res.Metrics = &profile.Metrics{
 		Accesses:       rec.Accesses,
 		FootprintBytes: rec.FootprintBytes,
@@ -143,8 +135,8 @@ type Runner struct {
 	Telemetry *telemetry.Collector
 
 	// Spans, when non-nil, is the run's flight recorder: every pipeline
-	// stage (simulations, partition builds, cache probes, batch waves,
-	// surrogate screens) lands a typed span in a per-worker ring,
+	// stage (simulations, partition builds, cache probes, batch waves)
+	// lands a typed span in a per-worker ring,
 	// exportable as a Chrome trace. Recording is allocation-free and
 	// purely observational — results are bit-identical with or without
 	// it.
@@ -179,14 +171,6 @@ type Runner struct {
 	// DefaultPoolMemoBudgetBytes; evicted entries rebuild on next use and
 	// results are unaffected.
 	Incremental bool
-
-	// Surrogate, when non-nil, enables surrogate-assisted candidate
-	// screening in the guided search strategies (HillClimb, Anneal,
-	// ScreenAndRefine, EvolveIsland): online per-objective models
-	// trained from every exact result rank candidates so the simulation
-	// budget is spent on the most promising ones. See SurrogateOptions. When nil,
-	// the strategies take their original exact-only code paths.
-	Surrogate *SurrogateOptions
 
 	// EvalLatency, when positive, adds a sleep after every executed
 	// simulation. The paper's workflow profiles configurations on real
@@ -257,7 +241,7 @@ func (r *Runner) run(space *Space, indices []int) ([]Result, error) {
 		return nil, err
 	}
 	defer s.Close()
-	return s.Eval(indices, nil, SweepOrigins(len(indices)))
+	return s.Eval(indices, SweepOrigins(len(indices)))
 }
 
 // SweepOrigins returns n origins for a sweep's results. Sweeps have no

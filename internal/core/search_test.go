@@ -1,11 +1,15 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"dmexplore/internal/memhier"
+	"dmexplore/internal/pareto"
 	"dmexplore/internal/profile"
 	"dmexplore/internal/stats"
+	"dmexplore/internal/trace"
+	"dmexplore/internal/workload"
 )
 
 func searchRunner(t *testing.T) *Runner {
@@ -76,56 +80,6 @@ func TestNeighborsPreallocated(t *testing.T) {
 	}
 }
 
-func TestHillClimbFindsGoodConfig(t *testing.T) {
-	r := searchRunner(t)
-	space := tinySpace()
-	weights := []Weighted{{profile.ObjAccesses, 1}}
-	res, err := r.HillClimb(space, weights, space.Size(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Best.Metrics == nil {
-		t.Fatal("no best found")
-	}
-	// With budget >= space size the climb must find the global optimum.
-	all, err := r.Explore(space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := mustRangeT(t, Feasible(all), profile.ObjAccesses).Min
-	if got := float64(res.Best.Metrics.Accesses); got != best {
-		t.Fatalf("hill climb best %v, global best %v", got, best)
-	}
-	if len(res.Evaluated) > space.Size() {
-		t.Fatalf("evaluated %d > space size (no dedup)", len(res.Evaluated))
-	}
-}
-
-func TestHillClimbValidation(t *testing.T) {
-	r := searchRunner(t)
-	if _, err := r.HillClimb(tinySpace(), nil, 10, 1); err == nil {
-		t.Fatal("no weights accepted")
-	}
-	if _, err := r.HillClimb(tinySpace(), []Weighted{{profile.ObjAccesses, 1}}, 0, 1); err == nil {
-		t.Fatal("zero budget accepted")
-	}
-}
-
-func TestAnnealRespectsBudget(t *testing.T) {
-	r := searchRunner(t)
-	space := tinySpace()
-	res, err := r.Anneal(space, []Weighted{{profile.ObjFootprint, 1}}, 5, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Evaluated) > 5 {
-		t.Fatalf("evaluated %d > budget", len(res.Evaluated))
-	}
-	if res.Best.Metrics == nil {
-		t.Fatal("no best")
-	}
-}
-
 func TestScreenAndRefineApproximatesFront(t *testing.T) {
 	r := searchRunner(t)
 	space := tinySpace()
@@ -168,14 +122,67 @@ func TestScreenAndRefineValidation(t *testing.T) {
 	}
 }
 
-func mustRangeT(t *testing.T, rs []Result, obj string) ObjectiveRange {
-	t.Helper()
-	r, err := Range(rs, obj)
+// newTestRNG returns a deterministic RNG for grid-operation tests.
+func newTestRNG() *stats.RNG { return stats.NewRNG(12345) }
+
+// TestScreenMatchesEvolveOnEasyport pins why screen-and-refine ships
+// beside NSGA-II: on EasyportSpace with the default Easyport trace, at
+// a 96-simulation budget (a quarter of it screened), its front's
+// hypervolume is at least NSGA-II's (population 16) in most of seeds
+// 1–8 (6 of 8 when this test was written). The reference point is the
+// per-objective maximum of the union of all sixteen fronts, plus 1%.
+func TestScreenMatchesEvolveOnEasyport(t *testing.T) {
+	gen, err := workload.New("easyport", 1, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
-}
+	tr, err := gen.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := trace.Compile(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := EasyportSpace()
+	objs := []string{profile.ObjAccesses, profile.ObjFootprint}
+	const budget, seeds = 96, 8
 
-// newTestRNG returns a deterministic RNG for grid-operation tests.
-func newTestRNG() *stats.RNG { return stats.NewRNG(12345) }
+	fronts := func(results []Result) []pareto.Point {
+		_, pts, err := ParetoSet(Feasible(results), objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
+	var screened, evolved [seeds][]pareto.Point
+	var ref [2]float64
+	for i := range seeds {
+		seed := uint64(i + 1)
+		r := &Runner{Hierarchy: memhier.EmbeddedSoC(), Trace: tr, Compiled: ct, Workers: 2, Incremental: true}
+		sc, err := r.ScreenAndRefine(space, objs, budget/4, budget, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := r.EvolveIsland(space, objs, IslandOptions{EvolveOptions: EvolveOptions{Population: 16, Budget: budget, Seed: seed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		screened[i], evolved[i] = fronts(sc), fronts(ev)
+		for _, p := range append(slices.Clone(screened[i]), evolved[i]...) {
+			ref[0], ref[1] = max(ref[0], p.Values[0]), max(ref[1], p.Values[1])
+		}
+	}
+	ref[0], ref[1] = 1.01*ref[0], 1.01*ref[1]
+	atLeast := 0
+	for i := range seeds {
+		s, e := pareto.Hypervolume2D(screened[i], ref), pareto.Hypervolume2D(evolved[i], ref)
+		if s >= e {
+			atLeast++
+		}
+		t.Logf("seed %d: screen %.6g, NSGA-II %.6g", i+1, s, e)
+	}
+	if atLeast < 5 {
+		t.Fatalf("screen's hypervolume reached NSGA-II's in %d of %d seeds, want at least 5", atLeast, seeds)
+	}
+}

@@ -24,8 +24,7 @@ import (
 // back on Close for the next session.
 // Batches of configuration indices are fed to the pool over a channel, so
 // a guided search issuing hundreds of small evaluation waves (one per
-// NSGA-II generation, one per hill-climb neighbourhood, one per annealing
-// speculation window) pays the pool spin-up cost exactly once instead of
+// NSGA-II generation, one per screen-and-refine ring) pays the pool spin-up cost exactly once instead of
 // once per wave.
 //
 // Eval is safe for concurrent use; results come back in request order, so
@@ -116,17 +115,15 @@ func (s *EvalSession) IncrementalCacheStats() (st IncrementalCacheStats) {
 
 // evalJob is one configuration handed to a session worker: where to write
 // the result and which batch to signal when done. labels is the result's
-// slot per axis for its option labels. predicted, when non-nil, is the
-// surrogate's forecast for this configuration, stamped onto the result
-// so the journal pairs it with the exact metrics; origin is its search
-// provenance, stamped the same way.
+// slot per axis for its option labels. origin is its search provenance,
+// stamped onto the result so the journal pairs it with the exact
+// metrics.
 type evalJob struct {
-	idx       int
-	out       *Result
-	wg        *sync.WaitGroup
-	labels    []string
-	predicted map[string]float64
-	origin    *telemetry.Origin
+	idx    int
+	out    *Result
+	wg     *sync.WaitGroup
+	labels []string
+	origin *telemetry.Origin
 }
 
 // evalScratch is one worker's reusable evaluation state: the
@@ -231,25 +228,21 @@ func (s *EvalSession) Warm(results map[int]*profile.Metrics) {
 // regardless of worker count. Duplicate indices within the wave are
 // evaluated independently; use an evalBatcher for deduplication.
 //
-// preds and origins annotate the results and may each be nil; when set
-// they hold one entry per index (entries may be nil). preds[i] is the
-// surrogate's forecast for indices[i] and origins[i] its search
-// provenance. Both are stamped onto the Result before the Observer sees
-// it, so the journal pairs them with the exact metrics (`dmreport
-// -lineage` reconstructs ancestry from the origins). The wave lands one
-// batch-wave span on the coordinator ring.
+// origins may be nil; when set it holds one entry per index (entries may
+// be nil): origins[i] is the search provenance of indices[i], stamped
+// onto the Result before the Observer sees it, so the journal pairs it
+// with the exact metrics (`dmreport -lineage` reconstructs ancestry from
+// the origins). The wave lands one batch-wave span on the coordinator
+// ring.
 //
 // On failure every slot is still populated (per-result Err) and the
 // returned error wraps the first failure in request order.
-func (s *EvalSession) Eval(indices []int, preds []map[string]float64, origins []*telemetry.Origin) ([]Result, error) {
+func (s *EvalSession) Eval(indices []int, origins []*telemetry.Origin) ([]Result, error) {
 	if s.closed.Load() {
 		return nil, fmt.Errorf("core: eval on closed session")
 	}
 	if len(indices) == 0 {
 		return nil, nil
-	}
-	if preds != nil && len(preds) != len(indices) {
-		return nil, fmt.Errorf("core: %d predictions for %d indices", len(preds), len(indices))
 	}
 	if origins != nil && len(origins) != len(indices) {
 		return nil, fmt.Errorf("core: %d origins for %d indices", len(origins), len(indices))
@@ -268,9 +261,6 @@ func (s *EvalSession) Eval(indices []int, preds []map[string]float64, origins []
 	for i, idx := range indices {
 		job := evalJob{idx: idx, out: &results[i], wg: &batch,
 			labels: labels[i*axes : (i+1)*axes : (i+1)*axes]}
-		if preds != nil {
-			job.predicted = preds[i]
-		}
 		if origins != nil {
 			job.origin = origins[i]
 		}
@@ -311,7 +301,6 @@ func (s *EvalSession) worker(w int) {
 	sc := evalScratch{id: make([]byte, 0, keyBufLen), key: make([]byte, 0, keyBufLen)}
 	for job := range s.jobs {
 		res := s.evalOne(job.idx, job.labels, &sc, rep, shard, &debt)
-		res.Predicted = job.predicted
 		res.Origin = job.origin
 		*job.out = res
 		if s.r.Observer != nil {

@@ -73,7 +73,7 @@ func TestWarmSessionAllocs(t *testing.T) {
 			first, longest = i, n
 		}
 	}
-	if _, err := s.Eval([]int{first}, nil, nil); err != nil {
+	if _, err := s.Eval([]int{first}, nil); err != nil {
 		t.Fatal(err)
 	}
 	var rest []int
@@ -84,7 +84,7 @@ func TestWarmSessionAllocs(t *testing.T) {
 	}
 	next := 0
 	got := testing.AllocsPerRun(len(rest)-1, func() {
-		res, err := s.Eval(rest[next:next+1], nil, nil)
+		res, err := s.Eval(rest[next:next+1], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestWarmIncrementalAllocs(t *testing.T) {
 			first, most = i, len(cfg.Fixed)
 		}
 	}
-	if _, err := s.Eval([]int{first}, nil, nil); err != nil {
+	if _, err := s.Eval([]int{first}, nil); err != nil {
 		t.Fatal(err)
 	}
 	tiers := map[string]int{}
@@ -173,7 +173,7 @@ func TestWarmIncrementalAllocs(t *testing.T) {
 			if calls++; calls == 1 {
 				return // AllocsPerRun's warm-up call
 			}
-			if res, err = s.Eval([]int{i}, nil, nil); err != nil {
+			if res, err = s.Eval([]int{i}, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -247,7 +247,7 @@ func TestScratchReuseKeepsEarlierResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resA, err := s.Eval([]int{a}, nil, nil)
+	resA, err := s.Eval([]int{a}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestScratchReuseKeepsEarlierResults(t *testing.T) {
 		if reflect.DeepEqual(cfgB.Fixed, cfgA.Fixed) {
 			t.Fatalf("configuration %d shares %d's fixed pools", b, a)
 		}
-		if _, err := s.Eval([]int{b}, nil, nil); err != nil {
+		if _, err := s.Eval([]int{b}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

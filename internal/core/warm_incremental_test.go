@@ -45,7 +45,7 @@ func (c warmCase) run(t *testing.T, h *memhier.Hierarchy) ([]Result, *Store) {
 		s.parts = newOnceCache[*profile.Partition](2 * 1024)
 		s.runs = newOnceCache[*profile.PoolRun](2 * 1024)
 	}
-	res, err := s.Eval(c.indices, nil, nil)
+	res, err := s.Eval(c.indices, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

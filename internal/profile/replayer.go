@@ -11,6 +11,7 @@ import (
 
 	"dmexplore/internal/alloc"
 	"dmexplore/internal/memhier"
+	"dmexplore/internal/mutant"
 	"dmexplore/internal/simheap"
 	"dmexplore/internal/telemetry"
 	"dmexplore/internal/telemetry/span"
@@ -428,6 +429,9 @@ func (r *Replayer) replayFlat(ct *trace.Compiled, a alloc.Allocator, ctx *simhea
 				r.ptrs[op.id], r.live[op.id] = alloc.Ptr{}, false
 				if errors.Is(err, alloc.ErrOutOfMemory) {
 					m.Failures++
+					if mutant.Name == "flat-failed-charged" {
+						ctx.Read(ptr.Layer, ptr.Addr, v.reads[op.id])
+					}
 					continue
 				}
 				return fmt.Errorf("profile: event %d: %w", v.position(j), err)

@@ -3,7 +3,7 @@
 // partitions them into shards, and hands the shards to worker processes
 // (cmd/dmworker) over work-stealing leases. Each worker wraps the
 // existing single-process evaluation stack — core.EvalSession,
-// evalBatcher, incremental replay, pool-run memo, surrogate — unchanged;
+// evalBatcher, incremental replay, pool-run memo — unchanged;
 // the service adds horizontal scale, not new evaluation semantics.
 //
 // Search jobs run the island model: one NSGA-II population per shard,

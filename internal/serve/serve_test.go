@@ -189,7 +189,7 @@ func TestSweepShardsMatchLocal(t *testing.T) {
 	}
 	defer sess.Close()
 	indices := sweepIndices(spec, env.Space.Size())
-	local, err := sess.Eval(indices, nil, nil)
+	local, err := sess.Eval(indices, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,10 @@ import (
 // them on the unchanged single-process stack — one core.EvalSession per
 // job, shared by every shard of that job the worker holds, so islands
 // multiplex one bounded simulation pool and one memo — and streams each
-// result back as it completes. A heartbeat goroutine renews the leases;
+// result back as it completes. A job's session is closed once none of
+// its shards runs here and a lease for another job starts, so a worker
+// holds sessions only for the jobs it is running plus at most one idle
+// job. A heartbeat goroutine renews the leases;
 // a lease the coordinator reports lost cancels its shard.
 type Worker struct {
 	// Coordinator is the coordinator's base URL.
@@ -48,7 +51,11 @@ type Worker struct {
 	ttl    time.Duration
 }
 
+// workerEnv is one job's environment and session on a worker, built by
+// the first shard that needs it.
 type workerEnv struct {
+	running int // shards of the job running on this worker, under Worker.mu
+
 	once sync.Once
 	err  error
 	env  *Env
@@ -58,20 +65,7 @@ type workerEnv struct {
 // Run pulls and evaluates shards until ctx is cancelled. It returns
 // ctx's error after in-flight shards have been cancelled and drained.
 func (w *Worker) Run(ctx context.Context) error {
-	if w.ID == "" {
-		w.ID = fmt.Sprintf("w%d", os.Getpid())
-	}
-	if w.Slots <= 0 {
-		w.Slots = 1
-	}
-	if w.Poll <= 0 {
-		w.Poll = 200 * time.Millisecond
-	}
-	w.client = &Client{Base: w.Coordinator}
-	w.col = telemetry.NewCollector(max(w.SessionWorkers, 1))
-	w.cancel = make(map[string]context.CancelFunc)
-	w.envs = make(map[string]*workerEnv)
-	w.ttl = DefaultLeaseTTL
+	w.init()
 
 	// active counts the running shards; freed wakes the lease loop when
 	// one returns, so a free slot is offered at once, not after Poll.
@@ -93,6 +87,7 @@ func (w *Worker) Run(ctx context.Context) error {
 					granted++
 					active.Add(1)
 					wg.Add(1)
+					we := w.acquire(g.JobID)
 					shardCtx, cancel := context.WithCancel(ctx)
 					w.mu.Lock()
 					w.cancel[g.Lease] = cancel
@@ -105,6 +100,7 @@ func (w *Worker) Run(ctx context.Context) error {
 							w.mu.Lock()
 							delete(w.cancel, g.Lease)
 							w.mu.Unlock()
+							w.release(we)
 							cancel()
 							active.Add(-1)
 							select {
@@ -113,7 +109,7 @@ func (w *Worker) Run(ctx context.Context) error {
 							}
 							wg.Done()
 						}()
-						w.runShard(shardCtx, g)
+						w.runShard(shardCtx, g, we)
 					}(g)
 				}
 			}
@@ -136,12 +132,64 @@ func (w *Worker) Run(ctx context.Context) error {
 	stopHeartbeat()
 	w.mu.Lock()
 	for _, we := range w.envs {
-		if we.sess != nil {
-			we.sess.Close()
-		}
+		we.close()
 	}
 	w.mu.Unlock()
 	return ctx.Err()
+}
+
+// init applies the defaults and builds the worker's client, collector
+// and maps.
+func (w *Worker) init() {
+	if w.ID == "" {
+		w.ID = fmt.Sprintf("w%d", os.Getpid())
+	}
+	if w.Slots <= 0 {
+		w.Slots = 1
+	}
+	if w.Poll <= 0 {
+		w.Poll = 200 * time.Millisecond
+	}
+	w.client = &Client{Base: w.Coordinator}
+	w.col = telemetry.NewCollector(max(w.SessionWorkers, 1))
+	w.cancel = make(map[string]context.CancelFunc)
+	w.envs = make(map[string]*workerEnv)
+	w.ttl = DefaultLeaseTTL
+}
+
+// acquire returns the environment of the job a shard is starting for
+// and counts the shard as running. Every other job's environment with
+// no running shard is closed first: back-to-back shards of one job keep
+// its memo and compiled trace, while a later lease of a closed job
+// rebuilds its environment and warms it from the grant.
+func (w *Worker) acquire(jobID string) *workerEnv {
+	w.mu.Lock()
+	var idle []*workerEnv
+	for id, we := range w.envs {
+		if id != jobID && we.running == 0 {
+			idle = append(idle, we)
+			delete(w.envs, id)
+		}
+	}
+	we := w.envs[jobID]
+	if we == nil {
+		we = &workerEnv{}
+		w.envs[jobID] = we
+	}
+	we.running++
+	w.mu.Unlock()
+	for _, old := range idle {
+		old.close()
+	}
+	return we
+}
+
+// release marks one of the job's shards as finished. The environment
+// stays open for the job's next shard until another job's lease starts.
+func (w *Worker) release(we *workerEnv) {
+	w.mu.Lock()
+	we.running--
+	w.mu.Unlock()
 }
 
 // heartbeatLoop renews the worker's leases at a third of the lease TTL
@@ -183,36 +231,36 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// envFor returns the job's shared evaluation environment, building it on
-// first use. Every shard of one job on this worker shares one session —
-// one compiled trace, one worker pool, one memo — which is also what
-// lets N islands run on a worker with fewer session workers than
-// islands: a migration-blocked island occupies no session worker.
-func (w *Worker) envFor(jobID string, spec JobSpec) (*workerEnv, error) {
-	w.mu.Lock()
-	we := w.envs[jobID]
-	if we == nil {
-		we = &workerEnv{}
-		w.envs[jobID] = we
-	}
-	w.mu.Unlock()
+// open builds the job's shared evaluation environment on first use.
+// Every shard of one job on this worker shares one session — one
+// compiled trace, one worker pool, one memo — which is also what lets N
+// islands run on a worker with fewer session workers than islands: a
+// migration-blocked island occupies no session worker.
+func (we *workerEnv) open(spec JobSpec, workers int, col *telemetry.Collector) error {
 	we.once.Do(func() {
-		we.env, we.err = BuildEnv(spec, w.SessionWorkers, w.col)
+		we.env, we.err = BuildEnv(spec, workers, col)
 		if we.err != nil {
 			return
 		}
 		we.sess, we.err = we.env.Runner.NewSession(we.env.Space)
 	})
-	return we, we.err
+	return we.err
+}
+
+// close releases the session's worker pool. The caller guarantees that
+// no shard of the job is running.
+func (we *workerEnv) close() {
+	if we.sess != nil {
+		we.sess.Close()
+	}
 }
 
 // runShard evaluates one leased shard and streams its results. Errors
 // in the evaluation itself fail the job (Failed line); transport errors
 // and cancellations abandon the shard silently — its lease expires and
 // the coordinator re-issues it.
-func (w *Worker) runShard(ctx context.Context, g LeaseGrant) {
-	we, err := w.envFor(g.JobID, g.Spec)
-	if err != nil {
+func (w *Worker) runShard(ctx context.Context, g LeaseGrant, we *workerEnv) {
+	if err := we.open(g.Spec, w.SessionWorkers, w.col); err != nil {
 		stream := w.client.StreamResults(g.Lease)
 		stream.Send(ResultLine{Failed: err.Error()})
 		stream.Close()
@@ -269,7 +317,7 @@ func (w *Worker) runRange(ctx context.Context, we *workerEnv, g LeaseGrant, stre
 			hi = len(indices)
 		}
 		batch := indices[lo:hi]
-		results, err := we.sess.Eval(batch, nil, origins[:len(batch)])
+		results, err := we.sess.Eval(batch, origins[:len(batch)])
 		if err != nil {
 			return err
 		}

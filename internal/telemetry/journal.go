@@ -34,14 +34,8 @@ type Record struct {
 	EventsSkipped uint64 `json:"events_skipped,omitempty"`
 	Composed      bool   `json:"composed,omitempty"`
 
-	// Predicted holds the surrogate's per-objective predictions made when
-	// this configuration was submitted for exact evaluation — the pairs
-	// the accuracy digest (Spearman rank correlation, MAE) is computed
-	// over. Only surrogate-assisted runs populate it.
-	Predicted map[string]float64 `json:"predicted,omitempty"`
-
 	// Origin is the configuration's search provenance (strategy, wave,
-	// operator, parents, surrogate decision) — present on the record of
+	// operator, parents) — present on the record of
 	// its first exact evaluation. See Origin and `dmreport -lineage`.
 	Origin *Origin `json:"origin,omitempty"`
 
@@ -169,7 +163,6 @@ type JournalDigest struct {
 	MemoHits    int
 	Incremental int // records served by the partial-replay path
 	Composed    int // of Incremental: served by the pool-run memo (no sim)
-	Predicted   int // records carrying surrogate predictions
 	Errors      int
 	Infeasible  int     // records with allocation failures
 	TotalSec    float64 // summed per-configuration durations
@@ -192,9 +185,6 @@ func Digest(recs []Record) JournalDigest {
 		}
 		if r.Composed {
 			d.Composed++
-		}
-		if len(r.Predicted) > 0 {
-			d.Predicted++
 		}
 		if r.Error != "" {
 			d.Errors++

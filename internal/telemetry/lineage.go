@@ -4,13 +4,12 @@ import "sort"
 
 // Origin is the provenance of one evaluated configuration: which
 // strategy submitted it, in which evaluation wave, through which search
-// operator, derived from which parent configuration(s), and what the
-// surrogate decided about it. It rides the journal record of the
+// operator, and derived from which parent configuration(s). It rides the journal record of the
 // configuration's first exact evaluation, so `dmreport -lineage` can
 // reconstruct the ancestry of every Pareto-front member after the run.
 type Origin struct {
 	// Strategy is the search that submitted the configuration ("sweep",
-	// "nsga2", "hillclimb", "anneal", "screen-refine").
+	// "nsga2", "screen-refine").
 	Strategy string `json:"strategy"`
 
 	// Wave is the 1-based fresh-evaluation wave the configuration was
@@ -18,27 +17,16 @@ type Origin struct {
 	Wave int `json:"wave"`
 
 	// Op is the search operator that produced the configuration:
-	// "probe" (uniform sampling), "seed" (initial population),
-	// "restart" (random search start), "neighbor" (Hamming-1 move),
-	// "propose" (annealing proposal), "screen" (screening sample),
-	// "refine" (front-neighbourhood ring), "crossover" (NSGA-II
-	// breeding), "sweep" (exhaustive enumeration).
+	// "probe" (untagged evaluation), "seed" (initial population),
+	// "screen" (screening sample), "refine" (front-neighbourhood ring),
+	// "crossover" (NSGA-II breeding), "migrant" (island immigrant),
+	// "sweep" (exhaustive enumeration).
 	Op string `json:"op"`
 
 	// Parents are the configuration indices the operator derived this
-	// one from (one for neighbourhood moves, two for crossover, none
+	// one from (one for a refinement neighbour, two for crossover, none
 	// for random draws).
 	Parents []int `json:"parents,omitempty"`
-
-	// SurrogateRank is the candidate's 1-based position in the last
-	// surrogate ranking it appeared in before evaluation; 0 means it was
-	// never ranked (no surrogate, or models still warming up).
-	SurrogateRank int `json:"surrogate_rank,omitempty"`
-
-	// Admit records how a surrogate screen admitted the candidate:
-	// "score" (predicted-best slots), "explore" (highest-leverage
-	// ε-exploration slots), or "" when no screen gated it.
-	Admit string `json:"admit,omitempty"`
 }
 
 // LineageIndex reduces journal records to one record per configuration

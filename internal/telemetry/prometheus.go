@@ -32,9 +32,6 @@ import (
 //	dmexplore_cache_misses_total            CacheMisses
 //	dmexplore_cache_stale_total             CacheStale
 //	dmexplore_memo_hits_total               MemoHits
-//	dmexplore_surrogate_predictions_total   SurrogatePredictions
-//	dmexplore_surrogate_screened_total      SurrogateScreened
-//	dmexplore_surrogate_trained_total       SurrogateTrained
 //	dmexplore_errors_total{kind=...}        ErrorsConfig, ErrorsSim
 //	dmexplore_worker_utilization            Utilization
 //	dmexplore_sim_latency_quantile_seconds  SimP50Ms, SimP90Ms, SimP99Ms
@@ -71,9 +68,6 @@ func WritePrometheus(w io.Writer, s Snapshot, stages []span.StageSnapshot) error
 	counter("dmexplore_cache_misses_total", "Results-cache lookups that found nothing.", s.CacheMisses)
 	counter("dmexplore_cache_stale_total", "Stale results-cache entries dropped or superseded.", s.CacheStale)
 	counter("dmexplore_memo_hits_total", "Configurations served from the in-run duplicate memo.", s.MemoHits)
-	counter("dmexplore_surrogate_predictions_total", "Candidate scores computed by the surrogate models.", s.SurrogatePredictions)
-	counter("dmexplore_surrogate_screened_total", "Candidates the surrogate dropped from evaluation waves.", s.SurrogateScreened)
-	counter("dmexplore_surrogate_trained_total", "Exact results absorbed into the surrogate models.", s.SurrogateTrained)
 
 	fmt.Fprintf(&b, "# HELP dmexplore_errors_total Evaluation errors by kind.\n# TYPE dmexplore_errors_total counter\n")
 	fmt.Fprintf(&b, "dmexplore_errors_total{kind=\"config\"} %d\n", s.ErrorsConfig)

@@ -27,7 +27,6 @@ func fixedSnapshot() Snapshot {
 		Sims: 50, SimSecTotal: 0.9, Events: 1200000, EventsPerSec: 96000,
 		PartialSims: 10, EventsSkipped: 400000, PartitionBuilds: 3,
 		CacheHits: 7, CacheMisses: 43, CacheStale: 1, MemoHits: 5,
-		SurrogatePredictions: 220, SurrogateScreened: 170, SurrogateTrained: 50,
 		ErrorsConfig: 2, ErrorsSim: 1,
 		Utilization: 0.82,
 		SimP50Ms:    0.5, SimP90Ms: 2, SimP99Ms: 40,
@@ -100,9 +99,6 @@ func TestWritePrometheusCoversSnapshot(t *testing.T) {
 		"dmexplore_cache_misses_total 43",
 		"dmexplore_cache_stale_total 1",
 		"dmexplore_memo_hits_total 5",
-		"dmexplore_surrogate_predictions_total 220",
-		"dmexplore_surrogate_screened_total 170",
-		"dmexplore_surrogate_trained_total 50",
 		`dmexplore_errors_total{kind="config"} 2`,
 		`dmexplore_errors_total{kind="sim"} 1`,
 		"dmexplore_worker_utilization 0.82",

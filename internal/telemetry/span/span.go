@@ -1,7 +1,6 @@
 // Package span is the exploration pipeline's flight recorder: typed,
 // timestamped spans for every pipeline stage (trace/log ingest, v2 block
-// decode, compile, partition build, batch waves, surrogate screening,
-// partial and full simulations, cache probes, journal flushes), recorded
+// decode, compile, partition build, batch waves, partial and full simulations, cache probes, journal flushes), recorded
 // into fixed-capacity per-worker ring buffers with zero steady-state
 // allocation, and exportable as Chrome trace-event JSON for Perfetto.
 //
@@ -31,35 +30,33 @@ import (
 type Stage uint8
 
 const (
-	StageLogIngest       Stage = iota // parsing a profile log into summaries
-	StageTraceIngest                  // reading or generating a workload trace
-	StageBlockDecode                  // decoding block-framed v2 payloads
-	StageCompile                      // compiling a trace into columnar slabs
-	StagePartitionBuild               // invariant-partition replay (incremental path)
-	StageBatchWave                    // one evaluation wave across the worker pool
-	StageSurrogateScreen              // surrogate ranking/screening of a candidate set
-	StagePartialSim                   // partial (incremental) simulation of one config
-	StageFullSim                      // full replay simulation of one config
-	StageCacheProbe                   // results-cache lookup for one config
-	StageJournalFlush                 // flushing the JSONL journal to disk
-	StageCompose                      // memoized pool-run composition of one config (no sim)
+	StageLogIngest      Stage = iota // parsing a profile log into summaries
+	StageTraceIngest                 // reading or generating a workload trace
+	StageBlockDecode                 // decoding block-framed v2 payloads
+	StageCompile                     // compiling a trace into columnar slabs
+	StagePartitionBuild              // invariant-partition replay (incremental path)
+	StageBatchWave                   // one evaluation wave across the worker pool
+	StagePartialSim                  // partial (incremental) simulation of one config
+	StageFullSim                     // full replay simulation of one config
+	StageCacheProbe                  // results-cache lookup for one config
+	StageJournalFlush                // flushing the JSONL journal to disk
+	StageCompose                     // memoized pool-run composition of one config (no sim)
 
 	NumStages int = iota
 )
 
 var stageNames = [NumStages]string{
-	StageLogIngest:       "log-ingest",
-	StageTraceIngest:     "trace-ingest",
-	StageBlockDecode:     "block-decode",
-	StageCompile:         "compile",
-	StagePartitionBuild:  "partition-build",
-	StageBatchWave:       "batch-wave",
-	StageSurrogateScreen: "surrogate-screen",
-	StagePartialSim:      "partial-sim",
-	StageFullSim:         "full-sim",
-	StageCacheProbe:      "cache-probe",
-	StageJournalFlush:    "journal-flush",
-	StageCompose:         "compose",
+	StageLogIngest:      "log-ingest",
+	StageTraceIngest:    "trace-ingest",
+	StageBlockDecode:    "block-decode",
+	StageCompile:        "compile",
+	StagePartitionBuild: "partition-build",
+	StageBatchWave:      "batch-wave",
+	StagePartialSim:     "partial-sim",
+	StageFullSim:        "full-sim",
+	StageCacheProbe:     "cache-probe",
+	StageJournalFlush:   "journal-flush",
+	StageCompose:        "compose",
 }
 
 // String returns the stage's stable wire name.
@@ -160,7 +157,7 @@ func (r *Ring) Len() uint64 {
 
 // Recorder owns the rings of one run: one per worker plus a coordinator
 // ring for the stages driven by the strategy goroutine (batch waves,
-// surrogate screening, ingest, compile, journal flushes).
+// ingest, compile, journal flushes).
 type Recorder struct {
 	epoch time.Time
 	rings []Ring
@@ -204,7 +201,7 @@ func (r *Recorder) Ring(i int) *Ring {
 }
 
 // Coord returns the coordinator ring (ingest, compile, batch waves,
-// surrogate screening, journal flushes). Nil-safe.
+// journal flushes). Nil-safe.
 func (r *Recorder) Coord() *Ring {
 	if r == nil {
 		return nil

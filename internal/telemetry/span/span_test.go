@@ -138,7 +138,7 @@ func TestRecordZeroAlloc(t *testing.T) {
 func TestStageNamesStable(t *testing.T) {
 	want := []string{
 		"log-ingest", "trace-ingest", "block-decode", "compile",
-		"partition-build", "batch-wave", "surrogate-screen",
+		"partition-build", "batch-wave",
 		"partial-sim", "full-sim", "cache-probe", "journal-flush",
 		"compose",
 	}

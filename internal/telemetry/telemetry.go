@@ -121,13 +121,6 @@ type Collector struct {
 	start      time.Time
 	shards     []Shard
 	cacheStale atomic.Uint64 // stale results-cache entries, set by the cache owner
-
-	// Surrogate-screening counters. These are written by the search
-	// coordinator (never by workers), so they live on the collector like
-	// cacheStale rather than in a shard.
-	surrogatePredictions atomic.Uint64 // candidate scores computed by the surrogate
-	surrogateScreened    atomic.Uint64 // candidates the surrogate filtered out of waves
-	surrogateTrained     atomic.Uint64 // exact results absorbed into the surrogate
 }
 
 // NewCollector returns a collector with one shard per worker and the
@@ -154,19 +147,6 @@ func (c *Collector) Workers() int { return len(c.shards) }
 // AddCacheStale records stale results-cache entries (version-mismatched
 // at load, or superseded by a recomputed result).
 func (c *Collector) AddCacheStale(n uint64) { c.cacheStale.Add(n) }
-
-// AddSurrogatePredictions records candidate scores computed by the
-// surrogate ranking stage.
-func (c *Collector) AddSurrogatePredictions(n uint64) { c.surrogatePredictions.Add(n) }
-
-// AddSurrogateScreened records candidates the surrogate dropped from an
-// evaluation wave — configurations that would have been simulated exactly
-// without the screening stage.
-func (c *Collector) AddSurrogateScreened(n uint64) { c.surrogateScreened.Add(n) }
-
-// AddSurrogateTrained records exact results absorbed into the surrogate
-// models (online updates plus warm-start replay).
-func (c *Collector) AddSurrogateTrained(n uint64) { c.surrogateTrained.Add(n) }
 
 // Snapshot is a merged, self-consistent-enough view of all shards at one
 // instant (counters are read individually; a snapshot taken mid-run can
@@ -197,14 +177,6 @@ type Snapshot struct {
 	CacheStale  uint64 `json:"cache_stale"`
 	MemoHits    uint64 `json:"memo_hits"`
 
-	// Surrogate-screening breakdown: the learned models scored
-	// SurrogatePredictions candidates, dropped SurrogateScreened of them
-	// from evaluation waves, and were trained on SurrogateTrained exact
-	// results (online plus warm-start).
-	SurrogatePredictions uint64 `json:"surrogate_predictions,omitempty"`
-	SurrogateScreened    uint64 `json:"surrogate_screened,omitempty"`
-	SurrogateTrained     uint64 `json:"surrogate_trained,omitempty"`
-
 	ErrorsConfig uint64 `json:"errors_config"`
 	ErrorsSim    uint64 `json:"errors_sim"`
 
@@ -227,10 +199,6 @@ func (c *Collector) Snapshot() Snapshot {
 	s := Snapshot{
 		Workers:    len(c.shards),
 		CacheStale: c.cacheStale.Load(),
-
-		SurrogatePredictions: c.surrogatePredictions.Load(),
-		SurrogateScreened:    c.surrogateScreened.Load(),
-		SurrogateTrained:     c.surrogateTrained.Load(),
 	}
 	elapsed := time.Since(c.start)
 	s.ElapsedSec = elapsed.Seconds()
@@ -311,10 +279,6 @@ func (s Snapshot) String() string {
 	}
 	if s.ComposedEvals > 0 {
 		fmt.Fprintf(&b, ", %d composed (memo)", s.ComposedEvals)
-	}
-	if s.SurrogatePredictions > 0 {
-		fmt.Fprintf(&b, ", surrogate scored %d / screened out %d (trained on %d)",
-			s.SurrogatePredictions, s.SurrogateScreened, s.SurrogateTrained)
 	}
 	fmt.Fprintf(&b, ", sim p50/p99 %.3g/%.3gms", s.SimP50Ms, s.SimP99Ms)
 	fmt.Fprintf(&b, ", workers %.0f%% busy", 100*s.Utilization)

@@ -158,73 +158,6 @@ func FuzzReadBinary(f *testing.F) {
 	})
 }
 
-// FuzzTraceFeatures drives the surrogate feature extraction with the
-// same v2 corpus FuzzReadBinary starts from: on every trace the decoder
-// accepts, the feature vector must be full-length, finite everywhere and
-// deterministic, and the features documented as order-independent must
-// survive a free-order perturbation (swapping which of two adjacent
-// frees happens first changes interleaving but not the allocation
-// multiset or any per-allocation lifetime by more than the swap the
-// documentation allows).
-func FuzzTraceFeatures(f *testing.F) {
-	var truncated [][]byte
-	for _, tr := range seedTraces(f) {
-		var v2 bytes.Buffer
-		if err := trace.WriteBinaryV2(&v2, tr); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(v2.Bytes())
-		truncated = append(truncated, v2.Bytes()[:v2.Len()/2])
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := trace.ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		ct, err := trace.Compile(tr)
-		if err != nil {
-			return
-		}
-		feats := trace.Features(ct)
-		if len(feats) != trace.NumFeatures {
-			t.Fatalf("feature length %d, want %d", len(feats), trace.NumFeatures)
-		}
-		for i, v := range feats {
-			if v != v || v > 1e300 || v < -1e300 { // NaN or effectively infinite
-				t.Fatalf("feature %d (%s) = %v", i, trace.FeatureNames()[i], v)
-			}
-		}
-		again := trace.Features(ct)
-		for i := range feats {
-			if feats[i] != again[i] {
-				t.Fatalf("feature %d not deterministic", i)
-			}
-		}
-		// Order-independence where documented: renaming allocation IDs is
-		// an order-irrelevant relabeling — the multiset features (and in
-		// fact the whole vector, which never looks at raw IDs) must be
-		// identical on the relabeled trace.
-		relabeled := &trace.Trace{Name: tr.Name, Events: make([]trace.Event, len(tr.Events))}
-		copy(relabeled.Events, tr.Events)
-		for i, e := range relabeled.Events {
-			switch e.Kind() {
-			case trace.KindAlloc, trace.KindFree, trace.KindAccess:
-				relabeled.Events[i] = e.WithID(e.ID() ^ 0x1a5a5a5a5a5a5a5a) // bijective relabeling within MaxID
-			}
-		}
-		rc, err := trace.Compile(relabeled)
-		if err != nil {
-			t.Fatalf("relabeled trace rejected: %v", err)
-		}
-		for i, v := range trace.Features(rc) {
-			if v != feats[i] {
-				t.Fatalf("feature %d (%s) changed under ID relabeling: %v vs %v",
-					i, trace.FeatureNames()[i], v, feats[i])
-			}
-		}
-	})
-}
-
 func FuzzReadText(f *testing.F) {
 	for _, tr := range seedTraces(f) {
 		var txt bytes.Buffer

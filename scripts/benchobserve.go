@@ -3,8 +3,8 @@
 // benchobserve gates the observability layer's two contracts and
 // records the evidence in BENCH_observe.json at the repository root:
 //
-//  1. Zero perturbation: the same seeded surrogate-assisted hill-climb,
-//     run with the flight recorder attached and without, must produce
+//  1. Zero perturbation: the same seeded NSGA-II search (population
+//     32), run with the flight recorder attached and without, must produce
 //     the bit-identical evaluation sequence, metrics and provenance —
 //     at one worker and at four.
 //  2. Bounded overhead: recording spans for every pipeline stage must
@@ -47,6 +47,7 @@ import (
 )
 
 const (
+	population     = 32
 	budget         = 384
 	seed           = 42
 	rounds         = 5
@@ -60,6 +61,7 @@ type output struct {
 	GOMAXPROCS     int                  `json:"gomaxprocs"`
 	Space          string               `json:"space"`
 	SpaceSize      int                  `json:"space_size"`
+	Population     int                  `json:"population"`
 	Budget         int                  `json:"budget"`
 	Seed           uint64               `json:"seed"`
 	Rounds         int                  `json:"rounds"`
@@ -100,10 +102,8 @@ func run() error {
 		return err
 	}
 	space := core.FullEasyportSpace()
-	weights := []core.Weighted{
-		{Objective: profile.ObjAccesses, Weight: 1},
-		{Objective: profile.ObjFootprint, Weight: 0.5},
-	}
+	objs := []string{profile.ObjAccesses, profile.ObjFootprint}
+	opts := core.IslandOptions{EvolveOptions: core.EvolveOptions{Population: population, Budget: budget, Seed: seed}}
 
 	// sweep runs the seeded search once and returns its wall time,
 	// fingerprint, and (when traced) the recorder and collector.
@@ -113,20 +113,19 @@ func run() error {
 		r := &core.Runner{
 			Hierarchy: memhier.EmbeddedSoC(), Trace: tr, Compiled: ct,
 			Workers: workers, Telemetry: col,
-			Surrogate: &core.SurrogateOptions{},
 		}
 		if traced {
 			rec = span.NewRecorder(workers, span.DefaultRingCapacity)
 			r.Spans = rec
 		}
 		start := time.Now()
-		sr, err := r.HillClimb(space, weights, budget, seed)
+		evaluated, err := r.EvolveIsland(space, objs, opts)
 		if err != nil {
 			return 0, nil, nil, nil, err
 		}
 		wall := time.Since(start)
-		fp := make([]evalRecord, 0, len(sr.Evaluated))
-		for _, res := range sr.Evaluated {
+		fp := make([]evalRecord, 0, len(evaluated))
+		for _, res := range evaluated {
 			er := evalRecord{Index: res.Index, Accesses: res.Metrics.Accesses, Foot: res.Metrics.FootprintBytes}
 			if res.Origin != nil {
 				er.Origin = *res.Origin
@@ -228,6 +227,7 @@ func run() error {
 		GOMAXPROCS:     runtime.GOMAXPROCS(0),
 		Space:          space.Name,
 		SpaceSize:      space.Size(),
+		Population:     population,
 		Budget:         budget,
 		Seed:           seed,
 		Rounds:         rounds,
