@@ -60,11 +60,13 @@ bench-serve:
 
 # fuzz-smoke runs each native fuzz target for a few seconds — enough to
 # execute the seed corpus plus a short mutation run on every decoder, on
-# the result-store loader, on the coordinator's checkpoint replay, job
-# submission endpoint and worker RPC bodies, on the indexed-vs-linear
-# free list and on the ID table against a Go-map reference compiler.
-# Minimizing is off: shrinking each new input grown from the large
-# workload seeds would spend the whole run, leaving no time to mutate.
+# the result-store loader (whose seeds include the pool-run lines older
+# stores wrote, which must load as dropped), on the coordinator's
+# checkpoint replay, job submission endpoint and worker RPC bodies, on
+# the indexed-vs-linear free list and on the ID table against a Go-map
+# reference compiler. Minimizing is off: shrinking each new input grown
+# from the large workload seeds would spend the whole run, leaving no
+# time to mutate.
 FUZZ = -run '^$$' -fuzztime 5s -fuzzminimizetime 0s
 .PHONY: fuzz-smoke
 fuzz-smoke:

@@ -58,7 +58,7 @@ func run(args []string, out io.Writer) error {
 		hierName     = fs.String("hierarchy", "soc", "memory hierarchy: soc|soc3|flat")
 		workers      = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 		outDir       = fs.String("out", "", "directory for CSV/Gnuplot reports (none when empty)")
-		cachePath    = fs.String("cache", "", "result store file: resume interrupted sweeps, skip repeated configurations and, with -incremental, reuse general-pool replays across invocations")
+		cachePath    = fs.String("cache", "", "result store file of configurations' metrics: resume interrupted sweeps and skip configurations an earlier run profiled")
 		tracePath    = fs.String("trace", "", "replay a trace file instead of generating the workload")
 		incremental  = fs.Bool("incremental", false, "partial re-evaluation: configurations sharing a fixed-pool signature replay only the ops that reach the general pool (bit-identical results)")
 		quiet        = fs.Bool("quiet", false, "suppress progress output")
@@ -194,8 +194,25 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(out)
 
+	// The store loads before the telemetry collector starts its clock,
+	// so loading does not count as exploration time.
+	var store *core.Store
+	if *cachePath != "" {
+		if store, err = core.OpenStore(*cachePath, core.DefaultPoolMemoBudgetBytes); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "cache      %s (%d entries)\n", *cachePath, store.Len())
+		defer func() {
+			if err := store.Save(); err != nil {
+				fmt.Fprintf(out, "warning: saving cache: %v\n", err)
+			}
+		}()
+	}
 	col := telemetry.NewCollector(workerN)
-	runner := &core.Runner{Hierarchy: hier, Trace: tr, Compiled: ct, Workers: *workers, Telemetry: col, Incremental: *incremental, EvalLatency: *evalLatency, Spans: spans}
+	runner := &core.Runner{Hierarchy: hier, Trace: tr, Compiled: ct, Workers: *workers, Telemetry: col, Incremental: *incremental, EvalLatency: *evalLatency, Spans: spans, Store: store}
+	if store != nil {
+		col.AddCacheStale(store.Stats().Stale)
+	}
 	if *metricsAddr != "" {
 		srv, err := telemetry.Serve(*metricsAddr, col, spans)
 		if err != nil {
@@ -203,20 +220,6 @@ func run(args []string, out io.Writer) error {
 		}
 		defer srv.Close()
 		fmt.Fprintf(out, "metrics    http://%s/metrics (expvar at /debug/vars, pprof at /debug/pprof/)\n", srv.Addr)
-	}
-	if *cachePath != "" {
-		store, err := core.OpenStore(*cachePath, core.DefaultPoolMemoBudgetBytes)
-		if err != nil {
-			return err
-		}
-		runner.Store = store
-		col.AddCacheStale(store.Stats().Stale)
-		fmt.Fprintf(out, "cache      %s (%d entries)\n", *cachePath, store.Len())
-		defer func() {
-			if err := store.Save(); err != nil {
-				fmt.Fprintf(out, "warning: saving cache: %v\n", err)
-			}
-		}()
 	}
 	var journal *telemetry.Journal
 	if *outDir != "" {

@@ -608,11 +608,11 @@ func TestValidateFlagRejectsContradictions(t *testing.T) {
 	}
 }
 
-// TestRunPoolMemoPersists runs the same incremental sweep twice sharing
-// a -cache store: the first invocation must record both metrics and
-// general-pool replays, the second must load them and serve every
-// configuration without simulating.
-func TestRunPoolMemoPersists(t *testing.T) {
+// TestRunIncrementalStoreKeepsMetrics runs the same incremental sweep
+// twice sharing a -cache store: the first invocation must record one
+// metrics record per configuration and no general-pool run, the second
+// must load them and serve every configuration without simulating.
+func TestRunIncrementalStoreKeepsMetrics(t *testing.T) {
 	dir := t.TempDir()
 	store := filepath.Join(dir, "store.jsonl")
 	args := []string{
@@ -630,8 +630,8 @@ func TestRunPoolMemoPersists(t *testing.T) {
 	if err != nil {
 		t.Fatalf("first run saved no store: %v", err)
 	}
-	if !bytes.Contains(saved, []byte(`"metrics":`)) || !bytes.Contains(saved, []byte(`"run":`)) {
-		t.Fatalf("store lacks a record kind:\n%.400s", saved)
+	if n := bytes.Count(saved, []byte(`"metrics":`)); n != 32 || bytes.Contains(saved, []byte(`"run":`)) {
+		t.Fatalf("store holds %d metrics records, want 32 and no pool run:\n%.400s", n, saved)
 	}
 	var second bytes.Buffer
 	if err := run(args, &second); err != nil {

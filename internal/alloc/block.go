@@ -116,18 +116,20 @@ type BlockStash struct {
 	fixedArenas []*fixedArena // retired fixed-pool arenas
 	slotPages   []*slotPage   // slot pages retired or reclaimed arenas gave back
 
-	classes []parsedClasses // size-class maps by spec, at most maxClassSpecs
+	classes []parsedClasses // parsed class specs, at most maxClassSpecs
 }
 
-// parsedClasses is a size-class spec and the map ParseClasses built
-// from it. Size-class maps are immutable, so the pools built on one
-// stash share them.
+// parsedClasses is a general pool's class spec, parsed: the size-class
+// map of a segregated pool or, for a buddy spec, no map and the buddy
+// system's block bounds. Size-class maps are immutable, so the pools
+// built on one stash share them.
 type parsedClasses struct {
-	spec    string
-	classes SizeClasser
+	spec               string
+	classes            SizeClasser // nil for a buddy spec
+	buddyMin, buddyMax int64
 }
 
-// maxClassSpecs bounds the stash's size-class maps: a space's
+// maxClassSpecs bounds the stash's parsed class specs: a space's
 // configurations use a handful of specs, and a stash that meets more
 // starts its list over.
 const maxClassSpecs = 16
@@ -213,25 +215,25 @@ func (s *BlockStash) newComposed(ctx *simheap.Context) *Composed {
 	return c
 }
 
-// sizeClasses returns the size-class map spec describes, parsing a spec
-// only the first time the stash sees it. A nil stash parses every time.
-func (s *BlockStash) sizeClasses(spec string) (SizeClasser, error) {
+// classSpec returns spec parsed, parsing a spec only the first time the
+// stash sees it. A nil stash parses every time.
+func (s *BlockStash) classSpec(spec string) (parsedClasses, error) {
 	if s != nil {
 		for _, e := range s.classes {
 			if e.spec == spec {
-				return e.classes, nil
+				return e, nil
 			}
 		}
 	}
-	classes, err := ParseClasses(spec)
+	p, err := parseClassSpec(spec)
 	if err != nil || s == nil {
-		return classes, err
+		return p, err
 	}
 	if len(s.classes) == maxClassSpecs {
 		s.classes = s.classes[:0]
 	}
-	s.classes = append(s.classes, parsedClasses{spec: spec, classes: classes})
-	return classes, nil
+	s.classes = append(s.classes, p)
+	return p, nil
 }
 
 // Reclaim retires every allocator built on the stash since the last

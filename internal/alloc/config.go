@@ -45,7 +45,8 @@ type GeneralConfig struct {
 	Layer string `json:"layer"`
 
 	// Classes selects the size-class map: "single", "pow2:min:max" or
-	// "linear:step:max".
+	// "linear:step:max"; "buddy:min:max" selects a binary-buddy pool
+	// instead.
 	Classes string `json:"classes"`
 
 	Fit   FitPolicy `json:"fit"`
@@ -66,26 +67,35 @@ type GeneralConfig struct {
 	RoundToClass bool  `json:"round_to_class,omitempty"`
 }
 
-// ParseClasses builds the SizeClasser described by spec.
-func ParseClasses(spec string) (SizeClasser, error) {
-	switch {
-	case spec == "single":
-		return SingleClass{}, nil
-	case strings.HasPrefix(spec, "pow2:"):
-		var min, max int64
-		if _, err := fmt.Sscanf(spec, "pow2:%d:%d", &min, &max); err != nil {
-			return nil, fmt.Errorf("alloc: bad class spec %q: %v", spec, err)
-		}
-		return NewPow2Classes(min, max)
-	case strings.HasPrefix(spec, "linear:"):
-		var step, max int64
-		if _, err := fmt.Sscanf(spec, "linear:%d:%d", &step, &max); err != nil {
-			return nil, fmt.Errorf("alloc: bad class spec %q: %v", spec, err)
-		}
-		return NewLinearClasses(step, max)
-	default:
-		return nil, fmt.Errorf("alloc: unknown class spec %q", spec)
+// parseClassSpec parses a general pool's class spec: "single", or a
+// kind ("pow2", "linear" or "buddy") and two decimal bounds separated by
+// colons, with nothing after them.
+func parseClassSpec(spec string) (parsedClasses, error) {
+	p := parsedClasses{spec: spec}
+	if spec == "single" {
+		p.classes = SingleClass{}
+		return p, nil
 	}
+	kind, bounds, _ := strings.Cut(spec, ":")
+	if kind != "pow2" && kind != "linear" && kind != "buddy" {
+		return p, fmt.Errorf("alloc: unknown class spec %q", spec)
+	}
+	lo, hi, ok := strings.Cut(bounds, ":")
+	a, errLo := strconv.ParseInt(lo, 10, 64)
+	b, errHi := strconv.ParseInt(hi, 10, 64)
+	if !ok || errLo != nil || errHi != nil {
+		return p, fmt.Errorf("alloc: bad class spec %q: want %s:<integer>:<integer>", spec, kind)
+	}
+	var err error
+	switch kind {
+	case "pow2":
+		p.classes, err = NewPow2Classes(a, b)
+	case "linear":
+		p.classes, err = NewLinearClasses(a, b)
+	default:
+		p.buddyMin, p.buddyMax = a, b
+	}
+	return p, err
 }
 
 // Validate checks the configuration against a hierarchy without building.
@@ -94,51 +104,43 @@ func (c Config) Validate(h *memhier.Hierarchy) error {
 	return err
 }
 
-// validate is Validate returning the general pool's size-class map (nil
-// for a buddy pool), parsed through stash's cache when stash is not nil.
-func (c Config) validate(h *memhier.Hierarchy, stash *BlockStash) (SizeClasser, error) {
+// validate is Validate returning the general pool's parsed class spec,
+// parsed through stash's cache when stash is not nil.
+func (c Config) validate(h *memhier.Hierarchy, stash *BlockStash) (parsedClasses, error) {
 	for i, f := range c.Fixed {
 		if _, ok := h.ByName(f.Layer); !ok {
-			return nil, fmt.Errorf("alloc: fixed pool %d: unknown layer %q", i, f.Layer)
+			return parsedClasses{}, fmt.Errorf("alloc: fixed pool %d: unknown layer %q", i, f.Layer)
 		}
 		p := f.params(0)
 		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("alloc: fixed pool %d: %w", i, err)
+			return parsedClasses{}, fmt.Errorf("alloc: fixed pool %d: %w", i, err)
 		}
 	}
 	if _, ok := h.ByName(c.General.Layer); !ok {
-		return nil, fmt.Errorf("alloc: general pool: unknown layer %q", c.General.Layer)
+		return parsedClasses{}, fmt.Errorf("alloc: general pool: unknown layer %q", c.General.Layer)
 	}
-	if bp, ok := c.General.buddyParams(0); ok {
-		if err := bp.Validate(); err != nil {
-			return nil, fmt.Errorf("alloc: general pool: %w", err)
-		}
-		return nil, nil
-	}
-	classes, err := stash.sizeClasses(c.General.Classes)
+	spec, err := stash.classSpec(c.General.Classes)
 	if err != nil {
-		return nil, err
+		return parsedClasses{}, err
 	}
-	gp := c.General.params(0, classes)
-	if err := gp.Validate(); err != nil {
-		return nil, fmt.Errorf("alloc: general pool: %w", err)
+	if spec.classes == nil {
+		err = c.General.buddyParams(0, spec).Validate()
+	} else {
+		err = c.General.params(0, spec.classes).Validate()
 	}
-	return classes, nil
+	if err != nil {
+		return parsedClasses{}, fmt.Errorf("alloc: general pool: %w", err)
+	}
+	return spec, nil
 }
 
-// buddyParams recognizes the "buddy:min:max" class spec, which selects a
-// binary-buddy fallback pool instead of a segregated general pool. The
+// buddyParams returns the binary-buddy fallback pool a "buddy:min:max"
+// class spec selects instead of a segregated general pool. The
 // remaining GeneralConfig policy fields do not apply (the buddy system
 // fixes its own fit, split and coalesce rules); MaxBytes carries over as
 // the pool budget.
-func (g GeneralConfig) buddyParams(layer memhier.LayerID) (BuddyPoolParams, bool) {
-	if !strings.HasPrefix(g.Classes, "buddy:") {
-		return BuddyPoolParams{}, false
-	}
-	var min, max int64
-	// Scan errors surface via Validate on the zero params.
-	fmt.Sscanf(g.Classes, "buddy:%d:%d", &min, &max)
-	return BuddyPoolParams{Layer: layer, MinBlock: min, MaxBlock: max, MaxBytes: g.MaxBytes}, true
+func (g GeneralConfig) buddyParams(layer memhier.LayerID, spec parsedClasses) BuddyPoolParams {
+	return BuddyPoolParams{Layer: layer, MinBlock: spec.buddyMin, MaxBlock: spec.buddyMax, MaxBytes: g.MaxBytes}
 }
 
 func (f FixedConfig) params(layer memhier.LayerID) FixedPoolParams {
@@ -182,7 +184,7 @@ func (c Config) Build(ctx *simheap.Context, stash *BlockStash) (*Composed, error
 	if stash == nil {
 		stash = new(BlockStash)
 	}
-	classes, err := c.validate(ctx.Hierarchy(), stash)
+	spec, err := c.validate(ctx.Hierarchy(), stash)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +192,7 @@ func (c Config) Build(ctx *simheap.Context, stash *BlockStash) (*Composed, error
 	if err != nil {
 		return nil, err
 	}
-	if a.general, err = c.buildGeneral(ctx, stash, classes); err != nil {
+	if a.general, err = c.buildGeneral(ctx, stash, spec); err != nil {
 		return nil, err
 	}
 	return a, nil
@@ -231,11 +233,11 @@ func (c Config) BuildGeneral(ctx *simheap.Context, stash *BlockStash) (FallbackP
 	if stash == nil {
 		stash = new(BlockStash)
 	}
-	classes, err := c.validate(ctx.Hierarchy(), stash)
+	spec, err := c.validate(ctx.Hierarchy(), stash)
 	if err != nil {
 		return nil, err
 	}
-	return c.buildGeneral(ctx, stash, classes)
+	return c.buildGeneral(ctx, stash, spec)
 }
 
 // buildFixed builds the configuration's fixed pools on stash, in routing
@@ -256,18 +258,18 @@ func (c Config) buildFixed(ctx *simheap.Context, stash *BlockStash) (*Composed, 
 	return a, nil
 }
 
-// buildGeneral builds the configuration's general pool on stash, with
-// the size-class map validate returned for it.
-func (c Config) buildGeneral(ctx *simheap.Context, stash *BlockStash, classes SizeClasser) (FallbackPool, error) {
+// buildGeneral builds the configuration's general pool on stash, from
+// the class spec validate parsed for it.
+func (c Config) buildGeneral(ctx *simheap.Context, stash *BlockStash, spec parsedClasses) (FallbackPool, error) {
 	layer, _ := ctx.Hierarchy().ByName(c.General.Layer)
-	if bp, ok := c.General.buddyParams(layer); ok {
-		pool, err := NewBuddyPool(ctx, bp)
+	if spec.classes == nil {
+		pool, err := NewBuddyPool(ctx, c.General.buddyParams(layer, spec))
 		if err != nil {
 			return nil, fmt.Errorf("alloc: building buddy pool: %w", err)
 		}
 		return pool, nil
 	}
-	pool, err := newGeneralPool(ctx, c.General.params(layer, classes), stash)
+	pool, err := newGeneralPool(ctx, c.General.params(layer, spec.classes), stash)
 	if err != nil {
 		return nil, fmt.Errorf("alloc: building general pool: %w", err)
 	}

@@ -3,6 +3,8 @@ package alloc
 import (
 	"testing"
 	"testing/quick"
+
+	"dmexplore/internal/memhier"
 )
 
 func TestPow2Classes(t *testing.T) {
@@ -126,27 +128,65 @@ func TestClassMapProperties(t *testing.T) {
 }
 
 func TestParseClasses(t *testing.T) {
-	m, err := ParseClasses("single")
-	if err != nil || m.NumClasses() != 1 {
-		t.Fatalf("single: %v %v", m, err)
+	p, err := parseClassSpec("single")
+	if err != nil || p.classes.NumClasses() != 1 {
+		t.Fatalf("single: %+v %v", p, err)
 	}
-	m, err = ParseClasses("pow2:16:1024")
+	p, err = parseClassSpec("pow2:16:1024")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.(*Pow2Classes); !ok {
-		t.Fatalf("pow2 spec built %T", m)
+	if _, ok := p.classes.(*Pow2Classes); !ok {
+		t.Fatalf("pow2 spec built %T", p.classes)
 	}
-	m, err = ParseClasses("linear:8:512")
+	p, err = parseClassSpec("linear:8:512")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.(*LinearClasses); !ok {
-		t.Fatalf("linear spec built %T", m)
+	if _, ok := p.classes.(*LinearClasses); !ok {
+		t.Fatalf("linear spec built %T", p.classes)
+	}
+	p, err = parseClassSpec("buddy:64:65536")
+	if err != nil || p.classes != nil || p.buddyMin != 64 || p.buddyMax != 65536 {
+		t.Fatalf("buddy spec parsed as %+v, %v", p, err)
 	}
 	for _, bad := range []string{"", "pow2", "pow2:x:y", "linear:8", "huh:1:2"} {
-		if _, err := ParseClasses(bad); err == nil {
+		if _, err := parseClassSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
+		}
+	}
+}
+
+// TestValidateClassSpecs runs class specs, as a -spacefile JSON may
+// carry them, through Config.Validate: every kind with two decimal
+// bounds is accepted, and any spec with input past its bounds, a
+// missing bound or an unknown kind is rejected.
+func TestValidateClassSpecs(t *testing.T) {
+	h := memhier.EmbeddedSoC()
+	for _, c := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"single", true},
+		{"pow2:16:65536", true},
+		{"linear:64:2048", true},
+		{"buddy:64:65536", true},
+		{"pow2:16:65536xyz", false},
+		{"linear:64:2048 junk", false},
+		{"buddy:64:65536zz", false},
+		{"pow2:16:65536:8", false},
+		{"buddy:64:65536:", false},
+		{"single:", false},
+		{"pow2:16", false},
+		{"buddy:64", false},
+		{"linear::2048", false},
+		{"buddy:0x40:65536", false},
+		{"fib:1:2", false},
+	} {
+		cfg := KingsleyConfig(memhier.LayerDRAM)
+		cfg.General.Classes = c.spec
+		if err := cfg.Validate(h); (err == nil) != c.ok {
+			t.Errorf("spec %q: Validate returned %v, want ok=%v", c.spec, err, c.ok)
 		}
 	}
 }

@@ -10,24 +10,16 @@ import (
 	"dmexplore/internal/workload"
 )
 
-// BenchmarkNeighbors pins the neighbourhood-enumeration fast path: the
-// scratch variant must run allocation-free, which the guided strategies
-// rely on when they enumerate a neighbourhood per climb step.
+// BenchmarkNeighbors times neighbourhood enumeration into a scratch,
+// which runs allocation-free: screen-and-refine enumerates a
+// neighbourhood per front member of every refinement ring.
 func BenchmarkNeighbors(b *testing.B) {
 	s := FullEasyportSpace()
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.neighbors(i % s.Size())
-		}
-	})
-	b.Run("scratch", func(b *testing.B) {
-		scratch := newNeighborScratch(s)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			scratch.neighbors(s, i%s.Size())
-		}
-	})
+	scratch := newNeighborScratch(s)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		scratch.neighbors(s, i%s.Size())
+	}
 }
 
 // BenchmarkRunnerFanout measures exploration scaling: one compiled trace,

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dmexplore/internal/alloc"
-	"dmexplore/internal/memhier"
 	"dmexplore/internal/stats"
 )
 
@@ -93,13 +92,12 @@ func TestConfigIDMatchesFmt(t *testing.T) {
 	}
 }
 
-// TestPoolRunKeyMatchesFmt pins the persisted pool-run key to the bytes
-// storeKey over fmt's "%016x·%d·<general ID>" gives, for every general
-// pool of the shipped spaces, hashes with leading zero digits and op
-// counts of every length. A changed byte would orphan every pool run a
-// Store file holds.
+// TestPoolRunKeyMatchesFmt pins the pool-run memo key to the bytes fmt's
+// "%x/%d/<general ID>" gives, for every general pool of the shipped
+// spaces, hashes of every length and op counts of every length: the
+// three parts stay apart, so distinct (hash, ops, pool) triples never
+// share a key.
 func TestPoolRunKeyMatchesFmt(t *testing.T) {
-	hierarchy := memhier.EmbeddedSoC().Fingerprint()
 	hashes := []uint64{0, 1, 0xf, 0xabc, 0x0123456789abcdef, 0xfedcba9876543210, ^uint64(0)}
 	rng := stats.NewRNG(3)
 	for range 20 {
@@ -120,8 +118,8 @@ func TestPoolRunKeyMatchesFmt(t *testing.T) {
 			seen[id] = true
 			for _, h := range hashes {
 				for _, ops := range opCounts {
-					want := storeKey(kindPoolRun, hierarchy, fmt.Sprintf("%016x·%d·%s", h, ops, id))
-					if got := poolRunKey(hierarchy, h, ops, cfg.General); got != want {
+					want := fmt.Sprintf("%x/%d/%s", h, ops, id)
+					if got := string(appendPoolRunKey(nil, h, ops, cfg.General)); got != want {
 						t.Fatalf("pool-run key %q, fmt formats %q", got, want)
 					}
 				}

@@ -403,8 +403,8 @@ func TestIncrementalExploreMatchesFull(t *testing.T) {
 // session covers partial replays, compositions (d74@sp records the same
 // fallback ops as d74, so it reuses d74's pool runs), a declined partial
 // path (d74 with the double growth policy) and, in its second wave, memo
-// hits. A second session over the same Store is served metrics hits and
-// composes a pool run the first session stored.
+// hits. A second session over the same Store is served metrics hits;
+// the pool runs it needs it builds again, since they are session state.
 func TestIncrementalTierSequencePinned(t *testing.T) {
 	type tier struct {
 		memo, cache, incremental, composed bool
@@ -472,9 +472,10 @@ func TestIncrementalTierSequencePinned(t *testing.T) {
 	check("first session", gotT, gotC,
 		[]tier{partialD, full, composed, composed, partialN, memo, memo, partialN, partialD},
 		counts{sims: 5, partial: 4, composed: 2, builds: 3, memo: 2, cache: 0})
-	// 258 composes the pool run 130 stored; 2 is a fresh partial replay.
+	// 258 replays the pool run 130 built in the first session (d74@sp
+	// records d74's ops); 2 is a fresh partial replay.
 	gotT, gotC = run([][]int{{128, 129, 257, 258, 2}})
 	check("second session", gotT, gotC,
-		[]tier{cache, cache, cache, composed, partialN},
-		counts{sims: 1, partial: 1, composed: 1, builds: 2, memo: 0, cache: 3})
+		[]tier{cache, cache, cache, partialD, partialN},
+		counts{sims: 2, partial: 2, composed: 0, builds: 2, memo: 0, cache: 3})
 }

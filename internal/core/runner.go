@@ -23,8 +23,7 @@ type Result struct {
 	// Duration is the wall time this configuration occupied a worker,
 	// simulation or cache lookup included.
 	Duration time.Duration
-	// CacheHit marks a configuration served from a metrics record of the
-	// Store.
+	// CacheHit marks a configuration served from the Store.
 	CacheHit bool
 	// MemoHit marks a configuration served from the in-run duplicate
 	// memo (axis combinations collapsing to the same canonical config).
@@ -142,13 +141,12 @@ type Runner struct {
 	// it.
 	Spans *span.Recorder
 
-	// Store, when non-nil, persists results across runs and tool
-	// invocations (see Store). Sessions consult it before evaluating a
-	// configuration and record every result they compute. With
-	// Incremental set they also consult it before a standalone
-	// general-pool replay and record every run they build. A metrics hit
-	// skips the evaluation entirely (Result.CacheHit); a pool-run hit
-	// composes with no simulation (Result.Composed).
+	// Store, when non-nil, persists configurations' metrics across runs
+	// and tool invocations (see Store). Sessions consult it before
+	// evaluating a configuration and record every result they compute; a
+	// hit skips the evaluation entirely (Result.CacheHit). The
+	// incremental tier's partitions and pool runs live only as long as
+	// the session.
 	Store *Store
 
 	// Incremental enables partition-based partial re-evaluation:

@@ -70,12 +70,6 @@ func (s *Space) appendNeighbors(dst []int, scratch []int, idx int) []int {
 	return dst
 }
 
-// neighbors returns all Hamming-1 neighbours of idx in the axis grid.
-// Hot loops should hold their own buffers and call appendNeighbors.
-func (s *Space) neighbors(idx int) []int {
-	return s.appendNeighbors(make([]int, 0, s.neighborCount()), make([]int, len(s.Axes)), idx)
-}
-
 // neighborScratch bundles the reusable buffers a strategy needs to
 // enumerate neighbourhoods without per-step allocation.
 type neighborScratch struct {

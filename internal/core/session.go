@@ -61,7 +61,7 @@ type EvalSession struct {
 	// signature simply rebuilds on next use.
 	parts *onceCache[*profile.Partition]
 
-	// runs memoizes standalone general-pool replays by poolRunKey
+	// runs memoizes standalone general-pool replays by appendPoolRunKey
 	// (recorded-op content hash, general-pool parameters). A hit
 	// composes cached per-gap reserve levels and metric components with
 	// the candidate's partition in O(ops) additions — no simulation.
@@ -82,7 +82,8 @@ type EvalSession struct {
 const memoSizeHint = 1024
 
 // Byte budgets of every session's incremental caches; the pool-run
-// budget also bounds dmexplore's -cache Store. At typical trace scales
+// budget also bounds dmexplore's -cache Store, where it holds about
+// 190,000 FullEasyportSpace metrics records. At typical trace scales
 // (10^5–10^6 recorded ops, ~16 bytes per op across the partition's
 // slices) they hold hundreds of partitions and thousands of pool runs —
 // far past what a guided search touches — while keeping a week-long
@@ -374,7 +375,7 @@ func (s *EvalSession) resolve(res *Result, labels []string, sc *evalScratch, rep
 
 	if r.Store != nil {
 		probeStart := time.Now()
-		key = storeKey(kindMetrics, s.hierarchy, s.traceID+"\x1f"+string(sc.id))
+		key = storeKey(s.hierarchy, s.traceID+"\x1f"+string(sc.id))
 		hit := int64(0)
 		if m, ok := r.Store.Metrics(key); ok {
 			res.Metrics, res.CacheHit = relabel(m, cfg.Label), true
@@ -483,28 +484,10 @@ func (s *EvalSession) partition(sc *evalScratch, rep *profile.Replayer) *profile
 // declined and only a full replay can evaluate the configuration.
 func (s *EvalSession) poolRun(part *profile.Partition, sc *evalScratch, rep *profile.Replayer) (run *profile.PoolRun, built bool) {
 	cfg := &sc.cfg
-	sc.key = appendPoolRunKey(sc.key[:0], s.hierarchy, part.OpsHash(), part.Ops(), cfg.General)
-	store := s.r.Store
+	sc.key = appendPoolRunKey(sc.key[:0], part.OpsHash(), part.Ops(), cfg.General)
 	run, ok := s.runs.get(sc.key, func() (*profile.PoolRun, bool) {
-		var key string
-		if store != nil {
-			key = string(sc.key)
-			// Store probe: a run recorded by a previous tool invocation
-			// under the same key serves this session like an in-session
-			// hit (the caller's composition is the whole evaluation).
-			// MatchesOps guards the hash key exactly as it does for
-			// in-session reuse; a collision falls through to a fresh
-			// replay.
-			if run, ok := store.PoolRun(key); ok && run.MatchesOps(part) {
-				return run, true
-			}
-		}
 		built = true
-		run, ok := rep.PoolReplay(part, *cfg, s.r.Hierarchy)
-		if ok && store != nil {
-			store.PutPoolRun(key, run)
-		}
-		return run, ok
+		return rep.PoolReplay(part, *cfg, s.r.Hierarchy)
 	})
 	if !ok {
 		return nil, built
@@ -520,35 +503,17 @@ func (s *EvalSession) poolRun(part *profile.Partition, sc *evalScratch, rep *pro
 	return run, built
 }
 
-// poolRunKey keys the pool-run memo and the Store's pool runs: the
-// hierarchy fingerprint (layer capacities decide where a standalone
-// replay fails, its costs what it charges), the recorded op sequence's
-// content hash and length, and the canonical general-pool parameter
-// vector. Everything a standalone replay depends on is in the key; the
-// sequence itself is verified on reuse (PoolRun.MatchesOps) so a hash
-// collision degrades to a private rebuild, never a wrong composition.
-// The key is persisted: its bytes are storeKey's over
-// "%016x·%d·<general ID>".
-func poolRunKey(hierarchy string, opsHash uint64, ops int, g alloc.GeneralConfig) string {
-	var buf [keyBufLen]byte
-	return string(appendPoolRunKey(buf[:0], hierarchy, opsHash, ops, g))
-}
-
-// appendPoolRunKey appends poolRunKey's bytes to b.
-func appendPoolRunKey(b []byte, hierarchy string, opsHash uint64, ops int, g alloc.GeneralConfig) []byte {
-	b = append(b, kindPoolRun...)
-	b = append(b, '\x1f')
-	b = append(b, hierarchy...)
-	b = append(b, '\x1f')
-	var hex [16]byte
-	h := strconv.AppendUint(hex[:0], opsHash, 16)
-	for range len(hex) - len(h) {
-		b = append(b, '0')
-	}
-	b = append(b, h...)
-	b = append(b, "·"...)
+// appendPoolRunKey appends the pool-run memo's key to b: the recorded op
+// sequence's content hash and length, and the canonical general-pool
+// parameter vector. With the session's hierarchy, that is everything a
+// standalone replay depends on; the sequence itself is verified on reuse
+// (PoolRun.MatchesOps) so a hash collision degrades to a private
+// rebuild, never a wrong composition. The key never leaves the session.
+func appendPoolRunKey(b []byte, opsHash uint64, ops int, g alloc.GeneralConfig) []byte {
+	b = strconv.AppendUint(b, opsHash, 16)
+	b = append(b, '/')
 	b = strconv.AppendInt(b, int64(ops), 10)
-	b = append(b, "·"...)
+	b = append(b, '/')
 	return g.AppendID(b)
 }
 
@@ -563,7 +528,6 @@ func appendPartitionKey(b []byte, cfg *alloc.Config) []byte {
 	return append(b, cfg.General.Layer...)
 }
 
-// keyBufLen sizes the buffers keys and IDs are built in: poolRunKey's
-// stack buffer, whose string is then its only allocation, and each
-// worker's scratch, which grows only for a longer key.
+// keyBufLen sizes each worker's buffers keys and IDs are built in, which
+// grow only for a longer key.
 const keyBufLen = 256

@@ -220,7 +220,7 @@ func cachedPoolRun(t *testing.T, s *EvalSession, i int) *profile.PoolRun {
 	if !ok {
 		t.Fatalf("configuration %d: no cached partition", i)
 	}
-	run, ok := s.runs.get(appendPoolRunKey(nil, s.hierarchy, part.OpsHash(), part.Ops(), cfg.General), miss)
+	run, ok := s.runs.get(appendPoolRunKey(nil, part.OpsHash(), part.Ops(), cfg.General), miss)
 	if !ok {
 		t.Fatalf("configuration %d: no cached pool run", i)
 	}

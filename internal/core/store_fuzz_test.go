@@ -7,15 +7,17 @@ import (
 	"testing"
 
 	"dmexplore/internal/memhier"
+	"dmexplore/internal/profile"
 	"dmexplore/internal/workload"
 )
 
 // FuzzOpenStore feeds the store loader arbitrary files: a real saved
-// store (both record kinds) and its truncated, corrupted, out-of-range,
-// wrong-version and shape-invalid variants seed the corpus. Every input
-// must either fail to load or drop entries — never panic — and whatever
-// loads must round-trip through Save byte for byte, unbounded and under
-// a tight budget.
+// store and its truncated, corrupted, out-of-range and wrong-version
+// variants seed the corpus, with the pool-run ("run") records earlier
+// stores also kept, which load as dropped lines, alone and beside a
+// metrics record. Every input must either fail to load or drop entries —
+// never panic — and whatever loads must round-trip through Save byte for
+// byte, with no pool run left, unbounded and under a tight budget.
 func FuzzOpenStore(f *testing.F) {
 	real := savedStore(f)
 	f.Add(real)
@@ -35,12 +37,13 @@ func FuzzOpenStore(f *testing.F) {
 		`{"v":2,"key":"k","metrics":{},"run":{"ops":[],"g_after":[0]}}` + "\n",
 		`{"v":2,"key":"","metrics":{}}` + "\n",
 		"\n\n" + line + line,
+		line + `{"v":2,"key":"k","run":{"ops":[64,-1],"g_after":[0,64,64],"counters":[{"Reads":2}],"cycles":20}}` + "\n",
 	} {
 		f.Add([]byte(variant))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, budget := range []int64{0, 4096} {
-			st := &Store{entries: newLRUCache[storeEntry](budget)}
+			st := &Store{entries: newLRUCache[*profile.Metrics](budget)}
 			if err := st.load(bytes.NewReader(data)); err != nil {
 				continue
 			}
@@ -48,7 +51,7 @@ func FuzzOpenStore(f *testing.F) {
 			if err := st.write(&first); err != nil {
 				t.Fatalf("budget %d: saving a loaded store: %v", budget, err)
 			}
-			re := &Store{entries: newLRUCache[storeEntry](budget)}
+			re := &Store{entries: newLRUCache[*profile.Metrics](budget)}
 			if err := re.load(bytes.NewReader(first.Bytes())); err != nil {
 				t.Fatalf("budget %d: reloading a saved store: %v", budget, err)
 			}
@@ -59,6 +62,9 @@ func FuzzOpenStore(f *testing.F) {
 			if err := re.write(&second); err != nil {
 				t.Fatal(err)
 			}
+			if bytes.Contains(first.Bytes(), []byte(`"run":`)) {
+				t.Fatalf("budget %d: a saved store carries a pool run:\n%s", budget, first.Bytes())
+			}
 			if !bytes.Equal(first.Bytes(), second.Bytes()) {
 				t.Fatalf("budget %d: save is not a fixed point:\n%s\nvs\n%s", budget, first.Bytes(), second.Bytes())
 			}
@@ -67,7 +73,7 @@ func FuzzOpenStore(f *testing.F) {
 }
 
 // savedStore returns the file a small incremental sweep saves: metrics
-// and pool-run records from real replays.
+// records from real replays.
 func savedStore(f *testing.F) []byte {
 	f.Helper()
 	p := workload.DefaultEasyportParams()
@@ -89,8 +95,8 @@ func savedStore(f *testing.F) []byte {
 	if err := st.write(&buf); err != nil {
 		f.Fatal(err)
 	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"run":`)) {
-		f.Fatal("seed store has no pool runs")
+	if bytes.Contains(buf.Bytes(), []byte(`"run":`)) {
+		f.Fatal("seed store has pool runs")
 	}
 	return buf.Bytes()
 }

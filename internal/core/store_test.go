@@ -7,36 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"dmexplore/internal/memhier"
 	"dmexplore/internal/profile"
-	"dmexplore/internal/simheap"
-	"dmexplore/internal/trace"
 )
-
-// storeRun builds a shape-valid pool run of n ops through the same
-// serialized form the store itself round-trips.
-func storeRun(t testing.TB, n int) *profile.PoolRun {
-	t.Helper()
-	st := profile.PoolRunState{
-		Ops:      make([]int64, n),
-		GAfter:   make([]int64, n+1),
-		Counters: []simheap.LayerCounters{{Reads: uint64(n), Writes: 2 * uint64(n), PeakBytes: int64(n) * 64}},
-		Cycles:   uint64(n) * 10,
-	}
-	for i := range st.Ops {
-		st.Ops[i] = int64(64 * (i + 1))
-		st.GAfter[i+1] = st.GAfter[i] + st.Ops[i]
-	}
-	run := profile.PoolRunFromState(st)
-	if run == nil {
-		t.Fatal("storeRun built an invalid state")
-	}
-	return run
-}
 
 func mustJSON(t testing.TB, v any) string {
 	t.Helper()
@@ -59,12 +37,12 @@ func openStore(t testing.TB, path string, budget int64) *Store {
 // storeKeys returns the resident keys, coldest first.
 func storeKeys(st *Store) []string {
 	var keys []string
-	st.entries.each(func(key string, _ storeEntry) { keys = append(keys, key) })
+	st.entries.each(func(key string, _ *profile.Metrics) { keys = append(keys, key) })
 	return keys
 }
 
 // TestStoreRoundTrip saves metrics records and reloads them: lookups
-// survive, and a key of one kind never serves the other.
+// survive, and an absent key misses.
 func TestStoreRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
 	st := openStore(t, path, 0)
@@ -74,41 +52,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	m := &profile.Metrics{Accesses: 42, FootprintBytes: 1000, EnergyNJ: 1.5, Cycles: 99}
 	st.PutMetrics("m1", m)
 	st.PutMetrics("m2", &profile.Metrics{Accesses: 7})
-	st.PutPoolRun("p1", storeRun(t, 8))
-	if err := st.Save(); err != nil {
-		t.Fatal(err)
-	}
-
-	re := openStore(t, path, 0)
-	if re.Len() != 3 {
-		t.Fatalf("reloaded %d entries, want 3", re.Len())
-	}
-	got, ok := re.Metrics("m1")
-	if !ok || !reflect.DeepEqual(got, m) {
-		t.Fatalf("metrics m1: %+v %v", got, ok)
-	}
-	if _, ok := re.Metrics("nope"); ok {
-		t.Fatal("phantom metrics hit")
-	}
-	if _, ok := re.PoolRun("m1"); ok {
-		t.Fatal("metrics record served as a pool run")
-	}
-	if _, ok := re.Metrics("p1"); ok {
-		t.Fatal("pool-run record served as metrics")
-	}
-}
-
-// TestStorePoolRunRoundTrip saves pool runs of different lengths and
-// reloads them bit-identically.
-func TestStorePoolRunRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.jsonl")
-	st := openStore(t, path, 0)
-	a, b := storeRun(t, 8), storeRun(t, 20)
-	st.PutPoolRun("ka", a)
-	st.PutPoolRun("kb", b)
-	if _, ok := st.PoolRun("missing"); ok {
-		t.Fatal("phantom hit")
-	}
 	if err := st.Save(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,37 +60,29 @@ func TestStorePoolRunRoundTrip(t *testing.T) {
 	if re.Len() != 2 {
 		t.Fatalf("reloaded %d entries, want 2", re.Len())
 	}
-	if s := re.Stats(); s.Loaded != 2 || s.Stale != 0 {
-		t.Fatalf("reload stats %+v", s)
+	got, ok := re.Metrics("m1")
+	if !ok || !reflect.DeepEqual(got, m) {
+		t.Fatalf("metrics m1: %+v %v", got, ok)
 	}
-	for key, want := range map[string]*profile.PoolRun{"ka": a, "kb": b} {
-		got, ok := re.PoolRun(key)
-		if !ok {
-			t.Fatalf("key %s lost across save/load", key)
-		}
-		if !reflect.DeepEqual(got.State(), want.State()) {
-			t.Fatalf("key %s run diverged across save/load", key)
-		}
-	}
-	if s := re.Stats(); s.Hits != 2 {
-		t.Fatalf("hit accounting %+v", s)
+	if _, ok := re.Metrics("nope"); ok {
+		t.Fatal("phantom metrics hit")
 	}
 }
 
-// TestStoreStats pins the accounting: lookups of either kind count hits
-// and misses, replacing an entry keeps one resident copy, and a reload
+// TestStoreStats pins the accounting: lookups count hits and misses,
+// replacing an entry keeps one resident copy, and a reload
 // counts its entries loaded with fresh lookup counters.
 func TestStoreStats(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
 	st := openStore(t, path, 0)
 	m1 := &profile.Metrics{Accesses: 1}
 	st.PutMetrics("k1", m1)
-	st.PutPoolRun("p1", storeRun(t, 4))
+	st.PutMetrics("k3", &profile.Metrics{Accesses: 3})
 	if _, ok := st.Metrics("k1"); !ok {
 		t.Fatal("k1 missing")
 	}
-	if _, ok := st.PoolRun("p1"); !ok {
-		t.Fatal("p1 missing")
+	if _, ok := st.Metrics("k3"); !ok {
+		t.Fatal("k3 missing")
 	}
 	if _, ok := st.Metrics("k2"); ok {
 		t.Fatal("phantom k2")
@@ -236,36 +171,43 @@ func TestStoreStaleVersionDropped(t *testing.T) {
 	}
 }
 
-// TestStorePoolRunStaleVersionPurged pins the same gate for pool runs:
-// an older-version run and a current-version run of impossible shape are
-// dropped and purged, the valid current run survives.
+// TestStorePoolRunStaleVersionPurged loads a store file as stores that
+// also kept general-pool runs wrote it: pool-run lines of both versions
+// and of any shape between metrics records. The file opens, every
+// metrics record is kept, every pool run is dropped and counted stale,
+// and Save purges them from disk.
 func TestStorePoolRunStaleVersionPurged(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
-	good := storeRun(t, 4).State()
-	run := fmt.Sprintf(`{"ops":%s,"g_after":%s,"counters":%s,"cycles":%d}`,
-		mustJSON(t, good.Ops), mustJSON(t, good.GAfter), mustJSON(t, good.Counters), good.Cycles)
-	lines := `{"v":1,"key":"old","run":` + run + `}
-{"v":2,"key":"cur","run":` + run + `}
+	run := `{"ops":[64,-1],"g_after":[0,64,64],"counters":[{"Reads":2,"Writes":4,"PeakBytes":64}],"cycles":20}`
+	lines := `{"v":2,"key":"metrics\u001fh\u001fa","metrics":{"Accesses":1}}
+{"v":1,"key":"old","run":` + run + `}
+{"v":2,"key":"poolrun\u001fh\u001f00000000000000ab·2·G@dram","run":` + run + `}
 {"v":2,"key":"bad","run":{"ops":[64,128],"g_after":[0]}}
+{"v":2,"key":"metrics\u001fh\u001fb","metrics":{"Accesses":2}}
 `
 	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st := openStore(t, path, 0)
-	if st.Len() != 1 {
-		t.Fatalf("kept %d entries, want only the current-version one", st.Len())
+	if s := st.Stats(); s.Stale != 3 || s.Loaded != 2 {
+		t.Fatalf("stats %+v, want 3 stale and 2 loaded", s)
 	}
-	if s := st.Stats(); s.Stale != 2 || s.Loaded != 1 {
-		t.Fatalf("stale accounting %+v, want 2", s)
-	}
-	gotRun, ok := st.PoolRun("cur")
-	if !ok || !reflect.DeepEqual(gotRun.State(), good) {
-		t.Fatal("current-version pool run lost or altered")
+	for key, want := range map[string]uint64{"metrics\x1fh\x1fa": 1, "metrics\x1fh\x1fb": 2} {
+		if m, ok := st.Metrics(key); !ok || m.Accesses != want {
+			t.Fatalf("metrics record %q lost or altered: %+v", key, m)
+		}
 	}
 	if err := st.Save(); err != nil {
 		t.Fatal(err)
 	}
-	if s := openStore(t, path, 0).Stats(); s.Stale != 0 || s.Loaded != 1 {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"run"`)) {
+		t.Fatalf("saved store still carries pool runs:\n%s", data)
+	}
+	if s := openStore(t, path, 0).Stats(); s.Stale != 0 || s.Loaded != 2 {
 		t.Fatalf("rewritten file still carries stale entries: %+v", s)
 	}
 }
@@ -275,17 +217,18 @@ func TestStorePoolRunStaleVersionPurged(t *testing.T) {
 // same budget keeps the same survivors.
 func TestStoreBudgetEviction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
-	one := storeEntry{run: storeRun(t, 256)}.bytes("k1")
+	m := &profile.Metrics{ConfigLabel: "cfg", PerLayer: make([]profile.LayerMetrics, 3)}
+	one := metricsBytes("k1", m)
 	budget := 2*one + one/2 // fits two
 	st := openStore(t, path, budget)
-	st.PutPoolRun("k1", storeRun(t, 256))
-	st.PutPoolRun("k2", storeRun(t, 256))
-	st.PoolRun("k1") // k1 is now hotter than k2
-	st.PutPoolRun("k3", storeRun(t, 256))
+	st.PutMetrics("k1", m)
+	st.PutMetrics("k2", m)
+	st.Metrics("k1") // k1 is now hotter than k2
+	st.PutMetrics("k3", m)
 	if st.Len() != 2 {
 		t.Fatalf("retained %d entries under a two-entry budget", st.Len())
 	}
-	if _, ok := st.PoolRun("k2"); ok {
+	if _, ok := st.Metrics("k2"); ok {
 		t.Fatal("least recently used entry survived eviction")
 	}
 	if s := st.Stats(); s.Evicted != 1 || s.Bytes > budget {
@@ -309,11 +252,8 @@ func TestStoreSaveDeterministic(t *testing.T) {
 	first := filepath.Join(dir, "first.jsonl")
 	st := openStore(t, first, 0)
 	for i := 0; i < 200; i++ {
-		if i%2 == 0 {
-			st.PutMetrics(fmt.Sprintf("m%03d", i), &profile.Metrics{ConfigLabel: fmt.Sprint(i), Accesses: uint64(i)})
-		} else {
-			st.PutPoolRun(fmt.Sprintf("p%03d", i), storeRun(t, 1+i%7))
-		}
+		st.PutMetrics(fmt.Sprintf("m%03d", i), &profile.Metrics{ConfigLabel: fmt.Sprint(i), Accesses: uint64(i),
+			PerLayer: make([]profile.LayerMetrics, 1+i%7)})
 	}
 	if err := st.Save(); err != nil {
 		t.Fatal(err)
@@ -381,17 +321,14 @@ func TestStoreConcurrentAccounting(t *testing.T) {
 	}
 }
 
-// TestCacheKeyDiscriminates checks the shared key derivation separates
-// record kinds, configurations and every part of the hierarchy's cost
-// model — including constants the hierarchy's String omits.
+// TestCacheKeyDiscriminates checks the key derivation separates
+// configurations and every part of the hierarchy's cost model —
+// including constants the hierarchy's String omits.
 func TestCacheKeyDiscriminates(t *testing.T) {
 	h := memhier.EmbeddedSoC()
 	fp := h.Fingerprint()
-	if storeKey(kindMetrics, fp, "cfgA") == storeKey(kindMetrics, fp, "cfgB") {
+	if storeKey(fp, "cfgA") == storeKey(fp, "cfgB") {
 		t.Fatal("subject not in key")
-	}
-	if storeKey(kindMetrics, fp, "x") == storeKey(kindPoolRun, fp, "x") {
-		t.Fatal("record kind not in key")
 	}
 	if memhier.FlatDRAM().Fingerprint() == fp {
 		t.Fatal("hierarchy not in key")
@@ -451,7 +388,7 @@ func TestRunnerUsesCache(t *testing.T) {
 	// store (verified by poisoning one entry and seeing it surface).
 	st2 := openStore(t, path, 0)
 	cfg, _, _ := space.Config(0)
-	key := storeKey(kindMetrics, r.Hierarchy.Fingerprint(), fmt.Sprintf("%s(%d)\x1f%s", tr.Name, tr.Len(), cfg.ID()))
+	key := storeKey(r.Hierarchy.Fingerprint(), fmt.Sprintf("%s(%d)\x1f%s", tr.Name, tr.Len(), cfg.ID()))
 	poisoned := &profile.Metrics{Accesses: 123456789}
 	st2.PutMetrics(key, poisoned)
 	r2 := &Runner{Hierarchy: memhier.EmbeddedSoC(), Trace: tr, Store: st2}
@@ -469,107 +406,56 @@ func TestRunnerUsesCache(t *testing.T) {
 	}
 }
 
-// TestStoreComposesAcrossSessions is the cross-invocation contract: pool
-// runs saved by one tool invocation serve composed evaluations in the
-// next, bit-identical to the full path. The second invocation renames
-// the trace, so its metrics records miss (trace identity is name and
-// length) while the content-keyed pool runs still hit.
-func TestStoreComposesAcrossSessions(t *testing.T) {
+// TestStoreMetricsSurviveBudget runs an incremental session with a
+// Store under a budget that holds its metrics records a few times over,
+// saves, reopens under the same budget and evaluates the same
+// configurations again: every one must be served from the store. The
+// incremental tier's pool runs are session state and must never take
+// the records' room.
+func TestStoreMetricsSurviveBudget(t *testing.T) {
 	space := EasyportSpace()
-	full, err := easyportRunner(t, false).Sample(space, 48, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	indices := SweepIndices(space.Size(), 48, 5)
 	path := filepath.Join(t.TempDir(), "store.jsonl")
-	first := openStore(t, path, 0)
-	r1 := easyportRunner(t, true)
-	r1.Store = first
-	warm, err := r1.Sample(space, 48, 5)
-	if err != nil {
-		t.Fatal(err)
+	const budget = 64 << 10
+	eval := func() []Result {
+		t.Helper()
+		r := easyportRunner(t, true)
+		r.Store = openStore(t, path, budget)
+		s, err := r.NewSession(space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		res, err := s.Eval(indices, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Store.Save(); err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	assertResultsIdentical(t, "store-record", full, warm)
-	if first.Len() <= len(warm) {
-		t.Fatalf("first run stored %d entries for %d results: no pool runs", first.Len(), len(warm))
+	first := eval()
+	if slices.IndexFunc(first, func(r Result) bool { return r.Incremental }) < 0 {
+		t.Fatal("the first session replayed no pool run")
 	}
-	if err := first.Save(); err != nil {
-		t.Fatal(err)
-	}
-
-	second := openStore(t, path, 0)
-	r2 := easyportRunner(t, true)
-	r2.Compiled = renamed(r2.Compiled, "easyport-copy")
-	r2.Trace = nil
-	r2.Store = second
-	reuse, err := r2.Sample(space, 48, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsIdentical(t, "store-reuse", full, reuse)
-	for _, res := range reuse {
-		if res.CacheHit {
-			t.Fatalf("config %d served from a metrics record of another trace", res.Index)
+	second := eval()
+	for i, res := range second {
+		if !res.CacheHit {
+			t.Fatalf("configuration %d missed the store", res.Index)
+		}
+		if !sameMetrics(res.Metrics, first[i].Metrics) {
+			t.Fatalf("configuration %d: %+v from the store, %+v simulated", res.Index, res.Metrics, first[i].Metrics)
 		}
 	}
-	if composed := countComposed(reuse); composed <= countComposed(warm) {
-		t.Fatalf("stored pool runs composed %d evals, cold run composed %d — no cross-invocation gain",
-			composed, countComposed(warm))
-	}
-}
-
-// TestStoreRunsMustCoverHierarchy hand-edits every stored pool run to
-// carry no per-layer counters: reuse must fall back to replaying, never
-// compose from (or index past) the short counters.
-func TestStoreRunsMustCoverHierarchy(t *testing.T) {
-	space := EasyportSpace()
-	full, err := easyportRunner(t, false).Sample(space, 48, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "store.jsonl")
-	st := openStore(t, path, 0)
-	r1 := easyportRunner(t, true)
-	r1.Store = st
-	if _, err := r1.Sample(space, 48, 5); err != nil {
-		t.Fatal(err)
-	}
-	edited := 0
-	st.entries.each(func(key string, e storeEntry) {
-		if e.run != nil {
-			state := e.run.State()
-			state.Counters = nil
-			st.entries.put(key, storeEntry{run: profile.PoolRunFromState(state)}, 0)
-			edited++
-		}
-	})
-	if edited == 0 {
-		t.Fatal("no pool runs stored")
-	}
-	r2 := easyportRunner(t, true)
-	r2.Compiled = renamed(r2.Compiled, "easyport-copy") // metrics records miss
-	r2.Trace = nil
-	r2.Store = st
-	got, err := r2.Sample(space, 48, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsIdentical(t, "short-counters", full, got)
-}
-
-// renamed returns a shallow copy of ct under another trace name.
-func renamed(ct *trace.Compiled, name string) *trace.Compiled {
-	c := *ct
-	c.Name = name
-	return &c
 }
 
 // TestStoreKeysIncludeHierarchy is the cross-hierarchy regression: a
-// store recorded under one hierarchy must not serve another. Pool runs
-// depend on layer capacities (where a standalone replay fails) and
-// metrics on every cost constant, so a store recorded under a capped
-// main memory, or under different energy constants, replayed under the
-// stock hierarchy must give exactly the full-replay results.
+// store recorded under one hierarchy must not serve another. Metrics
+// depend on layer capacities (where an allocation fails) and on every
+// cost constant, so a store recorded under a capped main memory, or
+// under different energy constants, replayed under the stock hierarchy
+// must give exactly the full-replay results.
 func TestStoreKeysIncludeHierarchy(t *testing.T) {
 	space := EasyportSpace()
 	stock := memhier.EmbeddedSoC()

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/json"
 	"math"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -21,21 +19,13 @@ type warmCase struct {
 	ct      *trace.Compiled
 	indices []int
 	tiny    bool // 2 KiB caches that evict, as in TestSessionCacheEviction
-	store   bool // a Store attached, a new empty one per session
 }
 
 // run evaluates the case's indices in one one-worker incremental
-// session, in order, and returns the results and the session's Store.
-func (c warmCase) run(t *testing.T, h *memhier.Hierarchy) ([]Result, *Store) {
+// session, in order, and returns the results.
+func (c warmCase) run(t *testing.T, h *memhier.Hierarchy) []Result {
 	t.Helper()
 	r := &Runner{Hierarchy: h, Compiled: c.ct, Workers: 1, Incremental: true}
-	if c.store {
-		st, err := OpenStore(filepath.Join(t.TempDir(), "store.jsonl"), DefaultPoolMemoBudgetBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Store = st
-	}
 	s, err := r.NewSession(c.space)
 	if err != nil {
 		t.Fatal(err)
@@ -49,25 +39,7 @@ func (c warmCase) run(t *testing.T, h *memhier.Hierarchy) ([]Result, *Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, r.Store
-}
-
-// storedRuns returns the JSON of every pool run st holds, by key.
-func storedRuns(t *testing.T, st *Store) map[string]string {
-	t.Helper()
-	out := map[string]string{}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.entries.each(func(key string, e storeEntry) {
-		if e.run != nil {
-			b, err := json.Marshal(e.run.State())
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[key] = string(b)
-		}
-	})
-	return out
+	return res
 }
 
 // TestWarmIncrementalMatchesFresh runs incremental sessions of several
@@ -75,12 +47,10 @@ func storedRuns(t *testing.T, st *Store) map[string]string {
 // gave back, whose recording buffers still hold the last partition's
 // ops, sizes and gap maxima: VTC and Easyport spaces on different
 // traces, configurations whose scratchpad capacity makes composition
-// decline to full replay, caches small enough to evict, and a Store
-// that keeps the pool runs it was given. Every result must equal, bit
-// for bit, a fresh session's result (tier and skipped events included),
-// whose worker starts from a new Replayer, and its metrics a full
-// Replayer.Run's; the pool runs a Store holds must survive every later
-// session unchanged.
+// decline to full replay and caches small enough to evict. Every result
+// must equal, bit for bit, a fresh session's result (tier and skipped
+// events included), whose worker starts from a new Replayer, and its
+// metrics a full Replayer.Run's.
 func TestWarmIncrementalMatchesFresh(t *testing.T) {
 	h := memhier.EmbeddedSoC()
 	vtc := vtcCompiled(t)
@@ -90,7 +60,6 @@ func TestWarmIncrementalMatchesFresh(t *testing.T) {
 		{name: "vtc", space: VTCSpace(), ct: vtc, indices: all(VTCSpace())},
 		{name: "easyport", space: EasyportSpace(), ct: easyport, indices: all(EasyportSpace())},
 		{name: "evicting", space: EasyportSpace(), ct: easyport, indices: SweepIndices(EasyportSpace().Size(), 64, 5), tiny: true},
-		{name: "store", space: EasyportSpace(), ct: easyport, indices: SweepIndices(EasyportSpace().Size(), 96, 7), store: true},
 	}
 
 	// Fresh results, each from a session whose worker starts from a new
@@ -99,7 +68,7 @@ func TestWarmIncrementalMatchesFresh(t *testing.T) {
 	rep := profile.NewReplayer()
 	for _, c := range cases {
 		emptyReplayerPool()
-		res, _ := c.run(t, h)
+		res := c.run(t, h)
 		fresh[c.name] = res
 		for _, r := range res {
 			cfg, _, err := c.space.Config(r.Index)
@@ -135,24 +104,18 @@ func TestWarmIncrementalMatchesFresh(t *testing.T) {
 		}
 	}
 	emptyReplayerPool()
-	fresh[decline.name], _ = decline.run(t, h)
+	fresh[decline.name] = decline.run(t, h)
 	cases = append(cases, decline)
 
 	// Warm rounds in two orders; each session's Replayer comes from the
 	// one before it.
-	var stores []*Store
-	var storedBefore []map[string]string
 	for round := 0; round < 2; round++ {
 		for k := range cases {
 			c := cases[k]
 			if round == 1 {
 				c = cases[len(cases)-1-k]
 			}
-			got, st := c.run(t, h)
-			if st != nil {
-				stores = append(stores, st)
-				storedBefore = append(storedBefore, storedRuns(t, st))
-			}
+			got := c.run(t, h)
 			want := fresh[c.name]
 			for i := range got {
 				if !sameResult(got[i], want[i]) {
@@ -160,14 +123,6 @@ func TestWarmIncrementalMatchesFresh(t *testing.T) {
 						c.name, round, i, got[i], got[i].Metrics, want[i], want[i].Metrics)
 				}
 			}
-		}
-	}
-	for i, st := range stores {
-		if len(storedBefore[i]) == 0 {
-			t.Fatal("the Store session stored no pool run")
-		}
-		if after := storedRuns(t, st); !reflect.DeepEqual(after, storedBefore[i]) {
-			t.Errorf("store %d: its pool runs changed after later sessions ran", i)
 		}
 	}
 }

@@ -457,10 +457,9 @@ func (r *Replayer) PoolReplay(part *Partition, cfg alloc.Config, h *memhier.Hier
 // replay exactly: the composed peak overflows the general layer's
 // capacity, or the run recorded allocation failures while a fixed pool
 // shares the general layer (the standalone pool's failure points then
-// diverge from the real run's). A run whose counters do not cover h's
-// layers (a hand-edited store record) is declined too.
+// diverge from the real run's).
 func (r *Replayer) Compose(ct *trace.Compiled, part *Partition, run *PoolRun, cfg alloc.Config, h *memhier.Hierarchy) (*Metrics, bool) {
-	if (run.failures > 0 && part.sharesGen) || len(run.counters) != h.NumLayers() {
+	if run.failures > 0 && part.sharesGen {
 		return nil, false
 	}
 	genLayer := part.genLayer
@@ -482,7 +481,7 @@ func (r *Replayer) Compose(ct *trace.Compiled, part *Partition, run *PoolRun, cf
 	var adjReads, adjWrites uint64
 	if run.failures > 0 {
 		for k, failed := range run.failed {
-			if failed && k < len(part.recReads) {
+			if failed {
 				adjReads += part.recReads[k]
 				adjWrites += part.recWrites[k]
 			}
@@ -558,67 +557,4 @@ func hashOps(ops []int64) uint64 {
 		}
 	}
 	return h
-}
-
-// PoolRunState is PoolRun's serializable form, used by the persisted
-// store (core.Store) to carry standalone general-pool replays across tool
-// invocations. The memo key (recorded-op content hash + general-pool
-// parameters) is process-independent, and reuse re-verifies the full op
-// sequence against the probing partition (MatchesOps), so a loaded state
-// composes exactly like a freshly built run.
-type PoolRunState struct {
-	Ops          []int64                 `json:"ops"`
-	GAfter       []int64                 `json:"g_after"`
-	Counters     []simheap.LayerCounters `json:"counters"`
-	Cycles       uint64                  `json:"cycles"`
-	Failed       []bool                  `json:"failed,omitempty"`
-	Failures     uint64                  `json:"failures,omitempty"`
-	SkippedFrees uint64                  `json:"skipped_frees,omitempty"`
-}
-
-// State exports the run for persistence, with the reserved bytes after
-// the build and after each op written out in full.
-func (pr *PoolRun) State() PoolRunState {
-	gAfter := make([]int64, len(pr.ops)+1)
-	for s, st := range pr.gSteps {
-		for j := st.at; j < pr.stepEnd(s, len(gAfter)); j++ {
-			gAfter[j] = st.bytes
-		}
-	}
-	return PoolRunState{
-		Ops:          pr.ops,
-		GAfter:       gAfter,
-		Counters:     pr.counters,
-		Cycles:       pr.cycles,
-		Failed:       pr.failed,
-		Failures:     pr.failures,
-		SkippedFrees: pr.skippedFrees,
-	}
-}
-
-// PoolRunFromState rebuilds a run from its serialized form. Shape errors
-// (a truncated or hand-edited store file) return nil rather than a run
-// Compose could misuse.
-func PoolRunFromState(st PoolRunState) *PoolRun {
-	if len(st.GAfter) != len(st.Ops)+1 {
-		return nil
-	}
-	if st.Failed != nil && len(st.Failed) > len(st.Ops) {
-		return nil
-	}
-	var steps []gStep
-	for j, g := range st.GAfter {
-		if j == 0 || g != steps[len(steps)-1].bytes {
-			steps = append(steps, gStep{j, g})
-		}
-	}
-	return &PoolRun{
-		ops:          st.Ops,
-		gSteps:       steps,
-		counters:     st.Counters,
-		cycles:       st.Cycles,
-		failed:       st.Failed,
-		failures:     st.Failures,
-		skippedFrees: st.SkippedFrees,
-	}
 }

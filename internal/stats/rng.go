@@ -11,7 +11,7 @@ package stats
 
 // RNG is a small, fast, deterministic pseudo-random number generator based
 // on the PCG-XSH-RR 64/32 construction (O'Neill, 2014). It is not safe for
-// concurrent use; give each goroutine its own RNG (see Split).
+// concurrent use; give each goroutine its own RNG.
 type RNG struct {
 	state uint64
 	inc   uint64
@@ -28,13 +28,6 @@ func NewRNG(seed uint64) *RNG {
 	r.state += seed
 	r.Uint32()
 	return r
-}
-
-// Split derives an independent generator from r in a deterministic way.
-// The derived stream is decorrelated from r's by re-keying the increment.
-func (r *RNG) Split() *RNG {
-	s := r.Uint64()
-	return NewRNG(s*0x9e3779b97f4a7c15 + 0x632be59bd9b4e019)
 }
 
 // Uint32 returns the next 32 uniformly distributed bits.
@@ -118,12 +111,4 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudo-randomly reorders the n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

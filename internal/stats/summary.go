@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Summary accumulates running summary statistics over float64 observations
 // using Welford's online algorithm, so it is numerically stable even for
@@ -81,29 +78,4 @@ func (s *Summary) RangeFactor() float64 {
 		return math.Inf(1)
 	}
 	return s.max / s.min
-}
-
-// Quantile returns the q-th (0..1) quantile of xs using linear
-// interpolation between order statistics. xs is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

@@ -67,30 +67,3 @@ func TestSummaryPropertyMinLEMeanLEMax(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50}
-	cases := []struct {
-		q    float64
-		want float64
-	}{{0, 10}, {0.25, 20}, {0.5, 30}, {0.75, 40}, {1, 50}, {-0.5, 10}, {1.5, 50}}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); got != c.want {
-			t.Fatalf("Quantile(%v) = %v want %v", c.q, got, c.want)
-		}
-	}
-	if got := Quantile(xs, 0.1); math.Abs(got-14) > 1e-12 {
-		t.Fatalf("interpolated quantile %v want 14", got)
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Fatal("empty quantile not zero")
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Quantile(xs, 0.5)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("input mutated: %v", xs)
-	}
-}
