@@ -762,57 +762,3 @@ func BenchmarkX1MultiApplication(b *testing.B) {
 	b.ReportMetric(core.ReductionPercent(accF), "accesses-reduction-pct")
 	b.ReportMetric(core.ReductionPercent(fpF), "footprint-reduction-pct")
 }
-
-// BenchmarkA9RowBufferAblation enables the SDRAM open-page model and
-// measures how much it rewards configurations with sequential access
-// behaviour: dedicated pools (linear slab traffic) gain more than the
-// pointer-chasing single-list allocator, widening the energy gap.
-func BenchmarkA9RowBufferAblation(b *testing.B) {
-	params := workload.DefaultEasyportParams()
-	params.Packets = 10000
-	tr, err := params.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := memhier.EmbeddedSoC()
-	pools := alloc.Config{
-		Label: "pools",
-		Fixed: []alloc.FixedConfig{{
-			SlotBytes: 74, MatchLo: 74, MatchHi: 74, Layer: memhier.LayerDRAM,
-			Order: alloc.LIFO, Links: alloc.SingleLink,
-			Growth: alloc.GrowFixedChunk, ChunkSlots: 512,
-		}},
-		General: alloc.GeneralConfig{
-			Layer: memhier.LayerDRAM, Classes: "pow2:16:65536", RoundToClass: true,
-			Fit: alloc.FirstFit, Order: alloc.LIFO, Links: alloc.SingleLink,
-			Split: alloc.SplitNever, Coalesce: alloc.CoalesceNever,
-			Headers: alloc.HeaderMinimal, Growth: alloc.GrowFixedChunk,
-			ChunkBytes: 8 * 1024,
-		},
-	}
-	list := alloc.SimpleFirstFitConfig(memhier.LayerDRAM)
-	rbOpts := profile.Options{RowBuffers: map[string]profile.RowBufferSpec{
-		memhier.LayerDRAM: {RowWords: 256, Banks: 4},
-	}}
-
-	var gainPools, gainList float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gain := func(cfg alloc.Config) float64 {
-			flat, err := profile.Run(tr, cfg, h, profile.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			open, err := profile.Run(tr, cfg, h, rbOpts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return flat.EnergyNJ / open.EnergyNJ
-		}
-		gainPools = gain(pools)
-		gainList = gain(list)
-	}
-	b.ReportMetric(gainPools, "pools-energy-gain")
-	b.ReportMetric(gainList, "list-energy-gain")
-	b.ReportMetric(gainPools/gainList, "gain-ratio-pools/list")
-}

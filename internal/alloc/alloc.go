@@ -23,10 +23,10 @@ import (
 
 // Ptr identifies a live allocation: the layer holding it, the payload
 // address within that layer's address space, and an unexported handle
-// naming the issuing allocator's bookkeeping entry. Free, Where and
-// SizeOf accept only a Ptr that Malloc issued: a hand-built Ptr, the
-// zero Ptr, a Ptr from another allocator or one whose allocation has
-// been freed (even if its slot was since reused) is rejected.
+// naming the issuing allocator's bookkeeping entry. Free accepts only a
+// Ptr that Malloc issued: a hand-built Ptr, the zero Ptr, a Ptr from
+// another allocator or one whose allocation has been freed (even if its
+// slot was since reused) is rejected.
 type Ptr struct {
 	Layer memhier.LayerID
 	Addr  uint64
@@ -72,7 +72,6 @@ type handleTable[T any] struct {
 	entries []tableEntry[T]
 	free    []uint32 // reusable slots
 	tags    tagger
-	live    int
 }
 
 type tableEntry[T any] struct {
@@ -92,7 +91,6 @@ func (t *handleTable[T]) put(v T) handle {
 	}
 	tag := t.tags.next()
 	t.entries[slot] = tableEntry[T]{tag: tag, val: v}
-	t.live++
 	return handle{slot: slot, tag: tag}
 }
 
@@ -113,26 +111,10 @@ func (t *handleTable[T]) get(h handle) *T {
 func (t *handleTable[T]) drop(h handle) {
 	t.entries[h.slot] = tableEntry[T]{}
 	t.free = append(t.free, h.slot)
-	t.live--
-}
-
-// Stats is a point-in-time summary of an allocator's internal accounting.
-// Footprint lives in the simheap counters; these figures add the
-// allocator's own view: live allocations, requested bytes (for
-// fragmentation analysis) and operation counts.
-type Stats struct {
-	Mallocs       uint64 // successful Malloc calls
-	Frees         uint64 // successful Free calls
-	Failures      uint64 // Malloc calls that returned ErrOutOfMemory
-	LiveBlocks    int64  // currently allocated blocks
-	RequestedLive int64  // sum of requested sizes of live blocks
-	AllocatedLive int64  // sum of actually reserved block sizes (>= requested)
 }
 
 // Allocator is a dynamic-memory allocator configuration under simulation.
 type Allocator interface {
-	// Name returns a short human-readable identifier of the configuration.
-	Name() string
 	// Malloc allocates size bytes and returns the payload pointer.
 	// It returns ErrOutOfMemory when no pool can satisfy the request.
 	Malloc(size int64) (Ptr, error)
@@ -140,13 +122,6 @@ type Allocator interface {
 	// Ptr — already freed, hand-built, zero or issued by another
 	// allocator — returns ErrBadFree.
 	Free(p Ptr) error
-	// Where reports whether p is a live allocation and, if so, echoes it
-	// (profiling uses it to charge application data accesses).
-	Where(p Ptr) (Ptr, bool)
-	// SizeOf returns the requested size of the live allocation p.
-	SizeOf(p Ptr) (int64, bool)
-	// Stats returns the allocator's accounting snapshot.
-	Stats() Stats
 }
 
 // Allocation errors.

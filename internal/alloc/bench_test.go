@@ -35,11 +35,11 @@ func BenchmarkFixedPoolMallocFree(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ptr, _, err := p.Malloc(74)
+		ptr, err := p.Malloc(74)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := p.Free(ptr); err != nil {
+		if err := p.Free(ptr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,11 +79,11 @@ func BenchmarkGeneralPoolMallocFree(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ptr, _, err := p.Malloc(int64(r.Intn(1000)) + 1)
+				ptr, err := p.Malloc(int64(r.Intn(1000)) + 1)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := p.Free(ptr); err != nil {
+				if err := p.Free(ptr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -101,11 +101,11 @@ func BenchmarkBuddyMallocFree(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ptr, _, err := p.Malloc(int64(r.Intn(4000)) + 1)
+		ptr, err := p.Malloc(int64(r.Intn(4000)) + 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := p.Free(ptr); err != nil {
+		if err := p.Free(ptr); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,19 +32,10 @@ type Block struct {
 
 	// key orders b within a list that keeps an index and never changes
 	// while b is listed: a falling push sequence under LIFO, a rising one
-	// under FIFO, the address under AddrOrder. An allocated block is
-	// never listed, so while b is allocated key holds the allocation's
-	// requested bytes instead (requested, setRequested), and a Block stays
-	// 80 bytes.
+	// under FIFO, the address under AddrOrder. While b is on no such
+	// list, key holds nothing.
 	key uint64
 }
-
-// requested returns the requested bytes of allocated block b.
-func (b *Block) requested() int64 { return int64(b.key) }
-
-// setRequested records the requested bytes of the allocation b now
-// holds.
-func (b *Block) setRequested(n int64) { b.key = uint64(n) }
 
 // Addr returns the block's start address.
 func (b *Block) Addr() uint64 { return b.addr }
@@ -249,7 +240,7 @@ func (s *BlockStash) Reclaim() {
 	}
 	for _, c := range s.composed[:s.nComposed] {
 		clear(c.fixed)
-		c.general, c.cfg = nil, Config{}
+		c.general = nil
 	}
 	s.nGeneral, s.nFixed, s.nComposed = 0, 0, 0
 	s.page, s.next, s.free = 0, 0, nil

@@ -43,10 +43,9 @@ func (p BuddyPoolParams) Validate() error {
 
 // buddyBlock is one block in the buddy system.
 type buddyBlock struct {
-	addr      uint64
-	order     int // size = MinBlock << order
-	free      bool
-	requested int64 // the live allocation's requested bytes, 0 while free
+	addr  uint64
+	order int // size = MinBlock << order
+	free  bool
 
 	flNext, flPrev *buddyBlock // free-list links within its order
 }
@@ -67,8 +66,7 @@ type BuddyPool struct {
 	arenas     []simheap.Region
 	arenaBytes int64
 
-	live      handleTable[*buddyBlock] // live allocations by handle
-	requested int64                    // requested bytes of the live allocations
+	live handleTable[*buddyBlock] // live allocations by handle
 }
 
 // NewBuddyPool reserves the order-vector metadata and returns the pool.
@@ -167,15 +165,14 @@ func (p *BuddyPool) unlink(b *buddyBlock) {
 	b.free = false
 }
 
-// Malloc allocates payload bytes, returning the payload pointer and the
-// block size consumed.
-func (p *BuddyPool) Malloc(size int64) (Ptr, int64, error) {
+// Malloc allocates payload bytes and returns the payload pointer.
+func (p *BuddyPool) Malloc(size int64) (Ptr, error) {
 	if err := checkSize(size); err != nil {
-		return Ptr{}, 0, err
+		return Ptr{}, err
 	}
 	order := p.orderFor(size)
 	if order < 0 {
-		return Ptr{}, 0, fmt.Errorf("%w: %d exceeds buddy max block", ErrBadSize, size)
+		return Ptr{}, fmt.Errorf("%w: %d exceeds buddy max block", ErrBadSize, size)
 	}
 	p.ctx.Compute(2) // order computation (clz)
 
@@ -193,7 +190,7 @@ func (p *BuddyPool) Malloc(size int64) (Ptr, int64, error) {
 		var err error
 		b, err = p.grow()
 		if err != nil {
-			return Ptr{}, 0, err
+			return Ptr{}, err
 		}
 	} else {
 		b = p.pop(from)
@@ -209,11 +206,9 @@ func (p *BuddyPool) Malloc(size int64) (Ptr, int64, error) {
 		p.push(buddy)
 	}
 	b.free = false
-	b.requested = size
-	p.requested += size
 	p.ctx.Write(p.params.Layer, b.addr, 1) // allocated header
 	h := p.live.put(b)
-	return Ptr{Layer: p.params.Layer, Addr: b.addr + simheap.WordSize, h: h}, p.blockSize(b.order), nil
+	return Ptr{Layer: p.params.Layer, Addr: b.addr + simheap.WordSize, h: h}, nil
 }
 
 // grow reserves one MaxBlock-sized arena and returns its spanning block.
@@ -245,16 +240,13 @@ func (p *BuddyPool) lookup(ptr Ptr) *buddyBlock {
 
 // Free releases the allocation ptr names, merging with the buddy chain
 // as far as possible.
-func (p *BuddyPool) Free(ptr Ptr) (int64, error) {
+func (p *BuddyPool) Free(ptr Ptr) error {
 	b := p.lookup(ptr)
 	if b == nil {
-		return 0, badFree(ptr)
+		return badFree(ptr)
 	}
 	p.live.drop(ptr.h)
-	p.requested -= b.requested
-	b.requested = 0
 	p.ctx.Read(p.params.Layer, b.addr, 1) // header: order/status
-	released := p.blockSize(b.order)
 
 	// Merge upward while the buddy is free and of the same order.
 	for b.order < p.orders-1 {
@@ -277,7 +269,7 @@ func (p *BuddyPool) Free(ptr Ptr) (int64, error) {
 		p.ctx.Write(p.params.Layer, b.addr, 1) // merged header
 	}
 	p.push(b)
-	return released, nil
+	return nil
 }
 
 // buddyAddr computes the sibling address by XOR on the arena-relative
@@ -296,21 +288,6 @@ func (p *BuddyPool) arenaBase(addr uint64) uint64 {
 	}
 	panic(fmt.Sprintf("alloc: address %#x outside buddy arenas", addr))
 }
-
-// SizeOf returns the requested size of the live allocation ptr names,
-// and whether it names one.
-func (p *BuddyPool) SizeOf(ptr Ptr) (int64, bool) {
-	if b := p.lookup(ptr); b != nil {
-		return b.requested, true
-	}
-	return 0, false
-}
-
-// LiveBlocks returns the number of live allocations.
-func (p *BuddyPool) LiveBlocks() int { return p.live.live }
-
-// RequestedLive returns the requested bytes of the live allocations.
-func (p *BuddyPool) RequestedLive() int64 { return p.requested }
 
 // ArenaBytes returns the total reserved arena bytes.
 func (p *BuddyPool) ArenaBytes() int64 { return p.arenaBytes }

@@ -39,23 +39,25 @@ func TestBuddyMallocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptr, allocated, err := p.Malloc(100)
+	ptr, err := p.Malloc(100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 100+8 header -> 128-byte block.
-	if allocated != 128 {
-		t.Fatalf("allocated %d, want 128", allocated)
+	if n := blockBytes(p, ptr); n != 128 {
+		t.Fatalf("allocated %d, want 128", n)
 	}
-	if !owns(p, ptr) || p.LiveBlocks() != 1 {
+	if liveCount(p) != 1 {
 		t.Fatal("ownership wrong")
 	}
 	if err := p.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	released, err := p.Free(ptr)
-	if err != nil || released != 128 {
-		t.Fatalf("free: %d %v", released, err)
+	if err := p.Free(ptr); err != nil {
+		t.Fatalf("free: %v", err)
+	}
+	if owns(p, ptr) || liveCount(p) != 0 {
+		t.Fatal("state after free wrong")
 	}
 	if err := p.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -79,12 +81,12 @@ func TestBuddySplitChain(t *testing.T) {
 	p, _ := NewBuddyPool(ctx, buddyParams())
 	// First allocation of the minimum order splits all the way down:
 	// one buddy freed at every order below the max.
-	_, allocated, err := p.Malloc(32)
+	ptr, err := p.Malloc(32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocated != 64 {
-		t.Fatalf("allocated %d, want min block", allocated)
+	if n := blockBytes(p, ptr); n != 64 {
+		t.Fatalf("allocated %d, want min block", n)
 	}
 	byOrder := p.FreeBlocksByOrder()
 	for o := 0; o < len(byOrder)-1; o++ {
@@ -102,23 +104,23 @@ func TestBuddyPow2Fragmentation(t *testing.T) {
 	p, _ := NewBuddyPool(ctx, buddyParams())
 	// 65-byte payload needs 128-byte block (64+8 > 64+... header): the
 	// canonical buddy waste.
-	_, allocated, _ := p.Malloc(57) // 57+8 = 65 > 64
-	if allocated != 128 {
-		t.Fatalf("allocated %d, want 128", allocated)
+	ptr, _ := p.Malloc(57) // 57+8 = 65 > 64
+	if n := blockBytes(p, ptr); n != 128 {
+		t.Fatalf("allocated %d, want 128", n)
 	}
-	_, allocated, _ = p.Malloc(56) // 56+8 = 64: fits min block
-	if allocated != 64 {
-		t.Fatalf("allocated %d, want 64", allocated)
+	ptr, _ = p.Malloc(56) // 56+8 = 64: fits min block
+	if n := blockBytes(p, ptr); n != 64 {
+		t.Fatalf("allocated %d, want 64", n)
 	}
 }
 
 func TestBuddyOversize(t *testing.T) {
 	ctx := testCtx(t)
 	p, _ := NewBuddyPool(ctx, buddyParams())
-	if _, _, err := p.Malloc(64 * 1024); !errors.Is(err, ErrBadSize) {
+	if _, err := p.Malloc(64 * 1024); !errors.Is(err, ErrBadSize) {
 		t.Fatalf("oversize: %v", err)
 	}
-	if _, _, err := p.Malloc(0); !errors.Is(err, ErrBadSize) {
+	if _, err := p.Malloc(0); !errors.Is(err, ErrBadSize) {
 		t.Fatalf("zero: %v", err)
 	}
 }
@@ -126,12 +128,12 @@ func TestBuddyOversize(t *testing.T) {
 func TestBuddyBadFree(t *testing.T) {
 	ctx := testCtx(t)
 	p, _ := NewBuddyPool(ctx, buddyParams())
-	if _, err := p.Free(Ptr{Addr: 0x40}); !errors.Is(err, ErrBadFree) {
+	if err := p.Free(Ptr{Addr: 0x40}); !errors.Is(err, ErrBadFree) {
 		t.Fatalf("bad free: %v", err)
 	}
-	ptr, _, _ := p.Malloc(64)
+	ptr, _ := p.Malloc(64)
 	p.Free(ptr)
-	if _, err := p.Free(ptr); !errors.Is(err, ErrBadFree) {
+	if err := p.Free(ptr); !errors.Is(err, ErrBadFree) {
 		t.Fatalf("double free: %v", err)
 	}
 }
@@ -144,17 +146,17 @@ func TestBuddyBudget(t *testing.T) {
 	// Fill the arena with max-order/2 blocks.
 	var ptrs []Ptr
 	for i := 0; i < 2; i++ {
-		ptr, _, err := p.Malloc(32*1024 - 8)
+		ptr, err := p.Malloc(32*1024 - 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ptrs = append(ptrs, ptr)
 	}
-	if _, _, err := p.Malloc(64); !errors.Is(err, ErrOutOfMemory) {
+	if _, err := p.Malloc(64); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatal("budget overrun accepted")
 	}
 	p.Free(ptrs[0])
-	if _, _, err := p.Malloc(64); err != nil {
+	if _, err := p.Malloc(64); err != nil {
 		t.Fatalf("post-free alloc: %v", err)
 	}
 }
@@ -165,14 +167,14 @@ func TestBuddyMergeAcrossOrders(t *testing.T) {
 	// Allocate four sibling min-blocks, free them all: must merge back.
 	var ptrs []Ptr
 	for i := 0; i < 4; i++ {
-		ptr, _, err := p.Malloc(48)
+		ptr, err := p.Malloc(48)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ptrs = append(ptrs, ptr)
 	}
 	for _, ptr := range ptrs {
-		if _, err := p.Free(ptr); err != nil {
+		if err := p.Free(ptr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,17 +199,17 @@ func TestBuddyStress(t *testing.T) {
 			addr := addrs[k]
 			addrs = append(addrs[:k], addrs[k+1:]...)
 			delete(live, addr.Addr)
-			if _, err := p.Free(addr); err != nil {
+			if err := p.Free(addr); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
 		} else {
 			size := int64(r.Intn(4000)) + 1
-			ptr, allocated, err := p.Malloc(size)
+			ptr, err := p.Malloc(size)
 			if err != nil {
 				t.Fatalf("op %d: malloc(%d): %v", i, size, err)
 			}
-			if allocated < size {
-				t.Fatalf("op %d: allocated %d < %d", i, allocated, size)
+			if n := blockBytes(p, ptr); n < size {
+				t.Fatalf("op %d: allocated %d < %d", i, n, size)
 			}
 			if live[ptr.Addr] {
 				t.Fatalf("op %d: duplicate address", i)
@@ -219,12 +221,17 @@ func TestBuddyStress(t *testing.T) {
 	if err := p.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if p.LiveBlocks() != len(live) {
-		t.Fatalf("live %d vs %d", p.LiveBlocks(), len(live))
+	if liveCount(p) != len(live) {
+		t.Fatalf("live %d vs %d", liveCount(p), len(live))
+	}
+	for _, ptr := range addrs {
+		if !owns(p, ptr) {
+			t.Fatalf("live %+v not found", ptr)
+		}
 	}
 	// Drain and verify full merge per arena.
 	for _, addr := range addrs {
-		if _, err := p.Free(addr); err != nil {
+		if err := p.Free(addr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,7 +252,7 @@ func TestBuddyO1ishAccesses(t *testing.T) {
 	p, _ := NewBuddyPool(ctx, buddyParams())
 	var ptrs []Ptr
 	for i := 0; i < 2000; i++ {
-		ptr, _, err := p.Malloc(48)
+		ptr, err := p.Malloc(48)
 		if err != nil {
 			t.Fatal(err)
 		}

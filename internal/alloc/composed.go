@@ -2,7 +2,6 @@ package alloc
 
 import (
 	"errors"
-	"fmt"
 
 	"dmexplore/internal/mutant"
 	"dmexplore/internal/simheap"
@@ -12,19 +11,11 @@ import (
 // composed allocator's general fallback. Both GeneralPool (segregated
 // fit/storage) and BuddyPool implement it.
 type FallbackPool interface {
-	// Malloc allocates size payload bytes, returning the payload pointer
-	// and the block bytes actually consumed.
-	Malloc(size int64) (Ptr, int64, error)
-	// Free releases an allocation this pool's Malloc returned, returning
-	// the block bytes released.
-	Free(p Ptr) (int64, error)
-	// SizeOf returns the requested size of the live allocation p, and
-	// whether p is one.
-	SizeOf(p Ptr) (int64, bool)
-	// LiveBlocks returns the number of live allocations.
-	LiveBlocks() int
-	// RequestedLive returns the requested bytes of the live allocations.
-	RequestedLive() int64
+	// Malloc allocates size payload bytes and returns the payload
+	// pointer.
+	Malloc(size int64) (Ptr, error)
+	// Free releases an allocation this pool's Malloc returned.
+	Free(p Ptr) error
 }
 
 // Composed is a complete custom allocator: an ordered set of dedicated
@@ -39,13 +30,9 @@ type FallbackPool interface {
 // stale, forged or foreign Ptr. On the target the dispatch is an
 // address-range check per pool, charged as compute cycles.
 type Composed struct {
-	name    string // empty for a Config's allocator with no Label: Name derives it
-	cfg     Config // the configuration Build made it from, if any
 	ctx     *simheap.Context
 	fixed   []*FixedPool
 	general FallbackPool
-
-	stats Stats // all but RequestedLive, which the pools keep
 }
 
 // errNoFallback rejects a composed allocator without a general pool.
@@ -53,30 +40,12 @@ var errNoFallback = errors.New("alloc: composed allocator needs a general pool")
 
 // NewComposed assembles an allocator from already-constructed pools.
 // general may not be nil: every configuration needs a fallback pool.
-func NewComposed(name string, ctx *simheap.Context, fixed []*FixedPool, general FallbackPool) (*Composed, error) {
+func NewComposed(ctx *simheap.Context, fixed []*FixedPool, general FallbackPool) (*Composed, error) {
 	if general == nil {
 		return nil, errNoFallback
 	}
-	return &Composed{
-		name:    name,
-		ctx:     ctx,
-		fixed:   fixed,
-		general: general,
-	}, nil
+	return &Composed{ctx: ctx, fixed: fixed, general: general}, nil
 }
-
-// Name implements Allocator: the name NewComposed was given, or the
-// Label of the configuration Build made c from, or else that
-// configuration's ID.
-func (c *Composed) Name() string {
-	if c.name == "" {
-		return c.cfg.ID()
-	}
-	return c.name
-}
-
-// FixedPools returns the dedicated pools in routing order.
-func (c *Composed) FixedPools() []*FixedPool { return c.fixed }
 
 // Fallback returns the general fallback pool.
 func (c *Composed) Fallback() FallbackPool { return c.general }
@@ -91,27 +60,23 @@ func (c *Composed) Malloc(size int64) (Ptr, error) {
 		if !fp.Matches(size) {
 			continue
 		}
-		ptr, allocated, err := fp.Malloc(size)
+		ptr, err := fp.Malloc(size)
 		if err == nil {
-			return c.commit(ptr, i, allocated), nil
+			return mark(ptr, i), nil
 		}
 		// Dedicated pool exhausted: fall back to the general pool.
 		break
 	}
-	ptr, allocated, err := c.general.Malloc(size)
+	ptr, err := c.general.Malloc(size)
 	if err != nil {
-		c.stats.Failures++
 		return Ptr{}, err
 	}
-	return c.commit(ptr, len(c.fixed), allocated), nil
+	return mark(ptr, len(c.fixed)), nil
 }
 
-// commit counts the allocation ptr of pool i (len(fixed) for the general
-// pool) and returns it marked with the pool.
-func (c *Composed) commit(ptr Ptr, i int, allocated int64) Ptr {
-	c.stats.Mallocs++
-	c.stats.LiveBlocks++
-	c.stats.AllocatedLive += allocated
+// mark returns ptr, issued by pool i (len(fixed) for the general pool),
+// marked with the pool.
+func mark(ptr Ptr, i int) Ptr {
 	ptr.h.pool = uint32(i) + 1
 	return ptr
 }
@@ -135,64 +100,21 @@ func (c *Composed) Free(p Ptr) error {
 	if !ok {
 		return badFree(p)
 	}
-	var (
-		released int64
-		err      error
-	)
+	var err error
 	if i < len(c.fixed) {
-		released, err = c.fixed[i].Free(inner)
+		err = c.fixed[i].Free(inner)
 	} else {
-		released, err = c.general.Free(inner)
+		err = c.general.Free(inner)
 	}
 	if err != nil {
 		return err
 	}
 	c.ctx.Compute(uint64(len(c.fixed) + 1)) // address-range dispatch
-	c.stats.Frees++
-	c.stats.LiveBlocks--
-	c.stats.AllocatedLive -= released
 	return nil
-}
-
-// Where implements Allocator.
-func (c *Composed) Where(p Ptr) (Ptr, bool) {
-	_, ok := c.SizeOf(p)
-	return p, ok
-}
-
-// SizeOf implements Allocator.
-func (c *Composed) SizeOf(p Ptr) (int64, bool) {
-	i, inner, ok := c.route(p)
-	switch {
-	case !ok:
-		return 0, false
-	case i < len(c.fixed):
-		return c.fixed[i].SizeOf(inner)
-	default:
-		return c.general.SizeOf(inner)
-	}
-}
-
-// Stats implements Allocator.
-func (c *Composed) Stats() Stats {
-	st := c.stats
-	for _, fp := range c.fixed {
-		st.RequestedLive += fp.RequestedLive()
-	}
-	st.RequestedLive += c.general.RequestedLive()
-	return st
 }
 
 // CheckInvariants verifies the allocator's simulator-side consistency.
 func (c *Composed) CheckInvariants() error {
-	live := 0
-	for _, fp := range c.fixed {
-		live += fp.LiveBlocks()
-	}
-	live += c.general.LiveBlocks()
-	if int64(live) != c.stats.LiveBlocks {
-		return fmt.Errorf("alloc: %d live in pools, %d in stats", live, c.stats.LiveBlocks)
-	}
 	switch g := c.general.(type) {
 	case *GeneralPool:
 		return g.checkInvariants()

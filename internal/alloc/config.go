@@ -246,7 +246,6 @@ func (c Config) BuildGeneral(ctx *simheap.Context, stash *BlockStash) (FallbackP
 func (c Config) buildFixed(ctx *simheap.Context, stash *BlockStash) (*Composed, error) {
 	h := ctx.Hierarchy()
 	a := stash.newComposed(ctx)
-	a.name, a.cfg = c.Label, c
 	for i, fc := range c.Fixed {
 		layer, _ := h.ByName(fc.Layer)
 		fp, err := newFixedPool(ctx, fc.params(layer), stash)

@@ -42,13 +42,15 @@ func ExampleConfig_Build() {
 	fmt.Println("control on layer", control.Layer)
 	fmt.Println("frame on layer", frame.Layer)
 
-	a.Free(control)
-	a.Free(frame)
-	fmt.Println("live blocks:", a.Stats().LiveBlocks)
+	fmt.Println("free control:", a.Free(control))
+	fmt.Println("free frame:", a.Free(frame))
+	fmt.Println("free frame again:", a.Free(frame))
 	// Output:
 	// control on layer 0
 	// frame on layer 1
-	// live blocks: 0
+	// free control: <nil>
+	// free frame: <nil>
+	// free frame again: alloc: bad free: layer 1 addr 0x140
 }
 
 // The classic OS allocators are presets of the same framework.

@@ -109,10 +109,8 @@ type FixedPool struct {
 	freeOrds []uint32
 	stash    *BlockStash // supplies the arenas and slot pages
 
-	live      int    // live slots
-	requested int64  // requested bytes of the live slots
-	tags      tagger // stamps each allocated slot's Ptr
-	reclaims  int    // chunks returned to the layer
+	tags     tagger // stamps each allocated slot's Ptr
+	reclaims int    // chunks returned to the layer
 }
 
 // fixedMetaWords: free-list words plus the bump frontier pointer.
@@ -200,41 +198,37 @@ func (p *FixedPool) newPage(a *fixedArena) {
 	a.pages = append(a.pages, pg)
 }
 
-// issue marks slot b, number ord, allocated for a request of size bytes
-// and returns its Ptr. A free slot keeps its ordinal where a live one
-// keeps its Ptr's tag: ordinals fit in 32 bits and every tag is larger
-// (tagger), so no Ptr names a free slot.
-func (p *FixedPool) issue(a *fixedArena, b *Block, ord uint32, size int64) (Ptr, int64, error) {
+// issue marks slot b, number ord, allocated and returns its Ptr. A free
+// slot keeps its ordinal where a live one keeps its Ptr's tag: ordinals
+// fit in 32 bits and every tag is larger (tagger), so no Ptr names a
+// free slot.
+func (p *FixedPool) issue(a *fixedArena, b *Block, ord uint32) Ptr {
 	b.free = false
 	b.tag = p.tags.next()
-	b.setRequested(size)
 	a.live++
-	p.live++
-	p.requested += size
-	return Ptr{Layer: p.params.Layer, Addr: b.addr, h: handle{slot: ord, tag: b.tag}}, p.slotBytes, nil
+	return Ptr{Layer: p.params.Layer, Addr: b.addr, h: handle{slot: ord, tag: b.tag}}
 }
 
-// Malloc allocates one slot. The returned int64 is the slot capacity
-// actually consumed (always SlotBytes).
-func (p *FixedPool) Malloc(size int64) (Ptr, int64, error) {
+// Malloc allocates one slot.
+func (p *FixedPool) Malloc(size int64) (Ptr, error) {
 	if err := checkSize(size); err != nil {
-		return Ptr{}, 0, err
+		return Ptr{}, err
 	}
 	if size > p.slotBytes {
-		return Ptr{}, 0, fmt.Errorf("%w: request %d exceeds slot size %d",
+		return Ptr{}, fmt.Errorf("%w: request %d exceeds slot size %d",
 			ErrBadSize, size, p.slotBytes)
 	}
 	// Recycled slot first.
 	if b := p.list.PopHead(); b != nil {
 		ord := uint32(b.tag)
 		pg, _ := p.slotAt(ord)
-		return p.issue(pg.arena, b, ord, size)
+		return p.issue(pg.arena, b, ord), nil
 	}
 	// Bump-carve from the newest arena.
 	p.ctx.Read(p.params.Layer, p.bumpAddr(), 1)
 	if p.bump >= p.bumpEnd {
 		if err := p.grow(); err != nil {
-			return Ptr{}, 0, err
+			return Ptr{}, err
 		}
 	}
 	addr := p.bump
@@ -248,7 +242,7 @@ func (p *FixedPool) Malloc(size int64) (Ptr, int64, error) {
 	a.slots++
 	b := a.slot(i)
 	*b = Block{addr: addr, size: p.slotBytes}
-	return p.issue(a, b, a.pages[i/slotPageLen].ord*slotPageLen+uint32(i%slotPageLen), size)
+	return p.issue(a, b, a.pages[i/slotPageLen].ord*slotPageLen+uint32(i%slotPageLen)), nil
 }
 
 // grow reserves a new arena of ChunkSlots (doubling under GrowDouble).
@@ -293,14 +287,12 @@ func (p *FixedPool) lookup(ptr Ptr) (*fixedArena, *Block) {
 // Free releases the slot ptr names. Under Reclaim, a chunk whose last
 // live slot just died is unlinked slot-by-slot from the free list and its
 // memory returned to the layer.
-func (p *FixedPool) Free(ptr Ptr) (int64, error) {
+func (p *FixedPool) Free(ptr Ptr) error {
 	a, b := p.lookup(ptr)
 	if b == nil {
-		return 0, badFree(ptr)
+		return badFree(ptr)
 	}
 	a.live--
-	p.live--
-	p.requested -= b.requested()
 	b.tag = uint64(ptr.h.slot)
 	b.free = true
 	p.list.Push(b)
@@ -308,7 +300,7 @@ func (p *FixedPool) Free(ptr Ptr) (int64, error) {
 	if p.params.Reclaim && a.live == 0 && !p.isBumpArena(a) {
 		p.reclaim(a)
 	}
-	return p.slotBytes, nil
+	return nil
 }
 
 // isBumpArena reports whether a is the arena the frontier carves from.
@@ -339,21 +331,6 @@ func (p *FixedPool) reclaim(a *fixedArena) {
 	p.stash.retireFixedArena(a)
 	p.reclaims++
 }
-
-// SizeOf returns the requested size of the live slot ptr names, and
-// whether it names one.
-func (p *FixedPool) SizeOf(ptr Ptr) (int64, bool) {
-	if _, b := p.lookup(ptr); b != nil {
-		return b.requested(), true
-	}
-	return 0, false
-}
-
-// LiveBlocks returns the number of live slots.
-func (p *FixedPool) LiveBlocks() int { return p.live }
-
-// RequestedLive returns the requested bytes of the live slots.
-func (p *FixedPool) RequestedLive() int64 { return p.requested }
 
 // ArenaBytes returns the total bytes reserved for slot arenas.
 func (p *FixedPool) ArenaBytes() int64 { return p.arenaBytes }

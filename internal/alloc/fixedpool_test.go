@@ -47,21 +47,20 @@ func TestFixedPoolMallocFree(t *testing.T) {
 	if p.SlotBytes() != 80 { // 74 rounded to 8-byte words
 		t.Fatalf("slot bytes %d", p.SlotBytes())
 	}
-	ptr, allocated, err := p.Malloc(74)
+	ptr, err := p.Malloc(74)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocated != 80 {
-		t.Fatalf("allocated %d", allocated)
+	if n := blockBytes(p, ptr); n != 80 {
+		t.Fatalf("allocated %d", n)
 	}
-	if !owns(p, ptr) || p.LiveBlocks() != 1 {
+	if liveCount(p) != 1 {
 		t.Fatal("ownership wrong")
 	}
-	released, err := p.Free(ptr)
-	if err != nil || released != 80 {
-		t.Fatalf("free: %d %v", released, err)
+	if err := p.Free(ptr); err != nil {
+		t.Fatalf("free: %v", err)
 	}
-	if owns(p, ptr) || p.LiveBlocks() != 0 || p.FreeSlots() != 1 {
+	if owns(p, ptr) || liveCount(p) != 0 || p.FreeSlots() != 1 {
 		t.Fatal("state after free wrong")
 	}
 }
@@ -69,9 +68,9 @@ func TestFixedPoolMallocFree(t *testing.T) {
 func TestFixedPoolRecyclesSlots(t *testing.T) {
 	ctx := testCtx(t)
 	p, _ := NewFixedPool(ctx, fixedParams())
-	ptr, _, _ := p.Malloc(74)
+	ptr, _ := p.Malloc(74)
 	p.Free(ptr)
-	ptr2, _, _ := p.Malloc(74)
+	ptr2, _ := p.Malloc(74)
 	if ptr2.Addr != ptr.Addr {
 		t.Fatalf("LIFO pool did not recycle: %#x vs %#x", ptr2.Addr, ptr.Addr)
 	}
@@ -84,7 +83,7 @@ func TestFixedPoolGrowth(t *testing.T) {
 	ctx := testCtx(t)
 	p, _ := NewFixedPool(ctx, fixedParams())
 	for i := 0; i < 9; i++ { // one more than a chunk
-		if _, _, err := p.Malloc(74); err != nil {
+		if _, err := p.Malloc(74); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,7 +98,7 @@ func TestFixedPoolDoubleGrowth(t *testing.T) {
 	params.Growth = GrowDouble
 	p, _ := NewFixedPool(ctx, params)
 	for i := 0; i < 8+16+1; i++ {
-		if _, _, err := p.Malloc(74); err != nil {
+		if _, err := p.Malloc(74); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,11 +114,11 @@ func TestFixedPoolBudget(t *testing.T) {
 	params.MaxBytes = 4 * 80 // room for 4 slots despite ChunkSlots=8
 	p, _ := NewFixedPool(ctx, params)
 	for i := 0; i < 4; i++ {
-		if _, _, err := p.Malloc(74); err != nil {
+		if _, err := p.Malloc(74); err != nil {
 			t.Fatalf("alloc %d: %v", i, err)
 		}
 	}
-	_, _, err := p.Malloc(74)
+	_, err := p.Malloc(74)
 	if !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("budget overrun error: %v", err)
 	}
@@ -133,7 +132,7 @@ func TestFixedPoolLayerCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = p.Malloc(74)
+	_, err = p.Malloc(74)
 	if !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("want OOM on full scratchpad, got %v", err)
 	}
@@ -142,18 +141,18 @@ func TestFixedPoolLayerCapacity(t *testing.T) {
 func TestFixedPoolRejects(t *testing.T) {
 	ctx := testCtx(t)
 	p, _ := NewFixedPool(ctx, fixedParams())
-	if _, _, err := p.Malloc(0); !errors.Is(err, ErrBadSize) {
+	if _, err := p.Malloc(0); !errors.Is(err, ErrBadSize) {
 		t.Fatalf("size 0: %v", err)
 	}
-	if _, _, err := p.Malloc(100); !errors.Is(err, ErrBadSize) {
+	if _, err := p.Malloc(100); !errors.Is(err, ErrBadSize) {
 		t.Fatalf("oversize: %v", err)
 	}
-	if _, err := p.Free(Ptr{Addr: 0xdead}); !errors.Is(err, ErrBadFree) {
+	if err := p.Free(Ptr{Addr: 0xdead}); !errors.Is(err, ErrBadFree) {
 		t.Fatalf("bad free: %v", err)
 	}
-	ptr, _, _ := p.Malloc(74)
+	ptr, _ := p.Malloc(74)
 	p.Free(ptr)
-	if _, err := p.Free(ptr); !errors.Is(err, ErrBadFree) {
+	if err := p.Free(ptr); !errors.Is(err, ErrBadFree) {
 		t.Fatalf("double free: %v", err)
 	}
 }
@@ -182,7 +181,7 @@ func TestFixedPoolO1Accesses(t *testing.T) {
 	p, _ := NewFixedPool(ctx, params)
 	var ptrs []Ptr
 	for i := 0; i < 1000; i++ {
-		ptr, _, err := p.Malloc(74)
+		ptr, err := p.Malloc(74)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +192,7 @@ func TestFixedPoolO1Accesses(t *testing.T) {
 	freeCost := ctx.Counters(0).Accesses() - before
 
 	before = ctx.Counters(0).Accesses()
-	if _, _, err := p.Malloc(74); err != nil {
+	if _, err := p.Malloc(74); err != nil {
 		t.Fatal(err)
 	}
 	mallocCost := ctx.Counters(0).Accesses() - before

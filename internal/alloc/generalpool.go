@@ -69,9 +69,8 @@ type GeneralPool struct {
 	arenaBytes int64
 	nextChunk  int64
 
-	live      handleTable[*Block] // live allocations by handle
-	requested int64               // requested bytes of the live allocations
-	frees     int                 // since last deferred sweep
+	live  handleTable[*Block] // live allocations by handle
+	frees int                 // since last deferred sweep
 
 	// stash supplies the pool's Blocks and takes back those merges
 	// absorb, so steady-state split/coalesce churn allocates nothing.
@@ -136,9 +135,9 @@ func (p *GeneralPool) classOf(payload int64) int {
 }
 
 // Malloc allocates size payload bytes.
-func (p *GeneralPool) Malloc(size int64) (Ptr, int64, error) {
+func (p *GeneralPool) Malloc(size int64) (Ptr, error) {
 	if err := checkSize(size); err != nil {
-		return Ptr{}, 0, err
+		return Ptr{}, err
 	}
 	payload := align(size, simheap.WordSize)
 	class := p.params.Classes.ClassOf(payload)
@@ -169,17 +168,15 @@ func (p *GeneralPool) Malloc(size int64) (Ptr, int64, error) {
 			b, err = p.grow(need)
 		}
 		if err != nil {
-			return Ptr{}, 0, err
+			return Ptr{}, err
 		}
 	}
 
 	p.maybeSplit(b, need)
 	b.free = false
-	b.setRequested(size)
-	p.requested += size
 	p.writeBlockMeta(b) // allocated header (+footer)
 	h := p.live.put(b)
-	return Ptr{Layer: p.params.Layer, Addr: b.addr + simheap.WordSize, h: h}, b.size, nil
+	return Ptr{Layer: p.params.Layer, Addr: b.addr + simheap.WordSize, h: h}, nil
 }
 
 // maybeSplit splits b down to need bytes under the split policy.
@@ -281,15 +278,13 @@ func (p *GeneralPool) lookup(ptr Ptr) *Block {
 }
 
 // Free releases the allocation ptr names.
-func (p *GeneralPool) Free(ptr Ptr) (int64, error) {
+func (p *GeneralPool) Free(ptr Ptr) error {
 	b := p.lookup(ptr)
 	if b == nil {
-		return 0, badFree(ptr)
+		return badFree(ptr)
 	}
 	p.live.drop(ptr.h)
-	p.requested -= b.requested()
 	p.ctx.Read(p.params.Layer, b.addr, 1) // header read: size/status
-	released := b.size
 	b.free = true
 	p.writeBlockMeta(b) // mark free
 
@@ -305,7 +300,7 @@ func (p *GeneralPool) Free(ptr Ptr) (int64, error) {
 			p.sweep()
 		}
 	}
-	return released, nil
+	return nil
 }
 
 // coalesceNeighbours merges b with its free physical neighbours and
@@ -364,21 +359,6 @@ func (p *GeneralPool) sweep() {
 		}
 	}
 }
-
-// SizeOf returns the requested size of the live allocation ptr names,
-// and whether it names one.
-func (p *GeneralPool) SizeOf(ptr Ptr) (int64, bool) {
-	if b := p.lookup(ptr); b != nil {
-		return b.requested(), true
-	}
-	return 0, false
-}
-
-// LiveBlocks returns the number of live allocations.
-func (p *GeneralPool) LiveBlocks() int { return p.live.live }
-
-// RequestedLive returns the requested bytes of the live allocations.
-func (p *GeneralPool) RequestedLive() int64 { return p.requested }
 
 // ArenaBytes returns the total bytes reserved for arenas.
 func (p *GeneralPool) ArenaBytes() int64 { return p.arenaBytes }

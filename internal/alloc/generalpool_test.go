@@ -60,22 +60,24 @@ func TestGeneralPoolParamsValidate(t *testing.T) {
 
 func TestGeneralPoolMallocFree(t *testing.T) {
 	ctx, p := newGP(t, nil)
-	ptr, allocated, err := p.Malloc(100)
+	ptr, err := p.Malloc(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocated < 100 {
-		t.Fatalf("allocated %d < requested", allocated)
+	if n := blockBytes(p, ptr); n < 100 {
+		t.Fatalf("allocated %d < requested", n)
 	}
-	if !owns(p, ptr) || p.LiveBlocks() != 1 {
+	if liveCount(p) != 1 {
 		t.Fatal("ownership wrong")
 	}
 	if err := p.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	released, err := p.Free(ptr)
-	if err != nil || released != allocated {
-		t.Fatalf("free: %d vs %d, %v", released, allocated, err)
+	if err := p.Free(ptr); err != nil {
+		t.Fatalf("free: %v", err)
+	}
+	if owns(p, ptr) || liveCount(p) != 0 {
+		t.Fatal("state after free wrong")
 	}
 	if err := p.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -87,18 +89,18 @@ func TestGeneralPoolMallocFree(t *testing.T) {
 
 func TestGeneralPoolBadOps(t *testing.T) {
 	_, p := newGP(t, nil)
-	if _, _, err := p.Malloc(0); !errors.Is(err, ErrBadSize) {
+	if _, err := p.Malloc(0); !errors.Is(err, ErrBadSize) {
 		t.Fatalf("size 0: %v", err)
 	}
-	if _, _, err := p.Malloc(-5); !errors.Is(err, ErrBadSize) {
+	if _, err := p.Malloc(-5); !errors.Is(err, ErrBadSize) {
 		t.Fatalf("negative: %v", err)
 	}
-	if _, err := p.Free(Ptr{Addr: 0xbeef}); !errors.Is(err, ErrBadFree) {
+	if err := p.Free(Ptr{Addr: 0xbeef}); !errors.Is(err, ErrBadFree) {
 		t.Fatalf("bad free: %v", err)
 	}
-	ptr, _, _ := p.Malloc(64)
+	ptr, _ := p.Malloc(64)
 	p.Free(ptr)
-	if _, err := p.Free(ptr); !errors.Is(err, ErrBadFree) {
+	if err := p.Free(ptr); !errors.Is(err, ErrBadFree) {
 		t.Fatalf("double free: %v", err)
 	}
 }
@@ -121,12 +123,12 @@ func TestGeneralPoolSplitReusesRemainder(t *testing.T) {
 func TestGeneralPoolNoSplitWastes(t *testing.T) {
 	_, p := newGP(t, func(g *GeneralPoolParams) { g.Split = SplitNever })
 	// Without splitting, the 4096-byte chunk is consumed whole.
-	_, allocated, err := p.Malloc(100)
+	ptr, err := p.Malloc(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocated != 4096 {
-		t.Fatalf("allocated %d, want whole chunk", allocated)
+	if n := blockBytes(p, ptr); n != 4096 {
+		t.Fatalf("allocated %d, want whole chunk", n)
 	}
 	p.Malloc(100) // must trigger a second chunk
 	if p.ArenaBytes() != 8192 {
@@ -140,22 +142,22 @@ func TestGeneralPoolSplitThreshold(t *testing.T) {
 		g.SplitThreshold = 2048
 	})
 	// Remainder after a 1000-byte alloc is ~3080 >= 2048: split happens.
-	_, a1, _ := p.Malloc(1000)
-	if a1 > 1100 {
+	p1, _ := p.Malloc(1000)
+	if a1 := blockBytes(p, p1); a1 > 1100 {
 		t.Fatalf("big remainder not split: %d", a1)
 	}
 	// Now free block ~3080; allocating 2000 leaves ~1080 < 2048: no split.
-	_, a2, _ := p.Malloc(2000)
-	if a2 < 3000 {
+	p2, _ := p.Malloc(2000)
+	if a2 := blockBytes(p, p2); a2 < 3000 {
 		t.Fatalf("small remainder split anyway: %d", a2)
 	}
 }
 
 func TestGeneralPoolCoalesceImmediate(t *testing.T) {
 	_, p := newGP(t, nil)
-	p1, _, _ := p.Malloc(512)
-	p2, _, _ := p.Malloc(512)
-	p3, _, _ := p.Malloc(512)
+	p1, _ := p.Malloc(512)
+	p2, _ := p.Malloc(512)
+	p3, _ := p.Malloc(512)
 	p.Free(p1)
 	p.Free(p2) // must merge backward with p1's block
 	p.Free(p3) // must merge with the p1+p2 block and the tail
@@ -167,7 +169,7 @@ func TestGeneralPoolCoalesceImmediate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The whole chunk is available again for a large allocation.
-	if _, _, err := p.Malloc(3500); err != nil {
+	if _, err := p.Malloc(3500); err != nil {
 		t.Fatal(err)
 	}
 	if p.ArenaBytes() != 4096 {
@@ -179,7 +181,7 @@ func TestGeneralPoolCoalesceNeverFragments(t *testing.T) {
 	_, p := newGP(t, func(g *GeneralPoolParams) { g.Coalesce = CoalesceNever })
 	var ptrs []Ptr
 	for i := 0; i < 7; i++ {
-		ptr, _, _ := p.Malloc(500)
+		ptr, _ := p.Malloc(500)
 		ptrs = append(ptrs, ptr)
 	}
 	for _, ptr := range ptrs {
@@ -191,7 +193,7 @@ func TestGeneralPoolCoalesceNeverFragments(t *testing.T) {
 	// A 3500-byte allocation cannot be satisfied from the fragments: the
 	// pool must grow even though total free space is plentiful.
 	before := p.ArenaBytes()
-	if _, _, err := p.Malloc(3500); err != nil {
+	if _, err := p.Malloc(3500); err != nil {
 		t.Fatal(err)
 	}
 	if p.ArenaBytes() <= before {
@@ -204,8 +206,8 @@ func TestGeneralPoolCoalesceNeverFragments(t *testing.T) {
 
 func TestGeneralPoolCoalesceForwardOnlyWithMinimalHeaders(t *testing.T) {
 	_, p := newGP(t, func(g *GeneralPoolParams) { g.Headers = HeaderMinimal })
-	p1, _, _ := p.Malloc(512)
-	p2, _, _ := p.Malloc(512)
+	p1, _ := p.Malloc(512)
+	p2, _ := p.Malloc(512)
 	p.Malloc(512) // plug so the tail free block is not adjacent
 	// Free p1 then p2: forward merge would need p2 -> p1 direction
 	// (backward), impossible with minimal headers.
@@ -218,8 +220,8 @@ func TestGeneralPoolCoalesceForwardOnlyWithMinimalHeaders(t *testing.T) {
 	// Now the opposite order on fresh allocations: freeing the earlier
 	// block second merges forward into the later one.
 	_, q := newGP(t, func(g *GeneralPoolParams) { g.Headers = HeaderMinimal })
-	q1, _, _ := q.Malloc(512)
-	q2, _, _ := q.Malloc(512)
+	q1, _ := q.Malloc(512)
+	q2, _ := q.Malloc(512)
 	q.Malloc(512)
 	q.Free(q2)
 	q.Free(q1)                       // q1 merges forward with q2's block
@@ -235,7 +237,7 @@ func TestGeneralPoolCoalesceDeferred(t *testing.T) {
 	})
 	var ptrs []Ptr
 	for i := 0; i < 4; i++ {
-		ptr, _, _ := p.Malloc(500)
+		ptr, _ := p.Malloc(500)
 		ptrs = append(ptrs, ptr)
 	}
 	p.Free(ptrs[0])
@@ -266,13 +268,13 @@ func TestGeneralPoolRoundToClass(t *testing.T) {
 		g.Headers = HeaderMinimal
 		g.RoundToClass = true
 	})
-	_, allocated, err := p.Malloc(100)
+	ptr, err := p.Malloc(100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 100 rounds to 128 plus one header word.
-	if allocated != 128+simheap.WordSize {
-		t.Fatalf("allocated %d, want %d", allocated, 128+simheap.WordSize)
+	if n := blockBytes(p, ptr); n != 128+simheap.WordSize {
+		t.Fatalf("allocated %d, want %d", n, 128+simheap.WordSize)
 	}
 }
 
@@ -288,9 +290,9 @@ func TestGeneralPoolSegregatedReuse(t *testing.T) {
 		g.Coalesce = CoalesceNever
 		g.RoundToClass = true
 	})
-	ptr, _, _ := p.Malloc(100)
+	ptr, _ := p.Malloc(100)
 	p.Free(ptr)
-	ptr2, _, err := p.Malloc(100)
+	ptr2, err := p.Malloc(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,10 +314,10 @@ func TestGeneralPoolEscalatesToLargerBin(t *testing.T) {
 	})
 	// Free a 1024-class block, then allocate 100: home bin (128) is
 	// empty, so the allocator must split the 1024 block rather than grow.
-	big, _, _ := p.Malloc(1000)
+	big, _ := p.Malloc(1000)
 	before := p.ArenaBytes()
 	p.Free(big)
-	if _, _, err := p.Malloc(100); err != nil {
+	if _, err := p.Malloc(100); err != nil {
 		t.Fatal(err)
 	}
 	if p.ArenaBytes() != before {
@@ -327,7 +329,7 @@ func TestGeneralPoolBudgetExhaustion(t *testing.T) {
 	_, p := newGP(t, func(g *GeneralPoolParams) { g.MaxBytes = 8192 })
 	var live []Ptr
 	for {
-		ptr, _, err := p.Malloc(1024)
+		ptr, err := p.Malloc(1024)
 		if err != nil {
 			if !errors.Is(err, ErrOutOfMemory) {
 				t.Fatalf("unexpected error %v", err)
@@ -345,7 +347,7 @@ func TestGeneralPoolBudgetExhaustion(t *testing.T) {
 	}
 	// Freeing and reallocating within the budget must succeed.
 	p.Free(live[0])
-	if _, _, err := p.Malloc(512); err != nil {
+	if _, err := p.Malloc(512); err != nil {
 		t.Fatalf("post-free alloc failed: %v", err)
 	}
 }
@@ -358,7 +360,7 @@ func TestGeneralPoolLayerCapacityOOM(t *testing.T) {
 		t.Fatal(err) // metadata fits
 	}
 	p, _ := NewGeneralPool(ctx, params)
-	if _, _, err := p.Malloc(64); !errors.Is(err, ErrOutOfMemory) {
+	if _, err := p.Malloc(64); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("want OOM, got %v", err)
 	}
 }
@@ -372,14 +374,14 @@ func TestGeneralPoolOversizeRequest(t *testing.T) {
 		g.Classes = classes
 	})
 	// Request above the largest class routes to the last bin and grows.
-	ptr, allocated, err := p.Malloc(10000)
+	ptr, err := p.Malloc(10000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocated < 10000 {
-		t.Fatalf("allocated %d", allocated)
+	if n := blockBytes(p, ptr); n < 10000 {
+		t.Fatalf("allocated %d", n)
 	}
-	if _, err := p.Free(ptr); err != nil {
+	if err := p.Free(ptr); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.checkInvariants(); err != nil {
@@ -440,12 +442,12 @@ func TestGeneralPoolStressAllPolicies(t *testing.T) {
 							addr := addrs[k]
 							addrs = append(addrs[:k], addrs[k+1:]...)
 							delete(live, addr.Addr)
-							if _, err := p.Free(addr); err != nil {
+							if err := p.Free(addr); err != nil {
 								t.Fatalf("op %d: free: %v", i, err)
 							}
 						} else {
 							size := int64(r.Intn(900)) + 1
-							ptr, _, err := p.Malloc(size)
+							ptr, err := p.Malloc(size)
 							if err != nil {
 								t.Fatalf("op %d: malloc(%d): %v", i, size, err)
 							}
@@ -459,8 +461,13 @@ func TestGeneralPoolStressAllPolicies(t *testing.T) {
 					if err := p.checkInvariants(); err != nil {
 						t.Fatal(err)
 					}
-					if p.LiveBlocks() != len(live) {
-						t.Fatalf("live %d vs %d", p.LiveBlocks(), len(live))
+					if liveCount(p) != len(live) {
+						t.Fatalf("live %d vs %d", liveCount(p), len(live))
+					}
+					for _, ptr := range addrs {
+						if !owns(p, ptr) {
+							t.Fatalf("live %+v not found", ptr)
+						}
 					}
 				})
 			}

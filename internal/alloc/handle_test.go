@@ -65,37 +65,9 @@ func checkHandleContract(t *testing.T, mk func(t *testing.T) handleSubject) {
 	}
 }
 
-// poolSubject adapts a FallbackPool-shaped pool. SizeOf must report the
-// requested size of a live allocation.
-func poolSubject(t *testing.T, pool interface {
-	Malloc(int64) (Ptr, int64, error)
-	Free(Ptr) (int64, error)
-	SizeOf(Ptr) (int64, bool)
-}, size int64) handleSubject {
-	return handleSubject{
-		malloc: func() Ptr {
-			p, _, err := pool.Malloc(size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		},
-		free: func(p Ptr) error { _, err := pool.Free(p); return err },
-		live: func(p Ptr) bool {
-			n, ok := pool.SizeOf(p)
-			if ok && n != size {
-				t.Errorf("SizeOf = %d, want %d", n, size)
-			}
-			return ok
-		},
-	}
-}
-
-// composedSubject adapts the test allocator, routing size to the fixed
-// pool (74) or the general pool (anything else). Where and SizeOf must
-// agree on liveness.
-func composedSubject(t *testing.T, size int64) handleSubject {
-	a, _ := buildTestAllocator(t, 64*1024)
+// allocSubject adapts a pool or a Composed, whose liveness owns reads
+// from its tables.
+func allocSubject(t *testing.T, a Allocator, size int64) handleSubject {
 	return handleSubject{
 		malloc: func() Ptr {
 			p, err := a.Malloc(size)
@@ -105,15 +77,15 @@ func composedSubject(t *testing.T, size int64) handleSubject {
 			return p
 		},
 		free: a.Free,
-		live: func(p Ptr) bool {
-			_, where := a.Where(p)
-			n, sized := a.SizeOf(p)
-			if where != sized || (sized && n != size) {
-				t.Errorf("Where %v and SizeOf %v/%d disagree", where, sized, n)
-			}
-			return where
-		},
+		live: func(p Ptr) bool { return owns(a, p) },
 	}
+}
+
+// composedSubject adapts the test allocator, routing size to the fixed
+// pool (74) or the general pool (anything else).
+func composedSubject(t *testing.T, size int64) handleSubject {
+	a, _ := buildTestAllocator(t, 64*1024)
+	return allocSubject(t, a, size)
 }
 
 func TestHandleContractComposed(t *testing.T) {
@@ -128,20 +100,11 @@ func TestHandleContractComposed(t *testing.T) {
 // TestComposedRejectsMisroutedPtr covers the Composed's own dispatch:
 // it keeps no table, so the pool index in a Ptr's handle picks the pool
 // and that pool's check must catch every Ptr it did not issue through
-// this Composed. Each case returns ErrBadFree, reports dead through Where
-// and SizeOf alike, and leaves the live allocations intact.
+// this Composed. Each case returns ErrBadFree and leaves the live
+// allocations intact: each of those then frees once, and only once.
 func TestComposedRejectsMisroutedPtr(t *testing.T) {
 	a, _ := buildTestAllocator(t, 64*1024)
 	other, _ := buildTestAllocator(t, 64*1024)
-	live := func(p Ptr) bool {
-		t.Helper()
-		_, where := a.Where(p)
-		_, sized := a.SizeOf(p)
-		if where != sized {
-			t.Errorf("Where %v and SizeOf %v disagree on %+v", where, sized, p)
-		}
-		return where
-	}
 	malloc := func(a *Composed, size int64) Ptr {
 		t.Helper()
 		p, err := a.Malloc(size)
@@ -152,11 +115,11 @@ func TestComposedRejectsMisroutedPtr(t *testing.T) {
 	}
 	fixedPtr, generalPtr := malloc(a, 74), malloc(a, 200)
 
-	fromFallback, _, err := a.Fallback().Malloc(200)
+	fromFallback, err := a.general.Malloc(200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromFixed, _, err := a.FixedPools()[0].Malloc(74)
+	fromFixed, err := a.fixed[0].Malloc(74)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +132,8 @@ func TestComposedRejectsMisroutedPtr(t *testing.T) {
 	if err := a.Free(stale); err != nil {
 		t.Fatal(err)
 	}
-	if reused := malloc(a, 200); reused.Addr != stale.Addr || reused.h.slot != stale.h.slot {
+	reused := malloc(a, 200)
+	if reused.Addr != stale.Addr || reused.h.slot != stale.h.slot {
 		t.Fatalf("reallocation landed at %#x slot %d, not the freed %#x slot %d; the stale case needs reuse",
 			reused.Addr, reused.h.slot, stale.Addr, stale.h.slot)
 	}
@@ -192,15 +156,14 @@ func TestComposedRejectsMisroutedPtr(t *testing.T) {
 		if err := a.Free(c.p); !errors.Is(err, ErrBadFree) {
 			t.Errorf("%s: got %v, want ErrBadFree", c.name, err)
 		}
-		if live(c.p) {
-			t.Errorf("%s: reported live", c.name)
+	}
+	for _, p := range []Ptr{fixedPtr, generalPtr, reused} {
+		if err := a.Free(p); err != nil {
+			t.Fatalf("a rejected free disturbed live %+v: %v", p, err)
 		}
-	}
-	if !live(fixedPtr) || !live(generalPtr) {
-		t.Fatal("a rejected free disturbed a live allocation")
-	}
-	if n := a.Stats().LiveBlocks; n != 3 {
-		t.Errorf("%d live blocks after the rejected frees, want 3", n)
+		if err := a.Free(p); !errors.Is(err, ErrBadFree) {
+			t.Errorf("second free of %+v: got %v, want ErrBadFree", p, err)
+		}
 	}
 }
 
@@ -210,14 +173,14 @@ func TestHandleContractFixedPool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return poolSubject(t, p, 74)
+		return allocSubject(t, p, 74)
 	})
 }
 
 func TestHandleContractGeneralPool(t *testing.T) {
 	checkHandleContract(t, func(t *testing.T) handleSubject {
 		_, p := newGP(t, nil)
-		return poolSubject(t, p, 100)
+		return allocSubject(t, p, 100)
 	})
 }
 
@@ -227,7 +190,7 @@ func TestHandleContractBuddyPool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return poolSubject(t, p, 100)
+		return allocSubject(t, p, 100)
 	})
 }
 
@@ -259,7 +222,7 @@ func TestOutOfMemoryErrorIsAllocationFree(t *testing.T) {
 		{capped, 74, "alloc: out of memory: fixed pool budget exhausted"},
 	} {
 		for {
-			if _, _, err = c.pool.Malloc(c.size); err != nil {
+			if _, err = c.pool.Malloc(c.size); err != nil {
 				break
 			}
 		}
@@ -276,7 +239,7 @@ func TestOutOfMemoryErrorIsAllocationFree(t *testing.T) {
 // check, which finds a slot from the page ordinal in its Ptr: a Ptr into
 // an arena that was reclaimed, whose page ordinal a new arena now
 // carries, and a live Ptr with its slot ordinal or address forged, all
-// return ErrBadFree, report dead, and leave the live slots intact.
+// return ErrBadFree, are not found, and leave the live slots intact.
 func TestFixedPoolRejectsReclaimedOrdinal(t *testing.T) {
 	params := fixedParams()
 	params.ChunkSlots = slotPageLen // one page an arena
@@ -287,7 +250,7 @@ func TestFixedPoolRejectsReclaimedOrdinal(t *testing.T) {
 	}
 	malloc := func() Ptr {
 		t.Helper()
-		ptr, _, err := p.Malloc(74)
+		ptr, err := p.Malloc(74)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +264,7 @@ func TestFixedPoolRejectsReclaimedOrdinal(t *testing.T) {
 		second = append(second, malloc())
 	}
 	for _, ptr := range first {
-		if _, err := p.Free(ptr); err != nil {
+		if err := p.Free(ptr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,7 +282,7 @@ func TestFixedPoolRejectsReclaimedOrdinal(t *testing.T) {
 	// A freed slot holds its ordinal in place of a tag.
 	freed := third[2]
 	third = third[:2]
-	if _, err := p.Free(freed); err != nil {
+	if err := p.Free(freed); err != nil {
 		t.Fatal(err)
 	}
 	forgedSlot := second[0]
@@ -338,19 +301,19 @@ func TestFixedPoolRejectsReclaimedOrdinal(t *testing.T) {
 		{"a free slot's ordinal as tag", Ptr{Layer: freed.Layer, Addr: freed.Addr, h: handle{slot: freed.h.slot, tag: uint64(freed.h.slot)}}},
 		{"freed slot", freed},
 	} {
-		if _, err := p.Free(c.ptr); !errors.Is(err, ErrBadFree) {
+		if err := p.Free(c.ptr); !errors.Is(err, ErrBadFree) {
 			t.Errorf("%s: got %v, want ErrBadFree", c.name, err)
 		}
-		if _, ok := p.SizeOf(c.ptr); ok {
-			t.Errorf("%s: reported live", c.name)
+		if owns(p, c.ptr) {
+			t.Errorf("%s: found live", c.name)
 		}
 	}
 	for _, ptr := range append(second, third...) {
-		if n, ok := p.SizeOf(ptr); !ok || n != 74 {
+		if !owns(p, ptr) {
 			t.Fatalf("a rejected free disturbed live %+v", ptr)
 		}
 	}
-	if p.LiveBlocks() != slotPageLen+len(third) {
-		t.Fatalf("%d live slots, want %d", p.LiveBlocks(), slotPageLen+len(third))
+	if n := liveCount(p); n != slotPageLen+len(third) {
+		t.Fatalf("%d live slots, want %d", n, slotPageLen+len(third))
 	}
 }

@@ -22,7 +22,7 @@ func TestReclaimReleasesEmptyChunk(t *testing.T) {
 	// Fill two chunks.
 	var ptrs []Ptr
 	for i := 0; i < 8; i++ {
-		ptr, _, err := p.Malloc(74)
+		ptr, err := p.Malloc(74)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +34,7 @@ func TestReclaimReleasesEmptyChunk(t *testing.T) {
 	// Free the first chunk's slots: it must be reclaimed (it is not the
 	// bump arena).
 	for _, ptr := range ptrs[:4] {
-		if _, err := p.Free(ptr); err != nil {
+		if err := p.Free(ptr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,7 +49,7 @@ func TestReclaimReleasesEmptyChunk(t *testing.T) {
 		t.Fatalf("free slots %d after reclaim", p.FreeSlots())
 	}
 	// Allocating again must work (new chunk or bump arena).
-	if _, _, err := p.Malloc(74); err != nil {
+	if _, err := p.Malloc(74); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -59,7 +59,7 @@ func TestReclaimSparesBumpArena(t *testing.T) {
 	p, _ := NewFixedPool(ctx, reclaimParams())
 	// One chunk only: freeing everything must NOT reclaim it (it is the
 	// carving frontier).
-	ptr, _, _ := p.Malloc(74)
+	ptr, _ := p.Malloc(74)
 	p.Free(ptr)
 	if p.Reclaims() != 0 {
 		t.Fatal("bump arena reclaimed")
@@ -76,7 +76,7 @@ func TestReclaimOffKeepsChunks(t *testing.T) {
 	p, _ := NewFixedPool(ctx, params)
 	var ptrs []Ptr
 	for i := 0; i < 8; i++ {
-		ptr, _, _ := p.Malloc(74)
+		ptr, _ := p.Malloc(74)
 		ptrs = append(ptrs, ptr)
 	}
 	for _, ptr := range ptrs {
@@ -103,7 +103,7 @@ func TestReclaimCutsFootprintAfterBurst(t *testing.T) {
 		}
 		var ptrs []Ptr
 		for i := 0; i < 320; i++ {
-			ptr, _, err := p.Malloc(74)
+			ptr, err := p.Malloc(74)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,11 +142,11 @@ func TestReclaimStress(t *testing.T) {
 			addr := addrs[k]
 			addrs = append(addrs[:k], addrs[k+1:]...)
 			delete(live, addr.Addr)
-			if _, err := p.Free(addr); err != nil {
+			if err := p.Free(addr); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
 		} else {
-			ptr, _, err := p.Malloc(74)
+			ptr, err := p.Malloc(74)
 			if err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
@@ -157,8 +157,8 @@ func TestReclaimStress(t *testing.T) {
 			addrs = append(addrs, ptr)
 		}
 	}
-	if p.LiveBlocks() != len(live) {
-		t.Fatalf("live %d vs %d", p.LiveBlocks(), len(live))
+	if liveCount(p) != len(live) {
+		t.Fatalf("live %d vs %d", liveCount(p), len(live))
 	}
 	// Consistency: every live slot must still be owned.
 	for _, ptr := range addrs {
@@ -177,7 +177,7 @@ func TestReclaimChargesUnlinkWork(t *testing.T) {
 	p, _ := NewFixedPool(ctx, params)
 	var ptrs []Ptr
 	for i := 0; i < 32; i++ {
-		ptr, _, _ := p.Malloc(74)
+		ptr, _ := p.Malloc(74)
 		ptrs = append(ptrs, ptr)
 	}
 	// Free first chunk except one slot.

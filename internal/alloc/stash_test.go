@@ -116,21 +116,23 @@ func TestStashBuildMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		exercise(t, b)
-		if fixed := a.FixedPools(); len(fixed) > 0 && (fixed[0].ArenaBytes() != 4<<10 || fixed[1].Reclaims() == 0) {
+		if fixed := a.fixed; len(fixed) > 0 && (fixed[0].ArenaBytes() != 4<<10 || fixed[1].Reclaims() == 0) {
 			t.Fatalf("build %d: the scratchpad pool holds %d bytes and the reclaiming pool reclaimed %d chunks: the run exercises neither limit",
 				i, fixed[0].ArenaBytes(), fixed[1].Reclaims())
 		}
-		if a.Stats() != b.Stats() || ctx.Cycles() != fresh.Cycles() || ctx.TotalPeakBytes() != fresh.TotalPeakBytes() {
-			t.Fatalf("build %d on a warm stash: %+v, %d cycles, %d peak bytes; fresh %+v, %d, %d",
-				i, a.Stats(), ctx.Cycles(), ctx.TotalPeakBytes(), b.Stats(), fresh.Cycles(), fresh.TotalPeakBytes())
+		for _, c := range []*Composed{a, b} {
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("build %d: %v", i, err)
+			}
+		}
+		if ctx.Cycles() != fresh.Cycles() || ctx.TotalPeakBytes() != fresh.TotalPeakBytes() {
+			t.Fatalf("build %d on a warm stash: %d cycles, %d peak bytes; fresh %d, %d",
+				i, ctx.Cycles(), ctx.TotalPeakBytes(), fresh.Cycles(), fresh.TotalPeakBytes())
 		}
 		for id := memhier.LayerID(0); int(id) < h.NumLayers(); id++ {
 			if ctx.Counters(id) != fresh.Counters(id) {
 				t.Fatalf("build %d, layer %d: %+v on a warm stash, %+v fresh", i, id, ctx.Counters(id), fresh.Counters(id))
 			}
-		}
-		if a.Name() != b.Name() || a.Name() != cfg.ID() {
-			t.Fatalf("build %d: named %q on a warm stash, %q fresh, want the ID", i, a.Name(), b.Name())
 		}
 		stash.Reclaim()
 	}

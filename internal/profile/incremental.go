@@ -51,8 +51,8 @@ import (
 // only runs it reproduces exactly; the caller falls back to a full
 // replay.
 //
-// The partial path requires fast-path profiling (no tracer, caches or
-// row buffers, no footprint series): the recording fallback hands out
+// The partial path requires fast-path profiling (no tracer or caches,
+// no footprint series): the recording fallback hands out
 // synthetic addresses, which only the flat address-independent cost
 // model may observe.
 //
@@ -99,11 +99,8 @@ type recordingFallback struct {
 
 	// ops is the recorded fallback sequence: v > 0 is an allocation of v
 	// bytes; v < 0 frees the (^v)-th recorded allocation.
-	ops       []int64
-	sizes     []int64 // requested bytes per recorded allocation, 0 once freed
-	live      int
-	allocs    int
-	requested int64 // requested bytes of the live allocations
+	ops   []int64
+	sizes []int64 // requested bytes per recorded allocation, 0 once freed
 
 	fMax []int64 // per closed gap: max fixed-side reserved bytes
 }
@@ -127,50 +124,24 @@ func (p *recordingFallback) boundary() {
 	}
 }
 
-func (p *recordingFallback) Malloc(size int64) (alloc.Ptr, int64, error) {
+func (p *recordingFallback) Malloc(size int64) (alloc.Ptr, error) {
 	p.boundary()
 	k := len(p.sizes)
 	p.sizes = append(p.sizes, size)
 	p.ops = append(p.ops, size)
-	p.live++
-	p.allocs++
-	p.requested += size
-	return alloc.Ptr{Layer: p.layer, Addr: recBase + uint64(k)*simheap.WordSize}, size, nil
+	return alloc.Ptr{Layer: p.layer, Addr: recBase + uint64(k)*simheap.WordSize}, nil
 }
 
-func (p *recordingFallback) Free(ptr alloc.Ptr) (int64, error) {
+func (p *recordingFallback) Free(ptr alloc.Ptr) error {
 	p.boundary()
-	k, ok := p.index(ptr)
-	if !ok {
-		return 0, fmt.Errorf("profile: recording fallback: free of unknown addr %#x", ptr.Addr)
-	}
-	size := p.sizes[k]
-	p.sizes[k] = 0
-	p.ops = append(p.ops, ^int64(k))
-	p.live--
-	p.requested -= size
-	return size, nil
-}
-
-// index returns the recorded allocation ptr names, if it is live.
-func (p *recordingFallback) index(ptr alloc.Ptr) (int, bool) {
 	k := (ptr.Addr - recBase) / simheap.WordSize
 	if ptr.Addr < recBase || k >= uint64(len(p.sizes)) || p.sizes[k] == 0 {
-		return 0, false
+		return fmt.Errorf("profile: recording fallback: free of unknown addr %#x", ptr.Addr)
 	}
-	return int(k), true
+	p.sizes[k] = 0
+	p.ops = append(p.ops, ^int64(k))
+	return nil
 }
-
-func (p *recordingFallback) SizeOf(ptr alloc.Ptr) (int64, bool) {
-	if k, ok := p.index(ptr); ok {
-		return p.sizes[k], true
-	}
-	return 0, false
-}
-
-func (p *recordingFallback) LiveBlocks() int { return p.live }
-
-func (p *recordingFallback) RequestedLive() int64 { return p.requested }
 
 // Partition is the fixed-side-invariant decomposition of one compiled
 // trace under one fixed-pool signature: everything a partial replay
@@ -279,8 +250,8 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 
 	// IDs are never reused, so the pointer table still names every
 	// allocation, and a recorded one by its synthetic address.
-	p.recReads = make([]uint64, rec.allocs)
-	p.recWrites = make([]uint64, rec.allocs)
+	p.recReads = make([]uint64, len(rec.sizes))
+	p.recWrites = make([]uint64, len(rec.sizes))
 	for id, ptr := range r.ptrs {
 		if ptr.Addr >= recBase {
 			k := (ptr.Addr - recBase) / simheap.WordSize
@@ -298,7 +269,7 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 	// The recordings stay in the Replayer; the partition keeps copies
 	// at their final lengths.
 	p.ops = append(make([]int64, 0, len(rec.ops)), rec.ops...)
-	p.allocs = rec.allocs
+	p.allocs = len(rec.sizes)
 	p.fMax = append(make([]int64, 0, len(rec.fMax)), rec.fMax...)
 	p.opsHash = hashOps(p.ops)
 	if r.Shard != nil {
@@ -410,7 +381,7 @@ func (r *Replayer) PoolReplay(part *Partition, cfg alloc.Config, h *memhier.Hier
 		if op > 0 {
 			k := allocIdx
 			allocIdx++
-			ptr, _, err := pool.Malloc(op)
+			ptr, err := pool.Malloc(op)
 			switch {
 			case err == nil:
 				ptrs = append(ptrs, ptr)
@@ -428,7 +399,7 @@ func (r *Replayer) PoolReplay(part *Partition, cfg alloc.Config, h *memhier.Hier
 			k := ^op
 			if run.failed != nil && run.failed[k] {
 				run.skippedFrees++
-			} else if _, err := pool.Free(ptrs[k]); err != nil {
+			} else if err := pool.Free(ptrs[k]); err != nil {
 				return nil, false
 			}
 		}
@@ -529,7 +500,7 @@ func (r *Replayer) Compose(ct *trace.Compiled, part *Partition, run *PoolRun, cf
 	}
 	m.Accesses = accesses
 	m.FootprintBytes = footprint
-	m.EnergyNJ = simheap.EnergyOf(h, counters, cycles, 0)
+	m.EnergyNJ = simheap.EnergyOf(h, counters, cycles)
 	m.Cycles = cycles
 	m.Mallocs = part.mallocs - run.failures
 	m.Frees = part.frees - run.skippedFrees

@@ -107,16 +107,6 @@ type Options struct {
 	// SampleEvery enables the footprint-over-time series: one sample per
 	// this many trace events (0 disables sampling).
 	SampleEvery int
-
-	// RowBuffers enables the SDRAM open-page model on the named layers
-	// (ignored where a cache is also attached).
-	RowBuffers map[string]RowBufferSpec
-}
-
-// RowBufferSpec describes an open-page model to attach to a layer.
-type RowBufferSpec struct {
-	RowWords uint64
-	Banks    int
 }
 
 // CacheSpec describes a cache to attach to a layer.

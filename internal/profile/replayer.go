@@ -173,19 +173,6 @@ func (r *Replayer) applyOptions(ctx *simheap.Context, h *memhier.Hierarchy, opts
 			return nil, err
 		}
 	}
-	for layerName, spec := range opts.RowBuffers {
-		id, ok := h.ByName(layerName)
-		if !ok {
-			return nil, fmt.Errorf("profile: row buffer on unknown layer %q", layerName)
-		}
-		rb, err := memhier.NewRowBuffer(spec.RowWords, spec.Banks)
-		if err != nil {
-			return nil, fmt.Errorf("profile: row buffer for %s: %w", layerName, err)
-		}
-		if err := ctx.AttachRowBuffer(id, rb); err != nil {
-			return nil, err
-		}
-	}
 	return lw, nil
 }
 

@@ -219,8 +219,8 @@ func TestReplayerPoolConcurrent(t *testing.T) {
 // result to match a fresh Replayer's bit for bit. The mix holds the
 // presets, a buddy fallback, capacity-failing configurations (one with a
 // bounded scratchpad pool that overflows), a logged run, whose log must
-// match too, and runs with a cache or a row buffer: the runs after those
-// must not see the tracer, cache or row buffer a reset context dropped.
+// match too, and runs with a cache on either layer: the runs after those
+// must not see the tracer or cache a reset context dropped.
 // Partitions and pool replays run in between, building on the same
 // stash.
 func TestWarmBuildMatchesFresh(t *testing.T) {
@@ -232,7 +232,7 @@ func TestWarmBuildMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	cached := Options{Caches: map[string]CacheSpec{memhier.LayerDRAM: {SizeWords: 512, LineWords: 8, Ways: 2}}}
-	rowbuf := Options{RowBuffers: map[string]RowBufferSpec{memhier.LayerDRAM: {RowWords: 256, Banks: 4}}}
+	spCached := Options{Caches: map[string]CacheSpec{memhier.LayerScratchpad: {SizeWords: 256, LineWords: 8, Ways: 2}}}
 	type step struct {
 		ct   *trace.Compiled
 		cfg  alloc.Config
@@ -251,7 +251,7 @@ func TestWarmBuildMatchesFresh(t *testing.T) {
 		case 2:
 			steps = append(steps, step{ct: ep, cfg: oomConfigs()[i%2], log: true})
 		case 3:
-			steps = append(steps, step{ct: ep, cfg: cfg, opts: rowbuf})
+			steps = append(steps, step{ct: ep, cfg: cfg, opts: spCached})
 		case 4:
 			steps = append(steps, step{ct: vtc, cfg: cfg, opts: Options{SampleEvery: 64}})
 		}

@@ -89,13 +89,6 @@ func (c *Client) Status(id string) (JobStatus, error) {
 	return st, err
 }
 
-// Jobs lists all jobs.
-func (c *Client) Jobs() ([]JobStatus, error) {
-	var out []JobStatus
-	err := c.getJSON("/api/v1/jobs", &out)
-	return out, err
-}
-
 // Lease asks for up to slots shards.
 func (c *Client) Lease(worker string, slots int) (LeaseResponse, error) {
 	var resp LeaseResponse

@@ -52,8 +52,8 @@ type Context struct {
 	readCycles  []uint64
 	writeCycles []uint64
 
-	// fast is true while no tracer, cache or row buffer is attached — the
-	// common exploration case — and gates a batched access path that pays
+	// fast is true while no tracer or cache is attached — the common
+	// exploration case — and gates a batched access path that pays
 	// the model-dispatch branch chain once per charge, not once per word.
 	fast bool
 
@@ -66,15 +66,6 @@ type Context struct {
 	// the same index; accesses then additionally charge the backing layer
 	// on misses. Entries may be nil (no cache for that layer).
 	caches []*memhier.Cache
-
-	// rowbufs models SDRAM open-page behaviour per layer (nil = flat
-	// cost). Ignored for layers that also have a cache (the cache already
-	// batches traffic into line bursts).
-	rowbufs []*memhier.RowBuffer
-
-	// energyAdj accumulates per-access energy adjustments (row-buffer
-	// hits are cheaper than the layer's flat per-access figure).
-	energyAdj float64
 
 	// trace, when non-nil, receives every charged access (used by the
 	// raw-profile-log emitter).
@@ -95,8 +86,8 @@ func NewContext(h *memhier.Hierarchy) *Context {
 }
 
 // Reset makes ctx a fresh context over h, as NewContext(h) would return,
-// reusing its per-layer tables: counters, clock and energy adjustment
-// start at zero, and the tracer, caches and row buffers are dropped.
+// reusing its per-layer tables: counters and clock start at zero, and
+// the tracer and caches are dropped.
 // Regions reserved before the reset must not be used after it.
 func (ctx *Context) Reset(h *memhier.Hierarchy) {
 	n := h.NumLayers()
@@ -104,7 +95,6 @@ func (ctx *Context) Reset(h *memhier.Hierarchy) {
 	ctx.counters = zeroed(ctx.counters, n)
 	ctx.nextBase = zeroed(ctx.nextBase, n)
 	ctx.caches = zeroed(ctx.caches, n)
-	ctx.rowbufs = zeroed(ctx.rowbufs, n)
 	ctx.readCycles = zeroed(ctx.readCycles, n)
 	ctx.writeCycles = zeroed(ctx.writeCycles, n)
 	for i := 0; i < n; i++ {
@@ -112,7 +102,7 @@ func (ctx *Context) Reset(h *memhier.Hierarchy) {
 		ctx.readCycles[i] = uint64(layer.ReadCycles)
 		ctx.writeCycles[i] = uint64(layer.WriteCycles)
 	}
-	ctx.cycles, ctx.totalReserved, ctx.energyAdj = 0, 0, 0
+	ctx.cycles, ctx.totalReserved = 0, 0
 	ctx.trace = nil
 	ctx.fast = true
 }
@@ -144,7 +134,7 @@ func (ctx *Context) updateFast() {
 		return
 	}
 	for i := range ctx.caches {
-		if ctx.caches[i] != nil || ctx.rowbufs[i] != nil {
+		if ctx.caches[i] != nil {
 			ctx.fast = false
 			return
 		}
@@ -168,29 +158,6 @@ func (ctx *Context) AttachCache(id memhier.LayerID, c *memhier.Cache) error {
 // Cache returns the cache attached to layer id, or nil.
 func (ctx *Context) Cache(id memhier.LayerID) *memhier.Cache { return ctx.caches[id] }
 
-// rowHitCycles is the latency of a row-buffer hit; rowHitEnergyFactor is
-// the fraction of the layer's flat per-access energy a hit costs (the
-// activate/precharge share is skipped).
-const (
-	rowHitCycles       = 2
-	rowHitEnergyFactor = 0.4
-)
-
-// AttachRowBuffer enables the SDRAM open-page model on layer id. It has
-// no effect on accesses that go through a cache attached to the same
-// layer.
-func (ctx *Context) AttachRowBuffer(id memhier.LayerID, rb *memhier.RowBuffer) error {
-	if !ctx.hier.Valid(id) {
-		return fmt.Errorf("simheap: invalid layer %d", id)
-	}
-	ctx.rowbufs[id] = rb
-	ctx.updateFast()
-	return nil
-}
-
-// RowBuffer returns the row-buffer model attached to layer id, or nil.
-func (ctx *Context) RowBuffer(id memhier.LayerID) *memhier.RowBuffer { return ctx.rowbufs[id] }
-
 // Counters returns a snapshot of the counters for layer id.
 func (ctx *Context) Counters(id memhier.LayerID) LayerCounters { return ctx.counters[id] }
 
@@ -210,8 +177,8 @@ func (ctx *Context) Cycles() uint64 {
 	return total
 }
 
-// Flat reports whether the cost model is flat: no tracer, cache or row
-// buffer is attached, so an access costs the same wherever it lands and a
+// Flat reports whether the cost model is flat: no tracer or cache is
+// attached, so an access costs the same wherever it lands and a
 // run of charges to one layer may be folded into a single call.
 func (ctx *Context) Flat() bool { return ctx.fast }
 
@@ -241,12 +208,11 @@ func (ctx *Context) Write(id memhier.LayerID, addr uint64, words uint64) {
 	ctx.access(id, addr, words, true)
 }
 
-// access is the modelled path: tracer, cache and row buffer. Latencies
-// come from the cached per-layer cycles; only the row-buffer model reads
-// the Layer itself, for its access energies. Every word it adds to a
-// counter is already worth its flat latency in Cycles, so the clock gets
-// the modelled latency minus the flat one (in modular uint64
-// arithmetic, exact once Cycles adds the flat part back).
+// access is the modelled path: tracer and cache. Latencies come from
+// the cached per-layer cycles. Every word it adds to a counter is
+// already worth its flat latency in Cycles, so the clock gets the
+// modelled latency minus the flat one (in modular uint64 arithmetic,
+// exact once Cycles adds the flat part back).
 func (ctx *Context) access(id memhier.LayerID, addr uint64, words uint64, write bool) {
 	if words == 0 {
 		return
@@ -272,25 +238,6 @@ func (ctx *Context) access(id memhier.LayerID, addr uint64, words uint64, write 
 				if res.BackingWrite > 0 {
 					ctx.cycles += ctx.writeCycles[id] + (res.BackingWrite - 1)
 				}
-			}
-		}
-		return
-	}
-	if rb := ctx.rowbufs[id]; rb != nil {
-		layer := ctx.hier.Layer(id)
-		for i := uint64(0); i < words; i++ {
-			flatCycles := ctx.readCycles[id]
-			flatEnergy := layer.ReadEnergy
-			if write {
-				c.Writes++
-				flatCycles = ctx.writeCycles[id]
-				flatEnergy = layer.WriteEnergy
-			} else {
-				c.Reads++
-			}
-			if rb.Access(addr + i) {
-				ctx.cycles += rowHitCycles - flatCycles
-				ctx.energyAdj -= (1 - rowHitEnergyFactor) * flatEnergy
 			}
 		}
 		return
@@ -373,16 +320,16 @@ func (ctx *Context) TotalAccesses() uint64 {
 // hierarchy's cost model: dynamic access energy plus capacity leakage
 // integrated over the run time.
 func (ctx *Context) Energy() float64 {
-	return EnergyOf(ctx.hier, ctx.counters, ctx.Cycles(), ctx.energyAdj)
+	return EnergyOf(ctx.hier, ctx.counters, ctx.Cycles())
 }
 
 // EnergyOf computes the memory energy of a run described by per-layer
-// counters (indexed by LayerID), a cycle count and an access-energy
-// adjustment under h's cost model. It is the pure-function core of
-// Context.Energy; the incremental evaluator calls it with composed
-// counters so a partial replay reproduces the exact float summation
-// order — and therefore the bit-identical result — of a full run.
-func EnergyOf(h *memhier.Hierarchy, counters []LayerCounters, cycles uint64, adj float64) float64 {
+// counters (indexed by LayerID) and a cycle count under h's cost
+// model. It is the pure-function core of Context.Energy; the
+// incremental evaluator calls it with composed counters so a partial
+// replay reproduces the exact float summation order — and therefore the
+// bit-identical result — of a full run.
+func EnergyOf(h *memhier.Hierarchy, counters []LayerCounters, cycles uint64) float64 {
 	var e float64
 	kilocycles := float64(cycles) / 1000
 	for i := range counters {
@@ -395,7 +342,7 @@ func EnergyOf(h *memhier.Hierarchy, counters []LayerCounters, cycles uint64, adj
 			e += layer.LeakagePower * peakKB * kilocycles
 		}
 	}
-	return e + adj
+	return e
 }
 
 // CapacityError reports a failed reservation on a bounded layer.

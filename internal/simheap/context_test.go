@@ -2,7 +2,6 @@ package simheap
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -296,61 +295,6 @@ func TestPropertyPeakMonotone(t *testing.T) {
 	}
 }
 
-func TestContextWithRowBuffer(t *testing.T) {
-	ctx := NewContext(testHier(t))
-	rb, err := memhier.NewRowBuffer(128, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.AttachRowBuffer(1, rb); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.AttachRowBuffer(9, rb); err == nil {
-		t.Fatal("invalid layer accepted")
-	}
-	if ctx.RowBuffer(1) != rb {
-		t.Fatal("row buffer not attached")
-	}
-
-	// Sequential reads: first word misses (full 16-cycle latency), the
-	// rest hit (2 cycles each). Word counts unchanged.
-	ctx.Read(1, 0, 64)
-	c := ctx.Counters(1)
-	if c.Reads != 64 {
-		t.Fatalf("reads %d", c.Reads)
-	}
-	wantCycles := uint64(16 + 63*2)
-	if ctx.Cycles() != wantCycles {
-		t.Fatalf("cycles %d, want %d", ctx.Cycles(), wantCycles)
-	}
-	// Energy: 64 flat reads at 8 nJ minus the hit discount on 63.
-	flat := 64 * 8.0
-	want := flat - 63*(1-0.4)*8.0
-	if got := ctx.Energy(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("energy %v, want %v", got, want)
-	}
-	if rb.HitRate() < 0.98 {
-		t.Fatalf("hit rate %v", rb.HitRate())
-	}
-}
-
-func TestRowBufferCheaperThanFlatForSequential(t *testing.T) {
-	flat := NewContext(testHier(t))
-	flat.Read(1, 0, 1000)
-
-	open := NewContext(testHier(t))
-	rb, _ := memhier.NewRowBuffer(256, 4)
-	open.AttachRowBuffer(1, rb)
-	open.Read(1, 0, 1000)
-
-	if open.Cycles() >= flat.Cycles() {
-		t.Fatalf("open-page not faster: %d vs %d", open.Cycles(), flat.Cycles())
-	}
-	if open.Energy() >= flat.Energy() {
-		t.Fatalf("open-page not cheaper: %v vs %v", open.Energy(), flat.Energy())
-	}
-}
-
 // TestTotalReservedRunningTotal pins the O(1) running total to the
 // per-layer recomputation across a reserve/release sequence.
 func TestTotalReservedRunningTotal(t *testing.T) {
@@ -433,7 +377,7 @@ func TestFastPathMatchesSlowPath(t *testing.T) {
 }
 
 // TestCyclesExactAcrossModelSwitches charges flat, then with a tracer
-// and a row buffer attached mid-run, then flat again: the clock must
+// and a cache attached mid-run, then flat again: the clock must
 // equal the hand-computed latency sum, so the flat cost Cycles derives
 // from the counters never double-counts or drops a modelled word.
 func TestCyclesExactAcrossModelSwitches(t *testing.T) {
@@ -442,32 +386,34 @@ func TestCyclesExactAcrossModelSwitches(t *testing.T) {
 	ctx.Write(0, 0, 3) // 3*1
 	ctx.SetTracer(&countingTracer{})
 	ctx.Write(1, 0, 2) // 2*18
-	rb, err := memhier.NewRowBuffer(128, 4)
+	c, err := memhier.NewCache(128, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.AttachRowBuffer(1, rb); err != nil {
+	if err := ctx.AttachCache(1, c); err != nil {
 		t.Fatal(err)
 	}
-	ctx.Read(1, 0, 5) // one miss (16), then 4 hits (2 each)
+	// Five cache accesses (1 each); the first misses and fills an
+	// 8-word line: 16 for its first word, 1 for each of the other 7.
+	ctx.Read(1, 0, 5)
 	ctx.SetTracer(nil)
-	ctx.Write(1, 8, 1) // same row: a hit (2)
-	ctx.rowbufs[1] = nil
+	ctx.Write(1, 3, 1) // same line: a hit (1)
+	ctx.caches[1] = nil
 	ctx.updateFast()
 	ctx.Read(1, 0, 2) // flat again: 2*16
 	ctx.Compute(7)
-	want := uint64(4*16 + 3*1 + 2*18 + 16 + 4*2 + 2 + 2*16 + 7)
+	want := uint64(4*16 + 3*1 + 2*18 + 5 + 16 + 7 + 1 + 2*16 + 7)
 	if got := ctx.Cycles(); got != want {
 		t.Fatalf("cycles %d, want %d", got, want)
 	}
-	if c := ctx.Counters(1); c.Reads != 11 || c.Writes != 3 {
+	if c := ctx.Counters(1); c.Reads != 14 || c.Writes != 2 {
 		t.Fatalf("dram counters %+v", c)
 	}
 }
 
 // TestContextResetMatchesNew holds Reset to its contract: a context that
-// reserved, charged, computed and had a tracer, a cache and a row buffer
-// attached reads, after Reset onto another hierarchy, exactly as a new
+// reserved, charged, computed and had a tracer and a cache attached
+// reads, after Reset onto another hierarchy, exactly as a new
 // one does, and charges the same from then on.
 func TestContextResetMatchesNew(t *testing.T) {
 	ctx := NewContext(memhier.EmbeddedSoC())
@@ -478,14 +424,7 @@ func TestContextResetMatchesNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := memhier.NewRowBuffer(512, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := ctx.AttachCache(0, c); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.AttachRowBuffer(1, rb); err != nil {
 		t.Fatal(err)
 	}
 	tr := &countingTracer{}
@@ -504,8 +443,8 @@ func TestContextResetMatchesNew(t *testing.T) {
 		ctx.Compute(9)
 		return r, err
 	}
-	if !ctx.Flat() || ctx.Cache(0) != nil || ctx.RowBuffer(1) != nil {
-		t.Fatalf("reset context keeps a model: flat %v, cache %v, row buffer %v", ctx.Flat(), ctx.Cache(0), ctx.RowBuffer(1))
+	if !ctx.Flat() || ctx.Cache(0) != nil {
+		t.Fatalf("reset context keeps a model: flat %v, cache %v", ctx.Flat(), ctx.Cache(0))
 	}
 	got, gotErr := run(ctx)
 	want, wantErr := run(fresh)

@@ -33,35 +33,6 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*z
 }
 
-// Pareto samples a (type I) Pareto distributed value with minimum xm and
-// shape alpha. Heavy-tailed; used for long-lived object lifetimes.
-func (r *RNG) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("stats: Pareto requires positive xm and alpha")
-	}
-	u := r.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return xm / math.Pow(1-u, 1/alpha)
-}
-
-// Geometric samples the number of failures before the first success in a
-// Bernoulli(p) sequence. p must be in (0, 1].
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("stats: Geometric requires p in (0,1]")
-	}
-	if p == 1 {
-		return 0
-	}
-	u := r.Float64()
-	if u <= 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return int(math.Floor(math.Log(1-u) / math.Log(1-p)))
-}
-
 // Poisson samples a Poisson distributed count with the given mean using
 // Knuth's method (adequate for the small means the generators use).
 func (r *RNG) Poisson(mean float64) int {

@@ -42,38 +42,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestParetoMinimum(t *testing.T) {
-	r := NewRNG(107)
-	for i := 0; i < 10000; i++ {
-		v := r.Pareto(5, 2)
-		if v < 5 {
-			t.Fatalf("Pareto(5,2) produced %v < xm", v)
-		}
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	r := NewRNG(109)
-	p := 0.2
-	var s Summary
-	for i := 0; i < 100000; i++ {
-		s.Add(float64(r.Geometric(p)))
-	}
-	want := (1 - p) / p // mean of failures-before-success
-	if math.Abs(s.Mean()-want) > 0.1 {
-		t.Fatalf("Geometric(0.2) mean %v, want ~%v", s.Mean(), want)
-	}
-}
-
-func TestGeometricPEquals1(t *testing.T) {
-	r := NewRNG(1)
-	for i := 0; i < 100; i++ {
-		if r.Geometric(1) != 0 {
-			t.Fatal("Geometric(1) must be 0")
-		}
-	}
-}
-
 func TestPoissonMean(t *testing.T) {
 	r := NewRNG(113)
 	var s Summary

@@ -6,43 +6,9 @@ import (
 	"dmexplore/internal/stats"
 )
 
-// Transforms over traces: slicing a window out of a long capture and
-// interleaving several applications into one combined trace (the
-// multi-application SoC scenario — several dynamic tasks sharing one
-// DM subsystem).
-
-// Slice returns the sub-trace of events [from, to) made self-contained:
-// allocations live at 'from' are re-created at the start (so frees and
-// accesses inside the window stay valid), and allocations still live at
-// 'to' are left unfreed (truncation does not invent frees).
-func Slice(t *Trace, from, to int) (*Trace, error) {
-	if from < 0 || to > len(t.Events) || from > to {
-		return nil, fmt.Errorf("trace: slice [%d,%d) out of range 0..%d", from, to, len(t.Events))
-	}
-	out := &Trace{Name: fmt.Sprintf("%s[%d:%d]", t.Name, from, to)}
-
-	// Allocations live at the window start, in allocation order.
-	dense, allocs := newIDTable(t.Events[:from])
-	size := make([]int64, allocs) // dense ID -> requested bytes; 0 when not live
-	for _, e := range t.Events[:from] {
-		switch e.Kind() {
-		case KindAlloc:
-			idx, _ := dense.add(e.ID())
-			size[idx] = e.Size()
-		case KindFree:
-			if idx, ok := dense.lookup(e.ID()); ok {
-				size[idx] = 0
-			}
-		}
-	}
-	for idx, sz := range size {
-		if sz > 0 {
-			out.Events = append(out.Events, AllocEvent(dense.raw[idx], sz))
-		}
-	}
-	out.Events = append(out.Events, t.Events[from:to]...)
-	return out, nil
-}
+// Transforms over traces: interleaving several applications into one
+// combined trace (the multi-application SoC scenario — several dynamic
+// tasks sharing one DM subsystem).
 
 // Interleave merges several traces into one combined multi-application
 // trace. Events keep their per-trace order; the merge interleaves

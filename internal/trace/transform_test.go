@@ -6,60 +6,6 @@ import (
 	"testing"
 )
 
-func TestSliceSelfContained(t *testing.T) {
-	b := NewBuilder("long")
-	id1 := b.Alloc(100) // event 0
-	id2 := b.Alloc(200) // event 1
-	b.Free(id1)         // event 2
-	id3 := b.Alloc(300) // event 3
-	b.Access(id2, 4, 0) // event 4
-	b.Free(id2)         // event 5
-	b.Free(id3)         // event 6
-	tr := b.Build()
-
-	// Window [3,6): id2 is live at the start and freed inside; id3
-	// allocated inside.
-	s, err := Slice(tr, 3, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("slice invalid: %v", err)
-	}
-	// Pre-window live allocation (id2) is re-created first.
-	if s.Events[0].Kind() != KindAlloc || s.Events[0].ID() != id2 || s.Events[0].Size() != 200 {
-		t.Fatalf("first event %+v", s.Events[0])
-	}
-	// id3 is left unfreed (the window ends before its free).
-	p := Analyze(s)
-	if p.FinalLiveBytes != 300 {
-		t.Fatalf("final live %d, want 300", p.FinalLiveBytes)
-	}
-}
-
-func TestSliceFullRangeIsIdentity(t *testing.T) {
-	b := NewBuilder("x")
-	id := b.Alloc(64)
-	b.Free(id)
-	tr := b.Build()
-	s, err := Slice(tr, 0, tr.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != tr.Len() {
-		t.Fatalf("len %d vs %d", s.Len(), tr.Len())
-	}
-}
-
-func TestSliceErrors(t *testing.T) {
-	tr := &Trace{Events: make([]Event, 5)}
-	for _, c := range [][2]int{{-1, 3}, {0, 6}, {4, 2}} {
-		if _, err := Slice(tr, c[0], c[1]); err == nil {
-			t.Errorf("slice %v accepted", c)
-		}
-	}
-}
-
 func twoSmallTraces(t *testing.T) (*Trace, *Trace) {
 	t.Helper()
 	a := NewBuilder("a")
