@@ -89,7 +89,9 @@ MUTANTS = \
 	partition-no-gap-reset:./internal/profile/:TestComposeSharedLayerPeakAfterReclaim \
 	recording-untruncated:./internal/core/:TestWarmIncrementalMatchesFresh \
 	flat-failed-charged:./internal/profile/:TestReplayerMatchesReferenceOOM \
-	pool-zero-general:./internal/alloc/:TestComposedRejectsMisroutedPtr
+	pool-zero-general:./internal/alloc/:TestComposedRejectsMisroutedPtr \
+	pooled-trace-kept:./internal/profile/:TestWarmReplayerMatchesFresh \
+	failed-ptr-kept:./internal/profile/:TestWarmReplayerFailedAllocsForgetLastRun
 .PHONY: mutants
 mutants:
 	@for m in $(MUTANTS); do \
@@ -105,9 +107,9 @@ mutants:
 	done
 
 # bench-telemetry compares the instrumented steady-state replay loop
-# (telemetry shard attached, as Runner workers run it) against the plain
-# one: the ratio of the two events/s figures is the overhead (budget
-# <2%). perfbench's trace_run.overhead_frac tracks it end to end.
+# (a warm Run plus the full-sim span record a session worker adds)
+# against the plain one: the ratio of the two events/s figures is the
+# overhead (budget <2%). perfbench's trace_run.overhead_frac tracks it end to end.
 .PHONY: bench-telemetry
 bench-telemetry:
 	$(GO) test ./internal/profile/ -run '^$$' -bench 'BenchmarkReplay(Easyport|Telemetry)' -benchtime 2s -benchmem

@@ -116,10 +116,10 @@ func run(args []string, out io.Writer) error {
 	if workerN <= 0 {
 		workerN = runtime.GOMAXPROCS(0)
 	}
-	// The flight recorder is opt-in: tracing costs nothing measurable,
-	// but the overhead gate (make bench-observe) compares against a run
-	// with no recorder attached at all. Created before ingest/compile so
-	// those stages land spans too.
+	// The flight recorder's raw spans are opt-in: every run counts its
+	// stages in the collector's aggregates, and the overhead gate (make
+	// bench-observe) prices the raw span writes. Created before
+	// ingest/compile so those stages land spans too.
 	var spans *span.Recorder
 	if *traceOut != "" || *metricsAddr != "" {
 		spans = span.NewRecorder(workerN, span.DefaultRingCapacity)
@@ -131,9 +131,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("trace %s: %w", *tracePath, err)
 		}
-		if spans != nil {
-			spans.Coord().Since(span.StageTraceIngest, ingestStart, int64(tr.Len()))
-		}
+		spans.Coord().Since(span.StageTraceIngest, ingestStart, int64(tr.Len()))
 	} else {
 		gen, err := workload.New(*workloadName, *seed, *scale)
 		if err != nil {
@@ -155,9 +153,7 @@ func run(args []string, out io.Writer) error {
 		}
 		return err
 	}
-	if spans != nil {
-		spans.Coord().Since(span.StageCompile, compileStart, int64(tr.Len()))
-	}
+	spans.Coord().Since(span.StageCompile, compileStart, int64(tr.Len()))
 	var space *core.Space
 	if *spaceKind == "auto" && *spaceFile == "" {
 		prof := trace.Analyze(tr)
@@ -214,7 +210,7 @@ func run(args []string, out io.Writer) error {
 		col.AddCacheStale(store.Stats().Stale)
 	}
 	if *metricsAddr != "" {
-		srv, err := telemetry.Serve(*metricsAddr, col, spans)
+		srv, err := telemetry.Serve(*metricsAddr, col)
 		if err != nil {
 			return err
 		}

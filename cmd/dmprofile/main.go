@@ -19,12 +19,14 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"time"
 
 	"dmexplore/internal/alloc"
 	"dmexplore/internal/memhier"
 	"dmexplore/internal/profile"
 	"dmexplore/internal/report"
 	"dmexplore/internal/telemetry"
+	"dmexplore/internal/telemetry/span"
 	"dmexplore/internal/trace"
 	"dmexplore/internal/workload"
 )
@@ -104,7 +106,7 @@ func run(args []string, out io.Writer) error {
 
 	col := telemetry.NewCollector(1)
 	if *metricsAddr != "" {
-		srv, err := telemetry.Serve(*metricsAddr, col, nil)
+		srv, err := telemetry.Serve(*metricsAddr, col)
 		if err != nil {
 			return err
 		}
@@ -115,12 +117,12 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rep := profile.NewReplayer()
-	rep.Shard = col.Shard(0)
-	m, err := rep.Run(ct, cfg, hier, opts)
+	start := time.Now()
+	m, err := profile.NewReplayer().Run(ct, cfg, hier, opts)
 	if err != nil {
 		return err
 	}
+	col.Spans().Ring(0).Since(span.StageFullSim, start, int64(ct.Len()))
 	snap := col.Snapshot()
 	if *seriesPath != "" {
 		f, err := os.Create(*seriesPath)

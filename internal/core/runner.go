@@ -129,16 +129,18 @@ type Runner struct {
 
 	// Telemetry, when non-nil, receives per-worker runtime metrics
 	// (simulation latency, events/sec, cache hits, errors, utilization).
-	// Search strategies issuing several run phases accumulate into the
-	// same collector.
+	// Its pipeline counters are the stage aggregates of its recorder's
+	// rings (Collector.Spans), into which session workers record each
+	// stage once. Search strategies issuing several run phases
+	// accumulate into the same collector.
 	Telemetry *telemetry.Collector
 
-	// Spans, when non-nil, is the run's flight recorder: every pipeline
-	// stage (simulations, partition builds, cache probes, batch waves)
-	// lands a typed span in a per-worker ring,
-	// exportable as a Chrome trace. Recording is allocation-free and
-	// purely observational — results are bit-identical with or without
-	// it.
+	// Spans, when non-nil, is the run's flight recorder: sessions make it
+	// the collector's recorder (Collector.Use), so every pipeline stage
+	// (simulations, partition builds, compositions, cache probes, batch
+	// waves) also keeps its raw spans, exportable as a Chrome trace.
+	// Recording is allocation-free and purely observational — results
+	// are bit-identical with or without it.
 	Spans *span.Recorder
 
 	// Store, when non-nil, persists configurations' metrics across runs

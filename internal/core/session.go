@@ -34,6 +34,7 @@ type EvalSession struct {
 	space   *Space
 	ct      *trace.Compiled
 	col     *telemetry.Collector
+	spans   *span.Recorder // col's recorder: every stage is counted here once
 	workers int
 
 	// hierarchy and traceID are computed once per session for storeKey:
@@ -129,13 +130,15 @@ type evalJob struct {
 
 // evalScratch is one worker's reusable evaluation state: the
 // configuration each evaluation is materialized into, the buffer its ID
-// is built in and the buffer its cache keys are built in. Nothing that
-// outlives an evaluation may alias any of them: the configuration's
-// Fixed array is rewritten by the next one.
+// is built in and the buffer its cache keys are built in, plus the ring
+// its stages are recorded in. Nothing that outlives an evaluation may
+// alias the first three: the configuration's Fixed array is rewritten by
+// the next one.
 type evalScratch struct {
-	cfg alloc.Config
-	id  []byte
-	key []byte
+	cfg   alloc.Config
+	id    []byte
+	key   []byte
+	spans *span.Ring
 }
 
 // NewSession opens a persistent evaluation session for the space. Callers
@@ -173,11 +176,15 @@ func (r *Runner) newSession(space *Space, maxWorkers int) (*EvalSession, error) 
 	if col == nil {
 		col = telemetry.NewCollector(workers)
 	}
+	if r.Spans != nil {
+		col.Use(r.Spans)
+	}
 	s := &EvalSession{
 		r:         r,
 		space:     space,
 		ct:        ct,
 		col:       col,
+		spans:     col.Spans(),
 		workers:   workers,
 		hierarchy: r.Hierarchy.Fingerprint(),
 		traceID:   fmt.Sprintf("%s(%d)", ct.Name, ct.Len()),
@@ -248,11 +255,7 @@ func (s *EvalSession) Eval(indices []int, origins []*telemetry.Origin) ([]Result
 	if origins != nil && len(origins) != len(indices) {
 		return nil, fmt.Errorf("core: %d origins for %d indices", len(origins), len(indices))
 	}
-	coord := s.r.Spans.Coord()
-	var waveStart time.Time
-	if coord != nil {
-		waveStart = time.Now()
-	}
+	waveStart := time.Now()
 	results := make([]Result, len(indices))
 	axes := len(s.space.Axes)
 	labels := make([]string, len(indices)*axes)
@@ -268,7 +271,7 @@ func (s *EvalSession) Eval(indices []int, origins []*telemetry.Origin) ([]Result
 		s.jobs <- job
 	}
 	batch.Wait()
-	coord.Since(span.StageBatchWave, waveStart, int64(len(indices)))
+	s.spans.Coord().Since(span.StageBatchWave, waveStart, int64(len(indices)))
 	for _, res := range results {
 		if res.Err != nil {
 			return results, fmt.Errorf("core: %w", res.Err)
@@ -287,19 +290,17 @@ func (s *EvalSession) Close() {
 	s.wg.Wait()
 }
 
-// worker is one long-lived pool member: a telemetry shard and a Replayer
-// whose scratch tables persist across every batch of the session, and
-// past it: the Replayer goes back to profile's pool when the worker
-// exits.
+// worker is one long-lived pool member: a telemetry shard, a span ring
+// and a Replayer whose scratch tables persist across every batch of the
+// session, and past it: the Replayer goes back to profile's pool when
+// the worker exits.
 func (s *EvalSession) worker(w int) {
 	defer s.wg.Done()
 	shard := s.col.Shard(w)
 	rep := profile.GetReplayer()
 	defer profile.PutReplayer(rep)
-	rep.Shard = shard
-	rep.Spans = s.r.Spans.Ring(w)
 	var debt time.Duration
-	sc := evalScratch{id: make([]byte, 0, keyBufLen), key: make([]byte, 0, keyBufLen)}
+	sc := evalScratch{id: make([]byte, 0, keyBufLen), key: make([]byte, 0, keyBufLen), spans: s.spans.Ring(w)}
 	for job := range s.jobs {
 		res := s.evalOne(job.idx, job.labels, &sc, rep, shard, &debt)
 		res.Origin = job.origin
@@ -344,6 +345,7 @@ func (s *EvalSession) evalOne(idx int, labels []string, sc *evalScratch, rep *pr
 	}
 	res.Duration = time.Since(start)
 	shard.AddBusy(res.Duration)
+	shard.AddSkipped(res.EventsSkipped)
 	return res
 }
 
@@ -380,22 +382,20 @@ func (s *EvalSession) resolve(res *Result, labels []string, sc *evalScratch, rep
 		if m, ok := r.Store.Metrics(key); ok {
 			res.Metrics, res.CacheHit = relabel(m, cfg.Label), true
 			hit = 1
-			shard.CacheHit()
-		} else {
-			shard.CacheMiss()
 		}
-		rep.Spans.Since(span.StageCacheProbe, probeStart, hit)
+		sc.spans.Since(span.StageCacheProbe, probeStart, hit)
 		if res.CacheHit {
 			return key, 0
 		}
 	}
 
 	if s.parts != nil {
-		if charge, ok := s.partial(res, sc, rep, shard); ok {
+		if charge, ok := s.partial(res, sc, rep); ok {
 			return key, charge
 		}
 	}
 
+	start := time.Now()
 	res.Metrics, res.Err = rep.Run(s.ct, *cfg, r.Hierarchy, profile.Options{})
 	if res.Err != nil {
 		// Surface which configuration died, not just how: index and axis
@@ -405,6 +405,7 @@ func (s *EvalSession) resolve(res *Result, labels []string, sc *evalScratch, rep
 		shard.SimError()
 		return key, 0
 	}
+	sc.spans.Since(span.StageFullSim, start, int64(s.ct.Len()))
 	return key, r.EvalLatency
 }
 
@@ -416,7 +417,7 @@ func (s *EvalSession) resolve(res *Result, labels []string, sc *evalScratch, rep
 // path declines (a partition fault, a capacity interaction, a pool
 // failure the failure-replay path cannot reproduce); the caller then
 // replays in full.
-func (s *EvalSession) partial(res *Result, sc *evalScratch, rep *profile.Replayer, shard *telemetry.Shard) (charge time.Duration, ok bool) {
+func (s *EvalSession) partial(res *Result, sc *evalScratch, rep *profile.Replayer) (charge time.Duration, ok bool) {
 	part := s.partition(sc, rep)
 	if part == nil {
 		return 0, false
@@ -436,13 +437,11 @@ func (s *EvalSession) partial(res *Result, sc *evalScratch, rep *profile.Replaye
 		// nothing re-ran.
 		res.Composed = true
 		res.EventsSkipped = uint64(part.Events())
-		shard.ObserveCompose(time.Since(pstart), part.Events())
-		rep.Spans.Since(span.StageCompose, pstart, int64(part.Ops()))
+		sc.spans.Since(span.StageCompose, pstart, int64(part.Ops()))
 		return 0, true
 	}
 	res.EventsSkipped = uint64(part.SkippedEvents())
-	shard.ObservePartialSim(time.Since(pstart), part.Ops(), part.SkippedEvents())
-	rep.Spans.Since(span.StagePartialSim, pstart, int64(part.Ops()))
+	sc.spans.Since(span.StagePartialSim, pstart, int64(part.Ops()))
 	// The modelled backend replays only the partition's recorded ops, so
 	// it charges latency pro-rata to the replayed fraction of the trace.
 	return time.Duration(float64(s.r.EvalLatency) * float64(part.Ops()) / float64(part.Events())), true
@@ -469,7 +468,11 @@ func relabel(m *profile.Metrics, label string) *profile.Metrics {
 func (s *EvalSession) partition(sc *evalScratch, rep *profile.Replayer) *profile.Partition {
 	sc.key = appendPartitionKey(sc.key[:0], &sc.cfg)
 	part, _ := s.parts.get(sc.key, func() (*profile.Partition, bool) {
+		start := time.Now()
 		part, err := rep.Partition(s.ct, sc.cfg, s.r.Hierarchy)
+		if err == nil {
+			sc.spans.Since(span.StagePartitionBuild, start, int64(s.ct.Len()))
+		}
 		return part, err == nil
 	})
 	return part

@@ -9,6 +9,7 @@ import (
 	"dmexplore/internal/alloc"
 	"dmexplore/internal/memhier"
 	"dmexplore/internal/telemetry"
+	"dmexplore/internal/telemetry/span"
 )
 
 // TestRunnerTelemetryAccounting runs a cold sweep, then a fully cached
@@ -162,5 +163,92 @@ func TestRunnerErrorCarriesLabels(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("error never journaled")
+	}
+}
+
+// TestSessionCountsEachStageOnce walks the same incremental Easyport
+// waves with a flight recorder attached (Runner.Telemetry and
+// Runner.Spans both set, perfbench's shape) and with the collector
+// alone. Each walk is two sessions over one fresh Store, so the second
+// is partly Store-served. The two collectors must agree counter for
+// counter; in the traced walk each counter must equal its stage's
+// aggregate in the recorder, every raw span must be one the aggregates
+// count, and each partition build must be counted once.
+func TestSessionCountsEachStageOnce(t *testing.T) {
+	walk := func(spans *span.Recorder) (snap telemetry.Snapshot, partitions uint64) {
+		t.Helper()
+		store, err := OpenStore(filepath.Join(t.TempDir(), "store.jsonl"), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := easyportRunner(t, true)
+		r.Workers = 1 // which wave member builds a shared pool run is scheduling-dependent
+		r.Store = store
+		r.Telemetry = telemetry.NewCollector(1)
+		r.Spans = spans
+		for _, waves := range [][][]int{
+			{{128, 129, 256, 257, 0}, {128, 256, 1, 130}},
+			{{128, 129, 257, 258, 2}},
+		} {
+			sess, err := r.NewSession(EasyportSpace())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, wave := range waves {
+				if _, err := sess.Eval(wave, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			partitions += uint64(sess.IncrementalCacheStats().PartitionEntries)
+			sess.Close()
+		}
+		return r.Telemetry.Snapshot(), partitions
+	}
+	rec := span.NewRecorder(1, span.DefaultRingCapacity)
+	traced, partitions := walk(rec)
+	plain, _ := walk(nil)
+
+	type counters struct {
+		sims, partial, builds, composed, hits, misses, memo, events, skipped uint64
+	}
+	of := func(s telemetry.Snapshot) counters {
+		return counters{s.Sims, s.PartialSims, s.PartitionBuilds, s.ComposedEvals,
+			s.CacheHits, s.CacheMisses, s.MemoHits, s.Events, s.EventsSkipped}
+	}
+	got := of(traced)
+	if got != of(plain) {
+		t.Fatalf("traced counters %+v, plain %+v", got, of(plain))
+	}
+	if got.partial == 0 || got.composed == 0 || got.hits == 0 || got.misses == 0 || got.memo == 0 {
+		t.Fatalf("walk misses a tier: %+v", got)
+	}
+
+	stages := rec.Snapshot()
+	row := func(st span.Stage) span.StageSnapshot { return stages[st] }
+	want := counters{
+		sims:     row(span.StageFullSim).Count + row(span.StagePartialSim).Count,
+		partial:  row(span.StagePartialSim).Count,
+		builds:   row(span.StagePartitionBuild).Count,
+		composed: row(span.StageCompose).Count,
+		hits:     uint64(row(span.StageCacheProbe).Arg),
+		misses:   row(span.StageCacheProbe).Count - uint64(row(span.StageCacheProbe).Arg),
+		memo:     got.memo,
+		events: uint64(row(span.StageFullSim).Arg + row(span.StagePartialSim).Arg +
+			row(span.StagePartitionBuild).Arg),
+		skipped: got.skipped,
+	}
+	if got != want {
+		t.Fatalf("counters %+v, stage aggregates %+v", got, want)
+	}
+	if got.builds != partitions {
+		t.Fatalf("%d partition builds counted for %d partitions", got.builds, partitions)
+	}
+	spans := rec.Ring(0).Len() + rec.Coord().Len() // the walk's one worker ring
+	var counted uint64
+	for _, st := range stages {
+		counted += st.Count
+	}
+	if spans != counted {
+		t.Fatalf("%d raw spans, %d counted by the stage aggregates", spans, counted)
 	}
 }

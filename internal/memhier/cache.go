@@ -4,10 +4,10 @@ import "fmt"
 
 // Cache simulates a set-associative cache with LRU replacement in front of
 // a backing layer. The paper's platform uses a software-controlled
-// scratchpad rather than a cache for L1, but the exploration tool supports
-// cached hierarchies too; dmexplore uses this model for the cache-mapping
-// ablation (A1 variants) and to demonstrate per-layer accounting with a
-// hardware-managed level.
+// scratchpad rather than a cache for L1, but the profiler supports cached
+// hierarchies too: `dmprofile -cache` and examples/custom_hierarchy attach
+// this model (profile.Options.Caches) to show per-layer accounting with a
+// hardware-managed level. Exploration sessions never attach one.
 //
 // The model is trace-exact for hits/misses given word-granular addresses:
 // each access touches one line; a miss evicts the LRU way of the set and

@@ -3,10 +3,12 @@ package profile
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"dmexplore/internal/alloc"
 	"dmexplore/internal/memhier"
 	"dmexplore/internal/telemetry"
+	"dmexplore/internal/telemetry/span"
 	"dmexplore/internal/trace"
 	"dmexplore/internal/workload"
 )
@@ -96,8 +98,8 @@ func BenchmarkReplayVTC(b *testing.B) {
 }
 
 // BenchmarkReplayTelemetry is the instrumented twin of
-// BenchmarkReplayEasyport: the same steady-state replay loop with a
-// telemetry shard attached, as core.Runner workers run it. Comparing
+// BenchmarkReplayEasyport: the same warm Run plus the full-sim record a
+// core.Runner session worker adds to its collector's ring. Comparing
 // its events/sec against the plain benchmark bounds the observation
 // overhead (make bench-telemetry; the budget is <2%). ReportAllocs
 // doubles as the zero-allocation guard.
@@ -121,7 +123,7 @@ func BenchmarkReplayTelemetry(b *testing.B) {
 	} {
 		b.Run(cfg.Label, func(b *testing.B) {
 			rep := NewReplayer()
-			rep.Shard = col.Shard(0)
+			ring := col.Spans().Ring(0)
 			if _, err := rep.Run(ct, cfg, h, Options{}); err != nil {
 				b.Fatal(err)
 			}
@@ -129,9 +131,11 @@ func BenchmarkReplayTelemetry(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				start := time.Now()
 				if _, err := rep.Run(ct, cfg, h, Options{}); err != nil {
 					b.Fatal(err)
 				}
+				ring.Since(span.StageFullSim, start, int64(ct.Len()))
 			}
 			b.StopTimer()
 			eventsPerSec := float64(ct.Len()) * float64(b.N) / b.Elapsed().Seconds()

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"dmexplore/internal/alloc"
 	"dmexplore/internal/memhier"
 	"dmexplore/internal/mutant"
 	"dmexplore/internal/simheap"
-	"dmexplore/internal/telemetry/span"
 	"dmexplore/internal/trace"
 )
 
@@ -213,10 +211,6 @@ func (p *Partition) MemBytes() int64 {
 // flat loop (replayFlat): the fast-path cost model of Run with zero
 // Options.
 func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hierarchy) (*Partition, error) {
-	var start time.Time
-	if r.Shard != nil || r.Spans != nil {
-		start = time.Now()
-	}
 	genLayer, ok := h.ByName(cfg.General.Layer)
 	if !ok {
 		return nil, fmt.Errorf("profile: unknown general layer %q", cfg.General.Layer)
@@ -272,10 +266,6 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 	p.allocs = len(rec.sizes)
 	p.fMax = append(make([]int64, 0, len(rec.fMax)), rec.fMax...)
 	p.opsHash = hashOps(p.ops)
-	if r.Shard != nil {
-		r.Shard.ObservePartitionBuild(time.Since(start), ct.Len())
-	}
-	r.Spans.Since(span.StagePartitionBuild, start, int64(ct.Len()))
 	return p, nil
 }
 

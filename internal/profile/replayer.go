@@ -7,14 +7,11 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"time"
 
 	"dmexplore/internal/alloc"
 	"dmexplore/internal/memhier"
 	"dmexplore/internal/mutant"
 	"dmexplore/internal/simheap"
-	"dmexplore/internal/telemetry"
-	"dmexplore/internal/telemetry/span"
 	"dmexplore/internal/trace"
 )
 
@@ -32,19 +29,6 @@ import (
 // A Replayer is not safe for concurrent use; explorations run one per
 // worker, taken warm from GetReplayer's pool and given back after.
 type Replayer struct {
-	// Shard, when non-nil, receives per-run telemetry: simulation wall
-	// time and events replayed. Recording is a few uncontended atomic
-	// adds outside the replay loop, so the zero-alloc guarantee holds
-	// with telemetry enabled.
-	Shard *telemetry.Shard
-
-	// Spans, when non-nil, is this worker's flight-recorder ring: every
-	// full run, partial run and partition build lands one typed span.
-	// Recording shares the Shard's timing reads and is itself
-	// allocation-free, so the zero-alloc guarantee holds with the
-	// recorder attached too.
-	Spans *span.Ring
-
 	ptrs []alloc.Ptr // dense ID -> payload pointer
 	live []bool      // dense ID -> allocation currently live (not failed)
 
@@ -98,16 +82,17 @@ func GetReplayer() *Replayer {
 
 // PutReplayer gives r back to the pool, which drops it when it already
 // holds GOMAXPROCS Replayers. r keeps the capacity of its scratch tables
-// but drops the telemetry shard, the span ring, the log sink and the
-// trace its flat view describes: a pooled Replayer keeps no job's trace
-// alive, and a later trace allocated at the same address cannot match
-// the stale view. r must not be used after PutReplayer.
+// but drops the log sink and the trace its flat view describes: a pooled
+// Replayer keeps no job's trace alive, and a later trace allocated at the
+// same address cannot match the stale view. r must not be used after
+// PutReplayer.
 func PutReplayer(r *Replayer) {
-	r.Shard, r.Spans = nil, nil
 	if r.log != nil {
 		r.log.blk.Reset(nil)
 	}
-	r.flat.ct = nil
+	if mutant.Name != "pooled-trace-kept" {
+		r.flat.ct = nil
+	}
 	warm.mu.Lock()
 	defer warm.mu.Unlock()
 	if len(warm.free) < runtime.GOMAXPROCS(0) {
@@ -180,10 +165,6 @@ func (r *Replayer) applyOptions(ctx *simheap.Context, h *memhier.Hierarchy, opts
 // compiled trace is shared read-only; the Replayer's scratch state is
 // reset, not reallocated, between runs.
 func (r *Replayer) Run(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hierarchy, opts Options) (*Metrics, error) {
-	var start time.Time
-	if r.Shard != nil || r.Spans != nil {
-		start = time.Now()
-	}
 	ctx := r.context(h)
 	lw, err := r.applyOptions(ctx, h, opts)
 	if err != nil {
@@ -235,10 +216,6 @@ func (r *Replayer) Run(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hierarch
 	m.EnergyNJ = ctx.Energy()
 	m.Cycles = ctx.Cycles()
 	m.PeakRequestedBytes = ct.PeakRequestedBytes
-	if r.Shard != nil {
-		r.Shard.ObserveSim(time.Since(start), ct.Len())
-	}
-	r.Spans.Since(span.StageFullSim, start, int64(ct.Len()))
 	return m, nil
 }
 
@@ -277,7 +254,9 @@ func (r *Replayer) replay(ct *trace.Compiled, a alloc.Allocator, ctx *simheap.Co
 			ptr, err := a.Malloc(size)
 			id := ids.At(i)
 			if err != nil {
-				r.ptrs[id], r.live[id] = alloc.Ptr{}, false
+				if mutant.Name != "failed-ptr-kept" {
+					r.ptrs[id], r.live[id] = alloc.Ptr{}, false
+				}
 				if errors.Is(err, alloc.ErrOutOfMemory) {
 					m.Failures++
 					continue
@@ -413,7 +392,9 @@ func (r *Replayer) replayFlat(ct *trace.Compiled, a alloc.Allocator, ctx *simhea
 		if trace.ArgKind(op.arg) == trace.KindAlloc {
 			ptr, err := a.Malloc(int64(ct.Arg(op.arg)))
 			if err != nil {
-				r.ptrs[op.id], r.live[op.id] = alloc.Ptr{}, false
+				if mutant.Name != "failed-ptr-kept" {
+					r.ptrs[op.id], r.live[op.id] = alloc.Ptr{}, false
+				}
 				if errors.Is(err, alloc.ErrOutOfMemory) {
 					m.Failures++
 					if mutant.Name == "flat-failed-charged" {

@@ -519,9 +519,9 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestReplayTelemetryZeroAllocs extends the hot-path guard to the
-// instrumented path: a Replayer with a telemetry shard attached — the
-// exact shape core.Runner workers use — must still replay a warm
-// compiled trace with zero heap allocations, ObserveSim included.
+// instrumented path: a warm replay followed by the full-sim record a
+// core.Runner session worker adds to its collector's ring must perform
+// zero heap allocations.
 func TestReplayTelemetryZeroAllocs(t *testing.T) {
 	p := workload.DefaultEasyportParams()
 	p.Packets = 200
@@ -535,6 +535,7 @@ func TestReplayTelemetryZeroAllocs(t *testing.T) {
 	}
 	h := memhier.EmbeddedSoC()
 	col := telemetry.NewCollector(1)
+	ring := col.Spans().Ring(0)
 	for _, cfg := range presetConfigs() {
 		ctx := simheap.NewContext(h)
 		a, err := cfg.Build(ctx, nil)
@@ -542,7 +543,6 @@ func TestReplayTelemetryZeroAllocs(t *testing.T) {
 			t.Fatalf("%s: %v", cfg.Label, err)
 		}
 		r := NewReplayer()
-		r.Shard = col.Shard(0)
 		r.reset(ct.NumIDs)
 		var warm Metrics
 		if err := r.replay(ct, a, ctx, &warm, 0, nil); err != nil {
@@ -555,7 +555,7 @@ func TestReplayTelemetryZeroAllocs(t *testing.T) {
 			if err := r.replay(ct, a, ctx, &m, 0, nil); err != nil {
 				t.Errorf("%s: replay: %v", cfg.Label, err)
 			}
-			r.Shard.ObserveSim(time.Since(start), ct.Len())
+			ring.Since(span.StageFullSim, start, int64(ct.Len()))
 		})
 		if avg != 0 {
 			t.Errorf("%s: instrumented replay allocates %.1f times per run, want 0", cfg.Label, avg)
@@ -567,10 +567,11 @@ func TestReplayTelemetryZeroAllocs(t *testing.T) {
 }
 
 // TestReplaySpansZeroAllocs proves the flight recorder preserves the
-// replay hot path's zero-allocation guarantee: a full Run with both a
-// telemetry shard and a span ring attached performs no heap allocations
-// in steady state beyond the Metrics result itself — so the per-event
-// loop and the span Record stay allocation-free.
+// replay hot path's zero-allocation guarantee: a warm replay followed by
+// the full-sim record into a collector whose source is a raw flight
+// recorder (Collector.Use, as sessions do when Runner.Spans is set)
+// performs no heap allocations — so the per-event loop and the raw span
+// write stay allocation-free.
 func TestReplaySpansZeroAllocs(t *testing.T) {
 	p := workload.DefaultEasyportParams()
 	p.Packets = 200
@@ -585,6 +586,8 @@ func TestReplaySpansZeroAllocs(t *testing.T) {
 	h := memhier.EmbeddedSoC()
 	col := telemetry.NewCollector(1)
 	rec := span.NewRecorder(1, 1024)
+	col.Use(rec)
+	ring := col.Spans().Ring(0)
 	for _, cfg := range presetConfigs() {
 		ctx := simheap.NewContext(h)
 		a, err := cfg.Build(ctx, nil)
@@ -592,8 +595,6 @@ func TestReplaySpansZeroAllocs(t *testing.T) {
 			t.Fatalf("%s: %v", cfg.Label, err)
 		}
 		r := NewReplayer()
-		r.Shard = col.Shard(0)
-		r.Spans = rec.Ring(0)
 		r.reset(ct.NumIDs)
 		var warm Metrics
 		if err := r.replay(ct, a, ctx, &warm, 0, nil); err != nil {
@@ -606,8 +607,7 @@ func TestReplaySpansZeroAllocs(t *testing.T) {
 			if err := r.replay(ct, a, ctx, &m, 0, nil); err != nil {
 				t.Errorf("%s: replay: %v", cfg.Label, err)
 			}
-			r.Shard.ObserveSim(time.Since(start), ct.Len())
-			r.Spans.Since(span.StageFullSim, start, int64(ct.Len()))
+			ring.Since(span.StageFullSim, start, int64(ct.Len()))
 		})
 		if avg != 0 {
 			t.Errorf("%s: span-instrumented replay allocates %.1f times per run, want 0", cfg.Label, avg)
@@ -616,7 +616,7 @@ func TestReplaySpansZeroAllocs(t *testing.T) {
 	if n := rec.Ring(0).Len(); n == 0 {
 		t.Fatal("span ring recorded nothing")
 	}
-	if snap := rec.Snapshot(); snap[span.StageFullSim].Count == 0 {
-		t.Fatalf("full-sim stage empty: %+v", snap)
+	if s := col.Snapshot(); s.Sims == 0 || s.Events == 0 {
+		t.Fatalf("telemetry recorded nothing: %+v", s)
 	}
 }

@@ -10,8 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"dmexplore/internal/telemetry/span"
 )
 
 // The expvar variable is published once per process but must follow the
@@ -53,14 +51,13 @@ const CloseTimeout = 5 * time.Second
 // Serve starts an HTTP listener at addr exposing:
 //
 //	/metrics      — Prometheus text exposition of the live snapshot,
-//	                plus per-stage histograms when spans is non-nil
+//	                plus the per-stage histograms of col.Spans()
 //	/healthz      — liveness probe, always "ok"
 //	/debug/vars   — expvar, including the live telemetry snapshot
 //	/debug/pprof/ — net/http/pprof profiles for diagnosing long sweeps
 //
-// spans may be nil; /metrics then omits the stage histograms. It
-// returns once the listener is bound; the server runs until Close.
-func Serve(addr string, col *Collector, spans *span.Recorder) (*Server, error) {
+// It returns once the listener is bound; the server runs until Close.
+func Serve(addr string, col *Collector) (*Server, error) {
 	publishExpvar(col)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -69,13 +66,9 @@ func Serve(addr string, col *Collector, spans *span.Recorder) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		var stages []span.StageSnapshot
-		if spans != nil {
-			stages = spans.Snapshot()
-		}
 		// A scrape races the run by design: the snapshot reads atomic
 		// aggregates, never the raw rings.
-		_ = WritePrometheus(w, col.Snapshot(), stages)
+		_ = WritePrometheus(w, col.Snapshot(), col.Spans().Snapshot())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -13,10 +13,10 @@ import (
 
 func TestServeExpvarAndPprof(t *testing.T) {
 	col := NewCollector(2)
-	col.Shard(0).ObserveSim(time.Millisecond, 500)
-	col.Shard(1).CacheHit()
+	col.Spans().Ring(0).Record(span.StageFullSim, 0, time.Millisecond, 500)
+	col.Spans().Ring(1).Record(span.StageCacheProbe, 0, time.Microsecond, 1)
 
-	srv, err := Serve("127.0.0.1:0", col, nil)
+	srv, err := Serve("127.0.0.1:0", col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestServeExpvarAndPprof(t *testing.T) {
 	// A second Serve (fresh collector) must re-point the published var,
 	// not panic on duplicate expvar registration.
 	col2 := NewCollector(1)
-	srv2, err := Serve("127.0.0.1:0", col2, nil)
+	srv2, err := Serve("127.0.0.1:0", col2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +86,11 @@ func TestServeExpvarAndPprof(t *testing.T) {
 
 func TestServeMetricsAndHealthz(t *testing.T) {
 	col := NewCollector(2)
-	col.Shard(0).ObserveSim(time.Millisecond, 500)
-	col.Shard(1).CacheHit()
-	rec := span.NewRecorder(2, 64)
-	rec.Ring(0).Record(span.StageFullSim, 0, time.Millisecond, 500)
+	col.Use(span.NewRecorder(2, 64))
+	col.Spans().Ring(0).Record(span.StageFullSim, 0, time.Millisecond, 500)
+	col.Spans().Ring(1).Record(span.StageCacheProbe, 0, time.Microsecond, 1)
 
-	srv, err := Serve("127.0.0.1:0", col, rec)
+	srv, err := Serve("127.0.0.1:0", col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,6 +113,7 @@ func TestServeMetricsAndHealthz(t *testing.T) {
 		"dmexplore_cache_hits_total 1",
 		"dmexplore_events_replayed_total 500",
 		`dmexplore_stage_duration_seconds_count{stage="full-sim"} 1`,
+		`dmexplore_stage_duration_seconds_count{stage="compose"} 0`,
 	} {
 		if !strings.Contains(string(body), want+"\n") {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
@@ -136,7 +136,7 @@ func TestServeMetricsAndHealthz(t *testing.T) {
 // completes, and the port is free for rebinding once Close returns.
 func TestCloseDrainsInFlightScrapeAndReleasesPort(t *testing.T) {
 	col := NewCollector(1)
-	srv, err := Serve("127.0.0.1:0", col, nil)
+	srv, err := Serve("127.0.0.1:0", col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestCloseDrainsInFlightScrapeAndReleasesPort(t *testing.T) {
 	}
 
 	// The exact port must be rebindable immediately.
-	srv2, err := Serve(srv.Addr, col, nil)
+	srv2, err := Serve(srv.Addr, col)
 	if err != nil {
 		t.Fatalf("port not released: %v", err)
 	}

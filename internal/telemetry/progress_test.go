@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dmexplore/internal/telemetry/span"
 )
 
 func TestProgressThrottles(t *testing.T) {
@@ -32,9 +34,9 @@ func TestProgressThrottles(t *testing.T) {
 
 func TestProgressShowsRateEtaAndHitRate(t *testing.T) {
 	col := NewCollector(1)
-	col.Shard(0).CacheHit()
-	col.Shard(0).CacheHit()
-	col.Shard(0).CacheMiss()
+	for _, hit := range []int64{1, 1, 0} {
+		col.Spans().Ring(0).Record(span.StageCacheProbe, 0, time.Microsecond, hit)
+	}
 	var buf bytes.Buffer
 	p := NewProgress(&buf, col, time.Nanosecond)
 	p.start = p.start.Add(-time.Second) // pretend a second elapsed

@@ -37,13 +37,13 @@ import (
 //	dmexplore_sim_latency_quantile_seconds  SimP50Ms, SimP90Ms, SimP99Ms
 //	dmexplore_sim_latency_seconds           LatencyBuckets (histogram)
 //
-// plus, when a flight recorder is attached, one histogram per pipeline
-// stage:
+// plus one histogram per pipeline stage:
 //
 //	dmexplore_stage_duration_seconds{stage=...}  span aggregates
 
 // WritePrometheus writes the snapshot (and, when stages is non-nil, the
-// flight recorder's per-stage histograms) in Prometheus text format.
+// per-stage histograms of the collector's recorder) in Prometheus text
+// format.
 func WritePrometheus(w io.Writer, s Snapshot, stages []span.StageSnapshot) error {
 	var b strings.Builder
 

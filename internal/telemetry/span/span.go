@@ -1,8 +1,10 @@
 // Package span is the exploration pipeline's flight recorder: typed,
-// timestamped spans for every pipeline stage (trace/log ingest, v2 block
-// decode, compile, partition build, batch waves, partial and full simulations, cache probes, journal flushes), recorded
-// into fixed-capacity per-worker ring buffers with zero steady-state
-// allocation, and exportable as Chrome trace-event JSON for Perfetto.
+// timestamped spans for every pipeline stage (trace ingest, compile,
+// partition build, batch waves, partial and full simulations,
+// compositions, cache probes), recorded into fixed-capacity per-worker
+// ring buffers with zero steady-state allocation, and exportable as
+// Chrome trace-event JSON for Perfetto. The rings' per-stage aggregates
+// are also what the telemetry collector's counters are derived from.
 //
 // Recording is built for the replay hot path, mirroring the telemetry
 // shards: a worker owns one Ring, a span record is an atomic slot claim
@@ -30,32 +32,26 @@ import (
 type Stage uint8
 
 const (
-	StageLogIngest      Stage = iota // parsing a profile log into summaries
-	StageTraceIngest                 // reading or generating a workload trace
-	StageBlockDecode                 // decoding block-framed v2 payloads
+	StageTraceIngest    Stage = iota // reading or generating a workload trace
 	StageCompile                     // compiling a trace into columnar slabs
 	StagePartitionBuild              // invariant-partition replay (incremental path)
 	StageBatchWave                   // one evaluation wave across the worker pool
 	StagePartialSim                  // partial (incremental) simulation of one config
 	StageFullSim                     // full replay simulation of one config
 	StageCacheProbe                  // results-cache lookup for one config
-	StageJournalFlush                // flushing the JSONL journal to disk
 	StageCompose                     // memoized pool-run composition of one config (no sim)
 
 	NumStages int = iota
 )
 
 var stageNames = [NumStages]string{
-	StageLogIngest:      "log-ingest",
 	StageTraceIngest:    "trace-ingest",
-	StageBlockDecode:    "block-decode",
 	StageCompile:        "compile",
 	StagePartitionBuild: "partition-build",
 	StageBatchWave:      "batch-wave",
 	StagePartialSim:     "partial-sim",
 	StageFullSim:        "full-sim",
 	StageCacheProbe:     "cache-probe",
-	StageJournalFlush:   "journal-flush",
 	StageCompose:        "compose",
 }
 
@@ -78,8 +74,8 @@ func Stages() []Stage {
 }
 
 // Span is one recorded interval. Start is nanoseconds since the
-// recorder's epoch; Arg is a stage-specific payload (events replayed,
-// candidates scored, bytes decoded, records flushed).
+// recorder's epoch; Arg is a stage-specific payload (events replayed or
+// ops replayed, configurations in a wave, 1 for a cache hit).
 type Span struct {
 	Stage Stage
 	Start int64 // ns since Recorder epoch
@@ -88,20 +84,22 @@ type Span struct {
 }
 
 // stageAgg is one stage's merged accounting within a ring: span count,
-// total nanoseconds, and a log2 duration histogram. All atomics, so the
-// Prometheus handler can scrape mid-run without perturbing the worker.
+// total nanoseconds, the sum of the spans' args and a log2 duration
+// histogram. All atomics, so the Prometheus handler can scrape mid-run
+// without perturbing the worker.
 type stageAgg struct {
 	count atomic.Uint64
 	nanos atomic.Int64
+	arg   atomic.Int64
 	hist  [stats.NumLog2Buckets]atomic.Uint64
 }
 
 // Ring is one worker's span buffer: a fixed-capacity circular buffer of
 // raw spans plus per-stage aggregates. Slots are claimed with an atomic
 // counter, so occasional multi-goroutine writers (the coordinator ring)
-// stay safe; the raw entries are read only after writers quiesce. The
-// struct is padded to keep adjacent rings out of each other's cache
-// lines.
+// stay safe; the raw entries are read only after writers quiesce. A ring
+// of capacity 0 keeps the aggregates only. The struct is padded to keep
+// adjacent rings out of each other's cache lines.
 type Ring struct {
 	epoch  time.Time
 	spans  []Span
@@ -121,7 +119,11 @@ func (r *Ring) Record(st Stage, start, dur time.Duration, arg int64) {
 	agg := &r.stages[st]
 	agg.count.Add(1)
 	agg.nanos.Add(ns)
+	agg.arg.Add(arg)
 	agg.hist[stats.Log2Bucket(ns)].Add(1)
+	if len(r.spans) == 0 {
+		return
+	}
 	i := r.n.Add(1) - 1
 	r.spans[i%uint64(len(r.spans))] = Span{
 		Stage: st,
@@ -146,8 +148,8 @@ func (r *Ring) Since(st Stage, start time.Time, arg int64) {
 	r.Record(st, start.Sub(r.epoch), time.Since(start), arg)
 }
 
-// Len returns how many spans the ring has recorded (including ones the
-// buffer has since overwritten).
+// Len returns how many raw spans the ring has recorded (including ones
+// the buffer has since overwritten); 0 for an aggregates-only ring.
 func (r *Ring) Len() uint64 {
 	if r == nil {
 		return 0
@@ -157,34 +159,34 @@ func (r *Ring) Len() uint64 {
 
 // Recorder owns the rings of one run: one per worker plus a coordinator
 // ring for the stages driven by the strategy goroutine (batch waves,
-// ingest, compile, journal flushes).
+// ingest, compile).
 type Recorder struct {
-	epoch time.Time
 	rings []Ring
 }
 
-// DefaultRingCapacity is the per-ring span capacity when NewRecorder is
-// given none: large enough that a multi-thousand-configuration sweep
-// keeps every span, small enough (~40 B/span) to stay off any budget.
+// DefaultRingCapacity is the per-ring span capacity of a flight
+// recorder: large enough that a multi-thousand-configuration sweep keeps
+// every span, small enough (~32 B/span) to stay off any budget.
 const DefaultRingCapacity = 1 << 14
 
 // NewRecorder returns a recorder with one ring per worker plus the
-// coordinator ring, all sharing one epoch. workers <= 0 allocates a
-// single worker ring; capacity <= 0 uses DefaultRingCapacity.
+// coordinator ring, all sharing one epoch, each holding capacity raw
+// spans. workers <= 0 allocates a single worker ring; capacity <= 0
+// keeps aggregates only: no raw span is stored, so Len and Dropped read
+// 0 and WriteTrace writes an empty trace.
 func NewRecorder(workers, capacity int) *Recorder {
 	if workers <= 0 {
 		workers = 1
-	}
-	if capacity <= 0 {
-		capacity = DefaultRingCapacity
 	}
 	epoch := time.Now()
 	rings := make([]Ring, workers+1)
 	for i := range rings {
 		rings[i].epoch = epoch
-		rings[i].spans = make([]Span, capacity)
+		if capacity > 0 {
+			rings[i].spans = make([]Span, capacity)
+		}
 	}
-	return &Recorder{epoch: epoch, rings: rings}
+	return &Recorder{rings: rings}
 }
 
 // Ring returns worker i's ring, wrapping like telemetry.Collector.Shard
@@ -200,8 +202,8 @@ func (r *Recorder) Ring(i int) *Ring {
 	return &r.rings[i%(len(r.rings)-1)]
 }
 
-// Coord returns the coordinator ring (ingest, compile, batch waves,
-// journal flushes). Nil-safe.
+// Coord returns the coordinator ring (ingest, compile, batch waves).
+// Nil-safe.
 func (r *Recorder) Coord() *Ring {
 	if r == nil {
 		return nil
@@ -209,22 +211,15 @@ func (r *Recorder) Coord() *Ring {
 	return &r.rings[len(r.rings)-1]
 }
 
-// Workers returns the number of worker rings (the coordinator ring is
-// extra).
-func (r *Recorder) Workers() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.rings) - 1
-}
-
 // StageSnapshot is one stage's merged accounting across every ring — the
-// run-summary breakdown row and the Prometheus histogram source.
+// run-summary breakdown row, the Prometheus histogram source and what
+// the telemetry collector's counters are derived from.
 type StageSnapshot struct {
 	Stage   Stage    `json:"-"`
 	Name    string   `json:"stage"`
 	Count   uint64   `json:"count"`
 	Seconds float64  `json:"seconds"`
+	Arg     int64    `json:"-"` // sum of the spans' args
 	Buckets []uint64 `json:"-"` // merged log2 duration histogram (ns buckets)
 }
 
@@ -244,6 +239,9 @@ func (r *Recorder) Snapshot() []StageSnapshot {
 		var nanos int64
 		for i := range r.rings {
 			agg := &r.rings[i].stages[st]
+			// Record adds the count before the arg, so loading the arg
+			// first keeps a cache probe's hit sum within its count.
+			row.Arg += agg.arg.Load()
 			row.Count += agg.count.Load()
 			nanos += agg.nanos.Load()
 			for b := range agg.hist {

@@ -20,7 +20,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 	for _, row := range snap {
 		byName[row.Name] = row
 	}
-	if row := byName["full-sim"]; row.Count != 1 || row.Seconds != 5e-6 {
+	if row := byName["full-sim"]; row.Count != 1 || row.Seconds != 5e-6 || row.Arg != 100 {
 		t.Fatalf("full-sim row: %+v", row)
 	}
 	if row := byName["partial-sim"]; row.Count != 1 {
@@ -90,9 +90,44 @@ func TestRingWrapKeepsNewestAndCountsDropped(t *testing.T) {
 			t.Fatalf("span %d arg %d, want %d", i, sp.Arg, 6+i)
 		}
 	}
-	// Aggregates keep the full count even after the buffer wrapped.
-	if row := r.Snapshot()[StageFullSim]; row.Count != 10 {
-		t.Fatalf("aggregate count %d, want 10", row.Count)
+	// Aggregates keep the full count and arg sum even after the buffer
+	// wrapped.
+	if row := r.Snapshot()[StageFullSim]; row.Count != 10 || row.Arg != 45 {
+		t.Fatalf("aggregate count %d, arg sum %d, want 10 and 45", row.Count, row.Arg)
+	}
+}
+
+// TestAggregatesOnlyRecorder pins capacity 0: the rings keep every
+// stage's count, time and arg sum, but store no raw span, so Len and
+// Dropped read 0 and the exported trace holds only the thread names.
+func TestAggregatesOnlyRecorder(t *testing.T) {
+	r := NewRecorder(2, 0)
+	for i := 0; i < 5; i++ {
+		r.Ring(i).Record(StageCacheProbe, 0, time.Microsecond, int64(i%2))
+	}
+	r.Coord().Record(StageBatchWave, 0, time.Millisecond, 5)
+	row := r.Snapshot()[StageCacheProbe]
+	if row.Count != 5 || row.Arg != 2 || row.Seconds != 5e-6 {
+		t.Fatalf("cache-probe row: %+v", row)
+	}
+	if n := r.Ring(0).Len() + r.Ring(1).Len() + r.Coord().Len(); n != 0 || r.Dropped() != 0 {
+		t.Fatalf("aggregates-only recorder kept %d raw spans, dropped %d", n, r.Dropped())
+	}
+	var buf bytes.Buffer
+	if err := r.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	events, dropped, err := ReadTrace(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		if ev.Phase != "M" {
+			t.Fatalf("aggregates-only trace has a span: %+v", ev)
+		}
+	}
+	if len(events) != 3 || dropped != 0 {
+		t.Fatalf("aggregates-only trace: %d events, %d dropped", len(events), dropped)
 	}
 }
 
@@ -110,7 +145,7 @@ func TestNilSafety(t *testing.T) {
 	if ring.Len() != 0 {
 		t.Fatal("nil ring recorded")
 	}
-	if r.Snapshot() != nil || r.Dropped() != 0 || r.Workers() != 0 {
+	if r.Snapshot() != nil || r.Dropped() != 0 {
 		t.Fatal("nil recorder snapshot not empty")
 	}
 }
@@ -137,9 +172,9 @@ func TestRecordZeroAlloc(t *testing.T) {
 
 func TestStageNamesStable(t *testing.T) {
 	want := []string{
-		"log-ingest", "trace-ingest", "block-decode", "compile",
+		"trace-ingest", "compile",
 		"partition-build", "batch-wave",
-		"partial-sim", "full-sim", "cache-probe", "journal-flush",
+		"partial-sim", "full-sim", "cache-probe",
 		"compose",
 	}
 	stages := Stages()

@@ -1,15 +1,15 @@
 // Package telemetry instruments the exploration engine: per-worker
-// sharded counters and latency histograms merged on snapshot, an
-// append-only JSONL run journal, a throttled terminal progress reporter
-// with ETA, and an optional expvar/pprof HTTP endpoint for long sweeps.
+// counters merged on snapshot, an append-only JSONL run journal, a
+// throttled terminal progress reporter with ETA, and an optional
+// expvar/pprof HTTP endpoint for long sweeps.
 //
-// The recording side is built for the replay hot path: a worker owns one
-// Shard, every record is a handful of uncontended atomic adds into
-// padded, pre-sized arrays — no locks, no maps, no allocation — so the
-// AllocsPerRun guard on the steady-state replay loop keeps reporting
-// zero even with telemetry enabled. Readers (the progress line, expvar,
-// the final run summary) merge all shards into a Snapshot at whatever
-// rate they like without perturbing the workers.
+// Pipeline work is counted once, in the per-stage aggregates of a span
+// recorder's per-worker rings; per-worker Shards hold what no stage
+// counts. Both take uncontended atomic adds into padded, pre-sized
+// arrays — no locks, no maps, no allocation — so the AllocsPerRun guard
+// on the steady-state replay loop keeps reporting zero with telemetry
+// enabled. Readers (the progress line, expvar, the final run summary)
+// merge everything into a Snapshot at whatever rate they like.
 package telemetry
 
 import (
@@ -19,91 +19,31 @@ import (
 	"time"
 
 	"dmexplore/internal/stats"
+	"dmexplore/internal/telemetry/span"
 )
 
-// Shard accumulates one worker's telemetry. All fields are atomics so
-// concurrent snapshots are race-free, but each shard is written by a
-// single worker, so the adds never contend. The struct is padded to keep
-// adjacent shards out of each other's cache lines.
+// Shard accumulates what one worker does that no span stage counts. All
+// fields are atomics so concurrent snapshots are race-free, but each
+// shard is written by a single worker, so the adds never contend. The
+// struct is padded to keep adjacent shards out of each other's cache
+// lines.
 type Shard struct {
-	sims     atomic.Uint64 // simulations actually executed
-	simNanos atomic.Int64  // total wall time inside those simulations
-	events   atomic.Uint64 // trace events replayed by those simulations
-
-	partialSims     atomic.Uint64 // sims served by the incremental partial path
-	eventsSkipped   atomic.Uint64 // trace events partial sims avoided replaying
-	partitionBuilds atomic.Uint64 // invariant-partition replays (one per signature)
-	composedEvals   atomic.Uint64 // evaluations composed from the pool-run memo (no sim)
-
-	cacheHits   atomic.Uint64 // configurations served from the results cache
-	cacheMisses atomic.Uint64 // cache consulted, configuration not present
-	memoHits    atomic.Uint64 // served from the in-run duplicate memo
+	memoHits      atomic.Uint64 // served from the in-run duplicate memo
+	eventsSkipped atomic.Uint64 // trace events partial sims and compositions avoided replaying
 
 	errConfig atomic.Uint64 // errors materializing a configuration
 	errSim    atomic.Uint64 // errors building or replaying a configuration
 
 	busyNanos atomic.Int64 // wall time spent working on configurations
 
-	latency [stats.NumLog2Buckets]atomic.Uint64 // simulation latency, ns, log2 buckets
-
 	_ [64]byte // keep the next shard off this one's cache lines
 }
 
-// ObserveSim records one executed simulation: its wall time and the
-// number of trace events it replayed.
-func (s *Shard) ObserveSim(d time.Duration, events int) {
-	ns := d.Nanoseconds()
-	s.sims.Add(1)
-	s.simNanos.Add(ns)
-	s.events.Add(uint64(events))
-	s.latency[stats.Log2Bucket(ns)].Add(1)
-}
-
-// ObservePartialSim records one simulation served by the incremental
-// partial-replay path: its wall time, the fallback ops it replayed and
-// the trace events it skipped relative to a full replay. Partial sims
-// count toward Sims (they complete a configuration) and are broken out
-// in PartialSims.
-func (s *Shard) ObservePartialSim(d time.Duration, replayed, skipped int) {
-	ns := d.Nanoseconds()
-	s.sims.Add(1)
-	s.partialSims.Add(1)
-	s.simNanos.Add(ns)
-	s.events.Add(uint64(replayed))
-	s.eventsSkipped.Add(uint64(skipped))
-	s.latency[stats.Log2Bucket(ns)].Add(1)
-}
-
-// ObservePartitionBuild records one invariant-partition replay (the
-// once-per-signature full-trace pass the incremental path amortizes).
-// It is not a configuration completion, so it does not count as a sim,
-// but its wall time and events feed the throughput accounting.
-func (s *Shard) ObservePartitionBuild(d time.Duration, events int) {
-	ns := d.Nanoseconds()
-	s.partitionBuilds.Add(1)
-	s.simNanos.Add(ns)
-	s.events.Add(uint64(events))
-	s.latency[stats.Log2Bucket(ns)].Add(1)
-}
-
-// ObserveCompose records one evaluation served by composing a memoized
-// standalone general-pool run with its partition — a pool-run memo hit.
-// No simulation executed, so it does not count as a sim; skipped is the
-// full trace event count the composition avoided replaying.
-func (s *Shard) ObserveCompose(d time.Duration, skipped int) {
-	_ = d // composition is sub-histogram-resolution; busy time captures it
-	s.composedEvals.Add(1)
-	s.eventsSkipped.Add(uint64(skipped))
-}
-
-// CacheHit records a configuration served from the results cache.
-func (s *Shard) CacheHit() { s.cacheHits.Add(1) }
-
-// CacheMiss records a results-cache lookup that found nothing.
-func (s *Shard) CacheMiss() { s.cacheMisses.Add(1) }
-
 // MemoHit records a configuration served from the in-run duplicate memo.
 func (s *Shard) MemoHit() { s.memoHits.Add(1) }
+
+// AddSkipped records trace events an evaluation avoided replaying.
+func (s *Shard) AddSkipped(events uint64) { s.eventsSkipped.Add(events) }
 
 // ConfigError records a failure to materialize a configuration.
 func (s *Shard) ConfigError() { s.errConfig.Add(1) }
@@ -115,22 +55,36 @@ func (s *Shard) SimError() { s.errSim.Add(1) }
 // (simulated or cache-served); utilization = busy / (workers × elapsed).
 func (s *Shard) AddBusy(d time.Duration) { s.busyNanos.Add(d.Nanoseconds()) }
 
-// Collector owns the shards of one run. Hand each worker its own shard;
-// snapshot from anywhere.
+// Collector owns the shards of one run and the span recorder whose stage
+// aggregates count its pipeline work. Hand each worker its own shard and
+// ring; snapshot from anywhere.
 type Collector struct {
 	start      time.Time
 	shards     []Shard
+	spans      atomic.Pointer[span.Recorder]
 	cacheStale atomic.Uint64 // stale results-cache entries, set by the cache owner
 }
 
-// NewCollector returns a collector with one shard per worker and the
-// run's wall clock started. workers <= 0 allocates a single shard.
+// NewCollector returns a collector with one shard per worker, an
+// aggregates-only span recorder with one ring per worker, and the run's
+// wall clock started. workers <= 0 allocates a single shard.
 func NewCollector(workers int) *Collector {
 	if workers <= 0 {
 		workers = 1
 	}
-	return &Collector{start: time.Now(), shards: make([]Shard, workers)}
+	c := &Collector{start: time.Now(), shards: make([]Shard, workers)}
+	c.spans.Store(span.NewRecorder(workers, 0))
+	return c
 }
+
+// Use makes rec, a flight recorder that also keeps raw spans, the
+// source of the collector's stage counts. Counts already recorded into
+// the previous source are not carried over.
+func (c *Collector) Use(rec *span.Recorder) { c.spans.Store(rec) }
+
+// Spans returns the recorder the collector's stage counts come from.
+// Worker i records into Spans().Ring(i).
+func (c *Collector) Spans() *span.Recorder { return c.spans.Load() }
 
 // Shard returns worker i's shard (wrapping when more workers than shards
 // show up, which degrades to sharing, never to a crash).
@@ -141,17 +95,14 @@ func (c *Collector) Shard(i int) *Shard {
 	return &c.shards[i%len(c.shards)]
 }
 
-// Workers returns the shard count.
-func (c *Collector) Workers() int { return len(c.shards) }
-
 // AddCacheStale records stale results-cache entries (version-mismatched
 // at load, or superseded by a recomputed result).
 func (c *Collector) AddCacheStale(n uint64) { c.cacheStale.Add(n) }
 
-// Snapshot is a merged, self-consistent-enough view of all shards at one
-// instant (counters are read individually; a snapshot taken mid-run can
-// be off by the records in flight, which is fine for progress and
-// expvar, and exact once the run has completed).
+// Snapshot is a merged, self-consistent-enough view of all shards and
+// stage aggregates at one instant (counters are read individually; a
+// snapshot taken mid-run can be off by the records in flight, which is
+// fine for progress and expvar, and exact once the run has completed).
 type Snapshot struct {
 	Workers    int     `json:"workers"`
 	ElapsedSec float64 `json:"elapsed_sec"`
@@ -184,7 +135,7 @@ type Snapshot struct {
 	Utilization float64 `json:"worker_utilization"`
 
 	// Simulation latency quantiles (upper bounds, exact to within one
-	// power of two) merged from the per-shard histograms.
+	// power of two) merged from the stage histograms.
 	SimP50Ms float64 `json:"sim_p50_ms"`
 	SimP90Ms float64 `json:"sim_p90_ms"`
 	SimP99Ms float64 `json:"sim_p99_ms"`
@@ -194,7 +145,10 @@ type Snapshot struct {
 	LatencyBuckets []uint64 `json:"latency_buckets,omitempty"`
 }
 
-// Snapshot merges every shard.
+// Snapshot merges every shard and the recorder's stage rows. The
+// simulation counters, time, events and latency histogram cover full
+// sims, partial sims and partition builds; a cache probe's arg is 1 for
+// a hit.
 func (c *Collector) Snapshot() Snapshot {
 	s := Snapshot{
 		Workers:    len(c.shards),
@@ -202,28 +156,41 @@ func (c *Collector) Snapshot() Snapshot {
 	}
 	elapsed := time.Since(c.start)
 	s.ElapsedSec = elapsed.Seconds()
-	var simNanos, busyNanos int64
-	buckets := make([]uint64, stats.NumLog2Buckets)
+	var busyNanos int64
 	for i := range c.shards {
 		sh := &c.shards[i]
-		s.Sims += sh.sims.Load()
-		simNanos += sh.simNanos.Load()
-		s.Events += sh.events.Load()
-		s.PartialSims += sh.partialSims.Load()
 		s.EventsSkipped += sh.eventsSkipped.Load()
-		s.PartitionBuilds += sh.partitionBuilds.Load()
-		s.ComposedEvals += sh.composedEvals.Load()
-		s.CacheHits += sh.cacheHits.Load()
-		s.CacheMisses += sh.cacheMisses.Load()
 		s.MemoHits += sh.memoHits.Load()
 		s.ErrorsConfig += sh.errConfig.Load()
 		s.ErrorsSim += sh.errSim.Load()
 		busyNanos += sh.busyNanos.Load()
-		for b := range sh.latency {
-			buckets[b] += sh.latency[b].Load()
+	}
+	buckets := make([]uint64, stats.NumLog2Buckets)
+	for _, st := range c.Spans().Snapshot() {
+		switch st.Stage {
+		case span.StageFullSim:
+			s.Sims += st.Count
+		case span.StagePartialSim:
+			s.Sims += st.Count
+			s.PartialSims = st.Count
+		case span.StagePartitionBuild:
+			s.PartitionBuilds = st.Count
+		case span.StageCompose:
+			s.ComposedEvals = st.Count
+			continue
+		case span.StageCacheProbe:
+			s.CacheHits = uint64(st.Arg)
+			s.CacheMisses = st.Count - s.CacheHits
+			continue
+		default:
+			continue
+		}
+		s.SimSecTotal += st.Seconds
+		s.Events += uint64(st.Arg)
+		for b, n := range st.Buckets {
+			buckets[b] += n
 		}
 	}
-	s.SimSecTotal = float64(simNanos) / 1e9
 	if s.ElapsedSec > 0 {
 		s.EventsPerSec = float64(s.Events) / s.ElapsedSec
 		s.Utilization = float64(busyNanos) / 1e9 / (s.ElapsedSec * float64(len(c.shards)))
