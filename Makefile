@@ -91,7 +91,8 @@ MUTANTS = \
 	flat-failed-charged:./internal/profile/:TestReplayerMatchesReferenceOOM \
 	pool-zero-general:./internal/alloc/:TestComposedRejectsMisroutedPtr \
 	pooled-trace-kept:./internal/profile/:TestWarmReplayerMatchesFresh \
-	failed-ptr-kept:./internal/profile/:TestWarmReplayerFailedAllocsForgetLastRun
+	failed-ptr-kept:./internal/profile/:TestWarmReplayerFailedAllocsForgetLastRun \
+	compose-last-fstep-dropped:./internal/profile/:TestComposeSharedLayerPeakAtLastGap
 .PHONY: mutants
 mutants:
 	@for m in $(MUTANTS); do \

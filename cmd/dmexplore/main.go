@@ -116,14 +116,8 @@ func run(args []string, out io.Writer) error {
 	if workerN <= 0 {
 		workerN = runtime.GOMAXPROCS(0)
 	}
-	// The flight recorder's raw spans are opt-in: every run counts its
-	// stages in the collector's aggregates, and the overhead gate (make
-	// bench-observe) prices the raw span writes. Created before
-	// ingest/compile so those stages land spans too.
-	var spans *span.Recorder
-	if *traceOut != "" || *metricsAddr != "" {
-		spans = span.NewRecorder(workerN, span.DefaultRingCapacity)
-	}
+	// Created before ingest/compile so those stages land spans too.
+	spans := flightRecorder(*traceOut, *metricsAddr, workerN)
 	var tr *trace.Trace
 	if *tracePath != "" {
 		ingestStart := time.Now()
@@ -519,6 +513,23 @@ func runSubmit(out io.Writer, base string, spec serve.JobSpec, outDir string) er
 	}
 	if journal != nil {
 		fmt.Fprintf(out, "\njournal written to %s\n", filepath.Join(outDir, "journal.jsonl"))
+	}
+	return nil
+}
+
+// flightRecorder returns the run's span recorder, nil when neither
+// -trace-out nor -metrics-addr is set. Raw spans are opt-in: every run
+// counts its stages in the collector's aggregates, and the overhead gate
+// (make bench-observe) prices the raw span writes. Only -trace-out
+// exports raw spans, so only it gets rings of them; with -metrics-addr
+// alone the recorder keeps each stage's aggregates, which the stage
+// table and the run summary's stages read.
+func flightRecorder(traceOut, metricsAddr string, workers int) *span.Recorder {
+	switch {
+	case traceOut != "":
+		return span.NewRecorder(workers, span.DefaultRingCapacity)
+	case metricsAddr != "":
+		return span.NewRecorder(workers, 0)
 	}
 	return nil
 }

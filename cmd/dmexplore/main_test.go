@@ -357,6 +357,52 @@ func TestRunMetricsAddr(t *testing.T) {
 	}
 }
 
+// TestMetricsAddrKeepsNoRawSpans holds -metrics-addr without -trace-out
+// to stage aggregates: its recorder stores no raw span, and the run
+// still prints the stage table and writes the run summary's stages.
+func TestMetricsAddrKeepsNoRawSpans(t *testing.T) {
+	for _, c := range []struct {
+		traceOut, metricsAddr string
+		raw                   bool
+	}{
+		{"run.trace.json", "", true},
+		{"run.trace.json", "127.0.0.1:0", true},
+		{"", "127.0.0.1:0", false},
+	} {
+		rec := flightRecorder(c.traceOut, c.metricsAddr, 2)
+		rec.Ring(0).Record(span.StageFullSim, 0, time.Millisecond, 1)
+		if raw := rec.Ring(0).Len() > 0; raw != c.raw {
+			t.Errorf("-trace-out %q -metrics-addr %q: raw spans kept %v, want %v", c.traceOut, c.metricsAddr, raw, c.raw)
+		}
+		if got := rec.Snapshot()[span.StageFullSim].Count; got != 1 {
+			t.Errorf("-trace-out %q -metrics-addr %q: full-sim count %d, want 1", c.traceOut, c.metricsAddr, got)
+		}
+	}
+	if flightRecorder("", "", 2) != nil {
+		t.Error("a run without -trace-out or -metrics-addr has a recorder")
+	}
+
+	dir := t.TempDir()
+	var out bytes.Buffer
+	err := run([]string{
+		"-workload", "easyport", "-scale", "5", "-quiet",
+		"-sample", "8", "-metrics-addr", "127.0.0.1:0", "-out", dir,
+	}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "pipeline stages") {
+		t.Fatalf("stage breakdown not printed:\n%s", out.String())
+	}
+	sum, err := telemetry.ReadRunSummary(filepath.Join(dir, "run-summary.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.Stages) == 0 {
+		t.Fatal("run summary carries no stages")
+	}
+}
+
 // TestRunProgressLine checks the rewritten reporter: a non-quiet run
 // ends with a complete final progress line.
 func TestRunProgressLine(t *testing.T) {

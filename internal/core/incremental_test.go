@@ -358,9 +358,11 @@ func TestSessionCacheEviction(t *testing.T) {
 	}
 	assertResultsIdentical(t, "evicting-sample", full, inc)
 
+	// Both caches must evict: a partition rebuilt on a warm Replayer is
+	// the path that reuses its recording buffers.
 	st := sess.IncrementalCacheStats()
-	if st.PartitionEvictions == 0 && st.PoolRunEvictions == 0 {
-		t.Fatalf("tiny budgets evicted nothing: %+v", st)
+	if st.PartitionEvictions == 0 || st.PoolRunEvictions == 0 {
+		t.Fatalf("tiny budgets left a cache unevicted: %+v", st)
 	}
 	if st.PartitionBytes > 64*1024 || st.PoolRunBytes > 64*1024 {
 		t.Fatalf("resident bytes unbounded under budget: %+v", st)

@@ -427,7 +427,7 @@ func (s *EvalSession) partial(res *Result, sc *evalScratch, rep *profile.Replaye
 	if run == nil {
 		return 0, false
 	}
-	if res.Metrics, ok = rep.Compose(s.ct, part, run, sc.cfg, s.r.Hierarchy); !ok {
+	if res.Metrics, ok = rep.Compose(part, run, sc.cfg, s.r.Hierarchy); !ok {
 		return 0, false
 	}
 	res.Incremental = true

@@ -113,11 +113,11 @@ const (
 	// A pool replay whose pool fails an allocation also keeps the
 	// failure flags.
 	poolFailureAllocs = 1
-	// A partition build adds its Partition (the struct, its op sequence,
-	// gap maxima, per-allocation reads and writes and layer counters)
-	// and the partition cache entry it claims, made like the pool-run
-	// memo's, to whichever tier then serves the evaluation.
-	partitionBuildAllocs = 6 + 3
+	// A partition build adds its Partition (the struct, its op
+	// positions, gap-maximum change points and layer counters) and the
+	// partition cache entry it claims, made like the pool-run memo's, to
+	// whichever tier then serves the evaluation.
+	partitionBuildAllocs = 4 + 3
 )
 
 // TestWarmIncrementalAllocs holds a warm incremental session to its

@@ -39,15 +39,20 @@ func (c warmCase) run(t *testing.T, h *memhier.Hierarchy) []Result {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The tiny caches must evict partitions, or no partition is rebuilt
+	// on a Replayer whose recording buffers the last build left full.
+	if st := s.IncrementalCacheStats(); c.tiny && (st.PartitionEvictions == 0 || st.PoolRunEvictions == 0) {
+		t.Fatalf("%s: 2 KiB caches left a cache unevicted: %+v", c.name, st)
+	}
 	return res
 }
 
 // TestWarmIncrementalMatchesFresh runs incremental sessions of several
 // kinds interleaved, each on the warm Replayer the session before it
 // gave back, whose recording buffers still hold the last partition's
-// ops, sizes and gap maxima: VTC and Easyport spaces on different
-// traces, configurations whose scratchpad capacity makes composition
-// decline to full replay and caches small enough to evict. Every result
+// liveness flags and gap-maximum change points: VTC and Easyport spaces
+// on different traces, configurations whose scratchpad capacity makes
+// composition decline to full replay and caches small enough to evict. Every result
 // must equal, bit for bit, a fresh session's result (tier and skipped
 // events included), whose worker starts from a new Replayer, and its
 // metrics a full Replayer.Run's.

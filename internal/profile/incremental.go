@@ -62,8 +62,9 @@ import (
 // GeneralConfig.ID), turning a fixed-axis move whose neighbour records
 // the same fallback sequence (reclaim flips, pool-set swaps that route
 // identically, NSGA-II crossover offspring mixing a seen fixed signature
-// with a seen general vector) into an O(ops) composition with no
-// simulation at all.
+// with a seen general vector) into a composition with no simulation at
+// all: additions over the layers and a merge of the two runs' change
+// points.
 //
 // Exactness extends to capacity-failing runs when no fixed pool shares
 // the general layer: the standalone pool then sees exactly the reserve
@@ -86,37 +87,42 @@ const recBase = uint64(1) << 48
 
 // recordingFallback is the inert general pool behind Partition's
 // invariant replay: it satisfies every request without touching the
-// simulation counters, records the op sequence for later standalone
-// replay, and reads the fixed-side peak on the general layer at each op
-// boundary (closing one "gap"). It lives in the Replayer, so its
-// recordings grow once per Replayer; Partition copies them out at their
-// final lengths.
+// simulation counters, counts the ops that reach it, and reads the
+// fixed-side peak on the general layer at each op boundary (closing one
+// "gap"). Which ops reached it Partition reads afterwards from the
+// synthetic addresses in the pointer table. It lives in the Replayer, so
+// its buffers grow once per Replayer; Partition copies the change points
+// out at their final length.
 type recordingFallback struct {
 	ctx   *simheap.Context
 	layer memhier.LayerID
 
-	// ops is the recorded fallback sequence: v > 0 is an allocation of v
-	// bytes; v < 0 frees the (^v)-th recorded allocation.
-	ops   []int64
-	sizes []int64 // requested bytes per recorded allocation, 0 once freed
+	ops  int    // recorded fallback ops so far
+	live []bool // per recorded allocation: not yet freed
 
-	fMax []int64 // per closed gap: max fixed-side reserved bytes
+	// fSteps holds the closed gaps' maxima of the fixed-side reserved
+	// bytes as change points: gap j closes at op j, the last one after
+	// the final op.
+	fSteps []gStep
 }
 
 // reset starts a recording on ctx's layer, keeping the buffers.
 func (p *recordingFallback) reset(ctx *simheap.Context, layer memhier.LayerID) {
-	fMax := p.fMax[:0]
+	fSteps := p.fSteps[:0]
 	if mutant.Name == "recording-untruncated" {
-		fMax = p.fMax
+		fSteps = p.fSteps
 	}
-	*p = recordingFallback{ctx: ctx, layer: layer, ops: p.ops[:0], sizes: p.sizes[:0], fMax: fMax}
+	*p = recordingFallback{ctx: ctx, layer: layer, live: p.live[:0], fSteps: fSteps}
 }
 
-// boundary closes the open gap at a fallback op. Only fixed pools
-// reserve on the partition's context, and its general layer's peak is
-// reset at every boundary, so that peak is the open gap's maximum.
+// boundary closes the open gap, the p.ops-th. Only fixed pools reserve
+// on the partition's context, and its general layer's peak is reset at
+// every boundary, so that peak is the open gap's maximum.
 func (p *recordingFallback) boundary() {
-	p.fMax = append(p.fMax, p.ctx.Counters(p.layer).PeakBytes)
+	peak := p.ctx.Counters(p.layer).PeakBytes
+	if n := len(p.fSteps); n == 0 || p.fSteps[n-1].bytes != peak {
+		p.fSteps = append(p.fSteps, gStep{p.ops, peak})
+	}
 	if mutant.Name != "partition-no-gap-reset" {
 		p.ctx.ResetPeak(p.layer)
 	}
@@ -124,20 +130,20 @@ func (p *recordingFallback) boundary() {
 
 func (p *recordingFallback) Malloc(size int64) (alloc.Ptr, error) {
 	p.boundary()
-	k := len(p.sizes)
-	p.sizes = append(p.sizes, size)
-	p.ops = append(p.ops, size)
+	p.ops++
+	k := len(p.live)
+	p.live = append(p.live, true)
 	return alloc.Ptr{Layer: p.layer, Addr: recBase + uint64(k)*simheap.WordSize}, nil
 }
 
 func (p *recordingFallback) Free(ptr alloc.Ptr) error {
 	p.boundary()
+	p.ops++
 	k := (ptr.Addr - recBase) / simheap.WordSize
-	if ptr.Addr < recBase || k >= uint64(len(p.sizes)) || p.sizes[k] == 0 {
+	if ptr.Addr < recBase || k >= uint64(len(p.live)) || !p.live[k] {
 		return fmt.Errorf("profile: recording fallback: free of unknown addr %#x", ptr.Addr)
 	}
-	p.sizes[k] = 0
-	p.ops = append(p.ops, ^int64(k))
+	p.live[k] = false
 	return nil
 }
 
@@ -146,22 +152,34 @@ func (p *recordingFallback) Free(ptr alloc.Ptr) error {
 // needs except the candidate's general pool. It is immutable once built
 // and shared read-only by all workers evaluating configurations with
 // the same signature.
+//
+// It holds no copy of what the trace already gives back: the recorded
+// ops are positions in the trace's alloc and free events (the flat
+// view's ops, which any Replayer rebuilds from ct), so an op's size and
+// dense ID, and the access words a failure correction subtracts, are
+// read from the trace.
 type Partition struct {
+	ct       *trace.Compiled
 	genLayer memhier.LayerID
-	events   int
 
 	counters []simheap.LayerCounters // invariant per-layer counters
 	cycles   uint64
 	mallocs  uint64
 	frees    uint64
 
-	ops    []int64 // recorded fallback ops (see recordingFallback.ops)
+	// ops holds the flat-view position of each op that reached the
+	// fallback, in trace order; allocs counts its allocations.
+	ops    []uint32
 	allocs int
-	fMax   []int64 // len(ops)+1 gap maxima on genLayer
 
-	// opsHash is a content hash of ops — the pool-run memo key half that
-	// lets content-identical sequences recorded under different fixed-pool
-	// signatures share one standalone general-pool run.
+	// fSteps holds the fixed side's reserved-bytes maxima on genLayer over
+	// the len(ops)+1 gaps as change points (see recordingFallback.fSteps).
+	fSteps []gStep
+
+	// opsHash is a content hash of the recorded ops (see hashOp) — the
+	// pool-run memo key half that lets the same sequence recorded under
+	// different fixed-pool signatures share one standalone general-pool
+	// run.
 	opsHash uint64
 
 	// numFixed is the configuration's fixed-pool count; the composed
@@ -173,12 +191,6 @@ type Partition struct {
 	// layer. Failure replay is exact only when false (the standalone pool
 	// then sees the real run's exact reserve headroom).
 	sharesGen bool
-
-	// recReads/recWrites hold, per recorded allocation, the word reads
-	// and writes the trace charges to it — the general-layer traffic the
-	// real replay loop skips when that allocation fails.
-	recReads  []uint64
-	recWrites []uint64
 }
 
 // Ops returns the number of recorded fallback ops a partial replay
@@ -186,23 +198,24 @@ type Partition struct {
 func (p *Partition) Ops() int { return len(p.ops) }
 
 // Events returns the compiled trace's event count the partition covers.
-func (p *Partition) Events() int { return p.events }
+func (p *Partition) Events() int { return p.ct.Len() }
 
 // SkippedEvents returns how many trace events a partial replay avoids
 // re-simulating compared to a full replay.
-func (p *Partition) SkippedEvents() int { return p.events - len(p.ops) }
+func (p *Partition) SkippedEvents() int { return p.ct.Len() - len(p.ops) }
 
 // OpsHash returns the content hash of the recorded fallback op sequence
-// (FNV-1a over the op words). Equal hashes are a memo-probe filter, not
-// a correctness guarantee: pool-run reuse additionally verifies the full
-// sequence (see PoolRun.MatchesOps).
+// (FNV-1a over the op words, see hashOp). Equal hashes are a memo-probe
+// filter, not a correctness guarantee: pool-run reuse additionally
+// verifies the full sequence (see PoolRun.MatchesOps).
 func (p *Partition) OpsHash() uint64 { return p.opsHash }
 
 // MemBytes estimates the partition's retained heap footprint, the unit
-// the session's size-aware cache bound accounts in.
+// the session's size-aware cache bound accounts in. The trace it points
+// into is the session's, not the partition's.
 func (p *Partition) MemBytes() int64 {
-	return int64(len(p.ops))*8 + int64(len(p.fMax))*8 +
-		int64(len(p.recReads))*16 + int64(len(p.counters))*32 + 256
+	return int64(len(p.ops))*4 + int64(len(p.fSteps))*16 +
+		int64(len(p.counters))*32 + 256
 }
 
 // Partition replays ct once with cfg's fixed pools composed over an
@@ -227,7 +240,10 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 	// instant the real build would construct the general pool.
 	ctx.ResetPeak(genLayer)
 
-	p := &Partition{genLayer: genLayer, events: ct.Len(), numFixed: len(cfg.Fixed)}
+	if int64(ct.Allocs)+int64(ct.Frees) > math.MaxUint32 {
+		return nil, fmt.Errorf("profile: %d alloc and free events overflow a partition's positions", ct.Allocs+ct.Frees)
+	}
+	p := &Partition{ct: ct, genLayer: genLayer, numFixed: len(cfg.Fixed)}
 	for _, f := range cfg.Fixed {
 		if id, ok := h.ByName(f.Layer); ok && id == genLayer {
 			p.sharesGen = true
@@ -243,16 +259,25 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 	rec.boundary() // close the final gap
 
 	// IDs are never reused, so the pointer table still names every
-	// allocation, and a recorded one by its synthetic address.
-	p.recReads = make([]uint64, len(rec.sizes))
-	p.recWrites = make([]uint64, len(rec.sizes))
-	for id, ptr := range r.ptrs {
-		if ptr.Addr >= recBase {
-			k := (ptr.Addr - recBase) / simheap.WordSize
-			p.recReads[k] = r.flat.reads[id]
-			p.recWrites[k] = r.flat.writes[id]
+	// allocation, and a recorded one by its synthetic address: an op
+	// reached the fallback iff its ID's pointer is synthetic. A free's
+	// content word names the recorded allocation by that address.
+	p.ops = make([]uint32, 0, rec.ops)
+	hash := uint64(fnvOffset64)
+	for j, op := range r.flat.ops {
+		ptr := r.ptrs[op.id]
+		if ptr.Addr < recBase {
+			continue
+		}
+		p.ops = append(p.ops, uint32(j))
+		if trace.ArgKind(op.arg) == trace.KindAlloc {
+			hash = hashOp(hash, int64(ct.Arg(op.arg)))
+		} else {
+			hash = hashOp(hash, ^int64((ptr.Addr-recBase)/simheap.WordSize))
 		}
 	}
+	p.allocs = len(rec.live)
+	p.opsHash = hash
 	p.counters = make([]simheap.LayerCounters, h.NumLayers())
 	for i := range p.counters {
 		p.counters[i] = ctx.Counters(memhier.LayerID(i))
@@ -260,24 +285,24 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 	p.cycles = ctx.Cycles()
 	p.mallocs = m.Mallocs
 	p.frees = m.Frees
-	// The recordings stay in the Replayer; the partition keeps copies
-	// at their final lengths.
-	p.ops = append(make([]int64, 0, len(rec.ops)), rec.ops...)
-	p.allocs = len(rec.sizes)
-	p.fMax = append(make([]int64, 0, len(rec.fMax)), rec.fMax...)
-	p.opsHash = hashOps(p.ops)
+	// The change points stay in the Replayer; the partition keeps a copy
+	// at their final length.
+	p.fSteps = slices.Clone(rec.fSteps)
 	return p, nil
 }
 
 // PoolRun is one standalone general-pool replay of a recorded fallback
-// op sequence: everything Compose needs to assemble full-run metrics in
-// O(ops) additions without re-simulating. It depends only on the op
-// sequence's content and the general pool's parameters — not on which
-// partition recorded the sequence — so it is shareable (via the
-// session's pool-run memo) across every partition whose recorded ops are
-// content-identical. Immutable once built.
+// op sequence: everything Compose needs to assemble full-run metrics
+// without re-simulating. It depends only on the op sequence and the
+// general pool's parameters — not on which partition recorded the
+// sequence — so it is shareable (via the session's pool-run memo)
+// across every partition that recorded the same positions of the trace.
+// Immutable once built.
 type PoolRun struct {
-	ops []int64 // the replayed sequence (shared with the recording partition)
+	// The replayed sequence: positions in ct's flat ops, shared with the
+	// recording partition.
+	ct  *trace.Compiled
+	ops []uint32
 
 	// gSteps holds the pool-reserved bytes after the build and after each
 	// op as change points: the level moves only when the pool grows.
@@ -294,20 +319,13 @@ type PoolRun struct {
 	skippedFrees uint64
 }
 
-// gStep is one change point of a PoolRun's reserved bytes: the level
-// after op at-1 (after the build for at 0) and onward until the next step.
+// gStep is one change point of a level over a recorded op sequence: the
+// level from index at onward until the next step. For a PoolRun's
+// reserved bytes index j is the level after op j-1 (after the build for
+// 0); for a Partition's gap maxima it is gap j, which op j closes.
 type gStep struct {
 	at    int
 	bytes int64
-}
-
-// stepEnd returns where step s stops holding: the next step's start, or
-// n, the length of the gAfter sequence, for the last step.
-func (pr *PoolRun) stepEnd(s, n int) int {
-	if s+1 < len(pr.gSteps) {
-		return pr.gSteps[s+1].at
-	}
-	return n
 }
 
 // Ops returns the length of the replayed op sequence.
@@ -317,20 +335,13 @@ func (pr *PoolRun) Ops() int { return len(pr.ops) }
 // recorded.
 func (pr *PoolRun) Failures() uint64 { return pr.failures }
 
-// MatchesOps verifies the run's op sequence is content-identical to the
-// partition's — the collision-safety check behind the hash-keyed memo. A
-// mismatch means a hash collision; the caller must replay instead of
-// composing.
+// MatchesOps verifies the run's op sequence is the partition's — the
+// collision-safety check behind the hash-keyed memo. The same positions
+// in the same trace are the same content. A mismatch means a hash
+// collision (or content-identical ops at other positions, which no
+// shipped space records); the caller must replay instead of composing.
 func (pr *PoolRun) MatchesOps(part *Partition) bool {
-	if len(pr.ops) != len(part.ops) {
-		return false
-	}
-	for i, op := range pr.ops {
-		if op != part.ops[i] {
-			return false
-		}
-	}
-	return true
+	return pr.ct == part.ct && slices.Equal(pr.ops, part.ops)
 }
 
 // MemBytes estimates the run's retained heap footprint (the shared ops
@@ -354,44 +365,39 @@ func (r *Replayer) PoolReplay(part *Partition, cfg alloc.Config, h *memhier.Hier
 	if err != nil {
 		return nil, false
 	}
-	genLayer := part.genLayer
-	if cap(r.genPtrs) < part.allocs {
-		r.genPtrs = make([]alloc.Ptr, 0, part.allocs)
-	}
-	// ptrs holds one entry per recorded allocation; a failed one keeps
-	// the zero Ptr, never freed, so later indices stay aligned.
-	ptrs := r.genPtrs[:0]
-	run := &PoolRun{ops: part.ops}
+	ct, genLayer := part.ct, part.genLayer
+	v := r.flat.of(ct)
+	// The pointer table is keyed by dense ID, as in a full replay; a
+	// failed allocation is not live, so its free is skipped.
+	r.reset(ct.NumIDs)
+	run := &PoolRun{ct: ct, ops: part.ops}
 	// The change points collect in the Replayer's scratch and are copied
 	// out at their final length.
 	g := ctx.Counters(genLayer).ReservedBytes
 	steps := append(r.steps[:0], gStep{0, g})
-	allocIdx := 0
-	for j, op := range part.ops {
-		if op > 0 {
-			k := allocIdx
-			allocIdx++
-			ptr, err := pool.Malloc(op)
+	k := 0 // recorded allocations so far
+	for j, pos := range part.ops {
+		op := v.ops[pos]
+		if trace.ArgKind(op.arg) == trace.KindAlloc {
+			ptr, err := pool.Malloc(int64(ct.Arg(op.arg)))
 			switch {
 			case err == nil:
-				ptrs = append(ptrs, ptr)
+				r.ptrs[op.id], r.live[op.id] = ptr, true
 			case errors.Is(err, alloc.ErrOutOfMemory):
 				if run.failed == nil {
 					run.failed = make([]bool, part.allocs)
 				}
 				run.failed[k] = true
 				run.failures++
-				ptrs = append(ptrs, alloc.Ptr{})
+				r.live[op.id] = false
 			default:
 				return nil, false
 			}
-		} else {
-			k := ^op
-			if run.failed != nil && run.failed[k] {
-				run.skippedFrees++
-			} else if err := pool.Free(ptrs[k]); err != nil {
-				return nil, false
-			}
+			k++
+		} else if !r.live[op.id] {
+			run.skippedFrees++
+		} else if err := pool.Free(r.ptrs[op.id]); err != nil {
+			return nil, false
 		}
 		if now := ctx.Counters(genLayer).ReservedBytes; now != g {
 			g = now
@@ -408,28 +414,50 @@ func (r *Replayer) PoolReplay(part *Partition, cfg alloc.Config, h *memhier.Hier
 	return run, true
 }
 
+// peakSum returns max over j of f(j)+g(j) for two levels held as change
+// points over the same indices, both starting at index 0: it walks the
+// merged change points, so it costs O(len(f)+len(g)), not O(indices).
+func peakSum(f, g []gStep) int64 {
+	best := int64(math.MinInt64)
+	i, k := 0, 0
+	for {
+		best = max(best, f[i].bytes+g[k].bytes)
+		fNext, gNext := i+1 < len(f), k+1 < len(g)
+		switch {
+		case fNext && gNext && f[i+1].at == g[k+1].at:
+			i, k = i+1, k+1
+		case fNext && (!gNext || f[i+1].at < g[k+1].at):
+			i++
+		case gNext:
+			k++
+		default:
+			return best
+		}
+	}
+}
+
 // Compose assembles full-run metrics from a partition's invariant half
-// and a standalone PoolRun of its recorded op sequence — O(ops)
-// additions, no simulation. run must have been produced by PoolReplay on
-// an op sequence content-identical to part's (the memo verifies this via
-// MatchesOps), and cfg must share part's fixed-pool signature with run's
-// general-pool parameters. The result is bit-identical to a full
-// fast-path Run. ok is false when composition cannot reproduce the full
-// replay exactly: the composed peak overflows the general layer's
-// capacity, or the run recorded allocation failures while a fixed pool
-// shares the general layer (the standalone pool's failure points then
-// diverge from the real run's).
-func (r *Replayer) Compose(ct *trace.Compiled, part *Partition, run *PoolRun, cfg alloc.Config, h *memhier.Hierarchy) (*Metrics, bool) {
+// and a standalone PoolRun of its recorded op sequence — additions over
+// the layers and the two runs' change points, no simulation. run must
+// have been produced by PoolReplay on part's op sequence — the same
+// positions in the same trace (the memo verifies this via MatchesOps) —
+// and cfg must share
+// part's fixed-pool signature with run's general-pool parameters. The
+// result is bit-identical to a full fast-path Run. ok is false when
+// composition cannot reproduce the full replay exactly: the composed
+// peak overflows the general layer's capacity, or the run recorded
+// allocation failures while a fixed pool shares the general layer (the
+// standalone pool's failure points then diverge from the real run's).
+func (r *Replayer) Compose(part *Partition, run *PoolRun, cfg alloc.Config, h *memhier.Hierarchy) (*Metrics, bool) {
 	if run.failures > 0 && part.sharesGen {
 		return nil, false
 	}
-	genLayer := part.genLayer
-	maxSum := int64(math.MinInt64)
-	for s, st := range run.gSteps {
-		for _, f := range part.fMax[st.at:run.stepEnd(s, len(part.fMax))] {
-			maxSum = max(maxSum, f+st.bytes)
-		}
+	ct, genLayer := part.ct, part.genLayer
+	fSteps := part.fSteps
+	if mutant.Name == "compose-last-fstep-dropped" && len(fSteps) > 1 {
+		fSteps = fSteps[:len(fSteps)-1]
 	}
+	maxSum := peakSum(fSteps, run.gSteps)
 	if layer := h.Layer(genLayer); layer.Bounded() && maxSum > layer.Capacity {
 		return nil, false
 	}
@@ -437,15 +465,23 @@ func (r *Replayer) Compose(ct *trace.Compiled, part *Partition, run *PoolRun, cf
 	// Failure corrections: the real replay loop skips a failed
 	// allocation's accesses and frees entirely, but the partition's
 	// invariant half charged them (its recording fallback never fails).
-	// Subtract the general-layer traffic tallied against each failed
-	// allocation and the free-dispatch cycles of each skipped free.
+	// Subtract the general-layer traffic the flat view tallies against
+	// the dense ID of each failed allocation (the k-th recorded one of
+	// this partition) and the free-dispatch cycles of each skipped free.
 	var adjReads, adjWrites uint64
 	if run.failures > 0 {
-		for k, failed := range run.failed {
-			if failed {
-				adjReads += part.recReads[k]
-				adjWrites += part.recWrites[k]
+		v := r.flat.of(ct)
+		k := 0
+		for _, pos := range part.ops {
+			op := v.ops[pos]
+			if trace.ArgKind(op.arg) != trace.KindAlloc {
+				continue
 			}
+			if run.failed[k] {
+				adjReads += v.reads[op.id]
+				adjWrites += v.writes[op.id]
+			}
+			k++
 		}
 	}
 	genLayerInfo := h.Layer(genLayer)
@@ -499,23 +535,24 @@ func (r *Replayer) Compose(ct *trace.Compiled, part *Partition, run *PoolRun, cf
 	return m, true
 }
 
-// hashOps is FNV-1a over the op words — the memo-key content hash of a
-// recorded fallback sequence. Collisions are tolerated (PoolRun.MatchesOps
-// verifies the full sequence before reuse), the hash only has to make
-// them vanishingly rare.
-func hashOps(ops []int64) uint64 {
-	const (
-		offset64 = 0xcbf29ce484222325
-		prime64  = 0x100000001b3
-	)
-	h := uint64(offset64)
-	for _, op := range ops {
-		v := uint64(op)
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
+// FNV-1a's 64-bit offset basis and prime, for hashOp.
+const (
+	fnvOffset64 = 0xcbf29ce484222325
+	fnvPrime64  = 0x100000001b3
+)
+
+// hashOp folds one op word into h, FNV-1a over its eight little-endian
+// bytes. A recorded sequence's content hash folds its op words, in order,
+// into fnvOffset64: an allocation's word is its size, a free's is ^k for
+// the k-th recorded allocation. Collisions are tolerated
+// (PoolRun.MatchesOps verifies the full sequence before reuse); the hash
+// only has to make them vanishingly rare.
+func hashOp(h uint64, op int64) uint64 {
+	v := uint64(op)
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime64
+		v >>= 8
 	}
 	return h
 }

@@ -95,7 +95,7 @@ func runPartial(rep *Replayer, ct *trace.Compiled, part *Partition, cfg alloc.Co
 	if !ok {
 		return nil, false
 	}
-	return rep.Compose(ct, part, run, cfg, h)
+	return rep.Compose(part, run, cfg, h)
 }
 
 // TestRunPartialMatchesFullReplay is the profile-level exactness check:
@@ -316,7 +316,7 @@ func TestRunPartialFailureDeclinesSharedLayer(t *testing.T) {
 	if !ok || run.Failures() == 0 {
 		t.Fatalf("standalone replay should record failures (ok=%v)", ok)
 	}
-	if _, ok := rep.Compose(ct, part, run, cfg, h); ok {
+	if _, ok := rep.Compose(part, run, cfg, h); ok {
 		t.Fatal("Compose accepted a failing run with a fixed pool on the general layer")
 	}
 }
@@ -368,7 +368,7 @@ func TestPoolRunComposesAcrossPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := rep.Compose(ct, partB, runA, cfgB, h)
+	got, ok := rep.Compose(partB, runA, cfgB, h)
 	if !ok {
 		t.Fatal("cross-partition Compose declined")
 	}
@@ -459,4 +459,144 @@ func TestComposeSharedLayerPeakAfterReclaim(t *testing.T) {
 	if full.FootprintBytes != 33464 {
 		t.Errorf("footprint %d B, want 33464", full.FootprintBytes)
 	}
+}
+
+// TestComposeSharedLayerPeakAtLastGap is the mirror of
+// TestComposeSharedLayerPeakAfterReclaim: the general pool grows on DRAM
+// first, and only then does a DRAM fixed pool grow to 64 packets, inside
+// the gap after the last general allocation. The fixed side's gap maxima
+// change for the last time there, so the composed peak is that last
+// change point plus the general pool's final level; the merge of the two
+// change-point lists must reach it.
+func TestComposeSharedLayerPeakAtLastGap(t *testing.T) {
+	b := trace.NewBuilder("general-then-fixed")
+	var gen, pkts []uint64
+	for i := 0; i < 8; i++ {
+		gen = append(gen, b.Alloc(3000))
+	}
+	for i := 0; i < 64; i++ {
+		pkts = append(pkts, b.Alloc(74))
+	}
+	for _, p := range pkts {
+		b.Free(p)
+	}
+	for _, g := range gen {
+		b.Free(g)
+	}
+	ct, err := trace.Compile(b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := memhier.EmbeddedSoC()
+	rep := NewReplayer()
+	cfg := alloc.Config{
+		Label: "general-then-fixed/d74",
+		Fixed: []alloc.FixedConfig{{
+			SlotBytes: 74, MatchLo: 74, MatchHi: 74, Layer: memhier.LayerDRAM,
+			Order: alloc.LIFO, Links: alloc.SingleLink,
+			Growth: alloc.GrowFixedChunk, ChunkSlots: 8,
+		}},
+		General: incrementalConfigs()[0].General,
+	}
+	full, err := rep.Run(ct, cfg, h, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := rep.Partition(ct, cfg, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(part.fSteps); n < 2 || part.fSteps[n-1].at != 8 {
+		t.Fatalf("fixed-side change points %v, want the last at gap 8", part.fSteps)
+	}
+	pm, ok := runPartial(rep, ct, part, cfg, h)
+	if !ok {
+		t.Fatal("partial path declined an unbounded shared layer")
+	}
+	if !reflect.DeepEqual(pm, full) {
+		t.Errorf("composed metrics diverge:\n  partial %+v\n  full    %+v", pm, full)
+	}
+	if full.FootprintBytes != 37944 {
+		t.Errorf("footprint %d B, want 37944", full.FootprintBytes)
+	}
+}
+
+// TestMatchesOpsComparesPositions covers MatchesOps beyond the shared
+// positions the shipped spaces record: a sequence matches only the same
+// positions of the same trace. Content-identical ops elsewhere in the
+// trace, or in another trace, do not match, so a memo hit on them
+// rebuilds privately. It also holds each partition's content hash to the
+// FNV-1a of its op words.
+func TestMatchesOpsComparesPositions(t *testing.T) {
+	build := func() *trace.Compiled {
+		b := trace.NewBuilder("content")
+		for _, pair := range [][2]int64{{64, 64}, {64, 64}, {64, 96}} {
+			x, y := b.Alloc(pair[0]), b.Alloc(pair[1])
+			b.Free(x)
+			b.Free(y)
+		}
+		ct, err := trace.Compile(b.Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
+	}
+	ct, other := build(), build()
+	seq := func(first uint32) []uint32 { return []uint32{first, first + 1, first + 2, first + 3} }
+	run := &PoolRun{ct: ct, ops: seq(0)}
+	for _, c := range []struct {
+		name  string
+		part  *Partition
+		match bool
+	}{
+		{"the same positions", &Partition{ct: ct, ops: seq(0)}, true},
+		{"the same content elsewhere", &Partition{ct: ct, ops: seq(4)}, false},
+		{"another size", &Partition{ct: ct, ops: seq(8)}, false},
+		{"the same positions of another trace", &Partition{ct: other, ops: seq(0)}, false},
+		{"a prefix", &Partition{ct: ct, ops: seq(0)[:2]}, false},
+	} {
+		if got := run.MatchesOps(c.part); got != c.match {
+			t.Errorf("%s: MatchesOps %v, want %v", c.name, got, c.match)
+		}
+	}
+
+	ep := easyportCompiled(t, 300)
+	h := memhier.EmbeddedSoC()
+	rep := NewReplayer()
+	for _, cfg := range incrementalConfigs() {
+		part, err := rep.Partition(ep, cfg, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash := uint64(fnvOffset64)
+		for _, w := range opWords(ep, part.ops) {
+			hash = hashOp(hash, w)
+		}
+		if hash != part.OpsHash() {
+			t.Errorf("%s: content hash %#x, FNV-1a of the op words %#x", cfg.Label, part.OpsHash(), hash)
+		}
+	}
+}
+
+// opWords returns the content words of the op sequence at flat-view
+// positions pos of ct, the words a partition's content hash folds: an
+// allocation's size, or ^k for a free of the k-th allocation of the
+// sequence.
+func opWords(ct *trace.Compiled, pos []uint32) []int64 {
+	var v flatView
+	v.of(ct)
+	rank := make([]int64, ct.NumIDs)
+	words := make([]int64, len(pos))
+	k := int64(0)
+	for i, p := range pos {
+		op := v.ops[p]
+		if trace.ArgKind(op.arg) == trace.KindAlloc {
+			rank[op.id] = k
+			k++
+			words[i] = int64(ct.Arg(op.arg))
+		} else {
+			words[i] = ^rank[op.id]
+		}
+	}
+	return words
 }

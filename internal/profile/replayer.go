@@ -32,7 +32,6 @@ type Replayer struct {
 	ptrs []alloc.Ptr // dense ID -> payload pointer
 	live []bool      // dense ID -> allocation currently live (not failed)
 
-	genPtrs  []alloc.Ptr             // partial-replay scratch: recorded-alloc pointers
 	steps    []gStep                 // partial-replay scratch: reserved-bytes change points
 	counters []simheap.LayerCounters // composition scratch: the composed counters
 
@@ -46,7 +45,7 @@ type Replayer struct {
 
 	log *logWriter // kept across runs and reset onto each Options.LogWriter
 
-	rec recordingFallback // partition scratch: the fallback's recordings
+	rec recordingFallback // partition scratch: the fallback's liveness and gap maxima
 }
 
 // NewReplayer returns a Replayer with empty scratch state. The first Run

@@ -89,8 +89,8 @@ func TestWarmReplayerMatchesFresh(t *testing.T) {
 				t.Errorf("%s %s: warm pool replay diverges (ok %v, want %v)", name, cfg.Label, ok, wantOK)
 			}
 			if ok && wantOK {
-				wantM, wantOK := fresh.Compose(ct, wantPart, wantRun, cfg, h)
-				m, ok := r.Compose(ct, part, run, cfg, h)
+				wantM, wantOK := fresh.Compose(wantPart, wantRun, cfg, h)
+				m, ok := r.Compose(part, run, cfg, h)
 				if ok != wantOK || !reflect.DeepEqual(m, wantM) {
 					t.Errorf("%s %s: warm composition diverges (ok %v, want %v)", name, cfg.Label, ok, wantOK)
 				}
